@@ -1,9 +1,10 @@
 """Command line interface: fixed-locus reports over JSON documents.
 
 Exit codes: 0 success, 1 property-check failure (with a counterexample
-dump), 2 malformed input (schema or usage), 3 domain rejection
-(mathematically inadmissible input).  All output is deterministic for
-a fixed seed: reports are byte-identical across runs.
+dump) or violated internal invariant, 2 malformed input (schema or
+usage), 3 domain rejection (mathematically inadmissible input).  All
+output is deterministic for a fixed seed: reports are byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import random
 import sys
 
 from . import covers, equivariant, locus, stability
-from .errors import DomainError, SchemaError
+from ._ser import parse_object
+from .errors import DomainError, InternalError, SchemaError
 
 DEFAULT_SEED = 1729
 
@@ -40,16 +42,9 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _wrap_doc(doc: object, required: set[str]) -> dict:
-    if not isinstance(doc, dict):
-        raise SchemaError("input document must be an object")
-    extra = set(doc) - required
-    if extra:
-        raise SchemaError(f"unknown input fields: {sorted(extra)}")
-    missing = required - set(doc)
-    if missing:
-        raise SchemaError(f"input requires fields: {sorted(missing)}")
-    return doc
+def _load_input(path: str, **fields) -> dict:
+    """A top-level document holding the given named sub-documents."""
+    return parse_object(_load_json(path), "input", fields)
 
 
 def cmd_kernel(args) -> int:
@@ -94,9 +89,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    doc = _wrap_doc(_load_json(args.file), {"profile", "det"})
-    profile = covers.profile_from_json(doc["profile"])
-    det = equivariant.det_from_json(doc["det"])
+    doc = _load_input(args.file, profile=covers.profile_from_json, det=equivariant.det_from_json)
+    profile, det = doc["profile"], doc["det"]
     elements = equivariant.enumerate_lambda(det, profile)
     per_orbit = {
         y.id: [[d1, d2] for d1, d2 in
@@ -114,10 +108,9 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    doc = _wrap_doc(_load_json(args.file), {"profile", "numeric"})
-    profile = covers.profile_from_json(doc["profile"])
-    numeric = equivariant.numeric_from_json(doc["numeric"])
-    ws = equivariant.weight_system(numeric, profile)
+    doc = _load_input(args.file, profile=covers.profile_from_json,
+                      numeric=equivariant.numeric_from_json)
+    ws = equivariant.weight_system(doc["numeric"], doc["profile"])
     payload = {"weights": {label: {"num": w.numerator, "den": w.denominator}
                            for label, w in sorted(ws.items())}}
     lines = [f"{label}: {w}" for label, w in sorted(ws.items())]
@@ -180,9 +173,8 @@ def cmd_bijection_check(args) -> int:
 
 
 def cmd_zeta2(args) -> int:
-    doc = _wrap_doc(_load_json(args.file), {"profile", "data"})
-    profile = covers.profile_from_json(doc["profile"])
-    data = equivariant.rank2_from_json(doc["data"])
+    doc = _load_input(args.file, profile=covers.profile_from_json, data=equivariant.rank2_from_json)
+    profile, data = doc["profile"], doc["data"]
     image = locus.zeta2_apply(data, profile)
     twice = locus.zeta2_apply(image, profile)
     if twice != data:
@@ -368,6 +360,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

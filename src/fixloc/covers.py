@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidProfile, SchemaError
+from ._ser import list_of, parse_object, require_int, require_str
+from .errors import InternalError, InvalidProfile
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ def kernel_order(profile: CoverProfile) -> int:
             continue
         if all(y.k % t == 0 for y in profile.orbits):
             best = t
-    assert best == gcd_orbit_lengths(profile)
+    if best != gcd_orbit_lengths(profile):
+        raise InternalError(f"kernel order {best} disagrees with the gcd route")
     return best
 
 
@@ -121,14 +123,14 @@ def factor_cover(profile: CoverProfile) -> tuple[CoverProfile, int]:
     orbits = tuple(
         SpecialOrbit(id=y.id, k=y.k // r, nprime=y.nprime) for y in profile.orbits
     )
-    ramified = CoverProfile(n=profile.n // r, orbits=orbits, genus_base=mid_genus)
-    validate(ramified)
-    return ramified, r
+    # valid by construction: r divides every k, so k/r divides n/r and k/r < n/r
+    return CoverProfile(n=profile.n // r, orbits=orbits, genus_base=mid_genus), r
 
 
 def orbit_length_under_power(k: int, d: int) -> int:
     """Length of a k-point orbit under the d-th power of the generator."""
-    assert k >= 1 and d >= 1
+    if k < 1 or d < 1:
+        raise InvalidProfile(f"orbit length {k} and power {d} must be positive")
     return k // math.gcd(d, k)
 
 
@@ -142,34 +144,13 @@ def profile_to_json(profile: CoverProfile) -> dict:
     }
 
 
-def profile_from_json(doc: object) -> CoverProfile:
+def _orbit_from_json(doc: object, where: str) -> tuple[str, int]:
+    entry = parse_object(doc, where, {"id": require_str, "k": require_int})
+    return entry["id"], entry["k"]
+
+
+def profile_from_json(doc: object, where: str = "profile") -> CoverProfile:
     """Parse the profile document schema; unknown fields are rejected."""
-    if not isinstance(doc, dict):
-        raise SchemaError("profile document must be an object")
-    allowed = {"n", "genus_base", "orbits"}
-    extra = set(doc) - allowed
-    if extra:
-        raise SchemaError(f"unknown profile fields: {sorted(extra)}")
-    if "n" not in doc or "orbits" not in doc:
-        raise SchemaError("profile document requires 'n' and 'orbits'")
-    n = doc["n"]
-    genus = doc.get("genus_base", 0)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SchemaError("'n' must be an integer")
-    if not isinstance(genus, int) or isinstance(genus, bool):
-        raise SchemaError("'genus_base' must be an integer")
-    raw = doc["orbits"]
-    if not isinstance(raw, list):
-        raise SchemaError("'orbits' must be a list")
-    lengths: list[tuple[str, int]] = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise SchemaError("orbit entries must be objects")
-        if set(entry) != {"id", "k"}:
-            raise SchemaError(f"orbit entry fields must be exactly id,k: {sorted(entry)}")
-        if not isinstance(entry["id"], str):
-            raise SchemaError("orbit 'id' must be a string")
-        if not isinstance(entry["k"], int) or isinstance(entry["k"], bool):
-            raise SchemaError("orbit 'k' must be an integer")
-        lengths.append((entry["id"], entry["k"]))
-    return make_profile(n, lengths, genus_base=genus)
+    fields = parse_object(doc, where, {"n": require_int, "orbits": list_of(_orbit_from_json)},
+                          {"genus_base": (require_int, 0)})
+    return make_profile(fields["n"], fields["orbits"], genus_base=fields["genus_base"])

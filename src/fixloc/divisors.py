@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._ser import dict_of, parse_object, require_int
 from .covers import CoverProfile, SpecialOrbit
-from .errors import SchemaError, UnknownOrbit
+from .errors import InvalidDatum, OddOrder, UnknownOrbit
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,13 @@ class RootExponent:
     modulus: int
 
     def __post_init__(self):
-        assert self.modulus >= 1
+        if self.modulus < 1:
+            raise InvalidDatum(f"root of unity needs a positive modulus, got {self.modulus}")
         object.__setattr__(self, "a", self.a % self.modulus)
 
     def mul(self, other: "RootExponent") -> "RootExponent":
-        assert self.modulus == other.modulus
+        if self.modulus != other.modulus:
+            raise InvalidDatum(f"moduli {self.modulus} and {other.modulus} differ")
         return RootExponent(self.a + other.a, self.modulus)
 
     def inverse(self) -> "RootExponent":
@@ -47,13 +50,15 @@ def unit_root(a: int, n: int) -> RootExponent:
 
 
 def minus_one(n: int) -> RootExponent:
-    assert n % 2 == 0, "order-two scalar needs even order"
+    if n % 2 != 0:
+        raise OddOrder(f"order-two scalar needs even order, got {n}")
     return RootExponent(n // 2, n)
 
 
 def d_mu(mu: RootExponent, orbit: SpecialOrbit) -> int:
     """Local weight of the scalar mu at an orbit: exponent mod n'(y)."""
-    assert mu.modulus % orbit.nprime == 0
+    if mu.modulus % orbit.nprime != 0:
+        raise InvalidDatum(f"stabilizer order {orbit.nprime} does not divide modulus {mu.modulus}")
     return mu.a % orbit.nprime
 
 
@@ -112,23 +117,7 @@ def divisor_to_json(div: InvariantDivisor) -> dict:
     return {"residues": dict(sorted(div.residues.items())), "base_degree": div.base_degree}
 
 
-def divisor_from_json(doc: object) -> InvariantDivisor:
-    if not isinstance(doc, dict):
-        raise SchemaError("divisor document must be an object")
-    extra = set(doc) - {"residues", "base_degree"}
-    if extra:
-        raise SchemaError(f"unknown divisor fields: {sorted(extra)}")
-    if "residues" not in doc or "base_degree" not in doc:
-        raise SchemaError("divisor document requires 'residues' and 'base_degree'")
-    residues = doc["residues"]
-    base = doc["base_degree"]
-    if not isinstance(residues, dict):
-        raise SchemaError("'residues' must be an object")
-    for label, res in residues.items():
-        if not isinstance(label, str):
-            raise SchemaError("residue keys must be strings")
-        if not isinstance(res, int) or isinstance(res, bool):
-            raise SchemaError(f"residue at {label!r} must be an integer")
-    if not isinstance(base, int) or isinstance(base, bool):
-        raise SchemaError("'base_degree' must be an integer")
-    return InvariantDivisor(residues=dict(residues), base_degree=base)
+def divisor_from_json(doc: object, where: str = "divisor") -> InvariantDivisor:
+    fields = parse_object(doc, where, {"residues": dict_of(require_int),
+                                       "base_degree": require_int})
+    return InvariantDivisor(residues=fields["residues"], base_degree=fields["base_degree"])

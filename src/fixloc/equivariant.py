@@ -27,9 +27,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ser import rat_from_json, rat_to_json, require_int, require_keys, require_str
+from ._ser import dict_of, one_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
 from .covers import CoverProfile
-from .errors import InvalidDatum, NonIntegralDegree, NoSolution, SchemaError, UnknownOrbit
+from .errors import InvalidDatum, NonIntegralDegree, NoSolution, UnknownOrbit
 
 PLUS = "+"
 MINUS = "-"
@@ -77,11 +77,15 @@ class AdmissibleParabolicDatum:
     det_lift_sign: str = PLUS
 
 
-def validate_det(det: DeterminantLift, profile: CoverProfile) -> None:
-    if det.lift_sign not in (PLUS, MINUS):
-        raise InvalidDatum(f"lift sign must be '+' or '-', got {det.lift_sign!r}")
-    if profile.n % 2 == 1 and det.lift_sign != PLUS:
+def _validate_lift_sign(sign: str, profile: CoverProfile) -> None:
+    if sign not in (PLUS, MINUS):
+        raise InvalidDatum(f"lift sign must be '+' or '-', got {sign!r}")
+    if profile.n % 2 == 1 and sign != PLUS:
         raise InvalidDatum("odd cover order admits a single lift; sign must be '+'")
+
+
+def validate_det(det: DeterminantLift, profile: CoverProfile) -> None:
+    _validate_lift_sign(det.lift_sign, profile)
     known = {y.id: y.nprime for y in profile.orbits}
     for label, res in det.residues.items():
         if label not in known:
@@ -90,24 +94,27 @@ def validate_det(det: DeterminantLift, profile: CoverProfile) -> None:
             raise InvalidDatum(f"determinant residue at {label!r} out of range [0,{known[label]})")
 
 
-def validate_rank2(data: Rank2EqData, profile: CoverProfile) -> None:
-    validate_det(data.det, profile)
-    ids = set(profile.orbit_ids())
-    if set(data.numeric) != ids:
+def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> None:
+    """Exactly one pair per profile orbit, each with 0 <= d1 <= d2 < n'."""
+    if set(numeric) != set(profile.orbit_ids()):
         raise InvalidDatum("numeric data must cover exactly the profile orbits")
     for y in profile.orbits:
-        d1, d2 = data.numeric[y.id]
+        d1, d2 = numeric[y.id]
         if not (0 <= d1 <= d2 < y.nprime):
             raise InvalidDatum(f"exponent pair at {y.id!r} violates 0 <= d1 <= d2 < n'")
+
+
+def validate_rank2(data: Rank2EqData, profile: CoverProfile) -> None:
+    validate_det(data.det, profile)
+    validate_numeric(data.numeric, profile)
+    for y in profile.orbits:
+        d1, d2 = data.numeric[y.id]
         if (d1 + d2) % y.nprime != data.det.residues.get(y.id, 0) % y.nprime:
             raise InvalidDatum(f"exponent pair at {y.id!r} does not sum to determinant residue")
 
 
 def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> None:
-    if pdat.det_lift_sign not in (PLUS, MINUS):
-        raise InvalidDatum(f"lift sign must be '+' or '-', got {pdat.det_lift_sign!r}")
-    if profile.n % 2 == 1 and pdat.det_lift_sign != PLUS:
-        raise InvalidDatum("odd cover order admits a single lift; sign must be '+'")
+    _validate_lift_sign(pdat.det_lift_sign, profile)
     known = {y.id: y for y in profile.orbits}
     for label in itertools.chain(pdat.weights, pdat.d2):
         if label not in known:
@@ -151,7 +158,16 @@ def enumerate_lambda(det: DeterminantLift, profile: CoverProfile) -> list[dict[s
 
 
 def weight_system(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, Fraction]:
-    """Parabolic weights w(y) = (d2 - d1) / n'(y)."""
+    """Parabolic weights w(y) = (d2 - d1) / n'(y).
+
+    InvalidDatum unless numeric holds exactly one pair per profile
+    orbit, each with 0 <= d1 <= d2 < n' (validate_numeric).
+    """
+    validate_numeric(numeric, profile)
+    return _weights(numeric, profile)
+
+
+def _weights(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, Fraction]:
     out = {}
     for y in profile.orbits:
         d1, d2 = numeric[y.id]
@@ -241,7 +257,7 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
 def to_parabolic(data: Rank2EqData, profile: CoverProfile) -> AdmissibleParabolicDatum:
     """Descend equivariant numeric data to its parabolic shadow."""
     validate_rank2(data, profile)
-    weights = weight_system(data.numeric, profile)
+    weights = _weights(data.numeric, profile)
     d2 = {y.id: data.numeric[y.id][1] for y in profile.orbits}
     bar = bar_delta_degree(data.det, data.numeric, profile)
     return AdmissibleParabolicDatum(det_bar_degree=bar, weights=weights, d2=d2,
@@ -255,13 +271,8 @@ def from_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ran
     residues = {}
     degree = profile.n * pdat.det_bar_degree
     for y in profile.orbits:
-        w = Fraction(pdat.weights.get(y.id, 0))
-        spread = w * y.nprime
-        assert spread.denominator == 1
         d2 = pdat.d2.get(y.id, 0)
-        d1 = d2 - int(spread)
-        if d1 < 0:
-            raise InvalidDatum(f"flag exponent at {y.id!r} too small for weight {w}")
+        d1 = d2 - int(Fraction(pdat.weights.get(y.id, 0)) * y.nprime)
         numeric[y.id] = (d1, d2)
         residues[y.id] = (d1 + d2) % y.nprime
         degree += (d1 + d2) * y.k
@@ -307,49 +318,27 @@ def det_to_json(det: DeterminantLift) -> dict:
     }
 
 
-def det_from_json(doc: object) -> DeterminantLift:
-    if not isinstance(doc, dict):
-        raise SchemaError("determinant document must be an object")
-    require_keys(doc, {"residues", "degree"}, {"lift_sign"}, "determinant")
-    residues = doc["residues"]
-    if not isinstance(residues, dict):
-        raise SchemaError("'residues' must be an object")
-    parsed = {}
-    for label, res in residues.items():
-        parsed[require_str(label, "residue key")] = require_int(res, f"residue at {label!r}")
-    degree = require_int(doc["degree"], "'degree'")
-    sign = doc.get("lift_sign", PLUS)
-    if sign not in (PLUS, MINUS):
-        raise SchemaError("'lift_sign' must be '+' or '-'")
-    return DeterminantLift(residues=parsed, degree=degree, lift_sign=sign)
+def det_from_json(doc: object, where: str = "det") -> DeterminantLift:
+    fields = parse_object(doc, where, {"residues": dict_of(require_int), "degree": require_int},
+                          {"lift_sign": (one_of(PLUS, MINUS), PLUS)})
+    return DeterminantLift(**fields)
 
 
 def numeric_to_json(numeric: dict[str, tuple[int, int]]) -> dict:
     return {label: [d1, d2] for label, (d1, d2) in sorted(numeric.items())}
 
 
-def numeric_from_json(doc: object) -> dict[str, tuple[int, int]]:
-    if not isinstance(doc, dict):
-        raise SchemaError("numeric data must be an object")
-    out = {}
-    for label, pair in doc.items():
-        require_str(label, "numeric key")
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"numeric entry at {label!r} must be a two-element list")
-        out[label] = (require_int(pair[0], "d1"), require_int(pair[1], "d2"))
-    return out
+def numeric_from_json(doc: object, where: str = "numeric") -> dict[str, tuple[int, int]]:
+    return dict_of(pair_of(require_int))(doc, where)
 
 
 def rank2_to_json(data: Rank2EqData) -> dict:
     return {"numeric": numeric_to_json(data.numeric), "det": det_to_json(data.det)}
 
 
-def rank2_from_json(doc: object) -> Rank2EqData:
-    if not isinstance(doc, dict):
-        raise SchemaError("rank-2 datum must be an object")
-    require_keys(doc, {"numeric", "det"}, set(), "rank-2 datum")
-    return Rank2EqData(numeric=numeric_from_json(doc["numeric"]),
-                       det=det_from_json(doc["det"]))
+def rank2_from_json(doc: object, where: str = "datum") -> Rank2EqData:
+    return Rank2EqData(**parse_object(doc, where, {"numeric": numeric_from_json,
+                                                   "det": det_from_json}))
 
 
 def parabolic_to_json(pdat: AdmissibleParabolicDatum) -> dict:
@@ -361,19 +350,9 @@ def parabolic_to_json(pdat: AdmissibleParabolicDatum) -> dict:
     }
 
 
-def parabolic_from_json(doc: object) -> AdmissibleParabolicDatum:
-    if not isinstance(doc, dict):
-        raise SchemaError("parabolic datum must be an object")
-    require_keys(doc, {"det_bar_degree", "weights", "d2"}, {"det_lift_sign"}, "parabolic datum")
-    weights_doc = doc["weights"]
-    d2_doc = doc["d2"]
-    if not isinstance(weights_doc, dict) or not isinstance(d2_doc, dict):
-        raise SchemaError("'weights' and 'd2' must be objects")
-    weights = {require_str(k, "weight key"): rat_from_json(v, f"weight at {k!r}")
-               for k, v in weights_doc.items()}
-    d2 = {require_str(k, "d2 key"): require_int(v, f"d2 at {k!r}") for k, v in d2_doc.items()}
-    sign = doc.get("det_lift_sign", PLUS)
-    if sign not in (PLUS, MINUS):
-        raise SchemaError("'det_lift_sign' must be '+' or '-'")
-    return AdmissibleParabolicDatum(det_bar_degree=require_int(doc["det_bar_degree"], "'det_bar_degree'"),
-                                    weights=weights, d2=d2, det_lift_sign=sign)
+def parabolic_from_json(doc: object, where: str = "parabolic") -> AdmissibleParabolicDatum:
+    fields = parse_object(doc, where, {"det_bar_degree": require_int,
+                                       "weights": dict_of(rat_from_json),
+                                       "d2": dict_of(require_int)},
+                          {"det_lift_sign": (one_of(PLUS, MINUS), PLUS)})
+    return AdmissibleParabolicDatum(**fields)

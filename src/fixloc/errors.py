@@ -2,7 +2,8 @@
 
 DomainError subclasses signal mathematically meaningful rejections
 (the CLI maps them to exit code 3); SchemaError signals malformed
-input documents (exit code 2).
+input documents (exit code 2); InternalError signals a violated
+internal invariant, i.e. a bug in the package (exit code 1).
 """
 
 
@@ -12,6 +13,10 @@ class FixlocError(Exception):
 
 class SchemaError(FixlocError):
     """An input document does not match its declared schema."""
+
+
+class InternalError(FixlocError):
+    """An invariant the package maintains itself does not hold."""
 
 
 class DomainError(FixlocError):

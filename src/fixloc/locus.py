@@ -57,10 +57,11 @@ class GradedPoint:
 
     numeric/det may be None for points born downstairs without a chosen
     cover (the stability module constructs those); equivalence steps
-    require both.  Equality and hashing are by canonical content.
+    require both.  Equality and hashing are by canonical content; the
+    hash is taken once, at construction, since points are not mutated.
     """
 
-    __slots__ = ("summands", "numeric", "det")
+    __slots__ = ("summands", "numeric", "det", "_hash")
 
     def __init__(self, summands, numeric=None, det=None):
         pair = tuple(sorted(summands, key=_summand_key))
@@ -69,20 +70,19 @@ class GradedPoint:
         self.summands = pair
         self.numeric = dict(numeric) if numeric is not None else None
         self.det = det
-
-    def _key(self):
-        numeric = tuple(sorted(self.numeric.items())) if self.numeric is not None else None
-        det = self.det
-        det_key = None
-        if det is not None:
-            det_key = (tuple(sorted(det.residues.items())), det.degree, det.lift_sign)
-        return (self.summands, numeric, det_key)
+        self._hash = hash((
+            pair,
+            None if self.numeric is None else frozenset(self.numeric.items()),
+            None if det is None else (frozenset(det.residues.items()), det.degree, det.lift_sign),
+        ))
 
     def __eq__(self, other):
-        return isinstance(other, GradedPoint) and self._key() == other._key()
+        return (isinstance(other, GradedPoint) and self._hash == other._hash
+                and self.summands == other.summands and self.numeric == other.numeric
+                and self.det == other.det)
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"GradedPoint(summands={self.summands!r}, numeric={self.numeric!r}, det={self.det!r})"
@@ -143,9 +143,7 @@ def _rebuild(ell0: dict[str, int], ell1: dict[str, int], up0: int, up1: int,
         bars.append(q)
     summands = (GradedSummand(bars[0], frozenset(supports[0])),
                 GradedSummand(bars[1], frozenset(supports[1])))
-    pt = GradedPoint(summands, numeric=numeric, det=det)
-    validate_graded(pt, profile)
-    return pt
+    return GradedPoint(summands, numeric=numeric, det=det)
 
 
 def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> GradedPoint:
@@ -157,7 +155,17 @@ def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> Grad
     twist at degree level (never on profiles realized by a curve).
     """
     validate_graded(pt, profile)
-    assert mu.modulus == profile.n
+    if mu.modulus != profile.n:
+        raise InvalidDatum(f"twist character modulus {mu.modulus} differs from n={profile.n}")
+    return _o_step(pt, mu, profile)
+
+
+# The steps below take a point that validate_graded accepts and return
+# one it accepts again: d1 + d2 and the determinant residue move by the
+# same amount at every orbit, _rebuild partitions the weighted orbits
+# between the supports, and both upstairs degrees carry over unchanged.
+
+def _o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> GradedPoint:
     ell0 = _exponents(pt, 0, profile)
     ell1 = _exponents(pt, 1, profile)
     up0 = _upstairs_degree(pt, 0, profile)
@@ -184,6 +192,10 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
     if summand not in (0, 1):
         raise InvalidDatum("summand index must be 0 or 1")
     validate_graded(pt, profile)
+    return _e_step(pt, profile, exponent, summand)
+
+
+def _e_step(pt: GradedPoint, profile: CoverProfile, exponent: int, summand: int) -> GradedPoint:
     mu = RootExponent(exponent, profile.n)
     ell = [_exponents(pt, 0, profile), _exponents(pt, 1, profile)]
     ups = [_upstairs_degree(pt, 0, profile), _upstairs_degree(pt, 1, profile)]
@@ -263,11 +275,11 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
             bar += 1
         else:
             weights[y.id], d2map[y.id] = 1 - w, d2 - m + half
+    # every branch keeps 0 <= d2 - m <= d2 < n'; the cross branch has
+    # m >= 1, so 1 - w stays in (0, 1)
     sign = MINUS if pdat.det_lift_sign == PLUS else PLUS
-    out = AdmissibleParabolicDatum(det_bar_degree=bar,
-                                   weights=weights, d2=d2map, det_lift_sign=sign)
-    validate_parabolic(out, profile)
-    return out
+    return AdmissibleParabolicDatum(det_bar_degree=bar,
+                                    weights=weights, d2=d2map, det_lift_sign=sign)
 
 
 def zeta2_partition(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, str]:
@@ -370,6 +382,8 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
     pts = list(points)
     for pt in pts:
         validate_graded(pt, profile)
+    # every step preserves validity (see _o_step), so nodes reached by
+    # the closure are not checked again
 
     parent: dict[GradedPoint, GradedPoint] = {}
 
@@ -388,11 +402,11 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
 
     def neighbors(pt):
         for a in range(profile.n):
-            yield sim_o_step(pt, RootExponent(a, profile.n), profile)
+            yield _o_step(pt, RootExponent(a, profile.n), profile)
         if profile.n % 2 == 0:
             for a in range(1, profile.n, 2):
                 for which in (0, 1):
-                    yield sim_e_step(pt, profile, exponent=a, summand=which)
+                    yield _e_step(pt, profile, a, which)
 
     queue = list(pts)
     for pt in queue:
@@ -440,7 +454,8 @@ def hyperelliptic_profile(g: int) -> CoverProfile:
 
 def hyperelliptic_delta(g: int, which: int) -> DeterminantLift:
     """The two determinant lifts of the trivial determinant (which in {0,1})."""
-    assert which in (0, 1)
+    if which not in (0, 1):
+        raise InvalidDatum(f"lift index must be 0 or 1, got {which!r}")
     profile = hyperelliptic_profile(g)
     residues = {y.id: which for y in profile.orbits}
     return DeterminantLift(residues=residues, degree=0,
@@ -451,7 +466,8 @@ def double_class(g: int, q_indices) -> GradedPoint:
     """Boundary class with both flags on one summand pair (even subset Q)."""
     profile = hyperelliptic_profile(g)
     q = frozenset(int(i) for i in q_indices)
-    assert len(q) % 2 == 0, "subset size must be even"
+    if len(q) % 2 != 0:
+        raise InvalidDatum(f"subset size must be even, got {len(q)}")
     ids = profile.orbit_ids()
     numeric = {label: ((1, 1) if i in q else (0, 0)) for i, label in enumerate(ids)}
     det = hyperelliptic_delta(g, 0)
@@ -464,7 +480,8 @@ def flagged_class(g: int, q_indices) -> GradedPoint:
     """Boundary class with flags split between the two summands (even subset Q)."""
     profile = hyperelliptic_profile(g)
     q = frozenset(int(i) for i in q_indices)
-    assert len(q) % 2 == 0, "subset size must be even"
+    if len(q) % 2 != 0:
+        raise InvalidDatum(f"subset size must be even, got {len(q)}")
     ids = profile.orbit_ids()
     d = -(g + 1)
     numeric = {label: (0, 1) for label in ids}
@@ -545,7 +562,7 @@ def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticRepo
         normal = True
         for q in classes:
             pt = flagged_class(g, q)
-            image = sim_o_step(pt, RootExponent(1, 2), profile)
+            image = _o_step(pt, RootExponent(1, 2), profile)
             if image != pt:
                 normal = False
         components.append(ComponentRecord(label=f"c={c}", c=c, dimension=dim,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fixloc import cli
+from fixloc import InternalError, cli
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
 from fixloc import (
     DeterminantLift,
@@ -85,6 +85,21 @@ def test_lambda_weights_zeta2_pipeline(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["involution_ok"] is True
     assert payload["image"]["det"]["lift_sign"] == "-"
+
+
+@pytest.mark.parametrize("numeric", [
+    {"p0": [0, 1], "p1": [0, 1], "p2": [0, 1]},                     # orbit p3 missing
+    {"p0": [0, 1], "p1": [0, 1], "p2": [0, 1], "p3": [0, 1], "q": [0, 0]},  # extra orbit
+    {"p0": [0, 1], "p1": [0, 1], "p2": [0, 1], "p3": [0, 2]},        # d2 >= n'
+    {"p0": [1, 0], "p1": [0, 1], "p2": [0, 1], "p3": [0, 1]},        # d1 > d2
+])
+def test_weights_rejects_numeric_not_matching_the_profile(capsys, tmp_path, numeric):
+    doc = write(tmp_path, "w.json",
+                {"profile": profile_to_json(hyperelliptic_profile(1)), "numeric": numeric})
+    code, out, err = run(capsys, "weights", "--file", doc)
+    assert code == 3
+    assert out == ""
+    assert "InvalidDatum" in err
 
 
 def test_hyperelliptic_report_dimensions(capsys):
@@ -180,6 +195,17 @@ def test_usage_errors_exit_two(capsys):
         cli.main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_internal_error_exit_code(capsys, hyper_file, monkeypatch):
+    def broken(profile):
+        raise InternalError("kernel order disagrees with the gcd route")
+
+    monkeypatch.setattr(cli.covers, "kernel_order", broken)
+    code, out, err = run(capsys, "kernel", "--file", hyper_file)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: ")
 
 
 def test_property_failure_exit_code(capsys, tmp_path, monkeypatch):

@@ -78,6 +78,10 @@ def test_orbit_length_under_power():
     assert orbit_length_under_power(6, 4) == 3
     assert orbit_length_under_power(6, 6) == 1
     assert orbit_length_under_power(1, 5) == 1
+    with pytest.raises(InvalidProfile):
+        orbit_length_under_power(0, 1)
+    with pytest.raises(InvalidProfile):
+        orbit_length_under_power(6, 0)
 
 
 def test_make_profile_rejections():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fixloc import (
+    InvalidDatum,
     InvariantDivisor,
+    OddOrder,
     RootExponent,
     SchemaError,
     UnknownOrbit,
@@ -41,8 +43,18 @@ def test_minus_one_squares_to_identity():
     m = minus_one(12)
     assert m.a == 6
     assert m.mul(m).a == 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(OddOrder):
         minus_one(7)
+
+
+def test_scalar_guards_raise_typed_errors():
+    with pytest.raises(InvalidDatum):
+        RootExponent(1, 0)
+    with pytest.raises(InvalidDatum):
+        RootExponent(1, 12).mul(RootExponent(1, 6))
+    assert d_mu(RootExponent(1, 6), PROFILE.orbit("b")) == 1  # n'=3 divides 6
+    with pytest.raises(InvalidDatum):
+        d_mu(RootExponent(1, 4), PROFILE.orbit("b"))  # n'=3 does not divide 4
 
 
 def test_d_mu_reduces_per_orbit():

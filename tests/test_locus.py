@@ -36,6 +36,7 @@ from fixloc import (
     zeta2_apply,
     zeta2_partition,
 )
+from fixloc import locus
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, validate_graded
 
 import gen
@@ -82,6 +83,14 @@ def sample_graded(rng, tries: int = 200):
         validate_graded(pt, profile)
         return profile, pt
     raise AssertionError("no graded sample found")
+
+
+def boundary_points(g):
+    """Double and flagged classes of every even subset: the semistable boundary."""
+    all_even = [frozenset(q) for size in range(0, 2 * g + 3, 2)
+                for q in itertools.combinations(range(2 * g + 2), size)]
+    points = [double_class(g, q) for q in all_even]
+    return points + list({flagged_class(g, q) for q in all_even})
 
 
 def test_graded_point_is_unordered():
@@ -291,16 +300,75 @@ def test_opposite_twist_swaps_complements_and_fixes_flagged():
 def test_equivalence_classes_of_the_g2_boundary():
     g = 2
     profile = hyperelliptic_profile(g)
-    all_even = [frozenset(q) for size in range(0, 2 * g + 3, 2)
-                for q in itertools.combinations(range(2 * g + 2), size)]
-    points = [double_class(g, q) for q in all_even]
-    points += list({flagged_class(g, q) for q in all_even})
-    classes = equivalence_classes(points, profile)
+    classes = equivalence_classes(boundary_points(g), profile)
     assert len(classes) == 2 ** (2 * g)
     # each class holds one flagged point and its two double presentations,
     # except the self-complementary flagged ones
     for cls in classes:
         assert 1 <= len(cls) <= 3
+
+
+def test_closure_nodes_pass_validate_graded(monkeypatch):
+    # the closure validates its inputs once and trusts its steps; every
+    # point a step builds must still pass the check it skips
+    cases = [(hyperelliptic_profile(g), boundary_points(g)) for g in (1, 2, 3)]
+    rng = random.Random(36)
+    cases += [(profile, [pt]) for profile, pt in (sample_graded(rng) for _ in range(40))]
+    built, checked = [], []
+    rebuild, validate = locus._rebuild, locus.validate_graded
+
+    def recording_rebuild(*args):
+        built.append(rebuild(*args))
+        return built[-1]
+
+    def counting_validate(pt, profile):
+        checked.append(pt)
+        validate(pt, profile)
+
+    monkeypatch.setattr(locus, "_rebuild", recording_rebuild)
+    monkeypatch.setattr(locus, "validate_graded", counting_validate)
+    for profile, points in cases:
+        built.clear()
+        checked.clear()
+        try:
+            equivalence_classes(points, profile)
+        except NonIntegralDegree:
+            pass  # profile cannot absorb some twist; the points built so far still count
+        assert len(checked) == len(points)
+        assert built
+        for pt in built:
+            validate(pt, profile)
+
+
+def test_public_steps_reject_supports_that_do_not_partition():
+    profile = make_profile(2, [("a", 1), ("b", 1)])
+    det = DeterminantLift(residues={"a": 1, "b": 1}, degree=2)
+    numeric = {"a": (0, 1), "b": (0, 1)}
+    overlap = GradedPoint(
+        (GradedSummand(0, frozenset({"a", "b"})), GradedSummand(0, frozenset({"b"}))),
+        numeric=numeric, det=det)
+    uncovered = GradedPoint(
+        (GradedSummand(0, frozenset({"a"})), GradedSummand(1, frozenset())),
+        numeric=numeric, det=det)
+    for pt in (overlap, uncovered):
+        with pytest.raises(InvalidDatum, match="partition"):
+            sim_o_step(pt, RootExponent(1, 2), profile)
+        with pytest.raises(InvalidDatum, match="partition"):
+            sim_e_step(pt, profile)
+        with pytest.raises(InvalidDatum, match="partition"):
+            equivalence_classes([pt], profile)
+
+
+def test_input_guards_raise_typed_errors():
+    good = double_class(1, [0, 1])
+    with pytest.raises(InvalidDatum):
+        sim_o_step(good, RootExponent(1, 4), hyperelliptic_profile(1))  # wrong modulus
+    with pytest.raises(InvalidDatum):
+        hyperelliptic_delta(1, 2)
+    with pytest.raises(InvalidDatum):
+        double_class(1, [0])
+    with pytest.raises(InvalidDatum):
+        flagged_class(1, [0, 1, 2])
 
 
 def test_component_normality_predicate():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixloc import (
+    InternalError,
     InvalidDatum,
     NotSemistableNotStrict,
     STABLE,
@@ -20,7 +21,6 @@ from fixloc import (
     graded_of,
     make_bundle,
     make_profile,
-    max_agreement,
     parabolic_slope_difference,
     slope_transfer_check,
     split_moduli_P1,
@@ -56,6 +56,11 @@ def test_poly_divmod_identity():
     for i, rc in enumerate(r):
         recomposed[i] += rc
     assert recomposed == a
+
+
+def test_poly_divmod_by_zero_is_an_internal_error():
+    with pytest.raises(InternalError):
+        poly_divmod([F(1)], [F(0)])
 
 
 def test_kernel_basis_known_system():
@@ -170,31 +175,6 @@ def test_transfer_unknown_orbit():
         slope_transfer_check(profile, pdat, 0, ["zz"])
 
 
-def test_max_agreement_boundaries():
-    assert max_agreement(BUNDLE, 0) == (None, None)  # above c
-    assert max_agreement(BUNDLE, -4)[0] is not None
-    count, wit = max_agreement(BUNDLE, -1)
-    # the unique degree-c subbundle is the split summand; flags (1:0) agree
-    assert wit.q_coeffs == ()
-    assert count == 1 and wit.agreement == frozenset({2})
-    gap_bundle = make_bundle(0, -2, [0, 1, 2, 3], [(1, 0)] * 4, [F(1, 2)] * 4)
-    assert max_agreement(gap_bundle, -1) == (None, None)  # split degree gap
-
-
-def test_max_agreement_small_exhaustive():
-    # flags all along the second summand direction, so the split
-    # inclusion O(d-c) agrees everywhere while any pair with p != 0
-    # agrees at deg p <= 1 points at most
-    bundle = make_bundle(-1, -3, [0, 1, 2, 3], [(0, 1)] * 4, [F(1, 2)] * 4)
-    count, wit = max_agreement(bundle, -2)
-    assert count == 4
-    assert wit.p_coeffs == ()
-    validate_witness(bundle, wit)
-    # flags along the first summand: nothing of degree -2 agrees anywhere
-    opposite = make_bundle(-1, -3, [0, 1, 2, 3], [(1, 0)] * 4, [F(1, 2)] * 4)
-    assert max_agreement(opposite, -2)[0] == 0
-
-
 def test_graded_of_strictly_semistable():
     # degree -2 subbundle through four chosen directions, two split flags
     pts = [F(i) for i in range(6)]
@@ -225,6 +205,13 @@ def test_bundle_json_round_trip():
     verdict = stability_classify(bundle)
     payload = verdict_to_json(verdict)
     assert payload["class"] == verdict.label
+
+
+def test_bundle_to_json_needs_the_normalized_family():
+    # degree -4 on six points is not the -(g+1) family the format carries
+    bundle = make_bundle(-1, -4, [0, 1, 2, 3, 4, 5], [(1, 0)] * 6, [F(1, 2)] * 6)
+    with pytest.raises(InvalidDatum):
+        bundle_to_json(bundle)
 
 
 def test_bundle_json_rejections():
