@@ -92,16 +92,20 @@ def kernel_order(profile: CoverProfile) -> int:
     The kernel of pullback along the cover is cyclic, generated by the
     class cutting out the maximal unramified intermediate quotient; its
     order is the largest divisor of n dividing every orbit length.
-    Computed here by divisor search and cross-checked against the gcd
-    form, which is a separate code path.
+    Computed here by divisor search, over divisor pairs up to sqrt(n),
+    and cross-checked against the gcd form, which is a separate code
+    path.
     """
     validate(profile)
+    n = profile.n
     best = 1
-    for t in range(1, profile.n + 1):
-        if profile.n % t != 0:
+    # divisors come in pairs (t, n // t) with t <= isqrt(n)
+    for t in range(1, math.isqrt(n) + 1):
+        if n % t != 0:
             continue
-        if all(y.k % t == 0 for y in profile.orbits):
-            best = t
+        for divisor in (t, n // t):
+            if divisor > best and all(y.k % divisor == 0 for y in profile.orbits):
+                best = divisor
     if best != gcd_orbit_lengths(profile):
         raise InternalError(f"kernel order {best} disagrees with the gcd route")
     return best

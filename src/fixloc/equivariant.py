@@ -181,8 +181,15 @@ def bar_delta_degree(det: DeterminantLift, numeric: dict[str, tuple[int, int]],
 
     deg = (degree - sum_y (d1+d2) k(y)) / n; raises NonIntegralDegree
     when the division fails, which flags data not realizable over the
-    profile.
+    profile.  The numeric data must cover exactly the profile orbits
+    (InvalidDatum otherwise).
     """
+    validate_numeric(numeric, profile)
+    return _bar_delta_degree(det, numeric, profile)
+
+
+def _bar_delta_degree(det: DeterminantLift, numeric: dict[str, tuple[int, int]],
+                      profile: CoverProfile) -> int:
     total = det.degree
     for y in profile.orbits:
         d1, d2 = numeric[y.id]
@@ -259,7 +266,7 @@ def to_parabolic(data: Rank2EqData, profile: CoverProfile) -> AdmissibleParaboli
     validate_rank2(data, profile)
     weights = _weights(data.numeric, profile)
     d2 = {y.id: data.numeric[y.id][1] for y in profile.orbits}
-    bar = bar_delta_degree(data.det, data.numeric, profile)
+    bar = _bar_delta_degree(data.det, data.numeric, profile)
     return AdmissibleParabolicDatum(det_bar_degree=bar, weights=weights, d2=d2,
                                     det_lift_sign=data.det.lift_sign)
 

@@ -445,30 +445,33 @@ def component_normality(boundary_classes, relation_restricted) -> bool:
 
 # --- the order-two worked family ---
 
-def hyperelliptic_profile(g: int) -> CoverProfile:
-    """Degree-2 cover of the line branched at 2g+2 points."""
+def _hyperelliptic_labels(g: int) -> tuple[str, ...]:
+    """Orbit labels p0..p(2g+1) of the genus-g family, in profile order."""
     if g < 1:
         raise InvalidGenus(f"genus must be >= 1, got {g}")
-    return make_profile(2, [(f"p{i}", 1) for i in range(2 * g + 2)], genus_base=0)
+    return tuple(f"p{i}" for i in range(2 * g + 2))
+
+
+def hyperelliptic_profile(g: int) -> CoverProfile:
+    """Degree-2 cover of the line branched at 2g+2 points."""
+    return make_profile(2, [(label, 1) for label in _hyperelliptic_labels(g)], genus_base=0)
 
 
 def hyperelliptic_delta(g: int, which: int) -> DeterminantLift:
     """The two determinant lifts of the trivial determinant (which in {0,1})."""
     if which not in (0, 1):
         raise InvalidDatum(f"lift index must be 0 or 1, got {which!r}")
-    profile = hyperelliptic_profile(g)
-    residues = {y.id: which for y in profile.orbits}
+    residues = dict.fromkeys(_hyperelliptic_labels(g), which)
     return DeterminantLift(residues=residues, degree=0,
                            lift_sign=PLUS if which == 0 else MINUS)
 
 
 def double_class(g: int, q_indices) -> GradedPoint:
     """Boundary class with both flags on one summand pair (even subset Q)."""
-    profile = hyperelliptic_profile(g)
+    ids = _hyperelliptic_labels(g)
     q = frozenset(int(i) for i in q_indices)
     if len(q) % 2 != 0:
         raise InvalidDatum(f"subset size must be even, got {len(q)}")
-    ids = profile.orbit_ids()
     numeric = {label: ((1, 1) if i in q else (0, 0)) for i, label in enumerate(ids)}
     det = hyperelliptic_delta(g, 0)
     half = len(q) // 2
@@ -478,11 +481,10 @@ def double_class(g: int, q_indices) -> GradedPoint:
 
 def flagged_class(g: int, q_indices) -> GradedPoint:
     """Boundary class with flags split between the two summands (even subset Q)."""
-    profile = hyperelliptic_profile(g)
+    ids = _hyperelliptic_labels(g)
     q = frozenset(int(i) for i in q_indices)
     if len(q) % 2 != 0:
         raise InvalidDatum(f"subset size must be even, got {len(q)}")
-    ids = profile.orbit_ids()
     d = -(g + 1)
     numeric = {label: (0, 1) for label in ids}
     det = hyperelliptic_delta(g, 1)

@@ -18,7 +18,18 @@ parabolic slope difference only drops under saturation, and every
 violating or equalizing subbundle is found at its own (degree,
 agreement-set) pair.
 
-All arithmetic is exact (fractions end to end).
+The scan is kept cheap without giving up exactness.  Weights are
+scaled once per bundle to integers, so the face test of a subset is an
+integer subset sum against a threshold fixed per degree; sizes run in
+descending order and a size level whose largest possible sum misses
+the threshold ends the degree, since smaller subsets sum to less.
+Each degree's interpolation rows are built once, with denominators
+cleared.  A subset with at least as many rows as unknowns is first
+reduced modulo a prime: full rank there certifies full rank over the
+rationals and an empty kernel.  Every other subset gets the exact
+fraction kernel.
+
+All arithmetic is exact: integers and fractions, no floats.
 """
 
 from __future__ import annotations
@@ -228,16 +239,60 @@ def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
 
 # --- witness machinery ---
 
-def _system(bundle: ParabolicP1, e: int, subset) -> tuple[list[list[Fraction]], int, int]:
-    """Interpolation conditions b*p(z)-a*q(z)=0 for the chosen points."""
-    np_ = bundle.c - e + 1
-    nq = bundle.d - bundle.c - e + 1
-    rows = []
-    for i in subset:
-        z = bundle.points[i]
-        a, b = bundle.flags[i]
-        rows.append([b * z ** j for j in range(np_)] + [-a * z ** j for j in range(nq)])
-    return rows, np_, nq
+def _interpolation_row(bundle: ParabolicP1, i: int, np_: int, nq: int) -> list[int]:
+    """Condition b*p(z)-a*q(z)=0 at point i, scaled to integers.
+
+    Scaling a row by a nonzero constant changes neither the kernel nor
+    the reduced row echelon form, so the integer row stands in for the
+    fraction one everywhere.
+    """
+    z = bundle.points[i]
+    a, b = bundle.flags[i]
+    row = [b * z ** j for j in range(np_)] + [-a * z ** j for j in range(nq)]
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+# Any prime makes the certificate sound; a rank drop caused by the prime alone
+# costs one exact fallback, and a large prime makes that rare.
+RANK_PRIME = 2 ** 31 - 1
+
+
+def rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix over the field with RANK_PRIME elements.
+
+    Never exceeds the rank over the rationals: a minor that is nonzero
+    modulo the prime is a nonzero integer.
+    """
+    mat = [[x % RANK_PRIME for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        head = mat[rank]
+        lead = head[col]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col]
+            if f:
+                mat[i] = [(lead * x - f * y) % RANK_PRIME for x, y in zip(mat[i], head)]
+        rank += 1
+    return rank
+
+
+def _kernel_vector(rows: list[list[int]], ncols: int) -> list[Fraction] | None:
+    """First exact kernel_basis vector of the rows, or None if the kernel is zero.
+
+    With at least ncols rows, full rank modulo the prime certifies an
+    empty kernel without fraction arithmetic; anything else, a rank
+    drop that may be the prime's alone included, goes to kernel_basis.
+    """
+    if len(rows) >= ncols and rank_mod_p(rows) == ncols:
+        return None
+    basis = kernel_basis(rows, ncols)
+    return basis[0] if basis else None
 
 
 def _true_agreement(bundle: ParabolicP1, p, q) -> frozenset[int]:
@@ -314,6 +369,20 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     degree.  Unstable verdicts carry a violating witness, strictly
     semistable ones an equalizing witness.
 
+    With scale the lcm of the weight denominators and iw the weights
+    times scale, the face value of (e, S) is non-positive exactly when
+    2*sum(iw[S]) >= scale*(d-2e) + sum(iw).  Subset sizes run downward,
+    and once twice the sum of the size largest iw misses that bound no
+    smaller subset can meet it, so the degree ends there.  The scan
+    visits the qualifying (e, S) pairs in the order of a plain scan and
+    reports the same witness: a subset with at least as many rows as
+    unknowns whose rows have full rank modulo the prime RANK_PRIME has
+    full rank over the rationals too, since a minor that is nonzero
+    modulo a prime is a nonzero integer, so its kernel is zero and it is
+    skipped as the plain scan would skip it; every other subset goes to
+    kernel_basis, whose reduced row echelon form is unique and unchanged
+    by the integer scaling of the rows, so basis[0] is the same vector.
+
     The optional g cross-checks the all-half-weights family, whose
     marked-point count must be 2g+2.
     """
@@ -338,17 +407,26 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     if verdict:
         return verdict
 
-    e_lo = math.ceil(Fraction(d, 2) - sum(bundle.weights, Fraction(0)) / 2)
+    # face value <= 0  <=>  2 * sum(iw[S]) >= need, all in integers
+    scale = math.lcm(*(w.denominator for w in bundle.weights))
+    iw = [w.numerator * (scale // w.denominator) for w in bundle.weights]
+    # top[s]: the largest weight sum over subsets of size s
+    top = [0, *itertools.accumulate(sorted(iw, reverse=True))]
+    total = top[-1]
+    e_lo = math.ceil(Fraction(d * scale - total, 2 * scale))
     for e in range(d - c, e_lo - 1, -1):
+        need = scale * (d - 2 * e) + total
+        np_, nq = c - e + 1, d - c - e + 1
+        rows = [_interpolation_row(bundle, i, np_, nq) for i in range(npoints)]
         for size in range(npoints, -1, -1):
+            if 2 * top[size] < need:
+                break
             for subset in itertools.combinations(range(npoints), size):
-                if _face_diff(d, e, enumerate(bundle.weights), subset) > 0:
+                if 2 * sum([iw[i] for i in subset]) < need:
                     continue
-                rows, np_, nq = _system(bundle, e, subset)
-                basis = kernel_basis(rows, np_ + nq)
-                if not basis:
+                v = _kernel_vector([rows[i] for i in subset], np_ + nq)
+                if v is None:
                     continue
-                v = basis[0]
                 verdict = consider(saturate(bundle, e, v[:np_], v[np_:]))
                 if verdict:
                     return verdict

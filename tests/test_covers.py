@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +45,17 @@ def test_kernel_order_common_divisor():
     profile = make_profile(12, [("a", 6), ("b", 4)])
     assert kernel_order(profile) == math.gcd(12, math.gcd(6, 4))
     assert kernel_order(profile) == 2
+
+
+def test_kernel_order_is_sublinear_in_n():
+    # a scan over every t <= n would take hours at n = 10**12
+    profile = make_profile(10 ** 12, [("a", 2 ** 10)])
+    start = time.monotonic()
+    assert kernel_order(profile) == 2 ** 10
+    assert time.monotonic() - start < 2.0
+    # a prime n has only the trivial divisor pair below sqrt(n)
+    assert kernel_order(make_profile(1_000_003, [])) == 1_000_003
+    assert kernel_order(make_profile(1_000_003, [("a", 1)])) == 1
 
 
 def test_factor_cover_splits_degree():

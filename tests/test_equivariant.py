@@ -93,6 +93,14 @@ def test_bar_degree_division_guard():
         bar_delta_degree(corrupted, {"a": (0, 1)}, profile)
 
 
+@pytest.mark.parametrize("numeric", [{}, {"b": (0, 1)}, {"a": (0, 1), "b": (0, 0)}, {"a": (1, 0)}])
+def test_bar_degree_rejects_numeric_not_matching_the_profile(numeric):
+    profile = make_profile(4, [("a", 2)])
+    det = DeterminantLift(residues={"a": 1}, degree=14)
+    with pytest.raises(InvalidDatum):
+        bar_delta_degree(det, numeric, profile)
+
+
 def test_single_modification_bookkeeping():
     profile = make_profile(6, [("a", 2)])
     data = Rank2EqData(numeric={"a": (1, 2)},

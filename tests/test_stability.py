@@ -1,7 +1,9 @@
 """Parabolic stability on the line: classifier, witnesses, transfer."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,16 @@ from fixloc import (
     validate_witness,
     verdict_to_json,
 )
-from fixloc.stability import kernel_basis, poly_divmod, poly_gcd, saturate
+from fixloc._ser import rat_from_json
+from fixloc.stability import (
+    RANK_PRIME,
+    _kernel_vector,
+    kernel_basis,
+    poly_divmod,
+    poly_gcd,
+    rank_mod_p,
+    saturate,
+)
 
 import gen
 import oracle_stability as oracle
@@ -70,6 +81,38 @@ def test_kernel_basis_known_system():
     v = basis[0]
     for row in rows:
         assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
+    # determinant RANK_PRIME: full rank over Q, rank one modulo the prime
+    rows = [[RANK_PRIME, 0], [0, 1]]
+    assert rank_mod_p(rows) == 1
+    assert kernel_basis(rows, 2) == []
+    assert _kernel_vector(rows, 2) is None
+    # the certificate itself: full rank modulo the prime, no kernel
+    assert rank_mod_p([[2, 1], [1, 1]]) == 2
+    assert _kernel_vector([[2, 1], [1, 1]], 2) is None
+    # a genuine kernel is the first kernel_basis vector
+    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    assert rank_mod_p(rows) == 2
+    assert _kernel_vector(rows, 3) == kernel_basis(rows, 3)[0]
+
+
+FIXTURE = Path(__file__).parent / "fixtures" / "stability_verdicts.json"
+
+
+def test_verdicts_match_the_recorded_fixture():
+    # recorded by tests/fixtures/record_stability_verdicts.py with the
+    # plain fraction scan; every verdict and witness must stay byte-identical
+    cases = json.loads(FIXTURE.read_text())
+    assert len(cases) > 150
+    for case in cases:
+        doc = case["bundle"]
+        bundle = make_bundle(doc["c"], doc["d"],
+                             [rat_from_json(z) for z in doc["points"]],
+                             [(rat_from_json(a), rat_from_json(b)) for a, b in doc["flags"]],
+                             [rat_from_json(w) for w in doc["weights"]])
+        assert verdict_to_json(stability_classify(bundle)) == case["verdict"], case["name"]
 
 
 def test_make_bundle_rejections():
