@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -81,8 +82,7 @@ def cmd_orbits(args) -> int:
     payload = {"n": profile.n, "orbit_lengths_under_powers": table}
     lines = [f"n = {profile.n}"]
     for y in profile.orbits:
-        row = " ".join(f"{d}:{covers.orbit_length_under_power(y.k, d)}"
-                       for d in range(1, profile.n + 1))
+        row = " ".join(f"{d}:{length}" for d, length in table[y.id].items())
         lines.append(f"{y.id} (k={y.k}): {row}")
     _emit(payload, args.format, lines)
     return 0
@@ -91,16 +91,19 @@ def cmd_orbits(args) -> int:
 def cmd_lambda(args) -> int:
     doc = _load_input(args.file, profile=covers.profile_from_json, det=equivariant.det_from_json)
     profile, det = doc["profile"], doc["det"]
-    elements = equivariant.enumerate_lambda(det, profile)
+    equivariant.validate_det(det, profile)
     per_orbit = {
         y.id: [[d1, d2] for d1, d2 in
                equivariant.admissible_pairs(det.residues.get(y.id, 0), y.nprime)]
         for y in profile.orbits
     }
-    payload = {"count": len(elements), "per_orbit": per_orbit}
-    if len(elements) <= LIST_CAP:
-        payload["elements"] = [equivariant.numeric_to_json(el) for el in elements]
-    lines = [f"admissible numeric data: {len(elements)}"]
+    # Lambda is the product of the per-orbit pairs; build it only to list it
+    count = math.prod(len(pairs) for pairs in per_orbit.values())
+    payload = {"count": count, "per_orbit": per_orbit}
+    if count <= LIST_CAP:
+        payload["elements"] = [equivariant.numeric_to_json(el)
+                               for el in equivariant.enumerate_lambda(det, profile)]
+    lines = [f"admissible numeric data: {count}"]
     for label, pairs in sorted(per_orbit.items()):
         lines.append(f"{label}: " + " ".join(f"({a},{b})" for a, b in pairs))
     _emit(payload, args.format, lines)
@@ -265,7 +268,7 @@ def cmd_hyperelliptic(args) -> int:
                      f"normal: {'yes' if rec.normal else 'no'}")
     for (a, b), shared in sorted(report.pairwise_intersections.items()):
         lines.append(f"{a} & {b}: {len(shared)} shared classes")
-    lines.append(f"global intersection: {sorted(sorted(q) for q in report.global_intersection)}")
+    lines.append(f"global intersection: {payload['global_intersection']}")
     lines.append(f"max dimension: {report.max_dimension}")
     if report.boundary_class_count >= 0:
         lines.append(f"semistable classes: {report.boundary_class_count}")

@@ -133,13 +133,11 @@ def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) ->
 
 
 def admissible_pairs(delta_residue: int, nprime: int) -> list[tuple[int, int]]:
-    """Ordered pairs d1 <= d2 < n' with d1 + d2 = delta_residue mod n'."""
-    return [
-        (d1, d2)
-        for d1 in range(nprime)
-        for d2 in range(d1, nprime)
-        if (d1 + d2) % nprime == delta_residue % nprime
-    ]
+    """Ordered pairs d1 <= d2 < n' with d1 + d2 = delta_residue mod n'.
+
+    Each d1 fixes d2 = (delta_residue - d1) mod n', kept when d2 >= d1.
+    """
+    return [(d1, d2) for d1 in range(nprime) if (d2 := (delta_residue - d1) % nprime) >= d1]
 
 
 def enumerate_lambda(det: DeterminantLift, profile: CoverProfile) -> list[dict[str, tuple[int, int]]]:

@@ -97,7 +97,8 @@ def validate_graded(pt: GradedPoint, profile: CoverProfile) -> None:
     s0, s1 = pt.summands
     if set(s0.support) | set(s1.support) != weighted or set(s0.support) & set(s1.support):
         raise InvalidDatum("summand supports must partition the weighted orbits")
-    up0, up1 = (_upstairs_degree(pt, i, profile) for i in (0, 1))
+    up0, up1 = (_upstairs_degree(s.bar_degree, _exponents(pt, i, profile), profile)
+                for i, s in enumerate(pt.summands))
     if up0 != up1:
         raise InvalidDatum("summands have unequal parabolic degree")
 
@@ -116,10 +117,9 @@ def _exponents(pt: GradedPoint, index: int, profile: CoverProfile) -> dict[str, 
     return out
 
 
-def _upstairs_degree(pt: GradedPoint, index: int, profile: CoverProfile) -> int:
-    ell = _exponents(pt, index, profile)
-    return profile.n * pt.summands[index].bar_degree + sum(
-        y.k * ell[y.id] for y in profile.orbits)
+def _upstairs_degree(bar_degree: int, ell: dict[str, int], profile: CoverProfile) -> int:
+    """n * bar_degree + sum_y k(y) * l(y) for a summand with exponents ell."""
+    return profile.n * bar_degree + sum(y.k * ell[y.id] for y in profile.orbits)
 
 
 def _rebuild(ell0: dict[str, int], ell1: dict[str, int], up0: int, up1: int,
@@ -134,7 +134,7 @@ def _rebuild(ell0: dict[str, int], ell1: dict[str, int], up0: int, up1: int,
             supports[0 if a > b else 1].add(y.id)
     bars = []
     for up, ell in ((up0, ell0), (up1, ell1)):
-        corrected = up - sum(y.k * ell[y.id] for y in profile.orbits)
+        corrected = up - _upstairs_degree(0, ell, profile)
         q, rem = divmod(corrected, profile.n)
         if rem != 0:
             raise NonIntegralDegree(
@@ -168,8 +168,8 @@ def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> Grad
 def _o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> GradedPoint:
     ell0 = _exponents(pt, 0, profile)
     ell1 = _exponents(pt, 1, profile)
-    up0 = _upstairs_degree(pt, 0, profile)
-    up1 = _upstairs_degree(pt, 1, profile)
+    up0 = _upstairs_degree(pt.summands[0].bar_degree, ell0, profile)
+    up1 = _upstairs_degree(pt.summands[1].bar_degree, ell1, profile)
     for y in profile.orbits:
         shift = d_mu(mu, y)
         ell0[y.id] = (ell0[y.id] + shift) % y.nprime
@@ -198,7 +198,7 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
 def _e_step(pt: GradedPoint, profile: CoverProfile, exponent: int, summand: int) -> GradedPoint:
     mu = RootExponent(exponent, profile.n)
     ell = [_exponents(pt, 0, profile), _exponents(pt, 1, profile)]
-    ups = [_upstairs_degree(pt, 0, profile), _upstairs_degree(pt, 1, profile)]
+    ups = [_upstairs_degree(s.bar_degree, e, profile) for s, e in zip(pt.summands, ell)]
     residues = dict(pt.det.residues)
     # the underlying summand bundle is untouched (only its lift scales),
     # so the upstairs degrees stay fixed while the exponents reduce anew
@@ -516,24 +516,19 @@ class HyperellipticReport:
     subset_label_count: int
 
 
-def _canonical_subset(q: frozenset, npoints: int, threshold: int) -> frozenset:
-    """Identify Q with its complement when both satisfy the membership bound."""
-    comp = frozenset(range(npoints)) - q
-    if len(comp) <= threshold and len(comp) < len(q):
-        return comp
-    if len(comp) <= threshold and len(comp) == len(q):
-        return min(q, comp, key=lambda s: tuple(sorted(s)))
-    return q
+def _even_subsets(npoints: int, max_size: int):
+    """Even subsets of range(npoints) of size <= max_size, by size, then lexicographically."""
+    for size in range(0, max_size + 1, 2):
+        yield from map(frozenset, itertools.combinations(range(npoints), size))
 
 
-def _boundary_subsets(g: int, c: int) -> frozenset:
-    npoints = 2 * g + 2
-    threshold = -2 * c
-    out = set()
-    for size in range(0, min(npoints, threshold) + 1, 2):
-        for combo in itertools.combinations(range(npoints), size):
-            out.add(_canonical_subset(frozenset(combo), npoints, threshold))
-    return frozenset(out)
+def _boundary_subsets(g: int, c: int) -> list[frozenset]:
+    """Even Q with |Q| <= -2c, by size, one of Q and its complement when both qualify.
+
+    As -2c <= g+1, both qualify only at half size (odd g, c = d/2);
+    the smaller sorted member, the one holding point 0, is kept.
+    """
+    return [q for q in _even_subsets(2 * g + 2, -2 * c) if len(q) < g + 1 or 0 in q]
 
 
 def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticReport:
@@ -548,40 +543,39 @@ def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticRepo
     leaving only the empty subset.  Normality of each component is
     certified by checking that lift negation fixes each of its
     boundary classes.  with_classes=False skips the (exponentially
-    sized) honest class count of the whole semistable boundary.
+    sized) honest class count of the whole semistable boundary.  The
+    class sets are nested, so the boundary is enumerated once, at the
+    smallest c, and each class is checked once.
     """
     if g < 1:
         raise InvalidGenus(f"genus must be >= 1, got {g}")
     d = -(g + 1)
     c_min = -((g + 1) // 2)
     profile = hyperelliptic_profile(g)
+    classes = _boundary_subsets(g, c_min)
+    # lift negation fixes every flagged boundary class; verify on the
+    # graded points rather than assuming it
+    negate = RootExponent(1, 2)
+    fixed = [_o_step(pt, negate, profile) == pt for pt in (flagged_class(g, q) for q in classes)]
     components = []
     for c in range(c_min, 0):
         dim = (2 * g - 1) if 2 * c == d else (g - 2 * c - 1)
-        classes = _boundary_subsets(g, c)
-        # lift negation fixes every flagged boundary class; verify on the
-        # graded points rather than assuming it
-        normal = True
-        for q in classes:
-            pt = flagged_class(g, q)
-            image = _o_step(pt, RootExponent(1, 2), profile)
-            if image != pt:
-                normal = False
+        # sizes ascend, so the classes of type c (|Q| <= -2c) are a prefix
+        end = sum(1 for q in classes if len(q) <= -2 * c)
         components.append(ComponentRecord(label=f"c={c}", c=c, dimension=dim,
-                                          boundary_classes=classes, normal=normal))
-    pairwise = {}
-    for rec1, rec2 in itertools.combinations(components, 2):
-        shared = _boundary_subsets(g, max(rec1.c, rec2.c))
-        pairwise[(rec1.label, rec2.label)] = shared
-    global_intersection = _boundary_subsets(g, 0)
+                                          boundary_classes=frozenset(classes[:end]),
+                                          normal=all(fixed[:end])))
+    # two components share the classes of the larger c, the later one
+    pairwise = {(rec1.label, rec2.label): rec2.boundary_classes
+                for rec1, rec2 in itertools.combinations(components, 2)}
+    global_intersection = frozenset(q for q in classes if len(q) <= 0)
     max_dim = max(rec.dimension for rec in components)
     class_count = -1
     if with_classes:
-        # honest class count of the semistable boundary across both lifts
-        all_even = [frozenset(q) for size in range(0, 2 * g + 3, 2)
-                    for q in itertools.combinations(range(2 * g + 2), size)]
-        points = [double_class(g, q) for q in all_even]
-        points += list({flagged_class(g, q) for q in all_even})
+        # honest class count of the semistable boundary across both lifts;
+        # flagged_class(Q) is flagged_class(complement), so one of each
+        points = [double_class(g, q) for q in _even_subsets(2 * g + 2, 2 * g + 2)]
+        points += [flagged_class(g, q) for q in classes]
         class_count = len(equivalence_classes(points, profile))
     return HyperellipticReport(
         g=g, d=d, components=tuple(components), pairwise_intersections=pairwise,

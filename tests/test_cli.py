@@ -1,6 +1,9 @@
 """Command line contract: schemas, exit codes, determinism."""
 
+import hashlib
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,8 @@ from fixloc import (
     profile_to_json,
     rank2_to_json,
 )
+
+REPORTS = Path(__file__).resolve().parent / "fixtures" / "hyperelliptic_reports.json"
 
 
 def run(capsys, *argv):
@@ -87,6 +92,26 @@ def test_lambda_weights_zeta2_pipeline(capsys, tmp_path):
     assert payload["image"]["det"]["lift_sign"] == "-"
 
 
+def test_lambda_count_is_the_product_of_per_orbit_pairs(capsys, tmp_path, monkeypatch):
+    def refuse(det, profile):
+        pytest.fail("Lambda built only to be counted")
+
+    monkeypatch.setattr(cli.equivariant, "enumerate_lambda", refuse)
+    profile = make_profile(12, [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 1)])
+    det = DeterminantLift(residues={"a": 5, "b": 0, "c": 3, "d": 1, "e": 0}, degree=24)
+    doc = write(tmp_path, "lam.json",
+                {"profile": profile_to_json(profile), "det": det_to_json(det)})
+    code, out, _ = run(capsys, "lambda", "--file", doc)
+    assert code == 0
+    payload = json.loads(out)
+    count = math.prod(len(pairs) for pairs in payload["per_orbit"].values())
+    assert payload["count"] == count > cli.LIST_CAP
+    assert "elements" not in payload
+    code, out, _ = run(capsys, "lambda", "--file", doc, "--format", "text")
+    assert code == 0
+    assert out.splitlines()[0] == f"admissible numeric data: {count}"
+
+
 @pytest.mark.parametrize("numeric", [
     {"p0": [0, 1], "p1": [0, 1], "p2": [0, 1]},                     # orbit p3 missing
     {"p0": [0, 1], "p1": [0, 1], "p2": [0, 1], "p3": [0, 1], "q": [0, 0]},  # extra orbit
@@ -117,6 +142,18 @@ def test_hyperelliptic_dot_output(capsys):
     assert code == 0
     assert out.startswith("graph components {")
     assert '"c=-1"' in out and '"c=-2"' in out and out.rstrip().endswith("}")
+
+
+def test_hyperelliptic_reports_match_the_recorded_fixture(capsys):
+    # recorded by tests/fixtures/record_hyperelliptic_reports.py with the
+    # per-component enumeration; every report must stay byte-identical
+    cases = json.loads(REPORTS.read_text())
+    assert len(cases) == 18
+    for case in cases:
+        code, out, _ = run(capsys, "hyperelliptic", "--g", str(case["g"]),
+                           "--format", case["format"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"], case
 
 
 def test_census_cases_and_rejection(capsys):

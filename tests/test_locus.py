@@ -390,6 +390,21 @@ def test_report_shapes_small_genus():
         hyperelliptic_report(0)
 
 
+def test_report_checks_each_boundary_class_once(monkeypatch):
+    built = []
+
+    def counted(g, q):
+        built.append(frozenset(q))
+        return flagged_class(g, q)
+
+    monkeypatch.setattr(locus, "flagged_class", counted)
+    rep = hyperelliptic_report(5, with_classes=False)
+    # one lift-negation check per class of the smallest c, which holds
+    # every other component's classes
+    assert len(built) == len(set(built)) == 1024
+    assert set(built) == rep.components[0].boundary_classes
+
+
 def test_boundary_predicate_exhaustive():
     for g in (1, 2, 3):
         rep = hyperelliptic_report(g, with_classes=False)
