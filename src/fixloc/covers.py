@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._ser import list_of, parse_object, require_int, require_str
 from .errors import InternalError, InvalidProfile
@@ -34,14 +35,24 @@ class CoverProfile:
     orbits: tuple[SpecialOrbit, ...]
     genus_base: int = 0
 
+    # Computed on first use and kept in the instance __dict__, outside the
+    # dataclass fields, so equality, hashing and JSON see only the fields.
+    # Read-only by convention: profiles are shared and never mutated.
+    @cached_property
+    def orbit_index(self) -> dict[str, SpecialOrbit]:
+        """Orbit by label, in profile order."""
+        return {y.id: y for y in self.orbits}
+
+    @cached_property
+    def _orbit_ids(self) -> tuple[str, ...]:
+        return tuple(y.id for y in self.orbits)
+
     def orbit(self, orbit_id: str) -> SpecialOrbit:
-        for y in self.orbits:
-            if y.id == orbit_id:
-                return y
-        raise KeyError(orbit_id)
+        """The orbit with this label; KeyError when the profile has none."""
+        return self.orbit_index[orbit_id]
 
     def orbit_ids(self) -> tuple[str, ...]:
-        return tuple(y.id for y in self.orbits)
+        return self._orbit_ids
 
 
 def make_profile(n: int, lengths: dict[str, int] | list[tuple[str, int]],

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ser import dict_of, one_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
-from .covers import CoverProfile
+from .covers import CoverProfile, SpecialOrbit
 from .errors import InvalidDatum, NonIntegralDegree, NoSolution, UnknownOrbit
 
 PLUS = "+"
@@ -86,17 +86,18 @@ def _validate_lift_sign(sign: str, profile: CoverProfile) -> None:
 
 def validate_det(det: DeterminantLift, profile: CoverProfile) -> None:
     _validate_lift_sign(det.lift_sign, profile)
-    known = {y.id: y.nprime for y in profile.orbits}
+    index = profile.orbit_index
     for label, res in det.residues.items():
-        if label not in known:
+        y = index.get(label)
+        if y is None:
             raise UnknownOrbit(label)
-        if not 0 <= res < known[label]:
-            raise InvalidDatum(f"determinant residue at {label!r} out of range [0,{known[label]})")
+        if not 0 <= res < y.nprime:
+            raise InvalidDatum(f"determinant residue at {label!r} out of range [0,{y.nprime})")
 
 
 def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> None:
     """Exactly one pair per profile orbit, each with 0 <= d1 <= d2 < n'."""
-    if set(numeric) != set(profile.orbit_ids()):
+    if numeric.keys() != profile.orbit_index.keys():
         raise InvalidDatum("numeric data must cover exactly the profile orbits")
     for y in profile.orbits:
         d1, d2 = numeric[y.id]
@@ -113,23 +114,43 @@ def validate_rank2(data: Rank2EqData, profile: CoverProfile) -> None:
             raise InvalidDatum(f"exponent pair at {y.id!r} does not sum to determinant residue")
 
 
-def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> None:
+def _spread(w: int | Fraction, y: SpecialOrbit) -> int:
+    """m = w * n'(y), the weight's numerator over n'(y), in integers.
+
+    InvalidDatum unless w is an int or a Fraction in [0,1) whose
+    denominator divides n'(y).
+    """
+    if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+        raise InvalidDatum(f"weight at {y.id!r} must be an int or a Fraction, "
+                           f"got {type(w).__name__}")
+    num, den = w.numerator, w.denominator
+    if not 0 <= num < den:
+        raise InvalidDatum(f"weight at {y.id!r} outside [0,1)")
+    if y.nprime % den != 0:
+        raise InvalidDatum(f"weight denominator at {y.id!r} does not divide n'={y.nprime}")
+    return num * (y.nprime // den)
+
+
+def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str, int]:
+    """Check a parabolic datum; return m(y) = w(y) * n'(y) per profile orbit.
+
+    Labels missing from weights or d2 read as 0.
+    """
     _validate_lift_sign(pdat.det_lift_sign, profile)
-    known = {y.id: y for y in profile.orbits}
+    index = profile.orbit_index
     for label in itertools.chain(pdat.weights, pdat.d2):
-        if label not in known:
+        if label not in index:
             raise UnknownOrbit(label)
+    spreads = {}
     for y in profile.orbits:
-        w = Fraction(pdat.weights.get(y.id, 0))
-        if not 0 <= w < 1:
-            raise InvalidDatum(f"weight at {y.id!r} outside [0,1)")
-        if (w * y.nprime).denominator != 1:
-            raise InvalidDatum(f"weight denominator at {y.id!r} does not divide n'={y.nprime}")
+        m = _spread(pdat.weights.get(y.id, 0), y)
         d2 = pdat.d2.get(y.id, 0)
         if not 0 <= d2 < y.nprime:
             raise InvalidDatum(f"flag exponent at {y.id!r} outside [0,{y.nprime})")
-        if d2 - int(w * y.nprime) < 0:
+        if d2 - m < 0:
             raise InvalidDatum(f"derived lower exponent at {y.id!r} is negative")
+        spreads[y.id] = m
+    return spreads
 
 
 def admissible_pairs(delta_residue: int, nprime: int) -> list[tuple[int, int]]:
@@ -211,7 +232,9 @@ def elementary_modification(data: Rank2EqData, profile: CoverProfile, orbit_id: 
     validate_rank2(data, profile)
     if direction not in (FIRST, SECOND):
         raise InvalidDatum(f"direction must be 'first' or 'second', got {direction!r}")
-    y = profile.orbit(orbit_id)
+    y = profile.orbit_index.get(orbit_id)
+    if y is None:
+        raise UnknownOrbit(orbit_id)
     d1, d2 = data.numeric[orbit_id]
     step = 1 if inverse else -1
     if direction == FIRST:
@@ -235,9 +258,13 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
     Positive m(y) runs m(y) forward modifications in the selected
     direction (negative: inverse ones): the selected exponent survives,
     the complementary one drops by m(y) mod n', the determinant degree
-    drops by sum_y m(y) k(y) and each residue by m(y).
+    drops by sum_y m(y) k(y) and each residue by m(y).  Labels of m
+    outside the profile raise UnknownOrbit.
     """
     validate_rank2(data, profile)
+    for label in m:
+        if label not in profile.orbit_index:
+            raise UnknownOrbit(label)
     numeric = {}
     residues = dict(data.det.residues)
     degree = data.det.degree
@@ -271,13 +298,13 @@ def to_parabolic(data: Rank2EqData, profile: CoverProfile) -> AdmissibleParaboli
 
 def from_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Rank2EqData:
     """Reconstruct equivariant numeric data from its parabolic shadow."""
-    validate_parabolic(pdat, profile)
+    spreads = validate_parabolic(pdat, profile)
     numeric = {}
     residues = {}
     degree = profile.n * pdat.det_bar_degree
     for y in profile.orbits:
         d2 = pdat.d2.get(y.id, 0)
-        d1 = d2 - int(Fraction(pdat.weights.get(y.id, 0)) * y.nprime)
+        d1 = d2 - spreads[y.id]
         numeric[y.id] = (d1, d2)
         residues[y.id] = (d1 + d2) % y.nprime
         degree += (d1 + d2) * y.k
@@ -285,27 +312,41 @@ def from_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ran
     return Rank2EqData(numeric=numeric, det=det)
 
 
+def _halves(c: int, nprime: int) -> tuple[int, ...]:
+    """The x in [0, n') with 2x = c mod n', ascending.
+
+    Odd n': one root, c * (n'+1)/2, since 2 * (n'+1)/2 = 1 mod n'.
+    Even n': none for odd c, else h and h + n'/2 with h = c/2 mod n'/2.
+    """
+    if nprime % 2 == 1:
+        return (c * ((nprime + 1) // 2) % nprime,)
+    if c % 2 == 1:
+        return ()
+    half = nprime // 2
+    h = (c // 2) % half
+    return (h, h + half)
+
+
 def solve_d2(det: DeterminantLift, weights: dict[str, Fraction],
              profile: CoverProfile) -> list[dict[str, int]]:
     """Distinguished exponents consistent with (determinant, weights).
 
     Per orbit, solves 2*d2 = delta(y) + n'(y) w(y) mod n'(y) within
-    [0, n'(y)) and keeps solutions whose derived lower exponent is
-    non-negative; odd n'(y) gives exactly one solution, even n'(y) up
-    to two.  Raises NoSolution when some orbit admits none; returns the
-    product over orbits otherwise.
+    [0, n'(y)) in closed form and keeps solutions whose derived lower
+    exponent is non-negative; odd n'(y) gives exactly one solution,
+    even n'(y) up to two.  Raises NoSolution when some orbit admits
+    none; returns the product over orbits otherwise.
     """
     validate_det(det, profile)
     per_orbit: list[list[int]] = []
     for y in profile.orbits:
-        w = Fraction(weights.get(y.id, 0))
-        spread = w * y.nprime
-        if spread.denominator != 1 or not 0 <= w < 1:
-            raise InvalidDatum(f"weight at {y.id!r} not admissible for n'={y.nprime}")
-        m = int(spread)
+        w = weights.get(y.id, 0)
+        try:
+            m = _spread(w, y)
+        except InvalidDatum as exc:
+            raise InvalidDatum(f"weight at {y.id!r} not admissible for n'={y.nprime}") from exc
         delta = det.residues.get(y.id, 0)
-        sols = [d2 for d2 in range(y.nprime)
-                if (2 * d2 - m - delta) % y.nprime == 0 and d2 - m >= 0]
+        sols = [d2 for d2 in _halves(m + delta, y.nprime) if d2 >= m]
         if not sols:
             raise NoSolution(f"no flag exponent at {y.id!r} fits residue {delta} and weight {w}")
         per_orbit.append(sols)

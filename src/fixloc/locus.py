@@ -16,6 +16,7 @@ twists; the downstairs degrees after a step are recovered from it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -255,14 +256,14 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
     """
     if profile.n % 2 == 1:
         raise OddOrder("lift negation needs even cover order")
-    validate_parabolic(pdat, profile)
+    spreads = validate_parabolic(pdat, profile)
     weights = {}
     d2map = {}
     bar = pdat.det_bar_degree
     for y in profile.orbits:
         w = Fraction(pdat.weights.get(y.id, 0))
         d2 = pdat.d2.get(y.id, 0)
-        m = int(w * y.nprime)
+        m = spreads[y.id]
         if y.k % 2 == 0:
             weights[y.id], d2map[y.id] = w, d2
             continue
@@ -401,7 +402,8 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
             parent[rb] = ra
 
     def neighbors(pt):
-        for a in range(profile.n):
+        # a = 0 is the trivial character, whose step returns pt itself
+        for a in range(1, profile.n):
             yield _o_step(pt, RootExponent(a, profile.n), profile)
         if profile.n % 2 == 0:
             for a in range(1, profile.n, 2):
@@ -445,8 +447,12 @@ def component_normality(boundary_classes, relation_restricted) -> bool:
 
 # --- the order-two worked family ---
 
+@functools.cache
 def _hyperelliptic_labels(g: int) -> tuple[str, ...]:
-    """Orbit labels p0..p(2g+1) of the genus-g family, in profile order."""
+    """Orbit labels p0..p(2g+1) of the genus-g family, in profile order.
+
+    Built once per g: every boundary class of a census asks for them.
+    """
     if g < 1:
         raise InvalidGenus(f"genus must be >= 1, got {g}")
     return tuple(f"p{i}" for i in range(2 * g + 2))

@@ -1,6 +1,7 @@
 """Cover profiles: kernel order, factorization, serialization."""
 
 import math
+import pickle
 import random
 import time
 
@@ -160,3 +161,20 @@ def test_factorization_is_terminal(profile):
         assert again == ramified
     else:
         assert r2 == ramified.n
+
+
+def test_orbit_index_stays_out_of_equality_hash_and_json():
+    lengths = [("a", 1), ("b", 4), ("c", 6)]
+    fresh = make_profile(12, lengths, genus_base=2)
+    used = make_profile(12, lengths, genus_base=2)
+    doc = profile_to_json(used)
+    assert used.orbit("b") is used.orbits[1]
+    assert used.orbit_ids() == ("a", "b", "c")
+    assert list(used.orbit_index) == ["a", "b", "c"]
+    assert "orbit_index" in vars(used) and "orbit_index" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert profile_to_json(used) == doc == profile_to_json(fresh)
+    assert pickle.loads(pickle.dumps(used)) == fresh
+    with pytest.raises(KeyError):
+        used.orbit("z")

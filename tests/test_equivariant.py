@@ -1,7 +1,10 @@
 """Numeric data, modifications, and the parabolic correspondence."""
 
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fixloc import (
     FIRST,
     SECOND,
+    AdmissibleParabolicDatum,
     DeterminantLift,
     FlagSelector,
     InvalidDatum,
@@ -16,6 +20,7 @@ from fixloc import (
     NoSolution,
     Rank2EqData,
     SchemaError,
+    UnknownOrbit,
     admissible_pairs,
     bar_delta_degree,
     det_from_json,
@@ -29,15 +34,20 @@ from fixloc import (
     numeric_to_json,
     parabolic_from_json,
     parabolic_to_json,
+    parabolic_zeta2,
     rank2_from_json,
     rank2_to_json,
     solve_d2,
     to_parabolic,
     weight_system,
 )
+from fixloc.equivariant import validate_parabolic
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
 
 import gen
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "fixtures"))
+from record_parabolic_cases import FIXTURE as PARABOLIC_CASES, evaluate  # noqa: E402
 
 
 def brute_force_pairs(delta, nprime):
@@ -126,6 +136,14 @@ def test_modification_wraps_and_resorts():
     assert out2.numeric["a"] == (0, 1)
 
 
+def test_modification_rejects_unknown_orbit():
+    profile = make_profile(6, [("a", 2)])
+    data = Rank2EqData(numeric={"a": (1, 2)},
+                       det=DeterminantLift(residues={"a": 0}, degree=6))
+    with pytest.raises(UnknownOrbit, match="z"):
+        elementary_modification(data, profile, "z", FIRST)
+
+
 def test_modification_rejects_bad_direction():
     profile = make_profile(6, [("a", 2)])
     data = Rank2EqData(numeric={"a": (1, 2)},
@@ -198,6 +216,17 @@ def test_gamma_requires_direction_at_modified_orbits():
         gamma_apply(data, profile, {"a": 2}, FlagSelector(choice={}))
 
 
+def test_gamma_rejects_unknown_orbit():
+    profile = make_profile(6, [("a", 2)])
+    data = Rank2EqData(numeric={"a": (1, 2)},
+                       det=DeterminantLift(residues={"a": 0}, degree=6))
+    flags = FlagSelector(choice={"a": FIRST, "z": FIRST})
+    with pytest.raises(UnknownOrbit, match="z"):
+        gamma_apply(data, profile, {"a": 1, "z": 1}, flags)
+    with pytest.raises(UnknownOrbit, match="z"):
+        gamma_apply(data, profile, {"z": 0}, flags)
+
+
 def test_round_trip_on_full_lambda():
     rng = random.Random(5)
     profile = make_profile(8, [("a", 2), ("b", 4), ("c", 1)], genus_base=1)
@@ -248,6 +277,61 @@ def test_solve_d2_rejects_inadmissible_weight():
     det = DeterminantLift(residues={"y": 0}, degree=0)
     with pytest.raises(InvalidDatum):
         solve_d2(det, {"y": Fraction(1, 3)}, profile)
+
+
+def scan_d2(m, delta, nprime):
+    """The former solve_d2 loop: every d2 in [0, n') with 2*d2 = m + delta and d2 >= m."""
+    return [d2 for d2 in range(nprime)
+            if (2 * d2 - m - delta) % nprime == 0 and d2 - m >= 0]
+
+
+def test_solve_d2_closed_form_matches_the_scan():
+    # one orbit of length 1 gives n' = n; make_profile needs n' >= 2
+    no_solution = 0
+    for nprime in range(2, 41):
+        profile = make_profile(nprime, [("y", 1)])
+        for delta in range(nprime):
+            det = DeterminantLift(residues={"y": delta}, degree=delta)
+            for m in range(nprime):
+                expected = scan_d2(m, delta, nprime)
+                for w in ([0, Fraction(0)] if m == 0 else [Fraction(m, nprime)]):
+                    if not expected:
+                        no_solution += 1
+                        with pytest.raises(NoSolution):
+                            solve_d2(det, {"y": w}, profile)
+                        continue
+                    assert solve_d2(det, {"y": w}, profile) == [{"y": d2} for d2 in expected], \
+                        (nprime, delta, w)
+    assert no_solution > 0
+
+
+@pytest.mark.parametrize("weight", [0.5, 0.0, "1/2", True, None])
+def test_weights_must_be_int_or_fraction(weight):
+    profile = make_profile(4, [("a", 2)])
+    pdat = AdmissibleParabolicDatum(det_bar_degree=0, weights={"a": weight}, d2={"a": 1})
+    for check in (validate_parabolic, from_parabolic, parabolic_zeta2):
+        with pytest.raises(InvalidDatum, match="weight at 'a'"):
+            check(pdat, profile)
+    det = DeterminantLift(residues={"a": 1}, degree=2)
+    with pytest.raises(InvalidDatum, match="weight at 'a' not admissible"):
+        solve_d2(det, {"a": weight}, profile)
+
+
+def test_validate_parabolic_returns_the_weight_numerators():
+    profile = make_profile(12, [("a", 1), ("b", 4), ("c", 3)])
+    pdat = AdmissibleParabolicDatum(det_bar_degree=0, weights={"a": Fraction(5, 12), "b": 0},
+                                    d2={"a": 7, "b": 2})
+    assert validate_parabolic(pdat, profile) == {"a": 5, "b": 0, "c": 0}
+
+
+def test_parabolic_cases_match_the_recorded_fixture():
+    # recorded by tests/fixtures/record_parabolic_cases.py with the Fraction
+    # checks and the range(n') scan; every output and error must stay the same
+    cases = json.loads(PARABOLIC_CASES.read_text())
+    assert len(cases) > 400
+    assert sum("error" in case["expect"] for case in cases) > 50
+    for case in cases:
+        assert evaluate(case) == case["expect"], (case["name"], case["op"])
 
 
 def test_json_round_trips():

@@ -334,8 +334,11 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
             equivalence_classes(points, profile)
         except NonIntegralDegree:
             pass  # profile cannot absorb some twist; the points built so far still count
+        else:
+            # a finished closure took every nontrivial step; n = 1 has only
+            # the trivial character, whose step the closure skips
+            assert bool(built) == (profile.n > 1)
         assert len(checked) == len(points)
-        assert built
         for pt in built:
             validate(pt, profile)
 
