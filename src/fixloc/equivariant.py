@@ -258,11 +258,11 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
     Positive m(y) runs m(y) forward modifications in the selected
     direction (negative: inverse ones): the selected exponent survives,
     the complementary one drops by m(y) mod n', the determinant degree
-    drops by sum_y m(y) k(y) and each residue by m(y).  Labels of m
-    outside the profile raise UnknownOrbit.
+    drops by sum_y m(y) k(y) and each residue by m(y).  Labels of m or
+    of flags outside the profile raise UnknownOrbit.
     """
     validate_rank2(data, profile)
-    for label in m:
+    for label in itertools.chain(m, flags.choice):
         if label not in profile.orbit_index:
             raise UnknownOrbit(label)
     numeric = {}
@@ -335,9 +335,13 @@ def solve_d2(det: DeterminantLift, weights: dict[str, Fraction],
     [0, n'(y)) in closed form and keeps solutions whose derived lower
     exponent is non-negative; odd n'(y) gives exactly one solution,
     even n'(y) up to two.  Raises NoSolution when some orbit admits
-    none; returns the product over orbits otherwise.
+    none; returns the product over orbits otherwise.  Weight labels
+    outside the profile raise UnknownOrbit.
     """
     validate_det(det, profile)
+    for label in weights:
+        if label not in profile.orbit_index:
+            raise UnknownOrbit(label)
     per_orbit: list[list[int]] = []
     for y in profile.orbits:
         w = weights.get(y.id, 0)

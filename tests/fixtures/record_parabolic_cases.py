@@ -247,7 +247,7 @@ def malformed_cases():
     yield sd("no-root", det_doc({"a": 0, "b": 0}, 0, "+"), {"b": F(1, 2)})
     yield sd("roots-below-m", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": F(3, 4)})
     yield sd("no-root-int-weight", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": 0})
-    yield sd("unknown-weight-label-ignored", det_doc({"a": 1, "b": 1}, 0, "+"),
+    yield sd("unknown-weight-label-in-solve", det_doc({"a": 1, "b": 1}, 0, "+"),
              {"a": F(1, 4), "b": F(1, 2), "z": F(1, 9)})
     yield sd("multi-residue-and-weight", det_doc({"a": 7}, 0, "+"), {"a": F(1, 3)})
     yield sd("multi-weight-at-b-no-root-at-a", det_doc({"a": 1, "b": 1}, 0, "+"),

@@ -2,16 +2,23 @@
 
     PYTHONPATH=src python tests/fixtures/record_stability_verdicts.py
 
-writes tests/fixtures/stability_verdicts.json next to this script.
-test_stability.test_verdicts_match_the_recorded_fixture compares
-the classifier against that file, so any change to a verdict or to
-a reported witness shows up as a failing test.  Re-record only when
+writes tests/fixtures/stability_verdicts.json and
+tests/fixtures/stability_verdicts_g5_8.json next to this script.
+test_stability.test_verdicts_match_the_recorded_fixture and
+test_verdicts_match_the_recorded_g5_8_fixture compare the classifier
+against them, so any change to a verdict or to a reported witness
+shows up as a failing test.  Re-record only when
 a change of witness is intended, and say why in the change log.
 
-The corpus: tests/gen.py draws for g <= 4 with both weight kinds,
-plus hand-made edge cases (zero weights, all flags along one split
-summand, fractional points with mixed weight denominators, bundles
-outside the normalized -(g+1) family, and zero or one marked point).
+The first corpus: tests/gen.py draws for g <= 4 with both weight
+kinds, plus hand-made edge cases (zero weights, all flags along one
+split summand, fractional points with mixed weight denominators,
+bundles outside the normalized -(g+1) family, and zero or one marked
+point).  The second corpus: tests/gen.py draws for g = 5..8 on points
+in [-20, 20], both weight kinds, with c the balanced splitting and one
+above it; gen's flag mix repeats flags and puts some on the split
+summands.  The full scans at g = 7 and 8 are where the classifier's
+cost shows.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from fixloc._ser import rat_to_json  # noqa: E402
 F = Fraction
 GEN_CELLS = [(1, 0), (1, -1), (2, -1), (2, 0), (3, -1), (3, -2), (4, -2), (4, -1)]
 GEN_COUNT = 152
+LARGE_GENERA = (5, 6, 7, 8)
+LARGE_PER_GENUS = 12
 
 
 def edge_cases():
@@ -81,14 +90,30 @@ def corpus():
         yield name, make_bundle(c, d, points, flags, weights)
 
 
-def main() -> None:
+def large_corpus():
+    rng = random.Random(2026)
+    for g in LARGE_GENERA:
+        c_min = -((g + 1) // 2)
+        for i in range(LARGE_PER_GENUS):
+            c = c_min + i % 2
+            generic = (i // 2) % 2 == 1
+            yield f"gen-g{g}-c{c}-{i}", gen.random_bundle(rng, g, c, generic_weights=generic,
+                                                         span=20)
+
+
+def write(filename: str, bundles) -> None:
     cases = [{"name": name, "bundle": bundle_doc(bundle),
               "verdict": verdict_to_json(stability_classify(bundle))}
-             for name, bundle in corpus()]
-    out = HERE / "stability_verdicts.json"
+             for name, bundle in bundles]
+    out = HERE / filename
     lines = ",\n".join(json.dumps(case, sort_keys=True) for case in cases)
     out.write_text("[\n" + lines + "\n]\n")
     print(f"wrote {len(cases)} cases to {out.name}")
+
+
+def main() -> None:
+    write("stability_verdicts.json", corpus())
+    write("stability_verdicts_g5_8.json", large_corpus())
 
 
 if __name__ == "__main__":

@@ -48,16 +48,17 @@ def random_data(rng: random.Random, profile) -> Rank2EqData:
     return Rank2EqData(numeric=numeric, det=det)
 
 
-def random_bundle(rng: random.Random, g: int, c: int, generic_weights: bool = False):
+def random_bundle(rng: random.Random, g: int, c: int, generic_weights: bool = False,
+                  span: int = 6):
     """Flag configuration on the normalized degree -(g+1) family.
 
-    Flags are biased toward degenerate coincidences (split directions,
-    repeats) so that all three stability classes occur with substantial
-    frequency.
+    Points are distinct integers in [-span, span].  Flags are biased
+    toward degenerate coincidences (split directions, repeats) so that
+    all three stability classes occur with substantial frequency.
     """
     npoints = 2 * g + 2
     d = -(g + 1)
-    points = rng.sample(range(-6, 7), npoints)
+    points = rng.sample(range(-span, span + 1), npoints)
     flags = []
     for _ in range(npoints):
         roll = rng.random()

@@ -9,6 +9,7 @@ import pytest
 
 from fixloc import InternalError, cli
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
+from fixloc.stability import MAX_MARKED_POINTS
 from fixloc import (
     DeterminantLift,
     Rank2EqData,
@@ -176,6 +177,17 @@ def test_stability_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, "stability", "--file", path)
     assert code == 0
     assert json.loads(out)["class"] in ("Stable", "StrictlySemistable", "Unstable")
+
+
+def test_stability_rejects_too_many_marked_points(capsys, tmp_path):
+    g = MAX_MARKED_POINTS // 2  # the first genus whose 2g+2 points exceed the limit
+    npoints = 2 * g + 2
+    doc = {"g": g, "c": 0, "points": list(range(npoints)), "flags": [[1, 1]] * npoints,
+           "weights": [{"num": 1, "den": 2}] * npoints}
+    code, out, err = run(capsys, "stability", "--file", write(tmp_path, "big.json", doc))
+    assert (code, out) == (3, "")
+    assert f"{npoints} marked points exceed the limit" in err
+    assert "Traceback" not in err
 
 
 def test_bijection_check_is_deterministic(capsys):

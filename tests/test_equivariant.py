@@ -225,6 +225,10 @@ def test_gamma_rejects_unknown_orbit():
         gamma_apply(data, profile, {"a": 1, "z": 1}, flags)
     with pytest.raises(UnknownOrbit, match="z"):
         gamma_apply(data, profile, {"z": 0}, flags)
+    # a selector label outside the profile, even one m leaves alone
+    sideways = FlagSelector(choice={"a": FIRST, "z": "sideways"})
+    with pytest.raises(UnknownOrbit, match="z"):
+        gamma_apply(data, profile, {"a": 1}, sideways)
 
 
 def test_round_trip_on_full_lambda():

@@ -1,5 +1,6 @@
 """Parabolic stability on the line: classifier, witnesses, transfer."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixloc import (
+    DomainError,
     InternalError,
     InvalidDatum,
     NotSemistableNotStrict,
@@ -33,12 +35,13 @@ from fixloc import (
 )
 from fixloc._ser import rat_from_json
 from fixloc.stability import (
+    MAX_MARKED_POINTS,
     RANK_PRIME,
-    _kernel_vector,
+    _eliminate,
+    _kernel_candidates,
     kernel_basis,
     poly_divmod,
     poly_gcd,
-    rank_mod_p,
     saturate,
 )
 
@@ -83,36 +86,132 @@ def test_kernel_basis_known_system():
         assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank over the field with RANK_PRIME elements, eliminated from scratch.
+
+    The classifier's former per-subset certificate, kept as the oracle
+    for its incremental echelon form.
+    """
+    mat = [[x % RANK_PRIME for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        head = mat[rank]
+        lead = head[col]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col]
+            if f:
+                mat[i] = [(lead * x - f * y) % RANK_PRIME for x, y in zip(mat[i], head)]
+        rank += 1
+    return rank
+
+
+def random_int_rows(rng: random.Random, nrows: int, ncols: int) -> list[list[int]]:
+    """Small entries, multiples of the prime and repeated rows, so ranks drop."""
+    entries = [0, 0, 1, -1, 2, RANK_PRIME, -RANK_PRIME, 3 * RANK_PRIME + 1]
+    rows: list[list[int]] = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.2:
+            k = rng.choice([1, 2, RANK_PRIME])
+            rows.append([k * x for x in rng.choice(rows)])
+        else:
+            rows.append([rng.choice(entries + [rng.randint(-10 ** 12, 10 ** 12)])
+                         for _ in range(ncols)])
+    return rows
+
+
+def test_prefix_echelon_rank_matches_rank_mod_p():
+    rng = random.Random(61)
+    for _ in range(400):
+        rows = random_int_rows(rng, rng.randint(1, 9), rng.randint(1, 6))
+        ech = ()
+        for k, row in enumerate(rows, 1):
+            pivot = _eliminate(ech, [x % RANK_PRIME for x in row])
+            if pivot is not None:
+                ech = (*ech, pivot)
+            assert len(ech) == rank_mod_p(rows[:k])
+
+
+def test_kernel_candidates_match_the_plain_scan():
+    # every qualifying subset in combinations order, sizes descending,
+    # less those certified full rank by the from-scratch rank mod p
+    rng = random.Random(62)
+    for _ in range(300):
+        n, ncols = rng.randint(0, 7), rng.randint(2, 5)
+        rows = random_int_rows(rng, n, ncols) if n else []
+        iw = [rng.randint(0, 4) for _ in range(n)]
+        need = rng.randint(-1, 2 * sum(iw) + 1)
+        plain = [s for size in range(n, -1, -1) for s in itertools.combinations(range(n), size)
+                 if 2 * sum(iw[i] for i in s) >= need
+                 and rank_mod_p([rows[i] for i in s]) < ncols]
+        assert list(_kernel_candidates(rows, ncols, iw, need)) == plain
+
+
 def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
-    # determinant RANK_PRIME: full rank over Q, rank one modulo the prime
+    # determinant RANK_PRIME: full rank over Q, rank one modulo the prime,
+    # so the subset is not certified and goes to kernel_basis, which
+    # finds no kernel
     rows = [[RANK_PRIME, 0], [0, 1]]
     assert rank_mod_p(rows) == 1
     assert kernel_basis(rows, 2) == []
-    assert _kernel_vector(rows, 2) is None
-    # the certificate itself: full rank modulo the prime, no kernel
-    assert rank_mod_p([[2, 1], [1, 1]]) == 2
-    assert _kernel_vector([[2, 1], [1, 1]], 2) is None
-    # a genuine kernel is the first kernel_basis vector
+    assert list(_kernel_candidates(rows, 2, [1, 1], 4)) == [(0, 1)]
+    # the prefix (0, 1) has full rank over Q only, so nothing below it is pruned
+    rows = [[RANK_PRIME, 0], [0, 1], [0, 2], [0, 3]]
+    assert list(_kernel_candidates(rows, 2, [1] * 4, 6)) == \
+        [(0, 1, 2, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert kernel_basis(rows[:3], 2) == []
+    # the certificate itself: full rank modulo the prime, no candidate
+    assert list(_kernel_candidates([[2, 1], [1, 1]], 2, [1, 1], 4)) == []
+    # a full-rank prefix ends its subtree: (0, 1) certifies (0, 1, 2)
+    assert list(_kernel_candidates([[1, 0], [0, 1], [1, 1]], 2, [1] * 3, 6)) == []
+    # a genuine kernel is yielded
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert rank_mod_p(rows) == 2
-    assert _kernel_vector(rows, 3) == kernel_basis(rows, 3)[0]
+    assert list(_kernel_candidates(rows, 3, [1, 1, 1], 6)) == [(0, 1, 2)]
+    assert len(kernel_basis(rows, 3)) == 1
 
 
-FIXTURE = Path(__file__).parent / "fixtures" / "stability_verdicts.json"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def test_verdicts_match_the_recorded_fixture():
-    # recorded by tests/fixtures/record_stability_verdicts.py with the
-    # plain fraction scan; every verdict and witness must stay byte-identical
-    cases = json.loads(FIXTURE.read_text())
-    assert len(cases) > 150
+def replay_verdicts(path: Path) -> int:
+    """Classify every recorded bundle; the verdict JSON must be byte-identical."""
+    cases = json.loads(path.read_text())
     for case in cases:
         doc = case["bundle"]
         bundle = make_bundle(doc["c"], doc["d"],
                              [rat_from_json(z) for z in doc["points"]],
                              [(rat_from_json(a), rat_from_json(b)) for a, b in doc["flags"]],
                              [rat_from_json(w) for w in doc["weights"]])
-        assert verdict_to_json(stability_classify(bundle)) == case["verdict"], case["name"]
+        got = json.dumps(verdict_to_json(stability_classify(bundle)), sort_keys=True)
+        assert got == json.dumps(case["verdict"], sort_keys=True), case["name"]
+    return len(cases)
+
+
+def test_verdicts_match_the_recorded_fixture():
+    # recorded by tests/fixtures/record_stability_verdicts.py with the
+    # plain fraction scan; every verdict and witness must stay byte-identical
+    assert replay_verdicts(FIXTURES / "stability_verdicts.json") > 150
+
+
+def test_verdicts_match_the_recorded_g5_8_fixture():
+    # recorded by the same script with the per-subset rank scan; g = 5..8,
+    # where full scans are long and pruning matters most
+    assert replay_verdicts(FIXTURES / "stability_verdicts_g5_8.json") >= 40
+
+
+def test_marked_point_limit():
+    def bundle(npoints):
+        # c = 0 with d = -npoints: the summand O(c) destabilizes at once
+        return make_bundle(0, -npoints, range(npoints), [(1, 1)] * npoints,
+                           [F(1, 2)] * npoints)
+
+    assert stability_classify(bundle(MAX_MARKED_POINTS)).label == UNSTABLE
+    with pytest.raises(DomainError, match="marked points"):
+        stability_classify(bundle(MAX_MARKED_POINTS + 1))
 
 
 def test_make_bundle_rejections():
