@@ -24,6 +24,10 @@ DEFAULT_SEED = 1729
 # keep CLI outputs bounded; larger collections report counts only
 LIST_CAP = 128
 
+# bijection-check round-trips every element of Lambda; the slowest input
+# measured under this size took about 10 s (README)
+MAX_BIJECTION_LAMBDA = 75_000
+
 
 def _load_json(path: str):
     try:
@@ -121,34 +125,22 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def _random_profile(rng: random.Random) -> covers.CoverProfile:
-    n = rng.randint(1, 12)
-    divisors = [k for k in range(1, n) if n % k == 0]
-    count = rng.randint(0, 4) if divisors else 0
-    lengths = [(f"y{i}", rng.choice(divisors)) for i in range(count)]
-    return covers.make_profile(n, lengths, genus_base=rng.randint(0, 3))
-
-
-def _random_det(rng: random.Random, profile: covers.CoverProfile) -> equivariant.DeterminantLift:
-    residues = {y.id: rng.randrange(y.nprime) for y in profile.orbits}
-    degree = sum(residues[y.id] * y.k for y in profile.orbits) + profile.n * rng.randint(-3, 3)
-    sign = equivariant.PLUS
-    if profile.n % 2 == 0 and rng.random() < 0.5:
-        sign = equivariant.MINUS
-    return equivariant.DeterminantLift(residues=residues, degree=degree, lift_sign=sign)
-
-
 def cmd_bijection_check(args) -> int:
     rng = random.Random(args.seed)
     profiles = []
     if args.file:
         profiles.append(covers.profile_from_json(_load_json(args.file)))
     else:
-        profiles.extend(_random_profile(rng) for _ in range(20))
+        profiles.extend(covers.random_profile(rng) for _ in range(20))
     checked = 0
     for profile in profiles:
-        det = _random_det(rng, profile)
-        for numeric in equivariant.enumerate_lambda(det, profile):
+        det = equivariant.random_det(rng, profile)
+        lam = equivariant.enumerate_lambda(det, profile)
+        # a one-element slice, not len(): a view longer than sys.maxsize has no len()
+        if lam[MAX_BIJECTION_LAMBDA:MAX_BIJECTION_LAMBDA + 1]:
+            raise DomainError(f"Lambda has more than {MAX_BIJECTION_LAMBDA} elements, "
+                              f"the bijection-check limit")
+        for numeric in lam:
             data = equivariant.Rank2EqData(numeric=numeric, det=det)
             try:
                 pdat = equivariant.to_parabolic(data, profile)

@@ -13,6 +13,7 @@ objects and some of them are not realized by any actual curve.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,6 +68,20 @@ def make_profile(n: int, lengths: dict[str, int] | list[tuple[str, int]],
     profile = CoverProfile(n=n, orbits=tuple(orbits), genus_base=genus_base)
     validate(profile)
     return profile
+
+
+def random_profile(rng: random.Random, max_n: int = 12, max_orbits: int = 4,
+                   even_n: bool = False) -> CoverProfile:
+    """Seeded random profile: n uniform in 1..max_n (even when asked), up to
+    max_orbits special orbits of random proper-divisor length."""
+    while True:
+        n = rng.randint(1, max_n)
+        if not even_n or n % 2 == 0:
+            break
+    divisors = [k for k in range(1, n) if n % k == 0]
+    count = rng.randint(0, max_orbits) if divisors else 0
+    lengths = [(f"y{i}", rng.choice(divisors)) for i in range(count)]
+    return make_profile(n, lengths, genus_base=rng.randint(0, 3))
 
 
 def validate(profile: CoverProfile) -> None:

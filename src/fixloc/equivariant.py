@@ -24,6 +24,9 @@ at every orbit.
 from __future__ import annotations
 
 import itertools
+import math
+import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,6 +98,18 @@ def validate_det(det: DeterminantLift, profile: CoverProfile) -> None:
             raise InvalidDatum(f"determinant residue at {label!r} out of range [0,{y.nprime})")
 
 
+def random_det(rng: random.Random, profile: CoverProfile) -> DeterminantLift:
+    """Seeded random determinant lift: uniform residues, a degree that
+    descends (within 3n of the smallest one) and, for even n, either sign."""
+    residues = {y.id: rng.randrange(y.nprime) for y in profile.orbits}
+    degree = sum(residues[y.id] * y.k for y in profile.orbits)
+    degree += profile.n * rng.randint(-3, 3)
+    sign = PLUS
+    if profile.n % 2 == 0 and rng.random() < 0.5:
+        sign = MINUS
+    return DeterminantLift(residues=residues, degree=degree, lift_sign=sign)
+
+
 def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> None:
     """Exactly one pair per profile orbit, each with 0 <= d1 <= d2 < n'."""
     if numeric.keys() != profile.orbit_index.keys():
@@ -161,19 +176,56 @@ def admissible_pairs(delta_residue: int, nprime: int) -> list[tuple[int, int]]:
     return [(d1, d2) for d1 in range(nprime) if (d2 := (delta_residue - d1) % nprime) >= d1]
 
 
-def enumerate_lambda(det: DeterminantLift, profile: CoverProfile) -> list[dict[str, tuple[int, int]]]:
+class _Lambda(Sequence):
+    """Read-only view of Lambda; element i is decoded when it is read.
+
+    Index i is a mixed-radix number whose digits select one pair per
+    orbit, the last orbit's digit varying fastest, so the order is
+    itertools.product order (Knuth, TAOCP 4A, 7.2.1.1).  A view holds
+    a range of such indices; a slice narrows the range and decodes
+    nothing.  Each element is a fresh dict in profile order.
+    """
+
+    __slots__ = ("_ids", "_pairs", "_indices")
+
+    def __init__(self, ids: tuple[str, ...], pairs: list[list[tuple[int, int]]],
+                 indices: range):
+        self._ids, self._pairs, self._indices = ids, pairs, indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Lambda(self._ids, self._pairs, self._indices[i])
+        return self._decode(self._indices[i])
+
+    def _decode(self, i: int) -> dict[str, tuple[int, int]]:
+        digits = []
+        for pairs in reversed(self._pairs):
+            i, r = divmod(i, len(pairs))
+            digits.append(pairs[r])
+        return dict(zip(self._ids, reversed(digits)))
+
+    def __iter__(self):
+        if self._indices == range(math.prod(map(len, self._pairs))):
+            return (dict(zip(self._ids, combo)) for combo in itertools.product(*self._pairs))
+        return map(self._decode, self._indices)
+
+
+def enumerate_lambda(det: DeterminantLift,
+                     profile: CoverProfile) -> Sequence[dict[str, tuple[int, int]]]:
     """All admissible numeric data for the given determinant.
 
     Cartesian product over orbits of the per-orbit admissible pairs, in
     profile orbit order; the empty profile yields the single empty
-    assignment.
+    assignment.  The result is a lazy read-only Sequence: its length is
+    the product of the per-orbit pair counts, and an element is built
+    only when it is read.  Slices are views of the same kind.
     """
     validate_det(det, profile)
-    per_orbit = [
-        admissible_pairs(det.residues.get(y.id, 0), y.nprime) for y in profile.orbits
-    ]
-    ids = profile.orbit_ids()
-    return [dict(zip(ids, combo)) for combo in itertools.product(*per_orbit)]
+    pairs = [admissible_pairs(det.residues.get(y.id, 0), y.nprime) for y in profile.orbits]
+    return _Lambda(profile.orbit_ids(), pairs, range(math.prod(map(len, pairs))))
 
 
 def weight_system(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, Fraction]:

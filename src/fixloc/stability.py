@@ -251,17 +251,26 @@ def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
 # --- witness machinery ---
 
 def _interpolation_row(bundle: ParabolicP1, i: int, np_: int, nq: int) -> list[int]:
-    """Condition b*p(z)-a*q(z)=0 at point i, scaled to integers.
+    """Condition b*p(z)-a*q(z)=0 at point i, in integers.
 
-    Scaling a row by a nonzero constant changes neither the kernel nor
-    the reduced row echelon form, so the integer row stands in for the
-    fraction one everywhere.
+    With z = u/v, the normalized flag (a, b), a in {0, 1}, b = s/t and
+    m = max(np_, nq), the fraction row (b*z^j for j < np_, then -a*z^j
+    for j < nq) times t*v^(m-1) is the integer row s*u^j*v^(m-1-j), then
+    -a*t*u^j*v^(m-1-j).  Scaling a row by a nonzero constant changes
+    neither the kernel nor the reduced row echelon form, so the integer
+    row stands in for the fraction one everywhere.  The scale matters
+    only modulo RANK_PRIME: integer rows never have a larger rank mod the
+    prime than over the rationals, so a full-rank prefix stays a sound
+    prune, and a scale the prime divides (when it divides t or v) can
+    only lower a rank mod the prime and so leave a subtree unpruned.
     """
     z = bundle.points[i]
+    u, v = z.numerator, z.denominator
     a, b = bundle.flags[i]
-    row = [b * z ** j for j in range(np_)] + [-a * z ** j for j in range(nq)]
-    den = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+    s, t = b.numerator, b.denominator
+    m = max(np_, nq)
+    powers = [u ** j * v ** (m - 1 - j) for j in range(m)]
+    return [s * x for x in powers[:np_]] + [-a.numerator * t * x for x in powers[:nq]]
 
 
 # Any prime makes the certificate sound; a rank drop caused by the prime alone

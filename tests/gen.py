@@ -1,41 +1,19 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators shared by the test modules.
+
+`random_profile` and `random_det` are the package's samplers, the ones
+`fixloc bijection-check` draws its random covers from.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from fixloc import (
-    DeterminantLift,
-    MINUS,
-    PLUS,
-    Rank2EqData,
-    admissible_pairs,
-    make_bundle,
-    make_profile,
-)
+from fixloc import Rank2EqData, admissible_pairs, make_bundle
+from fixloc.covers import random_profile
+from fixloc.equivariant import random_det
 
-
-def random_profile(rng: random.Random, max_n: int = 12, max_orbits: int = 4,
-                   even_n: bool = False):
-    while True:
-        n = rng.randint(1, max_n)
-        if not even_n or n % 2 == 0:
-            break
-    divisors = [k for k in range(1, n) if n % k == 0]
-    count = rng.randint(0, max_orbits) if divisors else 0
-    lengths = [(f"y{i}", rng.choice(divisors)) for i in range(count)]
-    return make_profile(n, lengths, genus_base=rng.randint(0, 3))
-
-
-def random_det(rng: random.Random, profile) -> DeterminantLift:
-    residues = {y.id: rng.randrange(y.nprime) for y in profile.orbits}
-    degree = sum(residues[y.id] * y.k for y in profile.orbits)
-    degree += profile.n * rng.randint(-3, 3)
-    sign = PLUS
-    if profile.n % 2 == 0 and rng.random() < 0.5:
-        sign = MINUS
-    return DeterminantLift(residues=residues, degree=degree, lift_sign=sign)
+__all__ = ["random_bundle", "random_data", "random_det", "random_profile"]
 
 
 def random_data(rng: random.Random, profile) -> Rank2EqData:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,9 @@ from fixloc import (
 )
 
 REPORTS = Path(__file__).resolve().parent / "fixtures" / "hyperelliptic_reports.json"
+
+sys.path.insert(0, str(REPORTS.parent))
+from record_lambda_listings import FIXTURE as LAMBDA_LISTINGS, run_cli  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -111,6 +115,58 @@ def test_lambda_count_is_the_product_of_per_orbit_pairs(capsys, tmp_path, monkey
     code, out, _ = run(capsys, "lambda", "--file", doc, "--format", "text")
     assert code == 0
     assert out.splitlines()[0] == f"admissible numeric data: {count}"
+
+
+def test_lambda_reports_match_the_recorded_fixture():
+    # recorded by tests/fixtures/record_lambda_listings.py before Lambda became a
+    # lazy view and before the CLI shared the test suite's random sampler
+    runs = json.loads(LAMBDA_LISTINGS.read_text())["cli"]
+    assert len(runs) == 72
+    assert sum(run["code"] == 0 for run in runs) > 10
+    for run in runs:
+        assert run_cli(run["argv"]) == {"code": run["code"],
+                                        "stdout_sha256": run["stdout_sha256"]}, run["argv"]
+
+
+def order_three_profile(tmp_path, count):
+    """n = 3 with `count` orbits of length 1: two admissible pairs per orbit."""
+    return write(tmp_path, "p.json", profile_to_json(
+        make_profile(3, [(f"y{i}", 1) for i in range(count)])))
+
+
+def refuse_round_trips(monkeypatch):
+    def refuse(data, profile):
+        pytest.fail("round trip started past the limit")
+
+    monkeypatch.setattr(cli.equivariant, "to_parabolic", refuse)
+
+
+def test_bijection_check_limit(capsys, tmp_path, monkeypatch):
+    path = order_three_profile(tmp_path, 10)
+    monkeypatch.setattr(cli, "MAX_BIJECTION_LAMBDA", 2 ** 10)
+    code, out, err = run(capsys, "bijection-check", "--file", path)
+    assert code == 0
+    assert json.loads(out)["checked"] == 2 ** 10
+    monkeypatch.setattr(cli, "MAX_BIJECTION_LAMBDA", 2 ** 10 - 1)
+    refuse_round_trips(monkeypatch)
+    code, out, err = run(capsys, "bijection-check", "--file", path)
+    assert code == 3
+    assert out == ""
+    assert err == (f"domain error: DomainError: Lambda has more than {2 ** 10 - 1} "
+                   "elements, the bijection-check limit\n")
+
+
+@pytest.mark.parametrize("count", [cli.MAX_BIJECTION_LAMBDA.bit_length(), 70])
+def test_bijection_check_rejects_a_large_lambda_before_any_round_trip(capsys, tmp_path,
+                                                                     monkeypatch, count):
+    # 2^count is past the limit; 2^70 is also past sys.maxsize, where len() overflows
+    refuse_round_trips(monkeypatch)
+    path = order_three_profile(tmp_path, count)
+    code, out, err = run(capsys, "bijection-check", "--file", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: DomainError: Lambda has more than")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("numeric", [

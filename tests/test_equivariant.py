@@ -1,8 +1,11 @@
 """Numeric data, modifications, and the parabolic correspondence."""
 
+import itertools
 import json
 import random
 import sys
+import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from fixloc import (
     parabolic_from_json,
     parabolic_to_json,
     parabolic_zeta2,
+    profile_from_json,
     rank2_from_json,
     rank2_to_json,
     solve_d2,
@@ -47,6 +51,8 @@ from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
 import gen
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "fixtures"))
+from record_lambda_listings import FIXTURE as LAMBDA_LISTINGS  # noqa: E402
+from record_lambda_listings import listing, record_listing, sha256  # noqa: E402
 from record_parabolic_cases import FIXTURE as PARABOLIC_CASES, evaluate  # noqa: E402
 
 
@@ -86,6 +92,116 @@ def test_lambda_of_the_two_square_root_lifts():
         for y in profile.orbits:
             assert admissible_pairs(even_lift.residues[y.id], y.nprime) == [(0, 0), (1, 1)]
             assert admissible_pairs(odd_lift.residues[y.id], y.nprime) == [(0, 1)]
+
+
+def product_oracle(det, profile):
+    per_orbit = [admissible_pairs(det.residues.get(y.id, 0), y.nprime) for y in profile.orbits]
+    return [dict(zip(profile.orbit_ids(), combo)) for combo in itertools.product(*per_orbit)]
+
+
+def test_lambda_view_matches_the_product_oracle():
+    rng = random.Random(21)
+    empty = make_profile(5, [])
+    cases = [(empty, DeterminantLift(residues={}, degree=0))]
+    for _ in range(60):
+        profile = gen.random_profile(rng, max_n=24, max_orbits=5)
+        cases.append((profile, gen.random_det(rng, profile)))
+    for profile, det in cases:
+        lam = enumerate_lambda(det, profile)
+        oracle = product_oracle(det, profile)
+        assert isinstance(lam, Sequence)
+        assert len(lam) == len(oracle)
+        assert list(lam) == oracle
+        assert [lam[i] for i in range(len(lam))] == oracle
+        assert [list(el) for el in lam] == [list(profile.orbit_ids())] * len(oracle)
+    assert list(enumerate_lambda(DeterminantLift(residues={}, degree=0), empty)) == [{}]
+
+
+def test_lambda_slices_are_views():
+    profile = make_profile(12, [("a", 1), ("b", 2), ("c", 3)])
+    det = DeterminantLift(residues={"a": 5, "b": 0, "c": 3}, degree=5 + 9)
+    lam = enumerate_lambda(det, profile)
+    oracle = product_oracle(det, profile)
+    assert len(oracle) == 48
+    for key in (slice(None), slice(3, None), slice(None, -4), slice(-7, -2), slice(None, None, 5),
+                slice(2, 40, 7), slice(None, None, -1), slice(-3, 4, -2), slice(10, 2),
+                slice(len(oracle), None), slice(-1000, 1000, 3)):
+        view = lam[key]
+        assert isinstance(view, Sequence)
+        assert list(view) == oracle[key], key
+        assert [view[i] for i in range(-len(view), 0)] == oracle[key], key
+        assert list(view[1::2][::-1]) == oracle[key][1::2][::-1], key
+    assert list(lam[::3][2:9][::-2][1:]) == oracle[::3][2:9][::-2][1:]
+    assert list(lam[5:5]) == [] and len(lam[7:3]) == 0
+    assert lam[-1] == oracle[-1] and lam[-len(oracle)] == oracle[0]
+
+
+def test_lambda_index_errors():
+    profile = make_profile(6, [("a", 1), ("b", 2)])
+    det = DeterminantLift(residues={"a": 1, "b": 1}, degree=3)
+    lam = enumerate_lambda(det, profile)
+    for i in (len(lam), -len(lam) - 1, 10 ** 30):
+        with pytest.raises(IndexError):
+            lam[i]
+    view = lam[1::2]
+    with pytest.raises(IndexError):
+        view[len(view)]
+    with pytest.raises(IndexError):
+        view[-len(view) - 1]
+
+
+def test_lambda_choice_matches_the_list():
+    profile = make_profile(24, [(f"y{i}", 1) for i in range(4)])
+    det = DeterminantLift(residues={"y0": 0, "y1": 3, "y2": 8, "y3": 13}, degree=24)
+    lam = enumerate_lambda(det, profile)
+    listed = list(lam)
+    for seed in range(40):
+        left, right = random.Random(seed), random.Random(seed)
+        assert left.choice(lam) == right.choice(listed)
+        assert left.choice(lam[::7]) == right.choice(listed[::7])
+        assert left.random() == right.random()
+
+
+def test_lambda_elements_are_fresh_dicts():
+    profile = make_profile(4, [("a", 1), ("b", 2)])
+    det = DeterminantLift(residues={"a": 2, "b": 0}, degree=2)
+    lam = enumerate_lambda(det, profile)
+    first = lam[0]
+    first["a"] = (9, 9)
+    del first["b"]
+    assert lam[0] == product_oracle(det, profile)[0]
+    for el in lam:
+        el.clear()
+    assert list(lam) == product_oracle(det, profile)
+
+
+def test_lambda_view_allocates_only_what_is_read():
+    # the 13^5 job of the lambda benchmark workload: 371,293 elements
+    profile = make_profile(24, [(f"y{i}", 1) for i in range(5)])
+    det = DeterminantLift(residues={f"y{i}": 2 * i for i in range(5)}, degree=20)
+    tracemalloc.start()
+    try:
+        lam = enumerate_lambda(det, profile)
+        picked = list(lam[::max(1, len(lam) // 16)][:16])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lam) == 13 ** 5
+    assert len(picked) == 16
+    assert peak < 200_000
+
+
+def test_lambda_listings_match_the_recorded_fixture():
+    # recorded by tests/fixtures/record_lambda_listings.py from the list-building
+    # enumerate_lambda; both the product walk and the index decoding must match
+    cases = json.loads(LAMBDA_LISTINGS.read_text())["listings"]
+    assert len(cases) == 40
+    assert {case["det"]["lift_sign"] for case in cases} == {"+", "-"}
+    for case in cases:
+        assert record_listing(case) == {"count": case["count"], "sha256": case["sha256"]}
+        lam = enumerate_lambda(det_from_json(case["det"]), profile_from_json(case["profile"]))
+        decoded = [lam[i] for i in range(len(lam))]
+        assert sha256(listing(decoded)) == case["sha256"], case["name"]
 
 
 def test_weight_system_values():
