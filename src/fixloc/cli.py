@@ -101,7 +101,7 @@ def cmd_lambda(args) -> int:
                equivariant.admissible_pairs(det.residues.get(y.id, 0), y.nprime)]
         for y in profile.orbits
     }
-    # Lambda is the product of the per-orbit pairs; build it only to list it
+    # |Lambda| is the product of the per-orbit pair counts; read Lambda only to list it
     count = math.prod(len(pairs) for pairs in per_orbit.values())
     payload = {"count": count, "per_orbit": per_orbit}
     if count <= LIST_CAP:

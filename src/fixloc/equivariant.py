@@ -181,24 +181,26 @@ class _Lambda(Sequence):
 
     Index i is a mixed-radix number whose digits select one pair per
     orbit, the last orbit's digit varying fastest, so the order is
-    itertools.product order (Knuth, TAOCP 4A, 7.2.1.1).  A view holds
-    a range of such indices; a slice narrows the range and decodes
-    nothing.  Each element is a fresh dict in profile order.
+    itertools.product order (Knuth, TAOCP 4A, 7.2.1.1).  A slice is a
+    list that decodes only the indices it selects.  Each element is a
+    fresh dict in profile order.
     """
 
-    __slots__ = ("_ids", "_pairs", "_indices")
+    __slots__ = ("_ids", "_pairs", "_n")
 
-    def __init__(self, ids: tuple[str, ...], pairs: list[list[tuple[int, int]]],
-                 indices: range):
-        self._ids, self._pairs, self._indices = ids, pairs, indices
+    def __init__(self, ids: tuple[str, ...], pairs: list[list[tuple[int, int]]]):
+        self._ids, self._pairs = ids, pairs
+        self._n = math.prod(map(len, pairs))
 
     def __len__(self) -> int:
-        return len(self._indices)
+        return self._n
 
     def __getitem__(self, i):
+        # a range resolves negative and out-of-range indices, even past sys.maxsize
+        indices = range(self._n)[i]
         if isinstance(i, slice):
-            return _Lambda(self._ids, self._pairs, self._indices[i])
-        return self._decode(self._indices[i])
+            return [self._decode(j) for j in indices]
+        return self._decode(indices)
 
     def _decode(self, i: int) -> dict[str, tuple[int, int]]:
         digits = []
@@ -208,9 +210,7 @@ class _Lambda(Sequence):
         return dict(zip(self._ids, reversed(digits)))
 
     def __iter__(self):
-        if self._indices == range(math.prod(map(len, self._pairs))):
-            return (dict(zip(self._ids, combo)) for combo in itertools.product(*self._pairs))
-        return map(self._decode, self._indices)
+        return (dict(zip(self._ids, combo)) for combo in itertools.product(*self._pairs))
 
 
 def enumerate_lambda(det: DeterminantLift,
@@ -221,11 +221,11 @@ def enumerate_lambda(det: DeterminantLift,
     profile orbit order; the empty profile yields the single empty
     assignment.  The result is a lazy read-only Sequence: its length is
     the product of the per-orbit pair counts, and an element is built
-    only when it is read.  Slices are views of the same kind.
+    only when it is read.  A slice is a list of the elements it selects.
     """
     validate_det(det, profile)
     pairs = [admissible_pairs(det.residues.get(y.id, 0), y.nprime) for y in profile.orbits]
-    return _Lambda(profile.orbit_ids(), pairs, range(math.prod(map(len, pairs))))
+    return _Lambda(profile.orbit_ids(), pairs)
 
 
 def weight_system(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, Fraction]:

@@ -117,7 +117,7 @@ def test_lambda_view_matches_the_product_oracle():
     assert list(enumerate_lambda(DeterminantLift(residues={}, degree=0), empty)) == [{}]
 
 
-def test_lambda_slices_are_views():
+def test_lambda_slices_match_list_slices():
     profile = make_profile(12, [("a", 1), ("b", 2), ("c", 3)])
     det = DeterminantLift(residues={"a": 5, "b": 0, "c": 3}, degree=5 + 9)
     lam = enumerate_lambda(det, profile)
@@ -126,13 +126,9 @@ def test_lambda_slices_are_views():
     for key in (slice(None), slice(3, None), slice(None, -4), slice(-7, -2), slice(None, None, 5),
                 slice(2, 40, 7), slice(None, None, -1), slice(-3, 4, -2), slice(10, 2),
                 slice(len(oracle), None), slice(-1000, 1000, 3)):
-        view = lam[key]
-        assert isinstance(view, Sequence)
-        assert list(view) == oracle[key], key
-        assert [view[i] for i in range(-len(view), 0)] == oracle[key], key
-        assert list(view[1::2][::-1]) == oracle[key][1::2][::-1], key
-    assert list(lam[::3][2:9][::-2][1:]) == oracle[::3][2:9][::-2][1:]
-    assert list(lam[5:5]) == [] and len(lam[7:3]) == 0
+        assert lam[key] == oracle[key], key
+    assert lam[::3][2:9][::-2][1:] == oracle[::3][2:9][::-2][1:]
+    assert lam[5:5] == [] and lam[7:3] == []
     assert lam[-1] == oracle[-1] and lam[-len(oracle)] == oracle[0]
 
 
@@ -143,11 +139,6 @@ def test_lambda_index_errors():
     for i in (len(lam), -len(lam) - 1, 10 ** 30):
         with pytest.raises(IndexError):
             lam[i]
-    view = lam[1::2]
-    with pytest.raises(IndexError):
-        view[len(view)]
-    with pytest.raises(IndexError):
-        view[-len(view) - 1]
 
 
 def test_lambda_choice_matches_the_list():
