@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,9 @@ from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, validate_gr
 
 import gen
 
+sys.path.insert(0, str(Path(__file__).resolve().parent / "fixtures"))
+from record_twist_closure import FIXTURE as TWIST_CLOSURE, evaluate, load, render  # noqa: E402
+
 
 def upstairs_degrees(pt, profile):
     out = []
@@ -52,37 +57,6 @@ def upstairs_degrees(pt, profile):
             total += y.k * (d2 if y.id in supp else d1)
         out.append(total)
     return out
-
-
-def sample_graded(rng, tries: int = 200):
-    """Random graded point over a profile that absorbs arbitrary twists."""
-    for _ in range(tries):
-        profile = gen.random_profile(rng, max_n=10, max_orbits=3)
-        data = gen.random_data(rng, profile)
-        weighted = [y.id for y in profile.orbits
-                    if data.numeric[y.id][0] != data.numeric[y.id][1]]
-        supp0 = frozenset(label for label in weighted if rng.random() < 0.5)
-        supp1 = frozenset(weighted) - supp0
-        # choose bar degrees making the two upstairs degrees equal
-        spread = {0: 0, 1: 0}
-        for y in profile.orbits:
-            d1, d2 = data.numeric[y.id]
-            spread[0] += y.k * (d2 if y.id in supp0 else d1)
-            spread[1] += y.k * (d2 if y.id in supp1 else d1)
-        if (spread[0] - spread[1]) % profile.n != 0:
-            continue
-        bar0 = rng.randint(-3, 3)
-        bar1 = bar0 + (spread[0] - spread[1]) // profile.n
-        det = DeterminantLift(
-            residues=data.det.residues,
-            degree=profile.n * (bar0 + bar1) + spread[0] + spread[1],
-            lift_sign=data.det.lift_sign)
-        pt = GradedPoint(
-            (GradedSummand(bar0, supp0), GradedSummand(bar1, supp1)),
-            numeric=data.numeric, det=det)
-        validate_graded(pt, profile)
-        return profile, pt
-    raise AssertionError("no graded sample found")
 
 
 def boundary_points(g):
@@ -127,7 +101,7 @@ def test_validate_graded_rejections():
 def test_opposite_twist_round_trip_and_invariants():
     rng = random.Random(31)
     for _ in range(60):
-        profile, pt = sample_graded(rng)
+        profile, pt = gen.sample_graded(rng)
         degrees = sorted(upstairs_degrees(pt, profile))
         for a in range(profile.n):
             mu = RootExponent(a, profile.n)
@@ -174,7 +148,7 @@ def test_crossing_twist_involution_and_invariants():
     rng = random.Random(32)
     done = 0
     while done < 40:
-        profile, pt = sample_graded(rng)
+        profile, pt = gen.sample_graded(rng)
         if profile.n % 2 == 1:
             continue
         for a in range(1, profile.n, 2):
@@ -313,7 +287,7 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
     # point a step builds must still pass the check it skips
     cases = [(hyperelliptic_profile(g), boundary_points(g)) for g in (1, 2, 3)]
     rng = random.Random(36)
-    cases += [(profile, [pt]) for profile, pt in (sample_graded(rng) for _ in range(40))]
+    cases += [(profile, [pt]) for profile, pt in (gen.sample_graded(rng) for _ in range(40))]
     built, checked = [], []
     rebuild, validate = locus._rebuild, locus.validate_graded
 
@@ -341,6 +315,17 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
         assert len(checked) == len(points)
         for pt in built:
             validate(pt, profile)
+
+
+def test_twist_closure_matches_the_recorded_fixture():
+    # recorded by tests/fixtures/record_twist_closure.py with the dict-based
+    # steps; every class, stepped point and error message must stay the same
+    cases = load()
+    assert len(cases) > 200
+    replayed = [evaluate(case) for case in cases]
+    for case, again in zip(cases, replayed):
+        assert again == case, case["name"]
+    assert render(replayed) == TWIST_CLOSURE.read_text()
 
 
 def test_public_steps_reject_supports_that_do_not_partition():
