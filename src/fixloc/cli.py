@@ -24,9 +24,10 @@ DEFAULT_SEED = 1729
 # keep CLI outputs bounded; larger collections report counts only
 LIST_CAP = 128
 
-# bijection-check round-trips every element of Lambda; the slowest input
-# measured under this size took about 10 s (README)
-MAX_BIJECTION_LAMBDA = 75_000
+# bijection-check round-trips every element of Lambda, at a cost per element
+# and per orbit; it accepts |Lambda| * max(1, orbits) up to this limit, where
+# the slowest input measured, a single orbit, took about 10 s (README)
+MAX_BIJECTION_ELEMENT_ORBITS = 700_000
 
 
 def _load_json(path: str):
@@ -136,10 +137,13 @@ def cmd_bijection_check(args) -> int:
     for profile in profiles:
         det = equivariant.random_det(rng, profile)
         lam = equivariant.enumerate_lambda(det, profile)
+        orbits = len(profile.orbits)
+        cap = MAX_BIJECTION_ELEMENT_ORBITS // max(1, orbits)
         # a one-element slice, not len(): a view longer than sys.maxsize has no len()
-        if lam[MAX_BIJECTION_LAMBDA:MAX_BIJECTION_LAMBDA + 1]:
-            raise DomainError(f"Lambda has more than {MAX_BIJECTION_LAMBDA} elements, "
-                              f"the bijection-check limit")
+        if lam[cap:cap + 1]:
+            raise DomainError(f"Lambda has more than {cap} elements over {orbits} orbits, "
+                              f"past the bijection-check limit of "
+                              f"{MAX_BIJECTION_ELEMENT_ORBITS} element-orbits")
         for numeric in lam:
             data = equivariant.Rank2EqData(numeric=numeric, det=det)
             try:

@@ -12,12 +12,16 @@ classes biject with strictly semistable fixed points.
 All degree bookkeeping runs through the per-summand upstairs degree
 n * bar_degree + sum_y k(y) * l(y), which is invariant under the
 twists; the downstairs degrees after a step are recovered from it.
+The twist formula exists once, on integer keys holding each summand's
+exponents l(y) and upstairs degree (see _key).  The closure searches
+keys only; points are decoded (_rebuild) only where a caller gets one.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,8 +93,8 @@ class GradedPoint:
         return f"GradedPoint(summands={self.summands!r}, numeric={self.numeric!r}, det={self.det!r})"
 
 
-def validate_graded(pt: GradedPoint, profile: CoverProfile) -> None:
-    """Structural checks tying a graded point to its cover context."""
+def validate_graded(pt: GradedPoint, profile: CoverProfile) -> tuple:
+    """Structural checks tying a graded point to its cover context; returns its key (_key)."""
     if pt.numeric is None or pt.det is None:
         raise InvalidDatum("graded point lacks cover context")
     validate_rank2(Rank2EqData(numeric=pt.numeric, det=pt.det), profile)
@@ -98,52 +102,60 @@ def validate_graded(pt: GradedPoint, profile: CoverProfile) -> None:
     s0, s1 = pt.summands
     if set(s0.support) | set(s1.support) != weighted or set(s0.support) & set(s1.support):
         raise InvalidDatum("summand supports must partition the weighted orbits")
-    up0, up1 = (_upstairs_degree(s.bar_degree, _exponents(pt, i, profile), profile)
-                for i, s in enumerate(pt.summands))
-    if up0 != up1:
+    key = _key(pt, _Frame(profile))
+    if key[0][1] != key[1][1]:
         raise InvalidDatum("summands have unequal parabolic degree")
+    return key
 
 
-def _exponents(pt: GradedPoint, index: int, profile: CoverProfile) -> dict[str, int]:
-    """Per-orbit eigenvalue exponent carried by one summand.
+# The twists act on integer keys ((l0, up0), (l1, up1), (residues, degree,
+# lift_sign)), in profile order: l_i is the exponent summand i carries at each
+# orbit (d2 on its support, d1 elsewhere), up_i = n * bar_degree + sum_y k(y)
+# l_i(y) its upstairs degree, and residues holds None where the lift omits an
+# orbit.  Summands keep GradedPoint's order, so equal points have equal keys.
 
-    The flagged summand carries the larger exponent d2 on its support,
-    the complementary one d1 there; off-support both coincide.
-    """
-    supp = pt.summands[index].support
-    out = {}
-    for y in profile.orbits:
-        d1, d2 = pt.numeric[y.id]
-        out[y.id] = d2 if y.id in supp else d1
-    return out
+class _Frame:
+    """Per-profile constants of the keyed twist steps, orbits in profile order."""
+
+    def __init__(self, profile: CoverProfile):
+        self.n, self.orbits = profile.n, profile.orbits
+        self.ks = tuple(y.k for y in profile.orbits)
+        self.nprimes = tuple(y.nprime for y in profile.orbits)
+        # (label, position) pairs in the label order of _summand_key
+        self.labels = sorted((str(y.id), i) for i, y in enumerate(profile.orbits))
+
+    def weight(self, ell: tuple[int, ...]) -> int:
+        """sum_y k(y) * l(y): a summand's upstairs degree less n * bar_degree."""
+        return sum(map(operator.mul, self.ks, ell))
+
+    def shift(self, a: int) -> tuple[int, ...]:
+        """Local weight of the character a mod n at each orbit."""
+        mu = RootExponent(a, self.n)
+        return tuple(d_mu(mu, y) for y in self.orbits)
 
 
-def _upstairs_degree(bar_degree: int, ell: dict[str, int], profile: CoverProfile) -> int:
-    """n * bar_degree + sum_y k(y) * l(y) for a summand with exponents ell."""
-    return profile.n * bar_degree + sum(y.k * ell[y.id] for y in profile.orbits)
+def _key(pt: GradedPoint, frame: _Frame) -> tuple:
+    parts = []
+    for s in pt.summands:
+        ell = tuple(pt.numeric[y.id][1 if y.id in s.support else 0] for y in frame.orbits)
+        parts.append((ell, frame.n * s.bar_degree + frame.weight(ell)))
+    residues = tuple(pt.det.residues.get(y.id) for y in frame.orbits)
+    return (*parts, (residues, pt.det.degree, pt.det.lift_sign))
 
 
-def _rebuild(ell0: dict[str, int], ell1: dict[str, int], up0: int, up1: int,
-             det: DeterminantLift, profile: CoverProfile) -> GradedPoint:
-    """Reassemble a graded point from per-summand exponents and upstairs degrees."""
+def _rebuild(key: tuple, frame: _Frame) -> GradedPoint:
+    """The graded point of a key."""
+    (ell0, _), (ell1, _), (residues, degree, sign) = key
     numeric = {}
     supports: tuple[set, set] = (set(), set())
-    for y in profile.orbits:
-        a, b = ell0[y.id], ell1[y.id]
+    for y, a, b in zip(frame.orbits, ell0, ell1):
         numeric[y.id] = (min(a, b), max(a, b))
         if a != b:
             supports[0 if a > b else 1].add(y.id)
-    bars = []
-    for up, ell in ((up0, ell0), (up1, ell1)):
-        corrected = up - _upstairs_degree(0, ell, profile)
-        q, rem = divmod(corrected, profile.n)
-        if rem != 0:
-            raise NonIntegralDegree(
-                f"summand degree {corrected} not divisible by n={profile.n}; "
-                "profile does not admit this twist")
-        bars.append(q)
-    summands = (GradedSummand(bars[0], frozenset(supports[0])),
-                GradedSummand(bars[1], frozenset(supports[1])))
+    summands = (GradedSummand((up - frame.weight(ell)) // frame.n, frozenset(supp))
+                for (ell, up), supp in zip(key[:2], supports))
+    det = DeterminantLift(residues={y.id: r for y, r in zip(frame.orbits, residues) if r is not None},
+                          degree=degree, lift_sign=sign)
     return GradedPoint(summands, numeric=numeric, det=det)
 
 
@@ -155,27 +167,23 @@ def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> Grad
     mu.  Raises NonIntegralDegree when the profile cannot absorb the
     twist at degree level (never on profiles realized by a curve).
     """
-    validate_graded(pt, profile)
+    key = validate_graded(pt, profile)
     if mu.modulus != profile.n:
         raise InvalidDatum(f"twist character modulus {mu.modulus} differs from n={profile.n}")
-    return _o_step(pt, mu, profile)
+    frame = _Frame(profile)
+    return _rebuild(_o_step(key, frame.shift(mu.a), frame), frame)
 
 
-# The steps below take a point that validate_graded accepts and return
-# one it accepts again: d1 + d2 and the determinant residue move by the
-# same amount at every orbit, _rebuild partitions the weighted orbits
-# between the supports, and both upstairs degrees carry over unchanged.
+# The steps below take the key of a point that validate_graded accepts and
+# return the key of one it accepts again: d1 + d2 and the determinant residue
+# move by the same shift at every orbit, the exponent pairs partition the
+# weighted orbits between the summands, and both upstairs degrees carry over.
 
-def _o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> GradedPoint:
-    ell0 = _exponents(pt, 0, profile)
-    ell1 = _exponents(pt, 1, profile)
-    up0 = _upstairs_degree(pt.summands[0].bar_degree, ell0, profile)
-    up1 = _upstairs_degree(pt.summands[1].bar_degree, ell1, profile)
-    for y in profile.orbits:
-        shift = d_mu(mu, y)
-        ell0[y.id] = (ell0[y.id] + shift) % y.nprime
-        ell1[y.id] = (ell1[y.id] - shift) % y.nprime
-    return _rebuild(ell0, ell1, up0, up1, pt.det, profile)
+def _o_step(key: tuple, shift: tuple[int, ...], frame: _Frame) -> tuple:
+    (ell0, up0), (ell1, up1), det = key
+    ell0 = tuple((e + d) % m for e, d, m in zip(ell0, shift, frame.nprimes))
+    ell1 = tuple((e - d) % m for e, d, m in zip(ell1, shift, frame.nprimes))
+    return _settle((ell0, up0), (ell1, up1), det, frame)
 
 
 def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
@@ -192,24 +200,42 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
         raise InvalidDatum("crossing twist exponent must be odd")
     if summand not in (0, 1):
         raise InvalidDatum("summand index must be 0 or 1")
-    validate_graded(pt, profile)
-    return _e_step(pt, profile, exponent, summand)
+    key = validate_graded(pt, profile)
+    frame = _Frame(profile)
+    return _rebuild(_e_step(key, frame.shift(exponent), summand, frame), frame)
 
 
-def _e_step(pt: GradedPoint, profile: CoverProfile, exponent: int, summand: int) -> GradedPoint:
-    mu = RootExponent(exponent, profile.n)
-    ell = [_exponents(pt, 0, profile), _exponents(pt, 1, profile)]
-    ups = [_upstairs_degree(s.bar_degree, e, profile) for s, e in zip(pt.summands, ell)]
-    residues = dict(pt.det.residues)
+def _e_step(key: tuple, shift: tuple[int, ...], summand: int, frame: _Frame) -> tuple:
+    parts = list(key[:2])
+    residues, degree, sign = key[2]
     # the underlying summand bundle is untouched (only its lift scales),
     # so the upstairs degrees stay fixed while the exponents reduce anew
-    for y in profile.orbits:
-        shift = d_mu(mu, y)
-        ell[summand][y.id] = (ell[summand][y.id] + shift) % y.nprime
-        residues[y.id] = (residues.get(y.id, 0) + shift) % y.nprime
-    sign = MINUS if pt.det.lift_sign == PLUS else PLUS
-    det = DeterminantLift(residues=residues, degree=pt.det.degree, lift_sign=sign)
-    return _rebuild(ell[0], ell[1], ups[0], ups[1], det, profile)
+    ell, up = parts[summand]
+    parts[summand] = (tuple((e + d) % m for e, d, m in zip(ell, shift, frame.nprimes)), up)
+    residues = tuple(((r or 0) + d) % m for r, d, m in zip(residues, shift, frame.nprimes))
+    det = (residues, degree, MINUS if sign == PLUS else PLUS)
+    return _settle(parts[0], parts[1], det, frame)
+
+
+def _settle(part0: tuple, part1: tuple, det: tuple, frame: _Frame) -> tuple:
+    """Key of two stepped summands: both degrees must descend; order by _summand_key."""
+    bars = []
+    for ell, up in (part0, part1):
+        corrected = up - frame.weight(ell)
+        q, rem = divmod(corrected, frame.n)
+        if rem != 0:
+            raise NonIntegralDegree(
+                f"summand degree {corrected} not divisible by n={frame.n}; "
+                "profile does not admit this twist")
+        bars.append(q)
+    if bars[0] == bars[1]:
+        # each summand's support, as sorted labels, is where it carries the larger exponent
+        (ell0, _), (ell1, _) = part0, part1
+        swap = ([label for label, i in frame.labels if ell0[i] > ell1[i]]
+                > [label for label, i in frame.labels if ell1[i] > ell0[i]])
+    else:
+        swap = bars[0] > bars[1]
+    return (part1, part0, det) if swap else (part0, part1, det)
 
 
 def zeta2_apply(data: Rank2EqData, profile: CoverProfile) -> Rank2EqData:
@@ -381,12 +407,21 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
     only, in input order.
     """
     pts = list(points)
-    for pt in pts:
-        validate_graded(pt, profile)
-    # every step preserves validity (see _o_step), so nodes reached by
-    # the closure are not checked again
+    keys = [validate_graded(pt, profile) for pt in pts]
+    # every step preserves validity (see _o_step), so the keys the closure
+    # reaches are neither checked again nor decoded
+    frame = _Frame(profile)
+    # a = 0 is the trivial character, whose step returns its input
+    shifts = [frame.shift(a) for a in range(profile.n)]
 
-    parent: dict[GradedPoint, GradedPoint] = {}
+    def neighbors(key):
+        for shift in shifts[1:]:
+            yield _o_step(key, shift, frame)
+        for shift in shifts[1::2] if profile.n % 2 == 0 else ():
+            for which in (0, 1):
+                yield _e_step(key, shift, which, frame)
+
+    parent: dict[tuple, tuple] = {}
 
     def find(x):
         root = x
@@ -396,36 +431,23 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
             parent[x], x = root, parent[x]
         return root
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[rb] = ra
-
-    def neighbors(pt):
-        # a = 0 is the trivial character, whose step returns pt itself
-        for a in range(1, profile.n):
-            yield _o_step(pt, RootExponent(a, profile.n), profile)
-        if profile.n % 2 == 0:
-            for a in range(1, profile.n, 2):
-                for which in (0, 1):
-                    yield _e_step(pt, profile, a, which)
-
-    queue = list(pts)
-    for pt in queue:
-        parent.setdefault(pt, pt)
-    seen = set(parent)
+    queue = list(keys)
+    for key in queue:
+        parent.setdefault(key, key)
     while queue:
-        pt = queue.pop()
-        for nb in neighbors(pt):
-            if nb not in seen:
-                seen.add(nb)
-                parent[nb] = nb
+        key = queue.pop()
+        # unions below only hang other roots under this one, so it stays the root
+        root = find(key)
+        for nb in neighbors(key):
+            if nb not in parent:
+                parent[nb] = root
                 queue.append(nb)
-            union(pt, nb)
+            else:
+                parent[find(nb)] = root
 
-    groups: dict[GradedPoint, list[GradedPoint]] = {}
-    for pt in pts:
-        groups.setdefault(find(pt), []).append(pt)
+    groups: dict[tuple, list[GradedPoint]] = {}
+    for pt, key in zip(pts, keys):
+        groups.setdefault(find(key), []).append(pt)
     return list(groups.values())
 
 
@@ -561,8 +583,10 @@ def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticRepo
     classes = _boundary_subsets(g, c_min)
     # lift negation fixes every flagged boundary class; verify on the
     # graded points rather than assuming it
-    negate = RootExponent(1, 2)
-    fixed = [_o_step(pt, negate, profile) == pt for pt in (flagged_class(g, q) for q in classes)]
+    frame = _Frame(profile)
+    negate = frame.shift(1)
+    keys = (_key(flagged_class(g, q), frame) for q in classes)
+    fixed = [_o_step(key, negate, frame) == key for key in keys]
     components = []
     for c in range(c_min, 0):
         dim = (2 * g - 1) if 2 * c == d else (g - 2 * c - 1)

@@ -142,24 +142,27 @@ def refuse_round_trips(monkeypatch):
 
 
 def test_bijection_check_limit(capsys, tmp_path, monkeypatch):
+    # 2^10 elements over 10 orbits: 10,240 element-orbits
     path = order_three_profile(tmp_path, 10)
-    monkeypatch.setattr(cli, "MAX_BIJECTION_LAMBDA", 2 ** 10)
+    monkeypatch.setattr(cli, "MAX_BIJECTION_ELEMENT_ORBITS", 2 ** 10 * 10)
     code, out, err = run(capsys, "bijection-check", "--file", path)
     assert code == 0
     assert json.loads(out)["checked"] == 2 ** 10
-    monkeypatch.setattr(cli, "MAX_BIJECTION_LAMBDA", 2 ** 10 - 1)
+    monkeypatch.setattr(cli, "MAX_BIJECTION_ELEMENT_ORBITS", 2 ** 10 * 10 - 1)
     refuse_round_trips(monkeypatch)
     code, out, err = run(capsys, "bijection-check", "--file", path)
     assert code == 3
     assert out == ""
-    assert err == (f"domain error: DomainError: Lambda has more than {2 ** 10 - 1} "
-                   "elements, the bijection-check limit\n")
+    assert err == ("domain error: DomainError: Lambda has more than 1023 elements over 10 "
+                   "orbits, past the bijection-check limit of 10239 element-orbits\n")
 
 
-@pytest.mark.parametrize("count", [cli.MAX_BIJECTION_LAMBDA.bit_length(), 70])
+@pytest.mark.parametrize("count", [17, 70])
 def test_bijection_check_rejects_a_large_lambda_before_any_round_trip(capsys, tmp_path,
                                                                      monkeypatch, count):
-    # 2^count is past the limit; 2^70 is also past sys.maxsize, where len() overflows
+    # 2^17 elements over 17 orbits is past the limit; 2^70 is also past
+    # sys.maxsize, where len() overflows
+    assert 2 ** count * count > cli.MAX_BIJECTION_ELEMENT_ORBITS
     refuse_round_trips(monkeypatch)
     path = order_three_profile(tmp_path, count)
     code, out, err = run(capsys, "bijection-check", "--file", path)

@@ -284,37 +284,41 @@ def test_equivalence_classes_of_the_g2_boundary():
 
 def test_closure_nodes_pass_validate_graded(monkeypatch):
     # the closure validates its inputs once and trusts its steps; every
-    # point a step builds must still pass the check it skips
+    # key a step reaches must decode to a point that still passes the
+    # check it skips, and whose key it is
     cases = [(hyperelliptic_profile(g), boundary_points(g)) for g in (1, 2, 3)]
     rng = random.Random(36)
     cases += [(profile, [pt]) for profile, pt in (gen.sample_graded(rng) for _ in range(40))]
-    built, checked = [], []
-    rebuild, validate = locus._rebuild, locus.validate_graded
+    reached, checked = [], []
+    validate = locus.validate_graded
 
-    def recording_rebuild(*args):
-        built.append(rebuild(*args))
-        return built[-1]
+    def recording(step):
+        def wrapped(*args):
+            reached.append(step(*args))
+            return reached[-1]
+        return wrapped
 
     def counting_validate(pt, profile):
         checked.append(pt)
-        validate(pt, profile)
+        return validate(pt, profile)
 
-    monkeypatch.setattr(locus, "_rebuild", recording_rebuild)
+    monkeypatch.setattr(locus, "_o_step", recording(locus._o_step))
+    monkeypatch.setattr(locus, "_e_step", recording(locus._e_step))
     monkeypatch.setattr(locus, "validate_graded", counting_validate)
     for profile, points in cases:
-        built.clear()
+        reached.clear()
         checked.clear()
         try:
             equivalence_classes(points, profile)
         except NonIntegralDegree:
-            pass  # profile cannot absorb some twist; the points built so far still count
+            pass  # profile cannot absorb some twist; the keys reached so far still count
         else:
             # a finished closure took every nontrivial step; n = 1 has only
             # the trivial character, whose step the closure skips
-            assert bool(built) == (profile.n > 1)
+            assert bool(reached) == (profile.n > 1)
         assert len(checked) == len(points)
-        for pt in built:
-            validate(pt, profile)
+        for key in reached:
+            assert validate(locus._rebuild(key, locus._Frame(profile)), profile) == key
 
 
 def test_twist_closure_matches_the_recorded_fixture():
