@@ -15,6 +15,9 @@ twists; the downstairs degrees after a step are recovered from it.
 The twist formula exists once, on integer keys holding each summand's
 exponents l(y) and upstairs degree (see _key).  The closure searches
 keys only; points are decoded (_rebuild) only where a caller gets one.
+The order-two census writes its keys straight from the even point
+subset Q (_family_key): GradedPoints exist only at the API edge, where
+equivalence_classes validates each caller point once.
 """
 
 from __future__ import annotations
@@ -53,40 +56,44 @@ class GradedSummand:
     support: frozenset
 
 
-def _summand_key(s: GradedSummand):
-    return (s.bar_degree, tuple(sorted(map(str, s.support))))
-
-
 class GradedPoint:
     """Unordered pair of graded summands with its discrete context.
 
     numeric/det may be None for points born downstairs without a chosen
     cover (the stability module constructs those); equivalence steps
     require both.  Equality and hashing are by canonical content; the
-    hash is taken once, at construction, since points are not mutated.
+    hash is taken once, when first asked, since points are not mutated.
     """
 
     __slots__ = ("summands", "numeric", "det", "_hash")
 
     def __init__(self, summands, numeric=None, det=None):
-        pair = tuple(sorted(summands, key=_summand_key))
+        pair = tuple(summands)
         if len(pair) != 2:
             raise InvalidDatum("graded point needs exactly two summands")
+        # by base degree, then by sorted support labels (sorted only on a tie)
+        s0, s1 = pair
+        if s0.bar_degree > s1.bar_degree or s0.bar_degree == s1.bar_degree and (
+                sorted(map(str, s0.support)) > sorted(map(str, s1.support))):
+            pair = (s1, s0)
         self.summands = pair
         self.numeric = dict(numeric) if numeric is not None else None
         self.det = det
-        self._hash = hash((
-            pair,
-            None if self.numeric is None else frozenset(self.numeric.items()),
-            None if det is None else (frozenset(det.residues.items()), det.degree, det.lift_sign),
-        ))
+        self._hash = None
 
     def __eq__(self, other):
-        return (isinstance(other, GradedPoint) and self._hash == other._hash
+        return (isinstance(other, GradedPoint) and hash(self) == hash(other)
                 and self.summands == other.summands and self.numeric == other.numeric
                 and self.det == other.det)
 
     def __hash__(self):
+        if self._hash is None:
+            det = self.det
+            self._hash = hash((
+                self.summands,
+                None if self.numeric is None else frozenset(self.numeric.items()),
+                None if det is None else (frozenset(det.residues.items()), det.degree, det.lift_sign),
+            ))
         return self._hash
 
     def __repr__(self):
@@ -119,9 +126,10 @@ class _Frame:
 
     def __init__(self, profile: CoverProfile):
         self.n, self.orbits = profile.n, profile.orbits
+        self.ids = tuple(y.id for y in profile.orbits)
         self.ks = tuple(y.k for y in profile.orbits)
         self.nprimes = tuple(y.nprime for y in profile.orbits)
-        # (label, position) pairs in the label order of _summand_key
+        # (label, position) pairs in the label order of GradedPoint's summands
         self.labels = sorted((str(y.id), i) for i, y in enumerate(profile.orbits))
 
     def weight(self, ell: tuple[int, ...]) -> int:
@@ -143,20 +151,24 @@ def _key(pt: GradedPoint, frame: _Frame) -> tuple:
     return (*parts, (residues, pt.det.degree, pt.det.lift_sign))
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _pair(a: int, b: int) -> tuple[int, int]:
+    """The sorted exponent pair, one tuple shared by the points that carry it."""
+    return (a, b) if a <= b else (b, a)
+
+
 def _rebuild(key: tuple, frame: _Frame) -> GradedPoint:
     """The graded point of a key."""
-    (ell0, _), (ell1, _), (residues, degree, sign) = key
-    numeric = {}
-    supports: tuple[set, set] = (set(), set())
-    for y, a, b in zip(frame.orbits, ell0, ell1):
-        numeric[y.id] = (min(a, b), max(a, b))
-        if a != b:
-            supports[0 if a > b else 1].add(y.id)
-    summands = (GradedSummand((up - frame.weight(ell)) // frame.n, frozenset(supp))
-                for (ell, up), supp in zip(key[:2], supports))
-    det = DeterminantLift(residues={y.id: r for y, r in zip(frame.orbits, residues) if r is not None},
+    (ell0, up0), (ell1, up1), (residues, degree, sign) = key
+    ids = frame.ids
+    # each summand's support is where it carries the larger exponent
+    s0 = GradedSummand((up0 - frame.weight(ell0)) // frame.n,
+                       frozenset(itertools.compress(ids, map(operator.gt, ell0, ell1))))
+    s1 = GradedSummand((up1 - frame.weight(ell1)) // frame.n,
+                       frozenset(itertools.compress(ids, map(operator.lt, ell0, ell1))))
+    det = DeterminantLift(residues={i: r for i, r in zip(ids, residues) if r is not None},
                           degree=degree, lift_sign=sign)
-    return GradedPoint(summands, numeric=numeric, det=det)
+    return GradedPoint((s0, s1), numeric=dict(zip(ids, map(_pair, ell0, ell1))), det=det)
 
 
 def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> GradedPoint:
@@ -218,7 +230,7 @@ def _e_step(key: tuple, shift: tuple[int, ...], summand: int, frame: _Frame) -> 
 
 
 def _settle(part0: tuple, part1: tuple, det: tuple, frame: _Frame) -> tuple:
-    """Key of two stepped summands: both degrees must descend; order by _summand_key."""
+    """Key of two stepped summands: both degrees must descend; ordered as in GradedPoint."""
     bars = []
     for ell, up in (part0, part1):
         corrected = up - frame.weight(ell)
@@ -408,16 +420,25 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
     """
     pts = list(points)
     keys = [validate_graded(pt, profile) for pt in pts]
-    # every step preserves validity (see _o_step), so the keys the closure
-    # reaches are neither checked again nor decoded
-    frame = _Frame(profile)
+    groups: dict[tuple, list[GradedPoint]] = {}
+    for pt, root in zip(pts, _roots(keys, _Frame(profile))):
+        groups.setdefault(root, []).append(pt)
+    return list(groups.values())
+
+
+def _roots(keys: list[tuple], frame: _Frame) -> list[tuple]:
+    """One representative key of each input key's twist class, in input order.
+
+    The keys must be ones validate_graded returns; every step preserves
+    validity (see _o_step), so reached keys are neither checked nor decoded.
+    """
     # a = 0 is the trivial character, whose step returns its input
-    shifts = [frame.shift(a) for a in range(profile.n)]
+    shifts = [frame.shift(a) for a in range(frame.n)]
 
     def neighbors(key):
         for shift in shifts[1:]:
             yield _o_step(key, shift, frame)
-        for shift in shifts[1::2] if profile.n % 2 == 0 else ():
+        for shift in shifts[1::2] if frame.n % 2 == 0 else ():
             for which in (0, 1):
                 yield _e_step(key, shift, which, frame)
 
@@ -444,83 +465,65 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
                 queue.append(nb)
             else:
                 parent[find(nb)] = root
-
-    groups: dict[tuple, list[GradedPoint]] = {}
-    for pt, key in zip(pts, keys):
-        groups.setdefault(find(key), []).append(pt)
-    return list(groups.values())
-
-
-def component_normality(boundary_classes, relation_restricted) -> bool:
-    """A component is normal iff the restricted relation is trivial.
-
-    relation_restricted is a partition (iterable of collections) of the
-    component's boundary classes; triviality means every part is a
-    singleton.
-    """
-    seen = set()
-    for part in relation_restricted:
-        part = list(part)
-        if len(part) != 1:
-            return False
-        seen.add(part[0])
-    return seen == set(boundary_classes)
+    return [find(key) for key in keys]
 
 
 # --- the order-two worked family ---
 
-@functools.cache
-def _hyperelliptic_labels(g: int) -> tuple[str, ...]:
-    """Orbit labels p0..p(2g+1) of the genus-g family, in profile order.
-
-    Built once per g: every boundary class of a census asks for them.
-    """
+def hyperelliptic_profile(g: int) -> CoverProfile:
+    """Degree-2 cover of the line branched at 2g+2 points p0..p(2g+1)."""
     if g < 1:
         raise InvalidGenus(f"genus must be >= 1, got {g}")
-    return tuple(f"p{i}" for i in range(2 * g + 2))
-
-
-def hyperelliptic_profile(g: int) -> CoverProfile:
-    """Degree-2 cover of the line branched at 2g+2 points."""
-    return make_profile(2, [(label, 1) for label in _hyperelliptic_labels(g)], genus_base=0)
+    return make_profile(2, [(f"p{i}", 1) for i in range(2 * g + 2)], genus_base=0)
 
 
 def hyperelliptic_delta(g: int, which: int) -> DeterminantLift:
     """The two determinant lifts of the trivial determinant (which in {0,1})."""
     if which not in (0, 1):
         raise InvalidDatum(f"lift index must be 0 or 1, got {which!r}")
-    residues = dict.fromkeys(_hyperelliptic_labels(g), which)
+    residues = dict.fromkeys(_hyperelliptic_frame(g).ids, which)
     return DeterminantLift(residues=residues, degree=0,
                            lift_sign=PLUS if which == 0 else MINUS)
 
 
-def double_class(g: int, q_indices) -> GradedPoint:
-    """Boundary class with both flags on one summand pair (even subset Q)."""
-    ids = _hyperelliptic_labels(g)
-    q = frozenset(int(i) for i in q_indices)
+@functools.cache
+def _hyperelliptic_frame(g: int) -> _Frame:
+    """Twist-step constants of the genus-g family, built once per g."""
+    return _Frame(hyperelliptic_profile(g))
+
+
+def _family_key(g: int, q_indices, flagged: bool) -> tuple:
+    """Key (see _key) of the boundary class of the even point subset Q.
+
+    Every upstairs degree is 0.  A double class carries exponent 1 on Q
+    in both summands, over residues 0 and lift +.  A flagged class
+    carries 1 on Q in one summand and 1 off Q in the other, over
+    residues 1 and lift -.
+    """
+    frame = _hyperelliptic_frame(g)
+    q = frozenset(map(int, q_indices))
     if len(q) % 2 != 0:
         raise InvalidDatum(f"subset size must be even, got {len(q)}")
-    numeric = {label: ((1, 1) if i in q else (0, 0)) for i, label in enumerate(ids)}
-    det = hyperelliptic_delta(g, 0)
-    half = len(q) // 2
-    summands = (GradedSummand(-half, frozenset()), GradedSummand(-half, frozenset()))
-    return GradedPoint(summands, numeric=numeric, det=det)
+    npoints = len(frame.ids)
+    on, off = [0] * npoints, [1] * npoints
+    for i in q:
+        if not 0 <= i < npoints:
+            raise InvalidDatum(f"point index {i} outside 0..{npoints - 1}")
+        on[i], off[i] = 1, 0
+    on, off = tuple(on), tuple(off)
+    if not flagged:
+        return ((on, 0), (on, 0), ((0,) * npoints, 0, PLUS))
+    return _settle((on, 0), (off, 0), ((1,) * npoints, 0, MINUS), frame)
+
+
+def double_class(g: int, q_indices) -> GradedPoint:
+    """Boundary class with both flags on one summand pair (even subset Q)."""
+    return _rebuild(_family_key(g, q_indices, False), _hyperelliptic_frame(g))
 
 
 def flagged_class(g: int, q_indices) -> GradedPoint:
     """Boundary class with flags split between the two summands (even subset Q)."""
-    ids = _hyperelliptic_labels(g)
-    q = frozenset(int(i) for i in q_indices)
-    if len(q) % 2 != 0:
-        raise InvalidDatum(f"subset size must be even, got {len(q)}")
-    d = -(g + 1)
-    numeric = {label: (0, 1) for label in ids}
-    det = hyperelliptic_delta(g, 1)
-    q_ids = frozenset(ids[i] for i in q)
-    rest = frozenset(ids) - q_ids
-    half = len(q) // 2
-    summands = (GradedSummand(-half, q_ids), GradedSummand(d + half, rest))
-    return GradedPoint(summands, numeric=numeric, det=det)
+    return _rebuild(_family_key(g, q_indices, True), _hyperelliptic_frame(g))
 
 
 @dataclass(frozen=True)
@@ -575,17 +578,14 @@ def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticRepo
     class sets are nested, so the boundary is enumerated once, at the
     smallest c, and each class is checked once.
     """
-    if g < 1:
-        raise InvalidGenus(f"genus must be >= 1, got {g}")
+    frame = _hyperelliptic_frame(g)  # raises InvalidGenus for g < 1
     d = -(g + 1)
     c_min = -((g + 1) // 2)
-    profile = hyperelliptic_profile(g)
     classes = _boundary_subsets(g, c_min)
     # lift negation fixes every flagged boundary class; verify on the
-    # graded points rather than assuming it
-    frame = _Frame(profile)
+    # keys rather than assuming it
     negate = frame.shift(1)
-    keys = (_key(flagged_class(g, q), frame) for q in classes)
+    keys = (_family_key(g, q, True) for q in classes)
     fixed = [_o_step(key, negate, frame) == key for key in keys]
     components = []
     for c in range(c_min, 0):
@@ -603,10 +603,10 @@ def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticRepo
     class_count = -1
     if with_classes:
         # honest class count of the semistable boundary across both lifts;
-        # flagged_class(Q) is flagged_class(complement), so one of each
-        points = [double_class(g, q) for q in _even_subsets(2 * g + 2, 2 * g + 2)]
-        points += [flagged_class(g, q) for q in classes]
-        class_count = len(equivalence_classes(points, profile))
+        # the flagged class of Q is that of its complement, so one of each
+        keys = [_family_key(g, q, False) for q in _even_subsets(2 * g + 2, 2 * g + 2)]
+        keys += [_family_key(g, q, True) for q in classes]
+        class_count = len(set(_roots(keys, frame)))
     return HyperellipticReport(
         g=g, d=d, components=tuple(components), pairwise_intersections=pairwise,
         global_intersection=global_intersection, max_dimension=max_dim,

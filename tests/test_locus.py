@@ -20,7 +20,6 @@ from fixloc import (
     OddOrder,
     Rank2EqData,
     RootExponent,
-    component_normality,
     decomposition_report,
     double_class,
     equivalence_classes,
@@ -38,7 +37,7 @@ from fixloc import (
     zeta2_apply,
     zeta2_partition,
 )
-from fixloc import locus
+from fixloc import equivariant, locus
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, validate_graded
 
 import gen
@@ -243,6 +242,70 @@ def test_decomposition_cases():
         assert len(report.statements) >= 2
 
 
+def parent_labels(g):
+    return tuple(f"p{i}" for i in range(2 * g + 2))
+
+
+def parent_double_class(g, q_indices):
+    """double_class as it built its point before family keys: the oracle."""
+    ids = parent_labels(g)
+    q = frozenset(int(i) for i in q_indices)
+    if len(q) % 2 != 0:
+        raise InvalidDatum(f"subset size must be even, got {len(q)}")
+    numeric = {label: ((1, 1) if i in q else (0, 0)) for i, label in enumerate(ids)}
+    det = hyperelliptic_delta(g, 0)
+    half = len(q) // 2
+    summands = (GradedSummand(-half, frozenset()), GradedSummand(-half, frozenset()))
+    return GradedPoint(summands, numeric=numeric, det=det)
+
+
+def parent_flagged_class(g, q_indices):
+    """flagged_class as it built its point before family keys: the oracle."""
+    ids = parent_labels(g)
+    q = frozenset(int(i) for i in q_indices)
+    if len(q) % 2 != 0:
+        raise InvalidDatum(f"subset size must be even, got {len(q)}")
+    d = -(g + 1)
+    numeric = {label: (0, 1) for label in ids}
+    det = hyperelliptic_delta(g, 1)
+    q_ids = frozenset(ids[i] for i in q)
+    rest = frozenset(ids) - q_ids
+    half = len(q) // 2
+    summands = (GradedSummand(-half, q_ids), GradedSummand(d + half, rest))
+    return GradedPoint(summands, numeric=numeric, det=det)
+
+
+def test_family_classes_match_the_point_built_oracle():
+    for g in (1, 2, 3, 4):
+        profile = hyperelliptic_profile(g)
+        npoints = 2 * g + 2
+        for size in range(0, npoints + 1, 2):
+            for q in itertools.combinations(range(npoints), size):
+                for build, oracle, flagged in ((double_class, parent_double_class, False),
+                                               (flagged_class, parent_flagged_class, True)):
+                    pt, want = build(g, q), oracle(g, q)
+                    assert pt == want
+                    assert list(pt.numeric) == list(want.numeric)
+                    assert list(pt.det.residues) == list(want.det.residues)
+                    assert [(s.bar_degree, sorted(s.support)) for s in pt.summands] == \
+                        [(s.bar_degree, sorted(s.support)) for s in want.summands]
+                    # the trusted builder agrees with the validating encoder
+                    assert validate_graded(pt, profile) == locus._family_key(g, q, flagged)
+
+
+def test_family_classes_reject_point_indices_out_of_range():
+    for build in (double_class, flagged_class):
+        for q in ([0, 99], [-1, 0], [0, 6]):
+            with pytest.raises(InvalidDatum, match=r"outside 0\.\.5"):
+                build(2, q)
+        # the genus and parity checks still come first
+        with pytest.raises(InvalidGenus):
+            build(0, [0, 99])
+        with pytest.raises(InvalidDatum, match="even"):
+            build(2, [99])
+        assert build(2, [0, 5]) == build(2, [5, 0])
+
+
 def test_double_and_flagged_classes_are_graded_points():
     for g in (1, 2):
         profile = hyperelliptic_profile(g)
@@ -363,13 +426,6 @@ def test_input_guards_raise_typed_errors():
         flagged_class(1, [0, 1, 2])
 
 
-def test_component_normality_predicate():
-    classes = ["x", "y"]
-    assert component_normality(classes, [["x"], ["y"]])
-    assert not component_normality(classes, [["x", "y"]])
-    assert not component_normality(classes, [["x"]])
-
-
 def test_report_shapes_small_genus():
     rep2 = hyperelliptic_report(2)
     assert [(c.label, c.dimension, len(c.boundary_classes), c.normal)
@@ -384,17 +440,37 @@ def test_report_shapes_small_genus():
 
 def test_report_checks_each_boundary_class_once(monkeypatch):
     built = []
+    family_key = locus._family_key
 
-    def counted(g, q):
-        built.append(frozenset(q))
-        return flagged_class(g, q)
+    def counted(g, q, flagged):
+        if flagged:
+            built.append(frozenset(q))
+        return family_key(g, q, flagged)
 
-    monkeypatch.setattr(locus, "flagged_class", counted)
+    monkeypatch.setattr(locus, "_family_key", counted)
     rep = hyperelliptic_report(5, with_classes=False)
     # one lift-negation check per class of the smallest c, which holds
     # every other component's classes
     assert len(built) == len(set(built)) == 1024
     assert set(built) == rep.components[0].boundary_classes
+
+
+def test_report_validates_no_point(monkeypatch):
+    # the census builds its keys from Q; nothing it makes is checked again
+    calls = []
+
+    def counting(validate):
+        def wrapped(*args):
+            calls.append(validate)
+            return validate(*args)
+        return wrapped
+
+    monkeypatch.setattr(locus, "validate_graded", counting(locus.validate_graded))
+    monkeypatch.setattr(locus, "validate_rank2", counting(locus.validate_rank2))
+    monkeypatch.setattr(equivariant, "validate_rank2", counting(equivariant.validate_rank2))
+    rep = hyperelliptic_report(4)
+    assert rep.boundary_class_count == 256
+    assert calls == []
 
 
 def test_boundary_predicate_exhaustive():
