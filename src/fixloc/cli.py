@@ -15,7 +15,7 @@ import math
 import random
 import sys
 
-from . import covers, equivariant, locus, stability
+# each command imports the layers it runs, so a CLI child loads only those
 from ._ser import parse_object
 from .errors import DomainError, InternalError, SchemaError
 
@@ -54,6 +54,7 @@ def _load_input(path: str, **fields) -> dict:
 
 
 def cmd_kernel(args) -> int:
+    from . import covers
     profile = covers.profile_from_json(_load_json(args.file))
     r = covers.kernel_order(profile)
     payload = {"kernel_order": r, "gcd_orbit_lengths": covers.gcd_orbit_lengths(profile)}
@@ -62,6 +63,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    from . import covers
     profile = covers.profile_from_json(_load_json(args.file))
     ramified, r = covers.factor_cover(profile)
     payload = {
@@ -78,6 +80,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    from . import covers
     profile = covers.profile_from_json(_load_json(args.file))
     table = {
         y.id: {str(d): covers.orbit_length_under_power(y.k, d)
@@ -94,6 +97,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    from . import covers, equivariant
     doc = _load_input(args.file, profile=covers.profile_from_json, det=equivariant.det_from_json)
     profile, det = doc["profile"], doc["det"]
     equivariant.validate_det(det, profile)
@@ -116,6 +120,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    from . import covers, equivariant
     doc = _load_input(args.file, profile=covers.profile_from_json,
                       numeric=equivariant.numeric_from_json)
     ws = equivariant.weight_system(doc["numeric"], doc["profile"])
@@ -127,6 +132,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_bijection_check(args) -> int:
+    from . import covers, equivariant
     rng = random.Random(args.seed)
     profiles = []
     if args.file:
@@ -136,15 +142,16 @@ def cmd_bijection_check(args) -> int:
     checked = 0
     for profile in profiles:
         det = equivariant.random_det(rng, profile)
-        lam = equivariant.enumerate_lambda(det, profile)
         orbits = len(profile.orbits)
         cap = MAX_BIJECTION_ELEMENT_ORBITS // max(1, orbits)
-        # a one-element slice, not len(): a view longer than sys.maxsize has no len()
-        if lam[cap:cap + 1]:
+        # |Lambda| from the closed-form pair counts, before any pair list is built
+        size = math.prod(equivariant.admissible_pair_count(det.residues.get(y.id, 0), y.nprime)
+                         for y in profile.orbits)
+        if size > cap:
             raise DomainError(f"Lambda has more than {cap} elements over {orbits} orbits, "
                               f"past the bijection-check limit of "
                               f"{MAX_BIJECTION_ELEMENT_ORBITS} element-orbits")
-        for numeric in lam:
+        for numeric in equivariant.enumerate_lambda(det, profile):
             data = equivariant.Rank2EqData(numeric=numeric, det=det)
             try:
                 pdat = equivariant.to_parabolic(data, profile)
@@ -172,6 +179,7 @@ def cmd_bijection_check(args) -> int:
 
 
 def cmd_zeta2(args) -> int:
+    from . import covers, equivariant, locus
     doc = _load_input(args.file, profile=covers.profile_from_json, data=equivariant.rank2_from_json)
     profile, data = doc["profile"], doc["data"]
     image = locus.zeta2_apply(data, profile)
@@ -196,6 +204,7 @@ def cmd_zeta2(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import covers, locus
     profile = covers.profile_from_json(_load_json(args.file))
     report = locus.decomposition_report(profile)
     payload = {
@@ -242,6 +251,7 @@ def _hyperelliptic_payload(report) -> dict:
 
 
 def cmd_hyperelliptic(args) -> int:
+    from . import locus
     if args.g is None:
         raise SchemaError("hyperelliptic requires --g")
     report = locus.hyperelliptic_report(args.g, with_classes=args.g <= 4)
@@ -273,6 +283,7 @@ def cmd_hyperelliptic(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from . import locus
     if args.n is None or args.deg_delta is None or args.genus_y is None:
         raise SchemaError("census requires --n, --deg-delta and --genus-y")
     record = locus.unramified_census(args.n, args.deg_delta, args.genus_y)
@@ -297,6 +308,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    from . import stability
     bundle = stability.bundle_from_json(_load_json(args.file))
     g = (len(bundle.points) - 2) // 2
     verdict = stability.stability_classify(bundle, g)

@@ -176,6 +176,16 @@ def admissible_pairs(delta_residue: int, nprime: int) -> list[tuple[int, int]]:
     return [(d1, d2) for d1 in range(nprime) if (d2 := (delta_residue - d1) % nprime) >= d1]
 
 
+def admissible_pair_count(delta_residue: int, nprime: int) -> int:
+    """len(admissible_pairs(delta_residue, nprime)) without building the list.
+
+    With delta the residue mod n', d1 + d2 is either delta (d1 <= delta/2)
+    or delta + n' (delta < d1 <= (delta + n')/2).
+    """
+    delta = delta_residue % nprime
+    return delta // 2 + (nprime - delta) // 2 + 1
+
+
 class _Lambda(Sequence):
     """Read-only view of Lambda; element i is decoded when it is read.
 

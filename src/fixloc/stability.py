@@ -43,13 +43,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._ser import list_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
 from .covers import CoverProfile
-from .equivariant import AdmissibleParabolicDatum, from_parabolic
 from .errors import (DomainError, InternalError, InvalidDatum, NotSemistableNotStrict,
                      SchemaError, UnknownOrbit)
-from .locus import GradedPoint, GradedSummand
+
+if TYPE_CHECKING:  # imported where used, so `fixloc stability` loads neither layer
+    from .equivariant import AdmissibleParabolicDatum
+    from .locus import GradedPoint
 
 STABLE = "Stable"
 STRICTLY_SEMISTABLE = "StrictlySemistable"
@@ -230,6 +233,8 @@ def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
     every consistent input; computing both exercises independent
     bookkeeping paths.
     """
+    from .equivariant import from_parabolic
+
     ids = set(profile.orbit_ids())
     agr = set(agreement)
     unknown = agr - ids
@@ -489,6 +494,8 @@ def graded_of(bundle: ParabolicP1, verdict: StabilityVerdict) -> GradedPoint:
     Summands are (degree, weighted agreement support) for the witness
     line and its quotient; anything else raises NotSemistableNotStrict.
     """
+    from .locus import GradedPoint, GradedSummand
+
     if verdict.label != STRICTLY_SEMISTABLE or verdict.witness is None:
         raise NotSemistableNotStrict(f"no graded object for verdict {verdict.label}")
     wit = verdict.witness

@@ -4,11 +4,12 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from fixloc import InternalError, cli
+from fixloc import InternalError, cli, covers, equivariant, locus
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
 from fixloc.stability import MAX_MARKED_POINTS
 from fixloc import (
@@ -101,7 +102,7 @@ def test_lambda_count_is_the_product_of_per_orbit_pairs(capsys, tmp_path, monkey
     def refuse(det, profile):
         pytest.fail("Lambda built only to be counted")
 
-    monkeypatch.setattr(cli.equivariant, "enumerate_lambda", refuse)
+    monkeypatch.setattr(equivariant, "enumerate_lambda", refuse)
     profile = make_profile(12, [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 1)])
     det = DeterminantLift(residues={"a": 5, "b": 0, "c": 3, "d": 1, "e": 0}, degree=24)
     doc = write(tmp_path, "lam.json",
@@ -138,7 +139,7 @@ def refuse_round_trips(monkeypatch):
     def refuse(data, profile):
         pytest.fail("round trip started past the limit")
 
-    monkeypatch.setattr(cli.equivariant, "to_parabolic", refuse)
+    monkeypatch.setattr(equivariant, "to_parabolic", refuse)
 
 
 def test_bijection_check_limit(capsys, tmp_path, monkeypatch):
@@ -170,6 +171,25 @@ def test_bijection_check_rejects_a_large_lambda_before_any_round_trip(capsys, tm
     assert out == ""
     assert err.startswith("domain error: DomainError: Lambda has more than")
     assert "Traceback" not in err
+
+
+def test_bijection_check_rejects_a_wide_orbit_without_building_its_pairs(capsys, tmp_path,
+                                                                      monkeypatch):
+    # one orbit of n' = 4,000,000 has 2,000,001 admissible pairs: past the limit
+    path = write(tmp_path, "wide.json",
+                 {"n": 4_000_000, "genus_base": 0, "orbits": [{"id": "a", "k": 1}]})
+    refuse_round_trips(monkeypatch)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "bijection-check", "--file", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err == ("domain error: DomainError: Lambda has more than 700000 elements over 1 "
+                   "orbits, past the bijection-check limit of 700000 element-orbits\n")
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("numeric", [
@@ -309,7 +329,7 @@ def test_internal_error_exit_code(capsys, hyper_file, monkeypatch):
     def broken(profile):
         raise InternalError("kernel order disagrees with the gcd route")
 
-    monkeypatch.setattr(cli.covers, "kernel_order", broken)
+    monkeypatch.setattr(covers, "kernel_order", broken)
     code, out, err = run(capsys, "kernel", "--file", hyper_file)
     assert code == 1
     assert out == ""
@@ -330,7 +350,7 @@ def test_property_failure_exit_code(capsys, tmp_path, monkeypatch):
     def broken(d, p):
         return wrong
 
-    monkeypatch.setattr(cli.locus, "zeta2_apply", broken)
+    monkeypatch.setattr(locus, "zeta2_apply", broken)
     code, out, _ = run(capsys, "zeta2", "--file", zdoc)
     assert code == 1
     payload = json.loads(out)

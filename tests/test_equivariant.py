@@ -45,7 +45,7 @@ from fixloc import (
     to_parabolic,
     weight_system,
 )
-from fixloc.equivariant import validate_parabolic
+from fixloc.equivariant import admissible_pair_count, validate_parabolic
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
 
 import gen
@@ -65,6 +65,12 @@ def test_admissible_pairs_against_brute_force():
     for nprime in range(1, 13):
         for delta in range(nprime):
             assert admissible_pairs(delta, nprime) == brute_force_pairs(delta, nprime)
+
+
+def test_admissible_pair_count_is_the_length_of_the_pair_list():
+    for nprime in range(1, 65):
+        for delta in range(nprime):
+            assert admissible_pair_count(delta, nprime) == len(admissible_pairs(delta, nprime))
 
 
 def test_lambda_is_the_product_of_orbit_choices():
