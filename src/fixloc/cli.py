@@ -15,7 +15,8 @@ import math
 import random
 import sys
 
-# each command imports the layers it runs, so a CLI child loads only those
+# each command imports the layers it runs inside its body, so a CLI child
+# loads only those
 from ._ser import parse_object
 from .errors import DomainError, InternalError, SchemaError
 
