@@ -4,7 +4,7 @@
 
 writes tests/fixtures/hyperelliptic_reports.json next to this script:
 the sha256 of the stdout of `fixloc hyperelliptic --g G --format F`
-for G = 1..6 and F in json, text and dot.  Up to g = 4 the report
+for G = 1..8 and F in json, text and dot.  Up to g = 4 the report
 includes the honest semistable class count; from g = 5 it is counts
 only, as the CLI decides.
 test_cli.test_hyperelliptic_reports_match_the_recorded_fixture compares
@@ -26,7 +26,7 @@ from fixloc import cli
 
 HERE = Path(__file__).resolve().parent
 FIXTURE = HERE / "hyperelliptic_reports.json"
-GENERA = range(1, 7)
+GENERA = range(1, 9)
 FORMATS = ("json", "text", "dot")
 
 

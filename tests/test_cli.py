@@ -228,7 +228,7 @@ def test_hyperelliptic_reports_match_the_recorded_fixture(capsys):
     # recorded by tests/fixtures/record_hyperelliptic_reports.py with the
     # per-component enumeration; every report must stay byte-identical
     cases = json.loads(REPORTS.read_text())
-    assert len(cases) == 18
+    assert len(cases) == 24
     for case in cases:
         code, out, _ = run(capsys, "hyperelliptic", "--g", str(case["g"]),
                            "--format", case["format"])
