@@ -30,6 +30,14 @@ LIST_CAP = 128
 # the slowest input measured, a single orbit, took about 10 s (README)
 MAX_BIJECTION_ELEMENT_ORBITS = 700_000
 
+# lambda lists every per-orbit admissible pair; the largest listing accepted
+# took about 2.5 s and 256 MB peak RSS as JSON (README)
+MAX_LAMBDA_PAIRS = 500_000
+
+# a component's boundary classes are a Set whose len must fit sys.maxsize,
+# and the smallest splitting type has 4^g of them
+MAX_HYPERELLIPTIC_GENUS = 31
+
 
 def _load_json(path: str):
     try:
@@ -102,13 +110,19 @@ def cmd_lambda(args) -> int:
     doc = _load_input(args.file, profile=covers.profile_from_json, det=equivariant.det_from_json)
     profile, det = doc["profile"], doc["det"]
     equivariant.validate_det(det, profile)
+    counts = [equivariant.admissible_pair_count(det.residues.get(y.id, 0), y.nprime)
+              for y in profile.orbits]
+    # every pair is listed; count them from the closed form before building any
+    if sum(counts) > MAX_LAMBDA_PAIRS:
+        raise DomainError(f"Lambda has {sum(counts)} admissible pairs over {len(counts)} orbits, "
+                          f"past the lambda limit of {MAX_LAMBDA_PAIRS} pairs")
     per_orbit = {
         y.id: [[d1, d2] for d1, d2 in
                equivariant.admissible_pairs(det.residues.get(y.id, 0), y.nprime)]
         for y in profile.orbits
     }
     # |Lambda| is the product of the per-orbit pair counts; read Lambda only to list it
-    count = math.prod(len(pairs) for pairs in per_orbit.values())
+    count = math.prod(counts)
     payload = {"count": count, "per_orbit": per_orbit}
     if count <= LIST_CAP:
         payload["elements"] = [equivariant.numeric_to_json(el)
@@ -255,6 +269,9 @@ def cmd_hyperelliptic(args) -> int:
     from . import locus
     if args.g is None:
         raise SchemaError("hyperelliptic requires --g")
+    if args.g > MAX_HYPERELLIPTIC_GENUS:
+        raise DomainError(f"genus {args.g} is past the hyperelliptic limit of "
+                          f"{MAX_HYPERELLIPTIC_GENUS}")
     report = locus.hyperelliptic_report(args.g, with_classes=args.g <= 4)
     payload = _hyperelliptic_payload(report)
     if args.format == "dot":

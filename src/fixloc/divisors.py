@@ -83,19 +83,17 @@ class LineNumericData:
 def degree_on_X(div: InvariantDivisor, profile: CoverProfile) -> int:
     """Total degree upstairs: sum of residue * orbit length + n * base part."""
     total = profile.n * div.base_degree
-    known = {y.id: y.k for y in profile.orbits}
     for label, res in div.residues.items():
-        if label not in known:
+        if label not in profile.orbit_index:
             raise UnknownOrbit(label)
-        total += res * known[label]
+        total += res * profile.orbit_index[label].k
     return total
 
 
 def numeric_data(div: InvariantDivisor, profile: CoverProfile) -> LineNumericData:
     """Reduce the orbit coefficients mod n'(y); absent orbits contribute 0."""
-    known = {y.id for y in profile.orbits}
     for label in div.residues:
-        if label not in known:
+        if label not in profile.orbit_index:
             raise UnknownOrbit(label)
     values = {y.id: div.residues.get(y.id, 0) % y.nprime for y in profile.orbits}
     return LineNumericData(values=values)

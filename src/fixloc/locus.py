@@ -15,16 +15,21 @@ twists; the downstairs degrees after a step are recovered from it.
 The twist formula exists once, on integer keys holding each summand's
 exponents l(y) and upstairs degree (see _key).  The closure searches
 keys only; points are decoded (_rebuild) only where a caller gets one.
-The order-two census writes its keys straight from the even point
-subset Q (_family_key): GradedPoints exist only at the API edge, where
-equivalence_classes validates each caller point once.
+The boundary classes of the order-two family are keyed straight from
+their even point subset Q (_family_key): GradedPoints exist only at the
+API edge, where equivalence_classes validates each caller point once.
+The order-two census itself (hyperelliptic_report) is closed-form: its
+class sets are lazy views, and its normality and class count are proved
+in its docstring, with the enumeration kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -526,12 +531,51 @@ def flagged_class(g: int, q_indices) -> GradedPoint:
     return _rebuild(_family_key(g, q_indices, True), _hyperelliptic_frame(g))
 
 
+class _BoundaryClasses(Set):
+    """Read-only view of the boundary classes of one component.
+
+    The classes are the even subsets Q of range(npoints) with |Q| <= top
+    (npoints = 2g+2, top = -2c <= g+1).  At half size, reached only when
+    top = g+1, Q and its complement are one class, and the member
+    holding point 0 stands for it; so the length is the sum over even
+    s <= top of C(npoints, s), halved at s = g+1.  Iteration yields the
+    classes as frozensets by size, then lexicographically; membership is
+    that predicate.  Equality and hashing are those of the frozenset of
+    the same classes, which frozenset(view) builds.
+    """
+
+    __slots__ = ("_npoints", "_top", "_n")
+
+    def __init__(self, npoints: int, top: int):
+        self._npoints, self._top = npoints, top
+        self._n = sum(math.comb(npoints, s) // (2 if 2 * s == npoints else 1)
+                      for s in range(0, top + 1, 2))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __contains__(self, q) -> bool:
+        return (isinstance(q, (set, frozenset)) and len(q) % 2 == 0 and len(q) <= self._top
+                and all(i in range(self._npoints) for i in q)
+                and (2 * len(q) < self._npoints or 0 in q))
+
+    def __iter__(self):
+        for size in range(0, self._top + 1, 2):
+            for q in itertools.combinations(range(self._npoints), size):
+                if 2 * size < self._npoints or 0 in q:
+                    yield frozenset(q)
+
+    __hash__ = Set._hash
+    # set operations (&, |, -, ^) build plain frozensets
+    _from_iterable = frozenset
+
+
 @dataclass(frozen=True)
 class ComponentRecord:
     label: str
     c: int
     dimension: int
-    boundary_classes: frozenset
+    boundary_classes: Set
     normal: bool
 
 
@@ -547,71 +591,55 @@ class HyperellipticReport:
     subset_label_count: int
 
 
-def _even_subsets(npoints: int, max_size: int):
-    """Even subsets of range(npoints) of size <= max_size, by size, then lexicographically."""
-    for size in range(0, max_size + 1, 2):
-        yield from map(frozenset, itertools.combinations(range(npoints), size))
-
-
-def _boundary_subsets(g: int, c: int) -> list[frozenset]:
-    """Even Q with |Q| <= -2c, by size, one of Q and its complement when both qualify.
-
-    As -2c <= g+1, both qualify only at half size (odd g, c = d/2);
-    the smaller sorted member, the one holding point 0, is kept.
-    """
-    return [q for q in _even_subsets(2 * g + 2, -2 * c) if len(q) < g + 1 or 0 in q]
-
-
 def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticReport:
     """Component census of the fixed variety for the order-two family.
+
+    Every number comes from a formula; nothing is enumerated.
 
     Components are indexed by the splitting type c (d/2 <= c < 0 with
     d = -(g+1)); dimension g-2c-1, except 2g-1 for the balanced type
     at c = d/2 (odd g).  Boundary classes of a component are the even
     point subsets Q with d_Q <= -2c, with Q identified with its
-    complement when both qualify.  The global intersection runs over
-    the full predicate family including the degenerate c = 0 stratum,
-    leaving only the empty subset.  Normality of each component is
-    certified by checking that lift negation fixes each of its
-    boundary classes.  with_classes=False skips the (exponentially
-    sized) honest class count of the whole semistable boundary.  The
-    class sets are nested, so the boundary is enumerated once, at the
-    smallest c, and each class is checked once.
+    complement when both qualify: a lazy view (_BoundaryClasses).  The
+    class sets are nested, so two components share the classes of the
+    larger c, the later one.  The global intersection runs over the
+    full predicate family including the degenerate c = 0 stratum,
+    leaving only the empty subset.  The largest dimension is 2g-1, at
+    the smallest c: the balanced type for odd g, and g-2c-1 at c = -g/2
+    for even g; every other type has -2c <= g.
+
+    Every component is normal: lift negation fixes each of its boundary
+    classes.  Lift negation twists by the character 1 (_o_step with
+    shift(1)), and at n = 2 every orbit has n' = 2, so the step adds 1
+    mod 2 to every exponent of both summands.  The flagged class of Q
+    has exponent vectors 1_Q and 1_{Q^c}; the step swaps them, and with
+    them the two summands, which _settle puts back in order, over the
+    same determinant.  So the key is fixed.
+
+    boundary_class_count is the number of twist classes of the whole
+    semistable boundary across both lifts, 4^g (-1 when with_classes is
+    False).  Write D(Q) and F(Q) for the double and flagged classes of
+    the even subset Q.  At n = 2 the only steps are the o-step and the
+    e-step by the character 1:
+      - the o-step maps D(Q) to D(Q^c) and fixes F(Q) (above);
+      - an e-step on either summand of D(Q) gives F(Q), and on a
+        summand of F(Q) gives D(Q) or D(Q^c), crossing lifts;
+      - F(Q) and F(Q^c) have the same key.
+    So each class is {D(Q), D(Q^c), F(Q)} for one unordered pair
+    {Q, Q^c}, and the 2^(2g+1) even subsets give 4^g classes.
     """
-    frame = _hyperelliptic_frame(g)  # raises InvalidGenus for g < 1
+    npoints = len(hyperelliptic_profile(g).orbits)  # 2g+2; InvalidGenus for g < 1
     d = -(g + 1)
-    c_min = -((g + 1) // 2)
-    classes = _boundary_subsets(g, c_min)
-    # lift negation fixes every flagged boundary class; verify on the
-    # keys rather than assuming it
-    negate = frame.shift(1)
-    keys = (_family_key(g, q, True) for q in classes)
-    fixed = [_o_step(key, negate, frame) == key for key in keys]
-    components = []
-    for c in range(c_min, 0):
-        dim = (2 * g - 1) if 2 * c == d else (g - 2 * c - 1)
-        # sizes ascend, so the classes of type c (|Q| <= -2c) are a prefix
-        end = sum(1 for q in classes if len(q) <= -2 * c)
-        components.append(ComponentRecord(label=f"c={c}", c=c, dimension=dim,
-                                          boundary_classes=frozenset(classes[:end]),
-                                          normal=all(fixed[:end])))
-    # two components share the classes of the larger c, the later one
+    components = tuple(
+        ComponentRecord(label=f"c={c}", c=c, dimension=2 * g - 1 if 2 * c == d else g - 2 * c - 1,
+                        boundary_classes=_BoundaryClasses(npoints, -2 * c), normal=True)
+        for c in range(-((g + 1) // 2), 0))
     pairwise = {(rec1.label, rec2.label): rec2.boundary_classes
                 for rec1, rec2 in itertools.combinations(components, 2)}
-    global_intersection = frozenset(q for q in classes if len(q) <= 0)
-    max_dim = max(rec.dimension for rec in components)
-    class_count = -1
-    if with_classes:
-        # honest class count of the semistable boundary across both lifts;
-        # the flagged class of Q is that of its complement, so one of each
-        keys = [_family_key(g, q, False) for q in _even_subsets(2 * g + 2, 2 * g + 2)]
-        keys += [_family_key(g, q, True) for q in classes]
-        class_count = len(set(_roots(keys, frame)))
     return HyperellipticReport(
-        g=g, d=d, components=tuple(components), pairwise_intersections=pairwise,
-        global_intersection=global_intersection, max_dimension=max_dim,
-        boundary_class_count=class_count, subset_label_count=2 ** (2 * g + 1),
-    )
+        g=g, d=d, components=components, pairwise_intersections=pairwise,
+        global_intersection=frozenset({frozenset()}), max_dimension=2 * g - 1,
+        boundary_class_count=4 ** g if with_classes else -1, subset_label_count=2 ** (2 * g + 1))
 
 
 # --- unramified census ---

@@ -192,6 +192,52 @@ def test_bijection_check_rejects_a_wide_orbit_without_building_its_pairs(capsys,
     assert peak < 1_000_000
 
 
+def test_lambda_limit(capsys, tmp_path, monkeypatch):
+    # n' = 12 and 6 at residue 0: 7 + 4 = 11 per-orbit pairs to list
+    doc = write(tmp_path, "lam.json", {
+        "profile": profile_to_json(make_profile(12, [("a", 1), ("b", 2)])),
+        "det": det_to_json(DeterminantLift(residues={"a": 0, "b": 0}, degree=0))})
+    monkeypatch.setattr(cli, "MAX_LAMBDA_PAIRS", 11)
+    code, out, _ = run(capsys, "lambda", "--file", doc)
+    assert code == 0
+    assert json.loads(out)["count"] == 28
+    monkeypatch.setattr(cli, "MAX_LAMBDA_PAIRS", 10)
+    code, out, err = run(capsys, "lambda", "--file", doc)
+    assert code == 3
+    assert out == ""
+    assert err == ("domain error: DomainError: Lambda has 11 admissible pairs over 2 orbits, "
+                   "past the lambda limit of 10 pairs\n")
+
+
+def test_lambda_rejects_a_wide_orbit_without_building_its_pairs(capsys, tmp_path):
+    # one orbit of n' = 4,000,000 has 2,000,001 admissible pairs
+    doc = write(tmp_path, "wide.json", {
+        "profile": {"n": 4_000_000, "genus_base": 0, "orbits": [{"id": "a", "k": 1}]},
+        "det": det_to_json(DeterminantLift(residues={"a": 0}, degree=0))})
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "lambda", "--file", doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err == ("domain error: DomainError: Lambda has 2000001 admissible pairs over 1 "
+                   "orbits, past the lambda limit of 500000 pairs\n")
+    assert peak < 1_000_000
+
+
+def test_hyperelliptic_genus_limit(capsys):
+    g = cli.MAX_HYPERELLIPTIC_GENUS
+    code, out, _ = run(capsys, "hyperelliptic", "--g", str(g), "--format", "text")
+    assert code == 0
+    assert f"c={-((g + 1) // 2)}: dimension {2 * g - 1}, {4 ** g} boundary classes" in out
+    code, out, err = run(capsys, "hyperelliptic", "--g", str(g + 1))
+    assert code == 3
+    assert out == ""
+    assert err == "domain error: DomainError: genus 32 is past the hyperelliptic limit of 31\n"
+
+
 @pytest.mark.parametrize("numeric", [
     {"p0": [0, 1], "p1": [0, 1], "p2": [0, 1]},                     # orbit p3 missing
     {"p0": [0, 1], "p1": [0, 1], "p2": [0, 1], "p3": [0, 1], "q": [0, 0]},  # extra orbit

@@ -438,21 +438,89 @@ def test_report_shapes_small_genus():
         hyperelliptic_report(0)
 
 
-def test_report_checks_each_boundary_class_once(monkeypatch):
-    built = []
-    family_key = locus._family_key
+# The enumerating census, kept as the oracle of the closed-form report.
 
-    def counted(g, q, flagged):
-        if flagged:
-            built.append(frozenset(q))
-        return family_key(g, q, flagged)
+def even_subsets(npoints, max_size):
+    """Even subsets of range(npoints) of size <= max_size, by size, then lexicographically."""
+    for size in range(0, max_size + 1, 2):
+        yield from map(frozenset, itertools.combinations(range(npoints), size))
 
-    monkeypatch.setattr(locus, "_family_key", counted)
-    rep = hyperelliptic_report(5, with_classes=False)
-    # one lift-negation check per class of the smallest c, which holds
-    # every other component's classes
-    assert len(built) == len(set(built)) == 1024
-    assert set(built) == rep.components[0].boundary_classes
+
+def boundary_subsets(g, c):
+    """Even Q with |Q| <= -2c, by size, one of Q and its complement when both qualify.
+
+    As -2c <= g+1, both qualify only at half size (odd g, c = d/2);
+    the smaller sorted member, the one holding point 0, is kept.
+    """
+    return [q for q in even_subsets(2 * g + 2, -2 * c) if len(q) < g + 1 or 0 in q]
+
+
+def closure_class_count(g):
+    """Twist classes of every double key and the flagged keys of the smallest c."""
+    keys = [locus._family_key(g, q, False) for q in even_subsets(2 * g + 2, 2 * g + 2)]
+    keys += [locus._family_key(g, q, True) for q in boundary_subsets(g, -((g + 1) // 2))]
+    return len(set(locus._roots(keys, locus._hyperelliptic_frame(g))))
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_boundary_class_views_match_the_enumerating_oracle(g):
+    npoints = 2 * g + 2
+    rep = hyperelliptic_report(g, with_classes=False)
+    for comp in rep.components:
+        view, oracle = comp.boundary_classes, boundary_subsets(g, comp.c)
+        assert list(view) == oracle
+        assert len(view) == len(oracle)
+        assert view == frozenset(oracle) and frozenset(oracle) == view
+        assert hash(view) == hash(frozenset(oracle))
+        # membership agrees on every subset: odd ones, even ones past -2c,
+        # and at half size the complement of a class
+        members = frozenset(oracle)
+        for size in range(npoints + 1):
+            for q in map(frozenset, itertools.combinations(range(npoints), size)):
+                assert (q in view) == (q in members), (comp.c, sorted(q))
+                assert (set(q) in view) == (q in members)
+        if -2 * comp.c == g + 1:
+            half = frozenset(range(g + 1))
+            assert half in view and frozenset(range(npoints)) - half not in view
+        for q in ({0, npoints}, {-1, 0}, {0, 1, 2, npoints + 1}):
+            assert frozenset(q) not in view
+        assert (0, 1) not in view
+        assert type(view & members) is frozenset and view & members == members
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_class_count_matches_the_closure_oracle(g):
+    assert hyperelliptic_report(g).boundary_class_count == closure_class_count(g) == 4 ** g
+
+
+def test_lift_negation_fixes_every_flagged_class():
+    # the lemma behind normal=True: the o-step by the character 1 swaps the
+    # two summands of F(Q) and so fixes its key
+    def fixed(g, q):
+        frame = locus._hyperelliptic_frame(g)
+        key = locus._family_key(g, q, True)
+        return locus._o_step(key, frame.shift(1), frame) == key
+
+    for g in range(1, 9):
+        assert all(fixed(g, q) for q in boundary_subsets(g, -((g + 1) // 2)))
+        assert all(comp.normal for comp in hyperelliptic_report(g, with_classes=False).components)
+    rng = random.Random(20)
+    for g in range(9, 31):
+        for _ in range(40):
+            assert fixed(g, rng.sample(range(2 * g + 2), 2 * rng.randrange(g + 2)))
+
+
+def test_report_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        pytest.fail("the census built a key or ran the closure")
+
+    monkeypatch.setattr(locus, "_family_key", refuse)
+    monkeypatch.setattr(locus, "_roots", refuse)
+    for g in (1, 4, 9, 30):
+        rep = hyperelliptic_report(g)
+        assert rep.boundary_class_count == 4 ** g
+        assert len(rep.components[0].boundary_classes) == 4 ** g
+    assert rep.global_intersection == frozenset({frozenset()})
 
 
 def test_report_validates_no_point(monkeypatch):
