@@ -4,7 +4,8 @@
 
 writes tests/fixtures/parabolic_cases.json next to this script.  Each
 case names one operation (to_parabolic, from_parabolic, solve_d2,
-parabolic_zeta2 or zeta2_apply), a profile and the arguments, and
+parabolic_zeta2, zeta2_apply, elementary_modification, gamma_apply,
+weight_system or bar_delta_degree), a profile and the arguments, and
 holds either the JSON of the result or the exception class and
 message.  test_equivariant.test_parabolic_cases_match_the_recorded_fixture
 re-runs every case through `evaluate`, so any change to a weight, a
@@ -19,7 +20,14 @@ apply), and about sixty hand-made malformed inputs: weights outside
 [0,1) or with a denominator not dividing n', a negative derived lower
 exponent, a flag exponent out of range, unknown labels, bad residues
 and lift signs, numeric data not matching the profile, odd cover order
-for lift negation, and inputs with several faults at once.
+for lift negation, and inputs with several faults at once.  A second
+seeded corpus and a second malformed set, appended after the first so
+that its cases keep their places, cover the modifications, the weight
+system and the descended degree: seeded single and closed-form
+modifications, and inputs whose faults race each other, such as a bad
+lift sign with an unknown determinant label, a pair out of range at a
+later orbit with a wrong residue sum at an earlier one, or a bad
+direction with an unknown orbit.
 
 Arguments are stored as plain documents and decoded here without the
 schema parsers, so that malformed values reach the operations.  A
@@ -40,11 +48,17 @@ sys.path.insert(0, str(HERE.parent))
 import gen  # noqa: E402
 
 from fixloc import (  # noqa: E402
+    FIRST,
+    SECOND,
     AdmissibleParabolicDatum,
     DeterminantLift,
     FixlocError,
+    FlagSelector,
     Rank2EqData,
+    bar_delta_degree,
+    elementary_modification,
     from_parabolic,
+    gamma_apply,
     make_profile,
     parabolic_to_json,
     parabolic_zeta2,
@@ -53,6 +67,7 @@ from fixloc import (  # noqa: E402
     rank2_to_json,
     solve_d2,
     to_parabolic,
+    weight_system,
     zeta2_apply,
 )
 from fixloc._ser import rat_to_json  # noqa: E402
@@ -89,9 +104,12 @@ def _det(doc: dict) -> DeterminantLift:
                            lift_sign=doc["lift_sign"])
 
 
+def _numeric(doc: dict) -> dict:
+    return {k: tuple(v) for k, v in doc.items()}
+
+
 def _data(doc: dict) -> Rank2EqData:
-    return Rank2EqData(numeric={k: tuple(v) for k, v in doc["numeric"].items()},
-                       det=_det(doc["det"]))
+    return Rank2EqData(numeric=_numeric(doc["numeric"]), det=_det(doc["det"]))
 
 
 def _pdat(doc: dict) -> AdmissibleParabolicDatum:
@@ -115,6 +133,17 @@ def _run(op: str, profile, args: dict):
         return parabolic_to_json(parabolic_zeta2(_pdat(args["pdat"]), profile))
     if op == "zeta2_apply":
         return rank2_to_json(zeta2_apply(_data(args["data"]), profile))
+    if op == "elementary_modification":
+        return rank2_to_json(elementary_modification(
+            _data(args["data"]), profile, args["orbit"], args["direction"], args["inverse"]))
+    if op == "gamma_apply":
+        return rank2_to_json(gamma_apply(_data(args["data"]), profile, dict(args["m"]),
+                                         FlagSelector(choice=dict(args["flags"]))))
+    if op == "weight_system":
+        weights = weight_system(_numeric(args["numeric"]), profile)
+        return {k: rat_to_json(w) for k, w in sorted(weights.items())}
+    if op == "bar_delta_degree":
+        return bar_delta_degree(_det(args["det"]), _numeric(args["numeric"]), profile)
     raise ValueError(f"unknown operation {op!r}")
 
 
@@ -280,8 +309,110 @@ def malformed_cases():
     yield za("residue-out-of-range", _d4(residues={"a": 5, "b": 1}))
 
 
+def seeded_modification_cases():
+    rng = random.Random(2027)
+    for i in range(PROFILES // 2):
+        profile = gen.random_profile(rng, max_n=24, max_orbits=5)
+        pdoc = profile_to_json(profile)
+        ids = [y.id for y in profile.orbits]
+        for j in range(2):
+            data = gen.random_data(rng, profile)
+            det = det_doc(data.det.residues, data.det.degree, data.det.lift_sign)
+            ddoc = data_doc(data.numeric, det)
+            name = f"mod-{i}-n{profile.n}-o{len(ids)}-{j}"
+            yield name, "weight_system", pdoc, {"numeric": ddoc["numeric"]}
+            yield name, "bar_delta_degree", pdoc, {"det": det, "numeric": ddoc["numeric"]}
+            orbit = rng.choice(ids) if ids else "y0"
+            yield name, "elementary_modification", pdoc, {
+                "data": ddoc, "orbit": orbit, "direction": rng.choice((FIRST, SECOND)),
+                "inverse": rng.random() < 0.5}
+            m = {y: rng.randint(-3, 3) for y in ids if rng.random() < 0.8}
+            flags = {y: rng.choice((FIRST, SECOND)) for y in ids
+                     if m.get(y, 0) or rng.random() < 0.5}
+            yield name, "gamma_apply", pdoc, {"data": ddoc, "m": m, "flags": flags}
+
+
+def malformed_modification_cases():
+    def em(name, data, orbit="a", direction=FIRST, inverse=False, profile=P4):
+        return f"bad-em-{name}", "elementary_modification", profile, {
+            "data": data, "orbit": orbit, "direction": direction, "inverse": inverse}
+
+    yield em("ok-inverse-second", _d4(), orbit="b", direction=SECOND, inverse=True)
+    yield em("ok-wraps", _d4(numeric={"a": (0, 3), "b": (0, 1)}), direction=SECOND)
+    yield em("lift-sign", _d4(sign="x"))
+    yield em("minus-on-odd-order", data_doc({"a": (1, 2)}, det_doc({"a": 3}, 3, "-")),
+             profile=P5)
+    yield em("unknown-det-label", _d4(residues={"a": 3, "b": 1, "z": 0}))
+    yield em("bad-direction", _d4(), direction="up")
+    yield em("unknown-orbit", _d4(), orbit="z")
+    yield em("multi-sign-and-unknown-det-label", _d4(residues={"z": 0, "a": 3}, sign="?"))
+    yield em("multi-pair-range-at-b-sum-at-a", _d4(numeric={"a": (0, 0), "b": (1, 2)}))
+    yield em("multi-bad-direction-and-unknown-orbit", _d4(), orbit="z", direction="up")
+    yield em("multi-numeric-and-bad-direction", _d4(numeric={"a": (1, 2)}), direction="up")
+    yield em("multi-sum-and-unknown-orbit", _d4(numeric={"a": (1, 1), "b": (0, 1)}), orbit="z")
+    yield em("multi-residue-range-and-numeric", _d4(numeric={}, residues={"a": 9}))
+    yield em("multi-residue-range-before-unknown-det-label",
+             _d4(residues={"a": 7, "z": 0, "b": 1}))
+    yield em("multi-unknown-det-label-before-residue-range",
+             _d4(residues={"b": 1, "z": 0, "a": 7}))
+
+    def ga(name, data, m, flags, profile=P4):
+        return f"bad-ga-{name}", "gamma_apply", profile, {"data": data, "m": m, "flags": flags}
+
+    yield ga("ok-bad-direction-at-unmodified", _d4(), {"a": 0, "b": 1},
+             {"a": "up", "b": SECOND})
+    yield ga("ok-negative", _d4(), {"a": -3, "b": 1}, {"a": FIRST, "b": FIRST})
+    yield ga("unknown-m-label", _d4(), {"z": 1}, {})
+    yield ga("unknown-flag-label", _d4(), {"a": 1}, {"a": FIRST, "z": "sideways"})
+    yield ga("no-direction", _d4(), {"a": 1}, {})
+    yield ga("bad-direction-at-modified", _d4(), {"a": 1}, {"a": "up"})
+    yield ga("multi-bad-data-and-unknown-m", _d4(numeric={"a": (1, 1), "b": (0, 1)}),
+             {"z": 1}, {})
+    yield ga("multi-unknown-m-and-no-direction", _d4(), {"a": 1, "z": 1}, {})
+    yield ga("multi-no-direction-at-b-after-a", _d4(), {"a": 2, "b": 1}, {"a": FIRST})
+    yield ga("multi-sign-unknown-det-unknown-m", _d4(residues={"z": 1}, sign="?"),
+             {"z": 1}, {"y": "up"})
+    yield ga("multi-bad-direction-at-a-none-at-b", _d4(), {"b": 1, "a": 1}, {"a": "x"})
+    yield ga("multi-pair-range-at-b-sum-at-a", _d4(numeric={"a": (0, 0), "b": (1, 2)}),
+             {"a": 1}, {})
+
+    def ws(name, numeric, profile=P4):
+        return f"bad-ws-{name}", "weight_system", profile, {
+            "numeric": {k: list(v) for k, v in numeric.items()}}
+
+    yield ws("ok-p6", {"a": (0, 5), "b": (1, 2), "c": (1, 1)}, P6)
+    yield ws("missing-orbit", {"a": (1, 2)})
+    yield ws("extra-orbit", {"a": (1, 2), "b": (0, 1), "z": (0, 0)})
+    yield ws("empty", {})
+    yield ws("pair-unsorted", {"a": (2, 1), "b": (0, 1)})
+    yield ws("pair-negative", {"a": (-1, 1), "b": (0, 1)})
+    yield ws("multi-range-at-b-unsorted-at-a", {"b": (0, 2), "a": (3, 1)})
+
+    def bd(name, det, numeric, profile=P4):
+        return f"bad-bd-{name}", "bar_delta_degree", profile, {
+            "det": det, "numeric": {k: list(v) for k, v in numeric.items()}}
+
+    ok_num = {"a": (1, 2), "b": (0, 1)}
+    yield bd("ok", det_doc({"a": 3, "b": 1}, 13, "+"), ok_num)
+    yield bd("ok-unchecked-det", det_doc({"z": 9}, 13, "?"), ok_num)
+    yield bd("non-integral", det_doc({"a": 3, "b": 1}, 14, "+"), ok_num)
+    yield bd("missing-orbit", det_doc({"a": 3, "b": 1}, 13, "+"), {"a": (1, 2)})
+    yield bd("multi-range-and-non-integral", det_doc({"a": 3, "b": 1}, 14, "+"),
+             {"a": (1, 4), "b": (0, 1)})
+
+    def za(name, data, profile=P4):
+        return f"bad-za-{name}", "zeta2_apply", profile, {"data": data}
+
+    yield za("multi-odd-order-and-pair-range", data_doc({"a": (1, 7)}, det_doc({"a": 3}, 3, "?")),
+             P5)
+    yield za("multi-sign-and-unknown-det-label", _d4(residues={"z": 0}, sign="?"))
+    yield za("multi-pair-range-at-b-sum-at-a", _d4(numeric={"a": (0, 0), "b": (1, 2)}))
+
+
 def corpus():
-    for name, op, profile, args in [*seeded_cases(), *malformed_cases()]:
+    for name, op, profile, args in [*seeded_cases(), *malformed_cases(),
+                                    *seeded_modification_cases(),
+                                    *malformed_modification_cases()]:
         # the stored form is what the test replays, so evaluate that form
         yield json.loads(json.dumps({"name": name, "op": op, "profile": profile, "args": args}))
 

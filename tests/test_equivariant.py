@@ -443,9 +443,14 @@ def test_validate_parabolic_returns_the_weight_numerators():
 
 def test_parabolic_cases_match_the_recorded_fixture():
     # recorded by tests/fixtures/record_parabolic_cases.py with the Fraction
-    # checks and the range(n') scan; every output and error must stay the same
+    # checks and the range(n') scan, and again, for the modifications, weight
+    # system and descended degree, with the unfused validators; every output and
+    # error must stay the same
     cases = json.loads(PARABOLIC_CASES.read_text())
-    assert len(cases) > 400
+    assert len(cases) > 600
+    assert {case["op"] for case in cases} == {
+        "to_parabolic", "from_parabolic", "solve_d2", "parabolic_zeta2", "zeta2_apply",
+        "elementary_modification", "gamma_apply", "weight_system", "bar_delta_degree"}
     assert sum("error" in case["expect"] for case in cases) > 50
     for case in cases:
         assert evaluate(case) == case["expect"], (case["name"], case["op"])
