@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 property-check failure (with a counterexample
 dump) or violated internal invariant, 2 malformed input (schema or
-usage), 3 domain rejection (mathematically inadmissible input).  All
-output is deterministic for a fixed seed: reports are byte-identical
-across runs.
+usage) or a stdout closed before the report was written, 3 domain
+rejection (mathematically inadmissible input).  All output is
+deterministic for a fixed seed: reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 
@@ -27,8 +28,8 @@ LIST_CAP = 128
 
 # bijection-check round-trips every element of Lambda, at a cost per element
 # and per orbit; it accepts |Lambda| * max(1, orbits) up to this limit, where
-# the slowest input measured, a single orbit, took about 10 s (README)
-MAX_BIJECTION_ELEMENT_ORBITS = 700_000
+# the slowest input measured, a single orbit, takes about 10 s (README)
+MAX_BIJECTION_ELEMENT_ORBITS = 1_050_000
 
 # lambda lists every per-orbit admissible pair; the largest listing accepted
 # took about 2.5 s and 256 MB peak RSS as JSON (README)
@@ -146,6 +147,19 @@ def cmd_weights(args) -> int:
     return 0
 
 
+def _ascent_spreads(pdat, profile) -> dict | None:
+    """m(y) = w(y) * n'(y) per orbit of a descended datum, or None unless
+    0 <= m(y) <= d2(y) < n'(y) at every orbit, which is all the ascent needs."""
+    spreads = {}
+    for y in profile.orbits:
+        w = pdat.weights.get(y.id, 0)
+        m, rem = divmod(w.numerator * y.nprime, w.denominator)
+        if rem or not 0 <= m <= pdat.d2.get(y.id, 0) < y.nprime:
+            return None
+        spreads[y.id] = m
+    return spreads
+
+
 def cmd_bijection_check(args) -> int:
     from . import covers, equivariant
     rng = random.Random(args.seed)
@@ -166,24 +180,28 @@ def cmd_bijection_check(args) -> int:
             raise DomainError(f"Lambda has more than {cap} elements over {orbits} orbits, "
                               f"past the bijection-check limit of "
                               f"{MAX_BIJECTION_ELEMENT_ORBITS} element-orbits")
+        # enumerate_lambda validates the det once, and its elements are admissible
+        # by construction, so each goes through the two cores unvalidated
         for numeric in equivariant.enumerate_lambda(det, profile):
-            data = equivariant.Rank2EqData(numeric=numeric, det=det)
             try:
-                pdat = equivariant.to_parabolic(data, profile)
-                back = equivariant.from_parabolic(pdat, profile)
+                pdat = equivariant._descend(numeric, det, profile)
+                spreads = _ascent_spreads(pdat, profile)
+                # from_parabolic raises the fault of a datum the ascent cannot take
+                back = (equivariant.from_parabolic(pdat, profile) if spreads is None
+                        else equivariant._ascend(pdat, spreads, profile))
             except DomainError as exc:
                 print(json.dumps({
                     "property": "round_trip",
                     "error": str(exc),
                     "profile": covers.profile_to_json(profile),
-                    "datum": equivariant.rank2_to_json(data),
+                    "datum": equivariant.rank2_to_json(equivariant.Rank2EqData(numeric, det)),
                 }, indent=2, sort_keys=True))
                 return 1
-            if back != data:
+            if back.numeric != numeric or back.det != det:
                 print(json.dumps({
                     "property": "round_trip",
                     "profile": covers.profile_to_json(profile),
-                    "datum": equivariant.rank2_to_json(data),
+                    "datum": equivariant.rank2_to_json(equivariant.Rank2EqData(numeric, det)),
                     "round_tripped": equivariant.rank2_to_json(back),
                 }, indent=2, sort_keys=True))
                 return 1
@@ -382,7 +400,19 @@ def main(argv=None) -> int:
     if args.subcommand in NEEDS_FILE and not args.file:
         parser.error(f"{args.subcommand} requires --file")
     try:
-        return COMMANDS[args.subcommand](args)
+        code = COMMANDS[args.subcommand](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # flush at exit raises nothing (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            print("output error: stdout was closed before the report was written",
+                  file=sys.stderr)
+        except OSError:
+            pass
+        return 2
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

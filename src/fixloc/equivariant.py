@@ -12,7 +12,9 @@ degree on the base, a weight w(y) = (d2-d1)/n'(y) per orbit, and the
 distinguished exponent d2 recording which eigenline carries the flag.
 `to_parabolic` / `from_parabolic` realize the exact bijection between
 the two descriptions; `solve_d2` recovers the possible distinguished
-exponents from (determinant, weights) alone.
+exponents from (determinant, weights) alone.  Both directions validate
+their input in one pass, then run a private core (_descend, _ascend)
+that holds the only copy of the formula and trusts its input.
 
 Elementary modifications act on this data by integer bookkeeping:
 the tracked flag exponent is kept, the complementary exponent drops by
@@ -23,6 +25,7 @@ at every orbit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -121,12 +124,27 @@ def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile)
 
 
 def validate_rank2(data: Rank2EqData, profile: CoverProfile) -> None:
-    validate_det(data.det, profile)
-    validate_numeric(data.numeric, profile)
+    """validate_det, then validate_numeric and d1 + d2 = residue mod n' at
+    every orbit in one pass, reporting the same first fault."""
+    det, numeric = data.det, data.numeric
+    validate_det(det, profile)
+    index, residues = profile.orbit_index, det.residues
+    if numeric.keys() != index.keys():
+        raise InvalidDatum("numeric data must cover exactly the profile orbits")
+    # every pair range is checked before any residue sum
+    unsummed = None
     for y in profile.orbits:
-        d1, d2 = data.numeric[y.id]
-        if (d1 + d2) % y.nprime != data.det.residues.get(y.id, 0) % y.nprime:
-            raise InvalidDatum(f"exponent pair at {y.id!r} does not sum to determinant residue")
+        d1, d2 = numeric[y.id]
+        if not (0 <= d1 <= d2 < y.nprime):
+            raise InvalidDatum(f"exponent pair at {y.id!r} violates 0 <= d1 <= d2 < n'")
+        if unsummed is None and (d1 + d2 - residues.get(y.id, 0)) % y.nprime:
+            unsummed = y.id
+    if unsummed is not None:
+        raise InvalidDatum(f"exponent pair at {unsummed!r} does not sum to determinant residue")
+
+
+# the weight m/n', one Fraction shared by every datum that carries it
+_weight = functools.lru_cache(maxsize=1 << 12)(Fraction)
 
 
 def _spread(w: int | Fraction, y: SpecialOrbit) -> int:
@@ -158,11 +176,21 @@ def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) ->
             raise UnknownOrbit(label)
     spreads = {}
     for y in profile.orbits:
-        m = _spread(pdat.weights.get(y.id, 0), y)
+        w, nprime = pdat.weights.get(y.id, 0), y.nprime
+        # _spread, inlined: ints and Fractions skip its type test
+        if type(w) is Fraction or type(w) is int:
+            num, den = w.numerator, w.denominator
+            if not 0 <= num < den:
+                raise InvalidDatum(f"weight at {y.id!r} outside [0,1)")
+            if nprime % den != 0:
+                raise InvalidDatum(f"weight denominator at {y.id!r} does not divide n'={nprime}")
+            m = num * (nprime // den)
+        else:
+            m = _spread(w, y)
         d2 = pdat.d2.get(y.id, 0)
-        if not 0 <= d2 < y.nprime:
-            raise InvalidDatum(f"flag exponent at {y.id!r} outside [0,{y.nprime})")
-        if d2 - m < 0:
+        if not 0 <= d2 < nprime:
+            raise InvalidDatum(f"flag exponent at {y.id!r} outside [0,{nprime})")
+        if d2 < m:
             raise InvalidDatum(f"derived lower exponent at {y.id!r} is negative")
         spreads[y.id] = m
     return spreads
@@ -245,15 +273,7 @@ def weight_system(numeric: dict[str, tuple[int, int]], profile: CoverProfile) ->
     orbit, each with 0 <= d1 <= d2 < n' (validate_numeric).
     """
     validate_numeric(numeric, profile)
-    return _weights(numeric, profile)
-
-
-def _weights(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, Fraction]:
-    out = {}
-    for y in profile.orbits:
-        d1, d2 = numeric[y.id]
-        out[y.id] = Fraction(d2 - d1, y.nprime)
-    return out
+    return {y.id: _weight(numeric[y.id][1] - numeric[y.id][0], y.nprime) for y in profile.orbits}
 
 
 def bar_delta_degree(det: DeterminantLift, numeric: dict[str, tuple[int, int]],
@@ -266,20 +286,7 @@ def bar_delta_degree(det: DeterminantLift, numeric: dict[str, tuple[int, int]],
     (InvalidDatum otherwise).
     """
     validate_numeric(numeric, profile)
-    return _bar_delta_degree(det, numeric, profile)
-
-
-def _bar_delta_degree(det: DeterminantLift, numeric: dict[str, tuple[int, int]],
-                      profile: CoverProfile) -> int:
-    total = det.degree
-    for y in profile.orbits:
-        d1, d2 = numeric[y.id]
-        total -= (d1 + d2) * y.k
-    q, rem = divmod(total, profile.n)
-    if rem != 0:
-        raise NonIntegralDegree(
-            f"corrected determinant degree {total} is not divisible by n={profile.n}")
-    return q
+    return _descend(numeric, det, profile).det_bar_degree
 
 
 def elementary_modification(data: Rank2EqData, profile: CoverProfile, orbit_id: str,
@@ -351,18 +358,47 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
 def to_parabolic(data: Rank2EqData, profile: CoverProfile) -> AdmissibleParabolicDatum:
     """Descend equivariant numeric data to its parabolic shadow."""
     validate_rank2(data, profile)
-    weights = _weights(data.numeric, profile)
-    d2 = {y.id: data.numeric[y.id][1] for y in profile.orbits}
-    bar = _bar_delta_degree(data.det, data.numeric, profile)
-    return AdmissibleParabolicDatum(det_bar_degree=bar, weights=weights, d2=d2,
-                                    det_lift_sign=data.det.lift_sign)
+    return _descend(data.numeric, data.det, profile)
+
+
+def _descend(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
+             profile: CoverProfile) -> AdmissibleParabolicDatum:
+    """The parabolic shadow of numeric data that validate_numeric accepts.
+
+    The only copy of the descent, in one pass: weight (d2 - d1)/n'(y),
+    flag exponent d2, and base degree (degree - sum_y (d1+d2) k(y)) / n,
+    NonIntegralDegree unless the division is exact.
+    """
+    weights, d2s = {}, {}
+    total = det.degree
+    for y in profile.orbits:
+        d1, d2 = numeric[y.id]
+        weights[y.id] = _weight(d2 - d1, y.nprime)
+        d2s[y.id] = d2
+        total -= (d1 + d2) * y.k
+    bar, rem = divmod(total, profile.n)
+    if rem != 0:
+        raise NonIntegralDegree(
+            f"corrected determinant degree {total} is not divisible by n={profile.n}")
+    return AdmissibleParabolicDatum(det_bar_degree=bar, weights=weights, d2=d2s,
+                                    det_lift_sign=det.lift_sign)
 
 
 def from_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Rank2EqData:
     """Reconstruct equivariant numeric data from its parabolic shadow."""
-    spreads = validate_parabolic(pdat, profile)
-    numeric = {}
-    residues = {}
+    return _ascend(pdat, validate_parabolic(pdat, profile), profile)
+
+
+def _ascend(pdat: AdmissibleParabolicDatum, spreads: dict[str, int],
+            profile: CoverProfile) -> Rank2EqData:
+    """The numeric data of a parabolic datum with weight numerators spreads.
+
+    The only copy of the ascent, in one pass: d1 = d2 - m(y), residue
+    (d1+d2) mod n'(y), degree n * base degree + sum_y (d1+d2) k(y).
+    spreads is what validate_parabolic returns; a d2 label left out
+    reads as 0.
+    """
+    numeric, residues = {}, {}
     degree = profile.n * pdat.det_bar_degree
     for y in profile.orbits:
         d2 = pdat.d2.get(y.id, 0)

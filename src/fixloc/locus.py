@@ -31,7 +31,6 @@ import math
 import operator
 from collections.abc import Set
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .covers import CoverProfile, kernel_order, make_profile
 from .divisors import RootExponent, d_mu
@@ -41,6 +40,7 @@ from .equivariant import (
     AdmissibleParabolicDatum,
     DeterminantLift,
     Rank2EqData,
+    _weight,
     validate_parabolic,
     validate_rank2,
 )
@@ -304,23 +304,20 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
     d2map = {}
     bar = pdat.det_bar_degree
     for y in profile.orbits:
-        w = Fraction(pdat.weights.get(y.id, 0))
         d2 = pdat.d2.get(y.id, 0)
-        m = spreads[y.id]
+        m, nprime = spreads[y.id], y.nprime
+        half = nprime // 2
         if y.k % 2 == 0:
-            weights[y.id], d2map[y.id] = w, d2
-            continue
-        half = y.nprime // 2
-        if 2 * d2 < y.nprime:
-            weights[y.id], d2map[y.id] = w, d2 + half
-            bar -= 1
-        elif 2 * (d2 - m) >= y.nprime:
-            weights[y.id], d2map[y.id] = w, d2 + half - y.nprime
-            bar += 1
+            pass  # even length: nothing moves
+        elif 2 * d2 < nprime:
+            d2, bar = d2 + half, bar - 1
+        elif 2 * (d2 - m) >= nprime:
+            d2, bar = d2 + half - nprime, bar + 1
         else:
-            weights[y.id], d2map[y.id] = 1 - w, d2 - m + half
+            d2, m = d2 - m + half, nprime - m
+        weights[y.id], d2map[y.id] = _weight(m, nprime), d2
     # every branch keeps 0 <= d2 - m <= d2 < n'; the cross branch has
-    # m >= 1, so 1 - w stays in (0, 1)
+    # m >= 1, so the weight 1 - w = (n' - m)/n' stays in (0, 1)
     sign = MINUS if pdat.det_lift_sign == PLUS else PLUS
     return AdmissibleParabolicDatum(det_bar_degree=bar,
                                     weights=weights, d2=d2map, det_lift_sign=sign)

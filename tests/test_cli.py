@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import random
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -136,10 +139,85 @@ def order_three_profile(tmp_path, count):
 
 
 def refuse_round_trips(monkeypatch):
-    def refuse(data, profile):
+    def refuse(*args):
         pytest.fail("round trip started past the limit")
 
-    monkeypatch.setattr(equivariant, "to_parabolic", refuse)
+    monkeypatch.setattr(equivariant, "_descend", refuse)
+
+
+def count_validations(monkeypatch) -> dict:
+    """Patch the equivariant validators to count their calls."""
+    counts = {}
+    for name in ("validate_det", "validate_rank2", "validate_parabolic"):
+        counts[name] = 0
+
+        def counted(*args, _name=name, _real=getattr(equivariant, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(equivariant, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("from_file, profiles", [(False, 20), (True, 1)])
+def test_bijection_check_validates_each_det_once_and_no_element(capsys, tmp_path, monkeypatch,
+                                                               from_file, profiles):
+    # 2^6 elements over 6 orbits from a file; 20 random covers without one
+    argv = ["--file", order_three_profile(tmp_path, 6)] if from_file else ["--seed", "5"]
+    counts = count_validations(monkeypatch)
+    code, out, err = run(capsys, "bijection-check", *argv)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["profiles"] == profiles
+    assert payload["checked"] > payload["profiles"]
+    assert counts == {"validate_det": profiles, "validate_rank2": 0, "validate_parabolic": 0}
+
+
+def test_bijection_check_reports_a_descended_datum_the_ascent_cannot_take(capsys, tmp_path,
+                                                                          monkeypatch):
+    # a descent that puts d2 below the weight numerator m at one element
+    path = order_three_profile(tmp_path, 3)
+    descend = equivariant._descend
+    broken = []
+
+    def faulty(numeric, det, profile):
+        pdat = descend(numeric, det, profile)
+        if not broken and pdat.weights["y1"] > 0:
+            broken.append(numeric)
+            pdat.d2["y1"] = 0
+        return pdat
+
+    monkeypatch.setattr(equivariant, "_descend", faulty)
+    code, out, err = run(capsys, "bijection-check", "--file", path)
+    assert code == 1
+    assert err == ""
+    profile = covers.profile_from_json(json.loads(Path(path).read_text()))
+    det = equivariant.random_det(random.Random(cli.DEFAULT_SEED), profile)
+    assert json.loads(out) == {
+        "property": "round_trip",
+        "error": "derived lower exponent at 'y1' is negative",
+        "profile": profile_to_json(profile),
+        "datum": rank2_to_json(Rank2EqData(numeric=broken[0], det=det)),
+    }
+
+
+def test_bijection_check_reports_a_round_trip_that_changes_the_datum(capsys, tmp_path,
+                                                                     monkeypatch):
+    path = order_three_profile(tmp_path, 2)
+    ascend = equivariant._ascend
+
+    def shifted(pdat, spreads, profile):
+        back = ascend(pdat, spreads, profile)
+        det = DeterminantLift(residues=back.det.residues, degree=back.det.degree + 3,
+                              lift_sign=back.det.lift_sign)
+        return Rank2EqData(numeric=back.numeric, det=det)
+
+    monkeypatch.setattr(equivariant, "_ascend", shifted)
+    code, out, err = run(capsys, "bijection-check", "--file", path)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["property"] == "round_trip"
+    assert payload["round_tripped"]["det"]["degree"] == payload["datum"]["det"]["degree"] + 3
 
 
 def test_bijection_check_limit(capsys, tmp_path, monkeypatch):
@@ -187,8 +265,8 @@ def test_bijection_check_rejects_a_wide_orbit_without_building_its_pairs(capsys,
         tracemalloc.stop()
     assert code == 3
     assert out == ""
-    assert err == ("domain error: DomainError: Lambda has more than 700000 elements over 1 "
-                   "orbits, past the bijection-check limit of 700000 element-orbits\n")
+    assert err == ("domain error: DomainError: Lambda has more than 1050000 elements over 1 "
+                   "orbits, past the bijection-check limit of 1050000 element-orbits\n")
     assert peak < 1_000_000
 
 
@@ -369,6 +447,23 @@ def test_usage_errors_exit_two(capsys):
         cli.main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_two_without_a_traceback(tmp_path):
+    # one orbit of n' = 200,000 lists 100,001 pairs in text, far more than a pipe
+    # buffer holds, so the child is still writing when the reader closes the pipe
+    doc = write(tmp_path, "wide.json", {
+        "profile": {"n": 200_000, "genus_base": 0, "orbits": [{"id": "a", "k": 1}]},
+        "det": {"residues": {"a": 0}, "degree": 0}})
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with open(tmp_path / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "fixloc.cli", "lambda", "--file", doc,
+                                 "--format", "text"], env=env, stdout=subprocess.PIPE, stderr=err)
+        assert proc.stdout.read(10) == b"admissible"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+    assert ((tmp_path / "stderr.txt").read_text()
+            == "output error: stdout was closed before the report was written\n")
 
 
 def test_internal_error_exit_code(capsys, hyper_file, monkeypatch):

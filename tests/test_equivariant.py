@@ -46,7 +46,7 @@ from fixloc import (
     weight_system,
 )
 from fixloc.equivariant import admissible_pair_count, validate_parabolic
-from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
+from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, zeta2_apply
 
 import gen
 
@@ -205,6 +205,34 @@ def test_weight_system_values():
     profile = make_profile(12, [("a", 1), ("b", 4)])
     ws = weight_system({"a": (2, 7), "b": (0, 2)}, profile)
     assert ws == {"a": Fraction(5, 12), "b": Fraction(2, 3)}
+
+
+def test_weights_are_exact_fractions_of_the_exponent_spread():
+    # to_parabolic, weight_system and parabolic_zeta2 hand out shared weight
+    # Fractions; each must be a Fraction equal to (d2 - d1)/n'
+    rng = random.Random(12)
+    seen = 0
+    for _ in range(60):
+        profile = gen.random_profile(rng, max_n=24, max_orbits=5)
+        data = gen.random_data(rng, profile)
+        pdat = to_parabolic(data, profile)
+        images = [(pdat.weights, data.numeric), (weight_system(data.numeric, profile), data.numeric)]
+        if profile.n % 2 == 0:
+            images.append((parabolic_zeta2(pdat, profile).weights,
+                           zeta2_apply(data, profile).numeric))
+        for weights, numeric in images:
+            assert weights.keys() == numeric.keys()
+            for y in profile.orbits:
+                d1, d2 = numeric[y.id]
+                w = weights[y.id]
+                assert type(w) is Fraction
+                assert w == Fraction(d2 - d1, y.nprime)
+                seen += 1
+    assert seen > 300
+    # an int weight comes back from lift negation as a Fraction too
+    profile = make_profile(4, [("a", 1)])
+    pdat = AdmissibleParabolicDatum(det_bar_degree=0, weights={"a": 0}, d2={"a": 1})
+    assert type(parabolic_zeta2(pdat, profile).weights["a"]) is Fraction
 
 
 def test_bar_degree_division_guard():
