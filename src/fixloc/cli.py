@@ -29,7 +29,7 @@ LIST_CAP = 128
 # bijection-check round-trips every element of Lambda, at a cost per element
 # and per orbit; it accepts |Lambda| * max(1, orbits) up to this limit, where
 # the slowest input measured, a single orbit, takes about 10 s (README)
-MAX_BIJECTION_ELEMENT_ORBITS = 1_050_000
+MAX_BIJECTION_ELEMENT_ORBITS = 980_000
 
 # lambda lists every per-orbit admissible pair; the largest listing accepted
 # took about 2.5 s and 256 MB peak RSS as JSON (README)
@@ -147,19 +147,6 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def _ascent_spreads(pdat, profile) -> dict | None:
-    """m(y) = w(y) * n'(y) per orbit of a descended datum, or None unless
-    0 <= m(y) <= d2(y) < n'(y) at every orbit, which is all the ascent needs."""
-    spreads = {}
-    for y in profile.orbits:
-        w = pdat.weights.get(y.id, 0)
-        m, rem = divmod(w.numerator * y.nprime, w.denominator)
-        if rem or not 0 <= m <= pdat.d2.get(y.id, 0) < y.nprime:
-            return None
-        spreads[y.id] = m
-    return spreads
-
-
 def cmd_bijection_check(args) -> int:
     from . import covers, equivariant
     rng = random.Random(args.seed)
@@ -180,15 +167,10 @@ def cmd_bijection_check(args) -> int:
             raise DomainError(f"Lambda has more than {cap} elements over {orbits} orbits, "
                               f"past the bijection-check limit of "
                               f"{MAX_BIJECTION_ELEMENT_ORBITS} element-orbits")
-        # enumerate_lambda validates the det once, and its elements are admissible
-        # by construction, so each goes through the two cores unvalidated
+        # enumerate_lambda validates the det once, and round_trip trusts its elements
         for numeric in equivariant.enumerate_lambda(det, profile):
             try:
-                pdat = equivariant._descend(numeric, det, profile)
-                spreads = _ascent_spreads(pdat, profile)
-                # from_parabolic raises the fault of a datum the ascent cannot take
-                back = (equivariant.from_parabolic(pdat, profile) if spreads is None
-                        else equivariant._ascend(pdat, spreads, profile))
+                back = equivariant.round_trip(numeric, det, profile)
             except DomainError as exc:
                 print(json.dumps({
                     "property": "round_trip",

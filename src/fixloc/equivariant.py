@@ -13,8 +13,8 @@ distinguished exponent d2 recording which eigenline carries the flag.
 `to_parabolic` / `from_parabolic` realize the exact bijection between
 the two descriptions; `solve_d2` recovers the possible distinguished
 exponents from (determinant, weights) alone.  Both directions validate
-their input in one pass, then run a private core (_descend, _ascend)
-that holds the only copy of the formula and trusts its input.
+their input, then run a private core (_descend, _ascend) that trusts
+it; `round_trip` runs the two cores on an element of Lambda.
 
 Elementary modifications act on this data by integer bookkeeping:
 the tracked flag exponent is kept, the complementary exponent drops by
@@ -124,26 +124,16 @@ def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile)
 
 
 def validate_rank2(data: Rank2EqData, profile: CoverProfile) -> None:
-    """validate_det, then validate_numeric and d1 + d2 = residue mod n' at
-    every orbit in one pass, reporting the same first fault."""
-    det, numeric = data.det, data.numeric
-    validate_det(det, profile)
-    index, residues = profile.orbit_index, det.residues
-    if numeric.keys() != index.keys():
-        raise InvalidDatum("numeric data must cover exactly the profile orbits")
-    # every pair range is checked before any residue sum
-    unsummed = None
+    validate_det(data.det, profile)
+    validate_numeric(data.numeric, profile)
     for y in profile.orbits:
-        d1, d2 = numeric[y.id]
-        if not (0 <= d1 <= d2 < y.nprime):
-            raise InvalidDatum(f"exponent pair at {y.id!r} violates 0 <= d1 <= d2 < n'")
-        if unsummed is None and (d1 + d2 - residues.get(y.id, 0)) % y.nprime:
-            unsummed = y.id
-    if unsummed is not None:
-        raise InvalidDatum(f"exponent pair at {unsummed!r} does not sum to determinant residue")
+        d1, d2 = data.numeric[y.id]
+        if (d1 + d2) % y.nprime != data.det.residues.get(y.id, 0) % y.nprime:
+            raise InvalidDatum(f"exponent pair at {y.id!r} does not sum to determinant residue")
 
 
-# the weight m/n', one Fraction shared by every datum that carries it
+# the weight m/n', one Fraction shared by every datum that carries it; the keys
+# 0 <= m < n' number 300 for all n' <= 24, but one wide orbit misses at each element
 _weight = functools.lru_cache(maxsize=1 << 12)(Fraction)
 
 
@@ -153,7 +143,9 @@ def _spread(w: int | Fraction, y: SpecialOrbit) -> int:
     InvalidDatum unless w is an int or a Fraction in [0,1) whose
     denominator divides n'(y).
     """
-    if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+    # exact ints and Fractions, the common case, skip the subclass tests
+    if not (type(w) is Fraction or type(w) is int) and (
+            isinstance(w, bool) or not isinstance(w, (int, Fraction))):
         raise InvalidDatum(f"weight at {y.id!r} must be an int or a Fraction, "
                            f"got {type(w).__name__}")
     num, den = w.numerator, w.denominator
@@ -174,22 +166,18 @@ def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) ->
     for label in itertools.chain(pdat.weights, pdat.d2):
         if label not in index:
             raise UnknownOrbit(label)
+    return _spreads(pdat, profile)
+
+
+def _spreads(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str, int]:
+    """validate_parabolic's checks at each orbit, which the ascent needs:
+    the weight passes _spread and m(y) <= d2(y) < n'(y)."""
     spreads = {}
     for y in profile.orbits:
-        w, nprime = pdat.weights.get(y.id, 0), y.nprime
-        # _spread, inlined: ints and Fractions skip its type test
-        if type(w) is Fraction or type(w) is int:
-            num, den = w.numerator, w.denominator
-            if not 0 <= num < den:
-                raise InvalidDatum(f"weight at {y.id!r} outside [0,1)")
-            if nprime % den != 0:
-                raise InvalidDatum(f"weight denominator at {y.id!r} does not divide n'={nprime}")
-            m = num * (nprime // den)
-        else:
-            m = _spread(w, y)
+        m = _spread(pdat.weights.get(y.id, 0), y)
         d2 = pdat.d2.get(y.id, 0)
-        if not 0 <= d2 < nprime:
-            raise InvalidDatum(f"flag exponent at {y.id!r} outside [0,{nprime})")
+        if not 0 <= d2 < y.nprime:
+            raise InvalidDatum(f"flag exponent at {y.id!r} outside [0,{y.nprime})")
         if d2 < m:
             raise InvalidDatum(f"derived lower exponent at {y.id!r} is negative")
         spreads[y.id] = m
@@ -365,7 +353,7 @@ def _descend(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
              profile: CoverProfile) -> AdmissibleParabolicDatum:
     """The parabolic shadow of numeric data that validate_numeric accepts.
 
-    The only copy of the descent, in one pass: weight (d2 - d1)/n'(y),
+    In one pass: weight (d2 - d1)/n'(y) (as weight_system gives it),
     flag exponent d2, and base degree (degree - sum_y (d1+d2) k(y)) / n,
     NonIntegralDegree unless the division is exact.
     """
@@ -393,10 +381,9 @@ def _ascend(pdat: AdmissibleParabolicDatum, spreads: dict[str, int],
             profile: CoverProfile) -> Rank2EqData:
     """The numeric data of a parabolic datum with weight numerators spreads.
 
-    The only copy of the ascent, in one pass: d1 = d2 - m(y), residue
-    (d1+d2) mod n'(y), degree n * base degree + sum_y (d1+d2) k(y).
-    spreads is what validate_parabolic returns; a d2 label left out
-    reads as 0.
+    In one pass: d1 = d2 - m(y), residue (d1+d2) mod n'(y), degree
+    n * base degree + sum_y (d1+d2) k(y).  spreads is what
+    validate_parabolic returns; a d2 label left out reads as 0.
     """
     numeric, residues = {}, {}
     degree = profile.n * pdat.det_bar_degree
@@ -408,6 +395,19 @@ def _ascend(pdat: AdmissibleParabolicDatum, spreads: dict[str, int],
         degree += (d1 + d2) * y.k
     det = DeterminantLift(residues=residues, degree=degree, lift_sign=pdat.det_lift_sign)
     return Rank2EqData(numeric=numeric, det=det)
+
+
+def round_trip(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
+               profile: CoverProfile) -> Rank2EqData:
+    """from_parabolic(to_parabolic(...)) for an element of enumerate_lambda(det, profile).
+
+    The inputs are trusted: enumerate_lambda validated det, and its
+    elements are admissible.  The descended datum still gets
+    validate_parabolic's per-orbit checks (its sign and labels come from
+    det and profile), so a descent that breaks them raises InvalidDatum.
+    """
+    pdat = _descend(numeric, det, profile)
+    return _ascend(pdat, _spreads(pdat, profile), profile)
 
 
 def _halves(c: int, nprime: int) -> tuple[int, ...]:

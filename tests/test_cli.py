@@ -265,8 +265,8 @@ def test_bijection_check_rejects_a_wide_orbit_without_building_its_pairs(capsys,
         tracemalloc.stop()
     assert code == 3
     assert out == ""
-    assert err == ("domain error: DomainError: Lambda has more than 1050000 elements over 1 "
-                   "orbits, past the bijection-check limit of 1050000 element-orbits\n")
+    assert err == ("domain error: DomainError: Lambda has more than 980000 elements over 1 "
+                   "orbits, past the bijection-check limit of 980000 element-orbits\n")
     assert peak < 1_000_000
 
 
