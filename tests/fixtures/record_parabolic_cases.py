@@ -409,10 +409,42 @@ def malformed_modification_cases():
     yield za("multi-pair-range-at-b-sum-at-a", _d4(numeric={"a": (0, 0), "b": (1, 2)}))
 
 
+def unknown_label_cases():
+    """Inputs naming two or more labels the profile lacks: the first one, in the
+    order the operation reads its arguments, is the one reported."""
+    def fp(name, pdat, profile=P4):
+        return f"bad-ul-{name}", "from_parabolic", profile, {"pdat": pdat}
+
+    yield fp("two-weights", _p4(weights={"z": 0, "y": F(1, 2)}))
+    yield fp("two-d2", _p4(d2={"a": 2, "z": 0, "y": 1}))
+    yield fp("known-bad-weight-then-unknown", _p4(weights={"a": F(1, 3), "z": 0, "y": 0}))
+
+    def z2(name, pdat, profile=P4):
+        return f"bad-ul-{name}", "parabolic_zeta2", profile, {"pdat": pdat}
+
+    yield z2("weight-and-d2", _p4(weights={"a": F(1, 4), "z": 0}, d2={"y": 0}))
+
+    def ga(name, m, flags, profile=P4):
+        return f"bad-ul-{name}", "gamma_apply", profile, {"data": _d4(), "m": m, "flags": flags}
+
+    yield ga("two-m", {"z": 1, "y": 1}, {})
+    yield ga("m-then-flag", {"a": 1, "z": 0}, {"y": FIRST, "a": FIRST})
+    yield ga("two-flags", {"a": 1}, {"z": FIRST, "a": FIRST, "y": "up"})
+
+    def sd(name, weights, profile=P4):
+        return f"bad-ul-{name}", "solve_d2", profile, {
+            "det": det_doc({"a": 1, "b": 1}, 0, "+"),
+            "weights": {k: _weight_doc(w) for k, w in weights.items()}}
+
+    yield sd("two-weights", {"z": F(1, 9), "a": F(1, 4), "y": 0})
+    yield sd("known-bad-weight-then-unknown", {"a": F(1, 3), "z": 0, "y": 0})
+
+
 def corpus():
     for name, op, profile, args in [*seeded_cases(), *malformed_cases(),
                                     *seeded_modification_cases(),
-                                    *malformed_modification_cases()]:
+                                    *malformed_modification_cases(),
+                                    *unknown_label_cases()]:
         # the stored form is what the test replays, so evaluate that form
         yield json.loads(json.dumps({"name": name, "op": op, "profile": profile, "args": args}))
 

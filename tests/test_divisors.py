@@ -75,6 +75,11 @@ def test_degree_on_X():
     assert degree_on_X(div, PROFILE) == 3 * 1 + (-1) * 6 + 12 * 2
     with pytest.raises(UnknownOrbit):
         degree_on_X(InvariantDivisor(residues={"zz": 1}, base_degree=0), PROFILE)
+    # the first unknown label in residue order is the one reported
+    for residues, first in (({"zz": 1, "yy": 2}, "zz"), ({"a": 1, "yy": 2, "zz": 3}, "yy")):
+        with pytest.raises(UnknownOrbit) as caught:
+            degree_on_X(InvariantDivisor(residues=residues, base_degree=0), PROFILE)
+        assert caught.value.args == (first,)
 
 
 def test_numeric_data_reduces_mod_stabilizer():
@@ -83,6 +88,10 @@ def test_numeric_data_reduces_mod_stabilizer():
     assert nd.values == {"a": 13 % 12, "b": (-1) % 3, "c": 4 % 2}
     with pytest.raises(UnknownOrbit):
         numeric_data(InvariantDivisor(residues={"zz": 1}, base_degree=0), PROFILE)
+    for residues, first in (({"zz": 1, "yy": 2}, "zz"), ({"a": 1, "yy": 2, "zz": 3}, "yy")):
+        with pytest.raises(UnknownOrbit) as caught:
+            numeric_data(InvariantDivisor(residues=residues, base_degree=0), PROFILE)
+        assert caught.value.args == (first,)
 
 
 def test_is_pullback():
