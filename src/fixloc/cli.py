@@ -63,6 +63,12 @@ def _load_input(path: str, **fields) -> dict:
     return parse_object(_load_json(path), "input", fields)
 
 
+def _pair_counts(det, profile) -> list[int]:
+    """Admissible pairs at each orbit, from the closed form: no pair list is built."""
+    from .equivariant import admissible_pair_count
+    return [admissible_pair_count(det.residues.get(y.id, 0), y.nprime) for y in profile.orbits]
+
+
 def cmd_kernel(args) -> int:
     from . import covers
     profile = covers.profile_from_json(_load_json(args.file))
@@ -111,9 +117,8 @@ def cmd_lambda(args) -> int:
     doc = _load_input(args.file, profile=covers.profile_from_json, det=equivariant.det_from_json)
     profile, det = doc["profile"], doc["det"]
     equivariant.validate_det(det, profile)
-    counts = [equivariant.admissible_pair_count(det.residues.get(y.id, 0), y.nprime)
-              for y in profile.orbits]
-    # every pair is listed; count them from the closed form before building any
+    counts = _pair_counts(det, profile)
+    # every pair is listed; count them before building any
     if sum(counts) > MAX_LAMBDA_PAIRS:
         raise DomainError(f"Lambda has {sum(counts)} admissible pairs over {len(counts)} orbits, "
                           f"past the lambda limit of {MAX_LAMBDA_PAIRS} pairs")
@@ -160,10 +165,8 @@ def cmd_bijection_check(args) -> int:
         det = equivariant.random_det(rng, profile)
         orbits = len(profile.orbits)
         cap = MAX_BIJECTION_ELEMENT_ORBITS // max(1, orbits)
-        # |Lambda| from the closed-form pair counts, before any pair list is built
-        size = math.prod(equivariant.admissible_pair_count(det.residues.get(y.id, 0), y.nprime)
-                         for y in profile.orbits)
-        if size > cap:
+        # |Lambda| from the pair counts, before any pair list is built
+        if math.prod(_pair_counts(det, profile)) > cap:
             raise DomainError(f"Lambda has more than {cap} elements over {orbits} orbits, "
                               f"past the bijection-check limit of "
                               f"{MAX_BIJECTION_ELEMENT_ORBITS} element-orbits")
@@ -172,22 +175,19 @@ def cmd_bijection_check(args) -> int:
             try:
                 back = equivariant.round_trip(numeric, det, profile)
             except DomainError as exc:
-                print(json.dumps({
-                    "property": "round_trip",
-                    "error": str(exc),
-                    "profile": covers.profile_to_json(profile),
-                    "datum": equivariant.rank2_to_json(equivariant.Rank2EqData(numeric, det)),
-                }, indent=2, sort_keys=True))
-                return 1
-            if back.numeric != numeric or back.det != det:
-                print(json.dumps({
-                    "property": "round_trip",
-                    "profile": covers.profile_to_json(profile),
-                    "datum": equivariant.rank2_to_json(equivariant.Rank2EqData(numeric, det)),
-                    "round_tripped": equivariant.rank2_to_json(back),
-                }, indent=2, sort_keys=True))
-                return 1
-            checked += 1
+                failure = {"error": str(exc)}
+            else:
+                if back.numeric == numeric and back.det == det:
+                    checked += 1
+                    continue
+                failure = {"round_tripped": equivariant.rank2_to_json(back)}
+            print(json.dumps({
+                "property": "round_trip",
+                "profile": covers.profile_to_json(profile),
+                "datum": equivariant.rank2_to_json(equivariant.Rank2EqData(numeric, det)),
+                **failure,
+            }, indent=2, sort_keys=True))
+            return 1
     payload = {"checked": checked, "profiles": len(profiles), "failures": 0}
     _emit(payload, args.format, [f"round trips checked: {checked} (all exact)"])
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._ser import list_of, parse_object, require_int, require_str
-from .errors import InternalError, InvalidProfile
+from .errors import InternalError, InvalidProfile, UnknownOrbit
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,14 @@ def validate(profile: CoverProfile) -> None:
             raise InvalidProfile(f"orbit {y.id!r} has full length n={profile.n}")
         if y.nprime != profile.n // y.k:
             raise InvalidProfile(f"orbit {y.id!r}: stabilizer order {y.nprime} != {profile.n}//{y.k}")
+
+
+def check_orbit_labels(labels, profile: CoverProfile) -> None:
+    """UnknownOrbit for the first of labels, in iteration order, that the profile lacks."""
+    index = profile.orbit_index
+    for label in labels:
+        if label not in index:
+            raise UnknownOrbit(label)
 
 
 def gcd_orbit_lengths(profile: CoverProfile) -> int:

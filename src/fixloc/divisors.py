@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._ser import dict_of, parse_object, require_int
-from .covers import CoverProfile, SpecialOrbit
-from .errors import InvalidDatum, OddOrder, UnknownOrbit
+from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
+from .errors import InvalidDatum, OddOrder
 
 
 @dataclass(frozen=True)
@@ -82,19 +82,16 @@ class LineNumericData:
 
 def degree_on_X(div: InvariantDivisor, profile: CoverProfile) -> int:
     """Total degree upstairs: sum of residue * orbit length + n * base part."""
+    check_orbit_labels(div.residues, profile)
     total = profile.n * div.base_degree
     for label, res in div.residues.items():
-        if label not in profile.orbit_index:
-            raise UnknownOrbit(label)
         total += res * profile.orbit_index[label].k
     return total
 
 
 def numeric_data(div: InvariantDivisor, profile: CoverProfile) -> LineNumericData:
     """Reduce the orbit coefficients mod n'(y); absent orbits contribute 0."""
-    for label in div.residues:
-        if label not in profile.orbit_index:
-            raise UnknownOrbit(label)
+    check_orbit_labels(div.residues, profile)
     values = {y.id: div.residues.get(y.id, 0) % y.nprime for y in profile.orbits}
     return LineNumericData(values=values)
 

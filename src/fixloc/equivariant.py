@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ser import dict_of, one_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
-from .covers import CoverProfile, SpecialOrbit
+from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, NonIntegralDegree, NoSolution, UnknownOrbit
 
 PLUS = "+"
@@ -162,10 +162,7 @@ def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) ->
     Labels missing from weights or d2 read as 0.
     """
     _validate_lift_sign(pdat.det_lift_sign, profile)
-    index = profile.orbit_index
-    for label in itertools.chain(pdat.weights, pdat.d2):
-        if label not in index:
-            raise UnknownOrbit(label)
+    check_orbit_labels(itertools.chain(pdat.weights, pdat.d2), profile)
     return _spreads(pdat, profile)
 
 
@@ -277,6 +274,11 @@ def bar_delta_degree(det: DeterminantLift, numeric: dict[str, tuple[int, int]],
     return _descend(numeric, det, profile).det_bar_degree
 
 
+def _pair(a: int, b: int) -> tuple[int, int]:
+    """The exponent pair of a and b, sorted."""
+    return (a, b) if a <= b else (b, a)
+
+
 def elementary_modification(data: Rank2EqData, profile: CoverProfile, orbit_id: str,
                             direction: str, inverse: bool = False) -> Rank2EqData:
     """One elementary modification at an orbit, in the tracked direction.
@@ -298,9 +300,8 @@ def elementary_modification(data: Rank2EqData, profile: CoverProfile, orbit_id: 
         kept, moved = d1, (d2 + step) % y.nprime
     else:
         kept, moved = d2, (d1 + step) % y.nprime
-    pair = (min(kept, moved), max(kept, moved))
     numeric = dict(data.numeric)
-    numeric[orbit_id] = pair
+    numeric[orbit_id] = _pair(kept, moved)
     residues = dict(data.det.residues)
     residues[orbit_id] = (residues.get(orbit_id, 0) + step) % y.nprime
     det = DeterminantLift(residues=residues, degree=data.det.degree + step * y.k,
@@ -319,9 +320,7 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
     of flags outside the profile raise UnknownOrbit.
     """
     validate_rank2(data, profile)
-    for label in itertools.chain(m, flags.choice):
-        if label not in profile.orbit_index:
-            raise UnknownOrbit(label)
+    check_orbit_labels(itertools.chain(m, flags.choice), profile)
     numeric = {}
     residues = dict(data.det.residues)
     degree = data.det.degree
@@ -335,8 +334,7 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
         if side not in (FIRST, SECOND):
             raise InvalidDatum(f"no tracked direction for modified orbit {y.id!r}")
         kept, moved = (d1, d2) if side == FIRST else (d2, d1)
-        moved = (moved - my) % y.nprime
-        numeric[y.id] = (min(kept, moved), max(kept, moved))
+        numeric[y.id] = _pair(kept, (moved - my) % y.nprime)
         residues[y.id] = (residues.get(y.id, 0) - my) % y.nprime
         degree -= my * y.k
     det = DeterminantLift(residues=residues, degree=degree, lift_sign=data.det.lift_sign)
@@ -437,9 +435,7 @@ def solve_d2(det: DeterminantLift, weights: dict[str, Fraction],
     outside the profile raise UnknownOrbit.
     """
     validate_det(det, profile)
-    for label in weights:
-        if label not in profile.orbit_index:
-            raise UnknownOrbit(label)
+    check_orbit_labels(weights, profile)
     per_orbit: list[list[int]] = []
     for y in profile.orbits:
         w = weights.get(y.id, 0)

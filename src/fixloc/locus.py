@@ -14,10 +14,10 @@ n * bar_degree + sum_y k(y) * l(y), which is invariant under the
 twists; the downstairs degrees after a step are recovered from it.
 The twist formula exists once, on integer keys holding each summand's
 exponents l(y) and upstairs degree (see _key).  The closure searches
-keys only; points are decoded (_rebuild) only where a caller gets one.
-The boundary classes of the order-two family are keyed straight from
-their even point subset Q (_family_key): GradedPoints exist only at the
-API edge, where equivalence_classes validates each caller point once.
+keys only: equivalence_classes validates each caller point once, and a
+key is decoded (_rebuild) only where a public step returns a point.
+The boundary classes D(Q) and F(Q) of the order-two family are built
+straight from their even point subset Q (double_class, flagged_class).
 The order-two census itself (hyperelliptic_report) is closed-form: its
 class sets are lazy views, and its normality and class count are proved
 in its docstring, with the enumeration kept in the tests as the oracle.
@@ -40,6 +40,7 @@ from .equivariant import (
     AdmissibleParabolicDatum,
     DeterminantLift,
     Rank2EqData,
+    _pair,
     _weight,
     validate_parabolic,
     validate_rank2,
@@ -156,12 +157,6 @@ def _key(pt: GradedPoint, frame: _Frame) -> tuple:
     return (*parts, (residues, pt.det.degree, pt.det.lift_sign))
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _pair(a: int, b: int) -> tuple[int, int]:
-    """The sorted exponent pair, one tuple shared by the points that carry it."""
-    return (a, b) if a <= b else (b, a)
-
-
 def _rebuild(key: tuple, frame: _Frame) -> GradedPoint:
     """The graded point of a key."""
     (ell0, up0), (ell1, up1), (residues, degree, sign) = key
@@ -271,8 +266,7 @@ def zeta2_apply(data: Rank2EqData, profile: CoverProfile) -> Rank2EqData:
     for y in profile.orbits:
         d1, d2 = data.numeric[y.id]
         shift = half % y.nprime
-        a, b = (d1 + shift) % y.nprime, (d2 + shift) % y.nprime
-        numeric[y.id] = (min(a, b), max(a, b))
+        numeric[y.id] = _pair((d1 + shift) % y.nprime, (d2 + shift) % y.nprime)
     sign = MINUS if data.det.lift_sign == PLUS else PLUS
     det = DeterminantLift(residues=dict(data.det.residues), degree=data.det.degree,
                           lift_sign=sign)
@@ -483,49 +477,44 @@ def hyperelliptic_delta(g: int, which: int) -> DeterminantLift:
     """The two determinant lifts of the trivial determinant (which in {0,1})."""
     if which not in (0, 1):
         raise InvalidDatum(f"lift index must be 0 or 1, got {which!r}")
-    residues = dict.fromkeys(_hyperelliptic_frame(g).ids, which)
+    residues = dict.fromkeys(_hyperelliptic_labels(g), which)
     return DeterminantLift(residues=residues, degree=0,
                            lift_sign=PLUS if which == 0 else MINUS)
 
 
 @functools.cache
-def _hyperelliptic_frame(g: int) -> _Frame:
-    """Twist-step constants of the genus-g family, built once per g."""
-    return _Frame(hyperelliptic_profile(g))
+def _hyperelliptic_labels(g: int) -> tuple[str, ...]:
+    """The branch-point labels p0..p(2g+1) of the genus-g family, built once per g."""
+    return hyperelliptic_profile(g).orbit_ids()
 
 
-def _family_key(g: int, q_indices, flagged: bool) -> tuple:
-    """Key (see _key) of the boundary class of the even point subset Q.
-
-    Every upstairs degree is 0.  A double class carries exponent 1 on Q
-    in both summands, over residues 0 and lift +.  A flagged class
-    carries 1 on Q in one summand and 1 off Q in the other, over
-    residues 1 and lift -.
-    """
-    frame = _hyperelliptic_frame(g)
+def _even_subset(g: int, q_indices) -> tuple[tuple[str, ...], frozenset]:
+    """The family's labels and the point indices Q, checked: |Q| even, each in range."""
+    ids = _hyperelliptic_labels(g)
     q = frozenset(map(int, q_indices))
     if len(q) % 2 != 0:
         raise InvalidDatum(f"subset size must be even, got {len(q)}")
-    npoints = len(frame.ids)
-    on, off = [0] * npoints, [1] * npoints
     for i in q:
-        if not 0 <= i < npoints:
-            raise InvalidDatum(f"point index {i} outside 0..{npoints - 1}")
-        on[i], off[i] = 1, 0
-    on, off = tuple(on), tuple(off)
-    if not flagged:
-        return ((on, 0), (on, 0), ((0,) * npoints, 0, PLUS))
-    return _settle((on, 0), (off, 0), ((1,) * npoints, 0, MINUS), frame)
+        if not 0 <= i < len(ids):
+            raise InvalidDatum(f"point index {i} outside 0..{len(ids) - 1}")
+    return ids, q
 
 
 def double_class(g: int, q_indices) -> GradedPoint:
-    """Boundary class with both flags on one summand pair (even subset Q)."""
-    return _rebuild(_family_key(g, q_indices, False), _hyperelliptic_frame(g))
+    """Boundary class D(Q) with both flags on one summand pair (even subset Q)."""
+    ids, q = _even_subset(g, q_indices)
+    summand = GradedSummand(-(len(q) // 2), frozenset())
+    numeric = {label: (1, 1) if i in q else (0, 0) for i, label in enumerate(ids)}
+    return GradedPoint((summand, summand), numeric=numeric, det=hyperelliptic_delta(g, 0))
 
 
 def flagged_class(g: int, q_indices) -> GradedPoint:
-    """Boundary class with flags split between the two summands (even subset Q)."""
-    return _rebuild(_family_key(g, q_indices, True), _hyperelliptic_frame(g))
+    """Boundary class F(Q) with flags split between the two summands (even subset Q)."""
+    ids, q = _even_subset(g, q_indices)
+    on = frozenset(ids[i] for i in q)
+    half = len(q) // 2
+    summands = (GradedSummand(-half, on), GradedSummand(half - (g + 1), frozenset(ids) - on))
+    return GradedPoint(summands, numeric=dict.fromkeys(ids, (0, 1)), det=hyperelliptic_delta(g, 1))
 
 
 class _BoundaryClasses(Set):
