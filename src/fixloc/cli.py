@@ -35,6 +35,10 @@ MAX_BIJECTION_ELEMENT_ORBITS = 980_000
 # took about 2.5 s and 256 MB peak RSS as JSON (README)
 MAX_LAMBDA_PAIRS = 500_000
 
+# orbits tabulates every orbit under each of the n powers; the largest table
+# accepted took about 1.3 s and 190 MB peak RSS as JSON (README)
+MAX_ORBIT_TABLE_ENTRIES = 500_000
+
 # a component's boundary classes are a Set whose len must fit sys.maxsize,
 # and the smallest splitting type has 4^g of them
 MAX_HYPERELLIPTIC_GENUS = 31
@@ -98,6 +102,11 @@ def cmd_factor(args) -> int:
 def cmd_orbits(args) -> int:
     from . import covers
     profile = covers.profile_from_json(_load_json(args.file))
+    entries = profile.n * len(profile.orbits)
+    if entries > MAX_ORBIT_TABLE_ENTRIES:
+        raise DomainError(f"the orbit table has {entries} entries ({len(profile.orbits)} orbits "
+                          f"under {profile.n} powers), past the orbits limit of "
+                          f"{MAX_ORBIT_TABLE_ENTRIES} entries")
     table = {
         y.id: {str(d): covers.orbit_length_under_power(y.k, d)
                for d in range(1, profile.n + 1)}

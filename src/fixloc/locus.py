@@ -6,16 +6,16 @@ record, together with the ambient context (numeric exponent data and
 determinant lift).  Twisting one summand by a root-of-unity character
 and the other by its inverse preserves the associated fixed point; for
 even cover order the odd characters cross between the two determinant
-lifts.  Closing the input under those steps yields the partition whose
-classes biject with strictly semistable fixed points.
+lifts.  The twist classes biject with strictly semistable fixed points.
 
 All degree bookkeeping runs through the per-summand upstairs degree
 n * bar_degree + sum_y k(y) * l(y), which is invariant under the
 twists; the downstairs degrees after a step are recovered from it.
 The twist formula exists once, on integer keys holding each summand's
-exponents l(y) and upstairs degree (see _key).  The closure searches
-keys only: equivalence_classes validates each caller point once, and a
-key is decoded (_rebuild) only where a public step returns a point.
+exponents l(y) and upstairs degree (see _key).  A twist translates the
+exponents, so each class has a closed form: equivalence_classes reads
+a point's class off its key (_least_translate), and a key is decoded
+(_rebuild) only where a public step returns a point.
 The boundary classes D(Q) and F(Q) of the order-two family are built
 straight from their even point subset Q (double_class, flagged_class).
 The order-two census itself (hyperelliptic_report) is closed-form: its
@@ -42,6 +42,7 @@ from .equivariant import (
     Rank2EqData,
     _pair,
     _weight,
+    validate_numeric,
     validate_parabolic,
     validate_rank2,
 )
@@ -115,7 +116,7 @@ def validate_graded(pt: GradedPoint, profile: CoverProfile) -> tuple:
     s0, s1 = pt.summands
     if set(s0.support) | set(s1.support) != weighted or set(s0.support) & set(s1.support):
         raise InvalidDatum("summand supports must partition the weighted orbits")
-    key = _key(pt, _Frame(profile))
+    key = _key(pt, _frame(profile))
     if key[0][1] != key[1][1]:
         raise InvalidDatum("summands have unequal parabolic degree")
     return key
@@ -135,6 +136,7 @@ class _Frame:
         self.ids = tuple(y.id for y in profile.orbits)
         self.ks = tuple(y.k for y in profile.orbits)
         self.nprimes = tuple(y.nprime for y in profile.orbits)
+        self.period = math.lcm(*self.nprimes)
         # (label, position) pairs in the label order of GradedPoint's summands
         self.labels = sorted((str(y.id), i) for i, y in enumerate(profile.orbits))
 
@@ -146,6 +148,9 @@ class _Frame:
         """Local weight of the character a mod n at each orbit."""
         mu = RootExponent(a, self.n)
         return tuple(d_mu(mu, y) for y in self.orbits)
+
+
+_frame = functools.lru_cache(maxsize=64)(_Frame)  # shared by the calls on one profile
 
 
 def _key(pt: GradedPoint, frame: _Frame) -> tuple:
@@ -182,7 +187,7 @@ def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> Grad
     key = validate_graded(pt, profile)
     if mu.modulus != profile.n:
         raise InvalidDatum(f"twist character modulus {mu.modulus} differs from n={profile.n}")
-    frame = _Frame(profile)
+    frame = _frame(profile)
     return _rebuild(_o_step(key, frame.shift(mu.a), frame), frame)
 
 
@@ -213,7 +218,7 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
     if summand not in (0, 1):
         raise InvalidDatum("summand index must be 0 or 1")
     key = validate_graded(pt, profile)
-    frame = _Frame(profile)
+    frame = _frame(profile)
     return _rebuild(_e_step(key, frame.shift(exponent), summand, frame), frame)
 
 
@@ -326,6 +331,7 @@ def zeta2_partition(numeric: dict[str, tuple[int, int]], profile: CoverProfile) 
     """
     if profile.n % 2 == 1:
         raise OddOrder("lift negation needs even cover order")
+    validate_numeric(numeric, profile)
     out = {}
     for y in profile.orbits:
         d1, d2 = numeric[y.id]
@@ -403,65 +409,59 @@ def decomposition_report(profile: CoverProfile) -> DecompositionReport:
                                kernel_order=r, statements=statements)
 
 
-# --- equivalence closure ---
+# --- twist classes ---
 
 def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]]:
     """Partition graded points by the twist relation.
 
-    Closure generators: opposite twists by every character (odd order),
-    plus, for even order, single-summand crossing twists by every odd
-    character applied to either summand.  The closure may pass through
-    points outside the input; returned classes contain input points
-    only, in input order.
+    Generators: opposite twists by every character (odd order), plus,
+    for even order, single-summand crossing twists by every odd
+    character applied to either summand.  Each point is validated once
+    and grouped by the least member of its class (_least_translate);
+    classes hold input points in input order, ordered by their first.
     """
     pts = list(points)
     keys = [validate_graded(pt, profile) for pt in pts]
+    frame = _frame(profile)
+    if keys:
+        # a twist by a moves sum_y k(y) l(y) by a * sum_y k(y) mod n, so
+        # either every twist descends or the one by 1 already fails here
+        _o_step(keys[-1], frame.shift(1), frame)
     groups: dict[tuple, list[GradedPoint]] = {}
-    for pt, root in zip(pts, _roots(keys, _Frame(profile))):
-        groups.setdefault(root, []).append(pt)
+    for pt, key in zip(pts, keys):
+        groups.setdefault(_least_translate(key, frame), []).append(pt)
     return list(groups.values())
 
 
-def _roots(keys: list[tuple], frame: _Frame) -> list[tuple]:
-    """One representative key of each input key's twist class, in input order.
+def _least_translate(key: tuple, frame: _Frame) -> tuple:
+    """The least member of a key's twist class, its parts as a sorted pair.
 
-    The keys must be ones validate_graded returns; every step preserves
-    validity (see _o_step), so reached keys are neither checked nor decoded.
+    A twist by a translates a part P = (l, up) to P + a: a is added to
+    the exponents mod n' and the upstairs degree stays.  P + a depends
+    on a mod the period lcm(n'), and Pi + xi is the least translate of
+    Pi.  For odd n the class is {P0 + a, P1 - a} over the lift delta, so
+    its least pair is at a = x0 or a = -x1.  For even n the crossing
+    twists (a, 0) and (0, a), a odd, generate (Z/n)^2, move delta by a
+    (an omitted residue read as 0) and flip its sign: the class is every
+    {P0 + x, P1 + y} over delta + x + y, signed by the parity of x + y,
+    plus keys with omitted residues, each with its filled-in twin in the
+    class (cross by a, then by n - a).  Its least pair is at x = x0,
+    y = x1, over the least lift with x + y = x0 + x1 mod the period.
     """
-    # a = 0 is the trivial character, whose step returns its input
-    shifts = [frame.shift(a) for a in range(frame.n)]
+    (ell0, up0), (ell1, up1), (residues, degree, sign) = key
+    n, nprimes, period = frame.n, frame.nprimes, frame.period
 
-    def neighbors(key):
-        for shift in shifts[1:]:
-            yield _o_step(key, shift, frame)
-        for shift in shifts[1::2] if frame.n % 2 == 0 else ():
-            for which in (0, 1):
-                yield _e_step(key, shift, which, frame)
+    def moved(ell, a):
+        return tuple(map(operator.mod, map(a.__add__, ell), nprimes))
 
-    parent: dict[tuple, tuple] = {}
-
-    def find(x):
-        root = x
-        while parent[root] is not root:
-            root = parent[root]
-        while parent[x] is not root:
-            parent[x], x = root, parent[x]
-        return root
-
-    queue = list(keys)
-    for key in queue:
-        parent.setdefault(key, key)
-    while queue:
-        key = queue.pop()
-        # unions below only hang other roots under this one, so it stays the root
-        root = find(key)
-        for nb in neighbors(key):
-            if nb not in parent:
-                parent[nb] = root
-                queue.append(nb)
-            else:
-                parent[find(nb)] = root
-    return [find(key) for key in keys]
+    (least0, x0), (least1, x1) = (min((moved(ell, a), a) for a in range(period))
+                                  for ell in (ell0, ell1))
+    if n % 2 == 1:
+        return (*min(sorted(((least0, up0), (moved(ell1, -x0), up1))),
+                     sorted(((moved(ell0, -x1), up0), (least1, up1)))), key[2])
+    signs, filled = (sign, MINUS if sign == PLUS else PLUS), tuple(r or 0 for r in residues)
+    lifts = ((moved(filled, s), degree, signs[s % 2]) for s in range((x0 + x1) % period, n, period))
+    return (*sorted(((least0, up0), (least1, up1))), min(lifts))
 
 
 # --- the order-two worked family ---

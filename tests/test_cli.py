@@ -305,6 +305,41 @@ def test_lambda_rejects_a_wide_orbit_without_building_its_pairs(capsys, tmp_path
     assert peak < 1_000_000
 
 
+def test_orbits_limit(capsys, tmp_path, monkeypatch):
+    # two orbits under the 6 powers of n = 6: a table of 12 entries
+    doc = write(tmp_path, "orbits.json", profile_to_json(make_profile(6, [("a", 1), ("b", 2)])))
+    monkeypatch.setattr(cli, "MAX_ORBIT_TABLE_ENTRIES", 12)
+    code, out, _ = run(capsys, "orbits", "--file", doc)
+    assert code == 0
+    assert json.loads(out)["orbit_lengths_under_powers"]["b"] == {
+        "1": 2, "2": 1, "3": 2, "4": 1, "5": 2, "6": 1}
+    monkeypatch.setattr(cli, "MAX_ORBIT_TABLE_ENTRIES", 11)
+    code, out, err = run(capsys, "orbits", "--file", doc)
+    assert code == 3
+    assert out == ""
+    assert err == ("domain error: DomainError: the orbit table has 12 entries (2 orbits under "
+                   "6 powers), past the orbits limit of 11 entries\n")
+
+
+@pytest.mark.parametrize("n, orbits", [(500_001, 1), (250_001, 2), (3_000_000, 1)])
+def test_orbits_rejects_a_large_table_without_building_it(capsys, tmp_path, n, orbits):
+    assert cli.MAX_ORBIT_TABLE_ENTRIES == 500_000
+    lengths = [{"id": f"y{i}", "k": 1} for i in range(orbits)]
+    doc = write(tmp_path, "wide.json", {"n": n, "genus_base": 0, "orbits": lengths})
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "orbits", "--file", doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err == (f"domain error: DomainError: the orbit table has {n * orbits} entries "
+                   f"({orbits} orbits under {n} powers), past the orbits limit of "
+                   "500000 entries\n")
+    assert peak < 1_000_000
+
+
 def test_hyperelliptic_genus_limit(capsys):
     g = cli.MAX_HYPERELLIPTIC_GENUS
     code, out, _ = run(capsys, "hyperelliptic", "--g", str(g), "--format", "text")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixloc import (
     DeterminantLift,
+    FixlocError,
     GradedPoint,
     GradedSummand,
     InconsistentDegrees,
@@ -29,6 +30,7 @@ from fixloc import (
     m_cross,
     make_profile,
     parabolic_zeta2,
+    profile_from_json,
     s_i_possible,
     sim_e_step,
     sim_o_step,
@@ -43,7 +45,8 @@ from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, validate_gr
 import gen
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "fixtures"))
-from record_twist_closure import FIXTURE as TWIST_CLOSURE, evaluate, load, render  # noqa: E402
+from record_twist_closure import (  # noqa: E402
+    FIXTURE as TWIST_CLOSURE, _point, evaluate, load, render)
 
 
 def upstairs_degrees(pt, profile):
@@ -196,6 +199,24 @@ def test_lift_negation_partition():
         {"a": 1, "b": 0, "c": 0}
 
 
+@pytest.mark.parametrize("numeric, message", [
+    ({"a": (0, 1)}, "must cover exactly the profile orbits"),
+    ({}, "must cover exactly the profile orbits"),
+    ({"a": (0, 1), "b": (1, 1), "c": (0, 0)}, "must cover exactly the profile orbits"),
+    ({"a": (3, 1), "b": (1, 1)}, "exponent pair at 'a' violates"),
+    ({"a": (0, 1), "b": (0, 4)}, "exponent pair at 'b' violates"),
+])
+def test_lift_negation_partition_rejects_numeric_data_off_the_profile(numeric, message):
+    # a missing or extra orbit, a reversed pair and a pair out of range
+    profile = make_profile(4, [("a", 1), ("b", 1)])
+    for classify in (zeta2_partition, m_cross):
+        with pytest.raises(InvalidDatum, match=message):
+            classify(numeric, profile)
+        # the order check still comes first
+        with pytest.raises(OddOrder):
+            classify(numeric, make_profile(3, [("a", 1), ("b", 1)]))
+
+
 def test_even_kernel_forces_no_crossing():
     rng = random.Random(34)
     found = 0
@@ -344,15 +365,186 @@ def test_equivalence_classes_of_the_g2_boundary():
         assert 1 <= len(cls) <= 3
 
 
+# The twist-closure search the package ran before the classes had a closed
+# form: a breadth-first walk over every step from every key it reaches,
+# merged by a union-find.  It is the oracle of equivalence_classes.
+
+def twist_neighbors(key, frame):
+    """Every key one nontrivial twist step takes key to."""
+    # a = 0 is the trivial character, whose step returns its input
+    for a in range(1, frame.n):
+        yield locus._o_step(key, frame.shift(a), frame)
+    for a in range(1, frame.n, 2) if frame.n % 2 == 0 else ():
+        for which in (0, 1):
+            yield locus._e_step(key, frame.shift(a), which, frame)
+
+
+def closure_roots(keys, frame):
+    """One representative key of each input key's twist class, in input order.
+
+    The keys must be ones validate_graded returns; every step preserves
+    validity, so reached keys are neither checked nor decoded.
+    """
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent[root] is not root:
+            root = parent[root]
+        while parent[x] is not root:
+            parent[x], x = root, parent[x]
+        return root
+
+    queue = list(keys)
+    for key in queue:
+        parent.setdefault(key, key)
+    while queue:
+        key = queue.pop()
+        # unions below only hang other roots under this one, so it stays the root
+        root = find(key)
+        for nb in twist_neighbors(key, frame):
+            if nb not in parent:
+                parent[nb] = root
+                queue.append(nb)
+            else:
+                parent[find(nb)] = root
+    return [find(key) for key in keys]
+
+
+def oracle_classes(points, profile):
+    """equivalence_classes by search, as lists of the input points' ids, or the error."""
+    try:
+        keys = [validate_graded(pt, profile) for pt in points]
+        roots = closure_roots(keys, locus._Frame(profile))
+    except FixlocError as exc:
+        return [type(exc).__name__, str(exc)]
+    groups = {}
+    for pt, root in zip(points, roots):
+        groups.setdefault(root, []).append(id(pt))
+    return list(groups.values())
+
+
+def closed_form_classes(points, profile):
+    try:
+        return [[id(pt) for pt in cls] for cls in equivalence_classes(points, profile)]
+    except FixlocError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def absorbing_profile(rng, n):
+    """Up to four orbits over n with sum_y k(y) divisible by n, so every twist descends."""
+    divisors = [k for k in range(1, n) if n % k == 0]
+    while True:
+        lengths = [rng.choice(divisors) for _ in range(rng.randint(1, 4))]
+        if sum(lengths) % n == 0:
+            return make_profile(n, [(f"y{i}", k) for i, k in enumerate(lengths)])
+
+
+def without_zero_residues(pt):
+    """The point with its lift omitting every orbit of residue 0, or None if it has none."""
+    residues = {label: r for label, r in pt.det.residues.items() if r}
+    if len(residues) == len(pt.det.residues):
+        return None
+    det = DeterminantLift(residues=residues, degree=pt.det.degree, lift_sign=pt.det.lift_sign)
+    return GradedPoint(pt.summands, numeric=pt.numeric, det=det)
+
+
+def twist_corpus(seed, cases):
+    """Seeded multi-point closures with n <= 24: (profile, points, kinds of member).
+
+    Most profiles absorb every twist.  Each input holds a few random
+    points, some of them o-stepped and (even n) e-stepped, and their
+    twins whose lift omits the orbits of residue 0, stepped again.
+    """
+    rng = random.Random(seed)
+    for i in range(cases):
+        if i % 5 == 4:
+            profile = gen.random_profile(rng, max_n=24, max_orbits=3)
+        else:
+            profile = absorbing_profile(rng, rng.choice((2, 3, 4, 6, 8, 9, 12, 15, 16, 24)))
+        n = profile.n
+        drawn = (gen.random_graded(rng, profile) for _ in range(40))
+        points = [pt for pt in drawn if pt is not None][:3]
+        if not points:
+            continue
+        kinds = {"drawn": len(points)}
+
+        def add(kind, step, *args):
+            try:
+                points.append(step(*args))
+            except NonIntegralDegree:
+                return
+            kinds[kind] = kinds.get(kind, 0) + 1
+
+        for pt in points[:2]:
+            add("o-stepped", sim_o_step, pt, RootExponent(rng.randrange(n), n), profile)
+            if n % 2 == 0:
+                add("e-stepped", sim_e_step, pt, profile, rng.randrange(1, n, 2), rng.randrange(2))
+        for pt in list(points):
+            omitted = without_zero_residues(pt)
+            if omitted is not None:
+                points.append(omitted)
+                kinds["omitted"] = kinds.get("omitted", 0) + 1
+                add("omitted, o-stepped", sim_o_step, omitted,
+                    RootExponent(rng.randrange(n), n), profile)
+        rng.shuffle(points)
+        yield profile, points, kinds
+
+
+def test_closed_form_classes_match_the_search_oracle_on_the_fixture():
+    cases = [case for case in load() if "points" in case]
+    for case in cases:
+        profile = profile_from_json(case["profile"])
+        points = [_point(doc) for doc in case["points"]]
+        assert closed_form_classes(points, profile) == oracle_classes(points, profile), \
+            case["name"]
+
+
+def test_closed_form_classes_match_the_search_oracle_up_to_n24():
+    seen = {}
+    orders = set()
+    for profile, points, kinds in twist_corpus(37, 120):
+        want = oracle_classes(points, profile)
+        assert closed_form_classes(points, profile) == want, (profile, points)
+        if isinstance(want[0], list):
+            orders.add(profile.n)
+            for kind, count in kinds.items():
+                seen[kind] = seen.get(kind, 0) + count
+    # the corpus exercises every kind of member on absorbing profiles up to n = 24
+    assert {4, 6, 8, 9, 12, 15, 16, 24} <= orders
+    assert min(seen.values()) >= 20 and len(seen) == 5, seen
+
+
+def test_least_translate_is_the_least_member_of_the_class():
+    # the class found by walking every step, against the closed form; for
+    # even n a member whose lift omits a residue has its filled-in twin
+    for profile, points, _ in twist_corpus(39, 30):
+        frame = locus._Frame(profile)
+        for pt in points:
+            key = validate_graded(pt, profile)
+            members, queue = {key}, [key]
+            try:
+                while queue:
+                    for nb in twist_neighbors(queue.pop(), frame):
+                        if nb not in members:
+                            members.add(nb)
+                            queue.append(nb)
+            except NonIntegralDegree:
+                continue
+            least = min((*sorted(k[:2]), k[2]) for k in members
+                        if profile.n % 2 == 1 or None not in k[2][0])
+            assert locus._least_translate(key, frame) == least
+
+
 def test_closure_nodes_pass_validate_graded(monkeypatch):
-    # the closure validates its inputs once and trusts its steps; every
-    # key a step reaches must decode to a point that still passes the
-    # check it skips, and whose key it is
+    # sim_o_step and sim_e_step decode a stepped key without validating it;
+    # every key the oracle's steps reach must decode to a point that still
+    # passes the check, and whose key it is
     cases = [(hyperelliptic_profile(g), boundary_points(g)) for g in (1, 2, 3)]
     rng = random.Random(36)
     cases += [(profile, [pt]) for profile, pt in (gen.sample_graded(rng) for _ in range(40))]
-    reached, checked = [], []
-    validate = locus.validate_graded
+    cases += [(profile, points) for profile, points, _ in twist_corpus(38, 20)]
+    reached = []
 
     def recording(step):
         def wrapped(*args):
@@ -360,27 +552,41 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
             return reached[-1]
         return wrapped
 
+    monkeypatch.setattr(locus, "_o_step", recording(locus._o_step))
+    monkeypatch.setattr(locus, "_e_step", recording(locus._e_step))
+    for profile, points in cases:
+        reached.clear()
+        frame = locus._Frame(profile)
+        try:
+            closure_roots([validate_graded(pt, profile) for pt in points], frame)
+        except NonIntegralDegree:
+            pass  # profile cannot absorb some twist; the keys reached so far still count
+        else:
+            # a finished search took every nontrivial step; n = 1 has only
+            # the trivial character, whose step the search skips
+            assert bool(reached) == (profile.n > 1)
+        for key in reached:
+            assert validate_graded(locus._rebuild(key, frame), profile) == key
+
+
+def test_equivalence_classes_validates_each_point_once_and_takes_one_step(monkeypatch):
+    # no search: one o-step by the character 1 guards the degrees, then each
+    # point's class is read off its key
+    steps, checked = [], []
+    validate = locus.validate_graded
+
     def counting_validate(pt, profile):
         checked.append(pt)
         return validate(pt, profile)
 
-    monkeypatch.setattr(locus, "_o_step", recording(locus._o_step))
-    monkeypatch.setattr(locus, "_e_step", recording(locus._e_step))
     monkeypatch.setattr(locus, "validate_graded", counting_validate)
-    for profile, points in cases:
-        reached.clear()
-        checked.clear()
-        try:
-            equivalence_classes(points, profile)
-        except NonIntegralDegree:
-            pass  # profile cannot absorb some twist; the keys reached so far still count
-        else:
-            # a finished closure took every nontrivial step; n = 1 has only
-            # the trivial character, whose step the closure skips
-            assert bool(reached) == (profile.n > 1)
-        assert len(checked) == len(points)
-        for key in reached:
-            assert validate(locus._rebuild(key, locus._Frame(profile)), profile) == key
+    monkeypatch.setattr(locus, "_o_step", lambda *args: steps.append("o"))
+    monkeypatch.setattr(locus, "_e_step", lambda *args: steps.append("e"))
+    points = boundary_points(3)
+    assert len(equivalence_classes(points, hyperelliptic_profile(3))) == 4 ** 3
+    assert steps == ["o"] and len(checked) == len(points)
+    steps.clear()
+    assert equivalence_classes([], hyperelliptic_profile(3)) == [] and steps == []
 
 
 def test_twist_closure_matches_the_recorded_fixture():
@@ -454,14 +660,17 @@ def boundary_subsets(g, c):
     return [q for q in even_subsets(2 * g + 2, -2 * c) if len(q) < g + 1 or 0 in q]
 
 
+def census_points(g):
+    """Every double point and the flagged points of the smallest c."""
+    points = [double_class(g, q) for q in even_subsets(2 * g + 2, 2 * g + 2)]
+    return points + [flagged_class(g, q) for q in boundary_subsets(g, -((g + 1) // 2))]
+
+
 def closure_class_count(g):
-    """Twist classes of every double key and the flagged keys of the smallest c."""
+    """Twist classes of the census points, by the search oracle."""
     profile = hyperelliptic_profile(g)
-    keys = [validate_graded(double_class(g, q), profile)
-            for q in even_subsets(2 * g + 2, 2 * g + 2)]
-    keys += [validate_graded(flagged_class(g, q), profile)
-             for q in boundary_subsets(g, -((g + 1) // 2))]
-    return len(set(locus._roots(keys, locus._Frame(profile))))
+    keys = [validate_graded(pt, profile) for pt in census_points(g)]
+    return len(set(closure_roots(keys, locus._Frame(profile))))
 
 
 @pytest.mark.parametrize("g", range(1, 7))
@@ -492,7 +701,9 @@ def test_boundary_class_views_match_the_enumerating_oracle(g):
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_class_count_matches_the_closure_oracle(g):
-    assert hyperelliptic_report(g).boundary_class_count == closure_class_count(g) == 4 ** g
+    classes = equivalence_classes(census_points(g), hyperelliptic_profile(g))
+    assert hyperelliptic_report(g).boundary_class_count == closure_class_count(g) == \
+        len(classes) == 4 ** g
 
 
 def test_lift_negation_fixes_every_flagged_class():
@@ -519,7 +730,7 @@ def test_report_enumerates_nothing(monkeypatch):
     def refuse(*args):
         pytest.fail("the census built a point or ran the closure")
 
-    for name in ("double_class", "flagged_class", "_roots"):
+    for name in ("double_class", "flagged_class", "_least_translate"):
         monkeypatch.setattr(locus, name, refuse)
     for g in (1, 4, 9, 30):
         rep = hyperelliptic_report(g)
