@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 property-check failure (with a counterexample
 dump) or violated internal invariant, 2 malformed input (schema or
-usage) or a stdout closed before the report was written, 3 domain
-rejection (mathematically inadmissible input).  All output is
-deterministic for a fixed seed: reports are byte-identical across runs.
+usage, or an input file that cannot be read as JSON) or a stdout closed
+before the report was written, 3 domain rejection (mathematically
+inadmissible input).  All output is deterministic for a fixed seed:
+reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ def _load_json(path: str):
         raise SchemaError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}")
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, undecodable bytes, nesting past the recursion limit,
+        # an integer literal past the digit limit
+        raise SchemaError(f"cannot read {path}: {exc}")
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:

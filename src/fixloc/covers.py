@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
-from ._ser import list_of, parse_object, require_int, require_str
+from ._ser import frozen, list_of, parse_object, require_int, require_str
 from .errors import InternalError, InvalidProfile, UnknownOrbit
 
 
-@dataclass(frozen=True)
+@frozen
 class SpecialOrbit:
     """One branch orbit: label, length k, stabilizer order n' = n/k."""
 
@@ -30,14 +29,14 @@ class SpecialOrbit:
     nprime: int
 
 
-@dataclass(frozen=True)
+@frozen
 class CoverProfile:
     n: int
     orbits: tuple[SpecialOrbit, ...]
     genus_base: int = 0
 
-    # Computed on first use and kept in the instance __dict__, outside the
-    # dataclass fields, so equality, hashing and JSON see only the fields.
+    # Computed on first use and kept in the instance __dict__; not a record
+    # field, so equality, hashing, repr and JSON see only the fields.
     # Read-only by convention: profiles are shared and never mutated.
     @cached_property
     def orbit_index(self) -> dict[str, SpecialOrbit]:

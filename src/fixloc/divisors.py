@@ -14,14 +14,13 @@ mod n'(y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from ._ser import dict_of, parse_object, require_int
+from ._ser import dict_of, frozen, parse_object, require_int
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, OddOrder
 
 
-@dataclass(frozen=True)
+@frozen
 class RootExponent:
     """Scalar exp(2*pi*i*a/modulus), stored as a mod modulus."""
 
@@ -62,7 +61,7 @@ def d_mu(mu: RootExponent, orbit: SpecialOrbit) -> int:
     return mu.a % orbit.nprime
 
 
-@dataclass(frozen=True)
+@frozen
 class InvariantDivisor:
     """sum_y residues[y] * (reduced fiber over y) + pullback of base degree."""
 
@@ -70,7 +69,7 @@ class InvariantDivisor:
     base_degree: int
 
 
-@dataclass(frozen=True)
+@frozen
 class LineNumericData:
     """Residues mod n'(y) classifying a line bundle up to pullback twist."""
 

@@ -30,10 +30,10 @@ import itertools
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ser import dict_of, one_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
+from ._ser import (dict_of, frozen, one_of, pair_of, parse_object, rat_from_json, rat_to_json,
+                   require_int)
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, NonIntegralDegree, NoSolution, UnknownOrbit
 
@@ -43,7 +43,7 @@ FIRST = "first"
 SECOND = "second"
 
 
-@dataclass(frozen=True)
+@frozen
 class DeterminantLift:
     """Determinant line with a chosen equivariant lift.
 
@@ -58,7 +58,7 @@ class DeterminantLift:
     lift_sign: str = PLUS
 
 
-@dataclass(frozen=True)
+@frozen
 class Rank2EqData:
     """Per-orbit exponent pairs plus the determinant lift they sum to."""
 
@@ -66,14 +66,14 @@ class Rank2EqData:
     det: DeterminantLift
 
 
-@dataclass(frozen=True)
+@frozen
 class FlagSelector:
     """Per-orbit choice of tracked eigenvalue: 'first' (d1) or 'second' (d2)."""
 
     choice: dict[str, str]
 
 
-@dataclass(frozen=True)
+@frozen
 class AdmissibleParabolicDatum:
     """Downstairs shadow: determinant degree on the base, weights, flag exponent."""
 

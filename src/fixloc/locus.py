@@ -30,8 +30,8 @@ import itertools
 import math
 import operator
 from collections.abc import Set
-from dataclasses import dataclass
 
+from ._ser import frozen
 from .covers import CoverProfile, kernel_order, make_profile
 from .divisors import RootExponent, d_mu
 from .equivariant import (
@@ -55,7 +55,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class GradedSummand:
     """One graded piece: degree downstairs and the set of flagged orbits."""
 
@@ -361,7 +361,7 @@ def s_i_possible(profile: CoverProfile) -> bool:
     return kernel_order(profile) % 2 == 0
 
 
-@dataclass(frozen=True)
+@frozen
 class DecompositionReport:
     n_parity: str
     r_parity: str
@@ -556,7 +556,7 @@ class _BoundaryClasses(Set):
     _from_iterable = frozenset
 
 
-@dataclass(frozen=True)
+@frozen
 class ComponentRecord:
     label: str
     c: int
@@ -565,7 +565,7 @@ class ComponentRecord:
     normal: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class HyperellipticReport:
     g: int
     d: int
@@ -630,14 +630,14 @@ def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticRepo
 
 # --- unramified census ---
 
-@dataclass(frozen=True)
+@frozen
 class CensusComponent:
     kind: str
     count: int
     description: str
 
 
-@dataclass(frozen=True)
+@frozen
 class CensusRecord:
     n: int
     deg_delta: int

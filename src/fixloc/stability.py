@@ -41,11 +41,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ._ser import list_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
+from ._ser import frozen, list_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
 from .covers import CoverProfile
 from .errors import (DomainError, InternalError, InvalidDatum, NotSemistableNotStrict,
                      SchemaError, UnknownOrbit)
@@ -153,7 +152,7 @@ def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 # --- data types ---
 
-@dataclass(frozen=True)
+@frozen
 class ParabolicP1:
     """O(c) + O(d-c) with flags and weights at distinct marked points."""
 
@@ -164,7 +163,7 @@ class ParabolicP1:
     weights: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class SubbundleWitness:
     """Saturated degree-e line subbundle, by its polynomial inclusion."""
 
@@ -174,7 +173,7 @@ class SubbundleWitness:
     agreement: frozenset[int]
 
 
-@dataclass(frozen=True)
+@frozen
 class StabilityVerdict:
     label: str
     witness: SubbundleWitness | None

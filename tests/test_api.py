@@ -85,17 +85,32 @@ FOOTPRINTS = [
 ]
 
 
+# heavy standard-library modules a CLI child should not pay to import
+HEAVY = ["dataclasses", "inspect"]
+
+
+@pytest.fixture(scope="module")
+def heavy_in_a_bare_child():
+    """The HEAVY modules that `python -c pass` already has (site may import some)."""
+    proc = child("-c", f"import sys; print(*(m for m in {HEAVY!r} if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 @pytest.mark.parametrize("argv, layers", FOOTPRINTS, ids=[argv[0] for argv, _ in FOOTPRINTS])
-def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(argv, layers):
+def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(argv, layers,
+                                                                heavy_in_a_bare_child):
     code = ("import contextlib, io, json, sys, fixloc.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = fixloc.cli.main({argv!r})\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('fixloc.'))]))")
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('fixloc.')),\n"
+            f"                  [m for m in {HEAVY!r} if m in sys.modules]]))")
     proc = child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
+    code, loaded, heavy = json.loads(proc.stdout)
     assert code == 0
     assert loaded == sorted(f"fixloc.{layer}" for layer in layers)
+    assert heavy == heavy_in_a_bare_child
 
 
 def test_running_the_cli_module_raises_no_runpy_warning():

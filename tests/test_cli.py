@@ -460,6 +460,31 @@ def test_schema_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+# inputs json.load cannot read: a directory, bytes that are not UTF-8, nesting
+# past the recursion limit and an integer literal past the digit limit
+UNREADABLE = {
+    "directory": None,
+    "utf16-bom": b"\xff\xfe{}",
+    "deep-nesting": b"[" * 200_000,
+    "long-integer": b"1" * 5_000,
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_an_unreadable_file_is_a_schema_error_not_a_traceback(tmp_path, name):
+    path = tmp_path
+    if UNREADABLE[name] is not None:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(UNREADABLE[name])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "fixloc.cli", "kernel", "--file", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"schema error: cannot read {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_domain_error_exit_code(capsys, tmp_path):
     path = write(tmp_path, "bad_orbit.json", {"n": 6, "orbits": [{"id": "a", "k": 4}]})
     code, _, err = run(capsys, "kernel", "--file", path)

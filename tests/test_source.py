@@ -48,3 +48,18 @@ def test_every_private_top_level_name_is_used_in_the_package():
               if name.startswith("_") and not name.startswith("__")
               and used[name] == collections.Counter(_references(node))[name]]
     assert unused == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses costs a CLI child more than its records do; `_ser.frozen` stands in
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "dataclasses" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
