@@ -12,8 +12,6 @@ and operations that receive the parsed values check the mathematics.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SchemaError
 
 
@@ -157,18 +155,18 @@ def dict_of(conv):
     return parse
 
 
-def rat_to_json(x: Fraction) -> dict:
-    x = Fraction(x)
+def rat_to_json(x: Fraction | int) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
 def rat_from_json(obj: object, where: str = "value") -> Fraction:
     """Accept either a bare integer or a {num, den} object."""
+    import fractions  # only rational readers load it; per call, cheaper than a from-import
     if isinstance(obj, dict):
         parts = parse_object(obj, where, {"num": require_int, "den": require_int})
         if parts["den"] == 0:
             raise SchemaError(f"{where}: zero denominator")
-        return Fraction(parts["num"], parts["den"])
+        return fractions.Fraction(parts["num"], parts["den"])
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return Fraction(obj)
+        return fractions.Fraction(obj)
     raise SchemaError(f"{where} must be an integer or a {{num, den}} object")

@@ -179,7 +179,8 @@ def cmd_bijection_check(args) -> int:
         det = equivariant.random_det(rng, profile)
         orbits = len(profile.orbits)
         cap = MAX_BIJECTION_ELEMENT_ORBITS // max(1, orbits)
-        # |Lambda| from the pair counts, before any pair list is built
+        # |Lambda| as math.prod of the pair counts: len() of a Lambda past
+        # sys.maxsize would raise OverflowError, not the limit's DomainError
         if math.prod(_pair_counts(det, profile)) > cap:
             raise DomainError(f"Lambda has more than {cap} elements over {orbits} orbits, "
                               f"past the bijection-check limit of "

@@ -4,7 +4,8 @@ A cover profile records the data of a degree-n cyclic cover of curves
 that the rest of the package consumes: the order n of the automorphism,
 the base genus (reporting only), and one entry per special orbit, i.e.
 per branch point, holding the orbit length k(y) < n.  The local
-stabilizer order n'(y) = n / k(y) is derived.
+stabilizer order n'(y) = n / k(y) is derived.  A CoverProfile runs
+`validate` when it is built, so every profile in use is valid.
 
 No Riemann-Hurwitz consistency is imposed: profiles are combinatorial
 objects and some of them are not realized by any actual curve.
@@ -35,6 +36,9 @@ class CoverProfile:
     orbits: tuple[SpecialOrbit, ...]
     genus_base: int = 0
 
+    def __post_init__(self) -> None:
+        validate(self)
+
     # Computed on first use and kept in the instance __dict__; not a record
     # field, so equality, hashing, repr and JSON see only the fields.
     # Read-only by convention: profiles are shared and never mutated.
@@ -64,9 +68,7 @@ def make_profile(n: int, lengths: dict[str, int] | list[tuple[str, int]],
         if not isinstance(k, int) or k < 1 or n % k != 0:
             raise InvalidProfile(f"orbit {label!r}: length {k} does not divide n={n}")
         orbits.append(SpecialOrbit(id=str(label), k=k, nprime=n // k))
-    profile = CoverProfile(n=n, orbits=tuple(orbits), genus_base=genus_base)
-    validate(profile)
-    return profile
+    return CoverProfile(n=n, orbits=tuple(orbits), genus_base=genus_base)
 
 
 def random_profile(rng: random.Random, max_n: int = 12, max_orbits: int = 4,
@@ -113,10 +115,7 @@ def check_orbit_labels(labels, profile: CoverProfile) -> None:
 
 def gcd_orbit_lengths(profile: CoverProfile) -> int:
     """gcd of n and all special-orbit lengths (n itself when there are none)."""
-    r = profile.n
-    for y in profile.orbits:
-        r = math.gcd(r, y.k)
-    return r
+    return math.gcd(profile.n, *(y.k for y in profile.orbits))
 
 
 def kernel_order(profile: CoverProfile) -> int:
@@ -129,7 +128,6 @@ def kernel_order(profile: CoverProfile) -> int:
     and cross-checked against the gcd form, which is a separate code
     path.
     """
-    validate(profile)
     n = profile.n
     best = 1
     # divisors come in pairs (t, n // t) with t <= isqrt(n)
@@ -160,7 +158,6 @@ def factor_cover(profile: CoverProfile) -> tuple[CoverProfile, int]:
     orbits = tuple(
         SpecialOrbit(id=y.id, k=y.k // r, nprime=y.nprime) for y in profile.orbits
     )
-    # valid by construction: r divides every k, so k/r divides n/r and k/r < n/r
     return CoverProfile(n=profile.n // r, orbits=orbits, genus_base=mid_genus), r
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from collections.abc import Sequence
 from fractions import Fraction
@@ -107,9 +106,7 @@ def random_det(rng: random.Random, profile: CoverProfile) -> DeterminantLift:
     residues = {y.id: rng.randrange(y.nprime) for y in profile.orbits}
     degree = sum(residues[y.id] * y.k for y in profile.orbits)
     degree += profile.n * rng.randint(-3, 3)
-    sign = PLUS
-    if profile.n % 2 == 0 and rng.random() < 0.5:
-        sign = MINUS
+    sign = MINUS if profile.n % 2 == 0 and rng.random() < 0.5 else PLUS
     return DeterminantLift(residues=residues, degree=degree, lift_sign=sign)
 
 
@@ -182,38 +179,43 @@ def _spreads(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str,
 
 
 def admissible_pairs(delta_residue: int, nprime: int) -> list[tuple[int, int]]:
-    """Ordered pairs d1 <= d2 < n' with d1 + d2 = delta_residue mod n'.
-
-    Each d1 fixes d2 = (delta_residue - d1) mod n', kept when d2 >= d1.
-    """
-    return [(d1, d2) for d1 in range(nprime) if (d2 := (delta_residue - d1) % nprime) >= d1]
+    """Ordered pairs d1 <= d2 < n' with d1 + d2 = delta_residue mod n', by d1."""
+    delta = delta_residue % nprime
+    return [_pair_at(i, delta, nprime) for i in range(admissible_pair_count(delta, nprime))]
 
 
 def admissible_pair_count(delta_residue: int, nprime: int) -> int:
     """len(admissible_pairs(delta_residue, nprime)) without building the list.
 
-    With delta the residue mod n', d1 + d2 is either delta (d1 <= delta/2)
-    or delta + n' (delta < d1 <= (delta + n')/2).
+    With delta the residue mod n', d1 + d2 is either delta, in the run
+    d1 = 0..delta/2, or delta + n', in the run d1 = delta+1..(delta+n')/2.
     """
     delta = delta_residue % nprime
-    return delta // 2 + (nprime - delta) // 2 + 1
+    return delta // 2 + 1 + (nprime - delta) // 2
+
+
+def _pair_at(i: int, delta: int, nprime: int) -> tuple[int, int]:
+    """The i-th pair by d1 of the two runs above, for delta in [0, n')."""
+    half = delta // 2
+    return (i, delta - i) if i <= half else (i + delta - half, nprime + half - i)
 
 
 class _Lambda(Sequence):
     """Read-only view of Lambda; element i is decoded when it is read.
 
     Index i is a mixed-radix number whose digits select one pair per
-    orbit, the last orbit's digit varying fastest, so the order is
-    itertools.product order (Knuth, TAOCP 4A, 7.2.1.1).  A slice is a
-    list that decodes only the indices it selects.  Each element is a
-    fresh dict in profile order.
+    orbit, the last orbit's digit varying fastest: itertools.product
+    order over admissible_pairs (Knuth, TAOCP 4A, 7.2.1.1).  An orbit
+    keeps (label, stride, pair count, delta, n'), its stride the product
+    of the later orbits' counts and its digit i // stride % count.  An
+    index, a slice (a list) and iteration all decode with _pair_at, and
+    each element is a fresh dict in profile order.
     """
 
-    __slots__ = ("_ids", "_pairs", "_n")
+    __slots__ = ("_orbits", "_n")
 
-    def __init__(self, ids: tuple[str, ...], pairs: list[list[tuple[int, int]]]):
-        self._ids, self._pairs = ids, pairs
-        self._n = math.prod(map(len, pairs))
+    def __init__(self, orbits: list[tuple[str, int, int, int, int]], n: int):
+        self._orbits, self._n = orbits, n
 
     def __len__(self) -> int:
         return self._n
@@ -226,14 +228,11 @@ class _Lambda(Sequence):
         return self._decode(indices)
 
     def _decode(self, i: int) -> dict[str, tuple[int, int]]:
-        digits = []
-        for pairs in reversed(self._pairs):
-            i, r = divmod(i, len(pairs))
-            digits.append(pairs[r])
-        return dict(zip(self._ids, reversed(digits)))
+        return {label: _pair_at(i // stride % count, delta, nprime)
+                for label, stride, count, delta, nprime in self._orbits}
 
     def __iter__(self):
-        return (dict(zip(self._ids, combo)) for combo in itertools.product(*self._pairs))
+        return map(self._decode, range(self._n))
 
 
 def enumerate_lambda(det: DeterminantLift,
@@ -247,8 +246,13 @@ def enumerate_lambda(det: DeterminantLift,
     only when it is read.  A slice is a list of the elements it selects.
     """
     validate_det(det, profile)
-    pairs = [admissible_pairs(det.residues.get(y.id, 0), y.nprime) for y in profile.orbits]
-    return _Lambda(profile.orbit_ids(), pairs)
+    orbits, stride = [], 1
+    for y in reversed(profile.orbits):
+        delta = det.residues.get(y.id, 0)  # in [0, n'), as validate_det checked
+        count = admissible_pair_count(delta, y.nprime)
+        orbits.append((y.id, stride, count, delta, y.nprime))
+        stride *= count
+    return _Lambda(orbits[::-1], stride)
 
 
 def weight_system(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, Fraction]:

@@ -87,12 +87,14 @@ FOOTPRINTS = [
 
 # heavy standard-library modules a CLI child should not pay to import
 HEAVY = ["dataclasses", "inspect"]
+# nor a child whose subcommand reads and writes no rational number
+RATIONAL = ["fractions", "decimal"]
 
 
 @pytest.fixture(scope="module")
 def heavy_in_a_bare_child():
-    """The HEAVY modules that `python -c pass` already has (site may import some)."""
-    proc = child("-c", f"import sys; print(*(m for m in {HEAVY!r} if m in sys.modules))")
+    """The HEAVY and RATIONAL modules that `python -c pass` has (site may import some)."""
+    proc = child("-c", f"import sys; print(*(m for m in {HEAVY + RATIONAL!r} if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
@@ -100,17 +102,18 @@ def heavy_in_a_bare_child():
 @pytest.mark.parametrize("argv, layers", FOOTPRINTS, ids=[argv[0] for argv, _ in FOOTPRINTS])
 def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(argv, layers,
                                                                 heavy_in_a_bare_child):
+    unwanted = HEAVY + RATIONAL if layers == BASE else HEAVY
     code = ("import contextlib, io, json, sys, fixloc.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = fixloc.cli.main({argv!r})\n"
             "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('fixloc.')),\n"
-            f"                  [m for m in {HEAVY!r} if m in sys.modules]]))")
+            f"                  [m for m in {unwanted!r} if m in sys.modules]]))")
     proc = child("-c", code)
     assert proc.returncode == 0, proc.stderr
     code, loaded, heavy = json.loads(proc.stdout)
     assert code == 0
     assert loaded == sorted(f"fixloc.{layer}" for layer in layers)
-    assert heavy == heavy_in_a_bare_child
+    assert heavy == [m for m in heavy_in_a_bare_child if m in unwanted]
 
 
 def test_running_the_cli_module_raises_no_runpy_warning():

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fixloc import (
+    CoverProfile,
     InvalidProfile,
     SchemaError,
+    SpecialOrbit,
     factor_cover,
     gcd_orbit_lengths,
     kernel_order,
@@ -108,6 +110,24 @@ def test_make_profile_rejections():
         make_profile(0, [])
     with pytest.raises(InvalidProfile):
         make_profile(6, [], genus_base=-1)
+
+
+def test_a_hand_built_profile_is_validated_when_built():
+    # a record built without make_profile gets the same checks, in the same order
+    with pytest.raises(InvalidProfile, match=r"orbit 'a': length 5 does not divide n=12"):
+        CoverProfile(n=12, orbits=(SpecialOrbit("a", 5, 2),))
+    with pytest.raises(InvalidProfile, match=r"orbit 'b': stabilizer order 3 != 12//6"):
+        CoverProfile(n=12, orbits=(SpecialOrbit("a", 4, 3), SpecialOrbit("b", 6, 3)))
+    with pytest.raises(InvalidProfile, match=r"cover order must be a positive integer, got 0"):
+        CoverProfile(n=0, orbits=())
+    assert CoverProfile(12, (SpecialOrbit("a", 4, 3),)) == make_profile(12, [("a", 4)])
+    # make_profile checks each length before the record checks the whole profile
+    with pytest.raises(InvalidProfile, match=r"^cover order must be a positive integer, got 0$"):
+        make_profile(0, [("a", 1)])
+    with pytest.raises(InvalidProfile, match=r"^orbit 'a': length 4 does not divide n=6$"):
+        make_profile(6, [("a", 6), ("a", 4)])
+    with pytest.raises(InvalidProfile, match=r"^orbit 'a': length 0 does not divide n=6$"):
+        make_profile(6, [("a", 0)])
 
 
 def test_profile_json_round_trip():

@@ -67,6 +67,44 @@ def test_admissible_pairs_against_brute_force():
             assert admissible_pairs(delta, nprime) == brute_force_pairs(delta, nprime)
 
 
+def scan_pairs(delta, nprime):
+    """The admissible pairs by d1, from a scan of every d1 in [0, n'): d1 forces
+    d2 = delta - d1 mod n', kept when d2 >= d1.  Lazy, so a wide orbit costs no memory."""
+    for d1 in range(nprime):
+        if (d2 := (delta - d1) % nprime) >= d1:
+            yield d1, d2
+
+
+def test_the_pair_scan_is_the_brute_force_list():
+    for nprime in range(1, 25):
+        for delta in range(-nprime, 2 * nprime):
+            assert list(scan_pairs(delta, nprime)) == brute_force_pairs(delta, nprime)
+
+
+def test_a_wide_orbit_lambda_allocates_nothing_per_pair():
+    # one orbit of n' = 4,000,001 has 2,000,001 admissible pairs
+    nprime, delta = 4_000_001, 1_234_567
+    profile = make_profile(nprime, [("a", 1)])
+    det = DeterminantLift(residues={"a": delta}, degree=delta)
+    tracemalloc.start()
+    try:
+        lam = enumerate_lambda(det, profile)
+        ends = [lam[0]["a"], lam[len(lam) // 2]["a"], lam[-1]["a"]]
+        first = [el["a"] for el in itertools.islice(lam, 1000)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(lam) == admissible_pair_count(delta, nprime) == 2_000_001
+    wanted = {0: ends[0], len(lam) // 2: ends[1], len(lam) - 1: ends[2]}
+    wanted.update(enumerate(first))
+    seen = {}
+    for i, pair in enumerate(scan_pairs(delta, nprime)):
+        if i in wanted:
+            seen[i] = pair
+    assert seen == wanted
+
+
 def test_admissible_pair_count_is_the_length_of_the_pair_list():
     for nprime in range(1, 65):
         for delta in range(nprime):
