@@ -13,16 +13,21 @@ from fixloc import (
     DeterminantLift,
     GradedPoint,
     GradedSummand,
+    NonIntegralDegree,
     Rank2EqData,
+    RootExponent,
     admissible_pairs,
     make_bundle,
+    make_profile,
+    sim_e_step,
+    sim_o_step,
 )
 from fixloc.covers import random_profile
 from fixloc.equivariant import random_det
 from fixloc.locus import validate_graded
 
 __all__ = ["random_bundle", "random_data", "random_det", "random_graded", "random_profile",
-           "sample_graded"]
+           "sample_graded", "twist_corpus"]
 
 
 def random_data(rng: random.Random, profile) -> Rank2EqData:
@@ -72,6 +77,66 @@ def sample_graded(rng: random.Random, tries: int = 200):
         if pt is not None:
             return profile, pt
     raise AssertionError("no graded sample found")
+
+
+def absorbing_profile(rng, n):
+    """Up to four orbits over n with sum_y k(y) divisible by n, so every twist descends."""
+    divisors = [k for k in range(1, n) if n % k == 0]
+    while True:
+        lengths = [rng.choice(divisors) for _ in range(rng.randint(1, 4))]
+        if sum(lengths) % n == 0:
+            return make_profile(n, [(f"y{i}", k) for i, k in enumerate(lengths)])
+
+
+def without_zero_residues(pt):
+    """The point with its lift omitting every orbit of residue 0, or None if it has none."""
+    residues = {label: r for label, r in pt.det.residues.items() if r}
+    if len(residues) == len(pt.det.residues):
+        return None
+    det = DeterminantLift(residues=residues, degree=pt.det.degree, lift_sign=pt.det.lift_sign)
+    return GradedPoint(pt.summands, numeric=pt.numeric, det=det)
+
+
+def twist_corpus(seed, cases):
+    """Seeded multi-point closures with n <= 24: (profile, points, kinds of member).
+
+    Most profiles absorb every twist.  Each input holds a few random
+    points, some of them o-stepped and (even n) e-stepped, and their
+    twins whose lift omits the orbits of residue 0, stepped again.
+    """
+    rng = random.Random(seed)
+    for i in range(cases):
+        if i % 5 == 4:
+            profile = random_profile(rng, max_n=24, max_orbits=3)
+        else:
+            profile = absorbing_profile(rng, rng.choice((2, 3, 4, 6, 8, 9, 12, 15, 16, 24)))
+        n = profile.n
+        drawn = (random_graded(rng, profile) for _ in range(40))
+        points = [pt for pt in drawn if pt is not None][:3]
+        if not points:
+            continue
+        kinds = {"drawn": len(points)}
+
+        def add(kind, step, *args):
+            try:
+                points.append(step(*args))
+            except NonIntegralDegree:
+                return
+            kinds[kind] = kinds.get(kind, 0) + 1
+
+        for pt in points[:2]:
+            add("o-stepped", sim_o_step, pt, RootExponent(rng.randrange(n), n), profile)
+            if n % 2 == 0:
+                add("e-stepped", sim_e_step, pt, profile, rng.randrange(1, n, 2), rng.randrange(2))
+        for pt in list(points):
+            omitted = without_zero_residues(pt)
+            if omitted is not None:
+                points.append(omitted)
+                kinds["omitted"] = kinds.get("omitted", 0) + 1
+                add("omitted, o-stepped", sim_o_step, omitted,
+                    RootExponent(rng.randrange(n), n), profile)
+        rng.shuffle(points)
+        yield profile, points, kinds
 
 
 def random_bundle(rng: random.Random, g: int, c: int, generic_weights: bool = False,

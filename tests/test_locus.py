@@ -43,10 +43,12 @@ from fixloc import equivariant, locus
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, validate_graded
 
 import gen
+from gen import twist_corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "fixtures"))
 from record_twist_closure import (  # noqa: E402
     FIXTURE as TWIST_CLOSURE, _point, evaluate, load, render)
+import record_twist_partition  # noqa: E402
 
 
 def upstairs_degrees(pt, profile):
@@ -431,66 +433,6 @@ def closed_form_classes(points, profile):
         return [type(exc).__name__, str(exc)]
 
 
-def absorbing_profile(rng, n):
-    """Up to four orbits over n with sum_y k(y) divisible by n, so every twist descends."""
-    divisors = [k for k in range(1, n) if n % k == 0]
-    while True:
-        lengths = [rng.choice(divisors) for _ in range(rng.randint(1, 4))]
-        if sum(lengths) % n == 0:
-            return make_profile(n, [(f"y{i}", k) for i, k in enumerate(lengths)])
-
-
-def without_zero_residues(pt):
-    """The point with its lift omitting every orbit of residue 0, or None if it has none."""
-    residues = {label: r for label, r in pt.det.residues.items() if r}
-    if len(residues) == len(pt.det.residues):
-        return None
-    det = DeterminantLift(residues=residues, degree=pt.det.degree, lift_sign=pt.det.lift_sign)
-    return GradedPoint(pt.summands, numeric=pt.numeric, det=det)
-
-
-def twist_corpus(seed, cases):
-    """Seeded multi-point closures with n <= 24: (profile, points, kinds of member).
-
-    Most profiles absorb every twist.  Each input holds a few random
-    points, some of them o-stepped and (even n) e-stepped, and their
-    twins whose lift omits the orbits of residue 0, stepped again.
-    """
-    rng = random.Random(seed)
-    for i in range(cases):
-        if i % 5 == 4:
-            profile = gen.random_profile(rng, max_n=24, max_orbits=3)
-        else:
-            profile = absorbing_profile(rng, rng.choice((2, 3, 4, 6, 8, 9, 12, 15, 16, 24)))
-        n = profile.n
-        drawn = (gen.random_graded(rng, profile) for _ in range(40))
-        points = [pt for pt in drawn if pt is not None][:3]
-        if not points:
-            continue
-        kinds = {"drawn": len(points)}
-
-        def add(kind, step, *args):
-            try:
-                points.append(step(*args))
-            except NonIntegralDegree:
-                return
-            kinds[kind] = kinds.get(kind, 0) + 1
-
-        for pt in points[:2]:
-            add("o-stepped", sim_o_step, pt, RootExponent(rng.randrange(n), n), profile)
-            if n % 2 == 0:
-                add("e-stepped", sim_e_step, pt, profile, rng.randrange(1, n, 2), rng.randrange(2))
-        for pt in list(points):
-            omitted = without_zero_residues(pt)
-            if omitted is not None:
-                points.append(omitted)
-                kinds["omitted"] = kinds.get("omitted", 0) + 1
-                add("omitted, o-stepped", sim_o_step, omitted,
-                    RootExponent(rng.randrange(n), n), profile)
-        rng.shuffle(points)
-        yield profile, points, kinds
-
-
 def test_closed_form_classes_match_the_search_oracle_on_the_fixture():
     cases = [case for case in load() if "points" in case]
     for case in cases:
@@ -598,6 +540,20 @@ def test_twist_closure_matches_the_recorded_fixture():
     for case, again in zip(cases, replayed):
         assert again == case, case["name"]
     assert render(replayed) == TWIST_CLOSURE.read_text()
+
+
+def test_twist_partition_matches_the_recorded_fixture():
+    # recorded by tests/fixtures/record_twist_partition.py before the twist
+    # classes' per-point work was trimmed; every class must stay the same
+    cases = record_twist_partition.load()
+    replayed = [record_twist_partition.evaluate(case) for case in cases]
+    for case, again in zip(cases, replayed):
+        assert again == case, case["name"]
+    assert record_twist_partition.render(replayed) == record_twist_partition.FIXTURE.read_text()
+    names = [case["name"] for case in cases]
+    assert names[:4] == [f"boundary-g{g}" for g in range(2, 6)] and len(names) == 44
+    assert len(cases[3]["points"]) == 3072 and len(cases[3]["classes"]) == 4 ** 5
+    assert {case["profile"]["n"] % 2 for case in cases[4:]} == {0, 1}
 
 
 def test_public_steps_reject_supports_that_do_not_partition():
