@@ -123,9 +123,10 @@ def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile)
 def validate_rank2(data: Rank2EqData, profile: CoverProfile) -> None:
     validate_det(data.det, profile)
     validate_numeric(data.numeric, profile)
+    numeric, residues = data.numeric, data.det.residues
     for y in profile.orbits:
-        d1, d2 = data.numeric[y.id]
-        if (d1 + d2) % y.nprime != data.det.residues.get(y.id, 0) % y.nprime:
+        d1, d2 = numeric[y.id]
+        if (d1 + d2) % y.nprime != residues.get(y.id, 0) % y.nprime:
             raise InvalidDatum(f"exponent pair at {y.id!r} does not sum to determinant residue")
 
 
@@ -208,8 +209,10 @@ class _Lambda(Sequence):
     order over admissible_pairs (Knuth, TAOCP 4A, 7.2.1.1).  An orbit
     keeps (label, stride, pair count, delta, n'), its stride the product
     of the later orbits' counts and its digit i // stride % count.  An
-    index, a slice (a list) and iteration all decode with _pair_at, and
-    each element is a fresh dict in profile order.
+    index and a slice (a list) decode each element with _pair_at;
+    iteration counts through the digits (Algorithm M there) and decodes
+    only the digits that roll over.  Each element is a fresh dict in
+    profile order.
     """
 
     __slots__ = ("_orbits", "_n")
@@ -232,7 +235,20 @@ class _Lambda(Sequence):
                 for label, stride, count, delta, nprime in self._orbits}
 
     def __iter__(self):
-        return map(self._decode, range(self._n))
+        labels = [label for label, *_ in self._orbits]
+        pairs = [_pair_at(0, delta, nprime) for *_, delta, nprime in self._orbits]
+        # [position, digit, count, delta, n'], fastest first; a one-pair orbit never moves
+        wheels = [[j, 0, count, delta, nprime]
+                  for j, (_, _, count, delta, nprime) in enumerate(self._orbits) if count > 1]
+        wheels.reverse()
+        for _ in range(self._n):
+            yield dict(zip(labels, pairs))
+            for wheel in wheels:
+                j, digit, count, delta, nprime = wheel
+                wheel[1] = digit = (digit + 1) % count
+                pairs[j] = _pair_at(digit, delta, nprime)
+                if digit:
+                    break
 
 
 def enumerate_lambda(det: DeterminantLift,

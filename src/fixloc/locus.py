@@ -12,10 +12,11 @@ All degree bookkeeping runs through the per-summand upstairs degree
 n * bar_degree + sum_y k(y) * l(y), which is invariant under the
 twists; the downstairs degrees after a step are recovered from it.
 The twist formula exists once, on integer keys holding each summand's
-exponents l(y) and upstairs degree (see _key).  A twist translates the
-exponents, so each class has a closed form: equivalence_classes reads
-a point's class off its key (_least_translate), and a key is decoded
-(_rebuild) only where a public step returns a point.
+exponents l(y) and upstairs degree (see _validated_key).  A twist
+translates the exponents, so each class has a closed form:
+equivalence_classes reads a point's class off its key
+(_least_translate), and a key is decoded (_rebuild) only where a
+public step returns a point.
 The boundary classes D(Q) and F(Q) of the order-two family are built
 straight from their even point subset Q (double_class, flagged_class).
 The order-two census itself (hyperelliptic_report) is closed-form: its
@@ -108,18 +109,8 @@ class GradedPoint:
 
 
 def validate_graded(pt: GradedPoint, profile: CoverProfile) -> tuple:
-    """Structural checks tying a graded point to its cover context; returns its key (_key)."""
-    if pt.numeric is None or pt.det is None:
-        raise InvalidDatum("graded point lacks cover context")
-    validate_rank2(Rank2EqData(numeric=pt.numeric, det=pt.det), profile)
-    weighted = {y.id for y in profile.orbits if pt.numeric[y.id][0] != pt.numeric[y.id][1]}
-    s0, s1 = pt.summands
-    if set(s0.support) | set(s1.support) != weighted or set(s0.support) & set(s1.support):
-        raise InvalidDatum("summand supports must partition the weighted orbits")
-    key = _key(pt, _frame(profile))
-    if key[0][1] != key[1][1]:
-        raise InvalidDatum("summands have unequal parabolic degree")
-    return key
+    """Structural checks tying a graded point to its cover context; returns its key."""
+    return _validated_key(pt, profile, _frame(profile))
 
 
 # The twists act on integer keys ((l0, up0), (l1, up1), (residues, degree,
@@ -153,13 +144,24 @@ class _Frame:
 _frame = functools.lru_cache(maxsize=64)(_Frame)  # shared by the calls on one profile
 
 
-def _key(pt: GradedPoint, frame: _Frame) -> tuple:
+def _validated_key(pt: GradedPoint, profile: CoverProfile, frame: _Frame) -> tuple:
+    """validate_graded on the profile's frame, which callers on many points look up once."""
+    if pt.numeric is None or pt.det is None:
+        raise InvalidDatum("graded point lacks cover context")
+    validate_rank2(Rank2EqData(numeric=pt.numeric, det=pt.det), profile)
+    # (d1, d2) at each orbit; a summand's exponent is d2 on its support, d1 elsewhere
+    pairs = tuple(map(pt.numeric.__getitem__, frame.ids))
+    weighted = {label for label, (d1, d2) in zip(frame.ids, pairs) if d1 != d2}
+    s0, s1 = pt.summands
+    if set(s0.support) | set(s1.support) != weighted or set(s0.support) & set(s1.support):
+        raise InvalidDatum("summand supports must partition the weighted orbits")
     parts = []
     for s in pt.summands:
-        ell = tuple(pt.numeric[y.id][1 if y.id in s.support else 0] for y in frame.orbits)
+        ell = tuple(map(operator.getitem, pairs, map(s.support.__contains__, frame.ids)))
         parts.append((ell, frame.n * s.bar_degree + frame.weight(ell)))
-    residues = tuple(pt.det.residues.get(y.id) for y in frame.orbits)
-    return (*parts, (residues, pt.det.degree, pt.det.lift_sign))
+    if parts[0][1] != parts[1][1]:
+        raise InvalidDatum("summands have unequal parabolic degree")
+    return (*parts, (tuple(map(pt.det.residues.get, frame.ids)), pt.det.degree, pt.det.lift_sign))
 
 
 def _rebuild(key: tuple, frame: _Frame) -> GradedPoint:
@@ -421,8 +423,8 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
     classes hold input points in input order, ordered by their first.
     """
     pts = list(points)
-    keys = [validate_graded(pt, profile) for pt in pts]
     frame = _frame(profile)
+    keys = [_validated_key(pt, profile, frame) for pt in pts]
     if keys:
         # a twist by a moves sum_y k(y) l(y) by a * sum_y k(y) mod n, so
         # either every twist descends or the one by 1 already fails here
@@ -454,14 +456,27 @@ def _least_translate(key: tuple, frame: _Frame) -> tuple:
     def moved(ell, a):
         return tuple(map(operator.mod, map(a.__add__, ell), nprimes))
 
-    (least0, x0), (least1, x1) = (min((moved(ell, a), a) for a in range(period))
-                                  for ell in (ell0, ell1))
+    def least(ell):
+        # a key's exponents are reduced, so ell is its own translate by 0;
+        # translates by distinct a mod the period differ, so none ties
+        best, x = ell, 0
+        for a in range(1, period):
+            cand = moved(ell, a)
+            if cand < best:
+                best, x = cand, a
+        return best, x
+
+    def ordered(p, q):
+        return (p, q) if p <= q else (q, p)
+
+    (least0, x0), (least1, x1) = least(ell0), least(ell1)
     if n % 2 == 1:
-        return (*min(sorted(((least0, up0), (moved(ell1, -x0), up1))),
-                     sorted(((moved(ell0, -x1), up0), (least1, up1)))), key[2])
-    signs, filled = (sign, MINUS if sign == PLUS else PLUS), tuple(r or 0 for r in residues)
+        return (*min(ordered((least0, up0), (moved(ell1, -x0), up1)),
+                     ordered((moved(ell0, -x1), up0), (least1, up1))), key[2])
+    signs = (sign, MINUS if sign == PLUS else PLUS)
+    filled = tuple(r or 0 for r in residues) if None in residues else residues
     lifts = ((moved(filled, s), degree, signs[s % 2]) for s in range((x0 + x1) % period, n, period))
-    return (*sorted(((least0, up0), (least1, up1))), min(lifts))
+    return (*ordered((least0, up0), (least1, up1)), min(lifts))
 
 
 # --- the order-two worked family ---

@@ -340,6 +340,35 @@ def test_orbits_rejects_a_large_table_without_building_it(capsys, tmp_path, n, o
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("subcommand", ["kernel", "factor", "decompose"])
+def test_kernel_order_limit(capsys, tmp_path, monkeypatch, subcommand):
+    # n = 12 with orbits of length 6 and 4: kernel order 2
+    doc = write(tmp_path, "p.json", profile_to_json(make_profile(12, [("a", 6), ("b", 4)])))
+    monkeypatch.setattr(cli, "MAX_KERNEL_COVER_ORDER", 12)
+    code, out, _ = run(capsys, subcommand, "--file", doc)
+    assert code == 0
+    assert json.loads(out)["kernel_order" if subcommand != "factor" else "unramified_degree"] == 2
+    monkeypatch.setattr(cli, "MAX_KERNEL_COVER_ORDER", 11)
+    code, out, err = run(capsys, subcommand, "--file", doc)
+    assert code == 3
+    assert out == ""
+    assert err == ("domain error: DomainError: cover order 12 is past the kernel-order limit "
+                   "of 11\n")
+
+
+@pytest.mark.parametrize("subcommand", ["kernel", "factor", "decompose"])
+def test_a_huge_cover_order_is_rejected_before_the_divisor_search(tmp_path, subcommand):
+    # the search runs up to isqrt(n): 10^15 steps at n = 10^30
+    doc = write(tmp_path, "huge.json", {"n": 10 ** 30, "orbits": [{"id": "a", "k": 10 ** 15}]})
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "fixloc.cli", subcommand, "--file", doc],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (f"domain error: DomainError: cover order {10 ** 30} is past the "
+                           "kernel-order limit of 10000000000000000\n")
+
+
 def test_hyperelliptic_genus_limit(capsys):
     g = cli.MAX_HYPERELLIPTIC_GENUS
     code, out, _ = run(capsys, "hyperelliptic", "--g", str(g), "--format", "text")

@@ -161,6 +161,24 @@ def test_lambda_view_matches_the_product_oracle():
     assert list(enumerate_lambda(DeterminantLift(residues={}, degree=0), empty)) == [{}]
 
 
+def test_lambda_iteration_is_indexing():
+    # iteration counts through the digits, indexing decodes each element alone
+    rng = random.Random(23)
+    cases = [(make_profile(5, []), DeterminantLift(residues={}, degree=0))]
+    for _ in range(80):
+        profile = gen.random_profile(rng, max_n=24, max_orbits=5)
+        cases.append((profile, gen.random_det(rng, profile)))
+    shapes = set()
+    for profile, det in cases:
+        lam = enumerate_lambda(det, profile)
+        assert list(lam) == [lam[i] for i in range(len(lam))]
+        counts = [admissible_pair_count(det.residues[y.id], y.nprime) for y in profile.orbits]
+        shapes.add((1 in counts, sum(count > 1 for count in counts)))
+    # profiles with no orbit, with one-pair orbits among moving ones, and
+    # with up to five moving orbits
+    assert {(False, 0), (True, 3), (False, 5)} <= shapes
+
+
 def test_lambda_slices_match_list_slices():
     profile = make_profile(12, [("a", 1), ("b", 2), ("c", 3)])
     det = DeterminantLift(residues={"a": 5, "b": 0, "c": 3}, degree=5 + 9)

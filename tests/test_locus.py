@@ -513,22 +513,30 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
 
 def test_equivalence_classes_validates_each_point_once_and_takes_one_step(monkeypatch):
     # no search: one o-step by the character 1 guards the degrees, then each
-    # point's class is read off its key
-    steps, checked = [], []
-    validate = locus.validate_graded
+    # point's class is read off its key; the profile's frame is looked up
+    # once per call, and each point goes once through validate_graded's core
+    steps, checked, frames = [], [], []
+    validate, frame = locus._validated_key, locus._frame
 
-    def counting_validate(pt, profile):
+    def counting_validate(pt, profile, frame):
         checked.append(pt)
-        return validate(pt, profile)
+        return validate(pt, profile, frame)
 
-    monkeypatch.setattr(locus, "validate_graded", counting_validate)
+    def counting_frame(profile):
+        frames.append(profile)
+        return frame(profile)
+
+    monkeypatch.setattr(locus, "_validated_key", counting_validate)
+    monkeypatch.setattr(locus, "_frame", counting_frame)
     monkeypatch.setattr(locus, "_o_step", lambda *args: steps.append("o"))
     monkeypatch.setattr(locus, "_e_step", lambda *args: steps.append("e"))
     points = boundary_points(3)
     assert len(equivalence_classes(points, hyperelliptic_profile(3))) == 4 ** 3
-    assert steps == ["o"] and len(checked) == len(points)
+    assert steps == ["o"] and len(checked) == len(points) and len(frames) == 1
     steps.clear()
+    frames.clear()
     assert equivalence_classes([], hyperelliptic_profile(3)) == [] and steps == []
+    assert len(frames) == 1
 
 
 def test_twist_closure_matches_the_recorded_fixture():
