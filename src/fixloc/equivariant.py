@@ -211,7 +211,7 @@ class _Lambda(Sequence):
     of the later orbits' counts and its digit i // stride % count.  An
     index and a slice (a list) decode each element with _pair_at;
     iteration counts through the digits (Algorithm M there) and decodes
-    only the digits that roll over.  Each element is a fresh dict in
+    only the digits that change.  Each element is a fresh dict in
     profile order.
     """
 
@@ -235,18 +235,22 @@ class _Lambda(Sequence):
                 for label, stride, count, delta, nprime in self._orbits}
 
     def __iter__(self):
-        labels = [label for label, *_ in self._orbits]
-        pairs = [_pair_at(0, delta, nprime) for *_, delta, nprime in self._orbits]
-        # [position, digit, count, delta, n'], fastest first; a one-pair orbit never moves
-        wheels = [[j, 0, count, delta, nprime]
-                  for j, (_, _, count, delta, nprime) in enumerate(self._orbits) if count > 1]
-        wheels.reverse()
-        for _ in range(self._n):
-            yield dict(zip(labels, pairs))
+        if not self._orbits:
+            yield {}
+            return
+        # the last orbit's pairs run in the inner loop; head holds the earlier
+        # orbits' current pairs, and a wheel [label, digit, count, delta, n']
+        # each earlier orbit with more than one pair, fastest first
+        *rest, (last, _, count, delta, nprime) = self._orbits
+        head = {label: _pair_at(0, d, m) for label, _, _, d, m in rest}
+        wheels = [[label, 0, c, d, m] for label, _, c, d, m in reversed(rest) if c > 1]
+        for _ in range(self._n // count):
+            for i in range(count):
+                yield {**head, last: _pair_at(i, delta, nprime)}
             for wheel in wheels:
-                j, digit, count, delta, nprime = wheel
-                wheel[1] = digit = (digit + 1) % count
-                pairs[j] = _pair_at(digit, delta, nprime)
+                label, digit, c, d, m = wheel
+                wheel[1] = digit = (digit + 1) % c
+                head[label] = _pair_at(digit, d, m)
                 if digit:
                     break
 

@@ -173,10 +173,11 @@ def test_lambda_iteration_is_indexing():
         lam = enumerate_lambda(det, profile)
         assert list(lam) == [lam[i] for i in range(len(lam))]
         counts = [admissible_pair_count(det.residues[y.id], y.nprime) for y in profile.orbits]
-        shapes.add((1 in counts, sum(count > 1 for count in counts)))
-    # profiles with no orbit, with one-pair orbits among moving ones, and
-    # with up to five moving orbits
-    assert {(False, 0), (True, 3), (False, 5)} <= shapes
+        shapes.add((tuple(counts[-1:]), sum(count > 1 for count in counts[:-1])))
+    # no orbit; a last orbit of one pair after two moving ones; a moving
+    # last orbit after four moving ones
+    assert {((), 0), ((1,), 2)} <= shapes
+    assert max(moving for last, moving in shapes if last and last[0] > 1) == 4
 
 
 def test_lambda_slices_match_list_slices():
