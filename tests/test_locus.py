@@ -1,7 +1,9 @@
 """Graded points, twist dynamics, lift negation, component reports."""
 
 import itertools
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -78,6 +80,33 @@ def test_graded_point_is_unordered():
     assert hash(GradedPoint((s0, s1))) == hash(GradedPoint((s1, s0)))
     with pytest.raises(InvalidDatum):
         GradedPoint((s0,))
+
+
+def _child(code, hash_seed, *args):
+    """stdout of a fresh interpreter on the package source, under a fixed hash seed."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "PYTHONHASHSEED": str(hash_seed)}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_graded_point_reprs_stay_the_same():
+    # recorded while GradedPoint was a hand-written class; the hash seed fixes
+    # the order in which a support's frozenset prints
+    code = ("from fixloc import double_class, flagged_class\n"
+            "print(repr(double_class(1, [0, 1])))\nprint(repr(flagged_class(1, [0, 1])))")
+    assert _child(code, 0).splitlines() == [
+        "GradedPoint(summands=(GradedSummand(bar_degree=-1, support=frozenset()), "
+        "GradedSummand(bar_degree=-1, support=frozenset())), numeric={'p0': (1, 1), "
+        "'p1': (1, 1), 'p2': (0, 0), 'p3': (0, 0)}, det=DeterminantLift(residues={'p0': 0, "
+        "'p1': 0, 'p2': 0, 'p3': 0}, degree=0, lift_sign='+'))",
+        "GradedPoint(summands=(GradedSummand(bar_degree=-1, support=frozenset({'p1', 'p0'})), "
+        "GradedSummand(bar_degree=-1, support=frozenset({'p3', 'p2'}))), numeric={'p0': (0, 1), "
+        "'p1': (0, 1), 'p2': (0, 1), 'p3': (0, 1)}, det=DeterminantLift(residues={'p0': 1, "
+        "'p1': 1, 'p2': 1, 'p3': 1}, degree=0, lift_sign='-'))",
+    ]
 
 
 def test_validate_graded_rejections():
