@@ -40,10 +40,6 @@ MAX_LAMBDA_PAIRS = 500_000
 # accepted took about 1.3 s and 190 MB peak RSS as JSON (README)
 MAX_ORBIT_TABLE_ENTRIES = 500_000
 
-# kernel, factor and decompose find the kernel order by a divisor search up to
-# isqrt(n); the largest n accepted took about 8 s (README)
-MAX_KERNEL_COVER_ORDER = 10 ** 16
-
 # a component's boundary classes are a Set whose len must fit sys.maxsize,
 # and the smallest splitting type has 4^g of them
 MAX_HYPERELLIPTIC_GENUS = 31
@@ -82,19 +78,9 @@ def _pair_counts(det, profile) -> list[int]:
     return [admissible_pair_count(det.residues.get(y.id, 0), y.nprime) for y in profile.orbits]
 
 
-def _kernel_profile(args):
-    """The profile of --file, checked against the kernel-order limit before any search."""
-    from . import covers
-    profile = covers.profile_from_json(_load_json(args.file))
-    if profile.n > MAX_KERNEL_COVER_ORDER:
-        raise DomainError(f"cover order {profile.n} is past the kernel-order limit of "
-                          f"{MAX_KERNEL_COVER_ORDER}")
-    return profile
-
-
 def cmd_kernel(args) -> int:
     from . import covers
-    profile = _kernel_profile(args)
+    profile = covers.profile_from_json(_load_json(args.file))
     r = covers.kernel_order(profile)
     payload = {"kernel_order": r, "gcd_orbit_lengths": covers.gcd_orbit_lengths(profile)}
     _emit(payload, args.format, [f"kernel_order: {r}"])
@@ -103,7 +89,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_factor(args) -> int:
     from . import covers
-    profile = _kernel_profile(args)
+    profile = covers.profile_from_json(_load_json(args.file))
     ramified, r = covers.factor_cover(profile)
     payload = {
         "ramified": covers.profile_to_json(ramified),
@@ -248,8 +234,8 @@ def cmd_zeta2(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from . import locus
-    profile = _kernel_profile(args)
+    from . import covers, locus
+    profile = covers.profile_from_json(_load_json(args.file))
     report = locus.decomposition_report(profile)
     payload = {
         "n_parity": report.n_parity,

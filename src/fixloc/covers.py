@@ -18,7 +18,11 @@ import random
 from functools import cached_property
 
 from ._ser import frozen, list_of, parse_object, require_int, require_str
-from .errors import InternalError, InvalidProfile, UnknownOrbit
+from .errors import DomainError, InternalError, InvalidProfile, UnknownOrbit
+
+# kernel_order finds the kernel order by a divisor search up to isqrt(n); the
+# largest n accepted took about 8 s (README)
+MAX_KERNEL_COVER_ORDER = 10 ** 16
 
 
 @frozen
@@ -96,12 +100,13 @@ def validate(profile: CoverProfile) -> None:
         if y.id in seen:
             raise InvalidProfile(f"duplicate orbit label {y.id!r}")
         seen.add(y.id)
-        if y.k < 1 or profile.n % y.k != 0:
+        if not isinstance(y.k, int) or isinstance(y.k, bool) or y.k < 1 or profile.n % y.k != 0:
             raise InvalidProfile(f"orbit {y.id!r}: length {y.k} does not divide n={profile.n}")
         if y.k == profile.n:
             # full-length orbits are generic, not special; they carry no data
             raise InvalidProfile(f"orbit {y.id!r} has full length n={profile.n}")
-        if y.nprime != profile.n // y.k:
+        if (not isinstance(y.nprime, int) or isinstance(y.nprime, bool)
+                or y.nprime != profile.n // y.k):
             raise InvalidProfile(f"orbit {y.id!r}: stabilizer order {y.nprime} != {profile.n}//{y.k}")
 
 
@@ -126,9 +131,13 @@ def kernel_order(profile: CoverProfile) -> int:
     order is the largest divisor of n dividing every orbit length.
     Computed here by divisor search, over divisor pairs up to sqrt(n),
     and cross-checked against the gcd form, which is a separate code
-    path.
+    path.  A cover order past MAX_KERNEL_COVER_ORDER is rejected with
+    DomainError before the search.
     """
     n = profile.n
+    if n > MAX_KERNEL_COVER_ORDER:
+        raise DomainError(f"cover order {n} is past the kernel-order limit of "
+                          f"{MAX_KERNEL_COVER_ORDER}")
     best = 1
     # divisors come in pairs (t, n // t) with t <= isqrt(n)
     for t in range(1, math.isqrt(n) + 1):

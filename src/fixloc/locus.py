@@ -12,11 +12,11 @@ All degree bookkeeping runs through the per-summand upstairs degree
 n * bar_degree + sum_y k(y) * l(y), which is invariant under the
 twists; the downstairs degrees after a step are recovered from it.
 The twist formula exists once, on integer keys holding each summand's
-exponents l(y) and upstairs degree (see _validated_key).  A twist
-translates the exponents, so each class has a closed form:
-equivalence_classes reads a point's class off its key
-(_least_translate), and a key is decoded (_rebuild) only where a
-public step returns a point.
+exponents l(y) and upstairs degree (see _validated_key): the twist by
+the character a translates them by a mod n' (_Frame.translate).  So
+each class has a closed form: equivalence_classes reads a point's
+class off its key (_least_translate), and a key is decoded (_rebuild)
+only where a public step returns a point.
 The boundary classes D(Q) and F(Q) of the order-two family are built
 straight from their even point subset Q (double_class, flagged_class).
 The order-two census itself (hyperelliptic_report) is closed-form: its
@@ -31,10 +31,10 @@ import itertools
 import math
 import operator
 from collections.abc import Set
+from typing import TYPE_CHECKING
 
 from ._ser import frozen
 from .covers import CoverProfile, kernel_order, make_profile
-from .divisors import RootExponent, d_mu
 from .equivariant import (
     MINUS,
     PLUS,
@@ -55,6 +55,9 @@ from .errors import (
     OddOrder,
 )
 
+if TYPE_CHECKING:  # sim_o_step's character; the twists themselves take its exponent
+    from .divisors import RootExponent
+
 
 @frozen
 class GradedSummand:
@@ -64,19 +67,22 @@ class GradedSummand:
     support: frozenset
 
 
+@frozen
 class GradedPoint:
     """Unordered pair of graded summands with its discrete context.
 
     numeric/det may be None for points born downstairs without a chosen
     cover (the stability module constructs those); equivalence steps
-    require both.  Equality and hashing are by canonical content; the
-    hash is taken once, when first asked, since points are not mutated.
+    require both.  The summands are kept in a fixed order, so equality is
+    by content; the hash, over the same content, is taken on every call.
     """
 
-    __slots__ = ("summands", "numeric", "det", "_hash")
+    summands: tuple
+    numeric: dict | None = None
+    det: DeterminantLift | None = None
 
-    def __init__(self, summands, numeric=None, det=None):
-        pair = tuple(summands)
+    def __post_init__(self):
+        pair = tuple(self.summands)
         if len(pair) != 2:
             raise InvalidDatum("graded point needs exactly two summands")
         # by base degree, then by sorted support labels (sorted only on a tie)
@@ -84,33 +90,22 @@ class GradedPoint:
         if s0.bar_degree > s1.bar_degree or s0.bar_degree == s1.bar_degree and (
                 sorted(map(str, s0.support)) > sorted(map(str, s1.support))):
             pair = (s1, s0)
-        self.summands = pair
-        self.numeric = dict(numeric) if numeric is not None else None
-        self.det = det
-        self._hash = None
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedPoint) and hash(self) == hash(other)
-                and self.summands == other.summands and self.numeric == other.numeric
-                and self.det == other.det)
+        object.__setattr__(self, "summands", pair)
+        if self.numeric is not None:
+            object.__setattr__(self, "numeric", dict(self.numeric))
 
     def __hash__(self):
-        if self._hash is None:
-            det = self.det
-            self._hash = hash((
-                self.summands,
-                None if self.numeric is None else frozenset(self.numeric.items()),
-                None if det is None else (frozenset(det.residues.items()), det.degree, det.lift_sign),
-            ))
-        return self._hash
-
-    def __repr__(self):
-        return f"GradedPoint(summands={self.summands!r}, numeric={self.numeric!r}, det={self.det!r})"
+        det = self.det
+        return hash((
+            self.summands,
+            None if self.numeric is None else frozenset(self.numeric.items()),
+            None if det is None else (frozenset(det.residues.items()), det.degree, det.lift_sign),
+        ))
 
 
 def validate_graded(pt: GradedPoint, profile: CoverProfile) -> tuple:
     """Structural checks tying a graded point to its cover context; returns its key."""
-    return _validated_key(pt, profile, _frame(profile))
+    return _validated_key(pt, profile, _Frame(profile))
 
 
 # The twists act on integer keys ((l0, up0), (l1, up1), (residues, degree,
@@ -123,7 +118,7 @@ class _Frame:
     """Per-profile constants of the keyed twist steps, orbits in profile order."""
 
     def __init__(self, profile: CoverProfile):
-        self.n, self.orbits = profile.n, profile.orbits
+        self.n = profile.n
         self.ids = tuple(y.id for y in profile.orbits)
         self.ks = tuple(y.k for y in profile.orbits)
         self.nprimes = tuple(y.nprime for y in profile.orbits)
@@ -135,17 +130,13 @@ class _Frame:
         """sum_y k(y) * l(y): a summand's upstairs degree less n * bar_degree."""
         return sum(map(operator.mul, self.ks, ell))
 
-    def shift(self, a: int) -> tuple[int, ...]:
-        """Local weight of the character a mod n at each orbit."""
-        mu = RootExponent(a, self.n)
-        return tuple(d_mu(mu, y) for y in self.orbits)
-
-
-_frame = functools.lru_cache(maxsize=64)(_Frame)  # shared by the calls on one profile
+    def translate(self, ell, a: int) -> tuple[int, ...]:
+        """The twist by the character a: ell + a at each orbit, reduced mod n'."""
+        return tuple(map(operator.mod, map(a.__add__, ell), self.nprimes))
 
 
 def _validated_key(pt: GradedPoint, profile: CoverProfile, frame: _Frame) -> tuple:
-    """validate_graded on the profile's frame, which callers on many points look up once."""
+    """validate_graded on the profile's frame, which callers on many points build once."""
     if pt.numeric is None or pt.det is None:
         raise InvalidDatum("graded point lacks cover context")
     validate_rank2(Rank2EqData(numeric=pt.numeric, det=pt.det), profile)
@@ -186,23 +177,22 @@ def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> Grad
     mu.  Raises NonIntegralDegree when the profile cannot absorb the
     twist at degree level (never on profiles realized by a curve).
     """
-    key = validate_graded(pt, profile)
+    frame = _Frame(profile)
+    key = _validated_key(pt, profile, frame)
     if mu.modulus != profile.n:
         raise InvalidDatum(f"twist character modulus {mu.modulus} differs from n={profile.n}")
-    frame = _frame(profile)
-    return _rebuild(_o_step(key, frame.shift(mu.a), frame), frame)
+    return _rebuild(_o_step(key, mu.a, frame), frame)
 
 
-# The steps below take the key of a point that validate_graded accepts and
-# return the key of one it accepts again: d1 + d2 and the determinant residue
-# move by the same shift at every orbit, the exponent pairs partition the
-# weighted orbits between the summands, and both upstairs degrees carry over.
+# The steps below take the key of a point that validate_graded accepts and the
+# integer exponent a of a character, and return the key of one it accepts
+# again: d1 + d2 and the determinant residue move by the same shift at every
+# orbit, the exponent pairs partition the weighted orbits between the summands,
+# and both upstairs degrees carry over.
 
-def _o_step(key: tuple, shift: tuple[int, ...], frame: _Frame) -> tuple:
+def _o_step(key: tuple, a: int, frame: _Frame) -> tuple:
     (ell0, up0), (ell1, up1), det = key
-    ell0 = tuple((e + d) % m for e, d, m in zip(ell0, shift, frame.nprimes))
-    ell1 = tuple((e - d) % m for e, d, m in zip(ell1, shift, frame.nprimes))
-    return _settle((ell0, up0), (ell1, up1), det, frame)
+    return _settle((frame.translate(ell0, a), up0), (frame.translate(ell1, -a), up1), det, frame)
 
 
 def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
@@ -219,19 +209,19 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
         raise InvalidDatum("crossing twist exponent must be odd")
     if summand not in (0, 1):
         raise InvalidDatum("summand index must be 0 or 1")
-    key = validate_graded(pt, profile)
-    frame = _frame(profile)
-    return _rebuild(_e_step(key, frame.shift(exponent), summand, frame), frame)
+    frame = _Frame(profile)
+    key = _validated_key(pt, profile, frame)
+    return _rebuild(_e_step(key, exponent, summand, frame), frame)
 
 
-def _e_step(key: tuple, shift: tuple[int, ...], summand: int, frame: _Frame) -> tuple:
+def _e_step(key: tuple, a: int, summand: int, frame: _Frame) -> tuple:
     parts = list(key[:2])
     residues, degree, sign = key[2]
     # the underlying summand bundle is untouched (only its lift scales),
     # so the upstairs degrees stay fixed while the exponents reduce anew
     ell, up = parts[summand]
-    parts[summand] = (tuple((e + d) % m for e, d, m in zip(ell, shift, frame.nprimes)), up)
-    residues = tuple(((r or 0) + d) % m for r, d, m in zip(residues, shift, frame.nprimes))
+    parts[summand] = (frame.translate(ell, a), up)
+    residues = frame.translate((r or 0 for r in residues), a)  # omitted reads as 0
     det = (residues, degree, MINUS if sign == PLUS else PLUS)
     return _settle(parts[0], parts[1], det, frame)
 
@@ -423,12 +413,12 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
     classes hold input points in input order, ordered by their first.
     """
     pts = list(points)
-    frame = _frame(profile)
+    frame = _Frame(profile)
     keys = [_validated_key(pt, profile, frame) for pt in pts]
     if keys:
         # a twist by a moves sum_y k(y) l(y) by a * sum_y k(y) mod n, so
         # either every twist descends or the one by 1 already fails here
-        _o_step(keys[-1], frame.shift(1), frame)
+        _o_step(keys[-1], 1, frame)
     groups: dict[tuple, list[GradedPoint]] = {}
     for pt, key in zip(pts, keys):
         groups.setdefault(_least_translate(key, frame), []).append(pt)
@@ -451,10 +441,7 @@ def _least_translate(key: tuple, frame: _Frame) -> tuple:
     y = x1, over the least lift with x + y = x0 + x1 mod the period.
     """
     (ell0, up0), (ell1, up1), (residues, degree, sign) = key
-    n, nprimes, period = frame.n, frame.nprimes, frame.period
-
-    def moved(ell, a):
-        return tuple(map(operator.mod, map(a.__add__, ell), nprimes))
+    n, moved, period = frame.n, frame.translate, frame.period
 
     def least(ell):
         # a key's exponents are reduced, so ell is its own translate by 0;
@@ -610,8 +597,8 @@ def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticRepo
     for even g; every other type has -2c <= g.
 
     Every component is normal: lift negation fixes each of its boundary
-    classes.  Lift negation twists by the character 1 (_o_step with
-    shift(1)), and at n = 2 every orbit has n' = 2, so the step adds 1
+    classes.  Lift negation twists by the character 1 (_o_step by 1),
+    and at n = 2 every orbit has n' = 2, so the step adds 1
     mod 2 to every exponent of both summands.  The flagged class of Q
     has exponent vectors 1_Q and 1_{Q^c}; the step swaps them, and with
     them the two summands, which _settle puts back in order, over the

@@ -154,13 +154,34 @@ def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 @frozen
 class ParabolicP1:
-    """O(c) + O(d-c) with flags and weights at distinct marked points."""
+    """O(c) + O(d-c) with flags and weights at distinct marked points.
+
+    Validated when built; points and weights are stored as Fractions and
+    flags normalized projectively (normalize_flag).
+    """
 
     c: int
     d: int
     points: tuple[Fraction, ...]
     flags: tuple[tuple[Fraction, Fraction], ...]
     weights: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        c, d = self.c, self.d
+        if d - c > c:
+            raise InvalidDatum(f"splitting must be normalized: d-c={d-c} exceeds c={c}")
+        pts = tuple(Fraction(z) for z in self.points)
+        if len(set(pts)) != len(pts):
+            raise InvalidDatum("marked points must be distinct")
+        if not (len(pts) == len(self.flags) == len(self.weights)):
+            raise InvalidDatum("points, flags and weights must have equal length")
+        ws = tuple(Fraction(w) for w in self.weights)
+        for w in ws:
+            if not 0 <= w < 1:
+                raise InvalidDatum(f"weight {w} outside [0,1)")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "flags", tuple(normalize_flag(f) for f in self.flags))
+        object.__setattr__(self, "weights", ws)
 
 
 @frozen
@@ -190,19 +211,7 @@ def normalize_flag(flag) -> tuple[Fraction, Fraction]:
 
 def make_bundle(c: int, d: int, points, flags, weights) -> ParabolicP1:
     """Build and validate; flags are normalized projectively."""
-    if d - c > c:
-        raise InvalidDatum(f"splitting must be normalized: d-c={d-c} exceeds c={c}")
-    pts = tuple(Fraction(z) for z in points)
-    if len(set(pts)) != len(pts):
-        raise InvalidDatum("marked points must be distinct")
-    if not (len(pts) == len(flags) == len(weights)):
-        raise InvalidDatum("points, flags and weights must have equal length")
-    ws = tuple(Fraction(w) for w in weights)
-    for w in ws:
-        if not 0 <= w < 1:
-            raise InvalidDatum(f"weight {w} outside [0,1)")
-    return ParabolicP1(c=c, d=d, points=pts,
-                       flags=tuple(normalize_flag(f) for f in flags), weights=ws)
+    return ParabolicP1(c, d, points, flags, weights)
 
 
 # --- slopes ---

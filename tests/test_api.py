@@ -68,7 +68,7 @@ def _doc(name):
 
 BASE = ["_ser", "cli", "covers", "errors"]
 WITH_EQUIVARIANT = BASE + ["equivariant"]
-WITH_LOCUS = WITH_EQUIVARIANT + ["divisors", "locus"]
+WITH_LOCUS = WITH_EQUIVARIANT + ["locus"]
 FOOTPRINTS = [
     (["kernel", "--file", _doc("profile12.json")], BASE),
     (["factor", "--file", _doc("profile12.json")], BASE),

@@ -344,11 +344,11 @@ def test_orbits_rejects_a_large_table_without_building_it(capsys, tmp_path, n, o
 def test_kernel_order_limit(capsys, tmp_path, monkeypatch, subcommand):
     # n = 12 with orbits of length 6 and 4: kernel order 2
     doc = write(tmp_path, "p.json", profile_to_json(make_profile(12, [("a", 6), ("b", 4)])))
-    monkeypatch.setattr(cli, "MAX_KERNEL_COVER_ORDER", 12)
+    monkeypatch.setattr(covers, "MAX_KERNEL_COVER_ORDER", 12)
     code, out, _ = run(capsys, subcommand, "--file", doc)
     assert code == 0
     assert json.loads(out)["kernel_order" if subcommand != "factor" else "unramified_degree"] == 2
-    monkeypatch.setattr(cli, "MAX_KERNEL_COVER_ORDER", 11)
+    monkeypatch.setattr(covers, "MAX_KERNEL_COVER_ORDER", 11)
     code, out, err = run(capsys, subcommand, "--file", doc)
     assert code == 3
     assert out == ""

@@ -1,9 +1,13 @@
 """Cover profiles: kernel order, factorization, serialization."""
 
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +63,26 @@ def test_kernel_order_is_sublinear_in_n():
     # a prime n has only the trivial divisor pair below sqrt(n)
     assert kernel_order(make_profile(1_000_003, [])) == 1_000_003
     assert kernel_order(make_profile(1_000_003, [("a", 1)])) == 1
+
+
+def test_a_huge_cover_order_is_rejected_before_the_divisor_search():
+    # the search runs up to isqrt(n): 10^15 steps at n = 10^30; a child with a
+    # timeout, so that a search that does start fails the test instead of hanging it
+    code = ("from fixloc import (DomainError, decomposition_report, factor_cover, kernel_order,\n"
+            "                    make_profile, s_i_possible)\n"
+            "for fn in (kernel_order, factor_cover, decomposition_report, s_i_possible):\n"
+            "    for profile in (make_profile(10 ** 30, []), make_profile(10 ** 30, [('a', 10 ** 15)])):\n"
+            "        try:\n"
+            "            fn(profile)\n"
+            "        except DomainError as exc:\n"
+            "            print(type(exc).__name__, exc)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"DomainError cover order {10 ** 30} is past the kernel-order limit of 10000000000000000"
+    ] * 8
 
 
 def test_factor_cover_splits_degree():
@@ -128,6 +152,21 @@ def test_a_hand_built_profile_is_validated_when_built():
         make_profile(6, [("a", 6), ("a", 4)])
     with pytest.raises(InvalidProfile, match=r"^orbit 'a': length 0 does not divide n=6$"):
         make_profile(6, [("a", 0)])
+
+
+def test_an_orbit_length_or_stabilizer_order_must_be_an_int():
+    # a float or a bool compares equal to the int it stands for, so the
+    # divisibility checks alone let it through
+    with pytest.raises(InvalidProfile, match=r"^orbit 'a': length 3.0 does not divide n=12$"):
+        CoverProfile(12, (SpecialOrbit("a", 3.0, 4),))
+    with pytest.raises(InvalidProfile, match=r"^orbit 'a': length True does not divide n=12$"):
+        CoverProfile(12, (SpecialOrbit("a", True, 12),))
+    with pytest.raises(InvalidProfile, match=r"^orbit 'a': stabilizer order 4.0 != 12//3$"):
+        CoverProfile(12, (SpecialOrbit("a", 3, 4.0),))
+    with pytest.raises(InvalidProfile, match=r"^orbit 'a': stabilizer order True != 2//1$"):
+        CoverProfile(2, (SpecialOrbit("a", 1, True),))
+    with pytest.raises(InvalidProfile, match=r"^orbit 'a': length True does not divide n=12$"):
+        make_profile(12, [("a", True)])
 
 
 def test_profile_json_round_trip():

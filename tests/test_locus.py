@@ -109,6 +109,26 @@ def test_graded_point_reprs_stay_the_same():
     ]
 
 
+def test_a_point_pickled_under_one_hash_seed_equals_a_fresh_one_under_another(tmp_path):
+    path = tmp_path / "point.pickle"
+    _child("import pickle, sys\nfrom fixloc import flagged_class\n"
+           "pt = flagged_class(2, [0, 1])\nhash(pt)\n"
+           "with open(sys.argv[1], 'wb') as f:\n    pickle.dump(pt, f)", 1, path)
+    out = _child("import pickle, sys\nfrom fixloc import flagged_class\n"
+                 "with open(sys.argv[1], 'rb') as f:\n    pt = pickle.load(f)\n"
+                 "fresh = flagged_class(2, [0, 1])\nprint(pt == fresh, pt in {fresh})", 2, path)
+    assert out.split() == ["True", "True"]
+
+
+def test_a_graded_point_cannot_be_reassigned():
+    pt = flagged_class(1, [0, 1])
+    hash(pt)
+    for name, value in [("summands", ()), ("numeric", None), ("det", None)]:
+        with pytest.raises(AttributeError):
+            setattr(pt, name, value)
+    assert pt == flagged_class(1, [0, 1])
+
+
 def test_validate_graded_rejections():
     profile = make_profile(2, [("a", 1), ("b", 1)])
     det = DeterminantLift(residues={"a": 1, "b": 1}, degree=2)
@@ -404,10 +424,10 @@ def twist_neighbors(key, frame):
     """Every key one nontrivial twist step takes key to."""
     # a = 0 is the trivial character, whose step returns its input
     for a in range(1, frame.n):
-        yield locus._o_step(key, frame.shift(a), frame)
+        yield locus._o_step(key, a, frame)
     for a in range(1, frame.n, 2) if frame.n % 2 == 0 else ():
         for which in (0, 1):
-            yield locus._e_step(key, frame.shift(a), which, frame)
+            yield locus._e_step(key, a, which, frame)
 
 
 def closure_roots(keys, frame):
@@ -542,10 +562,10 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
 
 def test_equivalence_classes_validates_each_point_once_and_takes_one_step(monkeypatch):
     # no search: one o-step by the character 1 guards the degrees, then each
-    # point's class is read off its key; the profile's frame is looked up
-    # once per call, and each point goes once through validate_graded's core
+    # point's class is read off its key; the profile's frame is built once
+    # per call, and each point goes once through validate_graded's core
     steps, checked, frames = [], [], []
-    validate, frame = locus._validated_key, locus._frame
+    validate, frame = locus._validated_key, locus._Frame
 
     def counting_validate(pt, profile, frame):
         checked.append(pt)
@@ -556,7 +576,7 @@ def test_equivalence_classes_validates_each_point_once_and_takes_one_step(monkey
         return frame(profile)
 
     monkeypatch.setattr(locus, "_validated_key", counting_validate)
-    monkeypatch.setattr(locus, "_frame", counting_frame)
+    monkeypatch.setattr(locus, "_Frame", counting_frame)
     monkeypatch.setattr(locus, "_o_step", lambda *args: steps.append("o"))
     monkeypatch.setattr(locus, "_e_step", lambda *args: steps.append("e"))
     points = boundary_points(3)
@@ -707,7 +727,7 @@ def test_lift_negation_fixes_every_flagged_class():
         frame = locus._Frame(profile)
         for q in subsets:
             key = validate_graded(flagged_class(g, q), profile)
-            if locus._o_step(key, frame.shift(1), frame) != key:
+            if locus._o_step(key, 1, frame) != key:
                 return False
         return True
 

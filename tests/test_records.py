@@ -23,7 +23,9 @@ import pytest
 from fixloc import (
     InvalidDatum,
     decomposition_report,
+    double_class,
     enumerate_lambda,
+    flagged_class,
     hyperelliptic_delta,
     hyperelliptic_profile,
     hyperelliptic_report,
@@ -46,6 +48,7 @@ from fixloc.locus import (
     CensusRecord,
     ComponentRecord,
     DecompositionReport,
+    GradedPoint,
     GradedSummand,
     HyperellipticReport,
 )
@@ -75,8 +78,9 @@ def _twin(cls):
                  "__qualname__": cls.__qualname__}
     namespace.update((name, cls.__dict__[name])
                      for name in cls.__annotations__ if name in cls.__dict__)
-    if "__post_init__" in cls.__dict__:
-        namespace["__post_init__"] = cls.__dict__["__post_init__"]
+    # the methods the class defines itself; those `frozen` generates have no module
+    namespace.update((name, cls.__dict__[name]) for name in ("__post_init__", "__hash__")
+                     if getattr(cls.__dict__.get(name), "__module__", None) == cls.__module__)
     twin = dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
     setattr(TWINS, cls.__qualname__, twin)
     return twin
@@ -110,6 +114,8 @@ def _samples():
         AdmissibleParabolicDatum: [to_parabolic(datum, profile),
                                    AdmissibleParabolicDatum(1, {"a": F(1, 2)}, {"a": 1})],
         GradedSummand: [GradedSummand(0, frozenset()), GradedSummand(-1, frozenset({"a"}))],
+        GradedPoint: [double_class(1, [0, 1]), flagged_class(1, [0, 1]),
+                      GradedPoint((GradedSummand(0, frozenset()), GradedSummand(-1, frozenset({"a"}))))],
         DecompositionReport: [decomposition_report(p) for p in (p12, profile, make_profile(5, {}))],
         ComponentRecord: [c for r in reports for c in r.components],
         HyperellipticReport: reports,
@@ -141,8 +147,8 @@ def _error(fn, *args, **kwargs):
     return None
 
 
-def test_the_package_has_eighteen_records_and_each_is_sampled():
-    assert len(RECORDS) == 18
+def test_the_package_has_nineteen_records_and_each_is_sampled():
+    assert len(RECORDS) == 19
     assert set(SAMPLES) == set(RECORDS)
     for cls in RECORDS:
         samples = SAMPLES[cls]

@@ -37,6 +37,7 @@ from fixloc._ser import rat_from_json
 from fixloc.stability import (
     MAX_MARKED_POINTS,
     RANK_PRIME,
+    ParabolicP1,
     _eliminate,
     _kernel_candidates,
     kernel_basis,
@@ -225,6 +226,25 @@ def test_make_bundle_rejections():
         make_bundle(-1, -3, [0, 1, 2, 3], [(1, 0)] * 4, [F(3, 2)] + [F(1, 2)] * 3)
     with pytest.raises(InvalidDatum):
         make_bundle(-1, -3, [0, 1, 2], [(1, 0)] * 4, [F(1, 2)] * 3)
+
+
+def test_a_hand_built_bundle_is_normalized_like_make_bundle():
+    # the classifier reads a normalized flag (a, b), a in {0, 1}; a bundle
+    # built without make_bundle must get the same flags and the same verdict
+    args = (-1, -2, (F(-3), F(-5), F(3), F(-2)),
+            ((F(1, 2), F(1, 6)), (F(1, 2), F(1, 6)), (F(1, 2), F(0)), (F(1, 2), F(1, 6))),
+            (F(1, 2),) * 4)
+    assert ParabolicP1(*args) == make_bundle(*args)
+    assert stability_classify(ParabolicP1(*args), 1) == stability_classify(make_bundle(*args), 1)
+    assert stability_classify(ParabolicP1(*args), 1).label == UNSTABLE
+    # halved flags name the same directions
+    rng = random.Random(7)
+    for _ in range(60):
+        g = rng.randint(1, 3)
+        bundle = gen.random_bundle(rng, g, rng.randint(-((g + 1) // 2), -1))
+        halved = ParabolicP1(bundle.c, bundle.d, bundle.points,
+                             tuple((a / 2, b / 2) for a, b in bundle.flags), bundle.weights)
+        assert halved == bundle
 
 
 BUNDLE = make_bundle(-1, -3, [0, 1, 2, 3], [(0, 1), (1, 1), (1, 0), (1, 2)],
