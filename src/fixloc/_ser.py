@@ -111,8 +111,13 @@ def parse_object(doc: object, where: str, required: dict, optional: dict | None 
     return out
 
 
+def is_int(obj: object) -> bool:
+    """An int that is not a bool."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def require_int(obj: object, where: str) -> int:
-    if not isinstance(obj, int) or isinstance(obj, bool):
+    if not is_int(obj):
         raise SchemaError(f"{where} must be an integer")
     return obj
 
@@ -170,6 +175,6 @@ def rat_from_json(obj: object, where: str = "value") -> Fraction:
         if parts["den"] == 0:
             raise SchemaError(f"{where}: zero denominator")
         return fractions.Fraction(parts["num"], parts["den"])
-    if isinstance(obj, int) and not isinstance(obj, bool):
+    if is_int(obj):
         return fractions.Fraction(obj)
     raise SchemaError(f"{where} must be an integer or a {{num, den}} object")

@@ -17,7 +17,7 @@ import math
 import random
 from functools import cached_property
 
-from ._ser import frozen, list_of, parse_object, require_int, require_str
+from ._ser import frozen, is_int, list_of, parse_object, require_int, require_str
 from .errors import DomainError, InternalError, InvalidProfile, UnknownOrbit
 
 # kernel_order finds the kernel order by a divisor search up to isqrt(n); the
@@ -91,22 +91,21 @@ def random_profile(rng: random.Random, max_n: int = 12, max_orbits: int = 4,
 
 def validate(profile: CoverProfile) -> None:
     """Check structural invariants; raise InvalidProfile on violation."""
-    if not isinstance(profile.n, int) or profile.n < 1:
+    if not is_int(profile.n) or profile.n < 1:
         raise InvalidProfile(f"cover order must be a positive integer, got {profile.n!r}")
-    if not isinstance(profile.genus_base, int) or profile.genus_base < 0:
+    if not is_int(profile.genus_base) or profile.genus_base < 0:
         raise InvalidProfile(f"base genus must be a non-negative integer, got {profile.genus_base!r}")
     seen = set()
     for y in profile.orbits:
         if y.id in seen:
             raise InvalidProfile(f"duplicate orbit label {y.id!r}")
         seen.add(y.id)
-        if not isinstance(y.k, int) or isinstance(y.k, bool) or y.k < 1 or profile.n % y.k != 0:
+        if not is_int(y.k) or y.k < 1 or profile.n % y.k != 0:
             raise InvalidProfile(f"orbit {y.id!r}: length {y.k} does not divide n={profile.n}")
         if y.k == profile.n:
             # full-length orbits are generic, not special; they carry no data
             raise InvalidProfile(f"orbit {y.id!r} has full length n={profile.n}")
-        if (not isinstance(y.nprime, int) or isinstance(y.nprime, bool)
-                or y.nprime != profile.n // y.k):
+        if not is_int(y.nprime) or y.nprime != profile.n // y.k:
             raise InvalidProfile(f"orbit {y.id!r}: stabilizer order {y.nprime} != {profile.n}//{y.k}")
 
 

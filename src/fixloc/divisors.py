@@ -15,7 +15,7 @@ mod n'(y).
 from __future__ import annotations
 
 
-from ._ser import dict_of, frozen, parse_object, require_int
+from ._ser import dict_of, frozen, is_int, parse_object, require_int
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, OddOrder
 
@@ -28,6 +28,9 @@ class RootExponent:
     modulus: int
 
     def __post_init__(self):
+        if not (is_int(self.a) and is_int(self.modulus)):
+            raise InvalidDatum(f"root of unity needs an int exponent and modulus, "
+                               f"got {self.a!r} mod {self.modulus!r}")
         if self.modulus < 1:
             raise InvalidDatum(f"root of unity needs a positive modulus, got {self.modulus}")
         object.__setattr__(self, "a", self.a % self.modulus)

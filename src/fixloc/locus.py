@@ -33,7 +33,7 @@ import operator
 from collections.abc import Set
 from typing import TYPE_CHECKING
 
-from ._ser import frozen
+from ._ser import frozen, is_int
 from .covers import CoverProfile, kernel_order, make_profile
 from .equivariant import (
     MINUS,
@@ -205,6 +205,8 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
     """
     if profile.n % 2 == 1:
         raise OddOrder("single-summand crossing twist needs even cover order")
+    if not is_int(exponent):
+        raise InvalidDatum(f"crossing twist exponent must be an int, got {exponent!r}")
     if exponent % 2 != 1:
         raise InvalidDatum("crossing twist exponent must be odd")
     if summand not in (0, 1):

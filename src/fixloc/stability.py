@@ -34,6 +34,12 @@ subtree has an empty kernel and is skipped.  A prefix whose weight sum
 cannot reach the threshold with the largest weights still available is
 skipped too.  Every leaf left gets the exact fraction kernel.
 
+Scoring a witness runs in integers as well.  Its agreement set is read
+off the same interpolation rows, dotted with the sections scaled to a
+common denominator, and its slope difference is one integer sum over
+the weights' common denominator.  Fractions remain only in the kernel
+and in saturation, which run on kernel hits alone.
+
 All arithmetic is exact: integers and fractions, no floats.
 """
 
@@ -41,10 +47,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ._ser import frozen, list_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
+from ._ser import frozen, is_int, list_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
 from .covers import CoverProfile
 from .errors import (DomainError, InternalError, InvalidDatum, NotSemistableNotStrict,
                      SchemaError, UnknownOrbit)
@@ -56,6 +63,7 @@ if TYPE_CHECKING:  # imported where used, so `fixloc stability` loads neither la
 STABLE = "Stable"
 STRICTLY_SEMISTABLE = "StrictlySemistable"
 UNSTABLE = "Unstable"
+_HALF = Fraction(1, 2)  # the weight of the all-half-weights family
 
 # The scan is exponential in the number of marked points.  On one core of
 # an Intel Xeon under CPython 3.11, the slowest of 30 seeded bundles per
@@ -113,13 +121,6 @@ def poly_trim(p: list[Fraction]) -> list[Fraction]:
 
 def poly_deg(p: list[Fraction]) -> int:
     return len(poly_trim(p)) - 1
-
-
-def poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(list(p)):
-        acc = acc * x + coeff
-    return acc
 
 
 def poly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -218,16 +219,26 @@ def make_bundle(c: int, d: int, points, flags, weights) -> ParabolicP1:
 
 def parabolic_slope_difference(bundle: ParabolicP1, witness: SubbundleWitness) -> Fraction:
     """par-slope(bundle) - par-slope(subbundle with induced weights)."""
-    return _face_diff(bundle.d, witness.e, enumerate(bundle.weights), witness.agreement)
+    return _face_diff(bundle.d, witness.e, itertools.count(), bundle.weights, witness.agreement)
 
 
-def _face_diff(d: int, e: int, weights, agreement) -> Fraction:
-    """d/2 - e + sum of w/2 over (key, w) in weights, negated where key agrees."""
-    agr = set(agreement)
-    acc = Fraction(d, 2) - e
-    for key, w in weights:
-        acc += -Fraction(w, 2) if key in agr else Fraction(w, 2)
-    return acc
+def _over_one_denominator(xs) -> tuple[int, list[int]]:
+    """(L, [x*L for x in xs]): L the lcm of the denominators of the ints and Fractions xs."""
+    scale = math.lcm(*(x.denominator for x in xs))
+    return scale, [x.numerator * (scale // x.denominator) for x in xs]
+
+
+def _face_diff(d: int, e: int, keys, weights, agreement) -> Fraction:
+    """d/2 - e + sum of w/2 over the weights, negated where the key is in agreement.
+
+    Summed in integers over the weights' common denominator L: the value
+    is (L*(d-2e) + sum of the signed L*w) / 2L.
+    """
+    scale, iw = _over_one_denominator(weights)
+    acc = scale * (d - 2 * e)
+    for key, x in zip(keys, iw):
+        acc += -x if key in agreement else x
+    return Fraction(acc, 2 * scale)
 
 
 def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
@@ -243,15 +254,14 @@ def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
     """
     from .equivariant import from_parabolic
 
-    ids = set(profile.orbit_ids())
+    data = from_parabolic(pdat, profile)  # validates pdat, whose weights _face_diff reads
     agr = set(agreement)
-    unknown = agr - ids
+    unknown = agr - set(profile.orbit_ids())
     if unknown:
         raise UnknownOrbit(sorted(unknown)[0])
-    lhs = _face_diff(pdat.det_bar_degree, sub_bar_degree,
-                     ((y.id, pdat.weights.get(y.id, 0)) for y in profile.orbits), agr)
+    lhs = _face_diff(pdat.det_bar_degree, sub_bar_degree, profile.orbit_ids(),
+                     [pdat.weights.get(y.id, 0) for y in profile.orbits], agr)
 
-    data = from_parabolic(pdat, profile)
     deg_top = data.det.degree
     deg_sub = profile.n * sub_bar_degree
     for y in profile.orbits:
@@ -305,8 +315,10 @@ def _eliminate(ech: tuple[tuple[int, list[int]], ...], row: list[int]) -> tuple[
         if f:
             lead = head[col]
             row = [(lead * x - f * y) % RANK_PRIME for x, y in zip(row, head)]
-    col = next((j for j, x in enumerate(row) if x), None)
-    return None if col is None else (col, row)
+    for col, x in enumerate(row):
+        if x:
+            return col, row
+    return None
 
 
 def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: int):
@@ -341,12 +353,15 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
 
 
 def _true_agreement(bundle: ParabolicP1, p, q) -> frozenset[int]:
-    out = set()
-    for i, z in enumerate(bundle.points):
-        a, b = bundle.flags[i]
-        if b * poly_eval(p, z) - a * poly_eval(q, z) == 0:
-            out.add(i)
-    return frozenset(out)
+    """The points i where b*p(z) = a*q(z), decided in integers.
+
+    With L the lcm of the coefficient denominators, the interpolation
+    row of point i dotted with (L*p, L*q) is that difference times the
+    nonzero L*t*v^(m-1), so it is zero exactly where the point agrees.
+    """
+    _, coeffs = _over_one_denominator([*p, *q])
+    return frozenset(i for i in range(len(bundle.points)) if not sum(
+        map(operator.mul, _interpolation_row(bundle, i, len(p), len(q)), coeffs)))
 
 
 def saturate(bundle: ParabolicP1, e: int, p, q) -> SubbundleWitness:
@@ -382,6 +397,9 @@ def saturate(bundle: ParabolicP1, e: int, p, q) -> SubbundleWitness:
 
 
 def validate_witness(bundle: ParabolicP1, witness: SubbundleWitness) -> None:
+    for x in (*witness.p_coeffs, *witness.q_coeffs):
+        if not (is_int(x) or isinstance(x, Fraction)):
+            raise InvalidDatum(f"witness coefficient {x!r} must be an int or a Fraction")
     p, q = poly_trim(list(witness.p_coeffs)), poly_trim(list(witness.q_coeffs))
     if not p and not q:
         raise InvalidDatum("witness sections are both zero")
@@ -442,7 +460,7 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     npoints = len(bundle.points)
     if npoints > MAX_MARKED_POINTS:
         raise DomainError(f"{npoints} marked points exceed the limit of {MAX_MARKED_POINTS}")
-    if g is not None and all(w == Fraction(1, 2) for w in bundle.weights):
+    if g is not None and all(w == _HALF for w in bundle.weights):
         if npoints != 2 * g + 2:
             raise InvalidDatum(f"genus {g} needs {2 * g + 2} marked points")
     c, d = bundle.c, bundle.d
@@ -463,8 +481,7 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
         return verdict
 
     # face value <= 0  <=>  2 * sum(iw[S]) >= need, all in integers
-    scale = math.lcm(*(w.denominator for w in bundle.weights))
-    iw = [w.numerator * (scale // w.denominator) for w in bundle.weights]
+    scale, iw = _over_one_denominator(bundle.weights)
     total = sum(iw)
     e_lo = math.ceil(Fraction(d * scale - total, 2 * scale))
     for e in range(d - c, e_lo - 1, -1):

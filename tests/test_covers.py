@@ -169,6 +169,20 @@ def test_an_orbit_length_or_stabilizer_order_must_be_an_int():
         make_profile(12, [("a", True)])
 
 
+def test_a_cover_order_or_base_genus_must_not_be_a_bool():
+    # True and False are ints that print as words; a profile holding one
+    # would reach JSON as true or false
+    with pytest.raises(InvalidProfile, match=r"^cover order must be a positive integer, got True$"):
+        make_profile(True, [])
+    with pytest.raises(InvalidProfile, match=r"^cover order must be a positive integer, got True$"):
+        CoverProfile(n=True, orbits=())
+    for genus in (True, False):
+        with pytest.raises(InvalidProfile,
+                           match=rf"^base genus must be a non-negative integer, got {genus}$"):
+            make_profile(4, [], genus_base=genus)
+    assert make_profile(1, [], genus_base=0).n == 1
+
+
 def test_profile_json_round_trip():
     rng = random.Random(303)
     for _ in range(20):

@@ -1,5 +1,7 @@
 """Root-of-unity scalars and invariant divisor residues."""
 
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +57,15 @@ def test_scalar_guards_raise_typed_errors():
     assert d_mu(RootExponent(1, 6), PROFILE.orbit("b")) == 1  # n'=3 divides 6
     with pytest.raises(InvalidDatum):
         d_mu(RootExponent(1, 4), PROFILE.orbit("b"))  # n'=3 does not divide 4
+
+
+def test_a_root_exponent_needs_int_exponent_and_modulus():
+    # a float or a bool would pass the modulus test and reduce to a float
+    # or bool exponent
+    for a, modulus in [(1.0, 2), (1, 2.0), (True, 2), (1, True), (F(1), 2), (1, F(2))]:
+        with pytest.raises(InvalidDatum, match="int exponent and modulus"):
+            RootExponent(a, modulus)
+    assert RootExponent(3, 2) == RootExponent(1, 2)
 
 
 def test_d_mu_reduces_per_orbit():

@@ -632,6 +632,17 @@ def test_public_steps_reject_supports_that_do_not_partition():
             equivalence_classes([pt], profile)
 
 
+def test_a_crossing_twist_exponent_must_be_an_int():
+    # 1.0 is odd by % and used to twist into float exponents and degrees
+    good, profile = double_class(1, [0, 1]), hyperelliptic_profile(1)
+    for exponent in (1.0, True, Fraction(1)):
+        with pytest.raises(InvalidDatum, match="exponent must be an int"):
+            sim_e_step(good, profile, exponent=exponent)
+    with pytest.raises(InvalidDatum, match="must be odd"):
+        sim_e_step(good, profile, exponent=2)
+    assert sim_e_step(good, profile, exponent=3) == sim_e_step(good, profile, exponent=1)
+
+
 def test_input_guards_raise_typed_errors():
     good = double_class(1, [0, 1])
     with pytest.raises(InvalidDatum):

@@ -1,5 +1,6 @@
 """Parabolic stability on the line: classifier, witnesses, transfer."""
 
+import collections
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixloc import (
+    AdmissibleParabolicDatum,
     DomainError,
     InternalError,
     InvalidDatum,
@@ -40,6 +42,7 @@ from fixloc.stability import (
     ParabolicP1,
     _eliminate,
     _kernel_candidates,
+    _true_agreement,
     kernel_basis,
     poly_divmod,
     poly_gcd,
@@ -291,6 +294,131 @@ def test_validate_witness_rejections():
         validate_witness(BUNDLE, SubbundleWitness(e=wit.e, p_coeffs=wit.p_coeffs,
                                                   q_coeffs=wit.q_coeffs,
                                                   agreement=frozenset({0, 1, 2, 3})))
+
+
+def test_validate_witness_rejects_a_coefficient_that_is_not_exact():
+    # a float or a bool coefficient is refused before any evaluation
+    good = saturate(BUNDLE, -1, [F(1)], [])
+    validate_witness(BUNDLE, good)
+    for p, q in [((1.0,), ()), ((F(1),), (0.5, 1)), ((True,), ()), (("1",), ())]:
+        with pytest.raises(InvalidDatum, match="must be an int or a Fraction"):
+            validate_witness(BUNDLE, SubbundleWitness(e=good.e, p_coeffs=p, q_coeffs=q,
+                                                      agreement=good.agreement))
+    # plain ints are exact and pass
+    validate_witness(BUNDLE, SubbundleWitness(e=good.e, p_coeffs=(1,), q_coeffs=(),
+                                              agreement=good.agreement))
+
+
+def fraction_agreement(bundle, p, q) -> frozenset[int]:
+    """The points where b*p(z) = a*q(z), evaluated in Fractions by Horner's rule.
+
+    The classifier's former evaluation, kept as the oracle for its
+    integer one.
+    """
+    def value(coeffs, z):
+        acc = F(0)
+        for coeff in reversed(coeffs):
+            acc = acc * z + coeff
+        return acc
+
+    return frozenset(i for i, (z, (a, b)) in enumerate(zip(bundle.points, bundle.flags))
+                     if b * value(p, z) - a * value(q, z) == 0)
+
+
+def random_fraction(rng: random.Random) -> Fraction:
+    return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 7, 12]))
+
+
+def random_sections(rng: random.Random, bundle, np_: int, nq: int):
+    """Random Fraction (p, q), or a pair through chosen points so that some agree."""
+    if rng.random() < 0.5 and np_ + nq > 1:
+        rows = [[b * z ** j for j in range(np_)] + [-a * z ** j for j in range(nq)]
+                for z, (a, b) in zip(bundle.points, bundle.flags)]
+        chosen = rng.sample(range(len(rows)), min(len(rows), rng.randint(1, np_ + nq - 1)))
+        basis = kernel_basis([rows[i] for i in chosen], np_ + nq)
+        if basis:
+            v = [x * random_fraction(rng) or x for x in rng.choice(basis)]
+            return v[:np_], v[np_:]
+    return ([random_fraction(rng) for _ in range(np_)],
+            [random_fraction(rng) for _ in range(nq)])
+
+
+def test_true_agreement_matches_fraction_evaluation_on_the_fixtures():
+    checked = 0
+    for name in ("stability_verdicts.json", "stability_verdicts_g5_8.json"):
+        for case in json.loads((FIXTURES / name).read_text()):
+            doc = case["bundle"]
+            bundle = make_bundle(doc["c"], doc["d"],
+                                 [rat_from_json(z) for z in doc["points"]],
+                                 [(rat_from_json(a), rat_from_json(b)) for a, b in doc["flags"]],
+                                 [rat_from_json(w) for w in doc["weights"]])
+            witness = case["verdict"]["witness"]
+            pairs = [([F(1)], []), ([], [F(1)])]
+            if witness is not None:
+                pairs.append(([rat_from_json(x) for x in witness["p"]],
+                              [rat_from_json(x) for x in witness["q"]]))
+            rng = random.Random(case["name"])
+            for _ in range(3):
+                pairs.append(random_sections(rng, bundle, rng.randint(0, 3), rng.randint(0, 3)))
+            for p, q in pairs:
+                assert _true_agreement(bundle, p, q) == fraction_agreement(bundle, p, q), \
+                    (case["name"], p, q)
+                checked += 1
+    assert checked >= 5 * (184 + 48)
+
+
+def test_true_agreement_matches_fraction_evaluation_on_random_bundles():
+    rng = random.Random(63)
+    seen = collections.Counter()
+    for k in range(400):
+        g = rng.randint(1, 4)
+        bundle = gen.random_bundle(rng, g, rng.randint(-((g + 1) // 2), 0), generic_weights=True)
+        if k % 2:  # fractional points, whose denominators enter the integer rows
+            points = set()
+            while len(points) < len(bundle.points):
+                points.add(random_fraction(rng))
+            bundle = make_bundle(bundle.c, bundle.d, sorted(points), bundle.flags, bundle.weights)
+        np_, nq = rng.randint(0, 4), rng.randint(0, 4)
+        p, q = random_sections(rng, bundle, np_, nq)
+        got = _true_agreement(bundle, p, q)
+        assert got == fraction_agreement(bundle, p, q), (bundle, p, q)
+        seen["empty p or q"] += not p or not q
+        seen["point 0"] += 0 in bundle.points
+        seen["negative point"] += any(z < 0 for z in bundle.points)
+        seen["fractional point"] += any(z.denominator > 1 for z in bundle.points)
+        seen["flag (1:0)"] += (F(1), F(0)) in bundle.flags
+        seen["flag (0:1)"] += (F(0), F(1)) in bundle.flags
+        seen["some agree"] += bool(got)
+        seen["some disagree"] += len(got) < len(bundle.points)
+        seen["mixed denominators"] += len({x.denominator for x in (*p, *q)}) > 1
+    assert len(seen) == 9 and min(seen.values()) >= 20, seen
+
+
+def test_slope_difference_is_the_fraction_sum():
+    rng = random.Random(64)
+    for _ in range(300):
+        npoints = rng.randint(0, 8)
+        weights = [F(rng.randint(0, m - 1), m) for m in
+                   (rng.choice([1, 2, 3, 4, 5, 6, 8, 12]) for _ in range(npoints))]
+        bundle = ParabolicP1(0, -rng.randint(0, 7), tuple(range(npoints)),
+                             ((1, 0),) * npoints, tuple(weights))
+        wit = SubbundleWitness(rng.randint(-6, 3), (F(1),), (),
+                               frozenset(i for i in range(npoints) if rng.random() < 0.5))
+        plain = F(bundle.d, 2) - wit.e
+        for i, w in enumerate(weights):
+            plain += -w / 2 if i in wit.agreement else w / 2
+        assert parabolic_slope_difference(bundle, wit) == plain
+
+
+def test_slope_transfer_validates_the_datum_before_it_computes():
+    profile = make_profile(4, [("a", 1)])
+    for weight in (0.5, True, "1/2"):
+        pdat = AdmissibleParabolicDatum(0, {"a": weight}, {"a": 2})
+        with pytest.raises(InvalidDatum, match="must be an int or a Fraction"):
+            slope_transfer_check(profile, pdat, 0, [])
+    lhs, rhs = slope_transfer_check(profile, AdmissibleParabolicDatum(0, {"a": F(1, 2)}, {"a": 2}),
+                                    0, ["a"])
+    assert lhs == rhs == F(-1, 4)
 
 
 def test_classifier_matches_oracle():
