@@ -343,8 +343,7 @@ def cmd_census(args) -> int:
 def cmd_stability(args) -> int:
     from . import stability
     bundle = stability.bundle_from_json(_load_json(args.file))
-    g = (len(bundle.points) - 2) // 2
-    verdict = stability.stability_classify(bundle, g)
+    verdict = stability.stability_classify(bundle)  # bundle_from_json enforced 2g+2 points
     payload = stability.verdict_to_json(verdict)
     lines = [f"class: {verdict.label}"]
     if verdict.witness is not None:

@@ -73,41 +73,29 @@ MAX_MARKED_POINTS = 28
 
 # --- exact linear algebra ---
 
-def row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+def kernel_vector(rows: list[list[int]], ncols: int) -> list[Fraction] | None:
+    """First vector of the reduced-row-echelon kernel basis; None at full rank.
+
+    Gauss-Jordan elimination stops at the first column without a pivot.
+    Every column before it holds a pivot, so that column's kernel vector
+    is 1 there and minus the column's entry in pivot row j at column j.
+    A pivot row found further right is zero left of its pivot, so
+    reducing with it would change no entry of this column.
+    """
     rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1, 1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
+            return ([-rows[j][col] for j in range(col)] + [Fraction(1)]
+                    + [Fraction(0)] * (ncols - col - 1))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = Fraction(1, 1) / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
         for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
+            if i != col and rows[i][col] != 0:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    ech, pivots = row_echelon(rows)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in zip(ech, pivots):
-            v[pc] = -r[free]
-        basis.append(v)
-    return basis
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return None
 
 
 # --- polynomials as low-to-high Fraction coefficient lists ---
@@ -119,24 +107,21 @@ def poly_trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def poly_deg(p: list[Fraction]) -> int:
-    return len(poly_trim(p)) - 1
-
-
 def poly_divmod(a: list[Fraction], b: list[Fraction]):
+    """(quotient, remainder), both trimmed: the first step sets the quotient's top coefficient."""
     a, b = poly_trim(a), poly_trim(b)
     if not b:
         raise InternalError("division by zero polynomial")
     quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    while len(rem) >= len(b) and poly_trim(rem):
+    rem = a
+    while len(rem) >= len(b):
         shift = len(rem) - len(b)
         factor = rem[-1] / b[-1]
         quot[shift] = factor
         for i, coeff in enumerate(b):
             rem[shift + i] -= factor * coeff
         rem = poly_trim(rem)
-    return poly_trim(quot), poly_trim(rem)
+    return quot, rem
 
 
 def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -371,47 +356,42 @@ def saturate(bundle: ParabolicP1, e: int, p, q) -> SubbundleWitness:
     order at infinity (slack in both degree bounds); a vanishing p or q
     lands in a split summand, O(d-c) or O(c) respectively.
     """
-    p, q = poly_trim(list(p)), poly_trim(list(q))
+    p, q = poly_trim(p), poly_trim(q)
     if not p and not q:
         raise InvalidDatum("zero section spans no subbundle")
     if not q:
-        one = (Fraction(1),)
-        return SubbundleWitness(e=bundle.c, p_coeffs=one, q_coeffs=(),
-                                agreement=_true_agreement(bundle, one, ()))
-    if not p:
-        one = (Fraction(1),)
-        return SubbundleWitness(e=bundle.d - bundle.c, p_coeffs=(), q_coeffs=one,
-                                agreement=_true_agreement(bundle, (), one))
-    g = poly_gcd(p, q)
-    p1, _ = poly_divmod(p, g)
-    q1, _ = poly_divmod(q, g)
-    e1 = e + poly_deg(g)
-    slack_p = (bundle.c - e1) - poly_deg(p1)
-    slack_q = (bundle.d - bundle.c - e1) - poly_deg(q1)
-    bump = min(slack_p, slack_q)
-    if bump < 0:
-        raise InternalError("inclusion exceeded its degree budget")
-    e2 = e1 + bump
-    return SubbundleWitness(e=e2, p_coeffs=tuple(p1), q_coeffs=tuple(q1),
-                            agreement=_true_agreement(bundle, p1, q1))
+        e, p, q = bundle.c, (Fraction(1),), ()
+    elif not p:
+        e, p, q = bundle.d - bundle.c, (), (Fraction(1),)
+    else:
+        g = poly_gcd(p, q)
+        p, _ = poly_divmod(p, g)
+        q, _ = poly_divmod(q, g)
+        e += len(g) - 1
+        bump = min((bundle.c - e) - (len(p) - 1), (bundle.d - bundle.c - e) - (len(q) - 1))
+        if bump < 0:
+            raise InternalError("inclusion exceeded its degree budget")
+        e += bump
+    return SubbundleWitness(e=e, p_coeffs=tuple(p), q_coeffs=tuple(q),
+                            agreement=_true_agreement(bundle, p, q))
 
 
 def validate_witness(bundle: ParabolicP1, witness: SubbundleWitness) -> None:
     for x in (*witness.p_coeffs, *witness.q_coeffs):
         if not (is_int(x) or isinstance(x, Fraction)):
             raise InvalidDatum(f"witness coefficient {x!r} must be an int or a Fraction")
-    p, q = poly_trim(list(witness.p_coeffs)), poly_trim(list(witness.q_coeffs))
+    p, q = poly_trim(witness.p_coeffs), poly_trim(witness.q_coeffs)
     if not p and not q:
         raise InvalidDatum("witness sections are both zero")
-    if p and poly_deg(p) > bundle.c - witness.e:
+    if p and len(p) - 1 > bundle.c - witness.e:
         raise InvalidDatum("witness sections exceed their degree bounds")
-    if q and poly_deg(q) > bundle.d - bundle.c - witness.e:
+    if q and len(q) - 1 > bundle.d - bundle.c - witness.e:
         raise InvalidDatum("witness sections exceed their degree bounds")
     if p and q:
-        if poly_deg(poly_gcd(p, q)) > 0:
+        if len(poly_gcd(p, q)) > 1:
             raise InvalidDatum("witness sections share a factor (not saturated)")
-        slack_p = (bundle.c - witness.e) - poly_deg(p)
-        slack_q = (bundle.d - bundle.c - witness.e) - poly_deg(q)
+        slack_p = (bundle.c - witness.e) - (len(p) - 1)
+        slack_q = (bundle.d - bundle.c - witness.e) - (len(q) - 1)
         if min(slack_p, slack_q) > 0:
             raise InvalidDatum("witness vanishes at infinity (not saturated)")
     elif not q and witness.e != bundle.c:
@@ -449,9 +429,10 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     a minor that is nonzero modulo a prime is a nonzero integer; adding
     rows keeps that rank, so every subset below it has a zero kernel.  A
     rank drop caused by the prime alone leaves its subtree unpruned.
-    Each subset the walk reaches goes to kernel_basis, whose reduced row
-    echelon form is unique and unchanged by the integer scaling of the
-    rows, so basis[0] is the plain scan's vector.
+    Each subset the walk reaches goes to kernel_vector, the first vector
+    of the kernel basis read off the reduced row echelon form, which is
+    unique and unchanged by the integer scaling of the rows, so it is
+    the plain scan's vector.
 
     A bundle with more than MAX_MARKED_POINTS marked points raises
     DomainError before any work.  The optional g cross-checks the
@@ -489,10 +470,9 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
         np_, nq = c - e + 1, d - c - e + 1
         rows = [_interpolation_row(bundle, i, np_, nq) for i in range(npoints)]
         for subset in _kernel_candidates(rows, np_ + nq, iw, need):
-            basis = kernel_basis([rows[i] for i in subset], np_ + nq)
-            if not basis:
+            v = kernel_vector([rows[i] for i in subset], np_ + nq)
+            if v is None:
                 continue
-            v = basis[0]
             verdict = consider(saturate(bundle, e, v[:np_], v[np_:]))
             if verdict:
                 return verdict

@@ -43,7 +43,7 @@ from fixloc.stability import (
     _eliminate,
     _kernel_candidates,
     _true_agreement,
-    kernel_basis,
+    kernel_vector,
     poly_divmod,
     poly_gcd,
     saturate,
@@ -81,11 +81,11 @@ def test_poly_divmod_by_zero_is_an_internal_error():
         poly_divmod([F(1)], [F(0)])
 
 
-def test_kernel_basis_known_system():
+def test_kernel_vector_known_system():
     rows = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
-    basis = kernel_basis(rows, 3)
-    assert len(basis) == 1
-    v = basis[0]
+    assert 3 - rank_mod_p(rows) == 1  # a one-dimensional kernel
+    v = kernel_vector(rows, 3)
+    assert v is not None and any(v)
     for row in rows:
         assert sum(a * b for a, b in zip(row, v)) == 0
 
@@ -112,6 +112,26 @@ def rank_mod_p(rows: list[list[int]]) -> int:
                 mat[i] = [(lead * x - f * y) % RANK_PRIME for x, y in zip(mat[i], head)]
         rank += 1
     return rank
+
+
+def test_kernel_vector_is_the_first_reduced_echelon_basis_vector():
+    # the first RREF basis vector is the one kernel vector whose last nonzero
+    # entry, a 1, sits at the first column dependent on the columns before it;
+    # ranks mod the prime equal ranks over Q here, since entries are at most 3
+    rng = random.Random(63)
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3 and nrows > 1:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        v = kernel_vector(rows, ncols)
+        if rank_mod_p(rows) == ncols:
+            assert v is None
+            continue
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+        last = max(j for j, x in enumerate(v) if x)
+        assert v[last] == 1
+        assert rank_mod_p([row[:last] for row in rows] or [[0] * last]) == last
 
 
 def random_int_rows(rng: random.Random, nrows: int, ncols: int) -> list[list[int]]:
@@ -157,17 +177,17 @@ def test_kernel_candidates_match_the_plain_scan():
 
 def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
     # determinant RANK_PRIME: full rank over Q, rank one modulo the prime,
-    # so the subset is not certified and goes to kernel_basis, which
+    # so the subset is not certified and goes to kernel_vector, which
     # finds no kernel
     rows = [[RANK_PRIME, 0], [0, 1]]
     assert rank_mod_p(rows) == 1
-    assert kernel_basis(rows, 2) == []
+    assert kernel_vector(rows, 2) is None
     assert list(_kernel_candidates(rows, 2, [1, 1], 4)) == [(0, 1)]
     # the prefix (0, 1) has full rank over Q only, so nothing below it is pruned
     rows = [[RANK_PRIME, 0], [0, 1], [0, 2], [0, 3]]
     assert list(_kernel_candidates(rows, 2, [1] * 4, 6)) == \
         [(0, 1, 2, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    assert kernel_basis(rows[:3], 2) == []
+    assert kernel_vector(rows[:3], 2) is None
     # the certificate itself: full rank modulo the prime, no candidate
     assert list(_kernel_candidates([[2, 1], [1, 1]], 2, [1, 1], 4)) == []
     # a full-rank prefix ends its subtree: (0, 1) certifies (0, 1, 2)
@@ -175,7 +195,9 @@ def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
     # a genuine kernel is yielded
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     assert list(_kernel_candidates(rows, 3, [1, 1, 1], 6)) == [(0, 1, 2)]
-    assert len(kernel_basis(rows, 3)) == 1
+    assert 3 - rank_mod_p(rows) == 1  # a one-dimensional kernel
+    v = kernel_vector(rows, 3)
+    assert v is not None and all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -335,9 +357,9 @@ def random_sections(rng: random.Random, bundle, np_: int, nq: int):
         rows = [[b * z ** j for j in range(np_)] + [-a * z ** j for j in range(nq)]
                 for z, (a, b) in zip(bundle.points, bundle.flags)]
         chosen = rng.sample(range(len(rows)), min(len(rows), rng.randint(1, np_ + nq - 1)))
-        basis = kernel_basis([rows[i] for i in chosen], np_ + nq)
-        if basis:
-            v = [x * random_fraction(rng) or x for x in rng.choice(basis)]
+        v = kernel_vector([rows[i] for i in chosen], np_ + nq)
+        if v is not None:
+            v = [x * random_fraction(rng) or x for x in v]
             return v[:np_], v[np_:]
     return ([random_fraction(rng) for _ in range(np_)],
             [random_fraction(rng) for _ in range(nq)])
