@@ -116,6 +116,14 @@ def is_int(obj: object) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
+def is_rational(obj: object) -> bool:
+    """An int that is not a bool, or a Fraction: an exact rational, never a float or a string."""
+    if is_int(obj):
+        return True
+    import fractions  # as in rat_from_json: the module is not loaded at start-up
+    return isinstance(obj, fractions.Fraction)
+
+
 def require_int(obj: object, where: str) -> int:
     if not is_int(obj):
         raise SchemaError(f"{where} must be an integer")

@@ -74,7 +74,11 @@ class GradedPoint:
     numeric/det may be None for points born downstairs without a chosen
     cover (the stability module constructs those); equivalence steps
     require both.  The summands are kept in a fixed order, so equality is
-    by content; the hash, over the same content, is taken on every call.
+    by content.  The hash, taken on every call, leaves out the
+    determinant's residues; equal points still hash equal.  On points
+    validate_graded accepts, the exponent pairs fix the residues (d1 + d2
+    mod n'), so two of them that differ only there differ only in
+    whether a zero residue is spelled out.
     """
 
     summands: tuple
@@ -99,7 +103,7 @@ class GradedPoint:
         return hash((
             self.summands,
             None if self.numeric is None else frozenset(self.numeric.items()),
-            None if det is None else (frozenset(det.residues.items()), det.degree, det.lift_sign),
+            None if det is None else (det.degree, det.lift_sign),
         ))
 
 
@@ -209,7 +213,7 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
         raise InvalidDatum(f"crossing twist exponent must be an int, got {exponent!r}")
     if exponent % 2 != 1:
         raise InvalidDatum("crossing twist exponent must be odd")
-    if summand not in (0, 1):
+    if not is_int(summand) or summand not in (0, 1):
         raise InvalidDatum("summand index must be 0 or 1")
     frame = _Frame(profile)
     key = _validated_key(pt, profile, frame)
@@ -472,6 +476,8 @@ def _least_translate(key: tuple, frame: _Frame) -> tuple:
 
 def hyperelliptic_profile(g: int) -> CoverProfile:
     """Degree-2 cover of the line branched at 2g+2 points p0..p(2g+1)."""
+    if not is_int(g):
+        raise InvalidGenus(f"genus must be an int, got {g!r}")
     if g < 1:
         raise InvalidGenus(f"genus must be >= 1, got {g}")
     return make_profile(2, [(f"p{i}", 1) for i in range(2 * g + 2)], genus_base=0)
@@ -479,23 +485,31 @@ def hyperelliptic_profile(g: int) -> CoverProfile:
 
 def hyperelliptic_delta(g: int, which: int) -> DeterminantLift:
     """The two determinant lifts of the trivial determinant (which in {0,1})."""
-    if which not in (0, 1):
+    if not is_int(which) or which not in (0, 1):
         raise InvalidDatum(f"lift index must be 0 or 1, got {which!r}")
     residues = dict.fromkeys(_hyperelliptic_labels(g), which)
     return DeterminantLift(residues=residues, degree=0,
                            lift_sign=PLUS if which == 0 else MINUS)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def _hyperelliptic_labels(g: int) -> tuple[str, ...]:
-    """The branch-point labels p0..p(2g+1) of the genus-g family, built once per g."""
+    """The branch-point labels p0..p(2g+1) of the genus-g family, built once per g.
+
+    Typed, so that True or 1.0 is a miss, not the entry of 1, and reaches
+    hyperelliptic_profile's check.
+    """
     return hyperelliptic_profile(g).orbit_ids()
 
 
 def _even_subset(g: int, q_indices) -> tuple[tuple[str, ...], frozenset]:
     """The family's labels and the point indices Q, checked: |Q| even, each in range."""
     ids = _hyperelliptic_labels(g)
-    q = frozenset(map(int, q_indices))
+    indices = tuple(q_indices)
+    for i in indices:
+        if not is_int(i):
+            raise InvalidDatum(f"point index {i!r} must be an int")
+    q = frozenset(indices)
     if len(q) % 2 != 0:
         raise InvalidDatum(f"subset size must be even, got {len(q)}")
     for i in q:
@@ -660,8 +674,13 @@ def unramified_census(n: int, deg_delta: int, genus_base: int) -> CensusRecord:
     determinant degree.  The determinant degree must be divisible by n
     (InconsistentDegrees otherwise).
     """
+    if not (is_int(n) and is_int(deg_delta)):
+        raise InconsistentDegrees(
+            f"cover order and determinant degree must be ints, got {n!r} and {deg_delta!r}")
     if n < 1:
         raise InconsistentDegrees(f"cover order must be positive, got {n}")
+    if not is_int(genus_base):
+        raise InvalidGenus(f"base genus must be an int, got {genus_base!r}")
     if genus_base < 0:
         raise InvalidGenus(f"base genus must be non-negative, got {genus_base}")
     if deg_delta % n != 0:

@@ -51,7 +51,8 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ._ser import frozen, is_int, list_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int
+from ._ser import (frozen, is_int, is_rational, list_of, pair_of, parse_object, rat_from_json,
+                   rat_to_json, require_int)
 from .covers import CoverProfile
 from .errors import (DomainError, InternalError, InvalidDatum, NotSemistableNotStrict,
                      SchemaError, UnknownOrbit)
@@ -142,8 +143,10 @@ def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 class ParabolicP1:
     """O(c) + O(d-c) with flags and weights at distinct marked points.
 
-    Validated when built; points and weights are stored as Fractions and
-    flags normalized projectively (normalize_flag).
+    Validated when built: c and d must be ints, and every point, flag
+    entry and weight an int or a Fraction (InvalidDatum otherwise).
+    Points and weights are stored as Fractions and flags normalized
+    projectively (normalize_flag).
     """
 
     c: int
@@ -154,14 +157,16 @@ class ParabolicP1:
 
     def __post_init__(self) -> None:
         c, d = self.c, self.d
+        if not (is_int(c) and is_int(d)):
+            raise InvalidDatum(f"splitting degrees must be ints, got c={c!r}, d={d!r}")
         if d - c > c:
             raise InvalidDatum(f"splitting must be normalized: d-c={d-c} exceeds c={c}")
-        pts = tuple(Fraction(z) for z in self.points)
+        pts = tuple(_exact(z, "marked point") for z in self.points)
         if len(set(pts)) != len(pts):
             raise InvalidDatum("marked points must be distinct")
         if not (len(pts) == len(self.flags) == len(self.weights)):
             raise InvalidDatum("points, flags and weights must have equal length")
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(_exact(w, "weight") for w in self.weights)
         for w in ws:
             if not 0 <= w < 1:
                 raise InvalidDatum(f"weight {w} outside [0,1)")
@@ -186,8 +191,14 @@ class StabilityVerdict:
     witness: SubbundleWitness | None
 
 
+def _exact(x, what: str) -> Fraction:
+    if not is_rational(x):
+        raise InvalidDatum(f"{what} {x!r} must be an int or a Fraction")
+    return Fraction(x)
+
+
 def normalize_flag(flag) -> tuple[Fraction, Fraction]:
-    a, b = Fraction(flag[0]), Fraction(flag[1])
+    a, b = _exact(flag[0], "flag entry"), _exact(flag[1], "flag entry")
     if a == 0 and b == 0:
         raise InvalidDatum("flag must be a nonzero direction")
     if a != 0:
@@ -378,7 +389,7 @@ def saturate(bundle: ParabolicP1, e: int, p, q) -> SubbundleWitness:
 
 def validate_witness(bundle: ParabolicP1, witness: SubbundleWitness) -> None:
     for x in (*witness.p_coeffs, *witness.q_coeffs):
-        if not (is_int(x) or isinstance(x, Fraction)):
+        if not is_rational(x):
             raise InvalidDatum(f"witness coefficient {x!r} must be an int or a Fraction")
     p, q = poly_trim(witness.p_coeffs), poly_trim(witness.q_coeffs)
     if not p and not q:

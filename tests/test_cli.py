@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -439,7 +440,7 @@ def test_census_cases_and_rejection(capsys):
 def test_stability_subcommand(capsys, tmp_path):
     bundle = make_bundle(-1, -3, [0, 1, 2, 3, 4, 5],
                          [(0, 1), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5)],
-                         ["1/2"] * 6)
+                         [Fraction(1, 2)] * 6)
     path = write(tmp_path, "b.json", bundle_to_json(bundle))
     code, out, _ = run(capsys, "stability", "--file", path)
     assert code == 0

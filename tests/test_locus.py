@@ -82,6 +82,30 @@ def test_graded_point_is_unordered():
         GradedPoint((s0,))
 
 
+
+def test_equal_points_built_by_different_routes_hash_equal():
+    g = 2
+    profile = hyperelliptic_profile(g)
+    for q in ([], [0, 1], [1, 2, 4, 5]):
+        point = flagged_class(g, q)
+        det = point.det
+        by_hand = GradedPoint(
+            tuple(reversed(point.summands)),
+            numeric=dict(reversed(point.numeric.items())),
+            det=DeterminantLift(residues=dict(reversed(det.residues.items())),
+                                degree=det.degree, lift_sign=det.lift_sign))
+        crossed = [sim_e_step(double_class(g, q), profile, 1, summand) for summand in (0, 1)]
+        for other in (by_hand, *crossed):
+            assert other == point and hash(other) == hash(point)
+
+
+def test_distinct_boundary_points_hash_apart():
+    # the g = 5 boundary: double classes with equal |Q| differ only in their
+    # exponent pairs, so a hash that left them out would collide
+    points = set(boundary_points(5))
+    assert len(points) == 3072
+    assert len({hash(pt) for pt in points}) == len(points)
+
 def _child(code, hash_seed, *args):
     """stdout of a fresh interpreter on the package source, under a fixed hash seed."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),

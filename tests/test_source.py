@@ -63,3 +63,21 @@ def test_no_module_imports_dataclasses():
     found = [path.name for path in sorted(SRC.glob("*.py"))
              if "dataclasses" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def test_the_package_never_converts_with_int_or_float():
+    # int() truncates 1.9 to 1 and float() leaves the exact arithmetic, so
+    # inputs are checked (`_ser.is_int`, `_ser.is_rational`), never converted
+    def converts(node):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+            return False
+        if node.func.id in ("int", "float"):
+            return True
+        return node.func.id == "map" and any(
+            isinstance(arg, ast.Name) and arg.id in ("int", "float") for arg in node.args[:1])
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if converts(node)]
+    assert found == []
