@@ -503,7 +503,7 @@ def _hyperelliptic_labels(g: int) -> tuple[str, ...]:
 
 
 def _even_subset(g: int, q_indices) -> tuple[tuple[str, ...], frozenset]:
-    """The family's labels and the point indices Q, checked: |Q| even, each in range."""
+    """The family's labels and the point indices Q, checked: ints, |Q| even, each in range."""
     ids = _hyperelliptic_labels(g)
     indices = tuple(q_indices)
     for i in indices:
