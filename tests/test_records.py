@@ -54,6 +54,9 @@ from fixloc.locus import (
 )
 from fixloc.stability import ParabolicP1, StabilityVerdict, SubbundleWitness
 
+sys.path.insert(0, str(Path(__file__).resolve().parent / "fixtures"))
+import record_serializer_outputs as recorder  # noqa: E402
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "fixloc"
 
 
@@ -225,3 +228,9 @@ def test_cached_properties_stay_outside_the_fields():
     assert profile.orbit("a").k == 4  # fills the cache
     assert profile == fresh and hash(profile) == hash(fresh)
     assert repr(profile) == repr(fresh) == repr(TWIN[CoverProfile](*_fields(fresh)))
+
+
+def test_serializers_match_the_recorded_fixture():
+    # recorded by tests/fixtures/record_serializer_outputs.py before the record
+    # serializers became one _ser.to_json; the key order is part of the text
+    assert recorder.render(recorder.corpus()) == recorder.FIXTURE.read_text()
