@@ -171,6 +171,27 @@ def dict_of(conv):
     return parse
 
 
+def to_json(value: object) -> object:
+    """The JSON document of a value, the mirror of parse_object.
+
+    A `frozen` record is an object of its fields in `__match_args__`
+    order, a dict an object in sorted key order, a tuple or a list a
+    list, and a Fraction its `rat_to_json`, converted all the way down;
+    any other value is its own document.
+    """
+    if isinstance(value, (int, str)):
+        return value
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in sorted(value.items())}
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    fields = getattr(value, "__match_args__", None)
+    if fields is not None:
+        return {name: to_json(getattr(value, name)) for name in fields}
+    import fractions  # as in rat_from_json: the module is not loaded at start-up
+    return rat_to_json(value) if isinstance(value, fractions.Fraction) else value
+
+
 def rat_to_json(x: Fraction | int) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 

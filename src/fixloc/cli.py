@@ -19,7 +19,7 @@ import sys
 
 # each command imports the layers it runs inside its body, so a CLI child
 # loads only those
-from ._ser import parse_object
+from ._ser import parse_object, to_json
 from .errors import DomainError, InternalError, SchemaError
 
 DEFAULT_SEED = 1729
@@ -39,10 +39,6 @@ MAX_LAMBDA_PAIRS = 500_000
 # orbits tabulates every orbit under each of the n powers; the largest table
 # accepted took about 1.3 s and 190 MB peak RSS as JSON (README)
 MAX_ORBIT_TABLE_ENTRIES = 500_000
-
-# a component's boundary classes are a Set whose len must fit sys.maxsize,
-# and the smallest splitting type has 4^g of them
-MAX_HYPERELLIPTIC_GENUS = 31
 
 
 def _load_json(path: str):
@@ -159,8 +155,7 @@ def cmd_weights(args) -> int:
     doc = _load_input(args.file, profile=covers.profile_from_json,
                       numeric=equivariant.numeric_from_json)
     ws = equivariant.weight_system(doc["numeric"], doc["profile"])
-    payload = {"weights": {label: {"num": w.numerator, "den": w.denominator}
-                           for label, w in sorted(ws.items())}}
+    payload = to_json({"weights": ws})
     lines = [f"{label}: {w}" for label, w in sorted(ws.items())]
     _emit(payload, args.format, lines)
     return 0
@@ -237,13 +232,7 @@ def cmd_decompose(args) -> int:
     from . import covers, locus
     profile = covers.profile_from_json(_load_json(args.file))
     report = locus.decomposition_report(profile)
-    payload = {
-        "n_parity": report.n_parity,
-        "r_parity": report.r_parity,
-        "case": report.case,
-        "kernel_order": report.kernel_order,
-        "statements": list(report.statements),
-    }
+    payload = to_json(report)
     lines = [f"case: {report.case}", f"kernel order: {report.kernel_order}"]
     lines.extend(f"- {s}" for s in report.statements)
     _emit(payload, args.format, lines)
@@ -284,9 +273,6 @@ def cmd_hyperelliptic(args) -> int:
     from . import locus
     if args.g is None:
         raise SchemaError("hyperelliptic requires --g")
-    if args.g > MAX_HYPERELLIPTIC_GENUS:
-        raise DomainError(f"genus {args.g} is past the hyperelliptic limit of "
-                          f"{MAX_HYPERELLIPTIC_GENUS}")
     report = locus.hyperelliptic_report(args.g, with_classes=args.g <= 4)
     payload = _hyperelliptic_payload(report)
     if args.format == "dot":
@@ -320,18 +306,7 @@ def cmd_census(args) -> int:
     if args.n is None or args.deg_delta is None or args.genus_y is None:
         raise SchemaError("census requires --n, --deg-delta and --genus-y")
     record = locus.unramified_census(args.n, args.deg_delta, args.genus_y)
-    payload = {
-        "n": record.n,
-        "deg_delta": record.deg_delta,
-        "genus_base": record.genus_base,
-        "bar_degree": record.bar_degree,
-        "case": record.case,
-        "components": [
-            {"kind": comp.kind, "count": comp.count, "description": comp.description}
-            for comp in record.components
-        ],
-        "intersection_note": record.intersection_note,
-    }
+    payload = to_json(record)
     lines = [f"case: {record.case}"]
     for comp in record.components:
         lines.append(f"- {comp.count} x {comp.kind}: {comp.description}")

@@ -66,10 +66,12 @@ class CoverProfile:
 def make_profile(n: int, lengths: dict[str, int] | list[tuple[str, int]],
                  genus_base: int = 0) -> CoverProfile:
     """Build and validate a profile from (label, orbit length) pairs."""
+    if not is_int(n):  # as validate words it, before n % k reads n
+        raise InvalidProfile(f"cover order must be a positive integer, got {n!r}")
     items = list(lengths.items()) if isinstance(lengths, dict) else list(lengths)
     orbits = []
     for label, k in items:
-        if not isinstance(k, int) or k < 1 or n % k != 0:
+        if not is_int(k) or k < 1 or n % k != 0:
             raise InvalidProfile(f"orbit {label!r}: length {k} does not divide n={n}")
         orbits.append(SpecialOrbit(id=str(label), k=k, nprime=n // k))
     return CoverProfile(n=n, orbits=tuple(orbits), genus_base=genus_base)

@@ -15,7 +15,7 @@ mod n'(y).
 from __future__ import annotations
 
 
-from ._ser import dict_of, frozen, is_int, parse_object, require_int
+from ._ser import dict_of, frozen, is_int, parse_object, require_int, to_json
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, OddOrder
 
@@ -71,6 +71,11 @@ class InvariantDivisor:
     residues: dict[str, int]
     base_degree: int
 
+    def __post_init__(self):
+        if not (is_int(self.base_degree) and all(map(is_int, self.residues.values()))):
+            raise InvalidDatum(f"invariant divisor needs int residues and base degree, "
+                               f"got {self.residues!r} and {self.base_degree!r}")
+
 
 @frozen
 class LineNumericData:
@@ -110,8 +115,7 @@ def norm_degree_check(base_degree: int, profile: CoverProfile) -> int:
 
 # --- serialization ---
 
-def divisor_to_json(div: InvariantDivisor) -> dict:
-    return {"residues": dict(sorted(div.residues.items())), "base_degree": div.base_degree}
+divisor_to_json = to_json  # its fields, the residues in sorted label order
 
 
 def divisor_from_json(doc: object, where: str = "divisor") -> InvariantDivisor:

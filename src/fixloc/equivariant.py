@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._ser import (dict_of, frozen, one_of, pair_of, parse_object, rat_from_json, rat_to_json,
-                   require_int)
+                   require_int, to_json)
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, NonIntegralDegree, NoSolution, UnknownOrbit
 
@@ -478,12 +478,8 @@ def solve_d2(det: DeterminantLift, weights: dict[str, Fraction],
 
 # --- serialization ---
 
-def det_to_json(det: DeterminantLift) -> dict:
-    return {
-        "residues": dict(sorted(det.residues.items())),
-        "degree": det.degree,
-        "lift_sign": det.lift_sign,
-    }
+# a determinant lift, numeric data and a rank-2 datum are written as their fields
+det_to_json = numeric_to_json = rank2_to_json = to_json
 
 
 def det_from_json(doc: object, where: str = "det") -> DeterminantLift:
@@ -492,16 +488,8 @@ def det_from_json(doc: object, where: str = "det") -> DeterminantLift:
     return DeterminantLift(**fields)
 
 
-def numeric_to_json(numeric: dict[str, tuple[int, int]]) -> dict:
-    return {label: [d1, d2] for label, (d1, d2) in sorted(numeric.items())}
-
-
 def numeric_from_json(doc: object, where: str = "numeric") -> dict[str, tuple[int, int]]:
     return dict_of(pair_of(require_int))(doc, where)
-
-
-def rank2_to_json(data: Rank2EqData) -> dict:
-    return {"numeric": numeric_to_json(data.numeric), "det": det_to_json(data.det)}
 
 
 def rank2_from_json(doc: object, where: str = "datum") -> Rank2EqData:

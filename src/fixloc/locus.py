@@ -48,6 +48,7 @@ from .equivariant import (
     validate_rank2,
 )
 from .errors import (
+    DomainError,
     InconsistentDegrees,
     InvalidDatum,
     InvalidGenus,
@@ -57,6 +58,10 @@ from .errors import (
 
 if TYPE_CHECKING:  # sim_o_step's character; the twists themselves take its exponent
     from .divisors import RootExponent
+
+# a component's boundary classes are a Set whose len must fit sys.maxsize,
+# and the smallest splitting type has 4^g of them
+MAX_HYPERELLIPTIC_GENUS = 31
 
 
 @frozen
@@ -89,10 +94,8 @@ class GradedPoint:
         pair = tuple(self.summands)
         if len(pair) != 2:
             raise InvalidDatum("graded point needs exactly two summands")
-        # by base degree, then by sorted support labels (sorted only on a tie)
         s0, s1 = pair
-        if s0.bar_degree > s1.bar_degree or s0.bar_degree == s1.bar_degree and (
-                sorted(map(str, s0.support)) > sorted(map(str, s1.support))):
+        if _out_of_order(s0.bar_degree, s0.support, s1.bar_degree, s1.support):
             pair = (s1, s0)
         object.__setattr__(self, "summands", pair)
         if self.numeric is not None:
@@ -105,6 +108,12 @@ class GradedPoint:
             None if self.numeric is None else frozenset(self.numeric.items()),
             None if det is None else (det.degree, det.lift_sign),
         ))
+
+
+def _out_of_order(bar0: int, support0, bar1: int, support1) -> bool:
+    """Whether summand 1 goes first: by base degree, then by sorted support
+    labels, which are read only on a tie."""
+    return bar0 > bar1 or bar0 == bar1 and sorted(map(str, support0)) > sorted(map(str, support1))
 
 
 def validate_graded(pt: GradedPoint, profile: CoverProfile) -> tuple:
@@ -127,8 +136,6 @@ class _Frame:
         self.ks = tuple(y.k for y in profile.orbits)
         self.nprimes = tuple(y.nprime for y in profile.orbits)
         self.period = math.lcm(*self.nprimes)
-        # (label, position) pairs in the label order of GradedPoint's summands
-        self.labels = sorted((str(y.id), i) for i, y in enumerate(profile.orbits))
 
     def weight(self, ell: tuple[int, ...]) -> int:
         """sum_y k(y) * l(y): a summand's upstairs degree less n * bar_degree."""
@@ -243,13 +250,10 @@ def _settle(part0: tuple, part1: tuple, det: tuple, frame: _Frame) -> tuple:
                 f"summand degree {corrected} not divisible by n={frame.n}; "
                 "profile does not admit this twist")
         bars.append(q)
-    if bars[0] == bars[1]:
-        # each summand's support, as sorted labels, is where it carries the larger exponent
-        (ell0, _), (ell1, _) = part0, part1
-        swap = ([label for label, i in frame.labels if ell0[i] > ell1[i]]
-                > [label for label, i in frame.labels if ell1[i] > ell0[i]])
-    else:
-        swap = bars[0] > bars[1]
+    # each summand's support is where it carries the larger exponent
+    (ell0, _), (ell1, _) = part0, part1
+    swap = _out_of_order(bars[0], itertools.compress(frame.ids, map(operator.gt, ell0, ell1)),
+                         bars[1], itertools.compress(frame.ids, map(operator.lt, ell0, ell1)))
     return (part1, part0, det) if swap else (part0, part1, det)
 
 
@@ -598,7 +602,9 @@ class HyperellipticReport:
 def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticReport:
     """Component census of the fixed variety for the order-two family.
 
-    Every number comes from a formula; nothing is enumerated.
+    Every number comes from a formula; nothing is enumerated.  A genus
+    past MAX_HYPERELLIPTIC_GENUS raises DomainError before anything is
+    built.
 
     Components are indexed by the splitting type c (d/2 <= c < 0 with
     d = -(g+1)); dimension g-2c-1, except 2g-1 for the balanced type
@@ -632,6 +638,8 @@ def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticRepo
     So each class is {D(Q), D(Q^c), F(Q)} for one unordered pair
     {Q, Q^c}, and the 2^(2g+1) even subsets give 4^g classes.
     """
+    if is_int(g) and g > MAX_HYPERELLIPTIC_GENUS:  # a non-int g gets InvalidGenus below
+        raise DomainError(f"genus {g} is past the hyperelliptic limit of {MAX_HYPERELLIPTIC_GENUS}")
     npoints = len(hyperelliptic_profile(g).orbits)  # 2g+2; InvalidGenus for g < 1
     d = -(g + 1)
     components = tuple(

@@ -371,7 +371,7 @@ def test_a_huge_cover_order_is_rejected_before_the_divisor_search(tmp_path, subc
 
 
 def test_hyperelliptic_genus_limit(capsys):
-    g = cli.MAX_HYPERELLIPTIC_GENUS
+    g = locus.MAX_HYPERELLIPTIC_GENUS
     code, out, _ = run(capsys, "hyperelliptic", "--g", str(g), "--format", "text")
     assert code == 0
     assert f"c={-((g + 1) // 2)}: dimension {2 * g - 1}, {4 ** g} boundary classes" in out

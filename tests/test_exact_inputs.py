@@ -14,11 +14,14 @@ from fixloc import (
     InconsistentDegrees,
     InvalidDatum,
     InvalidGenus,
+    InvalidProfile,
+    InvariantDivisor,
     SubbundleWitness,
     double_class,
     flagged_class,
     hyperelliptic_report,
     make_bundle,
+    make_profile,
     sim_e_step,
     unramified_census,
     validate_witness,
@@ -44,6 +47,10 @@ def witness(coeff):
 # (entry point and argument, call with the value, its error, an exact value
 # the call accepts); an entry whose exact value is a Fraction takes a rational
 ENTRIES = [
+    ("make_profile n", lambda x: make_profile(x, [("a", 1)]), InvalidProfile, 2),
+    ("make_profile orbit length", lambda x: make_profile(4, [("a", x)]), InvalidProfile, 2),
+    ("InvariantDivisor residue", lambda x: InvariantDivisor({"a": x}, 0), InvalidDatum, 1),
+    ("InvariantDivisor base degree", lambda x: InvariantDivisor({"a": 1}, x), InvalidDatum, 0),
     ("double_class genus", lambda x: double_class(x, [0, 1]), InvalidGenus, 1),
     ("double_class index", lambda x: double_class(1, [0, x]), InvalidDatum, 1),
     ("flagged_class genus", lambda x: flagged_class(x, [0, 1]), InvalidGenus, 1),
@@ -84,3 +91,10 @@ def test_an_inexact_input_raises_a_typed_error(call, bad, error):
                                         for name, call, _, good in ENTRIES])
 def test_the_exact_value_is_accepted(call, good):
     call(good)
+
+
+@pytest.mark.parametrize("n", ["x", None])
+def test_a_cover_order_that_is_no_number_raises_invalid_profile(n):
+    # n % k would raise a bare TypeError
+    with pytest.raises(InvalidProfile, match=f"cover order must be a positive integer, got {n!r}"):
+        make_profile(n, [("a", 1)])

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixloc import (
     DeterminantLift,
+    DomainError,
     FixlocError,
     GradedPoint,
     GradedSummand,
@@ -803,6 +804,23 @@ def test_report_validates_no_point(monkeypatch):
     rep = hyperelliptic_report(4)
     assert rep.boundary_class_count == 256
     assert calls == []
+
+
+def test_report_past_the_genus_limit_raises_before_building(monkeypatch):
+    # at g = 32 the report's 4^g classes no longer fit len(); at g = 10^6 building
+    # the profile alone ran for over a minute, so each call runs in a timed child
+    code = ("import sys\nfrom fixloc import DomainError, hyperelliptic_report\n"
+            "try:\n    hyperelliptic_report(int(sys.argv[1]))\n"
+            "except DomainError as exc:\n    print(type(exc).__name__, exc)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for g in (locus.MAX_HYPERELLIPTIC_GENUS + 1, 10 ** 6):
+        proc = subprocess.run([sys.executable, "-c", code, str(g)], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"DomainError genus {g} is past the hyperelliptic limit of 31\n"
+    monkeypatch.setattr(locus, "hyperelliptic_profile", lambda g: pytest.fail("built a profile"))
+    with pytest.raises(DomainError):
+        hyperelliptic_report(locus.MAX_HYPERELLIPTIC_GENUS + 1)
 
 
 def test_boundary_predicate_exhaustive():
