@@ -15,8 +15,7 @@ when a change of output is intended, and say why in the change log.
 
 The corpus: seeded cover profiles (n <= 24, up to five orbits, both
 lift signs) with admissible data, its parabolic image, random
-admissible parabolic data (some labels left out, so the defaults
-apply), and about sixty hand-made malformed inputs: weights outside
+admissible parabolic data, and about sixty hand-made malformed inputs: weights outside
 [0,1) or with a denominator not dividing n', a negative derived lower
 exponent, a flag exponent out of range, unknown labels, bad residues
 and lift signs, numeric data not matching the profile, odd cover order
@@ -28,6 +27,12 @@ modifications, and inputs whose faults race each other, such as a bad
 lift sign with an unknown determinant label, a pair out of range at a
 later orbit with a wrong residue sum at an earlier one, or a bad
 direction with an unknown orbit.
+
+A determinant's residues and a parabolic datum's weights and d2 name
+every profile orbit.  Only the cases about that rule leave an orbit
+out (such as bad-derived-d1-negative-default-d2); a case about another
+fault (a bad weight, range or sign) names every orbit, so that it
+reports that fault.
 
 Arguments are stored as plain documents and decoded here without the
 schema parsers, so that malformed values reach the operations.  A
@@ -159,11 +164,9 @@ def evaluate(case: dict) -> dict:
 # --- corpus ---
 
 def _random_pdat(rng: random.Random, profile) -> dict:
-    """Admissible parabolic datum; about one label in five is left to its default."""
+    """Admissible parabolic datum, naming every orbit."""
     weights, d2 = {}, {}
     for y in profile.orbits:
-        if rng.random() < 0.2:
-            continue
         m = rng.randrange(y.nprime)
         weights[y.id] = rng.choice((0, Fraction(0))) if m == 0 else Fraction(m, y.nprime)
         d2[y.id] = rng.randrange(m, y.nprime)
@@ -206,10 +209,12 @@ P5 = profile_to_json(make_profile(5, [("a", 1)]))                # n' = 5
 
 
 def _p4(weights=None, d2=None, sign="+", bar=0):
-    base_w = {"a": F(1, 4), "b": F(1, 2)}
-    base_d2 = {"a": 2, "b": 1}
-    return pdat_doc(bar, base_w if weights is None else weights,
-                    base_d2 if d2 is None else d2, sign)
+    """The P4 datum with the given weights and d2 in place of its own, in their
+    order first; the orbits they leave out keep the datum's values."""
+    def over(base, given):
+        return {**given, **{k: v for k, v in base.items() if k not in given}}
+    return pdat_doc(bar, over({"a": F(1, 4), "b": F(1, 2)}, weights or {}),
+                    over({"a": 2, "b": 1}, d2 or {}), sign)
 
 
 def _d4(numeric=None, residues=None, degree=None, sign="+"):
@@ -237,7 +242,8 @@ def malformed_cases():
     yield fp("d2-negative", _p4(d2={"a": -1}))
     yield fp("derived-d1-negative", _p4(weights={"a": F(3, 4)}, d2={"a": 2}))
     yield fp("derived-d1-negative-at-b", _p4(d2={"a": 2, "b": 0}))
-    yield fp("derived-d1-negative-default-d2", _p4(d2={"b": 1}))
+    yield fp("derived-d1-negative-default-d2",
+             pdat_doc(0, {"a": F(1, 4), "b": F(1, 2)}, {"b": 1}, "+"))
     yield fp("multi-sign-and-unknown", _p4(weights={"z": F(1, 2)}, sign="?", bar=1))
     yield fp("multi-unknown-d2-and-bad-weight", _p4(weights={"a": F(7, 4)}, d2={"z": 1}))
     yield fp("multi-unknown-in-both", _p4(weights={"y": 0}, d2={"z": 0}))
@@ -266,22 +272,23 @@ def malformed_cases():
 
     ok_w = {"a": F(1, 4), "b": F(1, 2)}
     yield sd("residue-equal-nprime", det_doc({"a": 4, "b": 1}, 0, "+"), ok_w)
-    yield sd("residue-negative", det_doc({"a": -1}, 0, "+"), ok_w)
-    yield sd("unknown-residue-label", det_doc({"a": 1, "z": 0}, 0, "+"), ok_w)
+    yield sd("residue-negative", det_doc({"a": -1, "b": 1}, 0, "+"), ok_w)
+    yield sd("unknown-residue-label", det_doc({"a": 1, "z": 0, "b": 1}, 0, "+"), ok_w)
     yield sd("lift-sign", det_doc({"a": 1, "b": 1}, 0, "plus"), ok_w)
     yield sd("minus-on-odd-order", det_doc({"a": 1}, 0, "-"), {"a": F(1, 5)}, P5)
-    yield sd("weight-denominator", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": F(1, 3)})
-    yield sd("weight-negative", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": F(-1, 4)})
+    yield sd("weight-denominator", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": F(1, 3), "b": F(1, 2)})
+    yield sd("weight-negative", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": F(-1, 4), "b": F(1, 2)})
     yield sd("weight-one", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": F(1, 4), "b": 1})
-    yield sd("no-root", det_doc({"a": 0, "b": 0}, 0, "+"), {"b": F(1, 2)})
-    yield sd("roots-below-m", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": F(3, 4)})
-    yield sd("no-root-int-weight", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": 0})
+    yield sd("no-root", det_doc({"a": 0, "b": 0}, 0, "+"), {"a": 0, "b": F(1, 2)})
+    yield sd("roots-below-m", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": F(3, 4), "b": F(1, 2)})
+    yield sd("no-root-int-weight", det_doc({"a": 1, "b": 1}, 0, "+"), {"a": 0, "b": F(1, 2)})
     yield sd("unknown-weight-label-in-solve", det_doc({"a": 1, "b": 1}, 0, "+"),
              {"a": F(1, 4), "b": F(1, 2), "z": F(1, 9)})
-    yield sd("multi-residue-and-weight", det_doc({"a": 7}, 0, "+"), {"a": F(1, 3)})
+    yield sd("multi-residue-and-weight", det_doc({"a": 7, "b": 1}, 0, "+"),
+             {"a": F(1, 3), "b": F(1, 2)})
     yield sd("multi-weight-at-b-no-root-at-a", det_doc({"a": 1, "b": 1}, 0, "+"),
              {"a": F(3, 4), "b": F(1, 3)})
-    yield sd("multi-sign-and-unknown-residue", det_doc({"z": 9}, 0, "x"), ok_w)
+    yield sd("multi-sign-and-unknown-residue", det_doc({"z": 9, "a": 1, "b": 1}, 0, "x"), ok_w)
     yield sd("multi-on-p6", det_doc({"a": 3, "b": 1, "c": 1}, 0, "+"),
              {"c": F(1, 2), "a": F(1, 2), "b": F(1, 4)}, P6)
 
@@ -296,8 +303,8 @@ def malformed_cases():
     yield tp("residue-out-of-range", _d4(residues={"a": 3, "b": 2}))
     yield tp("unknown-residue-label", _d4(residues={"a": 3, "b": 1, "z": 0}))
     yield tp("non-integral-degree", _d4(degree=14))
-    yield tp("multi-sign-residue-numeric", _d4(numeric={}, residues={"a": 9}, sign="?"))
-    yield tp("multi-residue-and-numeric", _d4(numeric={}, residues={"a": 9}))
+    yield tp("multi-sign-residue-numeric", _d4(numeric={}, residues={"a": 9, "b": 1}, sign="?"))
+    yield tp("multi-residue-and-numeric", _d4(numeric={}, residues={"a": 9, "b": 1}))
     yield tp("multi-numeric-and-sum", _d4(numeric={"a": (0, 0)}))
     yield tp("multi-pair-range-at-b-sum-at-a", _d4(numeric={"a": (0, 0), "b": (1, 0)}))
 
@@ -345,12 +352,12 @@ def malformed_modification_cases():
     yield em("unknown-det-label", _d4(residues={"a": 3, "b": 1, "z": 0}))
     yield em("bad-direction", _d4(), direction="up")
     yield em("unknown-orbit", _d4(), orbit="z")
-    yield em("multi-sign-and-unknown-det-label", _d4(residues={"z": 0, "a": 3}, sign="?"))
+    yield em("multi-sign-and-unknown-det-label", _d4(residues={"z": 0, "a": 3, "b": 1}, sign="?"))
     yield em("multi-pair-range-at-b-sum-at-a", _d4(numeric={"a": (0, 0), "b": (1, 2)}))
     yield em("multi-bad-direction-and-unknown-orbit", _d4(), orbit="z", direction="up")
     yield em("multi-numeric-and-bad-direction", _d4(numeric={"a": (1, 2)}), direction="up")
     yield em("multi-sum-and-unknown-orbit", _d4(numeric={"a": (1, 1), "b": (0, 1)}), orbit="z")
-    yield em("multi-residue-range-and-numeric", _d4(numeric={}, residues={"a": 9}))
+    yield em("multi-residue-range-and-numeric", _d4(numeric={}, residues={"a": 9, "b": 1}))
     yield em("multi-residue-range-before-unknown-det-label",
              _d4(residues={"a": 7, "z": 0, "b": 1}))
     yield em("multi-unknown-det-label-before-residue-range",
@@ -370,7 +377,7 @@ def malformed_modification_cases():
              {"z": 1}, {})
     yield ga("multi-unknown-m-and-no-direction", _d4(), {"a": 1, "z": 1}, {})
     yield ga("multi-no-direction-at-b-after-a", _d4(), {"a": 2, "b": 1}, {"a": FIRST})
-    yield ga("multi-sign-unknown-det-unknown-m", _d4(residues={"z": 1}, sign="?"),
+    yield ga("multi-sign-unknown-det-unknown-m", _d4(residues={"z": 1, "a": 3, "b": 1}, sign="?"),
              {"z": 1}, {"y": "up"})
     yield ga("multi-bad-direction-at-a-none-at-b", _d4(), {"b": 1, "a": 1}, {"a": "x"})
     yield ga("multi-pair-range-at-b-sum-at-a", _d4(numeric={"a": (0, 0), "b": (1, 2)}),
@@ -405,7 +412,7 @@ def malformed_modification_cases():
 
     yield za("multi-odd-order-and-pair-range", data_doc({"a": (1, 7)}, det_doc({"a": 3}, 3, "?")),
              P5)
-    yield za("multi-sign-and-unknown-det-label", _d4(residues={"z": 0}, sign="?"))
+    yield za("multi-sign-and-unknown-det-label", _d4(residues={"z": 0, "a": 3, "b": 1}, sign="?"))
     yield za("multi-pair-range-at-b-sum-at-a", _d4(numeric={"a": (0, 0), "b": (1, 2)}))
 
 
@@ -436,8 +443,8 @@ def unknown_label_cases():
             "det": det_doc({"a": 1, "b": 1}, 0, "+"),
             "weights": {k: _weight_doc(w) for k, w in weights.items()}}
 
-    yield sd("two-weights", {"z": F(1, 9), "a": F(1, 4), "y": 0})
-    yield sd("known-bad-weight-then-unknown", {"a": F(1, 3), "z": 0, "y": 0})
+    yield sd("two-weights", {"z": F(1, 9), "a": F(1, 4), "y": 0, "b": F(1, 2)})
+    yield sd("known-bad-weight-then-unknown", {"a": F(1, 3), "z": 0, "y": 0, "b": F(1, 2)})
 
 
 def corpus():

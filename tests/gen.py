@@ -88,21 +88,11 @@ def absorbing_profile(rng, n):
             return make_profile(n, [(f"y{i}", k) for i, k in enumerate(lengths)])
 
 
-def without_zero_residues(pt):
-    """The point with its lift omitting every orbit of residue 0, or None if it has none."""
-    residues = {label: r for label, r in pt.det.residues.items() if r}
-    if len(residues) == len(pt.det.residues):
-        return None
-    det = DeterminantLift(residues=residues, degree=pt.det.degree, lift_sign=pt.det.lift_sign)
-    return GradedPoint(pt.summands, numeric=pt.numeric, det=det)
-
-
 def twist_corpus(seed, cases):
     """Seeded multi-point closures with n <= 24: (profile, points, kinds of member).
 
     Most profiles absorb every twist.  Each input holds a few random
-    points, some of them o-stepped and (even n) e-stepped, and their
-    twins whose lift omits the orbits of residue 0, stepped again.
+    points, some of them o-stepped and (even n) e-stepped.
     """
     rng = random.Random(seed)
     for i in range(cases):
@@ -128,13 +118,6 @@ def twist_corpus(seed, cases):
             add("o-stepped", sim_o_step, pt, RootExponent(rng.randrange(n), n), profile)
             if n % 2 == 0:
                 add("e-stepped", sim_e_step, pt, profile, rng.randrange(1, n, 2), rng.randrange(2))
-        for pt in list(points):
-            omitted = without_zero_residues(pt)
-            if omitted is not None:
-                points.append(omitted)
-                kinds["omitted"] = kinds.get("omitted", 0) + 1
-                add("omitted, o-stepped", sim_o_step, omitted,
-                    RootExponent(rng.randrange(n), n), profile)
         rng.shuffle(points)
         yield profile, points, kinds
 
