@@ -71,7 +71,7 @@ def _load_input(path: str, **fields) -> dict:
 def _pair_counts(det, profile) -> list[int]:
     """Admissible pairs at each orbit, from the closed form: no pair list is built."""
     from .equivariant import admissible_pair_count
-    return [admissible_pair_count(det.residues.get(y.id, 0), y.nprime) for y in profile.orbits]
+    return [admissible_pair_count(det.residues[y.id], y.nprime) for y in profile.orbits]
 
 
 def cmd_kernel(args) -> int:
@@ -134,7 +134,7 @@ def cmd_lambda(args) -> int:
                           f"past the lambda limit of {MAX_LAMBDA_PAIRS} pairs")
     per_orbit = {
         y.id: [[d1, d2] for d1, d2 in
-               equivariant.admissible_pairs(det.residues.get(y.id, 0), y.nprime)]
+               equivariant.admissible_pairs(det.residues[y.id], y.nprime)]
         for y in profile.orbits
     }
     # |Lambda| is the product of the per-orbit pair counts; read Lambda only to list it

@@ -82,8 +82,7 @@ class GradedPoint:
     by content.  The hash, taken on every call, leaves out the
     determinant's residues; equal points still hash equal.  On points
     validate_graded accepts, the exponent pairs fix the residues (d1 + d2
-    mod n'), so two of them that differ only there differ only in
-    whether a zero residue is spelled out.
+    mod n' at every orbit), so no two of them differ only there.
     """
 
     summands: tuple
@@ -124,7 +123,7 @@ def validate_graded(pt: GradedPoint, profile: CoverProfile) -> tuple:
 # The twists act on integer keys ((l0, up0), (l1, up1), (residues, degree,
 # lift_sign)), in profile order: l_i is the exponent summand i carries at each
 # orbit (d2 on its support, d1 elsewhere), up_i = n * bar_degree + sum_y k(y)
-# l_i(y) its upstairs degree, and residues holds None where the lift omits an
+# l_i(y) its upstairs degree, and residues holds the lift's int residue at each
 # orbit.  Summands keep GradedPoint's order, so equal points have equal keys.
 
 class _Frame:
@@ -163,7 +162,7 @@ def _validated_key(pt: GradedPoint, profile: CoverProfile, frame: _Frame) -> tup
         parts.append((ell, frame.n * s.bar_degree + frame.weight(ell)))
     if parts[0][1] != parts[1][1]:
         raise InvalidDatum("summands have unequal parabolic degree")
-    return (*parts, (tuple(map(pt.det.residues.get, frame.ids)), pt.det.degree, pt.det.lift_sign))
+    return (*parts, (tuple(map(pt.det.residues.__getitem__, frame.ids)), pt.det.degree, pt.det.lift_sign))
 
 
 def _rebuild(key: tuple, frame: _Frame) -> GradedPoint:
@@ -175,8 +174,7 @@ def _rebuild(key: tuple, frame: _Frame) -> GradedPoint:
                        frozenset(itertools.compress(ids, map(operator.gt, ell0, ell1))))
     s1 = GradedSummand((up1 - frame.weight(ell1)) // frame.n,
                        frozenset(itertools.compress(ids, map(operator.lt, ell0, ell1))))
-    det = DeterminantLift(residues={i: r for i, r in zip(ids, residues) if r is not None},
-                          degree=degree, lift_sign=sign)
+    det = DeterminantLift(residues=dict(zip(ids, residues)), degree=degree, lift_sign=sign)
     return GradedPoint((s0, s1), numeric=dict(zip(ids, map(_pair, ell0, ell1))), det=det)
 
 
@@ -234,8 +232,7 @@ def _e_step(key: tuple, a: int, summand: int, frame: _Frame) -> tuple:
     # so the upstairs degrees stay fixed while the exponents reduce anew
     ell, up = parts[summand]
     parts[summand] = (frame.translate(ell, a), up)
-    residues = frame.translate((r or 0 for r in residues), a)  # omitted reads as 0
-    det = (residues, degree, MINUS if sign == PLUS else PLUS)
+    det = (frame.translate(residues, a), degree, MINUS if sign == PLUS else PLUS)
     return _settle(parts[0], parts[1], det, frame)
 
 
@@ -305,7 +302,7 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
     d2map = {}
     bar = pdat.det_bar_degree
     for y in profile.orbits:
-        d2 = pdat.d2.get(y.id, 0)
+        d2 = pdat.d2[y.id]
         m, nprime = spreads[y.id], y.nprime
         half = nprime // 2
         if y.k % 2 == 0:
@@ -444,11 +441,10 @@ def _least_translate(key: tuple, frame: _Frame) -> tuple:
     Pi.  For odd n the class is {P0 + a, P1 - a} over the lift delta, so
     its least pair is at a = x0 or a = -x1.  For even n the crossing
     twists (a, 0) and (0, a), a odd, generate (Z/n)^2, move delta by a
-    (an omitted residue read as 0) and flip its sign: the class is every
-    {P0 + x, P1 + y} over delta + x + y, signed by the parity of x + y,
-    plus keys with omitted residues, each with its filled-in twin in the
-    class (cross by a, then by n - a).  Its least pair is at x = x0,
-    y = x1, over the least lift with x + y = x0 + x1 mod the period.
+    and flip its sign: the class is every {P0 + x, P1 + y} over
+    delta + x + y, signed by the parity of x + y.  Its least pair is at
+    x = x0, y = x1, over the least lift with x + y = x0 + x1 mod the
+    period.
     """
     (ell0, up0), (ell1, up1), (residues, degree, sign) = key
     n, moved, period = frame.n, frame.translate, frame.period
@@ -471,8 +467,7 @@ def _least_translate(key: tuple, frame: _Frame) -> tuple:
         return (*min(ordered((least0, up0), (moved(ell1, -x0), up1)),
                      ordered((moved(ell0, -x1), up0), (least1, up1))), key[2])
     signs = (sign, MINUS if sign == PLUS else PLUS)
-    filled = tuple(r or 0 for r in residues) if None in residues else residues
-    lifts = ((moved(filled, s), degree, signs[s % 2]) for s in range((x0 + x1) % period, n, period))
+    lifts = ((moved(residues, s), degree, signs[s % 2]) for s in range((x0 + x1) % period, n, period))
     return (*ordered((least0, up0), (least1, up1)), min(lifts))
 
 

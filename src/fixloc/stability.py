@@ -250,13 +250,13 @@ def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
     """
     from .equivariant import from_parabolic
 
-    data = from_parabolic(pdat, profile)  # validates pdat, whose weights _face_diff reads
+    # validates pdat, whose weights name every orbit, as _face_diff reads them
+    data = from_parabolic(pdat, profile)
     agr = set(agreement)
     unknown = agr - set(profile.orbit_ids())
     if unknown:
         raise UnknownOrbit(sorted(unknown)[0])
-    lhs = _face_diff(pdat.det_bar_degree, sub_bar_degree, profile.orbit_ids(),
-                     [pdat.weights.get(y.id, 0) for y in profile.orbits], agr)
+    lhs = _face_diff(pdat.det_bar_degree, sub_bar_degree, pdat.weights, pdat.weights.values(), agr)
 
     deg_top = data.det.degree
     deg_sub = profile.n * sub_bar_degree

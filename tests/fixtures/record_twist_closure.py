@@ -34,8 +34,8 @@ modulo n whatever the point, so a closure fails at its first step or
 never.  The multi-point cases over profiles with sum_y k(y) not
 divisible by n pin which input that first step starts from (the last
 one) and which summand fails first.  The hand-made inputs also cover
-determinant lifts that omit an orbit, which are distinct points from
-those that list it with residue 0.
+determinant lifts that omit an orbit, which every closure and step
+rejects: a lift names every profile orbit.
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ def _flat(profile, numeric: dict, residues: dict) -> GradedPoint:
 
 
 def omitted_residue_cases():
-    # a lift that omits an orbit differs from one listing residue 0 there;
-    # only a crossing twist (even n) fills the omitted residue in
+    # a lift that omits an orbit is rejected, whatever the other points
     p3 = make_profile(3, [("a", 1), ("b", 1), ("c", 1)])
     zeros = dict.fromkeys(p3.orbit_ids(), (0, 0))
     omit, listed = _flat(p3, zeros, {}), _flat(p3, zeros, {"a": 0})

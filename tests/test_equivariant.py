@@ -521,8 +521,9 @@ def test_weights_must_be_int_or_fraction(weight):
 
 def test_validate_parabolic_returns_the_weight_numerators():
     profile = make_profile(12, [("a", 1), ("b", 4), ("c", 3)])
-    pdat = AdmissibleParabolicDatum(det_bar_degree=0, weights={"a": Fraction(5, 12), "b": 0},
-                                    d2={"a": 7, "b": 2})
+    pdat = AdmissibleParabolicDatum(det_bar_degree=0,
+                                    weights={"a": Fraction(5, 12), "b": 0, "c": 0},
+                                    d2={"a": 7, "b": 2, "c": 0})
     assert validate_parabolic(pdat, profile) == {"a": 5, "b": 0, "c": 0}
 
 
