@@ -35,8 +35,8 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._ser import (dict_of, frozen, one_of, pair_of, parse_object, rat_from_json, rat_to_json,
-                   require_int, to_json)
+from ._ser import (dict_of, frozen, is_int, one_of, pair_of, parse_object, rat_from_json,
+                   rat_to_json, require_int, to_json)
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, NonIntegralDegree, NoSolution, UnknownOrbit
 
@@ -113,9 +113,15 @@ def validate_det(det: DeterminantLift, profile: CoverProfile) -> None:
         y = index.get(label)
         if y is None:
             raise UnknownOrbit(label)
+        # an exact int, the common case, costs one identity test (as in _spread)
+        if not (type(res) is int or is_int(res)):
+            raise InvalidDatum(f"determinant residue at {label!r} must be an int, "
+                               f"got {type(res).__name__}")
         if not 0 <= res < y.nprime:
             raise InvalidDatum(f"determinant residue at {label!r} out of range [0,{y.nprime})")
     _require_every_orbit(det.residues, profile, "determinant residues")
+    if not (type(det.degree) is int or is_int(det.degree)):
+        raise InvalidDatum(f"determinant degree must be an int, got {type(det.degree).__name__}")
 
 
 def random_det(rng: random.Random, profile: CoverProfile) -> DeterminantLift:
@@ -134,6 +140,9 @@ def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile)
         raise InvalidDatum("numeric data must cover exactly the profile orbits")
     for y in profile.orbits:
         d1, d2 = numeric[y.id]
+        if not (type(d1) is int or is_int(d1)) or not (type(d2) is int or is_int(d2)):
+            raise InvalidDatum(f"exponent pair at {y.id!r} must hold two ints, "
+                               f"got {type(d1).__name__} and {type(d2).__name__}")
         if not (0 <= d1 <= d2 < y.nprime):
             raise InvalidDatum(f"exponent pair at {y.id!r} violates 0 <= d1 <= d2 < n'")
 
@@ -178,6 +187,9 @@ def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) ->
     check_orbit_labels(itertools.chain(pdat.weights, pdat.d2), profile)
     # the orbits that both maps name
     _require_every_orbit(pdat.weights.keys() & pdat.d2.keys(), profile, "parabolic weights and d2")
+    if not (type(pdat.det_bar_degree) is int or is_int(pdat.det_bar_degree)):
+        raise InvalidDatum(f"base determinant degree must be an int, "
+                           f"got {type(pdat.det_bar_degree).__name__}")
     return _spreads(pdat, profile)
 
 
@@ -188,6 +200,8 @@ def _spreads(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str,
     for y in profile.orbits:
         m = _spread(pdat.weights[y.id], y)
         d2 = pdat.d2[y.id]
+        if not (type(d2) is int or is_int(d2)):
+            raise InvalidDatum(f"flag exponent at {y.id!r} must be an int, got {type(d2).__name__}")
         if not 0 <= d2 < y.nprime:
             raise InvalidDatum(f"flag exponent at {y.id!r} outside [0,{y.nprime})")
         if d2 < m:

@@ -10,32 +10,50 @@ from fractions import Fraction
 import pytest
 
 from fixloc import (
+    AdmissibleParabolicDatum,
+    DeterminantLift,
     FixlocError,
     InconsistentDegrees,
     InvalidDatum,
     InvalidGenus,
     InvalidProfile,
     InvariantDivisor,
+    Rank2EqData,
     SubbundleWitness,
     double_class,
+    enumerate_lambda,
     flagged_class,
+    from_parabolic,
     hyperelliptic_report,
     make_bundle,
     make_profile,
     sim_e_step,
+    solve_d2,
+    to_parabolic,
     unramified_census,
     validate_witness,
+    zeta2_apply,
 )
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
 
 F = Fraction
 HALF = F(1, 2)
+P2 = make_profile(2, [("a", 1)])  # one orbit, n' = 2
 
 
 def bundle(c=-1, d=-2, point=1, flag=(1, 1), weight=HALF):
     """A g = 1 bundle with the value under test at marked point 1."""
     return make_bundle(c, d, [0, point, 2, 3], [(1, 0), flag, (0, 1), (1, 2)],
                        [HALF, weight, HALF, HALF])
+
+
+def datum(pair=(0, 1), residue=1, degree=1):
+    """A datum over P2; the defaults descend to base degree 0."""
+    return Rank2EqData({"a": pair}, DeterminantLift({"a": residue}, degree))
+
+
+def parabolic(bar=0, d2=1):
+    return AdmissibleParabolicDatum(bar, {"a": 0}, {"a": d2})
 
 
 def witness(coeff):
@@ -71,6 +89,18 @@ ENTRIES = [
     ("make_bundle flag entry b", lambda x: bundle(flag=(1, x)), InvalidDatum, F(1, 2)),
     ("make_bundle weight", lambda x: bundle(weight=x), InvalidDatum, F(1, 3)),
     ("validate_witness coefficient", witness, InvalidDatum, F(1, 2)),
+    ("to_parabolic pair entry", lambda x: to_parabolic(datum(pair=(0, x)), P2), InvalidDatum, 1),
+    ("to_parabolic residue", lambda x: to_parabolic(datum(residue=x), P2), InvalidDatum, 1),
+    ("to_parabolic det degree", lambda x: to_parabolic(datum(degree=x), P2), InvalidDatum, 1),
+    ("zeta2_apply pair entries", lambda x: zeta2_apply(datum(pair=(x, x), residue=0, degree=0), P2),
+     InvalidDatum, 0),
+    ("solve_d2 residue", lambda x: solve_d2(DeterminantLift({"a": x}, 1), {"a": HALF}, P2),
+     InvalidDatum, 1),
+    ("enumerate_lambda residue", lambda x: enumerate_lambda(DeterminantLift({"a": x}, 0), P2),
+     InvalidDatum, 1),
+    ("from_parabolic d2", lambda x: from_parabolic(parabolic(d2=x), P2), InvalidDatum, 1),
+    ("from_parabolic det_bar_degree", lambda x: from_parabolic(parabolic(bar=x), P2),
+     InvalidDatum, 0),
 ]
 
 INEXACT = (1.0, True, "1")
