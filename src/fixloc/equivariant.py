@@ -322,9 +322,10 @@ def bar_delta_degree(det: DeterminantLift, numeric: dict[str, tuple[int, int]],
 
     deg = (degree - sum_y (d1+d2) k(y)) / n; raises NonIntegralDegree
     when the division fails, which flags data not realizable over the
-    profile.  The numeric data must cover exactly the profile orbits
-    (InvalidDatum otherwise).
+    profile.  det must pass validate_det and numeric validate_numeric
+    (InvalidDatum or UnknownOrbit otherwise).
     """
+    validate_det(det, profile)
     validate_numeric(numeric, profile)
     return _descend(numeric, det, profile).det_bar_degree
 

@@ -163,17 +163,6 @@ def evaluate(case: dict) -> dict:
 
 # --- corpus ---
 
-def _random_pdat(rng: random.Random, profile) -> dict:
-    """Admissible parabolic datum, naming every orbit."""
-    weights, d2 = {}, {}
-    for y in profile.orbits:
-        m = rng.randrange(y.nprime)
-        weights[y.id] = rng.choice((0, Fraction(0))) if m == 0 else Fraction(m, y.nprime)
-        d2[y.id] = rng.randrange(m, y.nprime)
-    sign = rng.choice("+-") if profile.n % 2 == 0 else "+"
-    return pdat_doc(rng.randint(-4, 4), weights, d2, sign)
-
-
 def seeded_cases():
     rng = random.Random(2026)
     for i in range(PROFILES):
@@ -192,7 +181,8 @@ def seeded_cases():
             if even:
                 yield name, "zeta2_apply", pdoc, {"data": ddoc}
                 yield name, "parabolic_zeta2", pdoc, {"pdat": pdat}
-        free = _random_pdat(rng, profile)
+        p = gen.random_parabolic(rng, profile)
+        free = pdat_doc(p.det_bar_degree, p.weights, p.d2, p.det_lift_sign)
         name = f"seed-{i}-n{profile.n}-o{len(profile.orbits)}-free"
         yield name, "from_parabolic", pdoc, {"pdat": free}
         det = gen.random_det(rng, profile)
@@ -401,6 +391,7 @@ def malformed_modification_cases():
 
     ok_num = {"a": (1, 2), "b": (0, 1)}
     yield bd("ok", det_doc({"a": 3, "b": 1}, 13, "+"), ok_num)
+    # recorded as a result while bar_delta_degree left its det unchecked
     yield bd("ok-unchecked-det", det_doc({"z": 9}, 13, "?"), ok_num)
     yield bd("non-integral", det_doc({"a": 3, "b": 1}, 14, "+"), ok_num)
     yield bd("missing-orbit", det_doc({"a": 3, "b": 1}, 13, "+"), {"a": (1, 2)})

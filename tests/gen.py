@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from fixloc import (
+    AdmissibleParabolicDatum,
     DeterminantLift,
     GradedPoint,
     GradedSummand,
@@ -26,8 +27,8 @@ from fixloc.covers import random_profile
 from fixloc.equivariant import random_det
 from fixloc.locus import validate_graded
 
-__all__ = ["random_bundle", "random_data", "random_det", "random_graded", "random_profile",
-           "sample_graded", "twist_corpus"]
+__all__ = ["random_bundle", "random_data", "random_det", "random_graded", "random_parabolic",
+           "random_profile", "sample_graded", "twist_corpus"]
 
 
 def random_data(rng: random.Random, profile) -> Rank2EqData:
@@ -38,6 +39,18 @@ def random_data(rng: random.Random, profile) -> Rank2EqData:
         for y in profile.orbits
     }
     return Rank2EqData(numeric=numeric, det=det)
+
+
+def random_parabolic(rng: random.Random, profile) -> AdmissibleParabolicDatum:
+    """Admissible parabolic datum naming every orbit: weight m/n' (a zero
+    weight an int or a Fraction) and m <= d2 < n' at each orbit."""
+    weights, d2 = {}, {}
+    for y in profile.orbits:
+        m = rng.randrange(y.nprime)
+        weights[y.id] = rng.choice((0, Fraction(0))) if m == 0 else Fraction(m, y.nprime)
+        d2[y.id] = rng.randrange(m, y.nprime)
+    sign = rng.choice("+-") if profile.n % 2 == 0 else "+"
+    return AdmissibleParabolicDatum(rng.randint(-4, 4), weights, d2, sign)
 
 
 def random_graded(rng: random.Random, profile) -> GradedPoint | None:

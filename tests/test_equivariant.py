@@ -18,10 +18,13 @@ from fixloc import (
     AdmissibleParabolicDatum,
     DeterminantLift,
     FlagSelector,
+    GradedPoint,
+    GradedSummand,
     InvalidDatum,
     NonIntegralDegree,
     NoSolution,
     Rank2EqData,
+    RootExponent,
     SchemaError,
     UnknownOrbit,
     admissible_pairs,
@@ -30,6 +33,7 @@ from fixloc import (
     det_to_json,
     elementary_modification,
     enumerate_lambda,
+    equivalence_classes,
     from_parabolic,
     gamma_apply,
     make_profile,
@@ -41,12 +45,15 @@ from fixloc import (
     profile_from_json,
     rank2_from_json,
     rank2_to_json,
+    sim_e_step,
+    sim_o_step,
+    slope_transfer_check,
     solve_d2,
     to_parabolic,
     weight_system,
 )
 from fixloc.equivariant import admissible_pair_count, validate_parabolic
-from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, zeta2_apply
+from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, validate_graded, zeta2_apply
 
 import gen
 
@@ -603,3 +610,85 @@ def test_weights_stay_in_range(pd):
     for label, w in to_parabolic(data, profile).weights.items():
         assert 0 <= w < 1
         assert (w * profile.orbit(label).nprime).denominator == 1
+
+
+# --- a datum names every profile orbit ---
+
+P4 = make_profile(4, [("a", 1), ("b", 2)])  # n' = 4, 2
+NUMERIC4 = {"a": (0, 0), "b": (1, 1)}
+DET4 = DeterminantLift(residues={"a": 0, "b": 0}, degree=4)
+PDAT4 = AdmissibleParabolicDatum(det_bar_degree=0, weights={"a": 0, "b": 0}, d2={"a": 0, "b": 1})
+
+
+def point4(det):
+    """The graded point of NUMERIC4 over det: no weighted orbit, both summands of base degree 0."""
+    flat = GradedSummand(0, frozenset())
+    return GradedPoint((flat, flat), numeric=NUMERIC4, det=det)
+
+
+# (entry point, call on a det or a parabolic datum, the full input, the short inputs)
+SHORT_DETS = [DeterminantLift(residues={"a": 0}, degree=4), DeterminantLift(residues={}, degree=4)]
+SHORT_PDATS = [AdmissibleParabolicDatum(0, {"a": 0}, PDAT4.d2),
+               AdmissibleParabolicDatum(0, PDAT4.weights, {"b": 1})]
+OMISSIONS = [
+    ("enumerate_lambda", lambda det: enumerate_lambda(det, P4), DET4, SHORT_DETS),
+    ("to_parabolic", lambda det: to_parabolic(Rank2EqData(NUMERIC4, det), P4), DET4, SHORT_DETS),
+    ("elementary_modification",
+     lambda det: elementary_modification(Rank2EqData(NUMERIC4, det), P4, "b", FIRST),
+     DET4, SHORT_DETS),
+    ("gamma_apply", lambda det: gamma_apply(Rank2EqData(NUMERIC4, det), P4, {"a": 1},
+                                            FlagSelector({"a": FIRST})), DET4, SHORT_DETS),
+    ("zeta2_apply", lambda det: zeta2_apply(Rank2EqData(NUMERIC4, det), P4), DET4, SHORT_DETS),
+    ("solve_d2 det", lambda det: solve_d2(det, PDAT4.weights, P4), DET4, SHORT_DETS),
+    ("bar_delta_degree", lambda det: bar_delta_degree(det, NUMERIC4, P4), DET4, SHORT_DETS),
+    ("validate_graded", lambda det: validate_graded(point4(det), P4), DET4, SHORT_DETS),
+    ("equivalence_classes", lambda det: equivalence_classes([point4(det)], P4), DET4, SHORT_DETS),
+    ("sim_o_step", lambda det: sim_o_step(point4(det), RootExponent(1, 4), P4), DET4, SHORT_DETS),
+    ("sim_e_step", lambda det: sim_e_step(point4(det), P4), DET4, SHORT_DETS),
+    ("from_parabolic", lambda pdat: from_parabolic(pdat, P4), PDAT4, SHORT_PDATS),
+    ("parabolic_zeta2", lambda pdat: parabolic_zeta2(pdat, P4), PDAT4, SHORT_PDATS),
+    ("slope_transfer_check", lambda pdat: slope_transfer_check(P4, pdat, 0, []), PDAT4, SHORT_PDATS),
+    ("solve_d2 weights", lambda pdat: solve_d2(DET4, pdat.weights, P4), PDAT4, SHORT_PDATS[:1]),
+]
+
+
+@pytest.mark.parametrize("call, full, short", [
+    pytest.param(call, full, short, id=f"{name}-{i}")
+    for name, call, full, shorts in OMISSIONS for i, short in enumerate(shorts)])
+def test_a_datum_that_leaves_out_an_orbit_is_rejected(call, full, short):
+    # the full spelling passes validation (P4's sum of k is 3, so a twist
+    # step then fails to descend); the short one is rejected, not read as 0
+    try:
+        call(full)
+    except NonIntegralDegree:
+        pass
+    with pytest.raises(InvalidDatum, match="must name every profile orbit"):
+        call(short)
+
+
+@pytest.mark.parametrize("det, error", [
+    (DeterminantLift(residues={"z": 9}, degree=13, lift_sign="?"), InvalidDatum),
+    (DeterminantLift(residues={"a": 1, "z": 0}, degree=14), UnknownOrbit),
+    (DeterminantLift(residues={"a": 4}, degree=14), InvalidDatum),
+    (DeterminantLift(residues={}, degree=14), InvalidDatum),
+])
+def test_bar_degree_checks_its_determinant(det, error):
+    with pytest.raises(error):
+        bar_delta_degree(det, {"a": (0, 1)}, make_profile(4, [("a", 2)]))
+
+
+def test_the_correspondence_and_the_modifications_invert_each_other_up_to_n24():
+    rng = random.Random(2210)
+    for _ in range(300):
+        profile = gen.random_profile(rng, max_n=24, max_orbits=5)
+        data = gen.random_data(rng, profile)
+        assert from_parabolic(to_parabolic(data, profile), profile) == data
+        pdat = gen.random_parabolic(rng, profile)
+        assert to_parabolic(from_parabolic(pdat, profile), profile) == pdat
+        for y in profile.orbits:
+            direction = rng.choice((FIRST, SECOND))
+            kept = data.numeric[y.id][0 if direction == FIRST else 1]
+            moved = elementary_modification(data, profile, y.id, direction)
+            # the inverse tracks the exponent the modification kept
+            back = FIRST if moved.numeric[y.id][0] == kept else SECOND
+            assert elementary_modification(moved, profile, y.id, back, inverse=True) == data
