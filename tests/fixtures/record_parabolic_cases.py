@@ -15,11 +15,12 @@ when a change of output is intended, and say why in the change log.
 
 The corpus: seeded cover profiles (n <= 24, up to five orbits, both
 lift signs) with admissible data, its parabolic image, random
-admissible parabolic data, and about sixty hand-made malformed inputs: weights outside
-[0,1) or with a denominator not dividing n', a negative derived lower
-exponent, a flag exponent out of range, unknown labels, bad residues
-and lift signs, numeric data not matching the profile, odd cover order
-for lift negation, and inputs with several faults at once.  A second
+admissible parabolic data, and about sixty hand-made malformed
+inputs: weights outside [0,1) or with a denominator not dividing n', a
+negative derived lower exponent, a flag exponent out of range, unknown
+labels, bad residues and lift signs, numeric data not matching the
+profile, odd cover order for lift negation, and inputs with several
+faults at once.  A second
 seeded corpus and a second malformed set, appended after the first so
 that its cases keep their places, cover the modifications, the weight
 system and the descended degree: seeded single and closed-form

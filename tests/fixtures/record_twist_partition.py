@@ -11,9 +11,10 @@ indices, or the exception class and message.  The cases:
   order-two family, every double class D(Q) and one flagged class F(Q)
   per pair {Q, Q^c} (the one whose Q holds point 0), shuffled by a
   seeded generator.  A point is stored as its recipe ["D" or "F", Q].
-- "corpus-*": the 40 seeded closures of `gen.twist_corpus(42, 40)`, with
-  odd and even n <= 24 and stepped members.  A point is stored in the
-  compact form of record_twist_closure.py.
+- "corpus-*": the seeded closures of `gen.twist_corpus(42, 40)` (39 of
+  them: a profile that draws no graded point is skipped), with odd and
+  even n <= 24 and stepped members.  A point is stored in the compact
+  form of record_twist_closure.py.
 
 test_locus.test_twist_partition_matches_the_recorded_fixture replays
 every case from its stored points and compares the rendered document

@@ -626,10 +626,12 @@ def point4(det):
     return GradedPoint((flat, flat), numeric=NUMERIC4, det=det)
 
 
-# (entry point, call on a det or a parabolic datum, the full input, the short inputs)
+# DET4 and PDAT4 with an orbit left out: the residue at b, every residue,
+# the weight at b, the flag exponent at a
 SHORT_DETS = [DeterminantLift(residues={"a": 0}, degree=4), DeterminantLift(residues={}, degree=4)]
 SHORT_PDATS = [AdmissibleParabolicDatum(0, {"a": 0}, PDAT4.d2),
                AdmissibleParabolicDatum(0, PDAT4.weights, {"b": 1})]
+# (entry point, call on a det or a parabolic datum, the full input, the short inputs)
 OMISSIONS = [
     ("enumerate_lambda", lambda det: enumerate_lambda(det, P4), DET4, SHORT_DETS),
     ("to_parabolic", lambda det: to_parabolic(Rank2EqData(NUMERIC4, det), P4), DET4, SHORT_DETS),
