@@ -126,7 +126,7 @@ def cmd_lambda(args) -> int:
     from . import covers, equivariant
     doc = _load_input(args.file, profile=covers.profile_from_json, det=equivariant.det_from_json)
     profile, det = doc["profile"], doc["det"]
-    equivariant.validate_det(det, profile)
+    elements = equivariant.enumerate_lambda(det, profile)  # validates det; builds no element
     counts = _pair_counts(det, profile)
     # every pair is listed; count them before building any
     if sum(counts) > MAX_LAMBDA_PAIRS:
@@ -141,8 +141,7 @@ def cmd_lambda(args) -> int:
     count = math.prod(counts)
     payload = {"count": count, "per_orbit": per_orbit}
     if count <= LIST_CAP:
-        payload["elements"] = [equivariant.numeric_to_json(el)
-                               for el in equivariant.enumerate_lambda(det, profile)]
+        payload["elements"] = [equivariant.numeric_to_json(el) for el in elements]
     lines = [f"admissible numeric data: {count}"]
     for label, pairs in sorted(per_orbit.items()):
         lines.append(f"{label}: " + " ".join(f"({a},{b})" for a, b in pairs))

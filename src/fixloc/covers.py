@@ -14,7 +14,6 @@ objects and some of them are not realized by any actual curve.
 from __future__ import annotations
 
 import math
-import random
 from functools import cached_property
 
 from ._ser import frozen, is_int, list_of, parse_object, require_int, require_str
@@ -65,16 +64,17 @@ class CoverProfile:
 
 def make_profile(n: int, lengths: dict[str, int] | list[tuple[str, int]],
                  genus_base: int = 0) -> CoverProfile:
-    """Build and validate a profile from (label, orbit length) pairs."""
-    if not is_int(n):  # as validate words it, before n % k reads n
-        raise InvalidProfile(f"cover order must be a positive integer, got {n!r}")
-    items = list(lengths.items()) if isinstance(lengths, dict) else list(lengths)
-    orbits = []
-    for label, k in items:
-        if not is_int(k) or k < 1 or n % k != 0:
-            raise InvalidProfile(f"orbit {label!r}: length {k} does not divide n={n}")
-        orbits.append(SpecialOrbit(id=str(label), k=k, nprime=n // k))
-    return CoverProfile(n=n, orbits=tuple(orbits), genus_base=genus_base)
+    """Build and validate a profile from (label, orbit length) pairs.
+
+    Each orbit's n' is n // k where that is defined; the profile's
+    `validate` raises InvalidProfile for any fault, the first one it
+    checks.
+    """
+    items = lengths.items() if isinstance(lengths, dict) else lengths
+    orbits = tuple(SpecialOrbit(id=str(label), k=k,
+                                nprime=n // k if is_int(n) and is_int(k) and k != 0 else None)
+                   for label, k in items)
+    return CoverProfile(n=n, orbits=orbits, genus_base=genus_base)
 
 
 def random_profile(rng: random.Random, max_n: int = 12, max_orbits: int = 4,

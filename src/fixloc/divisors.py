@@ -47,8 +47,7 @@ class RootExponent:
         return RootExponent(self.a * m, self.modulus)
 
 
-def unit_root(a: int, n: int) -> RootExponent:
-    return RootExponent(a, n)
+unit_root = RootExponent  # unit_root(a, n) is the scalar exp(2*pi*i*a/n)
 
 
 def minus_one(n: int) -> RootExponent:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -373,7 +372,8 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
     direction (negative: inverse ones): the selected exponent survives,
     the complementary one drops by m(y) mod n', the determinant degree
     drops by sum_y m(y) k(y) and each residue by m(y).  Labels of m or
-    of flags outside the profile raise UnknownOrbit.
+    of flags outside the profile raise UnknownOrbit, and a count that is
+    not an int (a float, a bool or a str) InvalidDatum.
     """
     validate_rank2(data, profile)
     check_orbit_labels(itertools.chain(m, flags.choice), profile)
@@ -381,6 +381,9 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
     degree = data.det.degree
     for y in profile.orbits:
         my = m.get(y.id, 0)
+        if not (type(my) is int or is_int(my)):
+            raise InvalidDatum(f"modification count at {y.id!r} must be an int, "
+                               f"got {type(my).__name__}")
         if my == 0:
             continue
         side = flags.choice.get(y.id)
@@ -487,7 +490,8 @@ def solve_d2(det: DeterminantLift, weights: dict[str, Fraction],
     even n'(y) up to two.  Raises NoSolution when some orbit admits
     none; returns the product over orbits otherwise.  Weight labels
     outside the profile raise UnknownOrbit, and weights that leave out
-    an orbit InvalidDatum.
+    an orbit InvalidDatum; a weight gets _spread's checks and messages,
+    as in validate_parabolic.
     """
     validate_det(det, profile)
     check_orbit_labels(weights, profile)
@@ -495,10 +499,7 @@ def solve_d2(det: DeterminantLift, weights: dict[str, Fraction],
     per_orbit: list[list[int]] = []
     for y in profile.orbits:
         w = weights[y.id]
-        try:
-            m = _spread(w, y)
-        except InvalidDatum as exc:
-            raise InvalidDatum(f"weight at {y.id!r} not admissible for n'={y.nprime}") from exc
+        m = _spread(w, y)
         delta = det.residues[y.id]
         sols = [d2 for d2 in _halves(m + delta, y.nprime) if d2 >= m]
         if not sols:

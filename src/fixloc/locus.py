@@ -232,8 +232,13 @@ def _e_step(key: tuple, a: int, summand: int, frame: _Frame) -> tuple:
     # so the upstairs degrees stay fixed while the exponents reduce anew
     ell, up = parts[summand]
     parts[summand] = (frame.translate(ell, a), up)
-    det = (frame.translate(residues, a), degree, MINUS if sign == PLUS else PLUS)
+    det = (frame.translate(residues, a), degree, _other_sign(sign))
     return _settle(parts[0], parts[1], det, frame)
+
+
+def _other_sign(sign: str) -> str:
+    """The lift sign tag that lift negation and a crossing twist move to."""
+    return MINUS if sign == PLUS else PLUS
 
 
 def _settle(part0: tuple, part1: tuple, det: tuple, frame: _Frame) -> tuple:
@@ -254,6 +259,12 @@ def _settle(part0: tuple, part1: tuple, det: tuple, frame: _Frame) -> tuple:
     return (part1, part0, det) if swap else (part0, part1, det)
 
 
+def _require_even_order(profile: CoverProfile) -> None:
+    """OddOrder unless the cover order is even, as lift negation needs."""
+    if profile.n % 2 == 1:
+        raise OddOrder("lift negation needs even cover order")
+
+
 def zeta2_apply(data: Rank2EqData, profile: CoverProfile) -> Rank2EqData:
     """Negate the equivariant lift (even order only).
 
@@ -262,8 +273,7 @@ def zeta2_apply(data: Rank2EqData, profile: CoverProfile) -> Rank2EqData:
     the determinant residues and degree are untouched and the opaque
     lift tag flips.  This is an involution.
     """
-    if profile.n % 2 == 1:
-        raise OddOrder("lift negation needs even cover order")
+    _require_even_order(profile)
     validate_rank2(data, profile)
     half = profile.n // 2
     numeric = {}
@@ -271,9 +281,8 @@ def zeta2_apply(data: Rank2EqData, profile: CoverProfile) -> Rank2EqData:
         d1, d2 = data.numeric[y.id]
         shift = half % y.nprime
         numeric[y.id] = _pair((d1 + shift) % y.nprime, (d2 + shift) % y.nprime)
-    sign = MINUS if data.det.lift_sign == PLUS else PLUS
     det = DeterminantLift(residues=dict(data.det.residues), degree=data.det.degree,
-                          lift_sign=sign)
+                          lift_sign=_other_sign(data.det.lift_sign))
     return Rank2EqData(numeric=numeric, det=det)
 
 
@@ -295,8 +304,7 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
     rescales by one reduced fiber per moving orbit, so the base degree
     shifts by (#down - #up).
     """
-    if profile.n % 2 == 1:
-        raise OddOrder("lift negation needs even cover order")
+    _require_even_order(profile)
     spreads = validate_parabolic(pdat, profile)
     weights = {}
     d2map = {}
@@ -316,9 +324,8 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
         weights[y.id], d2map[y.id] = _weight(m, nprime), d2
     # every branch keeps 0 <= d2 - m <= d2 < n'; the cross branch has
     # m >= 1, so the weight 1 - w = (n' - m)/n' stays in (0, 1)
-    sign = MINUS if pdat.det_lift_sign == PLUS else PLUS
-    return AdmissibleParabolicDatum(det_bar_degree=bar,
-                                    weights=weights, d2=d2map, det_lift_sign=sign)
+    return AdmissibleParabolicDatum(det_bar_degree=bar, weights=weights, d2=d2map,
+                                    det_lift_sign=_other_sign(pdat.det_lift_sign))
 
 
 def zeta2_partition(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, str]:
@@ -328,8 +335,7 @@ def zeta2_partition(numeric: dict[str, tuple[int, int]], profile: CoverProfile) 
     is n'/2 and the pair either moves up ('up': d2 < n'/2), down
     ('down': d1 >= n'/2), or straddles and swaps ('cross').
     """
-    if profile.n % 2 == 1:
-        raise OddOrder("lift negation needs even cover order")
+    _require_even_order(profile)
     validate_numeric(numeric, profile)
     out = {}
     for y in profile.orbits:
@@ -466,7 +472,7 @@ def _least_translate(key: tuple, frame: _Frame) -> tuple:
     if n % 2 == 1:
         return (*min(ordered((least0, up0), (moved(ell1, -x0), up1)),
                      ordered((moved(ell0, -x1), up0), (least1, up1))), key[2])
-    signs = (sign, MINUS if sign == PLUS else PLUS)
+    signs = (sign, _other_sign(sign))
     lifts = ((moved(residues, s), degree, signs[s % 2]) for s in range((x0 + x1) % period, n, period))
     return (*ordered((least0, up0), (least1, up1)), min(lifts))
 

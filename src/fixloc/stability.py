@@ -53,11 +53,11 @@ from typing import TYPE_CHECKING
 
 from ._ser import (frozen, is_int, is_rational, list_of, pair_of, parse_object, rat_from_json,
                    rat_to_json, require_int)
-from .covers import CoverProfile
 from .errors import (DomainError, InternalError, InvalidDatum, NotSemistableNotStrict,
                      SchemaError, UnknownOrbit)
 
-if TYPE_CHECKING:  # imported where used, so `fixloc stability` loads neither layer
+if TYPE_CHECKING:  # for annotations; `fixloc stability` loads none of these layers
+    from .covers import CoverProfile
     from .equivariant import AdmissibleParabolicDatum
     from .locus import GradedPoint
 
@@ -146,7 +146,7 @@ class ParabolicP1:
     Validated when built: c and d must be ints, and every point, flag
     entry and weight an int or a Fraction (InvalidDatum otherwise).
     Points and weights are stored as Fractions and flags normalized
-    projectively (normalize_flag).
+    projectively (normalize_flag).  `make_bundle` is this class.
     """
 
     c: int
@@ -206,9 +206,7 @@ def normalize_flag(flag) -> tuple[Fraction, Fraction]:
     return (Fraction(0), Fraction(1))
 
 
-def make_bundle(c: int, d: int, points, flags, weights) -> ParabolicP1:
-    """Build and validate; flags are normalized projectively."""
-    return ParabolicP1(c, d, points, flags, weights)
+make_bundle = ParabolicP1  # builds and validates; flags are normalized projectively
 
 
 # --- slopes ---
@@ -246,12 +244,16 @@ def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
     pattern, and 1/n times the ordinary slope difference of its
     pullback tracked through the exponent data.  The two are equal for
     every consistent input; computing both exercises independent
-    bookkeeping paths.
+    bookkeeping paths.  pdat must pass from_parabolic, and
+    sub_bar_degree must be an int (InvalidDatum otherwise).
     """
     from .equivariant import from_parabolic
 
     # validates pdat, whose weights name every orbit, as _face_diff reads them
     data = from_parabolic(pdat, profile)
+    if not is_int(sub_bar_degree):
+        raise InvalidDatum(f"subbundle base degree must be an int, "
+                           f"got {type(sub_bar_degree).__name__}")
     agr = set(agreement)
     unknown = agr - set(profile.orbit_ids())
     if unknown:

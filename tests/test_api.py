@@ -80,8 +80,7 @@ FOOTPRINTS = [
     (["decompose", "--file", _doc("profile12.json")], WITH_LOCUS),
     (["hyperelliptic", "--g", "3"], WITH_LOCUS),
     (["census", "--n", "4", "--deg-delta", "8", "--genus-y", "2"], WITH_LOCUS),
-    (["stability", "--file", _doc("stability_g2.json")], ["_ser", "cli", "covers", "errors",
-                                                          "stability"]),
+    (["stability", "--file", _doc("stability_g2.json")], ["_ser", "cli", "errors", "stability"]),
 ]
 
 

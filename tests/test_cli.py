@@ -103,10 +103,12 @@ def test_lambda_weights_zeta2_pipeline(capsys, tmp_path):
 
 
 def test_lambda_count_is_the_product_of_per_orbit_pairs(capsys, tmp_path, monkeypatch):
-    def refuse(det, profile):
-        pytest.fail("Lambda built only to be counted")
+    def refuse(*args):
+        pytest.fail("an element of Lambda built only to be counted")
 
-    monkeypatch.setattr(equivariant, "enumerate_lambda", refuse)
+    # the lazy view builds an element only when it is iterated or indexed
+    monkeypatch.setattr(equivariant._Lambda, "__iter__", refuse)
+    monkeypatch.setattr(equivariant._Lambda, "_decode", refuse)
     profile = make_profile(12, [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 1)])
     det = DeterminantLift(residues={"a": 5, "b": 0, "c": 3, "d": 1, "e": 0}, degree=24)
     doc = write(tmp_path, "lam.json",
@@ -522,6 +524,15 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert "domain error" in err
     code, _, _ = run(capsys, "hyperelliptic", "--g", "0")
     assert code == 3
+    # a det whose residues leave out orbit b
+    short_det = write(tmp_path, "short_det.json", {
+        "profile": {"n": 4, "genus_base": 0, "orbits": [{"id": "a", "k": 1}, {"id": "b", "k": 2}]},
+        "det": {"residues": {"a": 0}, "degree": 4}})
+    code, out, err = run(capsys, "lambda", "--file", short_det)
+    assert code == 3
+    assert out == ""
+    assert err == ("domain error: InvalidDatum: determinant residues must name every "
+                   "profile orbit\n")
 
 
 def test_usage_errors_exit_two(capsys):

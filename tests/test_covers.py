@@ -145,10 +145,10 @@ def test_a_hand_built_profile_is_validated_when_built():
     with pytest.raises(InvalidProfile, match=r"cover order must be a positive integer, got 0"):
         CoverProfile(n=0, orbits=())
     assert CoverProfile(12, (SpecialOrbit("a", 4, 3),)) == make_profile(12, [("a", 4)])
-    # make_profile checks each length before the record checks the whole profile
+    # make_profile leaves every check to the record, so its first error is the record's
     with pytest.raises(InvalidProfile, match=r"^cover order must be a positive integer, got 0$"):
         make_profile(0, [("a", 1)])
-    with pytest.raises(InvalidProfile, match=r"^orbit 'a': length 4 does not divide n=6$"):
+    with pytest.raises(InvalidProfile, match=r"^orbit 'a' has full length n=6$"):
         make_profile(6, [("a", 6), ("a", 4)])
     with pytest.raises(InvalidProfile, match=r"^orbit 'a': length 0 does not divide n=6$"):
         make_profile(6, [("a", 0)])

@@ -10,9 +10,11 @@ from fractions import Fraction
 import pytest
 
 from fixloc import (
+    FIRST,
     AdmissibleParabolicDatum,
     DeterminantLift,
     FixlocError,
+    FlagSelector,
     InconsistentDegrees,
     InvalidDatum,
     InvalidGenus,
@@ -24,10 +26,12 @@ from fixloc import (
     enumerate_lambda,
     flagged_class,
     from_parabolic,
+    gamma_apply,
     hyperelliptic_report,
     make_bundle,
     make_profile,
     sim_e_step,
+    slope_transfer_check,
     solve_d2,
     to_parabolic,
     unramified_census,
@@ -100,6 +104,10 @@ ENTRIES = [
      InvalidDatum, 1),
     ("from_parabolic d2", lambda x: from_parabolic(parabolic(d2=x), P2), InvalidDatum, 1),
     ("from_parabolic det_bar_degree", lambda x: from_parabolic(parabolic(bar=x), P2),
+     InvalidDatum, 0),
+    ("gamma_apply count", lambda x: gamma_apply(datum(), P2, {"a": x}, FlagSelector({"a": FIRST})),
+     InvalidDatum, 1),
+    ("slope_transfer_check sub_bar_degree", lambda x: slope_transfer_check(P2, parabolic(), x, []),
      InvalidDatum, 0),
 ]
 

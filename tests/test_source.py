@@ -81,3 +81,37 @@ def test_the_package_never_converts_with_int_or_float():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if converts(node)]
     assert found == []
+
+
+def _annotations(tree):
+    """The annotation nodes of a tree: of arguments, of returns and of annotated assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, ast.FunctionDef) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def test_every_module_level_import_is_read_outside_annotations():
+    # postponed annotations are never evaluated, so an import read only there
+    # costs every process that loads the module and buys nothing at run time;
+    # such an import belongs under `if TYPE_CHECKING:`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_annotations = {id(node) for ann in _annotations(tree) for node in ast.walk(ann)}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and id(node) not in in_annotations}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            if not read.intersection(bound):
+                found.append(f"{path.name}:{node.lineno} {', '.join(bound)}")
+    assert found == []

@@ -438,8 +438,13 @@ def test_slope_transfer_validates_the_datum_before_it_computes():
         pdat = AdmissibleParabolicDatum(0, {"a": weight}, {"a": 2})
         with pytest.raises(InvalidDatum, match="must be an int or a Fraction"):
             slope_transfer_check(profile, pdat, 0, [])
-    lhs, rhs = slope_transfer_check(profile, AdmissibleParabolicDatum(0, {"a": F(1, 2)}, {"a": 2}),
-                                    0, ["a"])
+        # the datum's fault wins over the subbundle degree's
+        with pytest.raises(InvalidDatum, match="must be an int or a Fraction"):
+            slope_transfer_check(profile, pdat, 0.5, [])
+    good = AdmissibleParabolicDatum(0, {"a": F(1, 2)}, {"a": 2})
+    with pytest.raises(InvalidDatum, match="^subbundle base degree must be an int, got float$"):
+        slope_transfer_check(profile, good, 0.5, ["a"])
+    lhs, rhs = slope_transfer_check(profile, good, 0, ["a"])
     assert lhs == rhs == F(-1, 4)
 
 
