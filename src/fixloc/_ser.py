@@ -2,6 +2,8 @@
 
 `frozen` makes a class an immutable record over its annotated fields;
 every layer's profiles, exponent data, reports and verdicts are records.
+A record's mapping fields are `FrozenDict`s, read-only dicts, and a
+record can carry a validity mark (`mark`).
 
 A converter takes (value, where) and returns the parsed value, or raises
 SchemaError naming `where`, the value's path in the document
@@ -37,9 +39,25 @@ def frozen(cls):
     each field with `object.__setattr__`, not through `self.__dict__`:
     with `__dict__` writes the `lambda` benchmark was slower in four of
     four pairs, `wall_s` 1.67–1.77 s against 1.41–1.53 s.
+
+    A class that sets `_mark = None` (not a field: it has no annotation)
+    makes records that can carry a validity mark.  The mark lives in the
+    instance `__dict__` as `_mark`, outside the fields, so equality,
+    hashing, repr and JSON do not see it; the class attribute is its
+    value on an unmarked record.  `mark` sets it on a record that passed
+    a validator, and such a class gets the private constructor
+    `_new_marked(mark, *fields)`, which builds a record with it and
+    skips `__post_init__`, so its caller passes final field values:
+    mappings already FrozenDicts in any record it returns.  The mark is
+    a single attribute because CPython 3.11 keeps an instance's
+    attributes in an array sized by its class's shared key table, which
+    takes one key added after many instances were built; a second such
+    key gave every marked instance a dict of its own (about 280 bytes).  Every record's
+    `__getstate__` leaves the mark out, so a copied or unpickled record
+    is unmarked and is validated again.
     """
     names = tuple(cls.__annotations__)
-    namespace = {"_setattr": object.__setattr__}
+    namespace = {"_setattr": object.__setattr__, "_new": object.__new__, "_cls": cls}
     params = []
     for name in names:
         if name in cls.__dict__:
@@ -52,8 +70,12 @@ def frozen(cls):
         body.append("    self.__post_init__()")
     own = "".join(f"self.{name}, " for name in names)
     other = "".join(f"other.{name}, " for name in names)
+    marked = []
+    if "_mark" in cls.__dict__:
+        marked = [f"def _new_marked(_mark, {', '.join(params)}):", "    self = _new(_cls)",
+                  *body[:len(names)], "    _setattr(self, '_mark', _mark)", "    return self"]
     exec("\n".join([
-        f"def __init__(self, {', '.join(params)}):", *body,
+        f"def __init__(self, {', '.join(params)}):", *body, *marked,
         "def __eq__(self, other):",
         "    if other.__class__ is self.__class__:",
         f"        return ({own}) == ({other})",
@@ -66,7 +88,10 @@ def frozen(cls):
         generated[attr] = namespace[attr]
         generated[attr].__qualname__ = f"{cls.__qualname__}.{attr}"  # as in TypeError texts
     generated.update(__repr__=_record_repr, __setattr__=_no_assignment,
-                     __delattr__=_no_deletion, __match_args__=names)
+                     __delattr__=_no_deletion, __getstate__=_unmarked_state,
+                     __match_args__=names)
+    if marked:
+        generated["_new_marked"] = staticmethod(namespace["_new_marked"])
     for attr, value in generated.items():
         if attr not in cls.__dict__:
             setattr(cls, attr, value)
@@ -84,6 +109,57 @@ def _no_assignment(self, name, value):
 
 def _no_deletion(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _unmarked_state(self) -> dict:
+    state = self.__dict__.copy()
+    state.pop("_mark", None)
+    return state
+
+
+def mark(record, value):
+    """Mark record with value, which its validator reads back (see frozen).
+
+    The validators of `equivariant` and `locus` mark a record that
+    passed them with the profile it was checked against (a parabolic
+    datum with the pair of that profile and its weight numerators), and
+    return at once on a record marked for the same profile object.  Only
+    records whose fields cannot change are marked: their mappings are
+    FrozenDicts and the values in them immutable.
+    """
+    object.__setattr__(record, "_mark", value)
+
+
+class FrozenDict(dict):
+    """A dict that cannot change: every mutator raises TypeError.
+
+    Reads, iteration order, repr, `json.dumps`, `to_json` and equality
+    with plain dicts are a dict's, and so is the hash (none); `copy()`
+    and `|` return a plain dict.  A record's `__post_init__` wraps its
+    mapping fields with `freeze`.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
+
+
+def freeze(value):
+    """A dict as a FrozenDict: one already frozen is shared, a plain one copied.
+
+    Any other value is returned as it is, so that the validators meet it
+    and raise the errors they raised before records froze their fields.
+    """
+    if type(value) is FrozenDict or not isinstance(value, dict):
+        return value
+    return FrozenDict(value)
 
 
 def parse_object(doc: object, where: str, required: dict, optional: dict | None = None) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from ._ser import frozen, is_int, list_of, parse_object, require_int, require_str
+from ._ser import FrozenDict, frozen, is_int, list_of, parse_object, require_int, require_str
 from .errors import DomainError, InternalError, InvalidProfile, UnknownOrbit
 
 # kernel_order finds the kernel order by a divisor search up to isqrt(n); the
@@ -41,14 +41,15 @@ class CoverProfile:
 
     def __post_init__(self) -> None:
         validate(self)
+        # a tuple, so that nothing changes a profile that marks a datum valid
+        object.__setattr__(self, "orbits", tuple(self.orbits))
 
     # Computed on first use and kept in the instance __dict__; not a record
     # field, so equality, hashing, repr and JSON see only the fields.
-    # Read-only by convention: profiles are shared and never mutated.
     @cached_property
-    def orbit_index(self) -> dict[str, SpecialOrbit]:
-        """Orbit by label, in profile order."""
-        return {y.id: y for y in self.orbits}
+    def orbit_index(self) -> FrozenDict[str, SpecialOrbit]:
+        """Orbit by label, in profile order; read-only."""
+        return FrozenDict({y.id: y for y in self.orbits})
 
     @cached_property
     def _orbit_ids(self) -> tuple[str, ...]:

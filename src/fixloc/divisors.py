@@ -15,7 +15,7 @@ mod n'(y).
 from __future__ import annotations
 
 
-from ._ser import dict_of, frozen, is_int, parse_object, require_int, to_json
+from ._ser import dict_of, freeze, frozen, is_int, parse_object, require_int, to_json
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, OddOrder
 
@@ -74,6 +74,7 @@ class InvariantDivisor:
         if not (is_int(self.base_degree) and all(map(is_int, self.residues.values()))):
             raise InvalidDatum(f"invariant divisor needs int residues and base degree, "
                                f"got {self.residues!r} and {self.base_degree!r}")
+        object.__setattr__(self, "residues", freeze(self.residues))
 
 
 @frozen
@@ -81,6 +82,9 @@ class LineNumericData:
     """Residues mod n'(y) classifying a line bundle up to pullback twist."""
 
     values: dict[str, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", freeze(self.values))
 
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.values.values())

@@ -25,6 +25,23 @@ the tracked flag exponent is kept, the complementary exponent drops by
 one (mod n'), the determinant loses one fiber (degree -k(y), residue
 -1); `gamma_apply` is the closed form for iterating this m(y) times
 at every orbit.
+
+Each record is validated once per profile.  The records' maps are
+read-only (`_ser.FrozenDict`), so a checked record stays valid, and
+validate_det, validate_rank2 and validate_parabolic mark a record that
+passed with the profile object it was checked against (`_ser.mark`;
+a parabolic datum's mark also holds its weight numerators).  Each
+returns at once on a record marked for the same profile object, by
+identity: an equal but distinct profile checks again.  A record
+whose values could still change (pairs that are not tuples, maps that
+are not FrozenDicts, a subclass) is checked every time and never
+marked.  The operations build their outputs already marked through
+one constructor each (_rank2, _parabolic): elementary_modification,
+gamma_apply and lift negation (in `locus`) when their input carries the
+mark, since they reuse its values; to_parabolic, from_parabolic and the
+parabolic lift negation whenever their check passed.  round_trip trusts
+its input, so it marks nothing.  A copy or a pickle of a record carries
+no mark.
 """
 
 from __future__ import annotations
@@ -34,8 +51,8 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._ser import (dict_of, frozen, is_int, one_of, pair_of, parse_object, rat_from_json,
-                   rat_to_json, require_int, to_json)
+from ._ser import (FrozenDict, dict_of, freeze, frozen, is_int, mark, one_of, pair_of,
+                   parse_object, rat_from_json, rat_to_json, require_int, to_json)
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, NonIntegralDegree, NoSolution, UnknownOrbit
 
@@ -59,6 +76,11 @@ class DeterminantLift:
     degree: int
     lift_sign: str = PLUS
 
+    _mark = None  # a validity mark (see validate_* and _ser.frozen)
+
+    def __post_init__(self):
+        object.__setattr__(self, "residues", freeze(self.residues))
+
 
 @frozen
 class Rank2EqData:
@@ -67,12 +89,20 @@ class Rank2EqData:
     numeric: dict[str, tuple[int, int]]
     det: DeterminantLift
 
+    _mark = None  # a validity mark (see validate_* and _ser.frozen)
+
+    def __post_init__(self):
+        object.__setattr__(self, "numeric", freeze(self.numeric))
+
 
 @frozen
 class FlagSelector:
     """Per-orbit choice of tracked eigenvalue: 'first' (d1) or 'second' (d2)."""
 
     choice: dict[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "choice", freeze(self.choice))
 
 
 @frozen
@@ -84,6 +114,12 @@ class AdmissibleParabolicDatum:
     weights: dict[str, Fraction]
     d2: dict[str, int]
     det_lift_sign: str = PLUS
+
+    _mark = None  # a validity mark (see validate_* and _ser.frozen)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", freeze(self.weights))
+        object.__setattr__(self, "d2", freeze(self.d2))
 
 
 def _validate_lift_sign(sign: str, profile: CoverProfile) -> None:
@@ -106,6 +142,8 @@ def _require_every_orbit(labels, profile: CoverProfile, what: str) -> None:
 
 
 def validate_det(det: DeterminantLift, profile: CoverProfile) -> None:
+    if getattr(det, "_mark", None) is profile:
+        return
     _validate_lift_sign(det.lift_sign, profile)
     index = profile.orbit_index
     for label, res in det.residues.items():
@@ -121,6 +159,8 @@ def validate_det(det: DeterminantLift, profile: CoverProfile) -> None:
     _require_every_orbit(det.residues, profile, "determinant residues")
     if not (type(det.degree) is int or is_int(det.degree)):
         raise InvalidDatum(f"determinant degree must be an int, got {type(det.degree).__name__}")
+    if type(det) is DeterminantLift and type(det.residues) is FrozenDict:
+        mark(det, profile)
 
 
 def random_det(rng: random.Random, profile: CoverProfile) -> DeterminantLift:
@@ -147,13 +187,51 @@ def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile)
 
 
 def validate_rank2(data: Rank2EqData, profile: CoverProfile) -> None:
-    validate_det(data.det, profile)
-    validate_numeric(data.numeric, profile)
-    numeric, residues = data.numeric, data.det.residues
+    if getattr(data, "_mark", None) is profile:
+        return
+    _check_rank2(data.numeric, data.det, profile)
+    if type(data) is Rank2EqData and _frozen_parts(data.numeric, data.det, profile):
+        mark(data, profile)
+
+
+def _check_rank2(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
+                 profile: CoverProfile) -> None:
+    """validate_rank2's checks on a datum's two parts, which a graded point holds too."""
+    validate_det(det, profile)
+    validate_numeric(numeric, profile)
+    residues = det.residues
     for y in profile.orbits:
         d1, d2 = numeric[y.id]
         if (d1 + d2) % y.nprime != residues[y.id]:
             raise InvalidDatum(f"exponent pair at {y.id!r} does not sum to determinant residue")
+
+
+def _frozen_parts(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
+                  profile: CoverProfile) -> bool:
+    """Whether checked parts can never change: det marked for profile, numeric
+    a FrozenDict of tuples.  Only then may their record carry a mark."""
+    return (getattr(det, "_mark", None) is profile and type(numeric) is FrozenDict
+            and all(type(pair) is tuple for pair in numeric.values()))
+
+
+def _marked_for(data: Rank2EqData, profile: CoverProfile) -> CoverProfile | None:
+    """profile when data carries its mark, else None: what an output that
+    reuses data's values may be marked for (see _rank2)."""
+    return profile if getattr(data, "_mark", None) is profile else None
+
+
+def _rank2(numeric: dict[str, tuple[int, int]], residues: dict[str, int], degree: int,
+           lift_sign: str, valid_for: CoverProfile | None) -> Rank2EqData:
+    """The datum an operation built, and its determinant, both marked valid
+    for the profile valid_for unless that is None.
+
+    The one constructor of the operations' rank-2 data: an operation
+    passes the profile it validated its input against only when the
+    datum it built passes validate_rank2 for it by construction, and
+    only when every value it reused from its input is immutable.
+    """
+    det = DeterminantLift._new_marked(valid_for, freeze(residues), degree, lift_sign)
+    return Rank2EqData._new_marked(valid_for, FrozenDict(numeric), det)
 
 
 # the weight m/n', one Fraction shared by every datum that carries it; the keys
@@ -182,6 +260,15 @@ def _spread(w: int | Fraction, y: SpecialOrbit) -> int:
 
 def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str, int]:
     """Check a parabolic datum; return m(y) = w(y) * n'(y) per profile orbit."""
+    return dict(_checked_spreads(pdat, profile))
+
+
+def _checked_spreads(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str, int]:
+    """validate_parabolic without the copy: the m that the datum's mark
+    keeps with the profile, which the caller must not change."""
+    checked = getattr(pdat, "_mark", None)
+    if checked is not None and checked[0] is profile:
+        return checked[1]
     _validate_lift_sign(pdat.det_lift_sign, profile)
     check_orbit_labels(itertools.chain(pdat.weights, pdat.d2), profile)
     # the orbits that both maps name
@@ -189,7 +276,21 @@ def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) ->
     if not (type(pdat.det_bar_degree) is int or is_int(pdat.det_bar_degree)):
         raise InvalidDatum(f"base determinant degree must be an int, "
                            f"got {type(pdat.det_bar_degree).__name__}")
-    return _spreads(pdat, profile)
+    spreads = _spreads(pdat, profile)
+    if (type(pdat) is AdmissibleParabolicDatum and type(pdat.weights) is FrozenDict
+            and type(pdat.d2) is FrozenDict):
+        mark(pdat, (profile, spreads))
+    return spreads
+
+
+def _parabolic(det_bar_degree: int, weights: dict[str, Fraction], d2: dict[str, int],
+               det_lift_sign: str, spreads: dict[str, int],
+               profile: CoverProfile) -> AdmissibleParabolicDatum:
+    """The parabolic datum an operation built from a datum it validated for
+    profile, marked valid for it with its weight numerators spreads; the
+    one constructor of the operations' parabolic data (as _rank2)."""
+    return AdmissibleParabolicDatum._new_marked((profile, spreads), det_bar_degree,
+                                                FrozenDict(weights), FrozenDict(d2), det_lift_sign)
 
 
 def _spreads(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str, int]:
@@ -359,9 +460,8 @@ def elementary_modification(data: Rank2EqData, profile: CoverProfile, orbit_id: 
     numeric[orbit_id] = _pair(kept, moved)
     residues = dict(data.det.residues)
     residues[orbit_id] = (residues[orbit_id] + step) % y.nprime
-    det = DeterminantLift(residues=residues, degree=data.det.degree + step * y.k,
-                          lift_sign=data.det.lift_sign)
-    return Rank2EqData(numeric=numeric, det=det)
+    return _rank2(numeric, residues, data.det.degree + step * y.k, data.det.lift_sign,
+                  _marked_for(data, profile))
 
 
 def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
@@ -394,51 +494,58 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
         numeric[y.id] = _pair(kept, (moved - my) % y.nprime)
         residues[y.id] = (residues[y.id] - my) % y.nprime
         degree -= my * y.k
-    det = DeterminantLift(residues=residues, degree=degree, lift_sign=data.det.lift_sign)
-    return Rank2EqData(numeric=numeric, det=det)
+    return _rank2(numeric, residues, degree, data.det.lift_sign, _marked_for(data, profile))
 
 
 def to_parabolic(data: Rank2EqData, profile: CoverProfile) -> AdmissibleParabolicDatum:
     """Descend equivariant numeric data to its parabolic shadow."""
     validate_rank2(data, profile)
-    return _descend(data.numeric, data.det, profile)
+    return _descend(data.numeric, data.det, profile, checked=True)
 
 
 def _descend(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
-             profile: CoverProfile) -> AdmissibleParabolicDatum:
+             profile: CoverProfile, checked: bool = False) -> AdmissibleParabolicDatum:
     """The parabolic shadow of numeric data that validate_numeric accepts.
 
     In one pass: weight (d2 - d1)/n'(y) (as weight_system gives it),
     flag exponent d2, and base degree (degree - sum_y (d1+d2) k(y)) / n,
-    NonIntegralDegree unless the division is exact.
+    NonIntegralDegree unless the division is exact.  Marked valid for
+    profile, with its weight numerators d2 - d1, when checked: the
+    caller validated numeric and det together (validate_rank2).
     """
-    weights, d2s = {}, {}
+    weights, d2s, spreads = {}, {}, {}
     total = det.degree
     for y in profile.orbits:
         d1, d2 = numeric[y.id]
-        weights[y.id] = _weight(d2 - d1, y.nprime)
+        spreads[y.id] = m = d2 - d1
+        weights[y.id] = _weight(m, y.nprime)
         d2s[y.id] = d2
         total -= (d1 + d2) * y.k
     bar, rem = divmod(total, profile.n)
     if rem != 0:
         raise NonIntegralDegree(
             f"corrected determinant degree {total} is not divisible by n={profile.n}")
-    return AdmissibleParabolicDatum(det_bar_degree=bar, weights=weights, d2=d2s,
-                                    det_lift_sign=det.lift_sign)
+    if not checked:
+        # read only by round_trip's ascent and bar_delta_degree, which never
+        # return it, so its maps stay unfrozen: freezing them made the round
+        # trip of an element of Λ about 10% slower
+        return AdmissibleParabolicDatum._new_marked(None, bar, weights, d2s, det.lift_sign)
+    return _parabolic(bar, weights, d2s, det.lift_sign, spreads, profile)
 
 
 def from_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Rank2EqData:
     """Reconstruct equivariant numeric data from its parabolic shadow."""
-    return _ascend(pdat, validate_parabolic(pdat, profile), profile)
+    return _ascend(pdat, _checked_spreads(pdat, profile), profile, checked=True)
 
 
 def _ascend(pdat: AdmissibleParabolicDatum, spreads: dict[str, int],
-            profile: CoverProfile) -> Rank2EqData:
+            profile: CoverProfile, checked: bool = False) -> Rank2EqData:
     """The numeric data of a parabolic datum with weight numerators spreads.
 
     In one pass: d1 = d2 - m(y), residue (d1+d2) mod n'(y), degree
     n * base degree + sum_y (d1+d2) k(y).  spreads is what
-    validate_parabolic returns.
+    validate_parabolic returns; the result is marked valid for profile
+    when checked, that is when validate_parabolic's checks passed.
     """
     numeric, residues = {}, {}
     degree = profile.n * pdat.det_bar_degree
@@ -448,8 +555,7 @@ def _ascend(pdat: AdmissibleParabolicDatum, spreads: dict[str, int],
         numeric[y.id] = (d1, d2)
         residues[y.id] = (d1 + d2) % y.nprime
         degree += (d1 + d2) * y.k
-    det = DeterminantLift(residues=residues, degree=degree, lift_sign=pdat.det_lift_sign)
-    return Rank2EqData(numeric=numeric, det=det)
+    return _rank2(numeric, residues, degree, pdat.det_lift_sign, profile if checked else None)
 
 
 def round_trip(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
@@ -460,6 +566,7 @@ def round_trip(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
     elements are admissible.  The descended datum still gets
     validate_parabolic's per-orbit checks (its sign and labels come from
     det and profile), so a descent that breaks them raises InvalidDatum.
+    Since numeric was never checked, neither datum is marked valid.
     """
     pdat = _descend(numeric, det, profile)
     return _ascend(pdat, _spreads(pdat, profile), profile)

@@ -33,7 +33,7 @@ import operator
 from collections.abc import Set
 from typing import TYPE_CHECKING
 
-from ._ser import frozen, is_int
+from ._ser import FrozenDict, freeze, frozen, is_int, mark
 from .covers import CoverProfile, kernel_order, make_profile
 from .equivariant import (
     MINUS,
@@ -41,10 +41,15 @@ from .equivariant import (
     AdmissibleParabolicDatum,
     DeterminantLift,
     Rank2EqData,
+    _check_rank2,
+    _checked_spreads,
+    _frozen_parts,
+    _marked_for,
     _pair,
+    _parabolic,
+    _rank2,
     _weight,
     validate_numeric,
-    validate_parabolic,
     validate_rank2,
 )
 from .errors import (
@@ -89,6 +94,8 @@ class GradedPoint:
     numeric: dict | None = None
     det: DeterminantLift | None = None
 
+    _mark = None  # a validity mark (see _validated_key and _ser.frozen)
+
     def __post_init__(self):
         pair = tuple(self.summands)
         if len(pair) != 2:
@@ -97,8 +104,8 @@ class GradedPoint:
         if _out_of_order(s0.bar_degree, s0.support, s1.bar_degree, s1.support):
             pair = (s1, s0)
         object.__setattr__(self, "summands", pair)
-        if self.numeric is not None:
-            object.__setattr__(self, "numeric", dict(self.numeric))
+        if self.numeric is not None and type(self.numeric) is not FrozenDict:
+            object.__setattr__(self, "numeric", FrozenDict(self.numeric))
 
     def __hash__(self):
         det = self.det
@@ -146,22 +153,40 @@ class _Frame:
 
 
 def _validated_key(pt: GradedPoint, profile: CoverProfile, frame: _Frame) -> tuple:
-    """validate_graded on the profile's frame, which callers on many points build once."""
+    """validate_graded on the profile's frame, which callers on many points build once.
+
+    A point that passed for this profile object carries its mark, and is
+    only keyed.  The key is not kept: on the census boundary points it
+    took 2.9 MB, about a tenth of the census workload's peak RSS.
+    """
+    if getattr(pt, "_mark", None) is profile:
+        return _key(pt, frame)
     if pt.numeric is None or pt.det is None:
         raise InvalidDatum("graded point lacks cover context")
-    validate_rank2(Rank2EqData(numeric=pt.numeric, det=pt.det), profile)
-    # (d1, d2) at each orbit; a summand's exponent is d2 on its support, d1 elsewhere
-    pairs = tuple(map(pt.numeric.__getitem__, frame.ids))
-    weighted = {label for label, (d1, d2) in zip(frame.ids, pairs) if d1 != d2}
+    _check_rank2(pt.numeric, pt.det, profile)
+    weighted = {label for label, (d1, d2) in pt.numeric.items() if d1 != d2}
     s0, s1 = pt.summands
     if set(s0.support) | set(s1.support) != weighted or set(s0.support) & set(s1.support):
         raise InvalidDatum("summand supports must partition the weighted orbits")
+    key = _key(pt, frame)
+    if key[0][1] != key[1][1]:
+        raise InvalidDatum("summands have unequal parabolic degree")
+    # marked only when nothing in the point can change
+    if type(pt) is GradedPoint and _frozen_parts(pt.numeric, pt.det, profile) and all(
+            type(s) is GradedSummand and type(s.support) is frozenset and type(s.bar_degree) is int
+            for s in pt.summands):
+        mark(pt, profile)
+    return key
+
+
+def _key(pt: GradedPoint, frame: _Frame) -> tuple:
+    """The key of a point that validate_graded accepts."""
+    # (d1, d2) at each orbit; a summand's exponent is d2 on its support, d1 elsewhere
+    pairs = tuple(map(pt.numeric.__getitem__, frame.ids))
     parts = []
     for s in pt.summands:
         ell = tuple(map(operator.getitem, pairs, map(s.support.__contains__, frame.ids)))
         parts.append((ell, frame.n * s.bar_degree + frame.weight(ell)))
-    if parts[0][1] != parts[1][1]:
-        raise InvalidDatum("summands have unequal parabolic degree")
     return (*parts, (tuple(map(pt.det.residues.__getitem__, frame.ids)), pt.det.degree, pt.det.lift_sign))
 
 
@@ -281,9 +306,8 @@ def zeta2_apply(data: Rank2EqData, profile: CoverProfile) -> Rank2EqData:
         d1, d2 = data.numeric[y.id]
         shift = half % y.nprime
         numeric[y.id] = _pair((d1 + shift) % y.nprime, (d2 + shift) % y.nprime)
-    det = DeterminantLift(residues=dict(data.det.residues), degree=data.det.degree,
-                          lift_sign=_other_sign(data.det.lift_sign))
-    return Rank2EqData(numeric=numeric, det=det)
+    return _rank2(numeric, data.det.residues, data.det.degree, _other_sign(data.det.lift_sign),
+                  _marked_for(data, profile))
 
 
 def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> AdmissibleParabolicDatum:
@@ -305,9 +329,8 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
     shifts by (#down - #up).
     """
     _require_even_order(profile)
-    spreads = validate_parabolic(pdat, profile)
-    weights = {}
-    d2map = {}
+    spreads = _checked_spreads(pdat, profile)
+    weights, d2map, ms = {}, {}, {}
     bar = pdat.det_bar_degree
     for y in profile.orbits:
         d2 = pdat.d2[y.id]
@@ -321,11 +344,11 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
             d2, bar = d2 + half - nprime, bar + 1
         else:
             d2, m = d2 - m + half, nprime - m
-        weights[y.id], d2map[y.id] = _weight(m, nprime), d2
+        weights[y.id], d2map[y.id], ms[y.id] = _weight(m, nprime), d2, m
     # every branch keeps 0 <= d2 - m <= d2 < n'; the cross branch has
-    # m >= 1, so the weight 1 - w = (n' - m)/n' stays in (0, 1)
-    return AdmissibleParabolicDatum(det_bar_degree=bar, weights=weights, d2=d2map,
-                                    det_lift_sign=_other_sign(pdat.det_lift_sign))
+    # m >= 1, so the weight 1 - w = (n' - m)/n' stays in (0, 1): the image
+    # passes validate_parabolic, and is marked valid with its numerators
+    return _parabolic(bar, weights, d2map, _other_sign(pdat.det_lift_sign), ms, profile)
 
 
 def zeta2_partition(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, str]:
@@ -598,6 +621,9 @@ class HyperellipticReport:
     max_dimension: int
     boundary_class_count: int
     subset_label_count: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairwise_intersections", freeze(self.pairwise_intersections))
 
 
 def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticReport:

@@ -17,6 +17,7 @@ from fixloc import InternalError, cli, covers, equivariant, locus
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
 from fixloc.stability import MAX_MARKED_POINTS
 from fixloc import (
+    AdmissibleParabolicDatum,
     DeterminantLift,
     Rank2EqData,
     bundle_to_json,
@@ -187,7 +188,9 @@ def test_bijection_check_reports_a_descended_datum_the_ascent_cannot_take(capsys
         pdat = descend(numeric, det, profile)
         if not broken and pdat.weights["y1"] > 0:
             broken.append(numeric)
-            pdat.d2["y1"] = 0
+            # a datum's maps are read-only, so the broken one is built afresh
+            pdat = AdmissibleParabolicDatum(pdat.det_bar_degree, pdat.weights,
+                                            {**pdat.d2, "y1": 0}, pdat.det_lift_sign)
         return pdat
 
     monkeypatch.setattr(equivariant, "_descend", faulty)

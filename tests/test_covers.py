@@ -251,3 +251,18 @@ def test_orbit_index_stays_out_of_equality_hash_and_json():
     assert pickle.loads(pickle.dumps(used)) == fresh
     with pytest.raises(KeyError):
         used.orbit("z")
+
+
+def test_a_profile_holds_its_orbits_in_a_tuple_and_a_read_only_index():
+    # a datum marked valid for a profile stays valid only while the profile
+    # cannot change, so neither its orbits nor its index can
+    orbit = SpecialOrbit("a", 3, 4)
+    listed = CoverProfile(12, [orbit])
+    assert type(listed.orbits) is tuple and listed.orbits == (orbit,)
+    assert listed == CoverProfile(12, (orbit,)) and hash(listed) == hash(CoverProfile(12, (orbit,)))
+    assert type(listed.orbit_index).__name__ == "FrozenDict" and listed.orbit_index == {"a": orbit}
+    with pytest.raises(TypeError):
+        listed.orbit_index["b"] = orbit
+    with pytest.raises(TypeError):
+        del listed.orbit_index["a"]
+    assert listed.orbit("a") is orbit

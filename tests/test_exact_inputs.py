@@ -22,7 +22,9 @@ from fixloc import (
     InvariantDivisor,
     Rank2EqData,
     SubbundleWitness,
+    bar_delta_degree,
     double_class,
+    elementary_modification,
     enumerate_lambda,
     flagged_class,
     from_parabolic,
@@ -30,12 +32,14 @@ from fixloc import (
     hyperelliptic_report,
     make_bundle,
     make_profile,
+    parabolic_zeta2,
     sim_e_step,
     slope_transfer_check,
     solve_d2,
     to_parabolic,
     unramified_census,
     validate_witness,
+    weight_system,
     zeta2_apply,
 )
 from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
@@ -108,6 +112,18 @@ ENTRIES = [
     ("gamma_apply count", lambda x: gamma_apply(datum(), P2, {"a": x}, FlagSelector({"a": FIRST})),
      InvalidDatum, 1),
     ("slope_transfer_check sub_bar_degree", lambda x: slope_transfer_check(P2, parabolic(), x, []),
+     InvalidDatum, 0),
+    ("elementary_modification pair entry",
+     lambda x: elementary_modification(datum(pair=(0, x)), P2, "a", FIRST), InvalidDatum, 1),
+    ("elementary_modification det degree",
+     lambda x: elementary_modification(datum(degree=x), P2, "a", FIRST), InvalidDatum, 1),
+    ("weight_system pair entry", lambda x: weight_system({"a": (0, x)}, P2), InvalidDatum, 1),
+    ("bar_delta_degree residue",
+     lambda x: bar_delta_degree(DeterminantLift({"a": x}, 1), {"a": (0, 1)}, P2), InvalidDatum, 1),
+    ("bar_delta_degree pair entry",
+     lambda x: bar_delta_degree(DeterminantLift({"a": 1}, 1), {"a": (0, x)}, P2), InvalidDatum, 1),
+    ("parabolic_zeta2 d2", lambda x: parabolic_zeta2(parabolic(d2=x), P2), InvalidDatum, 1),
+    ("parabolic_zeta2 det_bar_degree", lambda x: parabolic_zeta2(parabolic(bar=x), P2),
      InvalidDatum, 0),
 ]
 

@@ -11,9 +11,11 @@ import ast
 import copy
 import dataclasses
 import importlib
+import json
 import pickle
 import sys
 import types
+from collections.abc import Mapping
 from fractions import Fraction as F
 from pathlib import Path
 from unittest.mock import ANY
@@ -26,6 +28,7 @@ from fixloc import (
     double_class,
     enumerate_lambda,
     flagged_class,
+    from_parabolic,
     hyperelliptic_delta,
     hyperelliptic_profile,
     hyperelliptic_report,
@@ -35,6 +38,8 @@ from fixloc import (
     to_parabolic,
     unramified_census,
 )
+from fixloc import equivariant
+from fixloc._ser import FrozenDict
 from fixloc.covers import CoverProfile, SpecialOrbit
 from fixloc.divisors import InvariantDivisor, LineNumericData, RootExponent
 from fixloc.equivariant import (
@@ -51,6 +56,7 @@ from fixloc.locus import (
     GradedPoint,
     GradedSummand,
     HyperellipticReport,
+    validate_graded,
 )
 from fixloc.stability import ParabolicP1, StabilityVerdict, SubbundleWitness
 
@@ -234,3 +240,84 @@ def test_serializers_match_the_recorded_fixture():
     # recorded by tests/fixtures/record_serializer_outputs.py before the record
     # serializers became one _ser.to_json; the key order is part of the text
     assert recorder.render(recorder.corpus()) == recorder.FIXTURE.read_text()
+
+
+def test_every_mapping_field_is_read_only():
+    # a record's maps cannot change after a validator checked them; a record
+    # with a plain dict field fails here
+    fields = set()
+    for cls in RECORDS:
+        for record in SAMPLES[cls]:
+            for name, value in zip(cls.__match_args__, _fields(record)):
+                if isinstance(value, Mapping):
+                    fields.add((cls.__name__, name))
+                    with pytest.raises(TypeError):
+                        value[next(iter(value), "k")] = 0
+    assert fields == {("InvariantDivisor", "residues"), ("LineNumericData", "values"),
+                      ("DeterminantLift", "residues"), ("Rank2EqData", "numeric"),
+                      ("FlagSelector", "choice"), ("AdmissibleParabolicDatum", "weights"),
+                      ("AdmissibleParabolicDatum", "d2"), ("GradedPoint", "numeric"),
+                      ("HyperellipticReport", "pairwise_intersections")}
+
+
+def test_a_frozen_dict_rejects_every_mutator_and_reads_as_a_dict():
+    plain = {"b": 2, "a": 1}
+    frozen = FrozenDict(plain)
+    mutators = [lambda d: d.__setitem__("a", 0), lambda d: d.__delitem__("a"),
+                lambda d: d.clear(), lambda d: d.pop("a"), lambda d: d.popitem(),
+                lambda d: d.setdefault("c", 3), lambda d: d.update(c=3),
+                lambda d: d.__ior__({"c": 3})]
+    for mutate in mutators:
+        with pytest.raises(TypeError, match="FrozenDict is read-only"):
+            mutate(frozen)
+    assert frozen == plain and plain == frozen and list(frozen) == ["b", "a"]
+    assert repr(frozen) == repr(plain) and json.dumps(frozen) == json.dumps(plain)
+    assert type(frozen.copy()) is dict and type(frozen | {"c": 3}) is dict
+    for clone in (copy.copy(frozen), copy.deepcopy(frozen), pickle.loads(pickle.dumps(frozen))):
+        assert type(clone) is FrozenDict and clone == plain
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(frozen)
+
+
+def test_a_record_shares_a_frozen_field_and_copies_a_plain_one():
+    residues = {"a": 1}
+    det = DeterminantLift(residues, 4)
+    assert type(det.residues) is FrozenDict and det.residues is not residues
+    assert DeterminantLift(det.residues, 4).residues is det.residues
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Patch module.name to record each call's arguments in the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_copied_or_pickled_record_is_equal_but_unmarked(monkeypatch):
+    # the mark stays out of a record's state, so a clone is validated again
+    profile = hyperelliptic_profile(1)
+    plus = hyperelliptic_delta(1, 0)
+    datum = Rank2EqData(numeric=enumerate_lambda(plus, profile)[1], det=plus)
+    pdat = to_parabolic(datum, profile)
+    point = double_class(1, [0, 1])
+    validate_graded(point, profile)
+    for record in (datum, datum.det, pdat, point):
+        assert record._mark is not None
+        for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert clone == record
+            assert clone._mark is None
+    numeric_checks = counting(monkeypatch, equivariant, "validate_numeric")
+    spread_checks = counting(monkeypatch, equivariant, "_spreads")
+    to_parabolic(datum, profile)
+    from_parabolic(pdat, profile)
+    validate_graded(point, profile)
+    assert numeric_checks == spread_checks == []
+    to_parabolic(pickle.loads(pickle.dumps(datum)), profile)
+    from_parabolic(pickle.loads(pickle.dumps(pdat)), profile)
+    validate_graded(pickle.loads(pickle.dumps(point)), profile)
+    assert len(numeric_checks) == 2 and len(spread_checks) == 1
