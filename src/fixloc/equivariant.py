@@ -29,10 +29,10 @@ at every orbit.
 Each record is validated once per profile.  The records' maps are
 read-only (`_ser.FrozenDict`), so a checked record stays valid, and
 validate_det, validate_rank2 and validate_parabolic mark a record that
-passed with the profile object it was checked against (`_ser.mark`;
-a parabolic datum's mark also holds its weight numerators).  Each
-returns at once on a record marked for the same profile object, by
-identity: an equal but distinct profile checks again.  A record
+passed with the profile object it was checked against (`_ser.mark`).
+Each returns at once on a record marked for the same profile object, by
+identity: an equal but distinct profile checks again (validate_parabolic
+then reads the weight numerators off the checked weights).  A record
 whose values could still change (pairs that are not tuples, maps that
 are not FrozenDicts, a subclass) is checked every time and never
 marked.  The operations build their outputs already marked through
@@ -260,15 +260,10 @@ def _spread(w: int | Fraction, y: SpecialOrbit) -> int:
 
 def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str, int]:
     """Check a parabolic datum; return m(y) = w(y) * n'(y) per profile orbit."""
-    return dict(_checked_spreads(pdat, profile))
-
-
-def _checked_spreads(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str, int]:
-    """validate_parabolic without the copy: the m that the datum's mark
-    keeps with the profile, which the caller must not change."""
-    checked = getattr(pdat, "_mark", None)
-    if checked is not None and checked[0] is profile:
-        return checked[1]
+    if getattr(pdat, "_mark", None) is profile:
+        # checked: each weight is an int or a Fraction whose denominator divides n'(y)
+        return {y.id: (w := pdat.weights[y.id]).numerator * (y.nprime // w.denominator)
+                for y in profile.orbits}
     _validate_lift_sign(pdat.det_lift_sign, profile)
     check_orbit_labels(itertools.chain(pdat.weights, pdat.d2), profile)
     # the orbits that both maps name
@@ -279,18 +274,17 @@ def _checked_spreads(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> d
     spreads = _spreads(pdat, profile)
     if (type(pdat) is AdmissibleParabolicDatum and type(pdat.weights) is FrozenDict
             and type(pdat.d2) is FrozenDict):
-        mark(pdat, (profile, spreads))
+        mark(pdat, profile)
     return spreads
 
 
 def _parabolic(det_bar_degree: int, weights: dict[str, Fraction], d2: dict[str, int],
-               det_lift_sign: str, spreads: dict[str, int],
-               profile: CoverProfile) -> AdmissibleParabolicDatum:
-    """The parabolic datum an operation built from a datum it validated for
-    profile, marked valid for it with its weight numerators spreads; the
-    one constructor of the operations' parabolic data (as _rank2)."""
-    return AdmissibleParabolicDatum._new_marked((profile, spreads), det_bar_degree,
-                                                FrozenDict(weights), FrozenDict(d2), det_lift_sign)
+               det_lift_sign: str, valid_for: CoverProfile | None) -> AdmissibleParabolicDatum:
+    """The parabolic datum an operation built, marked valid for the profile
+    valid_for unless that is None; the one constructor of the operations'
+    parabolic data (as _rank2)."""
+    return AdmissibleParabolicDatum._new_marked(valid_for, det_bar_degree, FrozenDict(weights),
+                                                FrozenDict(d2), det_lift_sign)
 
 
 def _spreads(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str, int]:
@@ -500,52 +494,47 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
 def to_parabolic(data: Rank2EqData, profile: CoverProfile) -> AdmissibleParabolicDatum:
     """Descend equivariant numeric data to its parabolic shadow."""
     validate_rank2(data, profile)
-    return _descend(data.numeric, data.det, profile, checked=True)
+    return _descend(data.numeric, data.det, profile, profile)
 
 
-def _descend(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
-             profile: CoverProfile, checked: bool = False) -> AdmissibleParabolicDatum:
+def _descend(numeric: dict[str, tuple[int, int]], det: DeterminantLift, profile: CoverProfile,
+             valid_for: CoverProfile | None = None) -> AdmissibleParabolicDatum:
     """The parabolic shadow of numeric data that validate_numeric accepts.
 
     In one pass: weight (d2 - d1)/n'(y) (as weight_system gives it),
     flag exponent d2, and base degree (degree - sum_y (d1+d2) k(y)) / n,
     NonIntegralDegree unless the division is exact.  Marked valid for
-    profile, with its weight numerators d2 - d1, when checked: the
-    caller validated numeric and det together (validate_rank2).
+    valid_for unless that is None (see _parabolic): the caller passes
+    profile when it validated numeric and det together (validate_rank2).
     """
-    weights, d2s, spreads = {}, {}, {}
+    weights, d2s = {}, {}
     total = det.degree
     for y in profile.orbits:
         d1, d2 = numeric[y.id]
-        spreads[y.id] = m = d2 - d1
-        weights[y.id] = _weight(m, y.nprime)
+        weights[y.id] = _weight(d2 - d1, y.nprime)
         d2s[y.id] = d2
         total -= (d1 + d2) * y.k
     bar, rem = divmod(total, profile.n)
     if rem != 0:
         raise NonIntegralDegree(
             f"corrected determinant degree {total} is not divisible by n={profile.n}")
-    if not checked:
-        # read only by round_trip's ascent and bar_delta_degree, which never
-        # return it, so its maps stay unfrozen: freezing them made the round
-        # trip of an element of Λ about 10% slower
-        return AdmissibleParabolicDatum._new_marked(None, bar, weights, d2s, det.lift_sign)
-    return _parabolic(bar, weights, d2s, det.lift_sign, spreads, profile)
+    return _parabolic(bar, weights, d2s, det.lift_sign, valid_for)
 
 
 def from_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Rank2EqData:
     """Reconstruct equivariant numeric data from its parabolic shadow."""
-    return _ascend(pdat, _checked_spreads(pdat, profile), profile, checked=True)
+    return _ascend(pdat, validate_parabolic(pdat, profile), profile, profile)
 
 
-def _ascend(pdat: AdmissibleParabolicDatum, spreads: dict[str, int],
-            profile: CoverProfile, checked: bool = False) -> Rank2EqData:
+def _ascend(pdat: AdmissibleParabolicDatum, spreads: dict[str, int], profile: CoverProfile,
+            valid_for: CoverProfile | None = None) -> Rank2EqData:
     """The numeric data of a parabolic datum with weight numerators spreads.
 
     In one pass: d1 = d2 - m(y), residue (d1+d2) mod n'(y), degree
     n * base degree + sum_y (d1+d2) k(y).  spreads is what
-    validate_parabolic returns; the result is marked valid for profile
-    when checked, that is when validate_parabolic's checks passed.
+    validate_parabolic returns; the result is marked valid for valid_for
+    unless that is None (see _rank2): the caller passes profile when
+    validate_parabolic's checks passed.
     """
     numeric, residues = {}, {}
     degree = profile.n * pdat.det_bar_degree
@@ -555,7 +544,7 @@ def _ascend(pdat: AdmissibleParabolicDatum, spreads: dict[str, int],
         numeric[y.id] = (d1, d2)
         residues[y.id] = (d1 + d2) % y.nprime
         degree += (d1 + d2) * y.k
-    return _rank2(numeric, residues, degree, pdat.det_lift_sign, profile if checked else None)
+    return _rank2(numeric, residues, degree, pdat.det_lift_sign, valid_for)
 
 
 def round_trip(numeric: dict[str, tuple[int, int]], det: DeterminantLift,

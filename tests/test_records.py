@@ -286,19 +286,7 @@ def test_a_record_shares_a_frozen_field_and_copies_a_plain_one():
     assert DeterminantLift(det.residues, 4).residues is det.residues
 
 
-def counting(monkeypatch, module, name) -> list:
-    """Patch module.name to record each call's arguments in the returned list."""
-    calls, real = [], getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_a_copied_or_pickled_record_is_equal_but_unmarked(monkeypatch):
+def test_a_copied_or_pickled_record_is_equal_but_unmarked(count_calls):
     # the mark stays out of a record's state, so a clone is validated again
     profile = hyperelliptic_profile(1)
     plus = hyperelliptic_delta(1, 0)
@@ -311,8 +299,8 @@ def test_a_copied_or_pickled_record_is_equal_but_unmarked(monkeypatch):
         for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
             assert clone == record
             assert clone._mark is None
-    numeric_checks = counting(monkeypatch, equivariant, "validate_numeric")
-    spread_checks = counting(monkeypatch, equivariant, "_spreads")
+    numeric_checks = count_calls(equivariant, "validate_numeric")
+    spread_checks = count_calls(equivariant, "_spreads")
     to_parabolic(datum, profile)
     from_parabolic(pdat, profile)
     validate_graded(point, profile)
