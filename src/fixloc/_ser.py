@@ -117,16 +117,18 @@ def _unmarked_state(self) -> dict:
     return state
 
 
-def mark(record, profile):
-    """Mark record valid for profile, which its validator reads back (see frozen).
+def mark(record, value):
+    """Mark record with value, which its validator reads back (see frozen).
 
     The validators of `equivariant` and `locus` mark a record that
-    passed them with the profile object it was checked against, and
-    return at once on a record marked for the same profile object.  Only
+    passed them with the profile object it was checked against (a
+    parabolic datum with the pair of that profile and its read-only
+    weight numerators), and return at once on a record marked for the
+    same profile object.  Only
     records whose fields cannot change are marked: their mappings are
     FrozenDicts and the values in them immutable.
     """
-    object.__setattr__(record, "_mark", profile)
+    object.__setattr__(record, "_mark", value)
 
 
 class FrozenDict(dict):

@@ -330,7 +330,7 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
     """
     _require_even_order(profile)
     spreads = validate_parabolic(pdat, profile)
-    weights, d2map = {}, {}
+    weights, d2map, ms = {}, {}, {}
     bar = pdat.det_bar_degree
     for y in profile.orbits:
         d2 = pdat.d2[y.id]
@@ -344,11 +344,11 @@ def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> Ad
             d2, bar = d2 + half - nprime, bar + 1
         else:
             d2, m = d2 - m + half, nprime - m
-        weights[y.id], d2map[y.id] = _weight(m, nprime), d2
+        weights[y.id], d2map[y.id], ms[y.id] = _weight(m, nprime), d2, m
     # every branch keeps 0 <= d2 - m <= d2 < n'; the cross branch has
     # m >= 1, so the weight 1 - w = (n' - m)/n' stays in (0, 1): the image
-    # passes validate_parabolic, and is marked valid for profile
-    return _parabolic(bar, weights, d2map, _other_sign(pdat.det_lift_sign), profile)
+    # passes validate_parabolic, and is marked valid with its numerators ms
+    return _parabolic(bar, weights, d2map, _other_sign(pdat.det_lift_sign), ms, profile)
 
 
 def zeta2_partition(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, str]:

@@ -533,7 +533,12 @@ def test_validate_parabolic_returns_the_weight_numerators():
     pdat = AdmissibleParabolicDatum(det_bar_degree=0,
                                     weights={"a": Fraction(5, 12), "b": 0, "c": 0},
                                     d2={"a": 7, "b": 2, "c": 0})
-    assert validate_parabolic(pdat, profile) == {"a": 5, "b": 0, "c": 0}
+    spreads = validate_parabolic(pdat, profile)
+    assert spreads == {"a": 5, "b": 0, "c": 0}
+    # the datum's mark keeps them, so they are read-only
+    with pytest.raises(TypeError):
+        spreads["a"] = 0
+    assert validate_parabolic(pdat, profile) is spreads
 
 
 def test_parabolic_cases_match_the_recorded_fixture():

@@ -169,6 +169,6 @@ def test_every_marked_output_passes_its_validator_unmarked():
             assert out._mark is profile and out.det._mark is profile
             validate_rank2(unmarked(out), profile)
         for out in downstairs:
-            assert out._mark is profile
-            # the numerators a marked datum gives are the ones its checks give
-            assert validate_parabolic(unmarked(out), profile) == validate_parabolic(out, profile)
+            checked, spreads = out._mark
+            assert checked is profile
+            assert validate_parabolic(unmarked(out), profile) == spreads
