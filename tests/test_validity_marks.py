@@ -36,6 +36,7 @@ from fixloc import (
     to_parabolic,
     zeta2_apply,
 )
+from fixloc._ser import FrozenDict
 from fixloc.equivariant import round_trip, validate_parabolic, validate_rank2
 from fixloc.locus import validate_graded
 
@@ -170,5 +171,5 @@ def test_every_marked_output_passes_its_validator_unmarked():
             validate_rank2(unmarked(out), profile)
         for out in downstairs:
             checked, spreads = out._mark
-            assert checked is profile
+            assert checked is profile and type(spreads) is FrozenDict
             assert validate_parabolic(unmarked(out), profile) == spreads
