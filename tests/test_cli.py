@@ -1,5 +1,6 @@
 """Command line contract: schemas, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import math
@@ -29,7 +30,8 @@ from fixloc import (
     rank2_to_json,
 )
 
-REPORTS = Path(__file__).resolve().parent / "fixtures" / "hyperelliptic_reports.json"
+ROOT = Path(__file__).resolve().parent.parent
+REPORTS = ROOT / "tests" / "fixtures" / "hyperelliptic_reports.json"
 
 sys.path.insert(0, str(REPORTS.parent))
 from record_lambda_listings import FIXTURE as LAMBDA_LISTINGS, run_cli  # noqa: E402
@@ -416,6 +418,42 @@ def test_hyperelliptic_reports_match_the_recorded_fixture(capsys):
                            "--format", case["format"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"], case
+
+
+def benchmark_cli_jobs():
+    """(name, subcommand, args) of perfbench/wl_cli.py's JOBS, read from its source.
+
+    The list is evaluated with its own `_doc` paths, relative to the checkout
+    root, and without importing the benchmark's modules.
+    """
+    path = ROOT / "perfbench" / "wl_cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [jobs] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["JOBS"]]
+    docs = {"_doc": lambda name: str(Path("perfbench", "inputs", "cli", name))}
+    return eval(compile(ast.Expression(jobs), str(path), "eval"), docs)
+
+
+def test_every_benchmark_cli_job_matches_its_reference():
+    # each job as the benchmark runs it: a fresh `python -m fixloc.cli` child
+    reference = json.loads((ROOT / "perfbench" / "reference" / "cli.json").read_text())["jobs"]
+    jobs = benchmark_cli_jobs()
+    assert len(jobs) == 31
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    mismatches = []
+    for name, subcommand, args in jobs:
+        argv = args if subcommand == "reject" else [subcommand, *args]
+        proc = subprocess.run([sys.executable, "-m", "fixloc.cli", *argv], cwd=ROOT, env=env,
+                              capture_output=True, stdin=subprocess.DEVNULL, timeout=120)
+        assert b"Traceback" not in proc.stderr, (name, proc.stderr)
+        if subcommand == "reject":
+            found = proc.returncode in (2, 3) and proc.stdout == b""
+        else:
+            found = {"exit": proc.returncode,
+                     "sha256": hashlib.sha256(proc.stdout).hexdigest()} == reference[name]
+        if not found:
+            mismatches.append((name, proc.returncode, proc.stderr.decode(errors="replace")))
+    assert mismatches == []
 
 
 def test_census_cases_and_rejection(capsys):
