@@ -26,7 +26,8 @@ from fixloc import (
     zeta2_apply,
     zeta2_partition,
 )
-from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
+from fixloc.graded import hyperelliptic_delta
+from fixloc.locus import hyperelliptic_profile
 
 profile = make_profile(6, [("a", 2), ("b", 3)], genus_base=1)
 det = DeterminantLift(residues={"a": 1, "b": 1}, degree=5, lift_sign=PLUS)

@@ -33,13 +33,15 @@ _LAYERS = {
         "InvalidGenus", "InvalidProfile", "NonIntegralDegree", "NoSolution",
         "NotSemistableNotStrict", "OddOrder", "SchemaError", "UnknownOrbit",
     ),
+    "graded": (
+        "GradedPoint", "GradedSummand", "double_class", "equivalence_classes", "flagged_class",
+        "hyperelliptic_delta", "m_cross", "parabolic_zeta2", "sim_e_step", "sim_o_step",
+        "zeta2_apply", "zeta2_partition",
+    ),
     "locus": (
         "CensusComponent", "CensusRecord", "ComponentRecord", "DecompositionReport",
-        "GradedPoint", "GradedSummand", "HyperellipticReport", "decomposition_report",
-        "double_class", "equivalence_classes", "flagged_class", "hyperelliptic_delta",
-        "hyperelliptic_profile", "hyperelliptic_report", "m_cross", "parabolic_zeta2",
-        "s_i_possible", "sim_e_step", "sim_o_step", "unramified_census", "zeta2_apply",
-        "zeta2_partition",
+        "HyperellipticReport", "decomposition_report", "hyperelliptic_profile",
+        "hyperelliptic_report", "s_i_possible", "unramified_census",
     ),
     "stability": (
         "STABLE", "STRICTLY_SEMISTABLE", "UNSTABLE", "ParabolicP1", "StabilityVerdict",

@@ -120,7 +120,7 @@ def _unmarked_state(self) -> dict:
 def mark(record, value):
     """Mark record with value, which its validator reads back (see frozen).
 
-    The validators of `equivariant` and `locus` mark a record that
+    The validators of `equivariant` and `graded` mark a record that
     passed them with the profile object it was checked against (a
     parabolic datum with the pair of that profile and its read-only
     weight numerators), and return at once on a record marked for the

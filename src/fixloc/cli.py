@@ -203,11 +203,11 @@ def cmd_bijection_check(args) -> int:
 
 
 def cmd_zeta2(args) -> int:
-    from . import covers, equivariant, locus
+    from . import covers, equivariant, graded
     doc = _load_input(args.file, profile=covers.profile_from_json, data=equivariant.rank2_from_json)
     profile, data = doc["profile"], doc["data"]
-    image = locus.zeta2_apply(data, profile)
-    twice = locus.zeta2_apply(image, profile)
+    image = graded.zeta2_apply(data, profile)
+    twice = graded.zeta2_apply(image, profile)
     if twice != data:
         print(json.dumps({
             "property": "involution",
@@ -217,7 +217,7 @@ def cmd_zeta2(args) -> int:
         return 1
     payload = {
         "image": equivariant.rank2_to_json(image),
-        "partition": locus.zeta2_partition(data.numeric, profile),
+        "partition": graded.zeta2_partition(data.numeric, profile),
         "involution_ok": True,
     }
     lines = [f"image numeric: {equivariant.numeric_to_json(image.numeric)}",

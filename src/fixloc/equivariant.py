@@ -37,7 +37,7 @@ checks again.  A record whose values could still change (pairs that
 are not tuples, maps that are not FrozenDicts, a subclass) is checked
 every time and never marked.  The operations build their outputs
 already marked through one constructor each (_rank2, _parabolic):
-elementary_modification, gamma_apply and lift negation (in `locus`)
+elementary_modification, gamma_apply and lift negation (in `graded`)
 when their input carries the mark, since they reuse its values;
 to_parabolic, from_parabolic and the parabolic lift negation whenever
 their check passed.  round_trip trusts its input, so it marks nothing.

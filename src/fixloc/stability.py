@@ -59,7 +59,7 @@ from .errors import (DomainError, InternalError, InvalidDatum, NotSemistableNotS
 if TYPE_CHECKING:  # for annotations; `fixloc stability` loads none of these layers
     from .covers import CoverProfile
     from .equivariant import AdmissibleParabolicDatum
-    from .locus import GradedPoint
+    from .graded import GradedPoint
 
 STABLE = "Stable"
 STRICTLY_SEMISTABLE = "StrictlySemistable"
@@ -512,7 +512,7 @@ def graded_of(bundle: ParabolicP1, verdict: StabilityVerdict) -> GradedPoint:
     Summands are (degree, weighted agreement support) for the witness
     line and its quotient; anything else raises NotSemistableNotStrict.
     """
-    from .locus import GradedPoint, GradedSummand
+    from .graded import GradedPoint, GradedSummand
 
     if verdict.label != STRICTLY_SEMISTABLE or verdict.witness is None:
         raise NotSemistableNotStrict(f"no graded object for verdict {verdict.label}")

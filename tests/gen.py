@@ -25,7 +25,7 @@ from fixloc import (
 )
 from fixloc.covers import random_profile
 from fixloc.equivariant import random_det
-from fixloc.locus import validate_graded
+from fixloc.graded import validate_graded
 
 __all__ = ["random_bundle", "random_data", "random_det", "random_graded", "random_parabolic",
            "random_profile", "sample_graded", "twist_corpus"]

@@ -44,7 +44,8 @@ from fixloc import (
     zeta2_apply,
     zeta2_partition,
 )
-from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
+from fixloc.graded import hyperelliptic_delta
+from fixloc.locus import hyperelliptic_profile
 
 import gen
 import oracle_stability as oracle

@@ -16,9 +16,10 @@ import pytest
 import fixloc
 
 ROOT = Path(__file__).resolve().parent.parent
-# recorded by tests/fixtures/record_public_api.py while the package imported every layer
+# recorded by tests/fixtures/record_public_api.py; its 98 names date from eager imports
 PUBLIC_API = json.loads((ROOT / "tests" / "fixtures" / "public_api.json").read_text())
-SUBMODULES = ["_ser", "covers", "divisors", "equivariant", "errors", "locus", "stability"]
+SUBMODULES = ["_ser", "covers", "divisors", "equivariant", "errors", "graded", "locus",
+              "stability"]
 
 
 def child(*args):
@@ -68,7 +69,8 @@ def _doc(name):
 
 BASE = ["_ser", "cli", "covers", "errors"]
 WITH_EQUIVARIANT = BASE + ["equivariant"]
-WITH_LOCUS = WITH_EQUIVARIANT + ["locus"]
+# the closed-form reports read a profile and integers only
+REPORTS = BASE + ["locus"]
 FOOTPRINTS = [
     (["kernel", "--file", _doc("profile12.json")], BASE),
     (["factor", "--file", _doc("profile12.json")], BASE),
@@ -76,10 +78,10 @@ FOOTPRINTS = [
     (["lambda", "--file", _doc("lambda_small.json")], WITH_EQUIVARIANT),
     (["weights", "--file", _doc("weights.json")], WITH_EQUIVARIANT),
     (["bijection-check", "--file", _doc("hyper3.json")], WITH_EQUIVARIANT),
-    (["zeta2", "--file", _doc("zeta2.json")], WITH_LOCUS),
-    (["decompose", "--file", _doc("profile12.json")], WITH_LOCUS),
-    (["hyperelliptic", "--g", "3"], WITH_LOCUS),
-    (["census", "--n", "4", "--deg-delta", "8", "--genus-y", "2"], WITH_LOCUS),
+    (["zeta2", "--file", _doc("zeta2.json")], WITH_EQUIVARIANT + ["graded"]),
+    (["decompose", "--file", _doc("profile12.json")], REPORTS),
+    (["hyperelliptic", "--g", "3"], REPORTS),
+    (["census", "--n", "4", "--deg-delta", "8", "--genus-y", "2"], REPORTS),
     (["stability", "--file", _doc("stability_g2.json")], ["_ser", "cli", "errors", "stability"]),
 ]
 
@@ -101,7 +103,7 @@ def heavy_in_a_bare_child():
 @pytest.mark.parametrize("argv, layers", FOOTPRINTS, ids=[argv[0] for argv, _ in FOOTPRINTS])
 def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(argv, layers,
                                                                 heavy_in_a_bare_child):
-    unwanted = HEAVY + RATIONAL if layers == BASE else HEAVY
+    unwanted = HEAVY + RATIONAL if layers in (BASE, REPORTS) else HEAVY
     code = ("import contextlib, io, json, sys, fixloc.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = fixloc.cli.main({argv!r})\n"

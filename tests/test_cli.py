@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from fixloc import InternalError, cli, covers, equivariant, locus
-from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
+from fixloc import InternalError, cli, covers, equivariant, graded, locus
+from fixloc.graded import hyperelliptic_delta
+from fixloc.locus import hyperelliptic_profile
 from fixloc.stability import MAX_MARKED_POINTS
 from fixloc import (
     AdmissibleParabolicDatum,
@@ -621,7 +622,7 @@ def test_property_failure_exit_code(capsys, tmp_path, monkeypatch):
     def broken(d, p):
         return wrong
 
-    monkeypatch.setattr(locus, "zeta2_apply", broken)
+    monkeypatch.setattr(graded, "zeta2_apply", broken)
     code, out, _ = run(capsys, "zeta2", "--file", zdoc)
     assert code == 1
     payload = json.loads(out)

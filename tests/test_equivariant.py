@@ -53,7 +53,8 @@ from fixloc import (
     weight_system,
 )
 from fixloc.equivariant import admissible_pair_count, validate_parabolic
-from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, validate_graded, zeta2_apply
+from fixloc.graded import hyperelliptic_delta, validate_graded, zeta2_apply
+from fixloc.locus import hyperelliptic_profile
 
 import gen
 

@@ -42,7 +42,8 @@ from fixloc import (
     weight_system,
     zeta2_apply,
 )
-from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile
+from fixloc.graded import hyperelliptic_delta
+from fixloc.locus import hyperelliptic_profile
 
 F = Fraction
 HALF = F(1, 2)

@@ -42,8 +42,9 @@ from fixloc import (
     zeta2_apply,
     zeta2_partition,
 )
-from fixloc import equivariant, locus
-from fixloc.locus import hyperelliptic_delta, hyperelliptic_profile, validate_graded
+from fixloc import equivariant, graded, locus
+from fixloc.graded import hyperelliptic_delta, validate_graded
+from fixloc.locus import hyperelliptic_profile
 
 import gen
 from gen import twist_corpus
@@ -449,10 +450,10 @@ def twist_neighbors(key, frame):
     """Every key one nontrivial twist step takes key to."""
     # a = 0 is the trivial character, whose step returns its input
     for a in range(1, frame.n):
-        yield locus._o_step(key, a, frame)
+        yield graded._o_step(key, a, frame)
     for a in range(1, frame.n, 2) if frame.n % 2 == 0 else ():
         for which in (0, 1):
-            yield locus._e_step(key, a, which, frame)
+            yield graded._e_step(key, a, which, frame)
 
 
 def closure_roots(keys, frame):
@@ -491,7 +492,7 @@ def oracle_classes(points, profile):
     """equivalence_classes by search, as lists of the input points' ids, or the error."""
     try:
         keys = [validate_graded(pt, profile) for pt in points]
-        roots = closure_roots(keys, locus._Frame(profile))
+        roots = closure_roots(keys, graded._Frame(profile))
     except FixlocError as exc:
         return [type(exc).__name__, str(exc)]
     groups = {}
@@ -534,7 +535,7 @@ def test_closed_form_classes_match_the_search_oracle_up_to_n24():
 def test_least_translate_is_the_least_member_of_the_class():
     # the class found by walking every step, against the closed form
     for profile, points, _ in twist_corpus(39, 30):
-        frame = locus._Frame(profile)
+        frame = graded._Frame(profile)
         for pt in points:
             key = validate_graded(pt, profile)
             members, queue = {key}, [key]
@@ -547,7 +548,7 @@ def test_least_translate_is_the_least_member_of_the_class():
             except NonIntegralDegree:
                 continue
             least = min((*sorted(k[:2]), k[2]) for k in members)
-            assert locus._least_translate(key, frame) == least
+            assert graded._least_translate(key, frame) == least
 
 
 def test_closure_nodes_pass_validate_graded(monkeypatch):
@@ -566,11 +567,11 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
             return reached[-1]
         return wrapped
 
-    monkeypatch.setattr(locus, "_o_step", recording(locus._o_step))
-    monkeypatch.setattr(locus, "_e_step", recording(locus._e_step))
+    monkeypatch.setattr(graded, "_o_step", recording(graded._o_step))
+    monkeypatch.setattr(graded, "_e_step", recording(graded._e_step))
     for profile, points in cases:
         reached.clear()
-        frame = locus._Frame(profile)
+        frame = graded._Frame(profile)
         try:
             closure_roots([validate_graded(pt, profile) for pt in points], frame)
         except NonIntegralDegree:
@@ -580,7 +581,7 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
             # the trivial character, whose step the search skips
             assert bool(reached) == (profile.n > 1)
         for key in reached:
-            assert validate_graded(locus._rebuild(key, frame), profile) == key
+            assert validate_graded(graded._rebuild(key, frame), profile) == key
 
 
 def test_equivalence_classes_validates_each_point_once_and_takes_one_step(monkeypatch):
@@ -588,7 +589,7 @@ def test_equivalence_classes_validates_each_point_once_and_takes_one_step(monkey
     # point's class is read off its key; the profile's frame is built once
     # per call, and each point goes once through validate_graded's core
     steps, checked, frames = [], [], []
-    validate, frame = locus._validated_key, locus._Frame
+    validate, frame = graded._validated_key, graded._Frame
 
     def counting_validate(pt, profile, frame):
         checked.append(pt)
@@ -598,10 +599,10 @@ def test_equivalence_classes_validates_each_point_once_and_takes_one_step(monkey
         frames.append(profile)
         return frame(profile)
 
-    monkeypatch.setattr(locus, "_validated_key", counting_validate)
-    monkeypatch.setattr(locus, "_Frame", counting_frame)
-    monkeypatch.setattr(locus, "_o_step", lambda *args: steps.append("o"))
-    monkeypatch.setattr(locus, "_e_step", lambda *args: steps.append("e"))
+    monkeypatch.setattr(graded, "_validated_key", counting_validate)
+    monkeypatch.setattr(graded, "_Frame", counting_frame)
+    monkeypatch.setattr(graded, "_o_step", lambda *args: steps.append("o"))
+    monkeypatch.setattr(graded, "_e_step", lambda *args: steps.append("e"))
     points = boundary_points(3)
     assert len(equivalence_classes(points, hyperelliptic_profile(3))) == 4 ** 3
     assert steps == ["o"] and len(checked) == len(points) and len(frames) == 1
@@ -717,7 +718,7 @@ def closure_class_count(g):
     """Twist classes of the census points, by the search oracle."""
     profile = hyperelliptic_profile(g)
     keys = [validate_graded(pt, profile) for pt in census_points(g)]
-    return len(set(closure_roots(keys, locus._Frame(profile))))
+    return len(set(closure_roots(keys, graded._Frame(profile))))
 
 
 @pytest.mark.parametrize("g", range(1, 7))
@@ -758,10 +759,10 @@ def test_lift_negation_fixes_every_flagged_class():
     # two summands of F(Q) and so fixes its key
     def fixed(g, subsets):
         profile = hyperelliptic_profile(g)
-        frame = locus._Frame(profile)
+        frame = graded._Frame(profile)
         for q in subsets:
             key = validate_graded(flagged_class(g, q), profile)
-            if locus._o_step(key, 1, frame) != key:
+            if graded._o_step(key, 1, frame) != key:
                 return False
         return True
 
@@ -778,7 +779,7 @@ def test_report_enumerates_nothing(monkeypatch):
         pytest.fail("the census built a point or ran the closure")
 
     for name in ("double_class", "flagged_class", "_least_translate"):
-        monkeypatch.setattr(locus, name, refuse)
+        monkeypatch.setattr(graded, name, refuse)
     for g in (1, 4, 9, 30):
         rep = hyperelliptic_report(g)
         assert rep.boundary_class_count == 4 ** g
@@ -796,8 +797,8 @@ def test_report_validates_no_point(monkeypatch):
             return validate(*args)
         return wrapped
 
-    monkeypatch.setattr(locus, "validate_graded", counting(locus.validate_graded))
-    monkeypatch.setattr(locus, "validate_rank2", counting(locus.validate_rank2))
+    monkeypatch.setattr(graded, "validate_graded", counting(graded.validate_graded))
+    monkeypatch.setattr(graded, "validate_rank2", counting(graded.validate_rank2))
     monkeypatch.setattr(equivariant, "validate_rank2", counting(equivariant.validate_rank2))
     rep = hyperelliptic_report(4)
     assert rep.boundary_class_count == 256

@@ -48,15 +48,13 @@ from fixloc.equivariant import (
     FlagSelector,
     Rank2EqData,
 )
+from fixloc.graded import GradedPoint, GradedSummand, validate_graded
 from fixloc.locus import (
     CensusComponent,
     CensusRecord,
     ComponentRecord,
     DecompositionReport,
-    GradedPoint,
-    GradedSummand,
     HyperellipticReport,
-    validate_graded,
 )
 from fixloc.stability import ParabolicP1, StabilityVerdict, SubbundleWitness
 

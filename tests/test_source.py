@@ -27,6 +27,16 @@ def _top_level_names(node):
     return []
 
 
+def test_every_top_level_name_has_one_home():
+    # a name moved between modules leaves no second definition behind
+    homes = collections.defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name in _top_level_names(node):
+                homes[name].append(path.name)
+    assert {name: files for name, files in homes.items() if len(files) > 1} == {}
+
+
 def _references(tree):
     """Names a tree reads: loaded names, attributes and names imported from a module."""
     for node in ast.walk(tree):

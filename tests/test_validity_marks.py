@@ -38,7 +38,7 @@ from fixloc import (
 )
 from fixloc._ser import FrozenDict
 from fixloc.equivariant import round_trip, validate_parabolic, validate_rank2
-from fixloc.locus import validate_graded
+from fixloc.graded import validate_graded
 
 import gen
 
