@@ -33,9 +33,9 @@ passed with the profile object it was checked against (`_ser.mark`; a
 parabolic datum's mark also holds the weight numerators that
 validate_parabolic returns).  Each returns at once on a record marked
 for the same profile object, by identity: an equal but distinct profile
-checks again.  A record whose values could still change (pairs that
-are not tuples, maps that are not FrozenDicts, a subclass) is checked
-every time and never marked.  The operations build their outputs
+checks again.  A record whose values could still change (maps that are
+not FrozenDicts, a subclass) is checked every time and never marked;
+an exponent pair that is not a tuple is InvalidDatum.  The operations build their outputs
 already marked through one constructor each (_rank2, _parabolic):
 elementary_modification, gamma_apply and lift negation (in `graded`)
 when their input carries the mark, since they reuse its values;
@@ -174,11 +174,15 @@ def random_det(rng: random.Random, profile: CoverProfile) -> DeterminantLift:
 
 
 def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> None:
-    """Exactly one pair per profile orbit, each with 0 <= d1 <= d2 < n'."""
+    """Exactly one pair per profile orbit, each a tuple with 0 <= d1 <= d2 < n'."""
     if numeric.keys() != profile.orbit_index.keys():
         raise InvalidDatum("numeric data must cover exactly the profile orbits")
     for y in profile.orbits:
-        d1, d2 = numeric[y.id]
+        pair = numeric[y.id]
+        # a tuple, as the correspondence returns, so that its round trip gives back the datum
+        if type(pair) is not tuple or len(pair) != 2:
+            raise InvalidDatum(f"exponent pair at {y.id!r} must be a tuple of two ints, got {pair!r}")
+        d1, d2 = pair
         if not (type(d1) is int or is_int(d1)) or not (type(d2) is int or is_int(d2)):
             raise InvalidDatum(f"exponent pair at {y.id!r} must hold two ints, "
                                f"got {type(d1).__name__} and {type(d2).__name__}")
@@ -208,10 +212,10 @@ def _check_rank2(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
 
 def _frozen_parts(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
                   profile: CoverProfile) -> bool:
-    """Whether checked parts can never change: det marked for profile, numeric
-    a FrozenDict of tuples.  Only then may their record carry a mark."""
-    return (getattr(det, "_mark", None) is profile and type(numeric) is FrozenDict
-            and all(type(pair) is tuple for pair in numeric.values()))
+    """Whether checked parts can never change: det marked for profile and numeric
+    a FrozenDict (validate_numeric admits tuple pairs only).  Only then may
+    their record carry a mark."""
+    return getattr(det, "_mark", None) is profile and type(numeric) is FrozenDict
 
 
 def _marked_for(data: Rank2EqData, profile: CoverProfile) -> CoverProfile | None:

@@ -156,6 +156,9 @@ def _validated_key(pt: GradedPoint, profile: CoverProfile, frame: _Frame) -> tup
     s0, s1 = pt.summands
     if set(s0.support) | set(s1.support) != weighted or set(s0.support) & set(s1.support):
         raise InvalidDatum("summand supports must partition the weighted orbits")
+    for s in pt.summands:
+        if not is_int(s.bar_degree):
+            raise InvalidDatum(f"summand base degree must be an int, got {s.bar_degree!r}")
     key = _key(pt, frame)
     if key[0][1] != key[1][1]:
         raise InvalidDatum("summands have unequal parabolic degree")

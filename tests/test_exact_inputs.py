@@ -15,6 +15,8 @@ from fixloc import (
     DeterminantLift,
     FixlocError,
     FlagSelector,
+    GradedPoint,
+    GradedSummand,
     InconsistentDegrees,
     InvalidDatum,
     InvalidGenus,
@@ -42,7 +44,7 @@ from fixloc import (
     weight_system,
     zeta2_apply,
 )
-from fixloc.graded import hyperelliptic_delta
+from fixloc.graded import hyperelliptic_delta, validate_graded
 from fixloc.locus import hyperelliptic_profile
 
 F = Fraction
@@ -63,6 +65,13 @@ def datum(pair=(0, 1), residue=1, degree=1):
 
 def parabolic(bar=0, d2=1):
     return AdmissibleParabolicDatum(bar, {"a": 0}, {"a": d2})
+
+
+def graded(bar=-1):
+    """The g = 1 flagged class F({0, 1}), both summands of base degree bar."""
+    pt = flagged_class(1, [0, 1])
+    summands = tuple(GradedSummand(bar, s.support) for s in pt.summands)
+    return validate_graded(GradedPoint(summands, pt.numeric, pt.det), hyperelliptic_profile(1))
 
 
 def witness(coeff):
@@ -86,6 +95,7 @@ ENTRIES = [
     ("hyperelliptic_report genus", hyperelliptic_report, InvalidGenus, 1),
     ("hyperelliptic_delta genus", lambda x: hyperelliptic_delta(x, 0), InvalidGenus, 1),
     ("hyperelliptic_delta lift index", lambda x: hyperelliptic_delta(1, x), InvalidDatum, 1),
+    ("validate_graded summand base degree", graded, InvalidDatum, -1),
     ("sim_e_step summand", lambda x: sim_e_step(flagged_class(1, [0, 1]), hyperelliptic_profile(1),
                                                 summand=x), InvalidDatum, 1),
     ("unramified_census n", lambda x: unramified_census(x, 4, 0), InconsistentDegrees, 4),
@@ -98,6 +108,7 @@ ENTRIES = [
     ("make_bundle flag entry b", lambda x: bundle(flag=(1, x)), InvalidDatum, F(1, 2)),
     ("make_bundle weight", lambda x: bundle(weight=x), InvalidDatum, F(1, 3)),
     ("validate_witness coefficient", witness, InvalidDatum, F(1, 2)),
+    ("to_parabolic pair", lambda x: to_parabolic(datum(pair=x), P2), InvalidDatum, (0, 1)),
     ("to_parabolic pair entry", lambda x: to_parabolic(datum(pair=(0, x)), P2), InvalidDatum, 1),
     ("to_parabolic residue", lambda x: to_parabolic(datum(residue=x), P2), InvalidDatum, 1),
     ("to_parabolic det degree", lambda x: to_parabolic(datum(degree=x), P2), InvalidDatum, 1),
@@ -118,6 +129,7 @@ ENTRIES = [
      lambda x: elementary_modification(datum(pair=(0, x)), P2, "a", FIRST), InvalidDatum, 1),
     ("elementary_modification det degree",
      lambda x: elementary_modification(datum(degree=x), P2, "a", FIRST), InvalidDatum, 1),
+    ("weight_system pair", lambda x: weight_system({"a": x}, P2), InvalidDatum, (0, 1)),
     ("weight_system pair entry", lambda x: weight_system({"a": (0, x)}, P2), InvalidDatum, 1),
     ("bar_delta_degree residue",
      lambda x: bar_delta_degree(DeterminantLift({"a": x}, 1), {"a": (0, 1)}, P2), InvalidDatum, 1),
@@ -153,3 +165,13 @@ def test_a_cover_order_that_is_no_number_raises_invalid_profile(n):
     # n % k would raise a bare TypeError
     with pytest.raises(InvalidProfile, match=f"cover order must be a positive integer, got {n!r}"):
         make_profile(n, [("a", 1)])
+
+
+@pytest.mark.parametrize("pair", [[0, 1], range(2), (0, 1, 1), (1,)], ids=repr)
+def test_an_exponent_pair_that_is_not_a_tuple_of_two_raises_invalid_datum(pair):
+    # a list passed as a pair came back from the correspondence as a tuple, so
+    # the round trip changed the datum; the others raised a bare TypeError or ValueError
+    with pytest.raises(InvalidDatum, match="exponent pair at 'a' must be a tuple of two ints"):
+        to_parabolic(datum(pair=pair), P2)
+    d = datum()
+    assert from_parabolic(to_parabolic(d, P2), P2) == d
