@@ -35,8 +35,9 @@ validate_parabolic returns).  Each returns at once on a record marked
 for the same profile object, by identity: an equal but distinct profile
 checks again.  A record whose values could still change (maps that are
 not FrozenDicts, a subclass) is checked every time and never marked;
-an exponent pair that is not a tuple is InvalidDatum.  The operations build their outputs
-already marked through one constructor each (_rank2, _parabolic):
+an exponent pair that is not a tuple is InvalidDatum.  The operations
+build their outputs already marked through one constructor each
+(_rank2, _parabolic):
 elementary_modification, gamma_apply and lift negation (in `graded`)
 when their input carries the mark, since they reuse its values;
 to_parabolic, from_parabolic and the parabolic lift negation whenever
@@ -181,7 +182,8 @@ def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile)
         pair = numeric[y.id]
         # a tuple, as the correspondence returns, so that its round trip gives back the datum
         if type(pair) is not tuple or len(pair) != 2:
-            raise InvalidDatum(f"exponent pair at {y.id!r} must be a tuple of two ints, got {pair!r}")
+            raise InvalidDatum(f"exponent pair at {y.id!r} must be a tuple of two ints, "
+                               f"got {pair!r}")
         d1, d2 = pair
         if not (type(d1) is int or is_int(d1)) or not (type(d2) is int or is_int(d2)):
             raise InvalidDatum(f"exponent pair at {y.id!r} must hold two ints, "
