@@ -3,18 +3,21 @@
 `frozen` makes a class an immutable record over its annotated fields;
 every layer's profiles, exponent data, reports and verdicts are records.
 A record's mapping fields are `FrozenDict`s, read-only dicts, and a
-record can carry a validity mark (`mark`).
+record can carry a validity mark (`mark`).  A record checks its own
+field types when it is built, through `freeze`, `check_int` and
+`int_map` (InvalidDatum).
 
 A converter takes (value, where) and returns the parsed value, or raises
 SchemaError naming `where`, the value's path in the document
 (`profile.orbits[0].k`).  Every document parser is itself a converter,
-so documents nest.  Parsers check shape and types; the constructors
-and operations that receive the parsed values check the mathematics.
+so documents nest.  Parsers check shape and types first; the
+constructors and operations that receive the parsed values check the
+mathematics.
 """
 
 from __future__ import annotations
 
-from .errors import SchemaError
+from .errors import InvalidDatum, SchemaError
 
 
 def frozen(cls):
@@ -124,9 +127,10 @@ def mark(record, value):
     passed them with the profile object it was checked against (a
     parabolic datum with the pair of that profile and its read-only
     weight numerators), and return at once on a record marked for the
-    same profile object.  Only
-    records whose fields cannot change are marked: their mappings are
-    FrozenDicts and the values in them immutable.
+    same profile object.  Every record they take is markable: its
+    constructor checked its field types, so its mappings are FrozenDicts
+    holding ints, Fractions, strs and tuples of ints, and nothing in it
+    can change.
     """
     object.__setattr__(record, "_mark", value)
 
@@ -152,15 +156,16 @@ class FrozenDict(dict):
         return (type(self), (dict(self),))
 
 
-def freeze(value):
+def freeze(value, what: str) -> FrozenDict:
     """A dict as a FrozenDict: one already frozen is shared, a plain one copied.
 
-    Any other value is returned as it is, so that the validators meet it
-    and raise the errors they raised before records froze their fields.
+    The one check that a record's map, or a map an operation takes, is a
+    dict: anything else (a list, a str, a read-only view of a dict) is
+    InvalidDatum naming `what`.
     """
-    if type(value) is FrozenDict or not isinstance(value, dict):
-        return value
-    return FrozenDict(value)
+    if not isinstance(value, dict):
+        raise InvalidDatum(f"{what} must be a dict, got {type(value).__name__}")
+    return value if type(value) is FrozenDict else FrozenDict(value)
 
 
 def parse_object(doc: object, where: str, required: dict, optional: dict | None = None) -> dict:
@@ -191,6 +196,25 @@ def parse_object(doc: object, where: str, required: dict, optional: dict | None 
 def is_int(obj: object) -> bool:
     """An int that is not a bool."""
     return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def check_int(value: object, what: str) -> None:
+    """InvalidDatum naming `what` unless value is an exact int (is_int).
+
+    The one check of an int that a record or an operation takes; an
+    exact int, the common case, costs one identity test.
+    """
+    if type(value) is not int and not is_int(value):
+        raise InvalidDatum(f"{what} must be an int, got {type(value).__name__}")
+
+
+def int_map(value: object, what: str) -> FrozenDict:
+    """freeze(value) of a map of exact ints; `what` names an entry, and its plural the map."""
+    value = freeze(value, f"{what}s")
+    for label, item in value.items():
+        if type(item) is not int:  # the common case skips naming the entry
+            check_int(item, f"{what} at {label!r}")
+    return value
 
 
 def is_rational(obj: object) -> bool:

@@ -15,7 +15,7 @@ mod n'(y).
 from __future__ import annotations
 
 
-from ._ser import dict_of, freeze, frozen, is_int, parse_object, require_int, to_json
+from ._ser import check_int, dict_of, frozen, int_map, is_int, parse_object, require_int, to_json
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, OddOrder
 
@@ -71,10 +71,8 @@ class InvariantDivisor:
     base_degree: int
 
     def __post_init__(self):
-        if not (is_int(self.base_degree) and all(map(is_int, self.residues.values()))):
-            raise InvalidDatum(f"invariant divisor needs int residues and base degree, "
-                               f"got {self.residues!r} and {self.base_degree!r}")
-        object.__setattr__(self, "residues", freeze(self.residues))
+        check_int(self.base_degree, "divisor base degree")
+        object.__setattr__(self, "residues", int_map(self.residues, "divisor residue"))
 
 
 @frozen
@@ -84,7 +82,7 @@ class LineNumericData:
     values: dict[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", freeze(self.values))
+        object.__setattr__(self, "values", int_map(self.values, "line numeric value"))
 
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.values.values())

@@ -26,23 +26,29 @@ one (mod n'), the determinant loses one fiber (degree -k(y), residue
 -1); `gamma_apply` is the closed form for iterating this m(y) times
 at every orbit.
 
-Each record is validated once per profile.  The records' maps are
-read-only (`_ser.FrozenDict`), so a checked record stays valid, and
+Each record checks what needs no profile when it is built, one helper
+per rule: exact ints (`_ser.check_int`, `_ser.int_map`), dict maps
+(`_ser.freeze`), exponent pairs that are tuples of two with
+0 <= d1 <= d2 (_pairs), weights that are ints or Fractions in [0, 1)
+(_weights), a lift sign '+' or '-' (_require_one_of) and flag choices
+'first' or 'second'.  An ill-typed record is InvalidDatum there, and the
+operations that take a plain map (weight_system, bar_delta_degree,
+gamma_apply's counts, solve_d2's weights, lift negation's partition in
+`graded`) run the same helpers.  So every map in a record is a
+FrozenDict of ints, Fractions, strs or int pairs, and nothing in it can
+change.  The validators check only what reads the profile (labels,
+every orbit named, ranges below n', residue sums, denominators, the
+odd-order sign), and each record is validated once per profile:
 validate_det, validate_rank2 and validate_parabolic mark a record that
 passed with the profile object it was checked against (`_ser.mark`; a
 parabolic datum's mark also holds the weight numerators that
-validate_parabolic returns).  Each returns at once on a record marked
-for the same profile object, by identity: an equal but distinct profile
-checks again.  A record whose values could still change (maps that are
-not FrozenDicts, a subclass) is checked every time and never marked;
-an exponent pair that is not a tuple is InvalidDatum.  The operations
-build their outputs already marked through one constructor each
-(_rank2, _parabolic):
-elementary_modification, gamma_apply and lift negation (in `graded`)
-when their input carries the mark, since they reuse its values;
-to_parabolic, from_parabolic and the parabolic lift negation whenever
-their check passed.  round_trip trusts its input, so it marks nothing.
-A copy or a pickle of a record carries no mark.
+validate_parabolic returns), and return at once on a record marked for
+the same profile object, by identity: an equal but distinct profile
+checks again.  The operations build their outputs already marked
+through one constructor each (_rank2, _parabolic), which skips the
+constructors' checks on the values the operation built.  round_trip
+trusts its input to be admissible, so it marks nothing; it type-checks
+the element (_pairs).  A copy or a pickle of a record carries no mark.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._ser import (FrozenDict, dict_of, freeze, frozen, is_int, mark, one_of, pair_of,
-                   parse_object, rat_from_json, rat_to_json, require_int, to_json)
+from ._ser import (FrozenDict, check_int, dict_of, freeze, frozen, int_map, is_rational, mark,
+                   one_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int, to_json)
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, NonIntegralDegree, NoSolution, UnknownOrbit
 
@@ -80,7 +86,9 @@ class DeterminantLift:
     _mark = None  # a validity mark (see validate_* and _ser.frozen)
 
     def __post_init__(self):
-        object.__setattr__(self, "residues", freeze(self.residues))
+        _require_one_of(self.lift_sign, (PLUS, MINUS), "lift sign")
+        object.__setattr__(self, "residues", int_map(self.residues, "determinant residue"))
+        check_int(self.degree, "determinant degree")
 
 
 @frozen
@@ -93,7 +101,7 @@ class Rank2EqData:
     _mark = None  # a validity mark (see validate_* and _ser.frozen)
 
     def __post_init__(self):
-        object.__setattr__(self, "numeric", freeze(self.numeric))
+        object.__setattr__(self, "numeric", _pairs(self.numeric))
 
 
 @frozen
@@ -103,7 +111,11 @@ class FlagSelector:
     choice: dict[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "choice", freeze(self.choice))
+        object.__setattr__(self, "choice", freeze(self.choice, "flag choices"))
+        for label, side in self.choice.items():
+            if side not in (FIRST, SECOND):
+                raise InvalidDatum(f"flag choice at {label!r} must be 'first' or 'second', "
+                                   f"got {side!r}")
 
 
 @frozen
@@ -119,13 +131,59 @@ class AdmissibleParabolicDatum:
     _mark = None  # a validity mark (see validate_* and _ser.frozen)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", freeze(self.weights))
-        object.__setattr__(self, "d2", freeze(self.d2))
+        _require_one_of(self.det_lift_sign, (PLUS, MINUS), "lift sign")
+        check_int(self.det_bar_degree, "base determinant degree")
+        object.__setattr__(self, "weights", _weights(self.weights))
+        object.__setattr__(self, "d2", int_map(self.d2, "flag exponent"))
 
 
-def _validate_lift_sign(sign: str, profile: CoverProfile) -> None:
-    if sign not in (PLUS, MINUS):
-        raise InvalidDatum(f"lift sign must be '+' or '-', got {sign!r}")
+# The checks that need no profile, one helper per rule (with _ser.freeze for a
+# map and _ser.check_int for an int); the constructors above call them, and so
+# do the operations that take the same values in a plain map or argument.
+
+def _require_one_of(value: object, choices: tuple, what: str) -> None:
+    if value not in choices:
+        raise InvalidDatum(f"{what} must be {' or '.join(map(repr, choices))}, got {value!r}")
+
+
+def _pairs(numeric: object) -> FrozenDict:
+    """numeric data as a FrozenDict: InvalidDatum unless it is a dict whose
+    every exponent pair is a tuple of two ints with 0 <= d1 <= d2.
+
+    A tuple, as the correspondence returns, so that a round trip gives
+    back the datum.  Two exact ints, the common case, cost two identity
+    tests.
+    """
+    numeric = freeze(numeric, "numeric data")
+    for label, pair in numeric.items():
+        if type(pair) is not tuple or len(pair) != 2:
+            raise InvalidDatum(f"exponent pair at {label!r} must be a tuple of two ints, "
+                               f"got {pair!r}")
+        d1, d2 = pair
+        if type(d1) is not int or type(d2) is not int:
+            check_int(d1, f"exponent pair entry at {label!r}")
+            check_int(d2, f"exponent pair entry at {label!r}")
+        if not 0 <= d1 <= d2:
+            raise InvalidDatum(f"exponent pair at {label!r} violates 0 <= d1 <= d2 < n'")
+    return numeric
+
+
+def _weights(weights: object) -> FrozenDict:
+    """freeze(weights): InvalidDatum unless each is an int or a Fraction in [0, 1).
+
+    Exact ints and Fractions, the common case, skip _ser.is_rational.
+    """
+    weights = freeze(weights, "parabolic weights")
+    for label, w in weights.items():
+        if not (type(w) is Fraction or type(w) is int or is_rational(w)):
+            raise InvalidDatum(f"weight at {label!r} must be an int or a Fraction, "
+                               f"got {type(w).__name__}")
+        if not 0 <= w.numerator < w.denominator:
+            raise InvalidDatum(f"weight at {label!r} outside [0,1)")
+    return weights
+
+
+def _check_odd_sign(sign: str, profile: CoverProfile) -> None:
     if profile.n % 2 == 1 and sign != PLUS:
         raise InvalidDatum("odd cover order admits a single lift; sign must be '+'")
 
@@ -143,25 +201,17 @@ def _require_every_orbit(labels, profile: CoverProfile, what: str) -> None:
 
 
 def validate_det(det: DeterminantLift, profile: CoverProfile) -> None:
-    if getattr(det, "_mark", None) is profile:
+    if det._mark is profile:
         return
-    _validate_lift_sign(det.lift_sign, profile)
-    index = profile.orbit_index
+    _check_odd_sign(det.lift_sign, profile)
     for label, res in det.residues.items():
-        y = index.get(label)
+        y = profile.orbit_index.get(label)
         if y is None:
             raise UnknownOrbit(label)
-        # an exact int, the common case, costs one identity test (as in _spread)
-        if not (type(res) is int or is_int(res)):
-            raise InvalidDatum(f"determinant residue at {label!r} must be an int, "
-                               f"got {type(res).__name__}")
         if not 0 <= res < y.nprime:
             raise InvalidDatum(f"determinant residue at {label!r} out of range [0,{y.nprime})")
     _require_every_orbit(det.residues, profile, "determinant residues")
-    if not (type(det.degree) is int or is_int(det.degree)):
-        raise InvalidDatum(f"determinant degree must be an int, got {type(det.degree).__name__}")
-    if type(det) is DeterminantLift and type(det.residues) is FrozenDict:
-        mark(det, profile)
+    mark(det, profile)
 
 
 def random_det(rng: random.Random, profile: CoverProfile) -> DeterminantLift:
@@ -174,30 +224,20 @@ def random_det(rng: random.Random, profile: CoverProfile) -> DeterminantLift:
     return DeterminantLift(residues=residues, degree=degree, lift_sign=sign)
 
 
-def validate_numeric(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> None:
-    """Exactly one pair per profile orbit, each a tuple with 0 <= d1 <= d2 < n'."""
+def validate_numeric(numeric: FrozenDict[str, tuple[int, int]], profile: CoverProfile) -> None:
+    """Exactly one pair per profile orbit, each with d2 < n' (_pairs checked the rest)."""
     if numeric.keys() != profile.orbit_index.keys():
         raise InvalidDatum("numeric data must cover exactly the profile orbits")
     for y in profile.orbits:
-        pair = numeric[y.id]
-        # a tuple, as the correspondence returns, so that its round trip gives back the datum
-        if type(pair) is not tuple or len(pair) != 2:
-            raise InvalidDatum(f"exponent pair at {y.id!r} must be a tuple of two ints, "
-                               f"got {pair!r}")
-        d1, d2 = pair
-        if not (type(d1) is int or is_int(d1)) or not (type(d2) is int or is_int(d2)):
-            raise InvalidDatum(f"exponent pair at {y.id!r} must hold two ints, "
-                               f"got {type(d1).__name__} and {type(d2).__name__}")
-        if not (0 <= d1 <= d2 < y.nprime):
+        if numeric[y.id][1] >= y.nprime:
             raise InvalidDatum(f"exponent pair at {y.id!r} violates 0 <= d1 <= d2 < n'")
 
 
 def validate_rank2(data: Rank2EqData, profile: CoverProfile) -> None:
-    if getattr(data, "_mark", None) is profile:
+    if data._mark is profile:
         return
     _check_rank2(data.numeric, data.det, profile)
-    if type(data) is Rank2EqData and _frozen_parts(data.numeric, data.det, profile):
-        mark(data, profile)
+    mark(data, profile)
 
 
 def _check_rank2(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
@@ -212,31 +252,18 @@ def _check_rank2(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
             raise InvalidDatum(f"exponent pair at {y.id!r} does not sum to determinant residue")
 
 
-def _frozen_parts(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
-                  profile: CoverProfile) -> bool:
-    """Whether checked parts can never change: det marked for profile and numeric
-    a FrozenDict (validate_numeric admits tuple pairs only).  Only then may
-    their record carry a mark."""
-    return getattr(det, "_mark", None) is profile and type(numeric) is FrozenDict
-
-
-def _marked_for(data: Rank2EqData, profile: CoverProfile) -> CoverProfile | None:
-    """profile when data carries its mark, else None: what an output that
-    reuses data's values may be marked for (see _rank2)."""
-    return profile if getattr(data, "_mark", None) is profile else None
-
-
 def _rank2(numeric: dict[str, tuple[int, int]], residues: dict[str, int], degree: int,
            lift_sign: str, valid_for: CoverProfile | None) -> Rank2EqData:
     """The datum an operation built, and its determinant, both marked valid
     for the profile valid_for unless that is None.
 
-    The one constructor of the operations' rank-2 data: an operation
-    passes the profile it validated its input against only when the
-    datum it built passes validate_rank2 for it by construction, and
-    only when every value it reused from its input is immutable.
+    The one constructor of the operations' rank-2 data: it skips the
+    record constructors' checks, since an operation passes values it
+    built from checked ones, and an operation passes the profile it
+    validated its input against when the datum it built passes
+    validate_rank2 for it by construction.
     """
-    det = DeterminantLift._new_marked(valid_for, freeze(residues), degree, lift_sign)
+    det = DeterminantLift._new_marked(valid_for, FrozenDict(residues), degree, lift_sign)
     return Rank2EqData._new_marked(valid_for, FrozenDict(numeric), det)
 
 
@@ -246,19 +273,10 @@ _weight = functools.lru_cache(maxsize=1 << 12)(Fraction)
 
 
 def _spread(w: int | Fraction, y: SpecialOrbit) -> int:
-    """m = w * n'(y), the weight's numerator over n'(y), in integers.
-
-    InvalidDatum unless w is an int or a Fraction in [0,1) whose
-    denominator divides n'(y).
-    """
-    # exact ints and Fractions, the common case, skip the subclass tests
-    if not (type(w) is Fraction or type(w) is int) and (
-            isinstance(w, bool) or not isinstance(w, (int, Fraction))):
-        raise InvalidDatum(f"weight at {y.id!r} must be an int or a Fraction, "
-                           f"got {type(w).__name__}")
+    """m = w * n'(y), the numerator over n'(y) of a weight that passed
+    _weights, in integers; InvalidDatum unless its denominator
+    divides n'(y)."""
     num, den = w.numerator, w.denominator
-    if not 0 <= num < den:
-        raise InvalidDatum(f"weight at {y.id!r} outside [0,1)")
     if y.nprime % den != 0:
         raise InvalidDatum(f"weight denominator at {y.id!r} does not divide n'={y.nprime}")
     return num * (y.nprime // den)
@@ -273,20 +291,14 @@ def validate_parabolic(pdat: AdmissibleParabolicDatum, profile: CoverProfile) ->
     1.7-6.3% slower (two runs of ten pairs, slower in 18 of 20; CPython
     3.11.7, Intel Xeon).
     """
-    checked = getattr(pdat, "_mark", None)
-    if checked is not None and checked[0] is profile:
-        return checked[1]
-    _validate_lift_sign(pdat.det_lift_sign, profile)
+    if pdat._mark is not None and pdat._mark[0] is profile:
+        return pdat._mark[1]
+    _check_odd_sign(pdat.det_lift_sign, profile)
     check_orbit_labels(itertools.chain(pdat.weights, pdat.d2), profile)
     # the orbits that both maps name
     _require_every_orbit(pdat.weights.keys() & pdat.d2.keys(), profile, "parabolic weights and d2")
-    if not (type(pdat.det_bar_degree) is int or is_int(pdat.det_bar_degree)):
-        raise InvalidDatum(f"base determinant degree must be an int, "
-                           f"got {type(pdat.det_bar_degree).__name__}")
     spreads = FrozenDict(_spreads(pdat, profile))
-    if (type(pdat) is AdmissibleParabolicDatum and type(pdat.weights) is FrozenDict
-            and type(pdat.d2) is FrozenDict):
-        mark(pdat, (profile, spreads))
+    mark(pdat, (profile, spreads))
     return spreads
 
 
@@ -308,8 +320,6 @@ def _spreads(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> dict[str,
     for y in profile.orbits:
         m = _spread(pdat.weights[y.id], y)
         d2 = pdat.d2[y.id]
-        if not (type(d2) is int or is_int(d2)):
-            raise InvalidDatum(f"flag exponent at {y.id!r} must be an int, got {type(d2).__name__}")
         if not 0 <= d2 < y.nprime:
             raise InvalidDatum(f"flag exponent at {y.id!r} outside [0,{y.nprime})")
         if d2 < m:
@@ -417,9 +427,11 @@ def enumerate_lambda(det: DeterminantLift,
 def weight_system(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, Fraction]:
     """Parabolic weights w(y) = (d2 - d1) / n'(y).
 
-    InvalidDatum unless numeric holds exactly one pair per profile
-    orbit, each with 0 <= d1 <= d2 < n' (validate_numeric).
+    InvalidDatum unless numeric is a dict holding exactly one pair per
+    profile orbit, each a tuple with 0 <= d1 <= d2 < n' (_pairs,
+    validate_numeric).
     """
+    numeric = _pairs(numeric)
     validate_numeric(numeric, profile)
     return {y.id: _weight(numeric[y.id][1] - numeric[y.id][0], y.nprime) for y in profile.orbits}
 
@@ -434,6 +446,7 @@ def bar_delta_degree(det: DeterminantLift, numeric: dict[str, tuple[int, int]],
     (InvalidDatum or UnknownOrbit otherwise).
     """
     validate_det(det, profile)
+    numeric = _pairs(numeric)
     validate_numeric(numeric, profile)
     return _descend(numeric, det, profile).det_bar_degree
 
@@ -453,8 +466,7 @@ def elementary_modification(data: Rank2EqData, profile: CoverProfile, orbit_id: 
     reduced fiber: degree -k(y), residue -1 mod n'(y).
     """
     validate_rank2(data, profile)
-    if direction not in (FIRST, SECOND):
-        raise InvalidDatum(f"direction must be 'first' or 'second', got {direction!r}")
+    _require_one_of(direction, (FIRST, SECOND), "direction")
     y = profile.orbit_index.get(orbit_id)
     if y is None:
         raise UnknownOrbit(orbit_id)
@@ -468,8 +480,7 @@ def elementary_modification(data: Rank2EqData, profile: CoverProfile, orbit_id: 
     numeric[orbit_id] = _pair(kept, moved)
     residues = dict(data.det.residues)
     residues[orbit_id] = (residues[orbit_id] + step) % y.nprime
-    return _rank2(numeric, residues, data.det.degree + step * y.k, data.det.lift_sign,
-                  _marked_for(data, profile))
+    return _rank2(numeric, residues, data.det.degree + step * y.k, data.det.lift_sign, profile)
 
 
 def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
@@ -479,30 +490,29 @@ def gamma_apply(data: Rank2EqData, profile: CoverProfile, m: dict[str, int],
     Positive m(y) runs m(y) forward modifications in the selected
     direction (negative: inverse ones): the selected exponent survives,
     the complementary one drops by m(y) mod n', the determinant degree
-    drops by sum_y m(y) k(y) and each residue by m(y).  Labels of m or
-    of flags outside the profile raise UnknownOrbit, and a count that is
-    not an int (a float, a bool or a str) InvalidDatum.
+    drops by sum_y m(y) k(y) and each residue by m(y).  An m that is
+    not a dict, or a count in it that is not an int (a float, a bool or
+    a str), raises InvalidDatum, and labels of m or of flags outside the
+    profile UnknownOrbit.
     """
     validate_rank2(data, profile)
+    m = int_map(m, "modification count")
     check_orbit_labels(itertools.chain(m, flags.choice), profile)
     numeric, residues = dict(data.numeric), dict(data.det.residues)
     degree = data.det.degree
     for y in profile.orbits:
         my = m.get(y.id, 0)
-        if not (type(my) is int or is_int(my)):
-            raise InvalidDatum(f"modification count at {y.id!r} must be an int, "
-                               f"got {type(my).__name__}")
         if my == 0:
             continue
         side = flags.choice.get(y.id)
-        if side not in (FIRST, SECOND):
+        if side is None:
             raise InvalidDatum(f"no tracked direction for modified orbit {y.id!r}")
         d1, d2 = numeric[y.id]
         kept, moved = (d1, d2) if side == FIRST else (d2, d1)
         numeric[y.id] = _pair(kept, (moved - my) % y.nprime)
         residues[y.id] = (residues[y.id] - my) % y.nprime
         degree -= my * y.k
-    return _rank2(numeric, residues, degree, data.det.lift_sign, _marked_for(data, profile))
+    return _rank2(numeric, residues, degree, data.det.lift_sign, profile)
 
 
 def to_parabolic(data: Rank2EqData, profile: CoverProfile) -> AdmissibleParabolicDatum:
@@ -518,8 +528,8 @@ def _descend(numeric: dict[str, tuple[int, int]], det: DeterminantLift, profile:
     In one pass: weight (d2 - d1)/n'(y) (as weight_system gives it),
     flag exponent d2, and base degree (degree - sum_y (d1+d2) k(y)) / n,
     NonIntegralDegree unless the division is exact.  Marked valid for
-    valid_for unless that is None (see _parabolic): the caller passes
-    profile when it validated numeric and det together (validate_rank2).
+    valid_for (see _parabolic): the caller passes profile when it
+    validated numeric and det together (validate_rank2), else None.
     """
     weights, d2s, spreads = {}, {}, {}
     total = det.degree
@@ -548,8 +558,8 @@ def _ascend(pdat: AdmissibleParabolicDatum, spreads: dict[str, int], profile: Co
     In one pass: d1 = d2 - m(y), residue (d1+d2) mod n'(y), degree
     n * base degree + sum_y (d1+d2) k(y).  spreads is what
     validate_parabolic returns; the result is marked valid for valid_for
-    unless that is None (see _rank2): the caller passes profile when
-    validate_parabolic's checks passed.
+    (see _rank2): the caller passes profile when validate_parabolic's
+    checks passed, else None.
     """
     numeric, residues = {}, {}
     degree = profile.n * pdat.det_bar_degree
@@ -566,13 +576,15 @@ def round_trip(numeric: dict[str, tuple[int, int]], det: DeterminantLift,
                profile: CoverProfile) -> Rank2EqData:
     """from_parabolic(to_parabolic(...)) for an element of enumerate_lambda(det, profile).
 
-    The inputs are trusted: enumerate_lambda validated det, and its
-    elements are admissible.  The descended datum still gets
-    validate_parabolic's per-orbit checks (its sign and labels come from
-    det and profile), so a descent that breaks them raises InvalidDatum.
-    Since numeric was never checked, neither datum is marked valid.
+    The inputs are trusted to be admissible: enumerate_lambda validated
+    det, and its elements are.  numeric gets the type checks a datum's
+    constructor runs (_pairs), so the data built from it hold ints.  The
+    descended datum still gets validate_parabolic's per-orbit checks (its
+    sign and labels come from det and profile), so a descent that breaks
+    them raises InvalidDatum.  Since numeric was never validated, neither
+    datum is marked valid.
     """
-    pdat = _descend(numeric, det, profile)
+    pdat = _descend(_pairs(numeric), det, profile)
     return _ascend(pdat, _spreads(pdat, profile), profile)
 
 
@@ -599,12 +611,14 @@ def solve_d2(det: DeterminantLift, weights: dict[str, Fraction],
     [0, n'(y)) in closed form and keeps solutions whose derived lower
     exponent is non-negative; odd n'(y) gives exactly one solution,
     even n'(y) up to two.  Raises NoSolution when some orbit admits
-    none; returns the product over orbits otherwise.  Weight labels
-    outside the profile raise UnknownOrbit, and weights that leave out
-    an orbit InvalidDatum; a weight gets _spread's checks and messages,
-    as in validate_parabolic.
+    none; returns the product over orbits otherwise.  Weights that are
+    not a dict raise InvalidDatum, labels outside the profile
+    UnknownOrbit, and weights that leave out an orbit InvalidDatum; a
+    weight gets the checks and messages of a parabolic datum's
+    (_weights, _spread).
     """
     validate_det(det, profile)
+    weights = _weights(weights)
     check_orbit_labels(weights, profile)
     _require_every_orbit(weights, profile, "parabolic weights")
     per_orbit: list[list[int]] = []

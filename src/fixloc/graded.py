@@ -32,7 +32,7 @@ import math
 import operator
 from typing import TYPE_CHECKING
 
-from ._ser import FrozenDict, frozen, is_int, mark
+from ._ser import FrozenDict, check_int, frozen, is_int, mark
 from .equivariant import (
     MINUS,
     PLUS,
@@ -40,9 +40,8 @@ from .equivariant import (
     DeterminantLift,
     Rank2EqData,
     _check_rank2,
-    _frozen_parts,
-    _marked_for,
     _pair,
+    _pairs,
     _parabolic,
     _rank2,
     _weight,
@@ -64,6 +63,12 @@ class GradedSummand:
     bar_degree: int
     support: frozenset
 
+    def __post_init__(self):
+        check_int(self.bar_degree, "summand base degree")
+        if not isinstance(self.support, frozenset):
+            raise InvalidDatum(f"summand support must be a frozenset, "
+                               f"got {type(self.support).__name__}")
+
 
 @frozen
 class GradedPoint:
@@ -75,7 +80,10 @@ class GradedPoint:
     by content.  The hash, taken on every call, leaves out the
     determinant's residues; equal points still hash equal.  On points
     validate_graded accepts, the exponent pairs fix the residues (d1 + d2
-    mod n' at every orbit), so no two of them differ only there.
+    mod n' at every orbit), so no two of them differ only there.  The
+    constructor checks what needs no profile, before it orders the
+    summands: a tuple of two GradedSummands, and numeric data as a
+    Rank2EqData holds it (InvalidDatum otherwise).
     """
 
     summands: tuple
@@ -85,15 +93,13 @@ class GradedPoint:
     _mark = None  # a validity mark (see _validated_key and _ser.frozen)
 
     def __post_init__(self):
-        pair = tuple(self.summands)
-        if len(pair) != 2:
-            raise InvalidDatum("graded point needs exactly two summands")
-        s0, s1 = pair
-        if _out_of_order(s0.bar_degree, s0.support, s1.bar_degree, s1.support):
-            pair = (s1, s0)
-        object.__setattr__(self, "summands", pair)
-        if self.numeric is not None and type(self.numeric) is not FrozenDict:
-            object.__setattr__(self, "numeric", FrozenDict(self.numeric))
+        pair = self.summands
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(isinstance(s, GradedSummand) for s in pair)):
+            raise InvalidDatum("graded point needs a tuple of exactly two summands")
+        object.__setattr__(self, "summands", _ordered(*pair))
+        if self.numeric is not None:
+            object.__setattr__(self, "numeric", _pairs(self.numeric))
 
     def __hash__(self):
         det = self.det
@@ -102,6 +108,18 @@ class GradedPoint:
             None if self.numeric is None else frozenset(self.numeric.items()),
             None if det is None else (det.degree, det.lift_sign),
         ))
+
+
+def _point(s0, s1, numeric: dict, det: DeterminantLift) -> GradedPoint:
+    """The unmarked point of summands and values the caller built, in
+    GradedPoint's order; as _rank2, it skips the constructor's checks."""
+    return GradedPoint._new_marked(None, _ordered(s0, s1), FrozenDict(numeric), det)
+
+
+def _ordered(s0: GradedSummand, s1: GradedSummand) -> tuple:
+    """The two summands in GradedPoint's order (_out_of_order)."""
+    swap = _out_of_order(s0.bar_degree, s0.support, s1.bar_degree, s1.support)
+    return (s1, s0) if swap else (s0, s1)
 
 
 def _out_of_order(bar0: int, support0, bar1: int, support1) -> bool:
@@ -147,26 +165,19 @@ def _validated_key(pt: GradedPoint, profile: CoverProfile, frame: _Frame) -> tup
     only keyed.  The key is not kept: on the census boundary points it
     took 2.9 MB, about a tenth of the census workload's peak RSS.
     """
-    if getattr(pt, "_mark", None) is profile:
+    if pt._mark is profile:
         return _key(pt, frame)
     if pt.numeric is None or pt.det is None:
         raise InvalidDatum("graded point lacks cover context")
     _check_rank2(pt.numeric, pt.det, profile)
     weighted = {label for label, (d1, d2) in pt.numeric.items() if d1 != d2}
     s0, s1 = pt.summands
-    if set(s0.support) | set(s1.support) != weighted or set(s0.support) & set(s1.support):
+    if s0.support | s1.support != weighted or s0.support & s1.support:
         raise InvalidDatum("summand supports must partition the weighted orbits")
-    for s in pt.summands:
-        if not is_int(s.bar_degree):
-            raise InvalidDatum(f"summand base degree must be an int, got {s.bar_degree!r}")
     key = _key(pt, frame)
     if key[0][1] != key[1][1]:
         raise InvalidDatum("summands have unequal parabolic degree")
-    # marked only when nothing in the point can change
-    if type(pt) is GradedPoint and _frozen_parts(pt.numeric, pt.det, profile) and all(
-            type(s) is GradedSummand and type(s.support) is frozenset and type(s.bar_degree) is int
-            for s in pt.summands):
-        mark(pt, profile)
+    mark(pt, profile)
     return key
 
 
@@ -190,8 +201,8 @@ def _rebuild(key: tuple, frame: _Frame) -> GradedPoint:
                        frozenset(itertools.compress(ids, map(operator.gt, ell0, ell1))))
     s1 = GradedSummand((up1 - frame.weight(ell1)) // frame.n,
                        frozenset(itertools.compress(ids, map(operator.lt, ell0, ell1))))
-    det = DeterminantLift(residues=dict(zip(ids, residues)), degree=degree, lift_sign=sign)
-    return GradedPoint((s0, s1), numeric=dict(zip(ids, map(_pair, ell0, ell1))), det=det)
+    det = DeterminantLift._new_marked(None, FrozenDict(zip(ids, residues)), degree, sign)
+    return _point(s0, s1, dict(zip(ids, map(_pair, ell0, ell1))), det)
 
 
 def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> GradedPoint:
@@ -230,8 +241,7 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
     """
     if profile.n % 2 == 1:
         raise OddOrder("single-summand crossing twist needs even cover order")
-    if not is_int(exponent):
-        raise InvalidDatum(f"crossing twist exponent must be an int, got {exponent!r}")
+    check_int(exponent, "crossing twist exponent")
     if exponent % 2 != 1:
         raise InvalidDatum("crossing twist exponent must be odd")
     if not is_int(summand) or summand not in (0, 1):
@@ -298,7 +308,7 @@ def zeta2_apply(data: Rank2EqData, profile: CoverProfile) -> Rank2EqData:
         shift = half % y.nprime
         numeric[y.id] = _pair((d1 + shift) % y.nprime, (d2 + shift) % y.nprime)
     return _rank2(numeric, data.det.residues, data.det.degree, _other_sign(data.det.lift_sign),
-                  _marked_for(data, profile))
+                  profile)
 
 
 def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> AdmissibleParabolicDatum:
@@ -350,6 +360,7 @@ def zeta2_partition(numeric: dict[str, tuple[int, int]], profile: CoverProfile) 
     ('down': d1 >= n'/2), or straddles and swaps ('cross').
     """
     _require_even_order(profile)
+    numeric = _pairs(numeric)
     validate_numeric(numeric, profile)
     out = {}
     for y in profile.orbits:
@@ -440,9 +451,8 @@ def hyperelliptic_delta(g: int, which: int) -> DeterminantLift:
     """The two determinant lifts of the trivial determinant (which in {0,1})."""
     if not is_int(which) or which not in (0, 1):
         raise InvalidDatum(f"lift index must be 0 or 1, got {which!r}")
-    residues = dict.fromkeys(_hyperelliptic_labels(g), which)
-    return DeterminantLift(residues=residues, degree=0,
-                           lift_sign=PLUS if which == 0 else MINUS)
+    residues = FrozenDict(dict.fromkeys(_hyperelliptic_labels(g), which))
+    return DeterminantLift._new_marked(None, residues, 0, PLUS if which == 0 else MINUS)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -464,8 +474,7 @@ def _even_subset(g: int, q_indices) -> tuple[tuple[str, ...], frozenset]:
     ids = _hyperelliptic_labels(g)
     indices = tuple(q_indices)
     for i in indices:
-        if not is_int(i):
-            raise InvalidDatum(f"point index {i!r} must be an int")
+        check_int(i, "point index")
     q = frozenset(indices)
     if len(q) % 2 != 0:
         raise InvalidDatum(f"subset size must be even, got {len(q)}")
@@ -480,7 +489,7 @@ def double_class(g: int, q_indices) -> GradedPoint:
     ids, q = _even_subset(g, q_indices)
     summand = GradedSummand(-(len(q) // 2), frozenset())
     numeric = {label: (1, 1) if i in q else (0, 0) for i, label in enumerate(ids)}
-    return GradedPoint((summand, summand), numeric=numeric, det=hyperelliptic_delta(g, 0))
+    return _point(summand, summand, numeric, hyperelliptic_delta(g, 0))
 
 
 def flagged_class(g: int, q_indices) -> GradedPoint:
@@ -488,5 +497,5 @@ def flagged_class(g: int, q_indices) -> GradedPoint:
     ids, q = _even_subset(g, q_indices)
     on = frozenset(ids[i] for i in q)
     half = len(q) // 2
-    summands = (GradedSummand(-half, on), GradedSummand(half - (g + 1), frozenset(ids) - on))
-    return GradedPoint(summands, numeric=dict.fromkeys(ids, (0, 1)), det=hyperelliptic_delta(g, 1))
+    return _point(GradedSummand(-half, on), GradedSummand(half - (g + 1), frozenset(ids) - on),
+                  dict.fromkeys(ids, (0, 1)), hyperelliptic_delta(g, 1))

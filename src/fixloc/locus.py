@@ -159,7 +159,8 @@ class HyperellipticReport:
     subset_label_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "pairwise_intersections", freeze(self.pairwise_intersections))
+        object.__setattr__(self, "pairwise_intersections", freeze(self.pairwise_intersections,
+                                                                  "pairwise intersections"))
 
 
 def hyperelliptic_report(g: int, with_classes: bool = True) -> HyperellipticReport:

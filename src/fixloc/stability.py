@@ -51,8 +51,8 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ._ser import (frozen, is_int, is_rational, list_of, pair_of, parse_object, rat_from_json,
-                   rat_to_json, require_int)
+from ._ser import (check_int, frozen, is_int, is_rational, list_of, pair_of, parse_object,
+                   rat_from_json, rat_to_json, require_int)
 from .errors import (DomainError, InternalError, InvalidDatum, NotSemistableNotStrict,
                      SchemaError, UnknownOrbit)
 
@@ -251,9 +251,7 @@ def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
 
     # validates pdat, whose weights name every orbit, as _face_diff reads them
     data = from_parabolic(pdat, profile)
-    if not is_int(sub_bar_degree):
-        raise InvalidDatum(f"subbundle base degree must be an int, "
-                           f"got {type(sub_bar_degree).__name__}")
+    check_int(sub_bar_degree, "subbundle base degree")
     agr = set(agreement)
     unknown = agr - set(profile.orbit_ids())
     if unknown:
@@ -391,8 +389,7 @@ def saturate(bundle: ParabolicP1, e: int, p, q) -> SubbundleWitness:
 
 def validate_witness(bundle: ParabolicP1, witness: SubbundleWitness) -> None:
     for x in (*witness.p_coeffs, *witness.q_coeffs):
-        if not is_rational(x):
-            raise InvalidDatum(f"witness coefficient {x!r} must be an int or a Fraction")
+        _exact(x, "witness coefficient")
     p, q = poly_trim(witness.p_coeffs), poly_trim(witness.q_coeffs)
     if not p and not q:
         raise InvalidDatum("witness sections are both zero")

@@ -36,8 +36,11 @@ fault (a bad weight, range or sign) names every orbit, so that it
 reports that fault.
 
 Arguments are stored as plain documents and decoded here without the
-schema parsers, so that malformed values reach the operations.  A
-weight is a bare integer or a {num, den} object.
+schema parsers, so that malformed values reach the record constructors
+and the operations: a fault that needs no profile (a bad lift sign or
+flag choice, a weight outside [0,1)) is reported when its record is
+built, before any fault the operation finds.  A weight is a bare
+integer or a {num, den} object.
 """
 
 from __future__ import annotations

@@ -53,7 +53,13 @@ from fixloc import (
     weight_system,
 )
 from fixloc.equivariant import admissible_pair_count, validate_parabolic
-from fixloc.graded import hyperelliptic_delta, validate_graded, zeta2_apply
+from fixloc.graded import (
+    hyperelliptic_delta,
+    m_cross,
+    validate_graded,
+    zeta2_apply,
+    zeta2_partition,
+)
 from fixloc.locus import hyperelliptic_profile
 
 import gen
@@ -432,9 +438,12 @@ def test_gamma_rejects_unknown_orbit():
     with pytest.raises(UnknownOrbit, match="z"):
         gamma_apply(data, profile, {"z": 0}, flags)
     # a selector label outside the profile, even one m leaves alone
-    sideways = FlagSelector(choice={"a": FIRST, "z": "sideways"})
+    sideways = FlagSelector(choice={"a": FIRST, "z": SECOND})
     with pytest.raises(UnknownOrbit, match="z"):
         gamma_apply(data, profile, {"a": 1}, sideways)
+    # a choice that is neither direction is rejected when the selector is built
+    with pytest.raises(InvalidDatum, match="flag choice at 'z' must be 'first' or 'second'"):
+        FlagSelector(choice={"a": FIRST, "z": "sideways"})
 
 
 def test_round_trip_on_full_lambda():
@@ -517,13 +526,12 @@ def test_solve_d2_closed_form_matches_the_scan():
 
 @pytest.mark.parametrize("weight", [0.5, 0.0, "1/2", True, None])
 def test_weights_must_be_int_or_fraction(weight):
-    # every entry point reports a weight fault in _spread's words
+    # a parabolic datum rejects the weight when it is built, so no operation
+    # sees it, and solve_d2 reports it in the same words (equivariant._weights)
     message = f"^weight at 'a' must be an int or a Fraction, got {type(weight).__name__}$"
     profile = make_profile(4, [("a", 2)])
-    pdat = AdmissibleParabolicDatum(det_bar_degree=0, weights={"a": weight}, d2={"a": 1})
-    for check in (validate_parabolic, from_parabolic, parabolic_zeta2):
-        with pytest.raises(InvalidDatum, match=message):
-            check(pdat, profile)
+    with pytest.raises(InvalidDatum, match=message):
+        AdmissibleParabolicDatum(det_bar_degree=0, weights={"a": weight}, d2={"a": 1})
     det = DeterminantLift(residues={"a": 1}, degree=2)
     with pytest.raises(InvalidDatum, match=message):
         solve_d2(det, {"a": weight}, profile)
@@ -676,15 +684,37 @@ def test_a_datum_that_leaves_out_an_orbit_is_rejected(call, full, short):
         call(short)
 
 
+P2 = make_profile(2, [("a", 1)])
+DATUM2 = Rank2EqData({"a": (0, 1)}, DeterminantLift({"a": 1}, 1))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=name) for name, call in [
+        ("weight_system numeric", lambda bad: weight_system(bad, P2)),
+        ("bar_delta_degree numeric", lambda bad: bar_delta_degree(DATUM2.det, bad, P2)),
+        ("zeta2_partition numeric", lambda bad: zeta2_partition(bad, P2)),
+        ("m_cross numeric", lambda bad: m_cross(bad, P2)),
+        ("gamma_apply m", lambda bad: gamma_apply(DATUM2, P2, bad, FlagSelector({"a": FIRST}))),
+        ("solve_d2 weights", lambda bad: solve_d2(DATUM2.det, bad, P2)),
+    ]])
+@pytest.mark.parametrize("bad", [[(0, 1)], [1], [Fraction(1, 2)], "a"], ids=repr)
+def test_an_operation_rejects_a_map_that_is_not_a_dict(call, bad):
+    # each raised a bare AttributeError or an UnknownOrbit naming a list item
+    # before the operations ran the records' map check (_ser.freeze)
+    with pytest.raises(InvalidDatum, match="must be a dict, got "):
+        call(bad)
+
+
 @pytest.mark.parametrize("det, error", [
-    (DeterminantLift(residues={"z": 9}, degree=13, lift_sign="?"), InvalidDatum),
-    (DeterminantLift(residues={"a": 1, "z": 0}, degree=14), UnknownOrbit),
-    (DeterminantLift(residues={"a": 4}, degree=14), InvalidDatum),
-    (DeterminantLift(residues={}, degree=14), InvalidDatum),
+    ({"residues": {"z": 9}, "degree": 13, "lift_sign": "?"}, InvalidDatum),
+    ({"residues": {"a": 1, "z": 0}, "degree": 14}, UnknownOrbit),
+    ({"residues": {"a": 4}, "degree": 14}, InvalidDatum),
+    ({"residues": {}, "degree": 14}, InvalidDatum),
 ])
 def test_bar_degree_checks_its_determinant(det, error):
+    # the bad lift sign is rejected when the determinant is built, the others here
     with pytest.raises(error):
-        bar_delta_degree(det, {"a": (0, 1)}, make_profile(4, [("a", 2)]))
+        bar_delta_degree(DeterminantLift(**det), {"a": (0, 1)}, make_profile(4, [("a", 2)]))
 
 
 def test_the_correspondence_and_the_modifications_invert_each_other_up_to_n24():

@@ -2,7 +2,9 @@
 
 Every entry point that takes an integer rejects a float, a bool and a
 string; one that takes a rational rejects those and also 0.1 and the
-string '1/2', which Fraction() would have parsed.
+string '1/2', which Fraction() would have parsed.  A value that is a
+field of a record is rejected when the record is built, before any
+operation sees it.
 """
 
 from fractions import Fraction
@@ -71,7 +73,7 @@ def graded(bar=-1):
     """The g = 1 flagged class F({0, 1}), both summands of base degree bar."""
     pt = flagged_class(1, [0, 1])
     summands = tuple(GradedSummand(bar, s.support) for s in pt.summands)
-    return validate_graded(GradedPoint(summands, pt.numeric, pt.det), hyperelliptic_profile(1))
+    return GradedPoint(summands, pt.numeric, pt.det)
 
 
 def witness(coeff):
@@ -95,7 +97,6 @@ ENTRIES = [
     ("hyperelliptic_report genus", hyperelliptic_report, InvalidGenus, 1),
     ("hyperelliptic_delta genus", lambda x: hyperelliptic_delta(x, 0), InvalidGenus, 1),
     ("hyperelliptic_delta lift index", lambda x: hyperelliptic_delta(1, x), InvalidDatum, 1),
-    ("validate_graded summand base degree", graded, InvalidDatum, -1),
     ("sim_e_step summand", lambda x: sim_e_step(flagged_class(1, [0, 1]), hyperelliptic_profile(1),
                                                 summand=x), InvalidDatum, 1),
     ("unramified_census n", lambda x: unramified_census(x, 4, 0), InconsistentDegrees, 4),
@@ -108,37 +109,52 @@ ENTRIES = [
     ("make_bundle flag entry b", lambda x: bundle(flag=(1, x)), InvalidDatum, F(1, 2)),
     ("make_bundle weight", lambda x: bundle(weight=x), InvalidDatum, F(1, 3)),
     ("validate_witness coefficient", witness, InvalidDatum, F(1, 2)),
-    ("to_parabolic pair", lambda x: to_parabolic(datum(pair=x), P2), InvalidDatum, (0, 1)),
-    ("to_parabolic pair entry", lambda x: to_parabolic(datum(pair=(0, x)), P2), InvalidDatum, 1),
-    ("to_parabolic residue", lambda x: to_parabolic(datum(residue=x), P2), InvalidDatum, 1),
-    ("to_parabolic det degree", lambda x: to_parabolic(datum(degree=x), P2), InvalidDatum, 1),
-    ("zeta2_apply pair entries", lambda x: zeta2_apply(datum(pair=(x, x), residue=0, degree=0), P2),
-     InvalidDatum, 0),
-    ("solve_d2 residue", lambda x: solve_d2(DeterminantLift({"a": x}, 1), {"a": HALF}, P2),
-     InvalidDatum, 1),
-    ("enumerate_lambda residue", lambda x: enumerate_lambda(DeterminantLift({"a": x}, 0), P2),
-     InvalidDatum, 1),
-    ("from_parabolic d2", lambda x: from_parabolic(parabolic(d2=x), P2), InvalidDatum, 1),
-    ("from_parabolic det_bar_degree", lambda x: from_parabolic(parabolic(bar=x), P2),
-     InvalidDatum, 0),
     ("gamma_apply count", lambda x: gamma_apply(datum(), P2, {"a": x}, FlagSelector({"a": FIRST})),
      InvalidDatum, 1),
     ("slope_transfer_check sub_bar_degree", lambda x: slope_transfer_check(P2, parabolic(), x, []),
      InvalidDatum, 0),
-    ("elementary_modification pair entry",
-     lambda x: elementary_modification(datum(pair=(0, x)), P2, "a", FIRST), InvalidDatum, 1),
-    ("elementary_modification det degree",
-     lambda x: elementary_modification(datum(degree=x), P2, "a", FIRST), InvalidDatum, 1),
     ("weight_system pair", lambda x: weight_system({"a": x}, P2), InvalidDatum, (0, 1)),
     ("weight_system pair entry", lambda x: weight_system({"a": (0, x)}, P2), InvalidDatum, 1),
-    ("bar_delta_degree residue",
-     lambda x: bar_delta_degree(DeterminantLift({"a": x}, 1), {"a": (0, 1)}, P2), InvalidDatum, 1),
     ("bar_delta_degree pair entry",
      lambda x: bar_delta_degree(DeterminantLift({"a": 1}, 1), {"a": (0, x)}, P2), InvalidDatum, 1),
-    ("parabolic_zeta2 d2", lambda x: parabolic_zeta2(parabolic(d2=x), P2), InvalidDatum, 1),
-    ("parabolic_zeta2 det_bar_degree", lambda x: parabolic_zeta2(parabolic(bar=x), P2),
-     InvalidDatum, 0),
 ]
+
+# the same for a record's field: (the operation and argument the field reaches,
+# build the record with the value, its error, an exact value, the operation
+# the built record then goes to); the record rejects the value when it is built
+FIELDS = [
+    ("validate_graded summand base degree", graded, InvalidDatum, -1,
+     lambda pt: validate_graded(pt, hyperelliptic_profile(1))),
+    ("to_parabolic pair", lambda x: datum(pair=x), InvalidDatum, (0, 1),
+     lambda d: to_parabolic(d, P2)),
+    ("to_parabolic pair entry", lambda x: datum(pair=(0, x)), InvalidDatum, 1,
+     lambda d: to_parabolic(d, P2)),
+    ("to_parabolic residue", lambda x: datum(residue=x), InvalidDatum, 1,
+     lambda d: to_parabolic(d, P2)),
+    ("to_parabolic det degree", lambda x: datum(degree=x), InvalidDatum, 1,
+     lambda d: to_parabolic(d, P2)),
+    ("zeta2_apply pair entries", lambda x: datum(pair=(x, x), residue=0, degree=0), InvalidDatum,
+     0, lambda d: zeta2_apply(d, P2)),
+    ("solve_d2 residue", lambda x: DeterminantLift({"a": x}, 1), InvalidDatum, 1,
+     lambda det: solve_d2(det, {"a": HALF}, P2)),
+    ("enumerate_lambda residue", lambda x: DeterminantLift({"a": x}, 0), InvalidDatum, 1,
+     lambda det: enumerate_lambda(det, P2)),
+    ("from_parabolic d2", lambda x: parabolic(d2=x), InvalidDatum, 1,
+     lambda pdat: from_parabolic(pdat, P2)),
+    ("from_parabolic det_bar_degree", lambda x: parabolic(bar=x), InvalidDatum, 0,
+     lambda pdat: from_parabolic(pdat, P2)),
+    ("elementary_modification pair entry", lambda x: datum(pair=(0, x)), InvalidDatum, 1,
+     lambda d: elementary_modification(d, P2, "a", FIRST)),
+    ("elementary_modification det degree", lambda x: datum(degree=x), InvalidDatum, 1,
+     lambda d: elementary_modification(d, P2, "a", FIRST)),
+    ("bar_delta_degree residue", lambda x: DeterminantLift({"a": x}, 1), InvalidDatum, 1,
+     lambda det: bar_delta_degree(det, {"a": (0, 1)}, P2)),
+    ("parabolic_zeta2 d2", lambda x: parabolic(d2=x), InvalidDatum, 1,
+     lambda pdat: parabolic_zeta2(pdat, P2)),
+    ("parabolic_zeta2 det_bar_degree", lambda x: parabolic(bar=x), InvalidDatum, 0,
+     lambda pdat: parabolic_zeta2(pdat, P2)),
+]
+CALLS = ENTRIES + [(name, build, error, good) for name, build, error, good, _ in FIELDS]
 
 INEXACT = (1.0, True, "1")
 INEXACT_RATIONALS = (0.1, "1/2")
@@ -146,7 +162,7 @@ INEXACT_RATIONALS = (0.1, "1/2")
 
 @pytest.mark.parametrize("call, bad, error", [
     pytest.param(call, bad, error, id=f"{name}={bad!r}")
-    for name, call, error, good in ENTRIES
+    for name, call, error, good in CALLS
     for bad in INEXACT + (INEXACT_RATIONALS if isinstance(good, Fraction) else ())])
 def test_an_inexact_input_raises_a_typed_error(call, bad, error):
     with pytest.raises(FixlocError) as info:
@@ -155,7 +171,10 @@ def test_an_inexact_input_raises_a_typed_error(call, bad, error):
 
 
 @pytest.mark.parametrize("call, good", [pytest.param(call, good, id=name)
-                                        for name, call, _, good in ENTRIES])
+                                        for name, call, _, good in ENTRIES]
+                         + [pytest.param(lambda x, build=build, then=then: then(build(x)), good,
+                                         id=name)
+                            for name, build, _, good, then in FIELDS])
 def test_the_exact_value_is_accepted(call, good):
     call(good)
 
@@ -172,6 +191,6 @@ def test_an_exponent_pair_that_is_not_a_tuple_of_two_raises_invalid_datum(pair):
     # a list passed as a pair came back from the correspondence as a tuple, so
     # the round trip changed the datum; the others raised a bare TypeError or ValueError
     with pytest.raises(InvalidDatum, match="exponent pair at 'a' must be a tuple of two ints"):
-        to_parabolic(datum(pair=pair), P2)
+        datum(pair=pair)
     d = datum()
     assert from_parabolic(to_parabolic(d, P2), P2) == d

@@ -284,6 +284,53 @@ def test_a_record_shares_a_frozen_field_and_copies_a_plain_one():
     assert DeterminantLift(det.residues, 4).residues is det.residues
 
 
+_SUMMAND = GradedSummand(0, frozenset())
+_DET = DeterminantLift({"a": 1}, 1)
+
+# (record and field, a build with one ill-typed value there); each built, or
+# raised a bare TypeError or AttributeError, before records checked their fields
+ILL_TYPED = [
+    ("DeterminantLift residues, degree and sign", lambda: DeterminantLift({"a": 1.0}, "x", "?")),
+    ("DeterminantLift residues a list", lambda: DeterminantLift([1], 0)),
+    ("DeterminantLift residues a view", lambda: DeterminantLift(types.MappingProxyType({"a": 1}), 1)),
+    ("DeterminantLift degree", lambda: DeterminantLift({"a": 1}, 1.0)),
+    ("DeterminantLift lift sign", lambda: DeterminantLift({"a": 1}, 1, "x")),
+    ("Rank2EqData numeric a list", lambda: Rank2EqData([(0, 1)], _DET)),
+    ("Rank2EqData pair a list", lambda: Rank2EqData({"a": [0, 1]}, _DET)),
+    ("Rank2EqData pair entry", lambda: Rank2EqData({"a": (0, True)}, _DET)),
+    ("Rank2EqData pair d1 > d2", lambda: Rank2EqData({"a": (1, 0)}, _DET)),
+    ("Rank2EqData pair d1 < 0", lambda: Rank2EqData({"a": (-1, 0)}, _DET)),
+    ("AdmissibleParabolicDatum weights None", lambda: AdmissibleParabolicDatum(0, None, {"a": 1})),
+    ("AdmissibleParabolicDatum weight a float",
+     lambda: AdmissibleParabolicDatum(0, {"a": 0.5}, {"a": 1})),
+    ("AdmissibleParabolicDatum weight 1", lambda: AdmissibleParabolicDatum(0, {"a": F(1)}, {"a": 1})),
+    ("AdmissibleParabolicDatum d2 a list", lambda: AdmissibleParabolicDatum(0, {"a": 0}, [1])),
+    ("AdmissibleParabolicDatum d2 entry", lambda: AdmissibleParabolicDatum(0, {"a": 0}, {"a": 1.0})),
+    ("AdmissibleParabolicDatum base degree",
+     lambda: AdmissibleParabolicDatum(0.0, {"a": 0}, {"a": 1})),
+    ("AdmissibleParabolicDatum lift sign",
+     lambda: AdmissibleParabolicDatum(0, {"a": 0}, {"a": 1}, "?")),
+    ("FlagSelector choice a str", lambda: FlagSelector("first")),
+    ("FlagSelector choice value", lambda: FlagSelector({"a": "third"})),
+    ("GradedSummand support a list", lambda: GradedSummand(0, ["a"])),
+    ("GradedSummand support a set", lambda: GradedSummand(0, {"a"})),
+    ("GradedSummand base degree", lambda: GradedSummand(1.0, frozenset())),
+    ("GradedPoint summand base degree",
+     lambda: GradedPoint((GradedSummand("1", frozenset()), GradedSummand(-1, frozenset())))),
+    ("GradedPoint summand not a summand", lambda: GradedPoint((_SUMMAND, "x"))),
+    ("GradedPoint summands a list", lambda: GradedPoint([_SUMMAND, _SUMMAND])),
+    ("GradedPoint numeric a list", lambda: GradedPoint((_SUMMAND, _SUMMAND), numeric=[(0, 1)])),
+    ("InvariantDivisor residues a list", lambda: InvariantDivisor([1], 0)),
+    ("LineNumericData values a list", lambda: LineNumericData([1])),
+]
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name) for name, build in ILL_TYPED])
+def test_an_ill_typed_field_raises_invalid_datum_when_the_record_is_built(build):
+    with pytest.raises(InvalidDatum):
+        build()
+
+
 def test_a_copied_or_pickled_record_is_equal_but_unmarked(count_calls):
     # the mark stays out of a record's state, so a clone is validated again
     profile = hyperelliptic_profile(1)

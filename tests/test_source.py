@@ -125,3 +125,20 @@ def test_every_module_level_import_is_read_outside_annotations():
             if not read.intersection(bound):
                 found.append(f"{path.name}:{node.lineno} {', '.join(bound)}")
     assert found == []
+
+
+def test_the_validators_check_no_types():
+    # a record checks its field types when it is built, so the checks that
+    # read a profile never test a type; a type check here is a second copy
+    validators = {"validate_det", "validate_numeric", "validate_parabolic", "_spreads",
+                  "_check_rank2", "_validated_key"}
+    seen, found = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name in validators:
+                seen.add(node.name)
+                found += [f"{node.name}:{call.lineno}" for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                          and call.func.id in ("is_int", "isinstance")]
+    assert seen == validators
+    assert found == []

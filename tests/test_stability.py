@@ -435,12 +435,11 @@ def test_slope_difference_is_the_fraction_sum():
 def test_slope_transfer_validates_the_datum_before_it_computes():
     profile = make_profile(4, [("a", 1)])
     for weight in (0.5, True, "1/2"):
-        pdat = AdmissibleParabolicDatum(0, {"a": weight}, {"a": 2})
+        # the datum's fault is reported when it is built, so it wins over
+        # the subbundle degree's, which slope_transfer_check never sees
         with pytest.raises(InvalidDatum, match="must be an int or a Fraction"):
-            slope_transfer_check(profile, pdat, 0, [])
-        # the datum's fault wins over the subbundle degree's
-        with pytest.raises(InvalidDatum, match="must be an int or a Fraction"):
-            slope_transfer_check(profile, pdat, 0.5, [])
+            slope_transfer_check(profile, AdmissibleParabolicDatum(0, {"a": weight}, {"a": 2}),
+                                 0.5, [])
     good = AdmissibleParabolicDatum(0, {"a": F(1, 2)}, {"a": 2})
     with pytest.raises(InvalidDatum, match="^subbundle base degree must be an int, got float$"):
         slope_transfer_check(profile, good, 0.5, ["a"])

@@ -18,6 +18,7 @@ import pytest
 from fixloc import (
     FIRST,
     SECOND,
+    AdmissibleParabolicDatum,
     DeterminantLift,
     FlagSelector,
     GradedPoint,
@@ -120,35 +121,37 @@ def test_an_equal_but_distinct_profile_validates_again(numeric_checks, count_cal
 
 
 def test_a_round_trip_of_an_inadmissible_numeric_is_unmarked(numeric_checks):
-    # round_trip trusts its input; a float exponent reaches the output's degree
+    # round_trip trusts its input to be admissible, so it marks nothing; it
+    # type-checks the element as a datum's constructor does, so a float
+    # exponent, which would reach the output's degree, is rejected
     profile = make_profile(2, [("a", 1)])
-    det = DeterminantLift({"a": 1}, 1)
-    # caches the weight 1/2, which _weight then also serves for (1.0, 2)
-    to_parabolic(Rank2EqData({"a": (0, 1)}, det), profile)
-    back = round_trip({"a": (0.0, 1)}, det, profile)
-    assert back.det.degree == 1.0 and type(back.det.degree) is float
+    det = DeterminantLift({"a": 1}, 2)
+    # (1, 1) sums to residue 0, not 1, yet it descends and ascends
+    back = round_trip({"a": (1, 1)}, det, profile)
+    assert back.det.residues == {"a": 0}
     assert back._mark is None and back.det._mark is None
-    with pytest.raises(InvalidDatum, match="determinant degree must be an int, got float"):
-        to_parabolic(back, profile)
+    with pytest.raises(InvalidDatum, match="exponent pair entry at 'a' must be an int, got float"):
+        round_trip({"a": (0.0, 1)}, det, profile)
+    assert numeric_checks == []
 
 
 def test_a_record_whose_values_can_change_is_never_marked(numeric_checks):
-    # a view of a plain dict or a set support could change after the check
-    # (a list pair, which could too, is InvalidDatum: tests/test_exact_inputs.py)
-    profile = make_profile(2, [("a", 1)])
-    data = Rank2EqData(types.MappingProxyType({"a": (0, 1)}), DeterminantLift({"a": 1}, 1))
-    to_parabolic(data, profile)
-    to_parabolic(data, profile)
-    # an operation marks its output only when its input carries the mark
-    moved = elementary_modification(data, profile, "a", FIRST)
-    assert data._mark is None and moved._mark is None
-    to_parabolic(moved, profile)
-    assert len(numeric_checks) == 4
+    # a view of a plain dict or a set support could change after the check,
+    # so neither is built (nor is a list pair: tests/test_exact_inputs.py)
+    with pytest.raises(InvalidDatum, match="numeric data must be a dict, got mappingproxy"):
+        Rank2EqData(types.MappingProxyType({"a": (0, 1)}), DeterminantLift({"a": 1}, 1))
     good = flagged_class(1, [0, 1])
-    loose = GradedPoint(tuple(GradedSummand(s.bar_degree, set(s.support)) for s in good.summands),
-                        numeric=good.numeric, det=good.det)
-    validate_graded(loose, hyperelliptic_profile(1))
-    assert loose._mark is None
+    with pytest.raises(InvalidDatum, match="summand support must be a frozenset, got set"):
+        GradedPoint(tuple(GradedSummand(s.bar_degree, set(s.support)) for s in good.summands),
+                    numeric=good.numeric, det=good.det)
+    assert numeric_checks == []
+    # every map field of a record that is built is read-only
+    data = Rank2EqData({"a": (0, 1)}, DeterminantLift({"a": 1}, 1))
+    records = [data, data.det, AdmissibleParabolicDatum(0, {"a": 0}, {"a": 1}),
+               FlagSelector({"a": FIRST}), good]
+    maps = [getattr(record, name) for record in records for name in record.__match_args__
+            if isinstance(getattr(record, name), dict)]
+    assert len(maps) == 6 and all(type(m) is FrozenDict for m in maps)
 
 
 def test_every_marked_output_passes_its_validator_unmarked():
