@@ -30,7 +30,8 @@ Each record checks what needs no profile when it is built, one helper
 per rule: exact ints (`_ser.check_int`, `_ser.int_map`), dict maps
 (`_ser.freeze`), exponent pairs that are tuples of two with
 0 <= d1 <= d2 (_pairs), weights that are ints or Fractions in [0, 1)
-(_weights), a lift sign '+' or '-' (_require_one_of) and flag choices
+(_weights), a lift sign '+' or '-' (_require_one_of), a datum's
+determinant that is a DeterminantLift (_require_lift) and flag choices
 'first' or 'second'.  An ill-typed record is InvalidDatum there, and the
 operations that take a plain map (weight_system, bar_delta_degree,
 gamma_apply's counts, solve_d2's weights, lift negation's partition in
@@ -102,6 +103,7 @@ class Rank2EqData:
 
     def __post_init__(self):
         object.__setattr__(self, "numeric", _pairs(self.numeric))
+        _require_lift(self.det)
 
 
 @frozen
@@ -144,6 +146,11 @@ class AdmissibleParabolicDatum:
 def _require_one_of(value: object, choices: tuple, what: str) -> None:
     if value not in choices:
         raise InvalidDatum(f"{what} must be {' or '.join(map(repr, choices))}, got {value!r}")
+
+
+def _require_lift(det: object) -> None:
+    if not isinstance(det, DeterminantLift):
+        raise InvalidDatum(f"determinant must be a DeterminantLift, got {type(det).__name__}")
 
 
 def _pairs(numeric: object) -> FrozenDict:

@@ -17,9 +17,13 @@ exponents l(y) and upstairs degree (see _validated_key): the twist by
 the character a translates them by a mod n' (_Frame.translate).  So
 each class has a closed form: equivalence_classes reads a point's
 class off its key (_least_translate), and a key is decoded (_rebuild)
-only where a public step returns a point.
+only where a public step returns a point, marked valid for the profile
+the step checked its input against.
 The boundary classes D(Q) and F(Q) of the order-two family are built
-straight from their even point subset Q (double_class, flagged_class).
+straight from their even point subset Q (double_class, flagged_class),
+born marked valid for the family's profile: one profile, two lifts and
+the flagged classes' exponent pairs per genus, built once (_family) and
+shared by every point, so equivalence_classes checks none of them.
 The family's census, hyperelliptic_report, is closed-form and lives in
 `locus`, which imports nothing from this module.
 """
@@ -44,6 +48,7 @@ from .equivariant import (
     _pairs,
     _parabolic,
     _rank2,
+    _require_lift,
     _weight,
     validate_numeric,
     validate_parabolic,
@@ -82,8 +87,9 @@ class GradedPoint:
     validate_graded accepts, the exponent pairs fix the residues (d1 + d2
     mod n' at every orbit), so no two of them differ only there.  The
     constructor checks what needs no profile, before it orders the
-    summands: a tuple of two GradedSummands, and numeric data as a
-    Rank2EqData holds it (InvalidDatum otherwise).
+    summands: a tuple of two GradedSummands, numeric data as a
+    Rank2EqData holds it, and a DeterminantLift or None for det
+    (InvalidDatum otherwise).
     """
 
     summands: tuple
@@ -97,6 +103,8 @@ class GradedPoint:
         if not (isinstance(pair, tuple) and len(pair) == 2
                 and all(isinstance(s, GradedSummand) for s in pair)):
             raise InvalidDatum("graded point needs a tuple of exactly two summands")
+        if self.det is not None:
+            _require_lift(self.det)
         object.__setattr__(self, "summands", _ordered(*pair))
         if self.numeric is not None:
             object.__setattr__(self, "numeric", _pairs(self.numeric))
@@ -110,10 +118,18 @@ class GradedPoint:
         ))
 
 
-def _point(s0, s1, numeric: dict, det: DeterminantLift) -> GradedPoint:
-    """The unmarked point of summands and values the caller built, in
-    GradedPoint's order; as _rank2, it skips the constructor's checks."""
-    return GradedPoint._new_marked(None, _ordered(s0, s1), FrozenDict(numeric), det)
+def _point(s0, s1, numeric: FrozenDict, det: DeterminantLift,
+           valid_for: CoverProfile | None) -> GradedPoint:
+    """The point of summands and values the caller built, in GradedPoint's
+    order, marked valid for the profile valid_for unless that is None.
+
+    As _rank2, it skips the constructor's checks, and it keeps numeric,
+    which may be shared between points.  A caller passes a profile only
+    for a point that passes validate_graded for it by construction: the
+    twist steps (_rebuild) and the boundary classes (double_class,
+    flagged_class) each give the proof.
+    """
+    return GradedPoint._new_marked(valid_for, _ordered(s0, s1), numeric, det)
 
 
 def _ordered(s0: GradedSummand, s1: GradedSummand) -> tuple:
@@ -192,8 +208,18 @@ def _key(pt: GradedPoint, frame: _Frame) -> tuple:
     return (*parts, (tuple(map(pt.det.residues.__getitem__, frame.ids)), pt.det.degree, pt.det.lift_sign))
 
 
-def _rebuild(key: tuple, frame: _Frame) -> GradedPoint:
-    """The graded point of a key."""
+def _rebuild(key: tuple, frame: _Frame, valid_for: CoverProfile | None) -> GradedPoint:
+    """The graded point of a key, and its lift, marked valid for valid_for
+    unless that is None.
+
+    The twist steps pass the profile of the frame, since the keys they
+    return are ones validate_graded accepts (see _o_step): the exponents
+    and residues are reduced below n' at every orbit, each pair sums to
+    its residue, the sign is free at the even order of a crossing twist,
+    the supports below are where the two exponents differ, and _settle
+    checked that both degrees descend, so each summand's upstairs degree
+    is recovered exactly.
+    """
     (ell0, up0), (ell1, up1), (residues, degree, sign) = key
     ids = frame.ids
     # each summand's support is where it carries the larger exponent
@@ -201,8 +227,8 @@ def _rebuild(key: tuple, frame: _Frame) -> GradedPoint:
                        frozenset(itertools.compress(ids, map(operator.gt, ell0, ell1))))
     s1 = GradedSummand((up1 - frame.weight(ell1)) // frame.n,
                        frozenset(itertools.compress(ids, map(operator.lt, ell0, ell1))))
-    det = DeterminantLift._new_marked(None, FrozenDict(zip(ids, residues)), degree, sign)
-    return _point(s0, s1, dict(zip(ids, map(_pair, ell0, ell1))), det)
+    det = DeterminantLift._new_marked(valid_for, FrozenDict(zip(ids, residues)), degree, sign)
+    return _point(s0, s1, FrozenDict(zip(ids, map(_pair, ell0, ell1))), det, valid_for)
 
 
 def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> GradedPoint:
@@ -217,7 +243,7 @@ def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> Grad
     key = _validated_key(pt, profile, frame)
     if mu.modulus != profile.n:
         raise InvalidDatum(f"twist character modulus {mu.modulus} differs from n={profile.n}")
-    return _rebuild(_o_step(key, mu.a, frame), frame)
+    return _rebuild(_o_step(key, mu.a, frame), frame, profile)
 
 
 # The steps below take the key of a point that validate_graded accepts and the
@@ -248,7 +274,7 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
         raise InvalidDatum("summand index must be 0 or 1")
     frame = _Frame(profile)
     key = _validated_key(pt, profile, frame)
-    return _rebuild(_e_step(key, exponent, summand, frame), frame)
+    return _rebuild(_e_step(key, exponent, summand, frame), frame, profile)
 
 
 def _e_step(key: tuple, a: int, summand: int, frame: _Frame) -> tuple:
@@ -448,30 +474,45 @@ def _least_translate(key: tuple, frame: _Frame) -> tuple:
 # --- the order-two worked family: its lifts and boundary classes ---
 
 def hyperelliptic_delta(g: int, which: int) -> DeterminantLift:
-    """The two determinant lifts of the trivial determinant (which in {0,1})."""
+    """The two determinant lifts of the trivial determinant (which in {0,1}).
+
+    Built once per g (_family): every call returns the same lift, marked
+    valid for hyperelliptic_profile(g).
+    """
     if not is_int(which) or which not in (0, 1):
         raise InvalidDatum(f"lift index must be 0 or 1, got {which!r}")
-    residues = FrozenDict(dict.fromkeys(_hyperelliptic_labels(g), which))
-    return DeterminantLift._new_marked(None, residues, 0, PLUS if which == 0 else MINUS)
+    return _family(g)[1][which]
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _hyperelliptic_labels(g: int) -> tuple[str, ...]:
-    """The branch-point labels p0..p(2g+1) of the genus-g family, built once per g.
+def _family(g: int) -> tuple[CoverProfile, tuple[DeterminantLift, DeterminantLift], FrozenDict]:
+    """The genus-g profile of the family, its two lifts and the exponent
+    pairs of every flagged class, built once per g and shared.
 
-    Typed, so that True or 1.0 is a miss, not the entry of 1, and reaches
-    hyperelliptic_profile's check.  The profile comes from `locus`, imported
-    here, once per g, so that a process running lift negation alone never
-    loads it.
+    The lift of index 0 has residue 0 at every orbit and sign '+', that
+    of index 1 residue 1 and sign '-'; both have degree 0.  Each is
+    marked valid for the profile: its residues name every orbit and are
+    below n' = 2, and at the even order n = 2 either sign is allowed.
+    Every flagged class has the pair (0, 1) at every orbit.  Typed, so
+    that True or 1.0 is a miss, not the entry of 1, and reaches
+    hyperelliptic_profile's check.  The profile comes from `locus`,
+    imported here, once per g, so that a process running lift negation
+    alone never loads it.
     """
     from .locus import hyperelliptic_profile
 
-    return hyperelliptic_profile(g).orbit_ids()
+    profile = hyperelliptic_profile(g)
+    ids = profile.orbit_ids()
+    lifts = tuple(DeterminantLift._new_marked(profile, FrozenDict(dict.fromkeys(ids, which)), 0, sign)
+                  for which, sign in ((0, PLUS), (1, MINUS)))
+    return profile, lifts, FrozenDict(dict.fromkeys(ids, (0, 1)))
 
 
-def _even_subset(g: int, q_indices) -> tuple[tuple[str, ...], frozenset]:
-    """The family's labels and the point indices Q, checked: ints, |Q| even, each in range."""
-    ids = _hyperelliptic_labels(g)
+def _even_subset(g: int, q_indices) -> tuple[tuple, frozenset]:
+    """The family's shared values (_family) and the point indices Q,
+    checked: ints, |Q| even, each in range."""
+    family = _family(g)
+    npoints = len(family[0].orbits)
     indices = tuple(q_indices)
     for i in indices:
         check_int(i, "point index")
@@ -479,23 +520,44 @@ def _even_subset(g: int, q_indices) -> tuple[tuple[str, ...], frozenset]:
     if len(q) % 2 != 0:
         raise InvalidDatum(f"subset size must be even, got {len(q)}")
     for i in q:
-        if not 0 <= i < len(ids):
-            raise InvalidDatum(f"point index {i} outside 0..{len(ids) - 1}")
-    return ids, q
+        if not 0 <= i < npoints:
+            raise InvalidDatum(f"point index {i} outside 0..{npoints - 1}")
+    return family, q
 
 
 def double_class(g: int, q_indices) -> GradedPoint:
-    """Boundary class D(Q) with both flags on one summand pair (even subset Q)."""
-    ids, q = _even_subset(g, q_indices)
+    """Boundary class D(Q) with both flags on one summand pair (even subset Q).
+
+    The point holds the lift of index 0 and is built marked valid for
+    hyperelliptic_profile(g), since it passes validate_graded there:
+    every orbit is named; each pair, (1, 1) on Q and (0, 0) elsewhere,
+    has d2 < n' = 2 and sums to the lift's residue 0 mod 2; no orbit is
+    weighted, and both supports are empty; and both summands carry the
+    exponents 1_Q on base degree -|Q|/2, so both upstairs degrees are
+    2 * (-|Q|/2) + |Q| = 0.
+    """
+    (profile, lifts, _), q = _even_subset(g, q_indices)
     summand = GradedSummand(-(len(q) // 2), frozenset())
-    numeric = {label: (1, 1) if i in q else (0, 0) for i, label in enumerate(ids)}
-    return _point(summand, summand, numeric, hyperelliptic_delta(g, 0))
+    numeric = {label: (1, 1) if i in q else (0, 0) for i, label in enumerate(profile.orbit_ids())}
+    return _point(summand, summand, FrozenDict(numeric), lifts[0], profile)
 
 
 def flagged_class(g: int, q_indices) -> GradedPoint:
-    """Boundary class F(Q) with flags split between the two summands (even subset Q)."""
-    ids, q = _even_subset(g, q_indices)
+    """Boundary class F(Q) with flags split between the two summands (even subset Q).
+
+    The point holds the lift of index 1 and the family's shared pairs
+    (_family), and is built marked valid for hyperelliptic_profile(g),
+    since it passes validate_graded there: every orbit is named; every
+    pair is (0, 1), so d2 < n' = 2 and the sum is the lift's residue 1;
+    every orbit is weighted, and the supports, the labels of Q and the
+    rest, partition them; and the summands carry the exponents 1_Q and
+    1_{Q^c} on base degrees -|Q|/2 and |Q|/2 - (g+1), so both upstairs
+    degrees are 2 * (-|Q|/2) + |Q| = 0 and |Q| - 2(g+1) + (2g+2 - |Q|)
+    = 0.
+    """
+    (profile, lifts, numeric), q = _even_subset(g, q_indices)
+    ids = profile.orbit_ids()
     on = frozenset(ids[i] for i in q)
     half = len(q) // 2
     return _point(GradedSummand(-half, on), GradedSummand(half - (g + 1), frozenset(ids) - on),
-                  dict.fromkeys(ids, (0, 1)), hyperelliptic_delta(g, 1))
+                  numeric, lifts[1], profile)

@@ -581,7 +581,7 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
             # the trivial character, whose step the search skips
             assert bool(reached) == (profile.n > 1)
         for key in reached:
-            assert validate_graded(graded._rebuild(key, frame), profile) == key
+            assert validate_graded(graded._rebuild(key, frame, None), profile) == key
 
 
 def test_equivalence_classes_validates_each_point_once_and_takes_one_step(monkeypatch):

@@ -300,6 +300,8 @@ ILL_TYPED = [
     ("Rank2EqData pair entry", lambda: Rank2EqData({"a": (0, True)}, _DET)),
     ("Rank2EqData pair d1 > d2", lambda: Rank2EqData({"a": (1, 0)}, _DET)),
     ("Rank2EqData pair d1 < 0", lambda: Rank2EqData({"a": (-1, 0)}, _DET)),
+    ("Rank2EqData det a dict", lambda: Rank2EqData({"a": (0, 1)}, {"a": 1})),
+    ("Rank2EqData det None", lambda: Rank2EqData({"a": (0, 1)}, None)),
     ("AdmissibleParabolicDatum weights None", lambda: AdmissibleParabolicDatum(0, None, {"a": 1})),
     ("AdmissibleParabolicDatum weight a float",
      lambda: AdmissibleParabolicDatum(0, {"a": 0.5}, {"a": 1})),
@@ -320,6 +322,7 @@ ILL_TYPED = [
     ("GradedPoint summand not a summand", lambda: GradedPoint((_SUMMAND, "x"))),
     ("GradedPoint summands a list", lambda: GradedPoint([_SUMMAND, _SUMMAND])),
     ("GradedPoint numeric a list", lambda: GradedPoint((_SUMMAND, _SUMMAND), numeric=[(0, 1)])),
+    ("GradedPoint det a dict", lambda: GradedPoint((_SUMMAND, _SUMMAND), {"a": (0, 1)}, {"a": 1})),
     ("InvariantDivisor residues a list", lambda: InvariantDivisor([1], 0)),
     ("LineNumericData values a list", lambda: LineNumericData([1])),
 ]

@@ -9,9 +9,14 @@ output with its mark stripped passes the validators again.
 """
 
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +29,10 @@ from fixloc import (
     GradedPoint,
     GradedSummand,
     InvalidDatum,
+    InvalidGenus,
+    NonIntegralDegree,
     Rank2EqData,
+    RootExponent,
     double_class,
     elementary_modification,
     equivalence_classes,
@@ -32,14 +40,17 @@ from fixloc import (
     flagged_class,
     from_parabolic,
     gamma_apply,
+    hyperelliptic_delta,
     hyperelliptic_profile,
     make_profile,
     parabolic_zeta2,
+    sim_e_step,
+    sim_o_step,
     to_parabolic,
     zeta2_apply,
 )
 from fixloc._ser import FrozenDict
-from fixloc.equivariant import round_trip, validate_parabolic, validate_rank2
+from fixloc.equivariant import round_trip, validate_det, validate_parabolic, validate_rank2
 from fixloc.graded import validate_graded
 
 import gen
@@ -88,11 +99,12 @@ def test_the_correspondence_and_lift_negation_validate_once(numeric_checks):
 
 
 def test_a_second_equivalence_classes_call_validates_no_point(numeric_checks):
+    # the boundary classes are born marked, so unmarked copies stand for new points
     profile = hyperelliptic_profile(2)
-    point = flagged_class(2, [0, 1])
+    point = unmarked(flagged_class(2, [0, 1]))
     assert equivalence_classes([point], profile) == equivalence_classes([point], profile)
     assert len(numeric_checks) == 1
-    points = boundary(2)
+    points = [unmarked(pt) for pt in boundary(2)]
     first = equivalence_classes(points, profile)
     assert len(numeric_checks) == 1 + len(points)
     assert equivalence_classes(points, profile) == first
@@ -114,9 +126,14 @@ def test_an_equal_but_distinct_profile_validates_again(numeric_checks, count_cal
     assert spread_checks == []
     from_parabolic(pdat, twin)
     assert len(spread_checks) == 1
-    point = flagged_class(1, [0, 1])
-    validate_graded(point, hyperelliptic_profile(1))
-    validate_graded(point, hyperelliptic_profile(1))
+    # the family's profile is built once per genus, so its twin is built anew
+    point, family = flagged_class(1, [0, 1]), hyperelliptic_profile(1)
+    twin = make_profile(2, [(f"p{i}", 1) for i in range(4)])
+    assert twin == family and twin is not family
+    validate_graded(point, twin)
+    validate_graded(point, twin)
+    assert len(numeric_checks) == 4
+    validate_graded(point, family)  # the mark moved to the twin
     assert len(numeric_checks) == 5
 
 
@@ -178,3 +195,99 @@ def test_every_marked_output_passes_its_validator_unmarked():
             checked, spreads = out._mark
             assert checked is profile and type(spreads) is FrozenDict
             assert validate_parabolic(unmarked(out), profile) == spreads
+    # the twist steps' points and lifts, over mostly absorbing profiles (n <= 24)
+    stepped = 0
+    for profile, points, _ in gen.twist_corpus(25, 40):
+        n = profile.n
+        for pt in points:
+            outs = []
+            for a in range(1, n):
+                try:
+                    outs.append(sim_o_step(pt, RootExponent(a, n), profile))
+                    if n % 2 == 0 and a % 2 == 1:
+                        outs += [sim_e_step(pt, profile, a, summand) for summand in (0, 1)]
+                except NonIntegralDegree:
+                    break  # the profile does not absorb the twists
+            for out in outs:
+                assert out._mark is profile and out.det._mark is profile
+                assert validate_graded(unmarked(out), profile) == validate_graded(out, profile)
+            stepped += len(outs)
+    assert stepped > 500
+
+
+def test_the_family_profile_and_lifts_are_built_once_per_genus():
+    for g in range(1, 6):
+        profile = hyperelliptic_profile(g)
+        assert hyperelliptic_profile(g) is profile
+        for which in (0, 1):
+            lift = hyperelliptic_delta(g, which)
+            assert hyperelliptic_delta(g, which) is lift
+            validate_det(unmarked(lift), profile)
+    # a lift's mark moves to the last profile it was checked against (another
+    # test checks these lifts against profiles parsed from JSON), so a fresh
+    # process shows the marks they are built with
+    code = ("from fixloc import hyperelliptic_delta, hyperelliptic_profile\n"
+            "print(all(hyperelliptic_delta(g, which)._mark is hyperelliptic_profile(g)\n"
+            "          for g in range(1, 6) for which in (0, 1)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+def test_the_genus_cache_holds_no_entry_for_a_value_that_is_no_int():
+    # fill the caches' entries of 1 first
+    hyperelliptic_profile(1)
+    hyperelliptic_delta(1, 1)
+    double_class(1, [])
+    for bad in (True, 1.0, [1]):
+        with pytest.raises(InvalidGenus):
+            hyperelliptic_profile(bad)
+    for bad in (True, 1.0):
+        with pytest.raises(InvalidGenus):
+            hyperelliptic_delta(bad, 0)
+        with pytest.raises(InvalidGenus):
+            double_class(bad, [])
+    with pytest.raises(InvalidDatum, match="lift index must be 0 or 1, got True"):
+        hyperelliptic_delta(1, True)
+
+
+def test_every_boundary_class_is_born_marked_and_earns_its_mark(numeric_checks):
+    for g in range(1, 6):
+        profile = hyperelliptic_profile(g)
+        subsets = [q for size in range(0, 2 * g + 3, 2)
+                   for q in itertools.combinations(range(2 * g + 2), size)]
+        for build, which in ((double_class, 0), (flagged_class, 1)):
+            for q in subsets:
+                pt = build(g, q)
+                assert pt._mark is profile and pt.det is hyperelliptic_delta(g, which)
+                assert validate_graded(unmarked(pt), profile) == validate_graded(pt, profile)
+    assert len(numeric_checks) == 2 * sum(2 ** (2 * g + 1) for g in range(1, 6))
+
+
+def test_the_marked_boundary_is_classed_as_its_unmarked_copy_and_unchecked(numeric_checks):
+    for g in (1, 2, 3, 4):
+        profile = hyperelliptic_profile(g)
+        points = boundary(g)
+        classes = equivalence_classes(points, profile)
+        assert numeric_checks == []
+        copies = [unmarked(pt) for pt in points]
+        assert equivalence_classes(copies, profile) == classes
+        assert len(numeric_checks) == len(copies)
+        numeric_checks.clear()
+
+
+def test_building_the_g5_boundary_shares_its_lifts():
+    # 4,096 points: 4.9 MB (1,201 bytes a point), against 8.2 MB when each
+    # point carried a lift of its own and every flagged class its own pairs
+    # (CPython 3.11.7, Intel Xeon)
+    boundary(5)  # builds the genus-5 family first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        points = boundary(5)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 4096
+    assert kept < 6.5e6, f"{kept / 1e6:.2f} MB"
