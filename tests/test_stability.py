@@ -3,7 +3,10 @@
 import collections
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,9 +206,10 @@ def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def replay_verdicts(path: Path) -> int:
-    """Classify every recorded bundle; the verdict JSON must be byte-identical."""
-    cases = json.loads(path.read_text())
+def replay_verdicts(path: Path, max_g: int | None = None) -> int:
+    """Classify every recorded bundle (those of genus <= max_g if given);
+    the verdict JSON must be byte-identical."""
+    cases = [case for case in json.loads(path.read_text()) if max_g is None or case["g"] <= max_g]
     for case in cases:
         doc = case["bundle"]
         bundle = make_bundle(doc["c"], doc["d"],
@@ -227,6 +231,26 @@ def test_verdicts_match_the_recorded_g5_8_fixture():
     # recorded by the same script with the per-subset rank scan; g = 5..8,
     # where full scans are long and pruning matters most
     assert replay_verdicts(FIXTURES / "stability_verdicts_g5_8.json") >= 40
+
+
+def test_verdicts_match_the_recorded_scaling_fixture():
+    # recorded by tools/scale_stability.py --g 9 10 11 12 --record with the
+    # walk that reduced every prefix again at each size level; g <= 10
+    # replays here, and g = 11 and 12 (about 20 s) when the scan changes
+    assert replay_verdicts(FIXTURES / "stability_scaling_verdicts.json", max_g=10) == 16
+
+
+def test_the_scaling_script_runs_at_genus_two():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, str(root / "tools" / "scale_stability.py"), "--g", "2"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split() == ["g", "draws", "median_s", "max_s", "S/SS/U", "peak_rss_mb", "sha256"]
+    fields = row.split()
+    assert fields[:2] == ["2", "8"] and fields[4] == "1/4/3"
+    assert fields[6] == "dafddd0e756c07af8f4e9f8de0639db2dab600aadce51816e98aa7e9760abcc0"
 
 
 def test_marked_point_limit():
