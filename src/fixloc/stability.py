@@ -28,11 +28,15 @@ cleared.  Each size level is one depth-first walk that extends index
 prefixes in increasing order, so its leaves come in the order of a
 plain scan over itertools.combinations.  Every step of the walk adds
 one row to a fraction-free echelon form modulo a prime, carried down
-from the prefix.  A prefix that reaches full rank there has full rank
-over the rationals, and so does every subset containing it: its whole
-subtree has an empty kernel and is skipped.  A prefix whose weight sum
-cannot reach the threshold with the largest weights still available is
-skipped too.  Every leaf left gets the exact fraction kernel.
+from the prefix.  That form depends on the prefix alone, and the
+smaller size levels reach most prefixes again, so each degree keeps a
+table of the forms and reduces each prefix once: the levels read it
+and walk as before, in the same order.  A prefix that reaches full
+rank there has full rank over the rationals, and so does every subset
+containing it: its whole subtree has an empty kernel and is skipped.
+A prefix whose weight sum cannot reach the threshold with the largest
+weights still available is skipped too.  Every leaf left gets the
+exact fraction kernel.
 
 Scoring a witness runs in integers as well.  Its agreement set is read
 off the same interpolation rows, dotted with the sections scaled to a
@@ -324,11 +328,21 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
     below rank ncols modulo RANK_PRIME.  Sizes run downward; each size
     level is one depth-first walk in itertools.combinations order, and
     each prefix passes its echelon form down to its extensions.
+
+    A prefix's echelon form depends on the prefix alone, not on the
+    level that reaches it, and the levels below reach most prefixes
+    again.  So the call keeps one table from each extended prefix to its
+    echelon form, or None at full rank, and every level reads it before
+    it reduces: each prefix is reduced at most once per call, that is
+    once per degree.  The walk's order and prunes are those of the
+    levels reducing on their own, so the same subsets come in the same
+    order.  The table lives as long as the generator.
     """
     n = len(rows)
     # best[j][r]: the largest sum of r weights among iw[j:]
     best = [[0, *itertools.accumulate(sorted(iw[j:], reverse=True))] for j in range(n + 1)]
     mod_rows = [[x % RANK_PRIME for x in r] for r in rows]
+    reduced: dict[tuple[int, ...], tuple | None] = {}
 
     def walk(start: int, left: int, acc: int, prefix: tuple[int, ...], ech: tuple):
         if not left:
@@ -337,10 +351,14 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
         for i in range(start, n - left + 1):
             if 2 * (acc + iw[i] + best[i + 1][left - 1]) < need:
                 continue
-            pivot = _eliminate(ech, mod_rows[i])
-            grown = ech if pivot is None else (*ech, pivot)
-            if len(grown) < ncols:
-                yield from walk(i + 1, left - 1, acc + iw[i], (*prefix, i), grown)
+            key = (*prefix, i)
+            grown = reduced.get(key, False)
+            if grown is False:
+                pivot = _eliminate(ech, mod_rows[i])
+                grown = ech if pivot is None else (*ech, pivot)
+                reduced[key] = grown = grown if len(grown) < ncols else None
+            if grown is not None:
+                yield from walk(i + 1, left - 1, acc + iw[i], key, grown)
 
     for size in range(n, -1, -1):
         if 2 * best[0][size] < need:
@@ -430,7 +448,11 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
 
     Within a size, a depth-first walk extends index prefixes in
     increasing order, which visits the subsets in itertools.combinations
-    order.  It prunes only subtrees that hold no subset with a kernel
+    order.  A prefix's echelon form modulo the prime is computed once per
+    degree and read from a table by every size level after the first to
+    reach it; the form is the prefix's own, so the walk, and the order
+    of the subsets it yields, is what each level would find alone.  It
+    prunes only subtrees that hold no subset with a kernel
     vector that a plain scan would take, so the first vector found, and
     the witness with it, is the plain scan's.  A prefix whose weight sum
     plus the largest weights it can still add misses need has no

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -38,6 +39,7 @@ from fixloc import (
     validate_witness,
     verdict_to_json,
 )
+from fixloc import stability
 from fixloc._ser import rat_from_json
 from fixloc.stability import (
     MAX_MARKED_POINTS,
@@ -164,18 +166,57 @@ def test_prefix_echelon_rank_matches_rank_mod_p():
 
 
 def test_kernel_candidates_match_the_plain_scan():
-    # every qualifying subset in combinations order, sizes descending,
-    # less those certified full rank by the from-scratch rank mod p
     rng = random.Random(62)
     for _ in range(300):
         n, ncols = rng.randint(0, 7), rng.randint(2, 5)
         rows = random_int_rows(rng, n, ncols) if n else []
         iw = [rng.randint(0, 4) for _ in range(n)]
         need = rng.randint(-1, 2 * sum(iw) + 1)
-        plain = [s for size in range(n, -1, -1) for s in itertools.combinations(range(n), size)
-                 if 2 * sum(iw[i] for i in s) >= need
-                 and rank_mod_p([rows[i] for i in s]) < ncols]
-        assert list(_kernel_candidates(rows, ncols, iw, need)) == plain
+        assert list(_kernel_candidates(rows, ncols, iw, need)) == plain_scan(rows, ncols, iw, need)
+    # rows shaped like interpolation rows: split rows, zero on the p block
+    # or on the q block, and repeats up to a scale; with need low, many
+    # size levels run and each reaches prefixes the level above reduced
+    for _ in range(150):
+        n, np_, nq = rng.randint(5, 9), rng.randint(1, 4), rng.randint(1, 3)
+        rows = []
+        for _ in range(n):
+            roll = rng.random()
+            if roll < 0.5 and rows:
+                rows.append([rng.choice([1, -2, RANK_PRIME]) * x for x in rng.choice(rows)])
+                continue
+            row = [rng.randint(-9, 9) for _ in range(np_ + nq)]
+            if roll < 0.7:
+                row[:np_] = [0] * np_
+            elif roll < 0.85:
+                row[np_:] = [0] * nq
+            rows.append(row)
+        iw = [rng.randint(0, 3) for _ in range(n)]
+        need = rng.randint(-1, sum(iw) // 2)
+        assert list(_kernel_candidates(rows, np_ + nq, iw, need)) == \
+            plain_scan(rows, np_ + nq, iw, need)
+
+
+def plain_scan(rows, ncols, iw, need):
+    """Every qualifying subset in combinations order, sizes descending,
+    less those certified full rank by the from-scratch rank mod p."""
+    n = len(rows)
+    return [s for size in range(n, -1, -1) for s in itertools.combinations(range(n), size)
+            if 2 * sum(iw[i] for i in s) >= need and rank_mod_p([rows[i] for i in s]) < ncols]
+
+
+def test_each_prefix_extension_is_reduced_once(count_calls):
+    # generic rows: every prefix of up to five rows has full row rank, and
+    # with need 2 every size level 9..1 runs unpruned by weight, so the
+    # walk reaches every prefix of length <= 5 and reduces each once
+    rng = random.Random(63)
+    rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(5)] for _ in range(9)]
+    calls = count_calls(stability, "_eliminate")
+    got = list(_kernel_candidates(rows, 5, [1] * 9, 2))
+    assert got == [s for size in (4, 3, 2, 1) for s in itertools.combinations(range(9), size)]
+    assert len(calls) == sum(math.comb(9, k) for k in range(1, 6))
+    # the calls keep their arguments alive, so equal ids are one form and
+    # one row; each prefix's form is a distinct object here
+    assert len({(id(ech), id(row)) for ech, row in calls}) == len(calls)
 
 
 def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
