@@ -30,7 +30,6 @@ The family's census, hyperelliptic_report, is closed-form and lives in
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -484,7 +483,9 @@ def hyperelliptic_delta(g: int, which: int) -> DeterminantLift:
     return _family(g)[1][which]
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+_FAMILIES: dict[int, tuple[CoverProfile, tuple[DeterminantLift, DeterminantLift], FrozenDict]] = {}
+
+
 def _family(g: int) -> tuple[CoverProfile, tuple[DeterminantLift, DeterminantLift], FrozenDict]:
     """The genus-g profile of the family, its two lifts and the exponent
     pairs of every flagged class, built once per g and shared.
@@ -493,19 +494,23 @@ def _family(g: int) -> tuple[CoverProfile, tuple[DeterminantLift, DeterminantLif
     of index 1 residue 1 and sign '-'; both have degree 0.  Each is
     marked valid for the profile: its residues name every orbit and are
     below n' = 2, and at the even order n = 2 either sign is allowed.
-    Every flagged class has the pair (0, 1) at every orbit.  Typed, so
-    that True or 1.0 is a miss, not the entry of 1, and reaches
-    hyperelliptic_profile's check.  The profile comes from `locus`,
-    imported here, once per g, so that a process running lift negation
-    alone never loads it.
+    Every flagged class has the pair (0, 1) at every orbit.  Only an int
+    reads the cache, so True, 1.0 or an unhashable list never reaches
+    the entry of 1 and goes to hyperelliptic_profile, which raises
+    InvalidGenus, as it does for an int below 1.  The profile comes from
+    `locus`, imported here, once per g, so that a process running lift
+    negation alone never loads it.
     """
-    from .locus import hyperelliptic_profile
+    family = _FAMILIES.get(g) if is_int(g) else None
+    if family is None:
+        from .locus import hyperelliptic_profile
 
-    profile = hyperelliptic_profile(g)
-    ids = profile.orbit_ids()
-    lifts = tuple(DeterminantLift._new_marked(profile, FrozenDict(dict.fromkeys(ids, which)), 0, sign)
-                  for which, sign in ((0, PLUS), (1, MINUS)))
-    return profile, lifts, FrozenDict(dict.fromkeys(ids, (0, 1)))
+        profile = hyperelliptic_profile(g)
+        ids = profile.orbit_ids()
+        lifts = tuple(DeterminantLift._new_marked(profile, FrozenDict(dict.fromkeys(ids, which)), 0, sign)
+                      for which, sign in ((0, PLUS), (1, MINUS)))
+        family = _FAMILIES[g] = (profile, lifts, FrozenDict(dict.fromkeys(ids, (0, 1))))
+    return family
 
 
 def _even_subset(g: int, q_indices) -> tuple[tuple, frozenset]:

@@ -243,11 +243,13 @@ def test_the_genus_cache_holds_no_entry_for_a_value_that_is_no_int():
     for bad in (True, 1.0, [1]):
         with pytest.raises(InvalidGenus):
             hyperelliptic_profile(bad)
-    for bad in (True, 1.0):
+    for bad in (True, 1.0, [1]):
         with pytest.raises(InvalidGenus):
             hyperelliptic_delta(bad, 0)
         with pytest.raises(InvalidGenus):
             double_class(bad, [])
+        with pytest.raises(InvalidGenus):
+            flagged_class(bad, [])
     with pytest.raises(InvalidDatum, match="lift index must be 0 or 1, got True"):
         hyperelliptic_delta(1, True)
 
