@@ -71,9 +71,9 @@ UNSTABLE = "Unstable"
 _HALF = Fraction(1, 2)  # the weight of the all-half-weights family
 
 # The scan is exponential in the number of marked points.  On one core of
-# an Intel Xeon under CPython 3.11, the slowest of 30 seeded bundles per
-# genus took about 8 s at 28 points (g=13) and about 20 s at 30 (g=14).
-MAX_MARKED_POINTS = 28
+# an Intel Xeon under CPython 3.11, the slowest of 60 seeded bundles at
+# 30 points (g=14, tools/scale_stability.py) took 8.2 s and 76 MB.
+MAX_MARKED_POINTS = 30
 
 
 # --- exact linear algebra ---
