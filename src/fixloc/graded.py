@@ -507,8 +507,9 @@ def _family(g: int) -> tuple[CoverProfile, tuple[DeterminantLift, DeterminantLif
 
         profile = hyperelliptic_profile(g)
         ids = profile.orbit_ids()
-        lifts = tuple(DeterminantLift._new_marked(profile, FrozenDict(dict.fromkeys(ids, which)), 0, sign)
-                      for which, sign in ((0, PLUS), (1, MINUS)))
+        lifts = tuple(
+            DeterminantLift._new_marked(profile, FrozenDict(dict.fromkeys(ids, which)), 0, sign)
+            for which, sign in ((0, PLUS), (1, MINUS)))
         family = _FAMILIES[g] = (profile, lifts, FrozenDict(dict.fromkeys(ids, (0, 1))))
     return family
 

@@ -452,11 +452,11 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     degree and read from a table by every size level after the first to
     reach it; the form is the prefix's own, so the walk, and the order
     of the subsets it yields, is what each level would find alone.  It
-    prunes only subtrees that hold no subset with a kernel
-    vector that a plain scan would take, so the first vector found, and
-    the witness with it, is the plain scan's.  A prefix whose weight sum
-    plus the largest weights it can still add misses need has no
-    qualifying subset below it.  A prefix whose rows have rank ncols
+    prunes only subtrees that hold no subset with a kernel vector that a
+    plain scan would take, so the first vector found, and the witness
+    with it, is the plain scan's.  A prefix whose weight sum plus the
+    largest weights it can still add misses need has no qualifying
+    subset below it.  A prefix whose rows have rank ncols
     modulo the prime RANK_PRIME has rank ncols over the rationals, since
     a minor that is nonzero modulo a prime is a nonzero integer; adding
     rows keeps that rank, so every subset below it has a zero kernel.  A
