@@ -11,8 +11,9 @@ degree -(g+1) family with the balanced splitting c = -((g+1)//2).  The
 toward the split directions, (1:0) at a quarter of the points and (0:1)
 at 15%, and toward repeats of an earlier flag, 15% more; such rows
 leave many subsets with a kernel, so the rank prune cuts late.  Every
-second draw has generic quarter weights, the others all-half weights.  The draws of g depend only on the seed and g, so a
-genus draws the same bundles whichever other genera run with it.
+second draw has generic quarter weights, the others all-half weights.
+The draws of g depend only on the seed and g, so a genus draws the
+same bundles whichever other genera run with it.
 
 Each genus prints one row: the median and the max CPU seconds of one
 stability_classify call, the verdict counts, the process's peak RSS so
