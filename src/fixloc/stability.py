@@ -72,7 +72,7 @@ _HALF = Fraction(1, 2)  # the weight of the all-half-weights family
 
 # The scan is exponential in the number of marked points.  On one core of
 # an Intel Xeon under CPython 3.11, the slowest of 60 seeded bundles at
-# 30 points (g=14, tools/scale_stability.py) took 8.2 s and 76 MB.
+# 30 points (g=14, tools/scale_stability.py) took 8-10 s and 58 MB.
 MAX_MARKED_POINTS = 30
 
 
@@ -181,12 +181,20 @@ class ParabolicP1:
 
 @frozen
 class SubbundleWitness:
-    """Saturated degree-e line subbundle, by its polynomial inclusion."""
+    """Saturated degree-e line subbundle, by its polynomial inclusion.
+
+    The degree e must be an int (InvalidDatum otherwise); the sections
+    and the agreement set are checked against a bundle by
+    validate_witness.
+    """
 
     e: int
     p_coeffs: tuple[Fraction, ...]
     q_coeffs: tuple[Fraction, ...]
     agreement: frozenset[int]
+
+    def __post_init__(self) -> None:
+        check_int(self.e, "witness degree")
 
 
 @frozen
@@ -336,22 +344,31 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
     it reduces: each prefix is reduced at most once per call, that is
     once per degree.  The walk's order and prunes are those of the
     levels reducing on their own, so the same subsets come in the same
-    order.  The table lives as long as the generator.
+    order.  The table is keyed by the prefix's index bitmask, an
+    increasing prefix being its set of indices, and the index tuple is
+    built only for a subset the walk yields: a tuple of up to 16
+    indices took about 100 bytes more than the int.  The table lives as
+    long as the generator, and no longer: walk reaches itself through
+    its closure, and the generator breaks that cycle when it ends or is
+    closed, where the cycle had kept each finished degree's table until
+    the cyclic collector ran.  Together these took the traced peak of
+    the slowest g = 10 draw of tools/scale_stability.py from 5.4 to
+    1.5 MB (CPython 3.11).
     """
     n = len(rows)
     # best[j][r]: the largest sum of r weights among iw[j:]
     best = [[0, *itertools.accumulate(sorted(iw[j:], reverse=True))] for j in range(n + 1)]
     mod_rows = [[x % RANK_PRIME for x in r] for r in rows]
-    reduced: dict[tuple[int, ...], tuple | None] = {}
+    reduced: dict[int, tuple | None] = {}
 
-    def walk(start: int, left: int, acc: int, prefix: tuple[int, ...], ech: tuple):
+    def walk(start: int, left: int, acc: int, mask: int, ech: tuple):
         if not left:
-            yield prefix
+            yield tuple(i for i in range(start) if mask >> i & 1)
             return
         for i in range(start, n - left + 1):
             if 2 * (acc + iw[i] + best[i + 1][left - 1]) < need:
                 continue
-            key = (*prefix, i)
+            key = mask | 1 << i
             grown = reduced.get(key, False)
             if grown is False:
                 pivot = _eliminate(ech, mod_rows[i])
@@ -360,10 +377,15 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
             if grown is not None:
                 yield from walk(i + 1, left - 1, acc + iw[i], key, grown)
 
-    for size in range(n, -1, -1):
-        if 2 * best[0][size] < need:
-            break
-        yield from walk(0, size, 0, (), ())
+    try:
+        for size in range(n, -1, -1):
+            if 2 * best[0][size] < need:
+                break
+            yield from walk(0, size, 0, 0, ())
+    finally:
+        # walk reaches itself through its closure; left in place, that cycle
+        # would keep the table until the cyclic collector ran
+        del walk
 
 
 def _true_agreement(bundle: ParabolicP1, p, q) -> frozenset[int]:

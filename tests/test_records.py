@@ -15,6 +15,7 @@ import json
 import pickle
 import sys
 import types
+import weakref
 from collections.abc import Mapping
 from fractions import Fraction as F
 from pathlib import Path
@@ -83,8 +84,10 @@ sys.modules[TWINS.__name__] = TWINS
 def _twin(cls):
     namespace = {"__annotations__": dict(cls.__annotations__), "__module__": TWINS.__name__,
                  "__qualname__": cls.__qualname__}
-    namespace.update((name, cls.__dict__[name])
-                     for name in cls.__annotations__ if name in cls.__dict__)
+    # the defaults, read from the record's __init__: its class holds slots under those names
+    defaults = cls.__init__.__defaults__ or ()
+    namespace.update(zip(tuple(cls.__annotations__)[len(cls.__annotations__) - len(defaults):],
+                         defaults))
     # the methods the class defines itself; those `frozen` generates have no module
     namespace.update((name, cls.__dict__[name]) for name in ("__post_init__", "__hash__")
                      if getattr(cls.__dict__.get(name), "__module__", None) == cls.__module__)
@@ -234,6 +237,46 @@ def test_cached_properties_stay_outside_the_fields():
     assert repr(profile) == repr(fresh) == repr(TWIN[CoverProfile](*_fields(fresh)))
 
 
+MARKABLE = {DeterminantLift, Rank2EqData, AdmissibleParabolicDatum, GradedPoint}
+MARK = object()  # a validity mark no validator hands out
+
+
+def test_a_record_keeps_its_fields_and_its_mark_in_slots():
+    # only CoverProfile has an instance __dict__, for its cached properties
+    for cls in RECORDS:
+        assert cls.__slots__ == (*cls.__match_args__, *("_mark",) * (cls in MARKABLE),
+                                 *("__dict__",) * (cls is CoverProfile))
+        for record in SAMPLES[cls]:
+            fresh = cls(*_fields(record))
+            if cls in MARKABLE:
+                assert fresh._mark is None
+                marked = cls._new_marked(MARK, *_fields(fresh))
+                assert type(marked) is cls and marked == fresh and marked._mark is MARK
+            if cls is CoverProfile:
+                assert vars(fresh) == {}
+            else:
+                with pytest.raises(TypeError):
+                    vars(fresh)
+            with pytest.raises(TypeError):
+                weakref.ref(fresh)
+
+
+@pytest.mark.parametrize("cls, i", CASES, ids=[f"{c.__name__}-{i}" for c, i in CASES])
+def test_a_copy_of_a_record_is_equal_and_unmarked(cls, i):
+    fresh = cls(*_fields(SAMPLES[cls][i]))
+    records = [fresh]
+    if cls in MARKABLE:
+        records.append(cls._new_marked(MARK, *_fields(fresh)))
+    for record in records:
+        clones = [copy.copy(record), copy.deepcopy(record)]
+        clones += [pickle.loads(pickle.dumps(record, protocol))
+                   for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL)]
+        for clone in clones:
+            assert type(clone) is cls
+            assert clone == record and _fields(clone) == _fields(record)
+            assert getattr(clone, "_mark", None) is None
+
+
 def test_serializers_match_the_recorded_fixture():
     # recorded by tests/fixtures/record_serializer_outputs.py before the record
     # serializers became one _ser.to_json; the key order is part of the text
@@ -325,6 +368,10 @@ ILL_TYPED = [
     ("GradedPoint det a dict", lambda: GradedPoint((_SUMMAND, _SUMMAND), {"a": (0, 1)}, {"a": 1})),
     ("InvariantDivisor residues a list", lambda: InvariantDivisor([1], 0)),
     ("LineNumericData values a list", lambda: LineNumericData([1])),
+    # validate_witness passed the float one for make_bundle(-1, -3, ...), and
+    # parabolic_slope_difference then raised a bare TypeError
+    ("SubbundleWitness degree a float", lambda: SubbundleWitness(-1.0, (F(1),), (), frozenset({0}))),
+    ("SubbundleWitness degree a bool", lambda: SubbundleWitness(True, (F(1),), (), frozenset({0}))),
 ]
 
 

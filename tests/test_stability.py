@@ -1,6 +1,7 @@
 """Parabolic stability on the line: classifier, witnesses, transfer."""
 
 import collections
+import gc
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,6 +221,23 @@ def test_each_prefix_extension_is_reduced_once(count_calls):
     assert len({(id(ech), id(row)) for ech, row in calls}) == len(calls)
 
 
+def test_the_prefix_table_leaves_no_reference_cycle():
+    # run to the end or closed early, the walk frees its table by reference
+    # counting alone, without waiting for the cyclic collector
+    rng = random.Random(63)
+    rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(5)] for _ in range(9)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(_kernel_candidates(rows, 5, [1] * 9, 2))) == 255
+        walk = _kernel_candidates(rows, 5, [1] * 9, 2)
+        assert next(walk) == (0, 1, 2, 3)
+        walk.close()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
     # determinant RANK_PRIME: full rank over Q, rank one modulo the prime,
     # so the subset is not certified and goes to kernel_vector, which
@@ -247,17 +266,20 @@ def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def _recorded_bundle(case: dict) -> ParabolicP1:
+    doc = case["bundle"]
+    return make_bundle(doc["c"], doc["d"],
+                       [rat_from_json(z) for z in doc["points"]],
+                       [(rat_from_json(a), rat_from_json(b)) for a, b in doc["flags"]],
+                       [rat_from_json(w) for w in doc["weights"]])
+
+
 def replay_verdicts(path: Path, max_g: int | None = None) -> int:
     """Classify every recorded bundle (those of genus <= max_g if given);
     the verdict JSON must be byte-identical."""
     cases = [case for case in json.loads(path.read_text()) if max_g is None or case["g"] <= max_g]
     for case in cases:
-        doc = case["bundle"]
-        bundle = make_bundle(doc["c"], doc["d"],
-                             [rat_from_json(z) for z in doc["points"]],
-                             [(rat_from_json(a), rat_from_json(b)) for a, b in doc["flags"]],
-                             [rat_from_json(w) for w in doc["weights"]])
-        got = json.dumps(verdict_to_json(stability_classify(bundle)), sort_keys=True)
+        got = json.dumps(verdict_to_json(stability_classify(_recorded_bundle(case))), sort_keys=True)
         assert got == json.dumps(case["verdict"], sort_keys=True), case["name"]
     return len(cases)
 
@@ -279,6 +301,26 @@ def test_verdicts_match_the_recorded_scaling_fixture():
     # walk that reduced every prefix again at each size level; g <= 10
     # replays here, and g = 11 and 12 (about 20 s) when the scan changes
     assert replay_verdicts(FIXTURES / "stability_scaling_verdicts.json", max_g=10) == 16
+
+
+def test_the_prefix_table_of_a_degree_is_small_and_freed_with_it():
+    # g10-0, the slowest g = 10 draw of the fixture: its tables peaked at
+    # 5.4 MB traced under CPython 3.11 (3.2 MB under 3.13) when they were
+    # keyed by index tuples and each outlived its degree in a reference
+    # cycle until the collector ran; keyed by bitmasks and freed at once,
+    # 1.5 MB under both
+    cases = json.loads((FIXTURES / "stability_scaling_verdicts.json").read_text())
+    (case,) = [case for case in cases if case["name"] == "g10-0"]
+    bundle = _recorded_bundle(case)
+    tracemalloc.start()
+    try:
+        verdict = stability_classify(bundle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.dumps(verdict_to_json(verdict), sort_keys=True) == \
+        json.dumps(case["verdict"], sort_keys=True)
+    assert peak < 2.5e6, peak
 
 
 def test_the_scaling_script_runs_at_genus_two():
