@@ -163,6 +163,15 @@ class _Frame:
         self.ks = tuple(y.k for y in profile.orbits)
         self.nprimes = tuple(y.nprime for y in profile.orbits)
         self.period = math.lcm(*self.nprimes)
+        # each place that moves a least shift (least_shift): index, n', step,
+        # g = gcd(step, n'), n'/g and -(step/g)^-1 mod n'/g
+        pins, step = [], 1
+        for i, m in enumerate(self.nprimes):
+            g = math.gcd(step, m)
+            if g < m:
+                pins.append((i, m, step, g, m // g, -pow(step // g, -1, m // g) % (m // g)))
+                step *= m // g
+        self.pins = tuple(pins)
 
     def weight(self, ell: tuple[int, ...]) -> int:
         """sum_y k(y) * l(y): a summand's upstairs degree less n * bar_degree."""
@@ -171,6 +180,18 @@ class _Frame:
     def translate(self, ell, a: int) -> tuple[int, ...]:
         """The twist by the character a: ell + a at each orbit, reduced mod n'."""
         return tuple(map(operator.mod, map(a.__add__, ell), self.nprimes))
+
+    def least_shift(self, ell) -> int:
+        """The x in [0, period) whose translate of ell is least.
+
+        Shifts x + t * step keep the earlier places and give a place the
+        values congruent to its own mod g, so one t pins it at its value
+        mod g; then step = lcm(step, n') (Chinese remainder theorem).
+        """
+        x = 0
+        for i, m, step, g, mg, inv in self.pins:
+            x += step * ((ell[i] + x) % m // g * inv % mg)
+        return x
 
 
 def _validated_key(pt: GradedPoint, profile: CoverProfile, frame: _Frame) -> tuple:
@@ -415,8 +436,9 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
     Generators: opposite twists by every character (odd order), plus,
     for even order, single-summand crossing twists by every odd
     character applied to either summand.  Each point is validated once
-    and grouped by the least member of its class (_least_translate);
-    classes hold input points in input order, ordered by their first.
+    and grouped by the least member of its class, found with no search
+    (_least_translate); classes hold input points in input order,
+    ordered by their first.
     """
     pts = list(points)
     frame = _Frame(profile)
@@ -437,37 +459,33 @@ def _least_translate(key: tuple, frame: _Frame) -> tuple:
     A twist by a translates a part P = (l, up) to P + a: a is added to
     the exponents mod n' and the upstairs degree stays.  P + a depends
     on a mod the period lcm(n'), and Pi + xi is the least translate of
-    Pi.  For odd n the class is {P0 + a, P1 - a} over the lift delta, so
-    its least pair is at a = x0 or a = -x1.  For even n the crossing
-    twists (a, 0) and (0, a), a odd, generate (Z/n)^2, move delta by a
-    and flip its sign: the class is every {P0 + x, P1 + y} over
-    delta + x + y, signed by the parity of x + y.  Its least pair is at
-    x = x0, y = x1, over the least lift with x + y = x0 + x1 mod the
-    period.
+    Pi, xi pinned place by place (_Frame.least_shift).  For odd n the
+    class is {P0 + a, P1 - a} over the lift delta, so its least pair is
+    at a = x0 or a = -x1.  For even n the crossing twists (a, 0) and
+    (0, a), a odd, generate (Z/n)^2, move delta by a and flip its sign:
+    the class is every {P0 + x, P1 + y} over delta + x + y, signed by
+    the parity of x + y.  Its least pair is at x = x0, y = x1, over the
+    lifts delta + s, s = x0 + x1 mod the period, which share their
+    residues: an even period fixes the parity of s, and at an odd one
+    n / period is even, so both signs occur and '+' is the least.
     """
     (ell0, up0), (ell1, up1), (residues, degree, sign) = key
-    n, moved, period = frame.n, frame.translate, frame.period
-
-    def least(ell):
-        # a key's exponents are reduced, so ell is its own translate by 0;
-        # translates by distinct a mod the period differ, so none ties
-        best, x = ell, 0
-        for a in range(1, period):
-            cand = moved(ell, a)
-            if cand < best:
-                best, x = cand, a
-        return best, x
+    moved, period = frame.translate, frame.period
+    x0, x1 = frame.least_shift(ell0), frame.least_shift(ell1)
+    # a key's exponents are reduced, so ell is its own translate by 0
+    least0 = moved(ell0, x0) if x0 else ell0
+    least1 = moved(ell1, x1) if x1 else ell1
 
     def ordered(p, q):
         return (p, q) if p <= q else (q, p)
 
-    (least0, x0), (least1, x1) = least(ell0), least(ell1)
-    if n % 2 == 1:
+    if frame.n % 2 == 1:
         return (*min(ordered((least0, up0), (moved(ell1, -x0), up1)),
                      ordered((moved(ell0, -x1), up0), (least1, up1))), key[2])
-    signs = (sign, _other_sign(sign))
-    lifts = ((moved(residues, s), degree, signs[s % 2]) for s in range((x0 + x1) % period, n, period))
-    return (*ordered((least0, up0), (least1, up1)), min(lifts))
+    s = (x0 + x1) % period
+    lift_sign = PLUS if period % 2 else (sign, _other_sign(sign))[s % 2]
+    return (*ordered((least0, up0), (least1, up1)),
+            (moved(residues, s) if s else residues, degree, lift_sign))
 
 
 # --- the order-two worked family: its lifts and boundary classes ---

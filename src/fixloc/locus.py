@@ -126,7 +126,10 @@ class _BoundaryClasses(Set):
     s <= top of C(npoints, s), halved at s = g+1.  Iteration yields the
     classes as frozensets by size, then lexicographically; membership is
     that predicate.  Equality and hashing are those of the frozenset of
-    the same classes, which frozenset(view) builds.
+    the same classes, which frozenset(view) builds.  Two views compare
+    in closed form from (npoints, top), with nothing enumerated;
+    comparing a view with any other set iterates, and so does the hash,
+    O(len).  The repr names the two numbers, and a pickle holds them.
     """
 
     __slots__ = ("_npoints", "_top", "_n")
@@ -150,7 +153,20 @@ class _BoundaryClasses(Set):
                 if 2 * size < self._npoints or 0 in q:
                     yield frozenset(q)
 
+    def __eq__(self, other):
+        if isinstance(other, _BoundaryClasses):
+            # below top 2 the empty set is the only class, whatever npoints is
+            return self._top == other._top and (self._npoints == other._npoints or self._top < 2)
+        return Set.__eq__(self, other)
+
     __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"_BoundaryClasses(npoints={self._npoints}, top={self._top})"
+
+    def __reduce__(self):
+        return (_BoundaryClasses, (self._npoints, self._top))
+
     # set operations (&, |, -, ^) build plain frozensets
     _from_iterable = frozenset
 

@@ -1,7 +1,9 @@
 """Graded points, twist dynamics, lift negation, component reports."""
 
 import itertools
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -551,6 +553,109 @@ def test_least_translate_is_the_least_member_of_the_class():
             assert graded._least_translate(key, frame) == least
 
 
+# The least translate as the package found it before it was pinned place by
+# place: every translate of each part by 1..P-1 built and compared, then every
+# lift with the right shift mod P.  It is an oracle of _least_translate.
+
+def scan_least_translate(key, frame):
+    (ell0, up0), (ell1, up1), (residues, degree, sign) = key
+    n, moved, period = frame.n, frame.translate, frame.period
+
+    def least(ell):
+        best, x = ell, 0
+        for a in range(1, period):
+            cand = moved(ell, a)
+            if cand < best:
+                best, x = cand, a
+        return best, x
+
+    def ordered(p, q):
+        return (p, q) if p <= q else (q, p)
+
+    (least0, x0), (least1, x1) = least(ell0), least(ell1)
+    if n % 2 == 1:
+        return (*min(ordered((least0, up0), (moved(ell1, -x0), up1)),
+                     ordered((moved(ell0, -x1), up0), (least1, up1))), key[2])
+    signs = (sign, graded._other_sign(sign))
+    lifts = ((moved(residues, s), degree, signs[s % 2]) for s in range((x0 + x1) % period, n, period))
+    return (*ordered((least0, up0), (least1, up1)), min(lifts))
+
+
+def class_minimum(key, n, nprimes):
+    """The least member of a key's twist class, from the class itself.
+
+    Odd n: every {P0 + a, P1 - a} over the same lift.  Even n: every
+    {P0 + a, P1 + s - a} over the lift moved by s, its sign flipped for
+    odd s.  a runs over [0, P) and s over [0, n); a shift acts mod n'.
+    """
+    (ell0, up0), (ell1, up1), (residues, degree, sign) = key
+    period = math.lcm(*nprimes)
+
+    def moved(ell, a):
+        return tuple((v + a) % m for v, m in zip(ell, nprimes))
+
+    members = []
+    for a in range(period):
+        if n % 2 == 1:
+            members.append((*sorted([(moved(ell0, a), up0), (moved(ell1, -a), up1)]), key[2]))
+            continue
+        for s in range(n):
+            lift = (moved(residues, s), degree, sign if s % 2 == 0 else {"+": "-", "-": "+"}[sign])
+            members.append((*sorted([(moved(ell0, a), up0), (moved(ell1, s - a), up1)]), lift))
+    return min(members)
+
+
+def small_twist_profiles():
+    """Every profile with n <= 12 and up to three orbits in a fixed order,
+    its orbit lengths proper divisors of n and sum(n') at most 14."""
+    for n in range(2, 13):
+        lengths = [k for k in range(1, n) if n % k == 0]
+        for count in (1, 2, 3):
+            for ks in itertools.product(lengths, repeat=count):
+                if sum(n // k for k in ks) <= 14:
+                    yield make_profile(n, [(f"y{i}", k) for i, k in enumerate(ks)])
+
+
+def test_least_translate_equals_the_brute_force_class_minimum():
+    # every exponent tuple of each small profile is part 0 of a key, with a
+    # part 1, residues, sign and degrees that vary from key to key
+    shapes = set()
+    for profile in small_twist_profiles():
+        frame = graded._Frame(profile)
+        n, nprimes = profile.n, frame.nprimes
+        ells = list(itertools.product(*map(range, nprimes)))
+        for j, ell in enumerate(ells):
+            up1 = 0 if j % 2 else j % 3 - 1
+            key = ((ell, 0), (ells[(5 * j + 1) % len(ells)], up1),
+                   (ells[(7 * j + 2) % len(ells)], j % 4 - 2, "+-"[j % 2]))
+            least = graded._least_translate(key, frame)
+            assert least == scan_least_translate(key, frame), (profile, key)
+            assert least == class_minimum(key, n, nprimes), (profile, key)
+        shapes.add("odd n" if n % 2 else "odd period" if frame.period % 2 else "even period")
+    # n = 6 or 12 with n' = 3 only: the lifts of both signs share their residues
+    assert shapes == {"odd n", "odd period", "even period"}
+
+
+def test_least_translate_builds_one_translate_per_part_and_lift():
+    # a part is translated once, by its least shift, and for even n the lift
+    # once; odd n adds its two cross translates.  The scan built P - 1 per part
+    reached = set()
+    profiles = [profile for profile, _, _ in twist_corpus(37, 120)]
+    for profile in profiles + list(small_twist_profiles()):
+        frame = graded._Frame(profile)
+        nprimes, calls = frame.nprimes, []
+        frame.translate = lambda ell, a, real=frame.translate: calls.append(a) or real(ell, a)
+        ells = list(itertools.product(*map(range, nprimes)))[:60]
+        for j, ell in enumerate(ells):
+            calls.clear()
+            key = ((ell, 0), (ells[-1 - j], 0), (ells[j // 2], 0, "+"))
+            graded._least_translate(key, frame)
+            assert len(calls) <= (3 if profile.n % 2 == 0 else 4), (profile, key, calls)
+        if frame.period >= 3:
+            reached.add(profile.n % 2)
+    assert reached == {0, 1}
+
+
 def test_closure_nodes_pass_validate_graded(monkeypatch):
     # sim_o_step and sim_e_step decode a stepped key without validating it;
     # every key the oracle's steps reach must decode to a point that still
@@ -745,6 +850,53 @@ def test_boundary_class_views_match_the_enumerating_oracle(g):
             assert frozenset(q) not in view
         assert (0, 1) not in view
         assert type(view & members) is frozenset and view & members == members
+
+
+def test_a_report_repr_names_its_views_and_is_the_same_in_every_process():
+    code = "from fixloc import hyperelliptic_report\nprint(repr(hyperelliptic_report(2)))"
+    first, second = _child(code, 1), _child(code, 2)
+    assert first == second
+    assert first == (
+        "HyperellipticReport(g=2, d=-3, components=(ComponentRecord(label='c=-1', c=-1, "
+        "dimension=3, boundary_classes=_BoundaryClasses(npoints=6, top=2), normal=True),), "
+        "pairwise_intersections={}, global_intersection=frozenset({frozenset()}), "
+        "max_dimension=3, boundary_class_count=16, subset_label_count=32)\n")
+    assert repr(hyperelliptic_report(3).components[0].boundary_classes) == \
+        "_BoundaryClasses(npoints=8, top=4)"
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_report_pickles_at_every_protocol(protocol):
+    for g in (1, 3, 4, 30):
+        rep = hyperelliptic_report(g)
+        back = pickle.loads(pickle.dumps(rep, protocol))
+        assert back == rep and repr(back) == repr(rep)
+        view = back.components[-1].boundary_classes
+        assert type(view) is locus._BoundaryClasses and len(view) == len(rep.components[-1].boundary_classes)
+
+
+def test_reports_compare_without_enumerating(monkeypatch):
+    def refuse(self):
+        pytest.fail("a view comparison enumerated its classes")
+
+    monkeypatch.setattr(locus._BoundaryClasses, "__iter__", refuse)
+    for g in (1, 4, 9, 30):
+        assert hyperelliptic_report(g) == hyperelliptic_report(g)
+        assert not hyperelliptic_report(g) != hyperelliptic_report(g)
+        views = [comp.boundary_classes for comp in hyperelliptic_report(g).components]
+        assert [a == b for a in views for b in views] == [a is b for a in views for b in views]
+
+
+def test_view_comparisons_agree_with_their_frozensets():
+    # across components and genera of the report, and on the views of top 0,
+    # whose only class is the empty set
+    views = [comp.boundary_classes for g in range(1, 5) for comp in hyperelliptic_report(g).components]
+    views += [locus._BoundaryClasses(npoints, 0) for npoints in (4, 6)]
+    sets = [frozenset(view) for view in views]
+    for a, set_a in zip(views, sets):
+        for b, set_b in zip(views, sets):
+            assert (a == b) == (set_a == set_b) and (a != b) == (set_a != set_b), (a, b)
+        assert a == set_a and set_a == a and hash(a) == hash(set_a)
 
 
 @pytest.mark.parametrize("g", range(1, 7))
