@@ -27,9 +27,10 @@ DEFAULT_SEED = 1729
 # keep CLI outputs bounded; larger collections report counts only
 LIST_CAP = 128
 
-# bijection-check round-trips every element of Lambda, at a cost per element
-# and per orbit; it accepts |Lambda| * max(1, orbits) up to this limit, where
-# the slowest input measured, a single orbit, takes about 10 s (README)
+# bijection-check round-trips a cover of Lambda, as many elements as the widest
+# orbit has pairs, at a cost per element and per orbit; it accepts that count
+# times max(1, orbits) up to this limit, where the slowest input measured, a
+# single orbit, takes about 10 s (README)
 MAX_BIJECTION_ELEMENT_ORBITS = 980_000
 
 # lambda lists every per-orbit admissible pair; the largest listing accepted
@@ -72,6 +73,20 @@ def _pair_counts(det, profile) -> list[int]:
     """Admissible pairs at each orbit, from the closed form: no pair list is built."""
     from .equivariant import admissible_pair_count
     return [admissible_pair_count(det.residues[y.id], y.nprime) for y in profile.orbits]
+
+
+def _lambda_size(counts: list[int]) -> int:
+    """|Lambda|, the product of the per-orbit pair counts, which lambda and
+    bijection-check print: DomainError when it has more digits than this
+    Python writes an int with (sys.get_int_max_str_digits, 4,300 by
+    default; 0, or a Python without the limit, means none)."""
+    size = math.prod(counts)
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    # 2^(3 digits) < 10^digits, so a shorter size needs no power of ten
+    if digits and size.bit_length() > 3 * digits and size >= 10 ** digits:
+        raise DomainError(f"the count of Lambda has more than {digits} digits over {len(counts)} "
+                          f"orbits, past Python's limit of {digits} digits for writing an int")
+    return size
 
 
 def cmd_kernel(args) -> int:
@@ -132,13 +147,12 @@ def cmd_lambda(args) -> int:
     if sum(counts) > MAX_LAMBDA_PAIRS:
         raise DomainError(f"Lambda has {sum(counts)} admissible pairs over {len(counts)} orbits, "
                           f"past the lambda limit of {MAX_LAMBDA_PAIRS} pairs")
+    count = _lambda_size(counts)  # |Lambda|; Lambda is read only to list it
     per_orbit = {
         y.id: [[d1, d2] for d1, d2 in
                equivariant.admissible_pairs(det.residues[y.id], y.nprime)]
         for y in profile.orbits
     }
-    # |Lambda| is the product of the per-orbit pair counts; read Lambda only to list it
-    count = math.prod(counts)
     payload = {"count": count, "per_orbit": per_orbit}
     if count <= LIST_CAP:
         payload["elements"] = [equivariant.numeric_to_json(el) for el in elements]
@@ -171,23 +185,22 @@ def cmd_bijection_check(args) -> int:
     checked = 0
     for profile in profiles:
         det = equivariant.random_det(rng, profile)
-        orbits = len(profile.orbits)
-        cap = MAX_BIJECTION_ELEMENT_ORBITS // max(1, orbits)
-        # |Lambda| as math.prod of the pair counts: len() of a Lambda past
-        # sys.maxsize would raise OverflowError, not the limit's DomainError
-        if math.prod(_pair_counts(det, profile)) > cap:
-            raise DomainError(f"Lambda has more than {cap} elements over {orbits} orbits, "
-                              f"past the bijection-check limit of "
-                              f"{MAX_BIJECTION_ELEMENT_ORBITS} element-orbits")
-        # enumerate_lambda validates the det once, and round_trip trusts its elements
-        for numeric in equivariant.enumerate_lambda(det, profile):
+        counts = _pair_counts(det, profile)
+        size = _lambda_size(counts)
+        orbits, widest = len(counts), max(counts, default=1)
+        if widest * max(1, orbits) > MAX_BIJECTION_ELEMENT_ORBITS:
+            raise DomainError(f"{widest} round trips over {orbits} orbits are past the "
+                              f"bijection-check limit of {MAX_BIJECTION_ELEMENT_ORBITS} "
+                              f"element-orbits")
+        # enumerate_lambda validates the det once, and round_trip trusts its elements;
+        # Lambda round-trips iff its cover does (equivariant._Lambda.cover)
+        for numeric in equivariant.enumerate_lambda(det, profile).cover():
             try:
                 back = equivariant.round_trip(numeric, det, profile)
             except DomainError as exc:
                 failure = {"error": str(exc)}
             else:
                 if back.numeric == numeric and back.det == det:
-                    checked += 1
                     continue
                 failure = {"round_tripped": equivariant.rank2_to_json(back)}
             print(json.dumps({
@@ -197,6 +210,7 @@ def cmd_bijection_check(args) -> int:
                 **failure,
             }, indent=2, sort_keys=True))
             return 1
+        checked += size
     payload = {"checked": checked, "profiles": len(profiles), "failures": 0}
     _emit(payload, args.format, [f"round trips checked: {checked} (all exact)"])
     return 0

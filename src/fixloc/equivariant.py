@@ -365,9 +365,8 @@ class _Lambda(Sequence):
     order over admissible_pairs (Knuth, TAOCP 4A, 7.2.1.1).  An orbit
     keeps (label, stride, pair count, delta, n'), its stride the product
     of the later orbits' counts and its digit i // stride % count.  An
-    index and a slice (a list) decode each element with _pair_at;
-    iteration counts through the digits (Algorithm M there) and decodes
-    only the digits that change.  Each element is a fresh dict in
+    index, a slice (a list) and iteration (Sequence.__iter__, by index)
+    decode each element with _pair_at.  Each element is a fresh dict in
     profile order.
     """
 
@@ -390,25 +389,24 @@ class _Lambda(Sequence):
         return {label: _pair_at(i // stride % count, delta, nprime)
                 for label, stride, count, delta, nprime in self._orbits}
 
-    def __iter__(self):
-        if not self._orbits:
-            yield {}
-            return
-        # the last orbit's pairs run in the inner loop; head holds the earlier
-        # orbits' current pairs, and a wheel [label, digit, count, delta, n']
-        # each earlier orbit with more than one pair, fastest first
-        *rest, (last, _, count, delta, nprime) = self._orbits
-        head = {label: _pair_at(0, d, m) for label, _, _, d, m in rest}
-        wheels = [[label, 0, c, d, m] for label, _, c, d, m in reversed(rest) if c > 1]
-        for _ in range(self._n // count):
-            for i in range(count):
-                yield {**head, last: _pair_at(i, delta, nprime)}
-            for wheel in wheels:
-                label, digit, c, d, m = wheel
-                wheel[1] = digit = (digit + 1) % c
-                head[label] = _pair_at(digit, d, m)
-                if digit:
-                    break
+    def cover(self):
+        """A cover of Lambda: element j, for 0 <= j < the largest pair count,
+        takes pair min(j, count - 1) at each orbit, so every admissible pair
+        of every orbit is in some element.
+
+        The round trip holds on all of Lambda iff it holds on a cover.
+        _descend, _spreads and _ascend compute each orbit's outputs from
+        that orbit's pair alone, and the one global value is the base
+        degree (degree - sum_y (d1+d2) k(y)) / n.  Every pair of orbit y
+        has d1 + d2 = delta(y) mod n'(y), and n'(y) k(y) = n, so
+        sum_y (d1+d2) k(y) mod n is the same on every element: all of
+        Lambda descends or none of it does, and the ascent gives back the
+        degree exactly.  Each element is decoded with _pair_at, not from a
+        Lambda index, whose digits cost big-int divisions per orbit.
+        """
+        for j in range(max((count for _, _, count, _, _ in self._orbits), default=1)):
+            yield {label: _pair_at(min(j, count - 1), delta, nprime)
+                   for label, _, count, delta, nprime in self._orbits}
 
 
 def enumerate_lambda(det: DeterminantLift,

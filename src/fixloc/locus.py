@@ -125,11 +125,13 @@ class _BoundaryClasses(Set):
     holding point 0 stands for it; so the length is the sum over even
     s <= top of C(npoints, s), halved at s = g+1.  Iteration yields the
     classes as frozensets by size, then lexicographically; membership is
-    that predicate.  Equality and hashing are those of the frozenset of
-    the same classes, which frozenset(view) builds.  Two views compare
-    in closed form from (npoints, top), with nothing enumerated;
-    comparing a view with any other set iterates, and so does the hash,
-    O(len).  The repr names the two numbers, and a pickle holds them.
+    that predicate.  Equality is that of the frozenset of the same
+    classes, which frozenset(view) builds.  Two views compare in closed
+    form from (npoints, top), with nothing enumerated; comparing a view
+    with any other set iterates, O(len).  A view is unhashable, and so
+    is a record holding one: a hash that equals the frozenset's must
+    read every class, about 4^g of them, and no closed form can.  The
+    repr names the two numbers, and a pickle holds them.
     """
 
     __slots__ = ("_npoints", "_top", "_n")
@@ -158,8 +160,6 @@ class _BoundaryClasses(Set):
             # below top 2 the empty set is the only class, whatever npoints is
             return self._top == other._top and (self._npoints == other._npoints or self._top < 2)
         return Set.__eq__(self, other)
-
-    __hash__ = Set._hash
 
     def __repr__(self) -> str:
         return f"_BoundaryClasses(npoints={self._npoints}, top={self._top})"

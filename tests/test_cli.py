@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fixloc import InternalError, cli, covers, equivariant, graded, locus
+from fixloc import DomainError, InternalError, cli, covers, equivariant, graded, locus
 from fixloc.graded import hyperelliptic_delta
 from fixloc.locus import hyperelliptic_profile
 from fixloc.stability import MAX_MARKED_POINTS
@@ -218,39 +218,44 @@ def test_bijection_check_reports_a_round_trip_that_changes_the_datum(capsys, tmp
 
 
 def test_bijection_check_limit(capsys, tmp_path, monkeypatch):
-    # 2^10 elements over 10 orbits: 10,240 element-orbits
+    # 10 orbits of two pairs each: a cover of 2 elements, 20 element-orbits
     path = order_three_profile(tmp_path, 10)
-    monkeypatch.setattr(cli, "MAX_BIJECTION_ELEMENT_ORBITS", 2 ** 10 * 10)
+    monkeypatch.setattr(cli, "MAX_BIJECTION_ELEMENT_ORBITS", 2 * 10)
     code, out, err = run(capsys, "bijection-check", "--file", path)
     assert code == 0
     assert json.loads(out)["checked"] == 2 ** 10
-    monkeypatch.setattr(cli, "MAX_BIJECTION_ELEMENT_ORBITS", 2 ** 10 * 10 - 1)
+    monkeypatch.setattr(cli, "MAX_BIJECTION_ELEMENT_ORBITS", 2 * 10 - 1)
     refuse_round_trips(monkeypatch)
     code, out, err = run(capsys, "bijection-check", "--file", path)
     assert code == 3
     assert out == ""
-    assert err == ("domain error: DomainError: Lambda has more than 1023 elements over 10 "
-                   "orbits, past the bijection-check limit of 10239 element-orbits\n")
+    assert err == ("domain error: DomainError: 2 round trips over 10 orbits are past the "
+                   "bijection-check limit of 19 element-orbits\n")
 
 
 @pytest.mark.parametrize("count", [17, 70])
 def test_bijection_check_rejects_a_large_lambda_before_any_round_trip(capsys, tmp_path,
                                                                      monkeypatch, count):
-    # 2^17 elements over 17 orbits is past the limit; 2^70 is also past
-    # sys.maxsize, where len() overflows
-    assert 2 ** count * count > cli.MAX_BIJECTION_ELEMENT_ORBITS
+    # count orbits of n' > 2 * limit / count: the widest orbit's pairs times the
+    # orbits pass the limit; at 70 orbits |Lambda| is also past sys.maxsize,
+    # where len() overflows
+    nprime = 2 * (cli.MAX_BIJECTION_ELEMENT_ORBITS // count) + 4
+    path = write(tmp_path, "p.json", profile_to_json(
+        make_profile(nprime, [(f"y{i}", 1) for i in range(count)])))
+    assert (nprime // 2) ** count > sys.maxsize
     refuse_round_trips(monkeypatch)
-    path = order_three_profile(tmp_path, count)
     code, out, err = run(capsys, "bijection-check", "--file", path)
     assert code == 3
     assert out == ""
-    assert err.startswith("domain error: DomainError: Lambda has more than")
+    assert err.startswith("domain error: DomainError: ")
+    assert f" round trips over {count} orbits are past the bijection-check limit" in err
     assert "Traceback" not in err
 
 
 def test_bijection_check_rejects_a_wide_orbit_without_building_its_pairs(capsys, tmp_path,
                                                                       monkeypatch):
-    # one orbit of n' = 4,000,000 has 2,000,001 admissible pairs: past the limit
+    # one orbit of n' = 4,000,000 has 2,000,001 admissible pairs at the default
+    # seed's residue, all in the cover: past the limit
     path = write(tmp_path, "wide.json",
                  {"n": 4_000_000, "genus_base": 0, "orbits": [{"id": "a", "k": 1}]})
     refuse_round_trips(monkeypatch)
@@ -262,9 +267,131 @@ def test_bijection_check_rejects_a_wide_orbit_without_building_its_pairs(capsys,
         tracemalloc.stop()
     assert code == 3
     assert out == ""
-    assert err == ("domain error: DomainError: Lambda has more than 980000 elements over 1 "
-                   "orbits, past the bijection-check limit of 980000 element-orbits\n")
+    assert err == ("domain error: DomainError: 2000001 round trips over 1 orbits are past the "
+                   "bijection-check limit of 980000 element-orbits\n")
     assert peak < 1_000_000
+
+
+def first_failure(elements, det, profile):
+    """The first of elements that round_trip does not give back, or None."""
+    for numeric in elements:
+        try:
+            back = equivariant.round_trip(numeric, det, profile)
+        except DomainError:
+            return numeric
+        if back.numeric != numeric or back.det != det:
+            return numeric
+    return None
+
+
+def test_a_cover_of_lambda_round_trips_as_all_of_lambda_does(capsys, tmp_path):
+    # the lemma of equivariant._Lambda.cover on seeded profiles, both lift
+    # signs: bijection-check's verdict and checked equal those of a round trip
+    # of every element of Lambda, read by index; and on the library side a
+    # determinant whose degree does not descend fails on the cover as on Lambda
+    rng = random.Random(77)
+    signs, orbits, draws = set(), set(), 0
+    while draws < 80:
+        profile = covers.random_profile(rng, max_n=24, max_orbits=6)
+        seed = rng.randrange(10 ** 6)
+        det = equivariant.random_det(random.Random(seed), profile)
+        lam = enumerate_lambda(det, profile)
+        if len(lam) > 3000:
+            continue
+        draws += 1
+        signs.add(det.lift_sign)
+        orbits.add(len(profile.orbits))
+        path = write(tmp_path, f"p{draws}.json", profile_to_json(profile))
+        code, out, err = run(capsys, "bijection-check", "--file", path, "--seed", str(seed))
+        full = first_failure((lam[i] for i in range(len(lam))), det, profile)
+        assert (code, err, full) == (0, "", None), (profile, det)
+        assert json.loads(out)["checked"] == len(lam)
+        for shift in range(1, profile.n):
+            shifted = DeterminantLift(det.residues, det.degree + shift, det.lift_sign)
+            cover = first_failure(enumerate_lambda(shifted, profile).cover(), shifted, profile)
+            assert cover is not None and first_failure(lam, shifted, profile) is not None
+    assert signs == {"+", "-"} and orbits == set(range(7))
+
+
+def twelve_orbits(tmp_path):
+    """12 orbits of n' = 24, 12 or 13 pairs each: |Lambda| past 10^12."""
+    return write(tmp_path, "twelve.json",
+                 profile_to_json(make_profile(24, [(f"y{i}", 1) for i in range(12)])))
+
+
+def test_bijection_check_round_trips_a_cover_of_a_wide_lambda(capsys, tmp_path, count_calls):
+    # the cover holds as many elements as the widest orbit has pairs, and
+    # checked counts all of Lambda, the product of the pair counts
+    path = twelve_orbits(tmp_path)
+    profile = covers.profile_from_json(json.loads(Path(path).read_text()))
+    det = equivariant.random_det(random.Random(cli.DEFAULT_SEED), profile)
+    counts = [equivariant.admissible_pair_count(det.residues[y.id], y.nprime)
+              for y in profile.orbits]
+    assert math.prod(counts) > 10 ** 6 and len(counts) == 12
+    calls = count_calls(equivariant, "round_trip")
+    code, out, err = run(capsys, "bijection-check", "--file", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"checked": math.prod(counts), "profiles": 1, "failures": 0}
+    assert len(calls) == max(counts) == 13
+    # each orbit's pairs, all of them, and each in order
+    for i, y in enumerate(profile.orbits):
+        pairs = [numeric[y.id] for numeric, _, _ in calls]
+        wanted = equivariant.admissible_pairs(det.residues[y.id], y.nprime)
+        assert pairs == wanted + [wanted[-1]] * (len(calls) - counts[i])
+
+
+def many_orbits_of_order_three(tmp_path, count):
+    """A profile of n = 3 with `count` orbits of k = 1, and a lambda document
+    over it with every residue 0: two admissible pairs per orbit."""
+    profile = make_profile(3, [(f"y{i}", 1) for i in range(count)])
+    det = DeterminantLift(residues={y.id: 0 for y in profile.orbits}, degree=0)
+    return (write(tmp_path, "profile.json", profile_to_json(profile)),
+            write(tmp_path, "lambda.json",
+                  {"profile": profile_to_json(profile), "det": det_to_json(det)}))
+
+
+def test_a_count_past_the_int_digit_limit_is_rejected_before_any_work(capsys, tmp_path,
+                                                                      monkeypatch):
+    # 2^15000 has 4,516 digits, past Python's default limit of 4,300 for str(int);
+    # the 30,000 pairs are within the lambda limit, and the cover's 2 x 15,000
+    # element-orbits within bijection-check's
+    profile_path, lambda_path = many_orbits_of_order_three(tmp_path, 15_000)
+    refuse_round_trips(monkeypatch)
+    monkeypatch.setattr(equivariant, "admissible_pairs", lambda *args: pytest.fail("pairs listed"))
+    message = ("domain error: DomainError: the count of Lambda has more than 4300 digits over "
+               "15000 orbits, past Python's limit of 4300 digits for writing an int\n")
+    big = tmp_path / "big.json"
+    big.write_text('{"n": 1' + "0" * 4300 + ', "orbits": []}')
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
+    try:
+        for argv in (["lambda", "--file", lambda_path],
+                     ["lambda", "--file", lambda_path, "--format", "text"],
+                     ["bijection-check", "--file", profile_path]):
+            assert run(capsys, *argv) == (3, "", message), argv
+            assert sys.get_int_max_str_digits() == 4300
+        # the limit still guards input: an int literal past it is a schema error
+        code, out, err = run(capsys, "kernel", "--file", str(big))
+    finally:
+        sys.set_int_max_str_digits(outer)
+    assert (code, out) == (2, "") and err.startswith(f"schema error: cannot read {big}: ")
+
+
+@pytest.mark.parametrize("count, code", [(14_000, 0), (15_000, 3)])
+def test_a_count_is_printed_whole_or_rejected_in_a_child(tmp_path, count, code):
+    # 2^14000 has 4,215 digits, within the limit, and is printed whole
+    profile_path, lambda_path = many_orbits_of_order_three(tmp_path, count)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONINTMAXSTRDIGITS": "4300"}
+    for argv in (["lambda", "--file", lambda_path], ["bijection-check", "--file", profile_path]):
+        proc = subprocess.run([sys.executable, "-m", "fixloc.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr[-300:])
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            key = "count" if argv[0] == "lambda" else "checked"
+            assert json.loads(proc.stdout)[key] == 2 ** count
+        else:
+            assert proc.stdout == "" and "past Python's limit of 4300 digits" in proc.stderr
 
 
 def test_lambda_limit(capsys, tmp_path, monkeypatch):

@@ -175,25 +175,6 @@ def test_lambda_view_matches_the_product_oracle():
     assert list(enumerate_lambda(DeterminantLift(residues={}, degree=0), empty)) == [{}]
 
 
-def test_lambda_iteration_is_indexing():
-    # iteration counts through the digits, indexing decodes each element alone
-    rng = random.Random(23)
-    cases = [(make_profile(5, []), DeterminantLift(residues={}, degree=0))]
-    for _ in range(80):
-        profile = gen.random_profile(rng, max_n=24, max_orbits=5)
-        cases.append((profile, gen.random_det(rng, profile)))
-    shapes = set()
-    for profile, det in cases:
-        lam = enumerate_lambda(det, profile)
-        assert list(lam) == [lam[i] for i in range(len(lam))]
-        counts = [admissible_pair_count(det.residues[y.id], y.nprime) for y in profile.orbits]
-        shapes.add((tuple(counts[-1:]), sum(count > 1 for count in counts[:-1])))
-    # no orbit; a last orbit of one pair after two moving ones; a moving
-    # last orbit after four moving ones
-    assert {((), 0), ((1,), 2)} <= shapes
-    assert max(moving for last, moving in shapes if last and last[0] > 1) == 4
-
-
 def test_lambda_slices_match_list_slices():
     profile = make_profile(12, [("a", 1), ("b", 2), ("c", 3)])
     det = DeterminantLift(residues={"a": 5, "b": 0, "c": 3}, degree=5 + 9)
@@ -261,7 +242,7 @@ def test_lambda_view_allocates_only_what_is_read():
 
 def test_lambda_listings_match_the_recorded_fixture():
     # recorded by tests/fixtures/record_lambda_listings.py from the list-building
-    # enumerate_lambda; both the product walk and the index decoding must match
+    # enumerate_lambda; the lazy view, iterated and indexed, must match it
     cases = json.loads(LAMBDA_LISTINGS.read_text())["listings"]
     assert len(cases) == 40
     assert {case["det"]["lift_sign"] for case in cases} == {"+", "-"}

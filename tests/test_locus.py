@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -835,7 +836,8 @@ def test_boundary_class_views_match_the_enumerating_oracle(g):
         assert list(view) == oracle
         assert len(view) == len(oracle)
         assert view == frozenset(oracle) and frozenset(oracle) == view
-        assert hash(view) == hash(frozenset(oracle))
+        with pytest.raises(TypeError, match="unhashable type: '_BoundaryClasses'"):
+            hash(view)
         # membership agrees on every subset: odd ones, even ones past -2c,
         # and at half size the complement of a class
         members = frozenset(oracle)
@@ -896,7 +898,26 @@ def test_view_comparisons_agree_with_their_frozensets():
     for a, set_a in zip(views, sets):
         for b, set_b in zip(views, sets):
             assert (a == b) == (set_a == set_b) and (a != b) == (set_a != set_b), (a, b)
-        assert a == set_a and set_a == a and hash(a) == hash(set_a)
+        assert a == set_a and set_a == a
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
+
+def test_a_component_record_refuses_a_hash_at_once(monkeypatch):
+    # a hash equal to the frozenset's would read all 4^30 classes; the view has none
+    def refuse(self):
+        pytest.fail("a hash enumerated the boundary classes")
+
+    monkeypatch.setattr(locus._BoundaryClasses, "__iter__", refuse)
+    record = hyperelliptic_report(30).components[0]
+    assert len(record.boundary_classes) == 4 ** 30
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(TypeError, match="unhashable type: '_BoundaryClasses'"):
+            hash(record)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.001
 
 
 @pytest.mark.parametrize("g", range(1, 7))
