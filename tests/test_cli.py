@@ -313,17 +313,12 @@ def test_a_cover_of_lambda_round_trips_as_all_of_lambda_does(capsys, tmp_path):
     assert signs == {"+", "-"} and orbits == set(range(7))
 
 
-def twelve_orbits(tmp_path):
-    """12 orbits of n' = 24, 12 or 13 pairs each: |Lambda| past 10^12."""
-    return write(tmp_path, "twelve.json",
-                 profile_to_json(make_profile(24, [(f"y{i}", 1) for i in range(12)])))
-
-
 def test_bijection_check_round_trips_a_cover_of_a_wide_lambda(capsys, tmp_path, count_calls):
     # the cover holds as many elements as the widest orbit has pairs, and
-    # checked counts all of Lambda, the product of the pair counts
-    path = twelve_orbits(tmp_path)
-    profile = covers.profile_from_json(json.loads(Path(path).read_text()))
+    # checked counts all of Lambda, the product of the pair counts; 12 orbits
+    # of n' = 24 have 12 or 13 pairs each
+    profile = make_profile(24, [(f"y{i}", 1) for i in range(12)])
+    path = write(tmp_path, "twelve.json", profile_to_json(profile))
     det = equivariant.random_det(random.Random(cli.DEFAULT_SEED), profile)
     counts = [equivariant.admissible_pair_count(det.residues[y.id], y.nprime)
               for y in profile.orbits]
