@@ -174,8 +174,8 @@ def factor_cover(profile: CoverProfile) -> tuple[CoverProfile, int]:
 
 def orbit_length_under_power(k: int, d: int) -> int:
     """Length of a k-point orbit under the d-th power of the generator."""
-    if k < 1 or d < 1:
-        raise InvalidProfile(f"orbit length {k} and power {d} must be positive")
+    if not (is_int(k) and is_int(d)) or k < 1 or d < 1:
+        raise InvalidProfile(f"orbit length {k!r} and power {d!r} must be positive ints")
     return k // math.gcd(d, k)
 
 

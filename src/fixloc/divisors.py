@@ -44,6 +44,7 @@ class RootExponent:
         return RootExponent(-self.a, self.modulus)
 
     def power(self, m: int) -> "RootExponent":
+        check_int(m, "root of unity power")
         return RootExponent(self.a * m, self.modulus)
 
 
@@ -51,6 +52,7 @@ unit_root = RootExponent  # unit_root(a, n) is the scalar exp(2*pi*i*a/n)
 
 
 def minus_one(n: int) -> RootExponent:
+    check_int(n, "order-two scalar order")
     if n % 2 != 0:
         raise OddOrder(f"order-two scalar needs even order, got {n}")
     return RootExponent(n // 2, n)
@@ -111,6 +113,7 @@ def is_pullback(div: InvariantDivisor, profile: CoverProfile) -> bool:
 
 def norm_degree_check(base_degree: int, profile: CoverProfile) -> int:
     """Degree upstairs of the pullback of a degree-base_degree class."""
+    check_int(base_degree, "base degree")
     return profile.n * base_degree
 
 

@@ -12,9 +12,9 @@ Lift negation (zeta2_apply, parabolic_zeta2) is here too.
 All degree bookkeeping runs through the per-summand upstairs degree
 n * bar_degree + sum_y k(y) * l(y), which is invariant under the
 twists; the downstairs degrees after a step are recovered from it.
-The twist formula exists once, on integer keys holding each summand's
-exponents l(y) and upstairs degree (see _validated_key): the twist by
-the character a translates them by a mod n' (_Frame.translate).  So
+The twist formula exists once, on integer keys holding the exponents
+l(y) and the one upstairs degree of the summands (see _Frame): the twist
+by the character a translates them by a mod n' (_Frame.translate).  So
 each class has a closed form: equivalence_classes reads a point's
 class off its key (_least_translate), and a key is decoded (_rebuild)
 only where a public step returns a point, marked valid for the profile
@@ -144,15 +144,15 @@ def _out_of_order(bar0: int, support0, bar1: int, support1) -> bool:
 
 
 def validate_graded(pt: GradedPoint, profile: CoverProfile) -> tuple:
-    """Structural checks tying a graded point to its cover context; returns its key."""
+    """Structural checks tying a graded point to its cover context; returns its key (_Frame)."""
     return _validated_key(pt, profile, _Frame(profile))
 
 
-# The twists act on integer keys ((l0, up0), (l1, up1), (residues, degree,
-# lift_sign)), in profile order: l_i is the exponent summand i carries at each
-# orbit (d2 on its support, d1 elsewhere), up_i = n * bar_degree + sum_y k(y)
-# l_i(y) its upstairs degree, and residues holds the lift's int residue at each
-# orbit.  Summands keep GradedPoint's order, so equal points have equal keys.
+# The twists act on integer keys (l0, l1, up, degree, lift_sign), in profile
+# order: l_i is the exponent summand i carries at each orbit (d2 on its support,
+# d1 elsewhere), and up = n * bar_degree + sum_y k(y) l_i(y) the upstairs degree
+# both summands share.  The lift's residues are l0 + l1 mod n' at every orbit.
+# Summands keep GradedPoint's order, so equal points have equal keys.
 
 class _Frame:
     """Per-profile constants of the keyed twist steps, orbits in profile order."""
@@ -198,8 +198,9 @@ def _validated_key(pt: GradedPoint, profile: CoverProfile, frame: _Frame) -> tup
     """validate_graded on the profile's frame, which callers on many points build once.
 
     A point that passed for this profile object carries its mark, and is
-    only keyed.  The key is not kept: on the census boundary points it
-    took 2.9 MB, about a tenth of the census workload's peak RSS.
+    only keyed.  The key's up is summand 0's, checked here against summand
+    1's.  The key is not kept: on the census boundary points it took 2.9
+    MB, about a tenth of the census workload's peak RSS.
     """
     if pt._mark is profile:
         return _key(pt, frame)
@@ -211,7 +212,7 @@ def _validated_key(pt: GradedPoint, profile: CoverProfile, frame: _Frame) -> tup
     if s0.support | s1.support != weighted or s0.support & s1.support:
         raise InvalidDatum("summand supports must partition the weighted orbits")
     key = _key(pt, frame)
-    if key[0][1] != key[1][1]:
+    if frame.n * s1.bar_degree + frame.weight(key[1]) != key[2]:
         raise InvalidDatum("summands have unequal parabolic degree")
     mark(pt, profile)
     return key
@@ -221,11 +222,10 @@ def _key(pt: GradedPoint, frame: _Frame) -> tuple:
     """The key of a point that validate_graded accepts."""
     # (d1, d2) at each orbit; a summand's exponent is d2 on its support, d1 elsewhere
     pairs = tuple(map(pt.numeric.__getitem__, frame.ids))
-    parts = []
-    for s in pt.summands:
-        ell = tuple(map(operator.getitem, pairs, map(s.support.__contains__, frame.ids)))
-        parts.append((ell, frame.n * s.bar_degree + frame.weight(ell)))
-    return (*parts, (tuple(map(pt.det.residues.__getitem__, frame.ids)), pt.det.degree, pt.det.lift_sign))
+    s0, s1 = pt.summands
+    ell0 = tuple(map(operator.getitem, pairs, map(s0.support.__contains__, frame.ids)))
+    ell1 = tuple(map(operator.getitem, pairs, map(s1.support.__contains__, frame.ids)))
+    return ell0, ell1, frame.n * s0.bar_degree + frame.weight(ell0), pt.det.degree, pt.det.lift_sign
 
 
 def _rebuild(key: tuple, frame: _Frame, valid_for: CoverProfile | None) -> GradedPoint:
@@ -234,19 +234,20 @@ def _rebuild(key: tuple, frame: _Frame, valid_for: CoverProfile | None) -> Grade
 
     The twist steps pass the profile of the frame, since the keys they
     return are ones validate_graded accepts (see _o_step): the exponents
-    and residues are reduced below n' at every orbit, each pair sums to
-    its residue, the sign is free at the even order of a crossing twist,
-    the supports below are where the two exponents differ, and _settle
-    checked that both degrees descend, so each summand's upstairs degree
-    is recovered exactly.
+    are reduced below n' at every orbit, and so are the residues, read
+    off as each pair's sum; the sign is free at the even order of a
+    crossing twist, the supports below are where the two exponents
+    differ, and _settle checked that both degrees descend, so both
+    summands have the upstairs degree up.
     """
-    (ell0, up0), (ell1, up1), (residues, degree, sign) = key
+    ell0, ell1, up, degree, sign = key
     ids = frame.ids
     # each summand's support is where it carries the larger exponent
-    s0 = GradedSummand((up0 - frame.weight(ell0)) // frame.n,
+    s0 = GradedSummand((up - frame.weight(ell0)) // frame.n,
                        frozenset(itertools.compress(ids, map(operator.gt, ell0, ell1))))
-    s1 = GradedSummand((up1 - frame.weight(ell1)) // frame.n,
+    s1 = GradedSummand((up - frame.weight(ell1)) // frame.n,
                        frozenset(itertools.compress(ids, map(operator.lt, ell0, ell1))))
+    residues = map(operator.mod, map(operator.add, ell0, ell1), frame.nprimes)
     det = DeterminantLift._new_marked(valid_for, FrozenDict(zip(ids, residues)), degree, sign)
     return _point(s0, s1, FrozenDict(zip(ids, map(_pair, ell0, ell1))), det, valid_for)
 
@@ -268,13 +269,11 @@ def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> Grad
 
 # The steps below take the key of a point that validate_graded accepts and the
 # integer exponent a of a character, and return the key of one it accepts
-# again: d1 + d2 and the determinant residue move by the same shift at every
-# orbit, the exponent pairs partition the weighted orbits between the summands,
-# and both upstairs degrees carry over.
+# again: the exponent pairs partition the weighted orbits between the summands,
+# and the shared upstairs degree carries over.
 
 def _o_step(key: tuple, a: int, frame: _Frame) -> tuple:
-    (ell0, up0), (ell1, up1), det = key
-    return _settle((frame.translate(ell0, a), up0), (frame.translate(ell1, -a), up1), det, frame)
+    return _settle(frame.translate(key[0], a), frame.translate(key[1], -a), key[2:], frame)
 
 
 def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
@@ -299,13 +298,11 @@ def sim_e_step(pt: GradedPoint, profile: CoverProfile, exponent: int = 1,
 
 def _e_step(key: tuple, a: int, summand: int, frame: _Frame) -> tuple:
     parts = list(key[:2])
-    residues, degree, sign = key[2]
     # the underlying summand bundle is untouched (only its lift scales),
-    # so the upstairs degrees stay fixed while the exponents reduce anew
-    ell, up = parts[summand]
-    parts[summand] = (frame.translate(ell, a), up)
-    det = (frame.translate(residues, a), degree, _other_sign(sign))
-    return _settle(parts[0], parts[1], det, frame)
+    # so the upstairs degree stays fixed while the exponents reduce anew
+    parts[summand] = frame.translate(parts[summand], a)
+    up, degree, sign = key[2:]
+    return _settle(*parts, (up, degree, _other_sign(sign)), frame)
 
 
 def _other_sign(sign: str) -> str:
@@ -313,11 +310,12 @@ def _other_sign(sign: str) -> str:
     return MINUS if sign == PLUS else PLUS
 
 
-def _settle(part0: tuple, part1: tuple, det: tuple, frame: _Frame) -> tuple:
-    """Key of two stepped summands: both degrees must descend; ordered as in GradedPoint."""
+def _settle(ell0: tuple, ell1: tuple, rest: tuple, frame: _Frame) -> tuple:
+    """Key of stepped exponents over rest (up, degree, sign): both degrees must descend;
+    ordered as in GradedPoint."""
     bars = []
-    for ell, up in (part0, part1):
-        corrected = up - frame.weight(ell)
+    for ell in (ell0, ell1):
+        corrected = rest[0] - frame.weight(ell)
         q, rem = divmod(corrected, frame.n)
         if rem != 0:
             raise NonIntegralDegree(
@@ -325,10 +323,9 @@ def _settle(part0: tuple, part1: tuple, det: tuple, frame: _Frame) -> tuple:
                 "profile does not admit this twist")
         bars.append(q)
     # each summand's support is where it carries the larger exponent
-    (ell0, _), (ell1, _) = part0, part1
     swap = _out_of_order(bars[0], itertools.compress(frame.ids, map(operator.gt, ell0, ell1)),
                          bars[1], itertools.compress(frame.ids, map(operator.lt, ell0, ell1)))
-    return (part1, part0, det) if swap else (part0, part1, det)
+    return (ell1, ell0, *rest) if swap else (ell0, ell1, *rest)
 
 
 def _require_even_order(profile: CoverProfile) -> None:
@@ -456,20 +453,18 @@ def equivalence_classes(points, profile: CoverProfile) -> list[list[GradedPoint]
 def _least_translate(key: tuple, frame: _Frame) -> tuple:
     """The least member of a key's twist class, its parts as a sorted pair.
 
-    A twist by a translates a part P = (l, up) to P + a: a is added to
-    the exponents mod n' and the upstairs degree stays.  P + a depends
-    on a mod the period lcm(n'), and Pi + xi is the least translate of
-    Pi, xi pinned place by place (_Frame.least_shift).  For odd n the
-    class is {P0 + a, P1 - a} over the lift delta, so its least pair is
-    at a = x0 or a = -x1.  For even n the crossing twists (a, 0) and
-    (0, a), a odd, generate (Z/n)^2, move delta by a and flip its sign:
-    the class is every {P0 + x, P1 + y} over delta + x + y, signed by
-    the parity of x + y.  Its least pair is at x = x0, y = x1, over the
-    lifts delta + s, s = x0 + x1 mod the period, which share their
-    residues: an even period fixes the parity of s, and at an odd one
-    n / period is even, so both signs occur and '+' is the least.
+    A twist by a translates a part, an exponent tuple l, to l + a: a is
+    added mod n', and the upstairs degree and the lift's degree stay.
+    l + a depends on a mod the period lcm(n'), and li + xi is the least
+    translate of li, xi pinned place by place (_Frame.least_shift).
+    For odd n the class is {l0 + a, l1 - a} at one sign, so its least
+    pair is at a = x0 or a = -x1.  For even n the crossing twists (a, 0)
+    and (0, a), a odd, generate (Z/n)^2 and flip the sign: the class is
+    every {l0 + x, l1 + y} signed by the parity of x + y.  Its least
+    pair is at x + y = x0 + x1 mod the period: an even period fixes the
+    parity, and at an odd one both occur, so '+' is the least.
     """
-    (ell0, up0), (ell1, up1), (residues, degree, sign) = key
+    ell0, ell1, up, degree, sign = key
     moved, period = frame.translate, frame.period
     x0, x1 = frame.least_shift(ell0), frame.least_shift(ell1)
     # a key's exponents are reduced, so ell is its own translate by 0
@@ -480,12 +475,9 @@ def _least_translate(key: tuple, frame: _Frame) -> tuple:
         return (p, q) if p <= q else (q, p)
 
     if frame.n % 2 == 1:
-        return (*min(ordered((least0, up0), (moved(ell1, -x0), up1)),
-                     ordered((moved(ell0, -x1), up0), (least1, up1))), key[2])
-    s = (x0 + x1) % period
-    lift_sign = PLUS if period % 2 else (sign, _other_sign(sign))[s % 2]
-    return (*ordered((least0, up0), (least1, up1)),
-            (moved(residues, s) if s else residues, degree, lift_sign))
+        return (*min(ordered(least0, moved(ell1, -x0)), ordered(moved(ell0, -x1), least1)), *key[2:])
+    lift_sign = PLUS if period % 2 else (sign, _other_sign(sign))[(x0 + x1) % 2]
+    return (*ordered(least0, least1), up, degree, lift_sign)
 
 
 # --- the order-two worked family: its lifts and boundary classes ---

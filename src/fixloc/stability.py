@@ -541,6 +541,7 @@ def split_moduli_P1(det_degree: int) -> tuple[int, int] | None:
     Empty in odd degree (None); otherwise a single point, the balanced
     split bundle, returned by its summand degrees.
     """
+    check_int(det_degree, "determinant degree")
     if det_degree % 2 != 0:
         return None
     half = det_degree // 2

@@ -25,6 +25,7 @@ from fixloc import (
     InvalidProfile,
     InvariantDivisor,
     Rank2EqData,
+    RootExponent,
     SubbundleWitness,
     bar_delta_degree,
     double_class,
@@ -36,10 +37,14 @@ from fixloc import (
     hyperelliptic_report,
     make_bundle,
     make_profile,
+    minus_one,
+    norm_degree_check,
+    orbit_length_under_power,
     parabolic_zeta2,
     sim_e_step,
     slope_transfer_check,
     solve_d2,
+    split_moduli_P1,
     to_parabolic,
     unramified_census,
     validate_witness,
@@ -117,6 +122,12 @@ ENTRIES = [
     ("weight_system pair entry", lambda x: weight_system({"a": (0, x)}, P2), InvalidDatum, 1),
     ("bar_delta_degree pair entry",
      lambda x: bar_delta_degree(DeterminantLift({"a": 1}, 1), {"a": (0, x)}, P2), InvalidDatum, 1),
+    ("split_moduli_P1 det_degree", split_moduli_P1, InvalidDatum, 4),
+    ("norm_degree_check base_degree", lambda x: norm_degree_check(x, P2), InvalidDatum, 1),
+    ("orbit_length_under_power k", lambda x: orbit_length_under_power(x, 2), InvalidProfile, 4),
+    ("orbit_length_under_power d", lambda x: orbit_length_under_power(4, x), InvalidProfile, 2),
+    ("minus_one n", minus_one, InvalidDatum, 4),
+    ("RootExponent.power m", lambda x: RootExponent(1, 4).power(x), InvalidDatum, 2),
 ]
 
 # the same for a record's field: (the operation and argument the field reaches,

@@ -550,16 +550,16 @@ def test_least_translate_is_the_least_member_of_the_class():
                             queue.append(nb)
             except NonIntegralDegree:
                 continue
-            least = min((*sorted(k[:2]), k[2]) for k in members)
+            least = min((*sorted(k[:2]), *k[2:]) for k in members)
             assert graded._least_translate(key, frame) == least
 
 
 # The least translate as the package found it before it was pinned place by
 # place: every translate of each part by 1..P-1 built and compared, then every
-# lift with the right shift mod P.  It is an oracle of _least_translate.
+# lift sign with the right shift mod P.  It is an oracle of _least_translate.
 
 def scan_least_translate(key, frame):
-    (ell0, up0), (ell1, up1), (residues, degree, sign) = key
+    ell0, ell1, up, degree, sign = key
     n, moved, period = frame.n, frame.translate, frame.period
 
     def least(ell):
@@ -575,21 +575,21 @@ def scan_least_translate(key, frame):
 
     (least0, x0), (least1, x1) = least(ell0), least(ell1)
     if n % 2 == 1:
-        return (*min(ordered((least0, up0), (moved(ell1, -x0), up1)),
-                     ordered((moved(ell0, -x1), up0), (least1, up1))), key[2])
+        return (*min(ordered(least0, moved(ell1, -x0)), ordered(moved(ell0, -x1), least1)), *key[2:])
     signs = (sign, graded._other_sign(sign))
-    lifts = ((moved(residues, s), degree, signs[s % 2]) for s in range((x0 + x1) % period, n, period))
-    return (*ordered((least0, up0), (least1, up1)), min(lifts))
+    lifts = ((up, degree, signs[s % 2]) for s in range((x0 + x1) % period, n, period))
+    return (*ordered(least0, least1), *min(lifts))
 
 
 def class_minimum(key, n, nprimes):
     """The least member of a key's twist class, from the class itself.
 
-    Odd n: every {P0 + a, P1 - a} over the same lift.  Even n: every
-    {P0 + a, P1 + s - a} over the lift moved by s, its sign flipped for
-    odd s.  a runs over [0, P) and s over [0, n); a shift acts mod n'.
+    Odd n: every {l0 + a, l1 - a} at the same sign.  Even n: every
+    {l0 + a, l1 + s - a}, its sign flipped for odd s.  a runs over
+    [0, P) and s over [0, n); a shift acts mod n'.  The upstairs degree
+    and the lift's degree stay.
     """
-    (ell0, up0), (ell1, up1), (residues, degree, sign) = key
+    ell0, ell1, up, degree, sign = key
     period = math.lcm(*nprimes)
 
     def moved(ell, a):
@@ -598,11 +598,11 @@ def class_minimum(key, n, nprimes):
     members = []
     for a in range(period):
         if n % 2 == 1:
-            members.append((*sorted([(moved(ell0, a), up0), (moved(ell1, -a), up1)]), key[2]))
+            members.append((*sorted([moved(ell0, a), moved(ell1, -a)]), *key[2:]))
             continue
         for s in range(n):
-            lift = (moved(residues, s), degree, sign if s % 2 == 0 else {"+": "-", "-": "+"}[sign])
-            members.append((*sorted([(moved(ell0, a), up0), (moved(ell1, s - a), up1)]), lift))
+            lift = (up, degree, sign if s % 2 == 0 else {"+": "-", "-": "+"}[sign])
+            members.append((*sorted([moved(ell0, a), moved(ell1, s - a)]), *lift))
     return min(members)
 
 
@@ -619,27 +619,25 @@ def small_twist_profiles():
 
 def test_least_translate_equals_the_brute_force_class_minimum():
     # every exponent tuple of each small profile is part 0 of a key, with a
-    # part 1, residues, sign and degrees that vary from key to key
+    # part 1, sign and degrees that vary from key to key
     shapes = set()
     for profile in small_twist_profiles():
         frame = graded._Frame(profile)
         n, nprimes = profile.n, frame.nprimes
         ells = list(itertools.product(*map(range, nprimes)))
         for j, ell in enumerate(ells):
-            up1 = 0 if j % 2 else j % 3 - 1
-            key = ((ell, 0), (ells[(5 * j + 1) % len(ells)], up1),
-                   (ells[(7 * j + 2) % len(ells)], j % 4 - 2, "+-"[j % 2]))
+            key = (ell, ells[(5 * j + 1) % len(ells)], j % 3 - 1, j % 4 - 2, "+-"[j % 2])
             least = graded._least_translate(key, frame)
             assert least == scan_least_translate(key, frame), (profile, key)
             assert least == class_minimum(key, n, nprimes), (profile, key)
         shapes.add("odd n" if n % 2 else "odd period" if frame.period % 2 else "even period")
-    # n = 6 or 12 with n' = 3 only: the lifts of both signs share their residues
+    # n = 6 or 12 with n' = 3 only: both signs are in the class
     assert shapes == {"odd n", "odd period", "even period"}
 
 
 def test_least_translate_builds_one_translate_per_part_and_lift():
-    # a part is translated once, by its least shift, and for even n the lift
-    # once; odd n adds its two cross translates.  The scan built P - 1 per part
+    # a part is translated once, by its least shift, and the lift never; odd
+    # n adds its two cross translates.  The scan built P - 1 per part
     reached = set()
     profiles = [profile for profile, _, _ in twist_corpus(37, 120)]
     for profile in profiles + list(small_twist_profiles()):
@@ -649,9 +647,9 @@ def test_least_translate_builds_one_translate_per_part_and_lift():
         ells = list(itertools.product(*map(range, nprimes)))[:60]
         for j, ell in enumerate(ells):
             calls.clear()
-            key = ((ell, 0), (ells[-1 - j], 0), (ells[j // 2], 0, "+"))
+            key = (ell, ells[-1 - j], 0, 0, "+")
             graded._least_translate(key, frame)
-            assert len(calls) <= (3 if profile.n % 2 == 0 else 4), (profile, key, calls)
+            assert len(calls) <= (2 if profile.n % 2 == 0 else 4), (profile, key, calls)
         if frame.period >= 3:
             reached.add(profile.n % 2)
     assert reached == {0, 1}
@@ -688,6 +686,20 @@ def test_closure_nodes_pass_validate_graded(monkeypatch):
             assert bool(reached) == (profile.n > 1)
         for key in reached:
             assert validate_graded(graded._rebuild(key, frame, None), profile) == key
+
+
+def test_a_point_is_rebuilt_from_its_key():
+    # a key holds no residues and one upstairs degree: the exponents give the
+    # residues and the other summand's degree, so the point comes back whole
+    cases = [(hyperelliptic_profile(g), boundary_points(g)) for g in (1, 2, 3)]
+    cases += [(profile, points) for profile, points, _ in twist_corpus(37, 120)]
+    orders = set()
+    for profile, points in cases:
+        frame = graded._Frame(profile)
+        for pt in points:
+            assert graded._rebuild(validate_graded(pt, profile), frame, None) == pt, (profile, pt)
+        orders.add(profile.n)
+    assert {2, 3, 4, 9, 12, 15, 24} <= orders
 
 
 def test_equivalence_classes_validates_each_point_once_and_takes_one_step(monkeypatch):
