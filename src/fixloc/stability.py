@@ -38,6 +38,27 @@ A prefix whose weight sum cannot reach the threshold with the largest
 weights still available is skipped too.  Every leaf left gets the
 exact fraction kernel.
 
+Most degrees hold no qualifying subset with a kernel, and two lemmas
+prove many of them empty in polynomial time before their rows are
+built; such a degree is skipped, and every other degree walks as
+above.  Only the points K of positive weight matter: a subset
+qualifies with its points in K alone, whose fewer rows keep its kernel.
+The error locator (Berlekamp-Welch): a qualifying S misses at most E
+points of K, as many of K's lightest weights as can go with the rest
+still meeting the threshold.  A kernel (p, q) of S times the locator,
+the product of (x - z) over the points of K that S misses, vanishes on
+every row of K within the widened bounds (np + E, nq + E).  So when
+K's rows there reach full column rank ncols + 2E modulo the prime,
+they reach it over the rationals (a nonzero minor modulo a prime is a
+nonzero integer), and no qualifying subset has a kernel.  The line
+lemma, at ncols <= 3: a set of rows has a kernel exactly when it lies
+on one line through the origin, a direction of Q^2 or a plane of Q^3.
+Unless K's rows are all proportional, and then K itself has a kernel,
+every subset of K on a plane lies on the plane of two non-proportional
+rows of K, whose normal is their integer cross product.  The degree is
+empty exactly when every such line's weight misses the threshold,
+decided in integers.
+
 Scoring a witness runs in integers as well.  Its agreement set is read
 off the same interpolation rows, dotted with the sections scaled to a
 common denominator, and its slope difference is one integer sum over
@@ -72,7 +93,8 @@ _HALF = Fraction(1, 2)  # the weight of the all-half-weights family
 
 # The scan is exponential in the number of marked points.  On one core of
 # an Intel Xeon under CPython 3.11, the slowest of 60 seeded bundles at
-# 30 points (g=14, tools/scale_stability.py) took 8-10 s and 58 MB.
+# 30 points (g=14, tools/scale_stability.py, seeds 1 and 2) took 3.2 s and
+# 44 MB, and the median 0.02 s.
 MAX_MARKED_POINTS = 30
 
 
@@ -388,6 +410,60 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
         del walk
 
 
+def _certified_empty(bundle: ParabolicP1, iw: list[int], need: int, np_: int, nq: int) -> bool:
+    """True only when a lemma proves that no subset S with 2*sum(iw[S]) >= need
+    has a kernel in its interpolation rows at bounds (np_, nq).
+
+    Only the points K of positive weight matter: S qualifies with S & K
+    alone, whose fewer rows keep any kernel of S.  Rows are never zero,
+    since flags are normalized and nq >= 1.  At ncols <= 3 the line
+    lemma decides exactly; above it the error locator may only certify.
+    """
+    if need <= 0:
+        return False  # the empty subset qualifies and has a kernel
+    pos = [i for i, w in enumerate(iw) if w]
+    ncols = np_ + nq
+    if ncols <= 3:
+        # a subset has a kernel iff its rows lie on one line through 0: a
+        # direction of Q^2 (normal (y, -x)), or a plane of Q^3, which holds two
+        # non-proportional rows and has their cross product as normal
+        rows = [(iw[i], _interpolation_row(bundle, i, np_, nq)) for i in pos]
+        if ncols == 2:
+            normals = [(y, -x) for _, (x, y) in rows]
+        else:
+            normals = [n for (_, (a, b, c)), (_, (x, y, z)) in itertools.combinations(rows, 2)
+                       if any(n := (b * z - c * y, c * x - a * z, a * y - b * x))]
+            # rows spanning Q^3 or a plane put every subset of rank <= 2 on a
+            # listed plane; rows on one direction list none, yet have a kernel
+            if not normals:
+                return False
+        return all(2 * sum(w for w, r in rows if not sum(map(operator.mul, n, r))) < need
+                   for n in normals)
+    # error locator (Berlekamp-Welch): a qualifying S misses at most E = errors
+    # points of K, as many of its lightest weights as can go with the rest
+    # still meeting need
+    slack, errors = 2 * sum(iw) - need, 0
+    for w in sorted(iw[i] for i in pos):
+        slack -= 2 * w
+        if slack < 0:
+            break
+        errors += 1
+    # a kernel (p, q) of S times the locator prod(x - z) over K - S is a
+    # kernel of all of K within bounds (np_ + E, nq + E), so full column rank
+    # there, already modulo the prime, leaves S none
+    rank, ech = ncols + 2 * errors, ()
+    for k, i in enumerate(pos):
+        if len(ech) + len(pos) - k < rank:
+            return False  # the rows left cannot reach full rank
+        row = _interpolation_row(bundle, i, np_ + errors, nq + errors)
+        pivot = _eliminate(ech, [x % RANK_PRIME for x in row])
+        if pivot is not None:
+            ech = (*ech, pivot)
+            if len(ech) == rank:
+                return True
+    return False
+
+
 def _true_agreement(bundle: ParabolicP1, p, q) -> frozenset[int]:
     """The points i where b*p(z) = a*q(z), decided in integers.
 
@@ -488,10 +564,27 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     unique and unchanged by the integer scaling of the rows, so it is
     the plain scan's vector.
 
+    Before a degree's rows are built, _certified_empty may prove that no
+    qualifying subset has a kernel, and the degree is skipped.  With K
+    the positive-weight points and E the most of them a qualifying
+    subset can miss, the error locator proves it when K's rows at the
+    bounds widened by E reach full column rank modulo the prime, hence
+    over the rationals: a kernel of a qualifying subset times the
+    polynomial vanishing at the points of K it misses would be a kernel
+    there.  At ncols <= 3 the line lemma proves it when every direction
+    (ncols = 2) or every plane through two non-proportional rows of K
+    (ncols = 3) carries too little weight, the rows of K not being all
+    proportional.  A skipped degree is one where every kernel_vector
+    call would have returned None, so verdicts and witnesses are the
+    plain scan's.
+
     A bundle with more than MAX_MARKED_POINTS marked points raises
-    DomainError before any work.  The optional g cross-checks the
-    all-half-weights family, whose marked-point count must be 2g+2.
+    DomainError before any work, and a g that is given but is not an
+    int raises InvalidDatum before that.  The optional g cross-checks
+    the all-half-weights family, whose marked-point count must be 2g+2.
     """
+    if g is not None:
+        check_int(g, "genus")
     npoints = len(bundle.points)
     if npoints > MAX_MARKED_POINTS:
         raise DomainError(f"{npoints} marked points exceed the limit of {MAX_MARKED_POINTS}")
@@ -522,6 +615,8 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     for e in range(d - c, e_lo - 1, -1):
         need = scale * (d - 2 * e) + total
         np_, nq = c - e + 1, d - c - e + 1
+        if _certified_empty(bundle, iw, need, np_, nq):
+            continue
         rows = [_interpolation_row(bundle, i, np_, nq) for i in range(npoints)]
         for subset in _kernel_candidates(rows, np_ + nq, iw, need):
             v = kernel_vector([rows[i] for i in subset], np_ + nq)

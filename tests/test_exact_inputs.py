@@ -45,6 +45,7 @@ from fixloc import (
     slope_transfer_check,
     solve_d2,
     split_moduli_P1,
+    stability_classify,
     to_parabolic,
     unramified_census,
     validate_witness,
@@ -114,6 +115,7 @@ ENTRIES = [
     ("make_bundle flag entry b", lambda x: bundle(flag=(1, x)), InvalidDatum, F(1, 2)),
     ("make_bundle weight", lambda x: bundle(weight=x), InvalidDatum, F(1, 3)),
     ("validate_witness coefficient", witness, InvalidDatum, F(1, 2)),
+    ("stability_classify g", lambda x: stability_classify(bundle(), x), InvalidDatum, 1),
     ("gamma_apply count", lambda x: gamma_apply(datum(), P2, {"a": x}, FlagSelector({"a": FIRST})),
      InvalidDatum, 1),
     ("slope_transfer_check sub_bar_degree", lambda x: slope_transfer_check(P2, parabolic(), x, []),
@@ -195,6 +197,12 @@ def test_a_cover_order_that_is_no_number_raises_invalid_profile(n):
     # n % k would raise a bare TypeError
     with pytest.raises(InvalidProfile, match=f"cover order must be a positive integer, got {n!r}"):
         make_profile(n, [("a", 1)])
+
+
+def test_a_genus_that_is_a_list_raises_invalid_datum():
+    # 2 * [1] + 2 raised a bare TypeError in the all-half-weights genus check
+    with pytest.raises(InvalidDatum, match="^genus must be an int, got list$"):
+        stability_classify(bundle(), [1])
 
 
 @pytest.mark.parametrize("pair", [[0, 1], range(2), (0, 1, 1), (1,)], ids=repr)

@@ -48,7 +48,9 @@ from fixloc.stability import (
     RANK_PRIME,
     ParabolicP1,
     _eliminate,
+    _interpolation_row,
     _kernel_candidates,
+    _over_one_denominator,
     _true_agreement,
     kernel_vector,
     poly_divmod,
@@ -263,6 +265,62 @@ def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
     assert v is not None and all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
 
+def loop_degrees(bundle):
+    """(iw, need, np_, nq) for every degree of stability_classify's loop."""
+    c, d = bundle.c, bundle.d
+    scale, iw = _over_one_denominator(bundle.weights)
+    e_lo = math.ceil(F(d * scale - sum(iw), 2 * scale))
+    for e in range(d - c, e_lo - 1, -1):
+        yield iw, scale * (d - 2 * e) + sum(iw), c - e + 1, d - c - e + 1
+
+
+def has_qualifying_kernel(bundle, iw, need, np_, nq) -> bool:
+    """Brute force: kernel_vector over every subset S with 2*sum(iw[S]) >= need."""
+    n = len(bundle.points)
+    rows = [_interpolation_row(bundle, i, np_, nq) for i in range(n)]
+    return any(kernel_vector([rows[i] for i in s], np_ + nq) is not None
+               for size in range(n + 1) for s in itertools.combinations(range(n), size)
+               if 2 * sum(iw[i] for i in s) >= need)
+
+
+def certificate_corpus():
+    """Bundles with g <= 4 and both weight kinds, at the balanced c, whose
+    top degree has ncols 2 or 3, and at one c above it; plus bundles whose
+    positive weights sit on (1:0) flags alone, whose rows are proportional,
+    or on one point alone."""
+    rng = random.Random(64)
+    for g in (1, 2, 3, 4):
+        d = -(g + 1)
+        for c in (-(-d // 2), -(-d // 2) + 1):
+            for i in range(16 if g < 4 else 6):
+                yield gen.random_bundle(rng, g, c, generic_weights=i % 2 == 1)
+    for g in (1, 2, 3, 4):
+        n, d = 2 * g + 2, -(g + 1)
+        flags = [(1, 0)] * 2 + [(1, F(k, 3)) for k in range(1, n - 1)]
+        for weights in ([F(1, 2)] * 2 + [0] * (n - 2), [F(1, 2)] + [0] * (n - 1)):
+            yield make_bundle(-(-d // 2), d, range(n), flags, weights)
+
+
+def test_certified_degrees_hold_no_qualifying_kernel():
+    certified, tried = collections.Counter(), collections.Counter()
+    for bundle in certificate_corpus():
+        for iw, need, np_, nq in loop_degrees(bundle):
+            lemma = "line" if np_ + nq <= 3 else "locator"
+            empty = stability._certified_empty(bundle, iw, need, np_, nq)
+            tried[lemma] += 1
+            certified[lemma] += empty
+            if empty or lemma == "line":
+                # a certified degree has no qualifying kernel, and at
+                # ncols <= 3 an uncertified one has one
+                assert empty is not has_qualifying_kernel(bundle, iw, need, np_, nq), \
+                    (bundle, need, np_, nq)
+    # both lemmas fire; the line lemma decides every degree it sees, and a
+    # weaker locator, say with a larger error count or a rank over fewer
+    # rows, stays sound but certifies fewer degrees
+    assert tried == {"line": 60, "locator": 110}
+    assert certified["line"] == 27 and certified["locator"] >= 69
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -274,10 +332,9 @@ def _recorded_bundle(case: dict) -> ParabolicP1:
                        [rat_from_json(w) for w in doc["weights"]])
 
 
-def replay_verdicts(path: Path, max_g: int | None = None) -> int:
-    """Classify every recorded bundle (those of genus <= max_g if given);
-    the verdict JSON must be byte-identical."""
-    cases = [case for case in json.loads(path.read_text()) if max_g is None or case["g"] <= max_g]
+def replay_verdicts(path: Path) -> int:
+    """Classify every recorded bundle; the verdict JSON must be byte-identical."""
+    cases = json.loads(path.read_text())
     for case in cases:
         got = json.dumps(verdict_to_json(stability_classify(_recorded_bundle(case))), sort_keys=True)
         assert got == json.dumps(case["verdict"], sort_keys=True), case["name"]
@@ -298,9 +355,9 @@ def test_verdicts_match_the_recorded_g5_8_fixture():
 
 def test_verdicts_match_the_recorded_scaling_fixture():
     # recorded by tools/scale_stability.py --g 9 10 11 12 --record with the
-    # walk that reduced every prefix again at each size level; g <= 10
-    # replays here, and g = 11 and 12 (about 20 s) when the scan changes
-    assert replay_verdicts(FIXTURES / "stability_scaling_verdicts.json", max_g=10) == 16
+    # walk that reduced every prefix again at each size level; all of it
+    # replays in about 4 s now that most degrees are certified empty
+    assert replay_verdicts(FIXTURES / "stability_scaling_verdicts.json") == 32
 
 
 def test_the_prefix_table_of_a_degree_is_small_and_freed_with_it():
