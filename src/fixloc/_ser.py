@@ -45,11 +45,12 @@ def frozen(cls):
     `object.__setattr__`.  Against the earlier records, which kept their
     fields in the instance `__dict__` (best of 15 x 100,000 builds,
     CPython 3.11.7, Intel Xeon): `_new_marked` of a `DeterminantLift`
-    0.81 -> 0.49 µs, `Rank2EqData(...)` with its checks 1.92 -> 1.50 µs;
-    a list of 10,000 marked `DeterminantLift`s traced 1.13 -> 0.73 MB.
-    Over ten alternating `perfbench/run.py --workload lambda` pairs, its
-    `wall_s` fell from 1.350 to 1.215 s (medians, lower in all ten) and
-    its peak RSS from 46.2 to 43.8 MB.  Building the 19 record classes
+    0.81 -> 0.49 µs (0.25 µs since its twin, below), `Rank2EqData(...)`
+    with its checks 1.92 -> 1.50 µs; a list of 10,000 marked
+    `DeterminantLift`s traced 1.13 -> 0.73 MB.  Over ten alternating
+    `perfbench/run.py --workload lambda` pairs, its `wall_s` fell from
+    1.350 to 1.215 s (medians, lower in all ten) and its peak RSS from
+    46.2 to 43.8 MB.  Building the 19 record classes
     takes about 4.3 ms, against 4.2 ms without the rebuild: nearly all
     of it is the `exec`, and the rebuild itself costs about 10 µs a
     class.
@@ -75,6 +76,27 @@ def frozen(cls):
     `__dict__` it had to be the only attribute ever added after
     `__init__`: a second one outgrew CPython 3.11's shared key table and
     gave every marked record a dict of its own (about 280 bytes).
+
+    The slots of such a class sit on a private base class, its twin
+    (`_DeterminantLiftSlots` for `DeterminantLift`), which keeps
+    object's own `__setattr__`; the record subclasses it with
+    `__slots__ = ()` and its raising `__setattr__` and `__delattr__`.
+    `_new_marked` allocates a twin, stores each field and the mark with
+    a plain attribute store, which CPython 3.11 specialises to a slot
+    store on a class with object's `__setattr__`, and then makes it the
+    record by assigning `__class__`, which the shared layout allows.  So
+    what it returns is exactly the record class, immutable, with the
+    fields, equality, hash, repr, pickle and JSON of one built by
+    `__init__`, which still stores through the descriptors and runs the
+    checks.  The twin must be the base: a twin subclassing the record
+    has to define `__setattr__` to undo the record's, and the stores of
+    a class that defines it are not specialised (a marked build 457 ->
+    420 ns that way in a prototype).  Best of 9 x 200,000
+    builds (CPython 3.11.7, 2-core Intel Xeon), descriptor stores ->
+    twin: `_new_marked` of a `DeterminantLift` 392 -> 245 ns, of a
+    `Rank2EqData` 330 -> 247 ns, of an `AdmissibleParabolicDatum` 443
+    -> 255 ns and of a `GradedPoint` 389 -> 247 ns; `equivariant._rank2`,
+    a marked lift and datum, 1.20 -> 0.90 µs.
     """
     names = tuple(cls.__annotations__)
     namespace = {"_new": object.__new__}
@@ -94,8 +116,10 @@ def frozen(cls):
     other = "".join(f"other.{name}, " for name in names)
     marked = []
     if markable:
-        marked = [f"def _new_marked(_mark, {', '.join(params)}):", "    self = _new(_cls)",
-                  *stores, "    _set__mark(self, _mark)", "    return self"]
+        # built as the twin, whose plain stores CPython specialises, then made the record
+        marked = [f"def _new_marked(_mark, {', '.join(params)}):", "    self = _new(_twin)",
+                  *(f"    self.{name} = {name}" for name in slots),
+                  "    self.__class__ = _cls", "    return self"]
     exec("\n".join([
         f"def __init__(self, {', '.join(params)}):", *stores, *unmarked, *post_init, *marked,
         "def __eq__(self, other):",
@@ -115,15 +139,19 @@ def frozen(cls):
     for attr in ("__init__", "__eq__", "__hash__"):
         generated[attr] = namespace[attr]
         generated[attr].__qualname__ = f"{cls.__qualname__}.{attr}"  # as in TypeError texts
+    bases, own_slots = cls.__bases__, slots + ("__dict__",) * cached
     if markable:
         generated["_new_marked"] = staticmethod(namespace["_new_marked"])
-    body = {**generated, **body, "__slots__": slots + ("__dict__",) * cached,
-            "__qualname__": cls.__qualname__}
-    cls = type(cls)(cls.__name__, cls.__bases__, body)
+        namespace["_twin"] = type(f"_{cls.__name__}Slots", bases, {
+            "__slots__": own_slots, "__module__": cls.__module__,
+            "__qualname__": f"_{cls.__qualname__}Slots"})
+        bases, own_slots = (namespace["_twin"],), ()
+    body = {**generated, **body, "__slots__": own_slots, "__qualname__": cls.__qualname__}
+    cls = type(cls)(cls.__name__, bases, body)
     # the generated functions read these as globals when called, so they can
     # name the rebuilt class and its slot descriptors, which exist only now
     namespace["_cls"] = cls
-    namespace.update((f"_set_{name}", cls.__dict__[name].__set__) for name in slots)
+    namespace.update((f"_set_{name}", getattr(cls, name).__set__) for name in slots)
     return cls
 
 
@@ -149,7 +177,7 @@ def _field_state(self) -> dict:
 def _set_field_state(self, state: dict) -> None:
     for name in self.__match_args__:
         object.__setattr__(self, name, state[name])
-    if "_mark" in self.__slots__:
+    if hasattr(self, "_new_marked"):
         object.__setattr__(self, "_mark", None)
 
 

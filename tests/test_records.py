@@ -242,10 +242,16 @@ MARK = object()  # a validity mark no validator hands out
 
 
 def test_a_record_keeps_its_fields_and_its_mark_in_slots():
-    # only CoverProfile has an instance __dict__, for its cached properties
+    # only CoverProfile has an instance __dict__, for its cached properties; a
+    # markable record's slots sit on its one private base, which _new_marked builds
     for cls in RECORDS:
-        assert cls.__slots__ == (*cls.__match_args__, *("_mark",) * (cls in MARKABLE),
-                                 *("__dict__",) * (cls is CoverProfile))
+        holder = cls.__bases__[0] if cls in MARKABLE else cls
+        assert holder.__slots__ == (*cls.__match_args__, *("_mark",) * (cls in MARKABLE),
+                                    *("__dict__",) * (cls is CoverProfile))
+        if cls in MARKABLE:
+            assert cls.__slots__ == () and cls.__bases__ == (holder,)
+            assert holder.__bases__ == (object,) and holder.__name__.startswith("_")
+            assert "__setattr__" not in vars(holder) and "__init__" not in vars(holder)
         for record in SAMPLES[cls]:
             fresh = cls(*_fields(record))
             if cls in MARKABLE:

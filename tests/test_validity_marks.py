@@ -215,6 +215,86 @@ def test_every_marked_output_passes_its_validator_unmarked():
     assert stepped > 500
 
 
+def _assert_a_marked_record(out, cls, profile):
+    """out is exactly a cls, immutable, marked for profile, and equal to cls(*fields)."""
+    assert type(out) is cls
+    fields = [getattr(out, name) for name in cls.__match_args__]
+    for name in (*cls.__match_args__, "_mark", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(out, name, None)
+        with pytest.raises(AttributeError):
+            delattr(out, name)
+    assert [getattr(out, name) for name in cls.__match_args__] == fields
+    mark = out._mark[0] if cls is AdmissibleParabolicDatum else out._mark
+    assert mark is profile
+    fresh = cls(*fields)
+    assert fresh == out and repr(fresh) == repr(out)
+    if cls is GradedPoint:
+        assert hash(fresh) == hash(out)
+    else:  # a record with a map field is unhashable, as its dataclass was
+        for record in (fresh, out):
+            with pytest.raises(TypeError, match="unhashable type: 'FrozenDict'"):
+                hash(record)
+    clone = unmarked(out)
+    assert type(clone) is cls and clone == out and clone._mark is None
+
+
+def test_every_marked_output_is_exactly_its_record_class():
+    # _new_marked builds each output as the record's slotted base and then
+    # makes it the record; nothing of the base may show
+    rng = random.Random(35)
+    seen = dict.fromkeys((DeterminantLift, Rank2EqData, AdmissibleParabolicDatum, GradedPoint), 0)
+
+    def check(out, profile):
+        cls = type(out)
+        _assert_a_marked_record(out, cls, profile)
+        seen[cls] += 1
+        if cls in (Rank2EqData, GradedPoint):
+            _assert_a_marked_record(out.det, DeterminantLift, profile)
+            seen[DeterminantLift] += 1
+
+    for _ in range(60):
+        profile = gen.random_profile(rng, max_n=24, max_orbits=5)
+        data = gen.random_data(rng, profile)
+        pdat = to_parabolic(data, profile)
+        back = from_parabolic(pdat, profile)
+        outs = [pdat, back]
+        modified = back
+        for y in profile.orbits:
+            modified = elementary_modification(modified, profile, y.id, rng.choice((FIRST, SECOND)),
+                                               inverse=rng.random() < 0.5)
+            outs.append(modified)
+        outs.append(gamma_apply(back, profile, {y.id: rng.randint(-3, 3) for y in profile.orbits},
+                                FlagSelector({y.id: rng.choice((FIRST, SECOND))
+                                              for y in profile.orbits})))
+        if profile.n % 2 == 0:
+            outs += [zeta2_apply(back, profile), parabolic_zeta2(pdat, profile)]
+        for out in outs:
+            check(out, profile)
+    for profile, points, _ in gen.twist_corpus(35, 6):
+        n = profile.n
+        for pt in points[:4]:
+            try:
+                outs = [sim_o_step(pt, RootExponent(1, n), profile)]
+            except NonIntegralDegree:
+                continue  # the profile does not absorb the twists
+            if n % 2 == 0:
+                outs += [sim_e_step(pt, profile, 1, summand) for summand in (0, 1)]
+            for out in outs:
+                check(out, profile)
+    for g in (1, 2, 3):
+        family = hyperelliptic_profile(g)
+        for which in (0, 1):
+            # the family's lifts are shared, and a check against an equal
+            # profile moves their mark, so one earlier test may have moved it
+            validate_det(hyperelliptic_delta(g, which), family)
+            check(hyperelliptic_delta(g, which), family)
+        for q in ((), (0, 1), tuple(range(2 * g + 2))):
+            check(double_class(g, q), family)
+            check(flagged_class(g, q), family)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_the_family_profile_and_lifts_are_built_once_per_genus():
     for g in range(1, 6):
         profile = hyperelliptic_profile(g)
