@@ -62,6 +62,14 @@ class CoverProfile:
     def orbit_ids(self) -> tuple[str, ...]:
         return self._orbit_ids
 
+    @cached_property
+    def _kernel_order(self) -> int:
+        """kernel_order's divisor search, cross-checked against the gcd route."""
+        order = _divisor_search(self)
+        if order != gcd_orbit_lengths(self):
+            raise InternalError(f"kernel order {order} disagrees with the gcd route")
+        return order
+
 
 def make_profile(n: int, lengths: dict[str, int] | list[tuple[str, int]],
                  genus_base: int = 0) -> CoverProfile:
@@ -133,13 +141,23 @@ def kernel_order(profile: CoverProfile) -> int:
     order is the largest divisor of n dividing every orbit length.
     Computed here by divisor search, over divisor pairs up to sqrt(n),
     and cross-checked against the gcd form, which is a separate code
-    path.  A cover order past MAX_KERNEL_COVER_ORDER is rejected with
-    DomainError before the search.
+    path.  Both run once per profile object, on its first call, and the
+    checked order is cached on the profile (a copy or an unpickled
+    profile runs them again): factor_cover and decomposition_report
+    call this too, and the `lambda` benchmark made about 2.5 calls per
+    profile.  A cover order past MAX_KERNEL_COVER_ORDER is rejected
+    with DomainError on every call, before the cache is read.
     """
     n = profile.n
     if n > MAX_KERNEL_COVER_ORDER:
         raise DomainError(f"cover order {n} is past the kernel-order limit of "
                           f"{MAX_KERNEL_COVER_ORDER}")
+    return profile._kernel_order
+
+
+def _divisor_search(profile: CoverProfile) -> int:
+    """The largest divisor of n that divides every orbit length, by search."""
+    n = profile.n
     best = 1
     # divisors come in pairs (t, n // t) with t <= isqrt(n)
     for t in range(1, math.isqrt(n) + 1):
@@ -148,8 +166,6 @@ def kernel_order(profile: CoverProfile) -> int:
         for divisor in (t, n // t):
             if divisor > best and all(y.k % divisor == 0 for y in profile.orbits):
                 best = divisor
-    if best != gcd_orbit_lengths(profile):
-        raise InternalError(f"kernel order {best} disagrees with the gcd route")
     return best
 
 

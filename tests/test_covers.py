@@ -1,5 +1,6 @@
 """Cover profiles: kernel order, factorization, serialization."""
 
+import copy
 import math
 import os
 import pickle
@@ -14,9 +15,13 @@ from hypothesis import given, strategies as st
 
 from fixloc import (
     CoverProfile,
+    DomainError,
+    InternalError,
     InvalidProfile,
     SchemaError,
     SpecialOrbit,
+    covers,
+    decomposition_report,
     factor_cover,
     gcd_orbit_lengths,
     kernel_order,
@@ -83,6 +88,46 @@ def test_a_huge_cover_order_is_rejected_before_the_divisor_search():
     assert proc.stdout.splitlines() == [
         f"DomainError cover order {10 ** 30} is past the kernel-order limit of 10000000000000000"
     ] * 8
+
+
+def test_the_kernel_order_is_searched_and_cross_checked_once_per_profile(count_calls):
+    searches = count_calls(covers, "_divisor_search")
+    gcds = count_calls(covers, "gcd_orbit_lengths")
+    profile = make_profile(12, [("a", 6), ("b", 4)])
+    for _ in range(3):
+        assert kernel_order(profile) == 2
+        assert factor_cover(profile)[1] == 2
+        assert decomposition_report(profile).kernel_order == 2
+    assert searches == [(profile,)] and gcds == [(profile,)]
+    # a copy or a pickle carries the fields alone, so it searches again
+    for clone in (copy.copy(profile), copy.deepcopy(profile), pickle.loads(pickle.dumps(profile))):
+        assert clone == profile and kernel_order(clone) == 2 and kernel_order(clone) == 2
+    assert len(searches) == len(gcds) == 4
+
+
+def test_a_wrong_gcd_route_fails_the_first_kernel_order_call(monkeypatch):
+    monkeypatch.setattr(covers, "gcd_orbit_lengths", lambda profile: 3)
+    profile = make_profile(12, [("a", 6), ("b", 4)])
+    for fn in (kernel_order, kernel_order, factor_cover, decomposition_report):
+        with pytest.raises(InternalError, match="kernel order 2 disagrees with the gcd route"):
+            fn(profile)
+
+
+def test_a_profile_past_the_kernel_order_limit_is_rejected_on_every_call(monkeypatch, count_calls):
+    searches = count_calls(covers, "_divisor_search")
+    profile = make_profile(12, [("a", 6), ("b", 4)])
+    monkeypatch.setattr(covers, "MAX_KERNEL_COVER_ORDER", 11)
+    for fn in (kernel_order, kernel_order, factor_cover, decomposition_report):
+        with pytest.raises(DomainError, match="cover order 12 is past the kernel-order limit of 11"):
+            fn(profile)
+    assert searches == []
+    # a profile whose order was cached before the limit fell is rejected too
+    monkeypatch.setattr(covers, "MAX_KERNEL_COVER_ORDER", 12)
+    assert kernel_order(profile) == 2
+    monkeypatch.setattr(covers, "MAX_KERNEL_COVER_ORDER", 11)
+    with pytest.raises(DomainError):
+        kernel_order(profile)
+    assert len(searches) == 1
 
 
 def test_factor_cover_splits_degree():
