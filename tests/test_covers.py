@@ -105,7 +105,7 @@ def test_the_kernel_order_is_searched_and_cross_checked_once_per_profile(count_c
     assert len(searches) == len(gcds) == 4
 
 
-def test_a_wrong_gcd_route_fails_the_first_kernel_order_call(monkeypatch):
+def test_a_wrong_gcd_route_raises_on_first_use_and_every_use_after(monkeypatch):
     monkeypatch.setattr(covers, "gcd_orbit_lengths", lambda profile: 3)
     profile = make_profile(12, [("a", 6), ("b", 4)])
     for fn in (kernel_order, kernel_order, factor_cover, decomposition_report):
