@@ -205,9 +205,10 @@ class ParabolicP1:
 class SubbundleWitness:
     """Saturated degree-e line subbundle, by its polynomial inclusion.
 
-    The degree e must be an int (InvalidDatum otherwise); the sections
-    and the agreement set are checked against a bundle by
-    validate_witness.
+    The degree e must be an int, each section a tuple of ints and
+    Fractions, and the agreement set a frozenset of ints (InvalidDatum
+    otherwise); validate_witness checks the sections and the agreement
+    set against a bundle.
     """
 
     e: int
@@ -217,12 +218,39 @@ class SubbundleWitness:
 
     def __post_init__(self) -> None:
         check_int(self.e, "witness degree")
+        for coeffs in (self.p_coeffs, self.q_coeffs):
+            if not isinstance(coeffs, tuple):
+                raise InvalidDatum(f"witness coefficients must be a tuple, "
+                                   f"got {type(coeffs).__name__}")
+            for x in coeffs:
+                if type(x) is not Fraction and not is_rational(x):
+                    raise InvalidDatum(f"witness coefficient {x!r} must be an int or a Fraction")
+        if not isinstance(self.agreement, frozenset):
+            raise InvalidDatum(f"witness agreement must be a frozenset, "
+                               f"got {type(self.agreement).__name__}")
+        for i in self.agreement:
+            if type(i) is not int and not is_int(i):
+                raise InvalidDatum(f"witness agreement index {i!r} must be an int")
 
 
 @frozen
 class StabilityVerdict:
+    """A label of the trichotomy and the witness that decided it, if any.
+
+    A label other than the three, or a witness that is neither None nor
+    a SubbundleWitness, raises InvalidDatum.
+    """
+
     label: str
     witness: SubbundleWitness | None
+
+    def __post_init__(self) -> None:
+        if self.label not in (STABLE, STRICTLY_SEMISTABLE, UNSTABLE):
+            raise InvalidDatum(f"verdict label {self.label!r} is not {STABLE}, "
+                               f"{STRICTLY_SEMISTABLE} or {UNSTABLE}")
+        if self.witness is not None and not isinstance(self.witness, SubbundleWitness):
+            raise InvalidDatum(f"verdict witness must be a SubbundleWitness or None, "
+                               f"got {type(self.witness).__name__}")
 
 
 def _exact(x, what: str) -> Fraction:
@@ -504,8 +532,6 @@ def saturate(bundle: ParabolicP1, e: int, p, q) -> SubbundleWitness:
 
 
 def validate_witness(bundle: ParabolicP1, witness: SubbundleWitness) -> None:
-    for x in (*witness.p_coeffs, *witness.q_coeffs):
-        _exact(x, "witness coefficient")
     p, q = poly_trim(witness.p_coeffs), poly_trim(witness.q_coeffs)
     if not p and not q:
         raise InvalidDatum("witness sections are both zero")

@@ -1,14 +1,13 @@
-"""Record the classifier's verdicts and witnesses on a fixed corpus.
+"""Record the classifier's verdicts and witnesses on three fixed corpora.
 
     PYTHONPATH=src python tests/fixtures/record_stability_verdicts.py
 
-writes tests/fixtures/stability_verdicts.json and
-tests/fixtures/stability_verdicts_g5_8.json next to this script.
-test_stability.test_verdicts_match_the_recorded_fixture and
-test_verdicts_match_the_recorded_g5_8_fixture compare the classifier
-against them, so any change to a verdict or to a reported witness
-shows up as a failing test.  Re-record only when
-a change of witness is intended, and say why in the change log.
+writes stability_verdicts.json, stability_verdicts_g5_8.json and
+stability_scaling_verdicts.json next to this script.  The
+test_verdicts_match_the_recorded_* tests of tests/test_stability.py
+compare the classifier against them, so any change to a verdict or to a
+reported witness shows up as a failing test.  Re-record only when a
+change of witness is intended, and say why in the change log.
 
 The first corpus: tests/gen.py draws for g <= 4 with both weight
 kinds, plus hand-made edge cases (zero weights, all flags along one
@@ -18,7 +17,9 @@ point).  The second corpus: tests/gen.py draws for g = 5..8 on points
 in [-20, 20], both weight kinds, with c the balanced splitting and one
 above it; gen's flag mix repeats flags and puts some on the split
 summands.  The full scans at g = 7 and 8 are where the classifier's
-cost shows.
+cost shows.  The third: gen.scaling_corpus at g = 9..12, eight draws
+of seed 1, whose rows tools/scale_stability.py hashes; each case also
+names its genus.
 """
 
 from __future__ import annotations
@@ -34,14 +35,16 @@ sys.path.insert(0, str(HERE.parent))
 
 import gen  # noqa: E402
 
-from fixloc import make_bundle, stability_classify, verdict_to_json  # noqa: E402
-from fixloc._ser import rat_to_json  # noqa: E402
+from fixloc import make_bundle, stability_classify  # noqa: E402
 
 F = Fraction
 GEN_CELLS = [(1, 0), (1, -1), (2, -1), (2, 0), (3, -1), (3, -2), (4, -2), (4, -1)]
 GEN_COUNT = 152
 LARGE_GENERA = (5, 6, 7, 8)
 LARGE_PER_GENUS = 12
+SCALING_GENERA = (9, 10, 11, 12)
+SCALING_DRAWS = 8
+SCALING_SEED = 1
 
 
 def edge_cases():
@@ -70,16 +73,6 @@ def edge_cases():
             yield f"offfamily-c{c}-d{d}-n{n}", c, d, pts, flags, weights
 
 
-def bundle_doc(bundle) -> dict:
-    return {
-        "c": bundle.c,
-        "d": bundle.d,
-        "points": [rat_to_json(z) for z in bundle.points],
-        "flags": [[rat_to_json(a), rat_to_json(b)] for a, b in bundle.flags],
-        "weights": [rat_to_json(w) for w in bundle.weights],
-    }
-
-
 def corpus():
     rng = random.Random(2024)
     for i in range(GEN_COUNT):
@@ -101,10 +94,12 @@ def large_corpus():
                                                          span=20)
 
 
-def write(filename: str, bundles) -> None:
-    cases = [{"name": name, "bundle": bundle_doc(bundle),
-              "verdict": verdict_to_json(stability_classify(bundle))}
-             for name, bundle in bundles]
+def classified(named_bundles, **extra) -> list[dict]:
+    return [gen.verdict_case(name, bundle, stability_classify(bundle), **extra)
+            for name, bundle in named_bundles]
+
+
+def write(filename: str, cases: list[dict]) -> None:
     out = HERE / filename
     lines = ",\n".join(json.dumps(case, sort_keys=True) for case in cases)
     out.write_text("[\n" + lines + "\n]\n")
@@ -112,8 +107,11 @@ def write(filename: str, bundles) -> None:
 
 
 def main() -> None:
-    write("stability_verdicts.json", corpus())
-    write("stability_verdicts_g5_8.json", large_corpus())
+    write("stability_verdicts.json", classified(corpus()))
+    write("stability_verdicts_g5_8.json", classified(large_corpus()))
+    write("stability_scaling_verdicts.json",
+          [case for g in SCALING_GENERA
+           for case in classified(gen.scaling_corpus(g, SCALING_DRAWS, SCALING_SEED), g=g)])
 
 
 if __name__ == "__main__":

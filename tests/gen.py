@@ -2,6 +2,9 @@
 
 `random_profile` and `random_det` are the package's samplers, the ones
 `fixloc bijection-check` draws its random covers from.
+
+The stability fixtures and tools/scale_stability.py draw from
+`random_bundle`, and write and read their bundle documents only here.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ from fixloc import (
     make_profile,
     sim_e_step,
     sim_o_step,
+    verdict_to_json,
 )
+from fixloc._ser import rat_from_json, rat_to_json
 from fixloc.covers import random_profile
 from fixloc.equivariant import random_det
 from fixloc.graded import validate_graded
 
-__all__ = ["random_bundle", "random_data", "random_det", "random_graded", "random_parabolic",
-           "random_profile", "sample_graded", "twist_corpus"]
+__all__ = ["boundary_bundle", "bundle_doc", "bundle_from_doc", "random_bundle", "random_data",
+           "random_det", "random_graded", "random_parabolic", "random_profile", "sample_graded",
+           "scaling_corpus", "twist_corpus", "verdict_case"]
 
 
 def random_data(rng: random.Random, profile) -> Rank2EqData:
@@ -139,9 +145,11 @@ def random_bundle(rng: random.Random, g: int, c: int, generic_weights: bool = Fa
                   span: int = 6):
     """Flag configuration on the normalized degree -(g+1) family.
 
-    Points are distinct integers in [-span, span].  Flags are biased
-    toward degenerate coincidences (split directions, repeats) so that
-    all three stability classes occur with substantial frequency.
+    Points are distinct integers in [-span, span].  The flags lean toward
+    the split directions, (1:0) at a quarter of the points and (0:1) at
+    15%, and toward repeats of an earlier flag, 15% more.  Such rows leave
+    many subsets with a kernel, so the classifier's rank prune cuts late,
+    and all three stability classes occur often.
     """
     npoints = 2 * g + 2
     d = -(g + 1)
@@ -162,3 +170,67 @@ def random_bundle(rng: random.Random, g: int, c: int, generic_weights: bool = Fa
     else:
         weights = [Fraction(1, 2)] * npoints
     return make_bundle(c, d, points, flags, weights)
+
+
+def scaling_corpus(g: int, draws: int, seed: int):
+    """[(name, bundle)]: the hard corpus of tools/scale_stability.py, above g = 4.
+
+    The balanced splitting, points in [-g-3, g+3], and generic quarter
+    weights at every second draw.  The draws depend only on seed and g.
+    """
+    rng = random.Random(1000 * seed + g)
+    return [(f"g{g}-{i}", random_bundle(rng, g, -((g + 1) // 2), generic_weights=i % 2 == 1,
+                                        span=g + 3))
+            for i in range(draws)]
+
+
+def bundle_doc(bundle) -> dict:
+    """The fixtures' bundle document.  Unlike bundle_to_json's, it carries d,
+    so it also holds bundles off the normalized -(g+1) family."""
+    return {
+        "c": bundle.c,
+        "d": bundle.d,
+        "points": [rat_to_json(z) for z in bundle.points],
+        "flags": [[rat_to_json(a), rat_to_json(b)] for a, b in bundle.flags],
+        "weights": [rat_to_json(w) for w in bundle.weights],
+    }
+
+
+def bundle_from_doc(doc: dict):
+    """The bundle that bundle_doc wrote."""
+    return make_bundle(doc["c"], doc["d"],
+                       [rat_from_json(z) for z in doc["points"]],
+                       [(rat_from_json(a), rat_from_json(b)) for a, b in doc["flags"]],
+                       [rat_from_json(w) for w in doc["weights"]])
+
+
+def verdict_case(name: str, bundle, verdict, **extra) -> dict:
+    """A fixture case: the bundle's document and its verdict's JSON, under a name."""
+    return {"name": name, **extra, "bundle": bundle_doc(bundle),
+            "verdict": verdict_to_json(verdict)}
+
+
+def boundary_bundle(g: int, c: int, q):
+    """All-half O(c) + O(d-c), d = -(g+1), on the points 0..2g+1, built from
+    g, c and the even subset Q alone, whose graded object should be F(Q).
+
+    The flags at Q^c are those of (p : q), p = (x - 1000)^(c-e) and
+    q = (x + 1000)^(d-c-e) with e = -|Q^c|/2: coprime, of full degree, so
+    a saturated subbundle with slope difference 0.  Q gets flags (1 : b)
+    with 1/97 <= |b| < 1 or b = 0, which it never meets: |q(z)/p(z)| is
+    >= 1 or < 1/97 there.  Both degrees are >= 0 exactly when |Q| <= -2c,
+    the census's bound; past it this raises AssertionError.
+    """
+    npoints = 2 * g + 2
+    d = -(g + 1)
+    q = frozenset(q)
+    e = -((npoints - len(q)) // 2)
+    deg_p, deg_q = c - e, d - c - e
+    if len(q) % 2 or deg_p < 0 or deg_q < 0:
+        raise AssertionError(f"no boundary bundle for g={g}, c={c}, |Q|={len(q)}: "
+                             f"degrees {deg_p} and {deg_q}")
+    rng = random.Random(repr((g, c, sorted(q))))
+    flags = [(1, Fraction(rng.randint(-50, 50), rng.randint(51, 97))) if z in q
+             else ((z - 1000) ** deg_p, (z + 1000) ** deg_q)
+             for z in range(npoints)]
+    return make_bundle(c, d, range(npoints), flags, [Fraction(1, 2)] * npoints)

@@ -378,6 +378,23 @@ ILL_TYPED = [
     # parabolic_slope_difference then raised a bare TypeError
     ("SubbundleWitness degree a float", lambda: SubbundleWitness(-1.0, (F(1),), (), frozenset({0}))),
     ("SubbundleWitness degree a bool", lambda: SubbundleWitness(True, (F(1),), (), frozenset({0}))),
+    # each of these built, and witness_to_json or hash then raised a bare
+    # AttributeError or TypeError
+    ("SubbundleWitness coefficients a list",
+     lambda: SubbundleWitness(-1, [F(1)], (), frozenset({0}))),
+    ("SubbundleWitness coefficients a str", lambda: SubbundleWitness(-1, (), "ab", frozenset({0}))),
+    ("SubbundleWitness coefficient a float",
+     lambda: SubbundleWitness(-1, (1.5,), (), frozenset({0}))),
+    ("SubbundleWitness coefficient a bool",
+     lambda: SubbundleWitness(-1, (F(1),), (True,), frozenset())),
+    ("SubbundleWitness agreement a set", lambda: SubbundleWitness(-1, (F(1),), (), {0})),
+    ("SubbundleWitness agreement a list", lambda: SubbundleWitness(-1, (F(1),), (), [0])),
+    ("SubbundleWitness agreement entry a float",
+     lambda: SubbundleWitness(-1, (F(1),), (), frozenset({0.0}))),
+    ("StabilityVerdict label unknown", lambda: StabilityVerdict("stable", None)),
+    ("StabilityVerdict label None", lambda: StabilityVerdict(None, None)),
+    ("StabilityVerdict witness a dict",
+     lambda: StabilityVerdict("Unstable", {"e": -1, "p": [1], "q": [], "agreement": [0]})),
 ]
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from fixloc import (
     AdmissibleParabolicDatum,
     DomainError,
+    GradedSummand,
     InternalError,
     InvalidDatum,
     NotSemistableNotStrict,
@@ -30,7 +31,9 @@ from fixloc import (
     UnknownOrbit,
     bundle_from_json,
     bundle_to_json,
+    flagged_class,
     graded_of,
+    hyperelliptic_report,
     make_bundle,
     make_profile,
     parabolic_slope_difference,
@@ -324,19 +327,12 @@ def test_certified_degrees_hold_no_qualifying_kernel():
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _recorded_bundle(case: dict) -> ParabolicP1:
-    doc = case["bundle"]
-    return make_bundle(doc["c"], doc["d"],
-                       [rat_from_json(z) for z in doc["points"]],
-                       [(rat_from_json(a), rat_from_json(b)) for a, b in doc["flags"]],
-                       [rat_from_json(w) for w in doc["weights"]])
-
-
 def replay_verdicts(path: Path) -> int:
     """Classify every recorded bundle; the verdict JSON must be byte-identical."""
     cases = json.loads(path.read_text())
     for case in cases:
-        got = json.dumps(verdict_to_json(stability_classify(_recorded_bundle(case))), sort_keys=True)
+        verdict = stability_classify(gen.bundle_from_doc(case["bundle"]))
+        got = json.dumps(verdict_to_json(verdict), sort_keys=True)
         assert got == json.dumps(case["verdict"], sort_keys=True), case["name"]
     return len(cases)
 
@@ -354,9 +350,10 @@ def test_verdicts_match_the_recorded_g5_8_fixture():
 
 
 def test_verdicts_match_the_recorded_scaling_fixture():
-    # recorded by tools/scale_stability.py --g 9 10 11 12 --record with the
-    # walk that reduced every prefix again at each size level; all of it
-    # replays in about 4 s now that most degrees are certified empty
+    # first recorded with the walk that reduced every prefix again at each
+    # size level; tests/fixtures/record_stability_verdicts.py now records
+    # it, the g = 9..12 rows of tools/scale_stability.py at seed 1.  All of
+    # it replays in about 4 s now that most degrees are certified empty
     assert replay_verdicts(FIXTURES / "stability_scaling_verdicts.json") == 32
 
 
@@ -368,7 +365,7 @@ def test_the_prefix_table_of_a_degree_is_small_and_freed_with_it():
     # 1.5 MB under both
     cases = json.loads((FIXTURES / "stability_scaling_verdicts.json").read_text())
     (case,) = [case for case in cases if case["name"] == "g10-0"]
-    bundle = _recorded_bundle(case)
+    bundle = gen.bundle_from_doc(case["bundle"])
     tracemalloc.start()
     try:
         verdict = stability_classify(bundle)
@@ -533,11 +530,7 @@ def test_true_agreement_matches_fraction_evaluation_on_the_fixtures():
     checked = 0
     for name in ("stability_verdicts.json", "stability_verdicts_g5_8.json"):
         for case in json.loads((FIXTURES / name).read_text()):
-            doc = case["bundle"]
-            bundle = make_bundle(doc["c"], doc["d"],
-                                 [rat_from_json(z) for z in doc["points"]],
-                                 [(rat_from_json(a), rat_from_json(b)) for a, b in doc["flags"]],
-                                 [rat_from_json(w) for w in doc["weights"]])
+            bundle = gen.bundle_from_doc(case["bundle"])
             witness = case["verdict"]["witness"]
             pairs = [([F(1)], []), ([], [F(1)])]
             if witness is not None:
@@ -669,6 +662,45 @@ def test_graded_of_strictly_semistable():
     if stable.label != STRICTLY_SEMISTABLE:
         with pytest.raises(NotSemistableNotStrict):
             graded_of(bundle, stable)
+
+
+def test_the_census_boundary_classes_are_the_graded_objects_of_the_classifier():
+    # forward: for every class Q of every component at g <= 4, the bundle
+    # gen.boundary_bundle builds from (g, c, Q) alone is strictly
+    # semistable with graded object F(Q); a Q past the census's bound
+    # |Q| <= -2c would need a negative degree there, and raises
+    checked = 0
+    for g in range(1, 5):
+        for comp in hyperelliptic_report(g).components:
+            for q in comp.boundary_classes:
+                bundle = gen.boundary_bundle(g, comp.c, q)
+                verdict = stability_classify(bundle)
+                assert verdict.label == STRICTLY_SEMISTABLE, (g, comp.c, q)
+                got = {GradedSummand(s.bar_degree, frozenset(f"p{i}" for i in s.support))
+                       for s in graded_of(bundle, verdict).summands}
+                assert got == set(flagged_class(g, q).summands), (g, comp.c, q)
+                checked += 1
+    assert checked == 415
+
+
+def test_the_graded_support_of_a_random_strictly_semistable_bundle_is_a_boundary_class():
+    # converse: on all-half draws every weight is nonzero, so the graded
+    # supports partition the points; one of them is a class of the component
+    rng = random.Random(36)
+    semistable = 0
+    for g in range(1, 5):
+        for comp in hyperelliptic_report(g).components:
+            everything = frozenset(range(2 * g + 2))
+            for _ in range(60):
+                bundle = gen.random_bundle(rng, g, comp.c)
+                verdict = stability_classify(bundle)
+                if verdict.label != STRICTLY_SEMISTABLE:
+                    continue
+                support = graded_of(bundle, verdict).summands[0].support
+                assert support in comp.boundary_classes or \
+                    everything - support in comp.boundary_classes, (g, comp.c, bundle)
+                semistable += 1
+    assert semistable >= 100
 
 
 def test_split_moduli():
