@@ -18,7 +18,7 @@ from fixloc import (
 from fixloc.locus import hyperelliptic_profile
 
 for g in (2, 3):
-    rep = hyperelliptic_report(g, with_classes=True)
+    rep = hyperelliptic_report(g)
     print(f"== genus {g} (branch points: {2 * g + 2}, fixed determinant "
           f"degree {rep.d}) ==")
     for comp in rep.components:

@@ -18,54 +18,26 @@ parabolic slope difference only drops under saturation, and every
 violating or equalizing subbundle is found at its own (degree,
 agreement-set) pair.
 
-The scan is kept cheap without giving up exactness.  Weights are
-scaled once per bundle to integers, so the face test of a subset is an
-integer subset sum against a threshold fixed per degree; sizes run in
-descending order and a size level whose largest possible sum misses
-the threshold ends the degree, since smaller subsets sum to less.
-Each degree's interpolation rows are built once, with denominators
-cleared.  Each size level is one depth-first walk that extends index
-prefixes in increasing order, so its leaves come in the order of a
-plain scan over itertools.combinations.  Every step of the walk adds
-one row to a fraction-free echelon form modulo a prime, carried down
-from the prefix.  That form depends on the prefix alone, and the
-smaller size levels reach most prefixes again, so each degree keeps a
-table of the forms and reduces each prefix once: the levels read it
-and walk as before, in the same order.  A prefix that reaches full
-rank there has full rank over the rationals, and so does every subset
-containing it: its whole subtree has an empty kernel and is skipped.
-A prefix whose weight sum cannot reach the threshold with the largest
-weights still available is skipped too.  Every leaf left gets the
-exact fraction kernel.
+The scan is kept cheap without giving up exactness: its verdicts and
+witnesses are those of a plain scan over every degree and every subset
+in itertools.combinations order.  Each argument for that sits at the
+code it justifies:
 
-Most degrees hold no qualifying subset with a kernel, and two lemmas
-prove many of them empty in polynomial time before their rows are
-built; such a degree is skipped, and every other degree walks as
-above.  Only the points K of positive weight matter: a subset
-qualifies with its points in K alone, whose fewer rows keep its kernel.
-The error locator (Berlekamp-Welch): a qualifying S misses at most E
-points of K, as many of K's lightest weights as can go with the rest
-still meeting the threshold.  A kernel (p, q) of S times the locator,
-the product of (x - z) over the points of K that S misses, vanishes on
-every row of K within the widened bounds (np + E, nq + E).  So when
-K's rows there reach full column rank ncols + 2E modulo the prime,
-they reach it over the rationals (a nonzero minor modulo a prime is a
-nonzero integer), and no qualifying subset has a kernel.  The line
-lemma, at ncols <= 3: a set of rows has a kernel exactly when it lies
-on one line through the origin, a direction of Q^2 or a plane of Q^3.
-Unless K's rows are all proportional, and then K itself has a kernel,
-every subset of K on a plane lies on the plane of two non-proportional
-rows of K, whose normal is their integer cross product.  The degree is
-empty exactly when every such line's weight misses the threshold,
-decided in integers.
+- the integer face test of a subset, against a threshold fixed per
+  degree: stability_classify;
+- integer interpolation rows in place of fraction ones:
+  _interpolation_row;
+- why a full rank modulo a prime is a full rank over the rationals:
+  RANK_PRIME;
+- the walk of each degree's subsets, its prunes and its table of
+  prefixes: _kernel_candidates;
+- the two lemmas, the error locator and the line lemma, that prove a
+  degree empty before its rows are built: _certified_empty;
+- witness scoring in integers: _true_agreement and _face_diff.
 
-Scoring a witness runs in integers as well.  Its agreement set is read
-off the same interpolation rows, dotted with the sections scaled to a
-common denominator, and its slope difference is one integer sum over
-the weights' common denominator.  Fractions remain only in the kernel
-and in saturation, which run on kernel hits alone.
-
-All arithmetic is exact: integers and fractions, no floats.
+Fractions remain only in the kernel and in saturation, which run on
+kernel hits alone.  All arithmetic is exact: integers and fractions,
+no floats.
 """
 
 from __future__ import annotations
@@ -339,11 +311,9 @@ def _interpolation_row(bundle: ParabolicP1, i: int, np_: int, nq: int) -> list[i
     for j < nq) times t*v^(m-1) is the integer row s*u^j*v^(m-1-j), then
     -a*t*u^j*v^(m-1-j).  Scaling a row by a nonzero constant changes
     neither the kernel nor the reduced row echelon form, so the integer
-    row stands in for the fraction one everywhere.  The scale matters
-    only modulo RANK_PRIME: integer rows never have a larger rank mod the
-    prime than over the rationals, so a full-rank prefix stays a sound
-    prune, and a scale the prime divides (when it divides t or v) can
-    only lower a rank mod the prime and so leave a subtree unpruned.
+    row stands in for the fraction one everywhere.  Modulo RANK_PRIME,
+    a scale the prime divides (when it divides t or v) can only lower a
+    rank, which is safe (see there).
     """
     z = bundle.points[i]
     u, v = z.numerator, z.denominator
@@ -354,8 +324,14 @@ def _interpolation_row(bundle: ParabolicP1, i: int, np_: int, nq: int) -> list[i
     return [s * x for x in powers[:np_]] + [-a.numerator * t * x for x in powers[:nq]]
 
 
-# Any prime makes the certificate sound; a rank drop caused by the prime alone
-# only leaves a subtree unpruned, and a large prime makes that rare.
+# Rows are reduced modulo this prime.  Integer rows never have a larger rank
+# modulo the prime than over the rationals, since a minor that is nonzero
+# modulo a prime is a nonzero integer, so a full column rank there is one over
+# the rationals, and adding rows keeps it.  So a prefix of full rank prunes
+# every subset below it, and the error locator's rows of full rank prove a
+# degree empty.  Any prime is sound: a rank drop caused by the prime alone only
+# leaves a subtree unpruned or a degree unproved, and a large prime makes that
+# rare.
 RANK_PRIME = 2 ** 31 - 1
 
 
@@ -383,9 +359,18 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
     """Yield, in the order of a plain scan, the subsets that may have a kernel.
 
     A subset is yielded when 2*sum(iw[S]) >= need and its rows stay
-    below rank ncols modulo RANK_PRIME.  Sizes run downward; each size
-    level is one depth-first walk in itertools.combinations order, and
-    each prefix passes its echelon form down to its extensions.
+    below rank ncols modulo RANK_PRIME.  Sizes run downward, and once
+    twice the sum of the size largest iw misses need, no smaller subset
+    can meet it, so the walk ends there.  Each size level is one
+    depth-first walk that extends index prefixes in increasing order,
+    so its leaves come in itertools.combinations order, and each prefix
+    passes its echelon form modulo the prime down to its extensions.
+    A prefix's subtree is skipped when its weight sum plus the largest
+    weights it can still add misses need, or when its rows reach rank
+    ncols modulo the prime, and so every subset below it has a zero
+    kernel (RANK_PRIME).  So every qualifying subset with a kernel is
+    yielded, in the order of a plain scan; one whose rank drops modulo
+    the prime alone is yielded too, and kernel_vector finds no kernel.
 
     A prefix's echelon form depends on the prefix alone, not on the
     level that reaches it, and the levels below reach most prefixes
@@ -440,45 +425,57 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
 
 def _certified_empty(bundle: ParabolicP1, iw: list[int], need: int, np_: int, nq: int) -> bool:
     """True only when a lemma proves that no subset S with 2*sum(iw[S]) >= need
-    has a kernel in its interpolation rows at bounds (np_, nq).
+    has a kernel in its interpolation rows at bounds (np_, nq), so that
+    every kernel_vector call of the degree would return None.
 
     Only the points K of positive weight matter: S qualifies with S & K
     alone, whose fewer rows keep any kernel of S.  Rows are never zero,
     since flags are normalized and nq >= 1.  At ncols <= 3 the line
     lemma decides exactly; above it the error locator may only certify.
+
+    The line lemma: a set of rows has a kernel exactly when it lies on
+    one hyperplane through the origin, a line of Q^2 or a plane of Q^3.
+    Unless K's rows are all proportional, and then K itself has a
+    kernel, every subset of K on a plane lies on the plane of two
+    non-proportional rows of K, whose normal is their integer cross
+    product.  The degree is empty exactly when every such hyperplane's
+    weight misses need.
+
+    The error locator (Berlekamp-Welch): a qualifying S misses at most
+    E points of K, as many of K's lightest weights as can go with the
+    rest still meeting need.  A kernel (p, q) of S times the locator,
+    the product of (x - z) over the points of K that S misses, vanishes
+    on every row of K within the widened bounds (np_ + E, nq + E).  So
+    when K's rows there reach full column rank ncols + 2E modulo the
+    prime, and so over the rationals (RANK_PRIME), no qualifying S has
+    a kernel.
     """
     if need <= 0:
         return False  # the empty subset qualifies and has a kernel
     pos = [i for i, w in enumerate(iw) if w]
     ncols = np_ + nq
     if ncols <= 3:
-        # a subset has a kernel iff its rows lie on one line through 0: a
-        # direction of Q^2 (normal (y, -x)), or a plane of Q^3, which holds two
-        # non-proportional rows and has their cross product as normal
+        # the normal of the line through each row of Q^2, or of the plane
+        # through each two non-proportional rows of Q^3
         rows = [(iw[i], _interpolation_row(bundle, i, np_, nq)) for i in pos]
         if ncols == 2:
             normals = [(y, -x) for _, (x, y) in rows]
         else:
             normals = [n for (_, (a, b, c)), (_, (x, y, z)) in itertools.combinations(rows, 2)
                        if any(n := (b * z - c * y, c * x - a * z, a * y - b * x))]
-            # rows spanning Q^3 or a plane put every subset of rank <= 2 on a
-            # listed plane; rows on one direction list none, yet have a kernel
+            # K's rows all proportional: K itself has a kernel
             if not normals:
                 return False
         return all(2 * sum(w for w, r in rows if not sum(map(operator.mul, n, r))) < need
                    for n in normals)
-    # error locator (Berlekamp-Welch): a qualifying S misses at most E = errors
-    # points of K, as many of its lightest weights as can go with the rest
-    # still meeting need
+    # the error locator's E: as many of K's lightest weights as can go
     slack, errors = 2 * sum(iw) - need, 0
     for w in sorted(iw[i] for i in pos):
         slack -= 2 * w
         if slack < 0:
             break
         errors += 1
-    # a kernel (p, q) of S times the locator prod(x - z) over K - S is a
-    # kernel of all of K within bounds (np_ + E, nq + E), so full column rank
-    # there, already modulo the prime, leaves S none
+    # full column rank of K's rows at the widened bounds
     rank, ech = ncols + 2 * errors, ()
     for k, i in enumerate(pos):
         if len(ech) + len(pos) - k < rank:
@@ -566,43 +563,14 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
 
     With scale the lcm of the weight denominators and iw the weights
     times scale, the face value of (e, S) is non-positive exactly when
-    2*sum(iw[S]) >= need = scale*(d-2e) + sum(iw).  Subset sizes run
-    downward, and once twice the sum of the size largest iw misses need
-    no smaller subset can meet it, so the degree ends there.
-
-    Within a size, a depth-first walk extends index prefixes in
-    increasing order, which visits the subsets in itertools.combinations
-    order.  A prefix's echelon form modulo the prime is computed once per
-    degree and read from a table by every size level after the first to
-    reach it; the form is the prefix's own, so the walk, and the order
-    of the subsets it yields, is what each level would find alone.  It
-    prunes only subtrees that hold no subset with a kernel vector that a
-    plain scan would take, so the first vector found, and the witness
-    with it, is the plain scan's.  A prefix whose weight sum plus the
-    largest weights it can still add misses need has no qualifying
-    subset below it.  A prefix whose rows have rank ncols
-    modulo the prime RANK_PRIME has rank ncols over the rationals, since
-    a minor that is nonzero modulo a prime is a nonzero integer; adding
-    rows keeps that rank, so every subset below it has a zero kernel.  A
-    rank drop caused by the prime alone leaves its subtree unpruned.
-    Each subset the walk reaches goes to kernel_vector, the first vector
-    of the kernel basis read off the reduced row echelon form, which is
-    unique and unchanged by the integer scaling of the rows, so it is
-    the plain scan's vector.
-
-    Before a degree's rows are built, _certified_empty may prove that no
-    qualifying subset has a kernel, and the degree is skipped.  With K
-    the positive-weight points and E the most of them a qualifying
-    subset can miss, the error locator proves it when K's rows at the
-    bounds widened by E reach full column rank modulo the prime, hence
-    over the rationals: a kernel of a qualifying subset times the
-    polynomial vanishing at the points of K it misses would be a kernel
-    there.  At ncols <= 3 the line lemma proves it when every direction
-    (ncols = 2) or every plane through two non-proportional rows of K
-    (ncols = 3) carries too little weight, the rows of K not being all
-    proportional.  A skipped degree is one where every kernel_vector
-    call would have returned None, so verdicts and witnesses are the
-    plain scan's.
+    2*sum(iw[S]) >= need = scale*(d-2e) + sum(iw).  The verdict and its
+    witness are those of a plain scan over every such S, sizes downward
+    and each size in itertools.combinations order, that takes the first
+    kernel vector of each: a degree that _certified_empty proves empty
+    holds no qualifying S with a kernel, _kernel_candidates yields every
+    such S in the plain scan's order, and kernel_vector's vector, read
+    off the unique reduced row echelon form, is unchanged by the integer
+    scaling of the rows (_interpolation_row).
 
     A bundle with more than MAX_MARKED_POINTS marked points raises
     DomainError before any work, and a g that is given but is not an

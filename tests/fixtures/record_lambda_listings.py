@@ -1,9 +1,9 @@
-"""Record Λ listings and the CLI reports that walk Λ.
+"""Record Λ listings and the CLI reports.
 
     PYTHONPATH=src python tests/fixtures/record_lambda_listings.py
 
-writes tests/fixtures/lambda_listings.json next to this script.  It
-holds two corpora:
+writes lambda_listings.json and hyperelliptic_reports.json next to this
+script.  lambda_listings.json holds two corpora:
 
 - "listings": seeded cover profiles (n <= 24, up to five orbits, both
   lift signs) with a random determinant, each with |Λ| and the sha256
@@ -17,8 +17,19 @@ holds two corpora:
 test_equivariant.test_lambda_listings_match_the_recorded_fixture and
 test_cli.test_lambda_reports_match_the_recorded_fixture replay both, so
 a change to the order or content of Λ, or to what either subcommand
-prints, shows up as a failing test.  Re-record only when a change of
-output is intended, and say why in the change log.
+prints, shows up as a failing test.
+
+hyperelliptic_reports.json holds the sha256 of the stdout of
+`fixloc hyperelliptic --g G --format F` for G = 1..8 and F in json,
+text and dot, each of which must exit 0.  Up to g = 4 the report
+includes the honest semistable class count; from g = 5 it is counts
+only, as the CLI decides.
+test_cli.test_hyperelliptic_reports_match_the_recorded_fixture replays
+them, so any change to a component, a boundary class, an intersection
+or a normality flag shows up as a failing test.
+
+Re-record only when a change of output is intended, and say why in the
+change log.
 """
 
 from __future__ import annotations
@@ -41,8 +52,11 @@ from fixloc import cli, enumerate_lambda, profile_from_json, profile_to_json  # 
 from fixloc.equivariant import det_from_json, det_to_json  # noqa: E402
 
 FIXTURE = HERE / "lambda_listings.json"
+REPORTS = HERE / "hyperelliptic_reports.json"
 CLI_INPUTS = ROOT / "perfbench" / "inputs" / "cli"
 PROFILES = 40
+REPORT_GENERA = range(1, 9)
+REPORT_FORMATS = ("json", "text", "dot")
 
 
 def sha256(text: str) -> str:
@@ -93,6 +107,13 @@ def run_cli(argv: list[str]) -> dict:
     return {"code": code, "stdout_sha256": sha256(out.getvalue())}
 
 
+def report_case(g: int, fmt: str) -> dict:
+    run = run_cli(["hyperelliptic", "--g", str(g), "--format", fmt])
+    if run["code"] != 0:
+        raise SystemExit(f"hyperelliptic --g {g} --format {fmt} exited {run['code']}")
+    return {"g": g, "format": fmt, "sha256": run["stdout_sha256"]}
+
+
 def main() -> None:
     listings = []
     for case in listing_cases():
@@ -103,6 +124,10 @@ def main() -> None:
     total = sum(case["count"] for case in listings)
     print(f"wrote {FIXTURE.name}: {len(listings)} listings ({total} elements), "
           f"{len(runs)} CLI runs")
+    reports = [report_case(g, fmt) for g in REPORT_GENERA for fmt in REPORT_FORMATS]
+    lines = ",\n".join(json.dumps(case, sort_keys=True) for case in reports)
+    REPORTS.write_text("[\n" + lines + "\n]\n")
+    print(f"wrote {len(reports)} cases to {REPORTS.name}")
 
 
 if __name__ == "__main__":

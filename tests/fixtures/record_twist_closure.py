@@ -1,9 +1,9 @@
-"""Record the twist closure and every single twist step on a seeded corpus.
+"""Record the twist closure, every single twist step and the twist-class partition.
 
     PYTHONPATH=src python tests/fixtures/record_twist_closure.py
 
-writes tests/fixtures/twist_closure.json next to this script.  It holds
-two lists:
+writes twist_closure.json and twist_partition.json next to this script.
+twist_closure.json holds two lists:
 
 - "closures": a profile, a list of graded points and what
   `equivalence_classes` made of them: the classes as lists of input
@@ -36,6 +36,22 @@ divisible by n pin which input that first step starts from (the last
 one) and which summand fails first.  The hand-made inputs also cover
 determinant lifts that omit an orbit, which every closure and step
 rejects: a lift names every profile orbit.
+
+twist_partition.json holds one case per line: a list of input points
+and what `equivalence_classes` made of them, as in "closures".  The
+cases:
+
+- "boundary-g2" .. "boundary-g5": the semistable boundary of the
+  order-two family, every double class D(Q) and one flagged class F(Q)
+  per pair {Q, Q^c} (the one whose Q holds point 0), shuffled by a
+  seeded generator.  A point is stored as its recipe ["D" or "F", Q].
+- "corpus-*": the seeded closures of `gen.twist_corpus(42, 40)` (39 of
+  them: a profile that draws no graded point is skipped), with odd and
+  even n <= 24 and stepped members, each point in the compact form.
+
+test_locus.test_twist_partition_matches_the_recorded_fixture replays
+every case from its stored points and compares the rendered document
+with that file byte for byte.
 """
 
 from __future__ import annotations
@@ -69,8 +85,12 @@ from fixloc import (  # noqa: E402
 )
 
 FIXTURE = HERE / "twist_closure.json"
+PARTITION = HERE / "twist_partition.json"
 SAMPLES = 60
 GENERA = range(1, 5)
+PARTITION_GENERA = range(2, 6)
+CORPUS_SEED, CORPUS_CASES = 42, 40
+BUILDERS = {"D": double_class, "F": flagged_class}
 
 
 # --- documents ---
@@ -86,6 +106,12 @@ def _point(doc: list) -> GradedPoint:
     det = DeterminantLift(residues=dict(residues), degree=degree, lift_sign=sign)
     return GradedPoint((GradedSummand(bar0, frozenset(supp0)), GradedSummand(bar1, frozenset(supp1))),
                        numeric={label: tuple(pair) for label, pair in numeric.items()}, det=det)
+
+
+def points_of(case: dict) -> list:
+    if "g" in case:
+        return [BUILDERS[kind](case["g"], q) for kind, q in case["points"]]
+    return [_point(doc) for doc in case["points"]]
 
 
 def _dump(obj) -> str:
@@ -115,8 +141,7 @@ def evaluate(case: dict) -> dict:
     """The case with its recorded outcome replaced by a fresh one."""
     profile = profile_from_json(case["profile"])
     if "points" in case:
-        return case | {"expect": _outcome(_classes, [_point(doc) for doc in case["points"]],
-                                          profile)}
+        return case | {"expect": _outcome(_classes, points_of(case), profile)}
     pt = _point(case["point"])
     n = profile.n
     o = [_outcome(_stepped, sim_o_step, pt, RootExponent(a, n), profile) for a in range(n)]
@@ -134,6 +159,20 @@ def render(cases: list[dict]) -> str:
 def load() -> list[dict]:
     doc = json.loads(FIXTURE.read_text())
     return doc["closures"] + doc["steps"]
+
+
+def evaluate_partition(case: dict) -> dict:
+    """The partition case with its recorded classes replaced by fresh ones."""
+    profile = profile_from_json(case["profile"])
+    return case | {"classes": _outcome(_classes, points_of(case), profile)}
+
+
+def render_partition(cases: list[dict]) -> str:
+    return '{"cases": [\n' + ",\n".join(map(_dump, cases)) + "\n]}\n"
+
+
+def load_partition() -> list[dict]:
+    return json.loads(PARTITION.read_text())["cases"]
 
 
 # --- corpus ---
@@ -211,19 +250,35 @@ def omitted_residue_cases():
     yield _step_case("omitted-residue-n2", p2, omit)
 
 
-def corpus():
-    for case in [*seeded_cases(), *nonintegral_cases(), *omitted_residue_cases()]:
-        # the stored form is what the test replays, so evaluate that form
-        yield json.loads(json.dumps(case))
+def partition_cases():
+    for g in PARTITION_GENERA:
+        subsets = [list(q) for size in range(0, 2 * g + 3, 2)
+                   for q in itertools.combinations(range(2 * g + 2), size)]
+        recipes = [["D", q] for q in subsets] + [["F", q] for q in subsets if 0 in q]
+        random.Random(g).shuffle(recipes)
+        yield {"name": f"boundary-g{g}", "g": g,
+               "profile": profile_to_json(hyperelliptic_profile(g)), "points": recipes}
+    for i, (profile, points, _) in enumerate(gen.twist_corpus(CORPUS_SEED, CORPUS_CASES)):
+        yield _closure_case(f"corpus-{i}-n{profile.n}-o{len(profile.orbits)}", profile, points)
+
+
+def stored(cases):
+    """The cases as the test replays them: through JSON and back."""
+    return [json.loads(json.dumps(case)) for case in cases]
 
 
 def main() -> None:
-    cases = [evaluate(case) for case in corpus()]
+    cases = [evaluate(case) for case in stored(
+        [*seeded_cases(), *nonintegral_cases(), *omitted_residue_cases()])]
     FIXTURE.write_text(render(cases))
     closures = [case for case in cases if "points" in case]
     errors = sum(isinstance(case["expect"][0], str) for case in closures if case["expect"])
     print(f"wrote {len(closures)} closures ({errors} errors) and "
           f"{len(cases) - len(closures)} step cases to {FIXTURE.name}")
+    cases = [evaluate_partition(case) for case in stored(partition_cases())]
+    PARTITION.write_text(render_partition(cases))
+    errors = sum(isinstance(case["classes"][0], str) for case in cases if case["classes"])
+    print(f"wrote {len(cases)} cases ({errors} errors) to {PARTITION.name}")
 
 
 if __name__ == "__main__":

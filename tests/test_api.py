@@ -6,9 +6,6 @@ child imports only the layers its subcommand runs.
 
 import importlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,13 +17,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC_API = json.loads((ROOT / "tests" / "fixtures" / "public_api.json").read_text())
 SUBMODULES = ["_ser", "covers", "divisors", "equivariant", "errors", "graded", "locus",
               "stability"]
-
-
-def child(*args):
-    """A fresh interpreter on the package source."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT, capture_output=True,
-                          text=True, timeout=60)
 
 
 def test_public_api_matches_the_recorded_fixture():
@@ -51,7 +41,7 @@ def test_unknown_names_raise_attribute_error():
     assert not hasattr(fixloc, "validate_det")
 
 
-def test_a_bare_import_loads_no_layer():
+def test_a_bare_import_loads_no_layer(child):
     code = ("import json, sys, fixloc; before = sorted(m for m in sys.modules if 'fixloc' in m); "
             f"mods = [type(getattr(fixloc, name)).__name__ for name in {SUBMODULES!r}]; "
             "print(json.dumps([before, mods, fixloc.covers.__name__]))")
@@ -93,7 +83,7 @@ RATIONAL = ["fractions", "decimal"]
 
 
 @pytest.fixture(scope="module")
-def heavy_in_a_bare_child():
+def heavy_in_a_bare_child(child):
     """The HEAVY and RATIONAL modules that `python -c pass` has (site may import some)."""
     proc = child("-c", f"import sys; print(*(m for m in {HEAVY + RATIONAL!r} if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
@@ -101,7 +91,7 @@ def heavy_in_a_bare_child():
 
 
 @pytest.mark.parametrize("argv, layers", FOOTPRINTS, ids=[argv[0] for argv, _ in FOOTPRINTS])
-def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(argv, layers,
+def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(child, argv, layers,
                                                                 heavy_in_a_bare_child):
     unwanted = HEAVY + RATIONAL if layers in (BASE, REPORTS) else HEAVY
     code = ("import contextlib, io, json, sys, fixloc.cli\n"
@@ -117,7 +107,7 @@ def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(argv, layers,
     assert heavy == [m for m in heavy_in_a_bare_child if m in unwanted]
 
 
-def test_running_the_cli_module_raises_no_runpy_warning():
+def test_running_the_cli_module_raises_no_runpy_warning(child):
     # runpy warns when importing the package has already imported fixloc.cli
     proc = child("-W", "error::RuntimeWarning", "-m", "fixloc.cli", "kernel",
                  "--file", _doc("profile12.json"))

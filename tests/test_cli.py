@@ -31,11 +31,9 @@ from fixloc import (
     rank2_to_json,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
-REPORTS = ROOT / "tests" / "fixtures" / "hyperelliptic_reports.json"
+from record_lambda_listings import FIXTURE as LAMBDA_LISTINGS, REPORTS, run_cli
 
-sys.path.insert(0, str(REPORTS.parent))
-from record_lambda_listings import FIXTURE as LAMBDA_LISTINGS, run_cli  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -373,13 +371,11 @@ def test_a_count_past_the_int_digit_limit_is_rejected_before_any_work(capsys, tm
 
 
 @pytest.mark.parametrize("count, code", [(14_000, 0), (15_000, 3)])
-def test_a_count_is_printed_whole_or_rejected_in_a_child(tmp_path, count, code):
+def test_a_count_is_printed_whole_or_rejected_in_a_child(child, tmp_path, count, code):
     # 2^14000 has 4,215 digits, within the limit, and is printed whole
     profile_path, lambda_path = many_orbits_of_order_three(tmp_path, count)
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONINTMAXSTRDIGITS": "4300"}
     for argv in (["lambda", "--file", lambda_path], ["bijection-check", "--file", profile_path]):
-        proc = subprocess.run([sys.executable, "-m", "fixloc.cli", *argv], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = child("-m", "fixloc.cli", *argv, timeout=120, PYTHONINTMAXSTRDIGITS=4300)
         assert proc.returncode == code, (argv, proc.stderr[-300:])
         assert "Traceback" not in proc.stderr
         if code == 0:
@@ -476,12 +472,10 @@ def test_kernel_order_limit(capsys, tmp_path, monkeypatch, subcommand):
 
 
 @pytest.mark.parametrize("subcommand", ["kernel", "factor", "decompose"])
-def test_a_huge_cover_order_is_rejected_before_the_divisor_search(tmp_path, subcommand):
+def test_a_huge_cover_order_is_rejected_before_the_divisor_search(child, tmp_path, subcommand):
     # the search runs up to isqrt(n): 10^15 steps at n = 10^30
     doc = write(tmp_path, "huge.json", {"n": 10 ** 30, "orbits": [{"id": "a", "k": 10 ** 15}]})
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "fixloc.cli", subcommand, "--file", doc],
-                          env=env, capture_output=True, text=True, timeout=10)
+    proc = child("-m", "fixloc.cli", subcommand, "--file", doc, timeout=10)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == (f"domain error: DomainError: cover order {10 ** 30} is past the "
@@ -531,16 +525,14 @@ def test_hyperelliptic_dot_output(capsys):
     assert '"c=-1"' in out and '"c=-2"' in out and out.rstrip().endswith("}")
 
 
-def test_hyperelliptic_reports_match_the_recorded_fixture(capsys):
-    # recorded by tests/fixtures/record_hyperelliptic_reports.py with the
+def test_hyperelliptic_reports_match_the_recorded_fixture():
+    # recorded by tests/fixtures/record_lambda_listings.py with the
     # per-component enumeration; every report must stay byte-identical
     cases = json.loads(REPORTS.read_text())
     assert len(cases) == 24
     for case in cases:
-        code, out, _ = run(capsys, "hyperelliptic", "--g", str(case["g"]),
-                           "--format", case["format"])
-        assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"], case
+        argv = ["hyperelliptic", "--g", str(case["g"]), "--format", case["format"]]
+        assert run_cli(argv) == {"code": 0, "stdout_sha256": case["sha256"]}, case
 
 
 def benchmark_cli_jobs():
@@ -655,14 +647,12 @@ UNREADABLE = {
 
 
 @pytest.mark.parametrize("name", UNREADABLE)
-def test_an_unreadable_file_is_a_schema_error_not_a_traceback(tmp_path, name):
+def test_an_unreadable_file_is_a_schema_error_not_a_traceback(child, tmp_path, name):
     path = tmp_path
     if UNREADABLE[name] is not None:
         path = tmp_path / f"{name}.json"
         path.write_bytes(UNREADABLE[name])
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "fixloc.cli", "kernel", "--file", str(path)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = child("-m", "fixloc.cli", "kernel", "--file", path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"schema error: cannot read {path}: ")

@@ -2,13 +2,9 @@
 
 import copy
 import math
-import os
 import pickle
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -70,7 +66,7 @@ def test_kernel_order_is_sublinear_in_n():
     assert kernel_order(make_profile(1_000_003, [("a", 1)])) == 1
 
 
-def test_a_huge_cover_order_is_rejected_before_the_divisor_search():
+def test_a_huge_cover_order_is_rejected_before_the_divisor_search(child):
     # the search runs up to isqrt(n): 10^15 steps at n = 10^30; a child with a
     # timeout, so that a search that does start fails the test instead of hanging it
     code = ("from fixloc import (DomainError, decomposition_report, factor_cover, kernel_order,\n"
@@ -81,9 +77,7 @@ def test_a_huge_cover_order_is_rejected_before_the_divisor_search():
             "            fn(profile)\n"
             "        except DomainError as exc:\n"
             "            print(type(exc).__name__, exc)")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=10)
+    proc = child("-c", code, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"DomainError cover order {10 ** 30} is past the kernel-order limit of 10000000000000000"

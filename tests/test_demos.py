@@ -1,8 +1,5 @@
 """Every demo script runs to completion with nothing on stderr."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -16,10 +13,8 @@ def test_there_are_demos():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs_cleanly(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                          text=True, timeout=60)
+def test_demo_runs_cleanly(child, demo):
+    proc = child(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout

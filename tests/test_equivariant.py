@@ -3,11 +3,9 @@
 import itertools
 import json
 import random
-import sys
 import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,10 +62,8 @@ from fixloc.locus import hyperelliptic_profile
 
 import gen
 
-sys.path.insert(0, str(Path(__file__).resolve().parent / "fixtures"))
-from record_lambda_listings import FIXTURE as LAMBDA_LISTINGS  # noqa: E402
-from record_lambda_listings import listing, record_listing, sha256  # noqa: E402
-from record_parabolic_cases import FIXTURE as PARABOLIC_CASES, evaluate  # noqa: E402
+from record_lambda_listings import FIXTURE as LAMBDA_LISTINGS, listing, record_listing, sha256
+from record_parabolic_cases import FIXTURE as PARABOLIC_CASES, evaluate
 
 
 def brute_force_pairs(delta, nprime):

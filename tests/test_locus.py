@@ -2,14 +2,10 @@
 
 import itertools
 import math
-import os
 import pickle
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,10 +48,9 @@ from fixloc.locus import hyperelliptic_profile
 import gen
 from gen import twist_corpus
 
-sys.path.insert(0, str(Path(__file__).resolve().parent / "fixtures"))
-from record_twist_closure import (  # noqa: E402
-    FIXTURE as TWIST_CLOSURE, _point, evaluate, load, render)
-import record_twist_partition  # noqa: E402
+from record_twist_closure import (
+    FIXTURE as TWIST_CLOSURE, PARTITION as TWIST_PARTITION, _point, evaluate,
+    evaluate_partition, load, load_partition, render, render_partition)
 
 
 def upstairs_degrees(pt, profile):
@@ -111,22 +106,15 @@ def test_distinct_boundary_points_hash_apart():
     assert len(points) == 3072
     assert len({hash(pt) for pt in points}) == len(points)
 
-def _child(code, hash_seed, *args):
-    """stdout of a fresh interpreter on the package source, under a fixed hash seed."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
-           "PYTHONHASHSEED": str(hash_seed)}
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
-
-def test_graded_point_reprs_stay_the_same():
+def test_graded_point_reprs_stay_the_same(child):
     # recorded while GradedPoint was a hand-written class; the hash seed fixes
     # the order in which a support's frozenset prints
     code = ("from fixloc import double_class, flagged_class\n"
             "print(repr(double_class(1, [0, 1])))\nprint(repr(flagged_class(1, [0, 1])))")
-    assert _child(code, 0).splitlines() == [
+    proc = child("-c", code, PYTHONHASHSEED=0)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
         "GradedPoint(summands=(GradedSummand(bar_degree=-1, support=frozenset()), "
         "GradedSummand(bar_degree=-1, support=frozenset())), numeric={'p0': (1, 1), "
         "'p1': (1, 1), 'p2': (0, 0), 'p3': (0, 0)}, det=DeterminantLift(residues={'p0': 0, "
@@ -138,15 +126,19 @@ def test_graded_point_reprs_stay_the_same():
     ]
 
 
-def test_a_point_pickled_under_one_hash_seed_equals_a_fresh_one_under_another(tmp_path):
+def test_a_point_pickled_under_one_hash_seed_equals_a_fresh_one_under_another(child, tmp_path):
     path = tmp_path / "point.pickle"
-    _child("import pickle, sys\nfrom fixloc import flagged_class\n"
-           "pt = flagged_class(2, [0, 1])\nhash(pt)\n"
-           "with open(sys.argv[1], 'wb') as f:\n    pickle.dump(pt, f)", 1, path)
-    out = _child("import pickle, sys\nfrom fixloc import flagged_class\n"
+    dump = child("-c", "import pickle, sys\nfrom fixloc import flagged_class\n"
+                 "pt = flagged_class(2, [0, 1])\nhash(pt)\n"
+                 "with open(sys.argv[1], 'wb') as f:\n    pickle.dump(pt, f)", path,
+                 PYTHONHASHSEED=1)
+    assert dump.returncode == 0, dump.stderr
+    load = child("-c", "import pickle, sys\nfrom fixloc import flagged_class\n"
                  "with open(sys.argv[1], 'rb') as f:\n    pt = pickle.load(f)\n"
-                 "fresh = flagged_class(2, [0, 1])\nprint(pt == fresh, pt in {fresh})", 2, path)
-    assert out.split() == ["True", "True"]
+                 "fresh = flagged_class(2, [0, 1])\nprint(pt == fresh, pt in {fresh})", path,
+                 PYTHONHASHSEED=2)
+    assert load.returncode == 0, load.stderr
+    assert load.stdout.split() == ["True", "True"]
 
 
 def test_a_graded_point_cannot_be_reassigned():
@@ -742,13 +734,13 @@ def test_twist_closure_matches_the_recorded_fixture():
 
 
 def test_twist_partition_matches_the_recorded_fixture():
-    # recorded by tests/fixtures/record_twist_partition.py before the twist
+    # recorded by tests/fixtures/record_twist_closure.py before the twist
     # classes' per-point work was trimmed; every class must stay the same
-    cases = record_twist_partition.load()
-    replayed = [record_twist_partition.evaluate(case) for case in cases]
+    cases = load_partition()
+    replayed = [evaluate_partition(case) for case in cases]
     for case, again in zip(cases, replayed):
         assert again == case, case["name"]
-    assert record_twist_partition.render(replayed) == record_twist_partition.FIXTURE.read_text()
+    assert render_partition(replayed) == TWIST_PARTITION.read_text()
     names = [case["name"] for case in cases]
     assert names[:4] == [f"boundary-g{g}" for g in range(2, 6)] and len(names) == 43
     assert len(cases[3]["points"]) == 3072 and len(cases[3]["classes"]) == 4 ** 5
@@ -866,11 +858,12 @@ def test_boundary_class_views_match_the_enumerating_oracle(g):
         assert type(view & members) is frozenset and view & members == members
 
 
-def test_a_report_repr_names_its_views_and_is_the_same_in_every_process():
+def test_a_report_repr_names_its_views_and_is_the_same_in_every_process(child):
     code = "from fixloc import hyperelliptic_report\nprint(repr(hyperelliptic_report(2)))"
-    first, second = _child(code, 1), _child(code, 2)
-    assert first == second
-    assert first == (
+    first, second = (child("-c", code, PYTHONHASHSEED=seed) for seed in (1, 2))
+    assert first.returncode == 0, first.stderr
+    assert (second.returncode, second.stdout) == (0, first.stdout)
+    assert first.stdout == (
         "HyperellipticReport(g=2, d=-3, components=(ComponentRecord(label='c=-1', c=-1, "
         "dimension=3, boundary_classes=_BoundaryClasses(npoints=6, top=2), normal=True),), "
         "pairwise_intersections={}, global_intersection=frozenset({frozenset()}), "
@@ -990,16 +983,14 @@ def test_report_validates_no_point(monkeypatch):
     assert calls == []
 
 
-def test_report_past_the_genus_limit_raises_before_building(monkeypatch):
+def test_report_past_the_genus_limit_raises_before_building(child, monkeypatch):
     # at g = 32 the report's 4^g classes no longer fit len(); at g = 10^6 building
     # the profile alone ran for over a minute, so each call runs in a timed child
     code = ("import sys\nfrom fixloc import DomainError, hyperelliptic_report\n"
             "try:\n    hyperelliptic_report(int(sys.argv[1]))\n"
             "except DomainError as exc:\n    print(type(exc).__name__, exc)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     for g in (locus.MAX_HYPERELLIPTIC_GENUS + 1, 10 ** 6):
-        proc = subprocess.run([sys.executable, "-c", code, str(g)], env=env,
-                              capture_output=True, text=True, timeout=10)
+        proc = child("-c", code, g, timeout=10)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"DomainError genus {g} is past the hyperelliptic limit of 31\n"
     monkeypatch.setattr(locus, "hyperelliptic_profile", lambda g: pytest.fail("built a profile"))

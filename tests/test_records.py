@@ -59,8 +59,7 @@ from fixloc.locus import (
 )
 from fixloc.stability import ParabolicP1, StabilityVerdict, SubbundleWitness
 
-sys.path.insert(0, str(Path(__file__).resolve().parent / "fixtures"))
-import record_serializer_outputs as recorder  # noqa: E402
+import record_serializer_outputs as recorder
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fixloc"
 

@@ -5,6 +5,7 @@ import collections
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fixloc"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def test_no_assert_statements_in_the_package():
@@ -142,3 +143,16 @@ def test_the_validators_check_no_types():
                           and call.func.id in ("is_int", "isinstance")]
     assert seen == validators
     assert found == []
+
+
+def test_every_fixture_is_named_by_exactly_one_recorder():
+    # CI re-runs every recorder and checks the fixtures stay unchanged; a
+    # fixture that no recorder writes would pass that check unrecorded
+    named = collections.defaultdict(list)
+    for path in sorted(FIXTURES.glob("record_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named[node.value].append(path.name)
+    fixtures = sorted(path.name for path in FIXTURES.glob("*.json"))
+    assert fixtures, f"no fixtures under {FIXTURES}"
+    assert {name: named[name] for name in fixtures if len(set(named[name])) != 1} == {}

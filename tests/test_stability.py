@@ -5,10 +5,7 @@ import gc
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -377,11 +374,8 @@ def test_the_prefix_table_of_a_degree_is_small_and_freed_with_it():
     assert peak < 2.5e6, peak
 
 
-def test_the_scaling_script_runs_at_genus_two():
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, str(root / "tools" / "scale_stability.py"), "--g", "2"],
-                          env=env, capture_output=True, text=True, timeout=120)
+def test_the_scaling_script_runs_at_genus_two(child):
+    proc = child("tools/scale_stability.py", "--g", "2", timeout=120)
     assert proc.returncode == 0, proc.stderr
     header, row = proc.stdout.splitlines()
     assert header.split() == ["g", "draws", "median_s", "max_s", "S/SS/U", "peak_rss_mb", "sha256"]

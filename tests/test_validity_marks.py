@@ -9,14 +9,10 @@ output with its mark stripped passes the validators again.
 """
 
 import itertools
-import os
 import pickle
 import random
-import subprocess
-import sys
 import tracemalloc
 import types
-from pathlib import Path
 
 import pytest
 
@@ -295,7 +291,7 @@ def test_every_marked_output_is_exactly_its_record_class():
     assert min(seen.values()) >= 20, seen
 
 
-def test_the_family_profile_and_lifts_are_built_once_per_genus():
+def test_the_family_profile_and_lifts_are_built_once_per_genus(child):
     for g in range(1, 6):
         profile = hyperelliptic_profile(g)
         assert hyperelliptic_profile(g) is profile
@@ -309,9 +305,7 @@ def test_the_family_profile_and_lifts_are_built_once_per_genus():
     code = ("from fixloc import hyperelliptic_delta, hyperelliptic_profile\n"
             "print(all(hyperelliptic_delta(g, which)._mark is hyperelliptic_profile(g)\n"
             "          for g in range(1, 6) for which in (0, 1)))\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
+    proc = child("-c", code)
     assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
