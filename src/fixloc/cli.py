@@ -297,19 +297,18 @@ def cmd_hyperelliptic(args) -> int:
         for (a, b), shared in sorted(report.pairwise_intersections.items()):
             lines.append(f'  "{a}" -- "{b}" [label="{len(shared)}"];')
         lines.append("}")
-        print("\n".join(lines))
-        return 0
-    lines = [f"g = {report.g}, d = {report.d}"]
-    for rec in report.components:
-        lines.append(f"{rec.label}: dimension {rec.dimension}, "
-                     f"{len(rec.boundary_classes)} boundary classes, "
-                     f"normal: {'yes' if rec.normal else 'no'}")
-    for (a, b), shared in sorted(report.pairwise_intersections.items()):
-        lines.append(f"{a} & {b}: {len(shared)} shared classes")
-    lines.append(f"global intersection: {payload['global_intersection']}")
-    lines.append(f"max dimension: {report.max_dimension}")
-    if report.boundary_class_count >= 0:
-        lines.append(f"semistable classes: {report.boundary_class_count}")
+    else:
+        lines = [f"g = {report.g}, d = {report.d}"]
+        for rec in report.components:
+            lines.append(f"{rec.label}: dimension {rec.dimension}, "
+                         f"{len(rec.boundary_classes)} boundary classes, "
+                         f"normal: {'yes' if rec.normal else 'no'}")
+        for (a, b), shared in sorted(report.pairwise_intersections.items()):
+            lines.append(f"{a} & {b}: {len(shared)} shared classes")
+        lines.append(f"global intersection: {payload['global_intersection']}")
+        lines.append(f"max dimension: {report.max_dimension}")
+        if report.boundary_class_count >= 0:
+            lines.append(f"semistable classes: {report.boundary_class_count}")
     _emit(payload, args.format, lines)
     return 0
 

@@ -56,7 +56,6 @@ with that file byte for byte.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import sys
@@ -200,13 +199,10 @@ def seeded_cases():
             yield _closure_case(f"{name}-multi{len(points)}", profile, points)
     for g in GENERA:
         profile = hyperelliptic_profile(g)
-        subsets = [q for size in range(0, 2 * g + 3, 2)
-                   for q in itertools.combinations(range(2 * g + 2), size)]
-        points = [double_class(g, q) for q in subsets]
-        points += dict.fromkeys(flagged_class(g, q) for q in subsets)
+        points = list(dict.fromkeys(gen.boundary(g)))  # each flagged class once
         random.Random(g).shuffle(points)
         yield _closure_case(f"boundary-g{g}", profile, points)
-        for q in subsets[:4]:
+        for q in gen.even_subsets(2 * g + 2)[:4]:
             yield _step_case(f"boundary-g{g}-double-{len(q)}", profile, double_class(g, q))
             yield _step_case(f"boundary-g{g}-flagged-{len(q)}", profile, flagged_class(g, q))
 
@@ -252,8 +248,7 @@ def omitted_residue_cases():
 
 def partition_cases():
     for g in PARTITION_GENERA:
-        subsets = [list(q) for size in range(0, 2 * g + 3, 2)
-                   for q in itertools.combinations(range(2 * g + 2), size)]
+        subsets = [list(q) for q in gen.even_subsets(2 * g + 2)]
         recipes = [["D", q] for q in subsets] + [["F", q] for q in subsets if 0 in q]
         random.Random(g).shuffle(recipes)
         yield {"name": f"boundary-g{g}", "g": g,

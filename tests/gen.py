@@ -9,6 +9,7 @@ The stability fixtures and tools/scale_stability.py draw from
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from fixloc import (
     Rank2EqData,
     RootExponent,
     admissible_pairs,
+    double_class,
+    flagged_class,
     make_bundle,
     make_profile,
     sim_e_step,
@@ -32,9 +35,9 @@ from fixloc.covers import random_profile
 from fixloc.equivariant import random_det
 from fixloc.graded import validate_graded
 
-__all__ = ["boundary_bundle", "bundle_doc", "bundle_from_doc", "random_bundle", "random_data",
-           "random_det", "random_graded", "random_parabolic", "random_profile", "sample_graded",
-           "scaling_corpus", "twist_corpus", "verdict_case"]
+__all__ = ["boundary", "boundary_bundle", "bundle_doc", "bundle_from_doc", "even_subsets",
+           "random_bundle", "random_data", "random_det", "random_graded", "random_parabolic",
+           "random_profile", "sample_graded", "scaling_corpus", "twist_corpus", "verdict_case"]
 
 
 def random_data(rng: random.Random, profile) -> Rank2EqData:
@@ -139,6 +142,19 @@ def twist_corpus(seed, cases):
                 add("e-stepped", sim_e_step, pt, profile, rng.randrange(1, n, 2), rng.randrange(2))
         rng.shuffle(points)
         yield profile, points, kinds
+
+
+def even_subsets(npoints: int) -> list[tuple[int, ...]]:
+    """The even subsets of range(npoints), by size, then lexicographically."""
+    return [q for size in range(0, npoints + 1, 2)
+            for q in itertools.combinations(range(npoints), size)]
+
+
+def boundary(g: int) -> list[GradedPoint]:
+    """The order-two family's boundary: D(Q) for every even subset Q of the 2g+2
+    points, then F(Q), in even_subsets order; F(Q) = F(Q^c) comes twice."""
+    subsets = even_subsets(2 * g + 2)
+    return [double_class(g, q) for q in subsets] + [flagged_class(g, q) for q in subsets]
 
 
 def random_bundle(rng: random.Random, g: int, c: int, generic_weights: bool = False,

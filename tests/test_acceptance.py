@@ -40,7 +40,6 @@ from fixloc import (
     stability_classify,
     to_parabolic,
     unramified_census,
-    weight_system,
     zeta2_apply,
     zeta2_partition,
 )
@@ -105,9 +104,14 @@ def test_02_admissible_data_of_the_two_square_root_lifts():
 def test_03_parabolic_correspondence_is_a_bijection():
     with budget(10.0):
         rng = random.Random(31415)
+        cases = []
         for _ in range(20):
             profile = gen.random_profile(rng, max_n=12, max_orbits=4)
-            det = gen.random_det(rng, profile)
+            cases.append((profile, gen.random_det(rng, profile)))
+        # and a fixed n = 8 profile over a genus-1 base, three stabilizer orders
+        profile = make_profile(8, [("a", 2), ("b", 4), ("c", 1)], genus_base=1)
+        cases.append((profile, gen.random_det(random.Random(5), profile)))
+        for profile, det in cases:
             assert (det.degree - sum(det.residues[y.id] * y.k
                                      for y in profile.orbits)) % profile.n == 0
             for numeric in enumerate_lambda(det, profile):

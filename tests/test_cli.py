@@ -634,6 +634,17 @@ def test_schema_error_exit_code(capsys, tmp_path):
     broken.write_text("{not json")
     code, _, _ = run(capsys, "kernel", "--file", str(broken))
     assert code == 2
+    # a report without its numbers, and a lift sign that is neither + nor -
+    bad_sign = write(tmp_path, "bad_sign.json", {
+        "profile": {"n": 2, "genus_base": 0, "orbits": [{"id": "a", "k": 1}]},
+        "det": {"residues": {"a": 1}, "degree": 1, "lift_sign": "x"}})
+    for argv, message in [
+        (["hyperelliptic"], "hyperelliptic requires --g"),
+        (["census", "--n", "4", "--deg-delta", "8"],
+         "census requires --n, --deg-delta and --genus-y"),
+        (["lambda", "--file", bad_sign], "input.det.lift_sign must be '+' or '-'"),
+    ]:
+        assert run(capsys, *argv) == (2, "", f"schema error: {message}\n")
 
 
 # inputs json.load cannot read: a directory, bytes that are not UTF-8, nesting

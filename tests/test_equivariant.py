@@ -423,17 +423,6 @@ def test_gamma_rejects_unknown_orbit():
         FlagSelector(choice={"a": FIRST, "z": "sideways"})
 
 
-def test_round_trip_on_full_lambda():
-    rng = random.Random(5)
-    profile = make_profile(8, [("a", 2), ("b", 4), ("c", 1)], genus_base=1)
-    det = gen.random_det(rng, profile)
-    for numeric in enumerate_lambda(det, profile):
-        data = Rank2EqData(numeric=numeric, det=det)
-        pdat = to_parabolic(data, profile)
-        assert from_parabolic(pdat, profile) == data
-        assert to_parabolic(from_parabolic(pdat, profile), profile) == pdat
-
-
 def test_from_parabolic_rejects_negative_lower_exponent():
     profile = make_profile(4, [("a", 1)])
     bad = parabolic_from_json({
@@ -559,6 +548,8 @@ def test_json_rejections():
         det_from_json({"residues": {}, "degree": 0, "lift_sign": "+", "x": 1})
     with pytest.raises(SchemaError):
         det_from_json({"residues": {"a": 0.5}, "degree": 0, "lift_sign": "+"})
+    with pytest.raises(SchemaError, match=r"^det\.lift_sign must be '\+' or '-'$"):
+        det_from_json({"residues": {}, "degree": 0, "lift_sign": "x"})
     with pytest.raises(SchemaError):
         numeric_from_json({"a": [1]})
     with pytest.raises(SchemaError):

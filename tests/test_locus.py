@@ -21,7 +21,6 @@ from fixloc import (
     InvalidGenus,
     NonIntegralDegree,
     OddOrder,
-    Rank2EqData,
     RootExponent,
     decomposition_report,
     double_class,
@@ -66,11 +65,8 @@ def upstairs_degrees(pt, profile):
 
 
 def boundary_points(g):
-    """Double and flagged classes of every even subset: the semistable boundary."""
-    all_even = [frozenset(q) for size in range(0, 2 * g + 3, 2)
-                for q in itertools.combinations(range(2 * g + 2), size)]
-    points = [double_class(g, q) for q in all_even]
-    return points + list({flagged_class(g, q) for q in all_even})
+    """The semistable boundary, gen.boundary with each flagged class once."""
+    return list(dict.fromkeys(gen.boundary(g)))
 
 
 def test_graded_point_is_unordered():
@@ -371,18 +367,16 @@ def parent_flagged_class(g, q_indices):
 def test_family_classes_match_the_point_built_oracle():
     for g in (1, 2, 3, 4):
         profile = hyperelliptic_profile(g)
-        npoints = 2 * g + 2
-        for size in range(0, npoints + 1, 2):
-            for q in itertools.combinations(range(npoints), size):
-                for build, oracle in ((double_class, parent_double_class),
-                                      (flagged_class, parent_flagged_class)):
-                    pt, want = build(g, q), oracle(g, q)
-                    assert pt == want
-                    assert list(pt.numeric) == list(want.numeric)
-                    assert list(pt.det.residues) == list(want.det.residues)
-                    assert [(s.bar_degree, sorted(s.support)) for s in pt.summands] == \
-                        [(s.bar_degree, sorted(s.support)) for s in want.summands]
-                    validate_graded(pt, profile)
+        for q in gen.even_subsets(2 * g + 2):
+            for build, oracle in ((double_class, parent_double_class),
+                                  (flagged_class, parent_flagged_class)):
+                pt, want = build(g, q), oracle(g, q)
+                assert pt == want
+                assert list(pt.numeric) == list(want.numeric)
+                assert list(pt.det.residues) == list(want.det.residues)
+                assert [(s.bar_degree, sorted(s.support)) for s in pt.summands] == \
+                    [(s.bar_degree, sorted(s.support)) for s in want.summands]
+                validate_graded(pt, profile)
 
 
 def test_family_classes_reject_point_indices_out_of_range():
@@ -803,24 +797,19 @@ def test_report_shapes_small_genus():
 
 # The enumerating census, kept as the oracle of the closed-form report.
 
-def even_subsets(npoints, max_size):
-    """Even subsets of range(npoints) of size <= max_size, by size, then lexicographically."""
-    for size in range(0, max_size + 1, 2):
-        yield from map(frozenset, itertools.combinations(range(npoints), size))
-
-
 def boundary_subsets(g, c):
     """Even Q with |Q| <= -2c, by size, one of Q and its complement when both qualify.
 
     As -2c <= g+1, both qualify only at half size (odd g, c = d/2);
     the smaller sorted member, the one holding point 0, is kept.
     """
-    return [q for q in even_subsets(2 * g + 2, -2 * c) if len(q) < g + 1 or 0 in q]
+    return [frozenset(q) for q in gen.even_subsets(2 * g + 2)
+            if len(q) <= -2 * c and (len(q) < g + 1 or 0 in q)]
 
 
 def census_points(g):
     """Every double point and the flagged points of the smallest c."""
-    points = [double_class(g, q) for q in even_subsets(2 * g + 2, 2 * g + 2)]
+    points = [double_class(g, q) for q in gen.even_subsets(2 * g + 2)]
     return points + [flagged_class(g, q) for q in boundary_subsets(g, -((g + 1) // 2))]
 
 
@@ -998,24 +987,6 @@ def test_report_past_the_genus_limit_raises_before_building(child, monkeypatch):
         hyperelliptic_report(locus.MAX_HYPERELLIPTIC_GENUS + 1)
 
 
-def test_boundary_predicate_exhaustive():
-    for g in (1, 2, 3):
-        rep = hyperelliptic_report(g, with_classes=False)
-        npoints = 2 * g + 2
-        for comp in rep.components:
-            threshold = -2 * comp.c
-            qualifying = [frozenset(q) for size in range(0, npoints + 1, 2)
-                          for q in itertools.combinations(range(npoints), size)
-                          if size <= threshold]
-            # every qualifying subset appears, as itself or as its complement
-            for q in qualifying:
-                comp_q = frozenset(range(npoints)) - q
-                assert q in comp.boundary_classes or comp_q in comp.boundary_classes
-            # and nothing else does
-            for q in comp.boundary_classes:
-                assert len(q) % 2 == 0 and len(q) <= threshold
-
-
 def test_census_cases():
     rec = unramified_census(3, 9, 2)
     assert rec.case == "n odd, determinant degree odd"
@@ -1032,6 +1003,8 @@ def test_census_cases():
         [("kummer", 4), ("pic0_quotient", 1)]
     with pytest.raises(InconsistentDegrees):
         unramified_census(4, 10, 2)
+    with pytest.raises(InconsistentDegrees, match="cover order must be positive, got 0"):
+        unramified_census(0, 0, 0)
     with pytest.raises(InvalidGenus):
         unramified_census(4, 8, -1)
 

@@ -4,8 +4,9 @@ import ast
 import collections
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fixloc"
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fixloc"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def test_no_assert_statements_in_the_package():
@@ -105,6 +106,15 @@ def _annotations(tree):
             yield node.annotation
 
 
+def _bound_by_imports(tree):
+    """(line, names) for each module-level import: the names it binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield node.lineno, [alias.asname or alias.name for alias in node.names]
+
+
 def test_every_module_level_import_is_read_outside_annotations():
     # postponed annotations are never evaluated, so an import read only there
     # costs every process that loads the module and buys nothing at run time;
@@ -116,15 +126,27 @@ def test_every_module_level_import_is_read_outside_annotations():
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                 and id(node) not in in_annotations}
-        for node in tree.body:
-            if isinstance(node, ast.Import):
-                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                bound = [alias.asname or alias.name for alias in node.names]
-            else:
-                continue
+        for lineno, bound in _bound_by_imports(tree):
             if not read.intersection(bound):
-                found.append(f"{path.name}:{node.lineno} {', '.join(bound)}")
+                found.append(f"{path.name}:{lineno} {', '.join(bound)}")
+    assert found == []
+
+
+def test_every_name_a_test_tool_or_demo_imports_is_read():
+    # name by name: an import nothing reads is left over from a deleted use;
+    # a name listed in __all__ is exported, which counts as read
+    paths = sorted({*ROOT.glob("tests/**/*.py"), *ROOT.glob("tools/*.py"), *ROOT.glob("demos/*.py")})
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in _top_level_names(node):
+                read.update(ast.literal_eval(node.value))
+        found += [f"{path.relative_to(ROOT)}:{lineno} {name}"
+                  for lineno, bound in _bound_by_imports(tree) for name in bound if name not in read]
+    assert len(paths) > 30, paths
     assert found == []
 
 

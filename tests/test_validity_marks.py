@@ -8,7 +8,6 @@ datum's exponent pairs runs, and check that each mark is earned: an
 output with its mark stripped passes the validators again.
 """
 
-import itertools
 import pickle
 import random
 import tracemalloc
@@ -62,13 +61,6 @@ def numeric_checks(count_calls) -> list:
     return count_calls(equivariant, "validate_numeric")
 
 
-def boundary(g):
-    """The double and flagged classes of every even subset."""
-    subsets = [q for size in range(0, 2 * g + 3, 2)
-               for q in itertools.combinations(range(2 * g + 2), size)]
-    return [double_class(g, q) for q in subsets] + [flagged_class(g, q) for q in subsets]
-
-
 def unmarked(record):
     """An equal copy without the mark (a record's state leaves it out)."""
     return pickle.loads(pickle.dumps(record))
@@ -100,11 +92,6 @@ def test_a_second_equivalence_classes_call_validates_no_point(numeric_checks):
     point = unmarked(flagged_class(2, [0, 1]))
     assert equivalence_classes([point], profile) == equivalence_classes([point], profile)
     assert len(numeric_checks) == 1
-    points = [unmarked(pt) for pt in boundary(2)]
-    first = equivalence_classes(points, profile)
-    assert len(numeric_checks) == 1 + len(points)
-    assert equivalence_classes(points, profile) == first
-    assert len(numeric_checks) == 1 + len(points)
 
 
 def test_an_equal_but_distinct_profile_validates_again(numeric_checks, count_calls):
@@ -167,61 +154,100 @@ def test_a_record_whose_values_can_change_is_never_marked(numeric_checks):
     assert len(maps) == 6 and all(type(m) is FrozenDict for m in maps)
 
 
-def test_every_marked_output_passes_its_validator_unmarked():
+# the four records a validator marks, and each one's validator
+MARKABLE = {DeterminantLift: validate_det, Rank2EqData: validate_rank2,
+            AdmissibleParabolicDatum: validate_parabolic, GradedPoint: validate_graded}
+
+
+def marked_outputs():
+    """Each (output, profile) the mark tests check, built once: the
+    correspondence, single, chained and closed-form modifications and lift
+    negation over seeded profiles (n <= 24), every twist step over
+    gen.twist_corpus, and the order-two lifts with every D(Q) and F(Q), g <= 5."""
     rng = random.Random(24)
+
+    def modify(data, profile, y):
+        return elementary_modification(data, profile, y.id, rng.choice((FIRST, SECOND)),
+                                       inverse=rng.random() < 0.5)
+
     for _ in range(200):
         profile = gen.random_profile(rng, max_n=24, max_orbits=5)
         data = gen.random_data(rng, profile)
-        upstairs = [elementary_modification(data, profile, y.id, rng.choice((FIRST, SECOND)),
-                                            inverse=rng.random() < 0.5)
-                    for y in profile.orbits]
-        upstairs.append(gamma_apply(data, profile, {y.id: rng.randint(-3, 3) for y in profile.orbits},
-                                    FlagSelector({y.id: rng.choice((FIRST, SECOND))
-                                                  for y in profile.orbits})))
-        pdat = gen.random_parabolic(rng, profile)
-        upstairs.append(from_parabolic(pdat, profile))
-        downstairs = [to_parabolic(data, profile)]
+        yield to_parabolic(data, profile), profile
+        drawn = gen.random_parabolic(rng, profile)
+        chained = from_parabolic(drawn, profile)
+        yield chained, profile
+        for y in profile.orbits:
+            yield modify(data, profile, y), profile
+            chained = modify(chained, profile, y)
+            yield chained, profile
+        yield gamma_apply(data, profile, {y.id: rng.randint(-3, 3) for y in profile.orbits},
+                          FlagSelector({y.id: rng.choice((FIRST, SECOND))
+                                        for y in profile.orbits})), profile
         if profile.n % 2 == 0:
-            upstairs.append(zeta2_apply(data, profile))
-            downstairs.append(parabolic_zeta2(pdat, profile))
-        for out in upstairs:
-            assert out._mark is profile and out.det._mark is profile
-            validate_rank2(unmarked(out), profile)
-        for out in downstairs:
-            checked, spreads = out._mark
-            assert checked is profile and type(spreads) is FrozenDict
-            assert validate_parabolic(unmarked(out), profile) == spreads
-    # the twist steps' points and lifts, over mostly absorbing profiles (n <= 24)
-    stepped = 0
+            yield zeta2_apply(chained, profile), profile
+            yield parabolic_zeta2(drawn, profile), profile
     for profile, points, _ in gen.twist_corpus(25, 40):
         n = profile.n
         for pt in points:
-            outs = []
-            for a in range(1, n):
-                try:
-                    outs.append(sim_o_step(pt, RootExponent(a, n), profile))
+            try:
+                for a in range(1, n):
+                    yield sim_o_step(pt, RootExponent(a, n), profile), profile
                     if n % 2 == 0 and a % 2 == 1:
-                        outs += [sim_e_step(pt, profile, a, summand) for summand in (0, 1)]
-                except NonIntegralDegree:
-                    break  # the profile does not absorb the twists
-            for out in outs:
-                assert out._mark is profile and out.det._mark is profile
-                assert validate_graded(unmarked(out), profile) == validate_graded(out, profile)
-            stepped += len(outs)
-    assert stepped > 500
+                        for summand in (0, 1):
+                            yield sim_e_step(pt, profile, a, summand), profile
+            except NonIntegralDegree:
+                pass  # the profile does not absorb the twists
+    for g in range(1, 6):
+        family = hyperelliptic_profile(g)
+        for which, build in enumerate((double_class, flagged_class)):
+            lift = hyperelliptic_delta(g, which)
+            # shared: a check against an equal profile in another test moves its mark
+            validate_det(lift, family)
+            yield lift, family
+            for q in gen.even_subsets(2 * g + 2):
+                pt = build(g, q)
+                assert pt.det is lift  # every class of a genus shares its lift
+                yield pt, family
 
 
-def _assert_a_marked_record(out, cls, profile):
-    """out is exactly a cls, immutable, marked for profile, and equal to cls(*fields)."""
-    assert type(out) is cls
+def test_every_marked_output_passes_its_validator_unmarked(numeric_checks):
+    # the mark is trusted with no check, and earned: the output's copy without
+    # it passes again, and a datum's or point's copy checks its pairs once
+    for count, (out, profile) in enumerate(marked_outputs(), 1):
+        validate = MARKABLE[type(out)]
+        numeric_checks.clear()
+        checked = validate(out, profile)
+        assert numeric_checks == []
+        assert validate(unmarked(out), profile) == checked
+        assert len(numeric_checks) == (type(out) in (Rank2EqData, GradedPoint))
+    assert count > 10_000  # 3,472 of them twist steps
+
+
+def _raised(error, call, *args) -> str | None:
+    """The message of the error call(*args) raises, or None when it raises
+    none: pytest.raises at a tenth of its cost, for a dozen calls a record."""
+    try:
+        call(*args)
+    except error as exc:
+        return str(exc)
+    return None
+
+
+def _assert_a_marked_record(out, profile):
+    """out is exactly a markable record class, immutable, marked for profile,
+    and equal to cls(*fields)."""
+    cls = type(out)
+    assert cls in MARKABLE
     fields = [getattr(out, name) for name in cls.__match_args__]
     for name in (*cls.__match_args__, "_mark", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(out, name, None)
-        with pytest.raises(AttributeError):
-            delattr(out, name)
+        assert _raised(AttributeError, setattr, out, name, None) is not None, name
+        assert _raised(AttributeError, delattr, out, name) is not None, name
     assert [getattr(out, name) for name in cls.__match_args__] == fields
-    mark = out._mark[0] if cls is AdmissibleParabolicDatum else out._mark
+    mark = out._mark
+    if cls is AdmissibleParabolicDatum:
+        mark, spreads = mark
+        assert type(spreads) is FrozenDict
     assert mark is profile
     fresh = cls(*fields)
     assert fresh == out and repr(fresh) == repr(out)
@@ -229,8 +255,7 @@ def _assert_a_marked_record(out, cls, profile):
         assert hash(fresh) == hash(out)
     else:  # a record with a map field is unhashable, as its dataclass was
         for record in (fresh, out):
-            with pytest.raises(TypeError, match="unhashable type: 'FrozenDict'"):
-                hash(record)
+            assert _raised(TypeError, hash, record) == "unhashable type: 'FrozenDict'"
     clone = unmarked(out)
     assert type(clone) is cls and clone == out and clone._mark is None
 
@@ -238,56 +263,15 @@ def _assert_a_marked_record(out, cls, profile):
 def test_every_marked_output_is_exactly_its_record_class():
     # _new_marked builds each output as the record's slotted base and then
     # makes it the record; nothing of the base may show
-    rng = random.Random(35)
-    seen = dict.fromkeys((DeterminantLift, Rank2EqData, AdmissibleParabolicDatum, GradedPoint), 0)
-
-    def check(out, profile):
-        cls = type(out)
-        _assert_a_marked_record(out, cls, profile)
-        seen[cls] += 1
-        if cls in (Rank2EqData, GradedPoint):
-            _assert_a_marked_record(out.det, DeterminantLift, profile)
-            seen[DeterminantLift] += 1
-
-    for _ in range(60):
-        profile = gen.random_profile(rng, max_n=24, max_orbits=5)
-        data = gen.random_data(rng, profile)
-        pdat = to_parabolic(data, profile)
-        back = from_parabolic(pdat, profile)
-        outs = [pdat, back]
-        modified = back
-        for y in profile.orbits:
-            modified = elementary_modification(modified, profile, y.id, rng.choice((FIRST, SECOND)),
-                                               inverse=rng.random() < 0.5)
-            outs.append(modified)
-        outs.append(gamma_apply(back, profile, {y.id: rng.randint(-3, 3) for y in profile.orbits},
-                                FlagSelector({y.id: rng.choice((FIRST, SECOND))
-                                              for y in profile.orbits})))
-        if profile.n % 2 == 0:
-            outs += [zeta2_apply(back, profile), parabolic_zeta2(pdat, profile)]
-        for out in outs:
-            check(out, profile)
-    for profile, points, _ in gen.twist_corpus(35, 6):
-        n = profile.n
-        for pt in points[:4]:
-            try:
-                outs = [sim_o_step(pt, RootExponent(1, n), profile)]
-            except NonIntegralDegree:
-                continue  # the profile does not absorb the twists
-            if n % 2 == 0:
-                outs += [sim_e_step(pt, profile, 1, summand) for summand in (0, 1)]
-            for out in outs:
-                check(out, profile)
-    for g in (1, 2, 3):
-        family = hyperelliptic_profile(g)
-        for which in (0, 1):
-            # the family's lifts are shared, and a check against an equal
-            # profile moves their mark, so one earlier test may have moved it
-            validate_det(hyperelliptic_delta(g, which), family)
-            check(hyperelliptic_delta(g, which), family)
-        for q in ((), (0, 1), tuple(range(2 * g + 2))):
-            check(double_class(g, q), family)
-            check(flagged_class(g, q), family)
+    seen = dict.fromkeys(MARKABLE, 0)
+    lifts = {}  # by id, kept alive: a genus's boundary classes share two lifts
+    for out, profile in marked_outputs():
+        records = [out]
+        if type(out) in (Rank2EqData, GradedPoint) and id(out.det) not in lifts:
+            records.append(lifts.setdefault(id(out.det), out.det))
+        for record in records:
+            _assert_a_marked_record(record, profile)
+            seen[type(record)] += 1
     assert min(seen.values()) >= 20, seen
 
 
@@ -328,26 +312,16 @@ def test_the_genus_cache_holds_no_entry_for_a_value_that_is_no_int():
         hyperelliptic_delta(1, True)
 
 
-def test_every_boundary_class_is_born_marked_and_earns_its_mark(numeric_checks):
-    for g in range(1, 6):
-        profile = hyperelliptic_profile(g)
-        subsets = [q for size in range(0, 2 * g + 3, 2)
-                   for q in itertools.combinations(range(2 * g + 2), size)]
-        for build, which in ((double_class, 0), (flagged_class, 1)):
-            for q in subsets:
-                pt = build(g, q)
-                assert pt._mark is profile and pt.det is hyperelliptic_delta(g, which)
-                assert validate_graded(unmarked(pt), profile) == validate_graded(pt, profile)
-    assert len(numeric_checks) == 2 * sum(2 ** (2 * g + 1) for g in range(1, 6))
-
-
 def test_the_marked_boundary_is_classed_as_its_unmarked_copy_and_unchecked(numeric_checks):
     for g in (1, 2, 3, 4):
         profile = hyperelliptic_profile(g)
-        points = boundary(g)
+        points = gen.boundary(g)
         classes = equivalence_classes(points, profile)
         assert numeric_checks == []
         copies = [unmarked(pt) for pt in points]
+        assert equivalence_classes(copies, profile) == classes
+        assert len(numeric_checks) == len(copies)
+        # the first call marked the copies, so a second checks none
         assert equivalence_classes(copies, profile) == classes
         assert len(numeric_checks) == len(copies)
         numeric_checks.clear()
@@ -357,11 +331,11 @@ def test_building_the_g5_boundary_shares_its_lifts():
     # 4,096 points: 4.9 MB (1,201 bytes a point), against 8.2 MB when each
     # point carried a lift of its own and every flagged class its own pairs
     # (CPython 3.11.7, Intel Xeon)
-    boundary(5)  # builds the genus-5 family first
+    gen.boundary(5)  # builds the genus-5 family first
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        points = boundary(5)
+        points = gen.boundary(5)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
