@@ -477,27 +477,32 @@ def test_saturate_degenerate_sections():
         saturate(BUNDLE, 0, [F(1)], [F(1)])
 
 
-def test_validate_witness_rejections():
-    # BUNDLE has c = -1 and d - c = -2, so at e the bounds are deg p <= -1 - e
-    # and deg q <= -2 - e
-    def witness(e, p, q, agreement=frozenset()):
-        return SubbundleWitness(e=e, p_coeffs=p, q_coeffs=q, agreement=agreement)
+# BUNDLE has c = -1 and d - c = -2, so at e the bounds are deg p <= -1 - e and
+# deg q <= -2 - e
+@pytest.mark.parametrize("e, p, q, message", [
+    pytest.param(-3, (F(0),), (), "both zero", id="both-zero"),
+    pytest.param(-1, (F(1), F(1)), (), "exceed their degree bounds", id="deg-p"),  # 1 > 0
+    pytest.param(-2, (), (F(1), F(1)), "exceed their degree bounds", id="deg-q"),  # 1 > 0
+    pytest.param(-2, (F(1),), (), "forces the degree-c summand", id="q-zero"),  # e != c
+    pytest.param(-3, (), (F(1),), "forces the complementary summand",
+                 id="p-zero"),  # e != d - c
+    pytest.param(-3, (F(2), F(-3), F(1)), (F(-1), F(1)), r"share a factor \(not saturated\)",
+                 id="common-factor"),
+    pytest.param(-5, (F(1),), (F(1),), r"vanishes at infinity \(not saturated\)",
+                 id="infinity"),
+])
+def test_validate_witness_rejections(e, p, q, message):
+    with pytest.raises(InvalidDatum, match=message):
+        validate_witness(BUNDLE, SubbundleWitness(e=e, p_coeffs=p, q_coeffs=q,
+                                                  agreement=frozenset()))
 
-    for wit, message in [
-        (witness(-3, (F(0),), ()), "both zero"),
-        (witness(-1, (F(1), F(1)), ()), "exceed their degree bounds"),  # deg p 1 > 0
-        (witness(-2, (), (F(1), F(1))), "exceed their degree bounds"),  # deg q 1 > 0
-        (witness(-2, (F(1),), ()), "forces the degree-c summand"),  # q = 0, e != c
-        (witness(-3, (), (F(1),)), "forces the complementary summand"),  # p = 0, e != d - c
-        (witness(-3, (F(2), F(-3), F(1)), (F(-1), F(1))), r"share a factor \(not saturated\)"),
-        (witness(-5, (F(1),), (F(1),)), r"vanishes at infinity \(not saturated\)"),
-    ]:
-        with pytest.raises(InvalidDatum, match=message):
-            validate_witness(BUNDLE, wit)
+
+def test_validate_witness_rejects_a_wrong_agreement_set():
     wit = saturate(BUNDLE, -5, [F(1)], [F(1)])
     with pytest.raises(InvalidDatum, match="agreement set does not match its sections"):
-        validate_witness(BUNDLE, witness(wit.e, wit.p_coeffs, wit.q_coeffs,
-                                         frozenset({0, 1, 2, 3})))
+        validate_witness(BUNDLE, SubbundleWitness(e=wit.e, p_coeffs=wit.p_coeffs,
+                                                  q_coeffs=wit.q_coeffs,
+                                                  agreement=frozenset({0, 1, 2, 3})))
 
 
 def test_validate_witness_rejects_a_coefficient_that_is_not_exact():
