@@ -25,6 +25,8 @@ code it justifies:
 
 - the integer face test of a subset, against a threshold fixed per
   degree: stability_classify;
+- the integer form of the bundle, read from its Fractions once per call
+  and by everything downstream: _integer_points;
 - integer interpolation rows in place of fraction ones:
   _interpolation_row;
 - why a full rank modulo a prime is a full rank over the rationals:
@@ -32,8 +34,11 @@ code it justifies:
 - the walk of each degree's subsets, its prunes and its table of
   prefixes: _kernel_candidates;
 - the two lemmas, the error locator and the line lemma, that prove a
-  degree empty before its rows are built: _certified_empty;
-- witness scoring in integers: _true_agreement and _face_diff.
+  degree empty before its rows are built, and the grouping of rows by
+  the primitive normal of their line or plane that makes the line lemma
+  quadratic: _certified_empty;
+- witness scoring in integers: _true_agreement, by Horner's rule in
+  homogeneous form on the integer form, and _face_numerator.
 
 Fractions remain only in the kernel and in saturation, which run on
 kernel hits alone.  All arithmetic is exact: integers and fractions,
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -61,12 +65,14 @@ if TYPE_CHECKING:  # for annotations; `fixloc stability` loads none of these lay
 STABLE = "Stable"
 STRICTLY_SEMISTABLE = "StrictlySemistable"
 UNSTABLE = "Unstable"
-_HALF = Fraction(1, 2)  # the weight of the all-half-weights family
+_Point = tuple[int, int, int, int]  # a marked point in integers: see _integer_points
 
 # The scan is exponential in the number of marked points.  On one core of
-# an Intel Xeon under CPython 3.11, the slowest of 60 seeded bundles at
-# 30 points (g=14, tools/scale_stability.py, seeds 1 and 2) took 3.2 s and
-# 44 MB, and the median 0.02 s.
+# an Intel Xeon under CPython 3.11, at 30 points (g=14,
+# tools/scale_stability.py), the slowest of 60 seeded bundles (40 draws of
+# seed 1, 20 of seed 2) took 4.1-4.2 s and 45 MB, and the median 0.02 s.
+# Draw g14-25 of seed 2, past those 20, walks degrees that yield nothing:
+# 12-19 s in five runs, with the process at a peak of 106 MB.
 MAX_MARKED_POINTS = 30
 
 
@@ -247,7 +253,9 @@ make_bundle = ParabolicP1  # builds and validates; flags are normalized projecti
 
 def parabolic_slope_difference(bundle: ParabolicP1, witness: SubbundleWitness) -> Fraction:
     """par-slope(bundle) - par-slope(subbundle with induced weights)."""
-    return _face_diff(bundle.d, witness.e, itertools.count(), bundle.weights, witness.agreement)
+    scale, iw = _over_one_denominator(bundle.weights)
+    num = _face_numerator(bundle.d, witness.e, scale, iw, range(len(iw)), witness.agreement)
+    return Fraction(num, 2 * scale)
 
 
 def _over_one_denominator(xs) -> tuple[int, list[int]]:
@@ -256,17 +264,17 @@ def _over_one_denominator(xs) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
-def _face_diff(d: int, e: int, keys, weights, agreement) -> Fraction:
-    """d/2 - e + sum of w/2 over the weights, negated where the key is in agreement.
+def _face_numerator(d: int, e: int, scale: int, iw: list[int], keys, agreement) -> int:
+    """2L times d/2 - e + sum of w/2 over the weights, negated where the key is in agreement.
 
-    Summed in integers over the weights' common denominator L: the value
-    is (L*(d-2e) + sum of the signed L*w) / 2L.
+    The weights come over their common denominator L, as iw = [w*L]
+    (_over_one_denominator), so this is the integer L*(d-2e) + sum of
+    the signed L*w, and it has the sign of the slope difference.
     """
-    scale, iw = _over_one_denominator(weights)
     acc = scale * (d - 2 * e)
     for key, x in zip(keys, iw):
         acc += -x if key in agreement else x
-    return Fraction(acc, 2 * scale)
+    return acc
 
 
 def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
@@ -283,14 +291,16 @@ def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
     """
     from .equivariant import from_parabolic
 
-    # validates pdat, whose weights name every orbit, as _face_diff reads them
+    # validates pdat, whose weights name every orbit, as _face_numerator reads them
     data = from_parabolic(pdat, profile)
     check_int(sub_bar_degree, "subbundle base degree")
     agr = set(agreement)
     unknown = agr - set(profile.orbit_ids())
     if unknown:
         raise UnknownOrbit(sorted(unknown)[0])
-    lhs = _face_diff(pdat.det_bar_degree, sub_bar_degree, pdat.weights, pdat.weights.values(), agr)
+    scale, iw = _over_one_denominator(pdat.weights.values())
+    lhs = Fraction(_face_numerator(pdat.det_bar_degree, sub_bar_degree, scale, iw, pdat.weights,
+                                   agr), 2 * scale)
 
     deg_top = data.det.degree
     deg_sub = profile.n * sub_bar_degree
@@ -303,8 +313,20 @@ def slope_transfer_check(profile: CoverProfile, pdat: AdmissibleParabolicDatum,
 
 # --- witness machinery ---
 
-def _interpolation_row(bundle: ParabolicP1, i: int, np_: int, nq: int) -> list[int]:
-    """Condition b*p(z)-a*q(z)=0 at point i, in integers.
+def _integer_points(bundle: ParabolicP1) -> list[_Point]:
+    """The integer form of the marked points: (u, v, s, -a*t) for each.
+
+    Point z = u/v carries the normalized flag (a, b), a in {0, 1} and
+    b = s/t, so -a*t is -t or 0.  The witness machinery reads the
+    points and flags through this table alone, so each of their
+    Fractions is read once per call.
+    """
+    return [(z.numerator, z.denominator, b.numerator, -a.numerator * b.denominator)
+            for z, (a, b) in zip(bundle.points, bundle.flags)]
+
+
+def _interpolation_row(point: _Point, np_: int, nq: int) -> list[int]:
+    """Condition b*p(z)-a*q(z)=0 at a point of _integer_points, in integers.
 
     With z = u/v, the normalized flag (a, b), a in {0, 1}, b = s/t and
     m = max(np_, nq), the fraction row (b*z^j for j < np_, then -a*z^j
@@ -315,13 +337,10 @@ def _interpolation_row(bundle: ParabolicP1, i: int, np_: int, nq: int) -> list[i
     a scale the prime divides (when it divides t or v) can only lower a
     rank, which is safe (see there).
     """
-    z = bundle.points[i]
-    u, v = z.numerator, z.denominator
-    a, b = bundle.flags[i]
-    s, t = b.numerator, b.denominator
+    u, v, s, at = point
     m = max(np_, nq)
     powers = [u ** j * v ** (m - 1 - j) for j in range(m)]
-    return [s * x for x in powers[:np_]] + [-a.numerator * t * x for x in powers[:nq]]
+    return [s * x for x in powers[:np_]] + [at * x for x in powers[:nq]]
 
 
 # Rows are reduced modulo this prime.  Integer rows never have a larger rank
@@ -423,7 +442,7 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
         del walk
 
 
-def _certified_empty(bundle: ParabolicP1, iw: list[int], need: int, np_: int, nq: int) -> bool:
+def _certified_empty(table: list[_Point], iw: list[int], need: int, np_: int, nq: int) -> bool:
     """True only when a lemma proves that no subset S with 2*sum(iw[S]) >= need
     has a kernel in its interpolation rows at bounds (np_, nq), so that
     every kernel_vector call of the degree would return None.
@@ -439,7 +458,13 @@ def _certified_empty(bundle: ParabolicP1, iw: list[int], need: int, np_: int, nq
     kernel, every subset of K on a plane lies on the plane of two
     non-proportional rows of K, whose normal is their integer cross
     product.  The degree is empty exactly when every such hyperplane's
-    weight misses need.
+    weight misses need.  The rows are grouped by the primitive normal
+    of their line or plane (_primitive), so each hyperplane's weight is
+    one sum and the lemma runs in O(K^2); tests/test_stability.py keeps
+    the O(K^3) scan that dots every normal with every row as its oracle.
+    The groups are exact: a row on a plane pairs with a non-proportional
+    row of that plane, since two non-proportional rows span it, so the
+    pairs that key a plane cover every row on it.
 
     The error locator (Berlekamp-Welch): a qualifying S misses at most
     E points of K, as many of K's lightest weights as can go with the
@@ -455,19 +480,22 @@ def _certified_empty(bundle: ParabolicP1, iw: list[int], need: int, np_: int, nq
     pos = [i for i, w in enumerate(iw) if w]
     ncols = np_ + nq
     if ncols <= 3:
-        # the normal of the line through each row of Q^2, or of the plane
-        # through each two non-proportional rows of Q^3
-        rows = [(iw[i], _interpolation_row(bundle, i, np_, nq)) for i in pos]
+        # the rows on the line through each row of Q^2, or on the plane
+        # through each two non-proportional rows of Q^3, by primitive normal
+        rows = [(i, _interpolation_row(table[i], np_, nq)) for i in pos]
+        on: dict[tuple[int, ...], set[int]] = {}
         if ncols == 2:
-            normals = [(y, -x) for _, (x, y) in rows]
+            for i, (x, y) in rows:
+                on.setdefault(_primitive((y, -x)), set()).add(i)
         else:
-            normals = [n for (_, (a, b, c)), (_, (x, y, z)) in itertools.combinations(rows, 2)
-                       if any(n := (b * z - c * y, c * x - a * z, a * y - b * x))]
+            for (i, (a, b, c)), (j, (x, y, z)) in itertools.combinations(rows, 2):
+                n = (b * z - c * y, c * x - a * z, a * y - b * x)
+                if any(n):
+                    on.setdefault(_primitive(n), set()).update((i, j))
             # K's rows all proportional: K itself has a kernel
-            if not normals:
+            if not on:
                 return False
-        return all(2 * sum(w for w, r in rows if not sum(map(operator.mul, n, r))) < need
-                   for n in normals)
+        return all(2 * sum(iw[i] for i in group) < need for group in on.values())
     # the error locator's E: as many of K's lightest weights as can go
     slack, errors = 2 * sum(iw) - need, 0
     for w in sorted(iw[i] for i in pos):
@@ -480,7 +508,7 @@ def _certified_empty(bundle: ParabolicP1, iw: list[int], need: int, np_: int, nq
     for k, i in enumerate(pos):
         if len(ech) + len(pos) - k < rank:
             return False  # the rows left cannot reach full rank
-        row = _interpolation_row(bundle, i, np_ + errors, nq + errors)
+        row = _interpolation_row(table[i], np_ + errors, nq + errors)
         pivot = _eliminate(ech, [x % RANK_PRIME for x in row])
         if pivot is not None:
             ech = (*ech, pivot)
@@ -489,16 +517,40 @@ def _certified_empty(bundle: ParabolicP1, iw: list[int], need: int, np_: int, nq
     return False
 
 
-def _true_agreement(bundle: ParabolicP1, p, q) -> frozenset[int]:
-    """The points i where b*p(z) = a*q(z), decided in integers.
+def _primitive(n: tuple[int, ...]) -> tuple[int, ...]:
+    """A nonzero integer vector over the gcd of its entries, its first nonzero entry positive.
 
-    With L the lcm of the coefficient denominators, the interpolation
-    row of point i dotted with (L*p, L*q) is that difference times the
-    nonzero L*t*v^(m-1), so it is zero exactly where the point agrees.
+    Two vectors are proportional exactly when they have one primitive
+    form, so it keys a line or a plane by its normal.
+    """
+    g = math.gcd(*n)
+    if next(filter(None, n)) < 0:
+        g = -g
+    return tuple([x // g for x in n])
+
+
+def _true_agreement(table: list[_Point], p, q) -> frozenset[int]:
+    """The points of _integer_points where b*p(z) = a*q(z), decided in integers.
+
+    With L the lcm of the coefficient denominators, m = max(len p,
+    len q) and z = u/v, the point's interpolation row dotted with
+    (L*p, L*q) is that difference times the nonzero L*t*v^(m-1), so it
+    is zero exactly where the point agrees.  The dot is evaluated with
+    no row built, by Horner's rule in homogeneous form on
+    s*L*p + (-a*t)*L*q at (u, v), p and q padded at the top to m
+    coefficients each: the padding aligns the shorter one to v^(m-1).
     """
     _, coeffs = _over_one_denominator([*p, *q])
-    return frozenset(i for i in range(len(bundle.points)) if not sum(
-        map(operator.mul, _interpolation_row(bundle, i, len(p), len(q)), coeffs)))
+    top_first = list(itertools.zip_longest(coeffs[:len(p)], coeffs[len(p):], fillvalue=0))[::-1]
+    agree = []
+    for i, (u, v, s, at) in enumerate(table):
+        acc, vpow = 0, 1
+        for x, y in top_first:
+            acc = acc * u + (s * x + at * y) * vpow
+            vpow *= v
+        if not acc:
+            agree.append(i)
+    return frozenset(agree)
 
 
 def saturate(bundle: ParabolicP1, e: int, p, q) -> SubbundleWitness:
@@ -508,24 +560,29 @@ def saturate(bundle: ParabolicP1, e: int, p, q) -> SubbundleWitness:
     order at infinity (slack in both degree bounds); a vanishing p or q
     lands in a split summand, O(d-c) or O(c) respectively.
     """
+    return _saturate(bundle.c, bundle.d, _integer_points(bundle), e, p, q)
+
+
+def _saturate(c: int, d: int, table: list[_Point], e: int, p, q) -> SubbundleWitness:
+    """saturate, on the splitting degrees and the integer form of the points."""
     p, q = poly_trim(p), poly_trim(q)
     if not p and not q:
         raise InvalidDatum("zero section spans no subbundle")
     if not q:
-        e, p, q = bundle.c, (Fraction(1),), ()
+        e, p, q = c, (Fraction(1),), ()
     elif not p:
-        e, p, q = bundle.d - bundle.c, (), (Fraction(1),)
+        e, p, q = d - c, (), (Fraction(1),)
     else:
         g = poly_gcd(p, q)
         p, _ = poly_divmod(p, g)
         q, _ = poly_divmod(q, g)
         e += len(g) - 1
-        bump = min((bundle.c - e) - (len(p) - 1), (bundle.d - bundle.c - e) - (len(q) - 1))
+        bump = min((c - e) - (len(p) - 1), (d - c - e) - (len(q) - 1))
         if bump < 0:
             raise InternalError("inclusion exceeded its degree budget")
         e += bump
     return SubbundleWitness(e=e, p_coeffs=tuple(p), q_coeffs=tuple(q),
-                            agreement=_true_agreement(bundle, p, q))
+                            agreement=_true_agreement(table, p, q))
 
 
 def validate_witness(bundle: ParabolicP1, witness: SubbundleWitness) -> None:
@@ -547,7 +604,7 @@ def validate_witness(bundle: ParabolicP1, witness: SubbundleWitness) -> None:
         raise InvalidDatum("vanishing second section forces the degree-c summand")
     elif not p and witness.e != bundle.d - bundle.c:
         raise InvalidDatum("vanishing first section forces the complementary summand")
-    if witness.agreement != _true_agreement(bundle, p, q):
+    if witness.agreement != _true_agreement(_integer_points(bundle), p, q):
         raise InvalidDatum("witness agreement set does not match its sections")
 
 
@@ -582,7 +639,11 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     npoints = len(bundle.points)
     if npoints > MAX_MARKED_POINTS:
         raise DomainError(f"{npoints} marked points exceed the limit of {MAX_MARKED_POINTS}")
-    if g is not None and all(w == _HALF for w in bundle.weights):
+    # the integer form of the bundle, which everything below reads
+    table = _integer_points(bundle)
+    scale, iw = _over_one_denominator(bundle.weights)
+    # every weight 1/2: the all-half-weights family
+    if g is not None and all(2 * x == scale for x in iw):
         if npoints != 2 * g + 2:
             raise InvalidDatum(f"genus {g} needs {2 * g + 2} marked points")
     c, d = bundle.c, bundle.d
@@ -590,7 +651,7 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
 
     def consider(wit: SubbundleWitness):
         nonlocal equal_witness
-        diff = parabolic_slope_difference(bundle, wit)
+        diff = _face_numerator(d, wit.e, scale, iw, range(npoints), wit.agreement)
         if diff < 0:
             return StabilityVerdict(UNSTABLE, wit)
         if diff == 0 and equal_witness is None:
@@ -598,25 +659,24 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
         return None
 
     # the split summand O(c) always includes; check it first
-    verdict = consider(saturate(bundle, c, [Fraction(1)], []))
+    verdict = consider(_saturate(c, d, table, c, [Fraction(1)], []))
     if verdict:
         return verdict
 
     # face value <= 0  <=>  2 * sum(iw[S]) >= need, all in integers
-    scale, iw = _over_one_denominator(bundle.weights)
     total = sum(iw)
-    e_lo = math.ceil(Fraction(d * scale - total, 2 * scale))
+    e_lo = -((total - d * scale) // (2 * scale))  # ceil((d*scale - total) / (2*scale))
     for e in range(d - c, e_lo - 1, -1):
         need = scale * (d - 2 * e) + total
         np_, nq = c - e + 1, d - c - e + 1
-        if _certified_empty(bundle, iw, need, np_, nq):
+        if _certified_empty(table, iw, need, np_, nq):
             continue
-        rows = [_interpolation_row(bundle, i, np_, nq) for i in range(npoints)]
+        rows = [_interpolation_row(point, np_, nq) for point in table]
         for subset in _kernel_candidates(rows, np_ + nq, iw, need):
             v = kernel_vector([rows[i] for i in subset], np_ + nq)
             if v is None:
                 continue
-            verdict = consider(saturate(bundle, e, v[:np_], v[np_:]))
+            verdict = consider(_saturate(c, d, table, e, v[:np_], v[np_:]))
             if verdict:
                 return verdict
     if equal_witness is not None:

@@ -366,7 +366,6 @@ def parent_flagged_class(g, q_indices):
 
 def test_family_classes_match_the_point_built_oracle():
     for g in (1, 2, 3, 4):
-        profile = hyperelliptic_profile(g)
         for q in gen.even_subsets(2 * g + 2):
             for build, oracle in ((double_class, parent_double_class),
                                   (flagged_class, parent_flagged_class)):
@@ -376,7 +375,6 @@ def test_family_classes_match_the_point_built_oracle():
                 assert list(pt.det.residues) == list(want.det.residues)
                 assert [(s.bar_degree, sorted(s.support)) for s in pt.summands] == \
                     [(s.bar_degree, sorted(s.support)) for s in want.summands]
-                validate_graded(pt, profile)
 
 
 def test_family_classes_reject_point_indices_out_of_range():
@@ -390,15 +388,6 @@ def test_family_classes_reject_point_indices_out_of_range():
         with pytest.raises(InvalidDatum, match="even"):
             build(2, [99])
         assert build(2, [0, 5]) == build(2, [5, 0])
-
-
-def test_double_and_flagged_classes_are_graded_points():
-    for g in (1, 2):
-        profile = hyperelliptic_profile(g)
-        for size in range(0, 2 * g + 3, 2):
-            q = frozenset(range(size))
-            validate_graded(double_class(g, q), profile)
-            validate_graded(flagged_class(g, q), profile)
 
 
 def test_crossing_twist_links_the_two_lifts():

@@ -25,10 +25,16 @@ def test_one_classify_pair_of_this_checkout_against_itself():
 
 
 def fake_checkout(root: Path, correct: bool, failed: int) -> Path:
-    (root / "src").mkdir(parents=True)
-    (root / "perfbench").mkdir()
+    # run.py exits 3 unless it may write no bytecode, has no cache prefix and
+    # sees no __pycache__ beside it, although the checkout holds one: every
+    # side compiles the package from source, as on a fresh checkout
+    (root / "perfbench" / "__pycache__").mkdir(parents=True)
+    (root / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"")
     (root / "perfbench" / "run.py").write_text(
-        "import json, sys\n"
+        "import json, os, sys\n"
+        "if not sys.dont_write_bytecode or sys.pycache_prefix or os.path.exists(\n"
+        "        os.path.join(os.path.dirname(__file__), '__pycache__')):\n"
+        "    sys.exit(3)\n"
         "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
         f"print(json.dumps({{'correct': {correct}, 'attempted': 3, 'failed': {failed},\n"
         "                  'metrics': {'wall_s': {'value': 1.0 + seed, 'unit': 's'}}}))\n")

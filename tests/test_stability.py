@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -48,6 +49,7 @@ from fixloc.stability import (
     RANK_PRIME,
     ParabolicP1,
     _eliminate,
+    _integer_points,
     _interpolation_row,
     _kernel_candidates,
     _over_one_denominator,
@@ -277,7 +279,7 @@ def loop_degrees(bundle):
 def has_qualifying_kernel(bundle, iw, need, np_, nq) -> bool:
     """Brute force: kernel_vector over every subset S with 2*sum(iw[S]) >= need."""
     n = len(bundle.points)
-    rows = [_interpolation_row(bundle, i, np_, nq) for i in range(n)]
+    rows = [_interpolation_row(point, np_, nq) for point in _integer_points(bundle)]
     return any(kernel_vector([rows[i] for i in s], np_ + nq) is not None
                for size in range(n + 1) for s in itertools.combinations(range(n), size)
                if 2 * sum(iw[i] for i in s) >= need)
@@ -306,7 +308,7 @@ def test_certified_degrees_hold_no_qualifying_kernel():
     for bundle in certificate_corpus():
         for iw, need, np_, nq in loop_degrees(bundle):
             lemma = "line" if np_ + nq <= 3 else "locator"
-            empty = stability._certified_empty(bundle, iw, need, np_, nq)
+            empty = stability._certified_empty(_integer_points(bundle), iw, need, np_, nq)
             tried[lemma] += 1
             certified[lemma] += empty
             if empty or lemma == "line":
@@ -319,6 +321,51 @@ def test_certified_degrees_hold_no_qualifying_kernel():
     # rows, stays sound but certifies fewer degrees
     assert tried == {"line": 60, "locator": 110}
     assert certified["line"] == 27 and certified["locator"] >= 69
+
+
+def normal_scan(table, iw, need, np_, nq) -> bool:
+    """The line lemma by dotting every normal with every row of K, in O(K^3).
+
+    The classifier's former line-lemma branch, kept as the oracle for its
+    grouping of K's rows by primitive normal.
+    """
+    if need <= 0:
+        return False
+    rows = [(w, _interpolation_row(point, np_, nq)) for point, w in zip(table, iw) if w]
+    if np_ + nq == 2:
+        normals = [(y, -x) for _, (x, y) in rows]
+    else:
+        normals = [n for (_, (a, b, c)), (_, (x, y, z)) in itertools.combinations(rows, 2)
+                   if any(n := (b * z - c * y, c * x - a * z, a * y - b * x))]
+        if not normals:
+            return False  # K's rows all proportional: K itself has a kernel
+    return all(2 * sum(w for w, r in rows if not sum(map(operator.mul, n, r))) < need
+               for n in normals)
+
+
+def test_the_line_lemma_matches_the_normal_scan():
+    # each degree with ncols <= 3 at every need from 1 to past twice the
+    # total weight, so every hyperplane's weight meets every threshold; on
+    # the certificate corpus and on seeded small bundles, a third of them
+    # with fractional points
+    rng = random.Random(65)
+    small = []
+    for k in range(90):
+        g = rng.randint(1, 3)
+        bundle = gen.random_bundle(rng, g, rng.randint(-((g + 1) // 2), 0),
+                                   generic_weights=k % 2 == 1)
+        small.append(fractional_points(rng, bundle) if k % 3 == 0 else bundle)
+    verdicts = collections.Counter()
+    for bundle in itertools.chain(certificate_corpus(), small):
+        table = _integer_points(bundle)
+        for iw, _, np_, nq in loop_degrees(bundle):
+            if np_ + nq > 3:
+                continue
+            for need in range(1, 2 * sum(iw) + 2):
+                empty = stability._certified_empty(table, iw, need, np_, nq)
+                assert empty is normal_scan(table, iw, need, np_, nq), (bundle, need, np_, nq)
+                verdicts[np_ + nq, empty] += 1
+    assert min(verdicts.values()) >= 100 and len(verdicts) == 4, verdicts
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -538,6 +585,14 @@ def random_fraction(rng: random.Random) -> Fraction:
     return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 7, 12]))
 
 
+def fractional_points(rng: random.Random, bundle):
+    """The bundle on distinct random_fraction points, whose denominators enter the integer rows."""
+    points = set()
+    while len(points) < len(bundle.points):
+        points.add(random_fraction(rng))
+    return make_bundle(bundle.c, bundle.d, sorted(points), bundle.flags, bundle.weights)
+
+
 def random_sections(rng: random.Random, bundle, np_: int, nq: int):
     """Random Fraction (p, q), or a pair through chosen points so that some agree."""
     if rng.random() < 0.5 and np_ + nq > 1:
@@ -546,7 +601,8 @@ def random_sections(rng: random.Random, bundle, np_: int, nq: int):
         chosen = rng.sample(range(len(rows)), min(len(rows), rng.randint(1, np_ + nq - 1)))
         v = kernel_vector([rows[i] for i in chosen], np_ + nq)
         if v is not None:
-            v = [x * random_fraction(rng) or x for x in v]
+            scale = random_fraction(rng) or F(1)
+            v = [x * scale for x in v]
             return v[:np_], v[np_:]
     return ([random_fraction(rng) for _ in range(np_)],
             [random_fraction(rng) for _ in range(nq)])
@@ -557,6 +613,7 @@ def test_true_agreement_matches_fraction_evaluation_on_the_fixtures():
     for name in ("stability_verdicts.json", "stability_verdicts_g5_8.json"):
         for case in json.loads((FIXTURES / name).read_text()):
             bundle = gen.bundle_from_doc(case["bundle"])
+            table = _integer_points(bundle)
             witness = case["verdict"]["witness"]
             pairs = [([F(1)], []), ([], [F(1)])]
             if witness is not None:
@@ -566,7 +623,7 @@ def test_true_agreement_matches_fraction_evaluation_on_the_fixtures():
             for _ in range(3):
                 pairs.append(random_sections(rng, bundle, rng.randint(0, 3), rng.randint(0, 3)))
             for p, q in pairs:
-                assert _true_agreement(bundle, p, q) == fraction_agreement(bundle, p, q), \
+                assert _true_agreement(table, p, q) == fraction_agreement(bundle, p, q), \
                     (case["name"], p, q)
                 checked += 1
     assert checked >= 5 * (184 + 48)
@@ -578,16 +635,15 @@ def test_true_agreement_matches_fraction_evaluation_on_random_bundles():
     for k in range(400):
         g = rng.randint(1, 4)
         bundle = gen.random_bundle(rng, g, rng.randint(-((g + 1) // 2), 0), generic_weights=True)
-        if k % 2:  # fractional points, whose denominators enter the integer rows
-            points = set()
-            while len(points) < len(bundle.points):
-                points.add(random_fraction(rng))
-            bundle = make_bundle(bundle.c, bundle.d, sorted(points), bundle.flags, bundle.weights)
+        if k % 2:
+            bundle = fractional_points(rng, bundle)
         np_, nq = rng.randint(0, 4), rng.randint(0, 4)
         p, q = random_sections(rng, bundle, np_, nq)
-        got = _true_agreement(bundle, p, q)
+        got = _true_agreement(_integer_points(bundle), p, q)
         assert got == fraction_agreement(bundle, p, q), (bundle, p, q)
-        seen["empty p or q"] += not p or not q
+        seen["empty p"] += not p
+        seen["empty q"] += not q
+        seen["len(p) != len(q)"] += len(p) != len(q)
         seen["point 0"] += 0 in bundle.points
         seen["negative point"] += any(z < 0 for z in bundle.points)
         seen["fractional point"] += any(z.denominator > 1 for z in bundle.points)
@@ -596,7 +652,7 @@ def test_true_agreement_matches_fraction_evaluation_on_random_bundles():
         seen["some agree"] += bool(got)
         seen["some disagree"] += len(got) < len(bundle.points)
         seen["mixed denominators"] += len({x.denominator for x in (*p, *q)}) > 1
-    assert len(seen) == 9 and min(seen.values()) >= 20, seen
+    assert len(seen) == 11 and min(seen.values()) >= 20, seen
 
 
 def test_slope_difference_is_the_fraction_sum():
