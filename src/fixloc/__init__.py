@@ -24,9 +24,10 @@ _LAYERS = {
         "FIRST", "MINUS", "PLUS", "SECOND", "AdmissibleParabolicDatum", "DeterminantLift",
         "FlagSelector", "Rank2EqData", "admissible_pairs", "bar_delta_degree",
         "det_from_json", "det_to_json", "elementary_modification", "enumerate_lambda",
-        "from_parabolic", "gamma_apply", "numeric_from_json", "numeric_to_json",
-        "parabolic_from_json", "parabolic_to_json", "rank2_from_json", "rank2_to_json",
-        "solve_d2", "to_parabolic", "weight_system",
+        "from_parabolic", "gamma_apply", "m_cross", "numeric_from_json", "numeric_to_json",
+        "parabolic_from_json", "parabolic_to_json", "parabolic_zeta2", "rank2_from_json",
+        "rank2_to_json", "solve_d2", "to_parabolic", "weight_system", "zeta2_apply",
+        "zeta2_partition",
     ),
     "errors": (
         "DomainError", "FixlocError", "InconsistentDegrees", "InternalError", "InvalidDatum",
@@ -35,8 +36,7 @@ _LAYERS = {
     ),
     "graded": (
         "GradedPoint", "GradedSummand", "double_class", "equivalence_classes", "flagged_class",
-        "hyperelliptic_delta", "m_cross", "parabolic_zeta2", "sim_e_step", "sim_o_step",
-        "zeta2_apply", "zeta2_partition",
+        "hyperelliptic_delta", "sim_e_step", "sim_o_step",
     ),
     "locus": (
         "CensusComponent", "CensusRecord", "ComponentRecord", "DecompositionReport",

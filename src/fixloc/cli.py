@@ -217,11 +217,11 @@ def cmd_bijection_check(args) -> int:
 
 
 def cmd_zeta2(args) -> int:
-    from . import covers, equivariant, graded
+    from . import covers, equivariant
     doc = _load_input(args.file, profile=covers.profile_from_json, data=equivariant.rank2_from_json)
     profile, data = doc["profile"], doc["data"]
-    image = graded.zeta2_apply(data, profile)
-    twice = graded.zeta2_apply(image, profile)
+    image = equivariant.zeta2_apply(data, profile)
+    twice = equivariant.zeta2_apply(image, profile)
     if twice != data:
         print(json.dumps({
             "property": "involution",
@@ -231,7 +231,7 @@ def cmd_zeta2(args) -> int:
         return 1
     payload = {
         "image": equivariant.rank2_to_json(image),
-        "partition": graded.zeta2_partition(data.numeric, profile),
+        "partition": equivariant.zeta2_partition(data.numeric, profile),
         "involution_ok": True,
     }
     lines = [f"image numeric: {equivariant.numeric_to_json(image.numeric)}",
@@ -284,8 +284,6 @@ def _hyperelliptic_payload(report) -> dict:
 
 def cmd_hyperelliptic(args) -> int:
     from . import locus
-    if args.g is None:
-        raise SchemaError("hyperelliptic requires --g")
     report = locus.hyperelliptic_report(args.g, with_classes=args.g <= 4)
     payload = _hyperelliptic_payload(report)
     if args.format == "dot":
@@ -315,8 +313,6 @@ def cmd_hyperelliptic(args) -> int:
 
 def cmd_census(args) -> int:
     from . import locus
-    if args.n is None or args.deg_delta is None or args.genus_y is None:
-        raise SchemaError("census requires --n, --deg-delta and --genus-y")
     record = locus.unramified_census(args.n, args.deg_delta, args.genus_y)
     payload = to_json(record)
     lines = [f"case: {record.case}"]
@@ -355,8 +351,11 @@ COMMANDS = {
     "stability": cmd_stability,
 }
 
-NEEDS_FILE = {"kernel", "factor", "lambda", "weights", "zeta2", "orbits",
-              "decompose", "stability"}
+# the options a subcommand cannot run without; main reports a missing or empty
+# one as a usage error that names them all
+REQUIRED = dict.fromkeys(["kernel", "factor", "lambda", "weights", "zeta2", "orbits", "decompose",
+                          "stability"], ("--file",))
+REQUIRED.update({"hyperelliptic": ("--g",), "census": ("--n", "--deg-delta", "--genus-y")})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,8 +379,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format == "dot" and args.subcommand != "hyperelliptic":
         parser.error("dot format is only available for the hyperelliptic report")
-    if args.subcommand in NEEDS_FILE and not args.file:
-        parser.error(f"{args.subcommand} requires --file")
+    required = REQUIRED.get(args.subcommand, ())
+    if any(getattr(args, option[2:].replace("-", "_")) in (None, "") for option in required):
+        *rest, last = required
+        parser.error(f"{args.subcommand} requires {', '.join(rest)}{' and ' if rest else ''}{last}")
     try:
         code = COMMANDS[args.subcommand](args)
         sys.stdout.flush()

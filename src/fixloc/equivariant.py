@@ -26,6 +26,15 @@ one (mod n'), the determinant loses one fiber (degree -k(y), residue
 -1); `gamma_apply` is the closed form for iterating this m(y) times
 at every orbit.
 
+Lift negation, the order-two scalar -1 acting on this data for even
+cover order, is an operation here too: `zeta2_apply` on the exponent
+pairs, `parabolic_zeta2` written directly on the parabolic shadow as an
+independent route that calls neither the correspondence nor
+`zeta2_apply`, and `zeta2_partition` / `m_cross`, which sort the orbits
+by how negation moves them.  The two routes share only the sign flip
+(_other_sign, which the crossing twist of `graded` reads too) and the
+even-order guard (_require_even_order).
+
 Each record checks what needs no profile when it is built, one helper
 per rule: exact ints (`_ser.check_int`, `_ser.int_map`), dict maps
 (`_ser.freeze`), exponent pairs that are tuples of two with
@@ -34,8 +43,8 @@ per rule: exact ints (`_ser.check_int`, `_ser.int_map`), dict maps
 determinant that is a DeterminantLift (_require_lift) and flag choices
 'first' or 'second'.  An ill-typed record is InvalidDatum there, and the
 operations that take a plain map (weight_system, bar_delta_degree,
-gamma_apply's counts, solve_d2's weights, lift negation's partition in
-`graded`) run the same helpers.  So every map in a record is a
+gamma_apply's counts, solve_d2's weights, lift negation's partition)
+run the same helpers.  So every map in a record is a
 FrozenDict of ints, Fractions, strs or int pairs, and nothing in it can
 change.  The validators check only what reads the profile (labels,
 every orbit named, ranges below n', residue sums, denominators, the
@@ -62,7 +71,7 @@ from fractions import Fraction
 from ._ser import (FrozenDict, check_int, dict_of, freeze, frozen, int_map, is_rational, mark,
                    one_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int, to_json)
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
-from .errors import InvalidDatum, NonIntegralDegree, NoSolution, UnknownOrbit
+from .errors import InvalidDatum, NonIntegralDegree, NoSolution, OddOrder, UnknownOrbit
 
 PLUS = "+"
 MINUS = "-"
@@ -637,6 +646,110 @@ def solve_d2(det: DeterminantLift, weights: dict[str, Fraction],
         per_orbit.append(sols)
     ids = profile.orbit_ids()
     return [dict(zip(ids, combo)) for combo in itertools.product(*per_orbit)]
+
+
+# --- lift negation ---
+
+def _other_sign(sign: str) -> str:
+    """The lift sign tag that lift negation and a crossing twist move to."""
+    return MINUS if sign == PLUS else PLUS
+
+
+def _require_even_order(profile: CoverProfile) -> None:
+    """OddOrder unless the cover order is even, as lift negation needs."""
+    if profile.n % 2 == 1:
+        raise OddOrder("lift negation needs even cover order")
+
+
+def zeta2_apply(data: Rank2EqData, profile: CoverProfile) -> Rank2EqData:
+    """Negate the equivariant lift (even order only).
+
+    Every local exponent shifts by the reduced weight of -1, i.e. by
+    n'(y)/2 at odd-length orbits and not at all at even-length ones;
+    the determinant residues and degree are untouched and the opaque
+    lift tag flips.  This is an involution.
+    """
+    _require_even_order(profile)
+    validate_rank2(data, profile)
+    half = profile.n // 2
+    numeric = {}
+    for y in profile.orbits:
+        d1, d2 = data.numeric[y.id]
+        shift = half % y.nprime
+        numeric[y.id] = _pair((d1 + shift) % y.nprime, (d2 + shift) % y.nprime)
+    return _rank2(numeric, data.det.residues, data.det.degree, _other_sign(data.det.lift_sign),
+                  profile)
+
+
+def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> AdmissibleParabolicDatum:
+    """Lift negation written directly on the parabolic shadow.
+
+    An independent route to the same operation as zeta2_apply: the
+    opaque sign tag flips and per orbit (m below is the weight
+    numerator w*n'):
+
+      even length          unchanged
+      2*d2 < n'            d2 -> d2 + n'/2, weight kept          (up)
+      2*(d2-m) >= n'       d2 -> d2 + n'/2 - n', weight kept     (down)
+      otherwise            d2 -> d2 - m + n'/2, weight -> 1 - w  (cross)
+
+    The straddling branch is where the two flag exponents trade
+    places, which is what reverses the weight.  The determinant
+    upstairs is untouched, but descending along the negated lift
+    rescales by one reduced fiber per moving orbit, so the base degree
+    shifts by (#down - #up).
+    """
+    _require_even_order(profile)
+    spreads = validate_parabolic(pdat, profile)
+    weights, d2map, ms = {}, {}, {}
+    bar = pdat.det_bar_degree
+    for y in profile.orbits:
+        d2 = pdat.d2[y.id]
+        m, nprime = spreads[y.id], y.nprime
+        half = nprime // 2
+        if y.k % 2 == 0:
+            pass  # even length: nothing moves
+        elif 2 * d2 < nprime:
+            d2, bar = d2 + half, bar - 1
+        elif 2 * (d2 - m) >= nprime:
+            d2, bar = d2 + half - nprime, bar + 1
+        else:
+            d2, m = d2 - m + half, nprime - m
+        weights[y.id], d2map[y.id], ms[y.id] = _weight(m, nprime), d2, m
+    # every branch keeps 0 <= d2 - m <= d2 < n'; the cross branch has
+    # m >= 1, so the weight 1 - w = (n' - m)/n' stays in (0, 1): the image
+    # passes validate_parabolic, and is marked valid with its numerators ms
+    return _parabolic(bar, weights, d2map, _other_sign(pdat.det_lift_sign), ms, profile)
+
+
+def zeta2_partition(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, str]:
+    """Classify each orbit's behavior under lift negation.
+
+    'fixed': even orbit length, nothing moves; at odd length the shift
+    is n'/2 and the pair either moves up ('up': d2 < n'/2), down
+    ('down': d1 >= n'/2), or straddles and swaps ('cross').
+    """
+    _require_even_order(profile)
+    numeric = _pairs(numeric)
+    validate_numeric(numeric, profile)
+    out = {}
+    for y in profile.orbits:
+        d1, d2 = numeric[y.id]
+        if y.k % 2 == 0:
+            out[y.id] = "fixed"
+        elif 2 * d2 < y.nprime:
+            out[y.id] = "up"
+        elif 2 * d1 >= y.nprime:
+            out[y.id] = "down"
+        else:
+            out[y.id] = "cross"
+    return out
+
+
+def m_cross(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, int]:
+    """Indicator of the straddling orbits (the downstairs modification count)."""
+    table = zeta2_partition(numeric, profile)
+    return {label: 1 if tag == "cross" else 0 for label, tag in table.items()}
 
 
 # --- serialization ---

@@ -6,8 +6,11 @@ record, together with the ambient context (numeric exponent data and
 determinant lift).  Twisting one summand by a root-of-unity character
 and the other by its inverse preserves the associated fixed point; for
 even cover order the odd characters cross between the two determinant
-lifts.  The twist classes biject with strictly semistable fixed points.
-Lift negation (zeta2_apply, parabolic_zeta2) is here too.
+lifts, whose sign tag flips as lift negation flips it
+(`equivariant._other_sign`).  The twist classes biject with strictly
+semistable fixed points.  Lift negation itself acts on the data of
+`equivariant`, where it lives; this module holds the points, the twists,
+their classes and the order-two family.
 
 All degree bookkeeping runs through the per-summand upstairs degree
 n * bar_degree + sum_y k(y) * l(y), which is invariant under the
@@ -39,19 +42,12 @@ from ._ser import FrozenDict, check_int, frozen, is_int, mark
 from .equivariant import (
     MINUS,
     PLUS,
-    AdmissibleParabolicDatum,
     DeterminantLift,
-    Rank2EqData,
     _check_rank2,
+    _other_sign,
     _pair,
     _pairs,
-    _parabolic,
-    _rank2,
     _require_lift,
-    _weight,
-    validate_numeric,
-    validate_parabolic,
-    validate_rank2,
 )
 from .errors import InvalidDatum, NonIntegralDegree, OddOrder
 
@@ -305,11 +301,6 @@ def _e_step(key: tuple, a: int, summand: int, frame: _Frame) -> tuple:
     return _settle(*parts, (up, degree, _other_sign(sign)), frame)
 
 
-def _other_sign(sign: str) -> str:
-    """The lift sign tag that lift negation and a crossing twist move to."""
-    return MINUS if sign == PLUS else PLUS
-
-
 def _settle(ell0: tuple, ell1: tuple, rest: tuple, frame: _Frame) -> tuple:
     """Key of stepped exponents over rest (up, degree, sign): both degrees must descend;
     ordered as in GradedPoint."""
@@ -326,103 +317,6 @@ def _settle(ell0: tuple, ell1: tuple, rest: tuple, frame: _Frame) -> tuple:
     swap = _out_of_order(bars[0], itertools.compress(frame.ids, map(operator.gt, ell0, ell1)),
                          bars[1], itertools.compress(frame.ids, map(operator.lt, ell0, ell1)))
     return (ell1, ell0, *rest) if swap else (ell0, ell1, *rest)
-
-
-def _require_even_order(profile: CoverProfile) -> None:
-    """OddOrder unless the cover order is even, as lift negation needs."""
-    if profile.n % 2 == 1:
-        raise OddOrder("lift negation needs even cover order")
-
-
-def zeta2_apply(data: Rank2EqData, profile: CoverProfile) -> Rank2EqData:
-    """Negate the equivariant lift (even order only).
-
-    Every local exponent shifts by the reduced weight of -1, i.e. by
-    n'(y)/2 at odd-length orbits and not at all at even-length ones;
-    the determinant residues and degree are untouched and the opaque
-    lift tag flips.  This is an involution.
-    """
-    _require_even_order(profile)
-    validate_rank2(data, profile)
-    half = profile.n // 2
-    numeric = {}
-    for y in profile.orbits:
-        d1, d2 = data.numeric[y.id]
-        shift = half % y.nprime
-        numeric[y.id] = _pair((d1 + shift) % y.nprime, (d2 + shift) % y.nprime)
-    return _rank2(numeric, data.det.residues, data.det.degree, _other_sign(data.det.lift_sign),
-                  profile)
-
-
-def parabolic_zeta2(pdat: AdmissibleParabolicDatum, profile: CoverProfile) -> AdmissibleParabolicDatum:
-    """Lift negation written directly on the parabolic shadow.
-
-    An independent route to the same operation as zeta2_apply: the
-    opaque sign tag flips and per orbit (m below is the weight
-    numerator w*n'):
-
-      even length          unchanged
-      2*d2 < n'            d2 -> d2 + n'/2, weight kept          (up)
-      2*(d2-m) >= n'       d2 -> d2 + n'/2 - n', weight kept     (down)
-      otherwise            d2 -> d2 - m + n'/2, weight -> 1 - w  (cross)
-
-    The straddling branch is where the two flag exponents trade
-    places, which is what reverses the weight.  The determinant
-    upstairs is untouched, but descending along the negated lift
-    rescales by one reduced fiber per moving orbit, so the base degree
-    shifts by (#down - #up).
-    """
-    _require_even_order(profile)
-    spreads = validate_parabolic(pdat, profile)
-    weights, d2map, ms = {}, {}, {}
-    bar = pdat.det_bar_degree
-    for y in profile.orbits:
-        d2 = pdat.d2[y.id]
-        m, nprime = spreads[y.id], y.nprime
-        half = nprime // 2
-        if y.k % 2 == 0:
-            pass  # even length: nothing moves
-        elif 2 * d2 < nprime:
-            d2, bar = d2 + half, bar - 1
-        elif 2 * (d2 - m) >= nprime:
-            d2, bar = d2 + half - nprime, bar + 1
-        else:
-            d2, m = d2 - m + half, nprime - m
-        weights[y.id], d2map[y.id], ms[y.id] = _weight(m, nprime), d2, m
-    # every branch keeps 0 <= d2 - m <= d2 < n'; the cross branch has
-    # m >= 1, so the weight 1 - w = (n' - m)/n' stays in (0, 1): the image
-    # passes validate_parabolic, and is marked valid with its numerators ms
-    return _parabolic(bar, weights, d2map, _other_sign(pdat.det_lift_sign), ms, profile)
-
-
-def zeta2_partition(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, str]:
-    """Classify each orbit's behavior under lift negation.
-
-    'fixed': even orbit length, nothing moves; at odd length the shift
-    is n'/2 and the pair either moves up ('up': d2 < n'/2), down
-    ('down': d1 >= n'/2), or straddles and swaps ('cross').
-    """
-    _require_even_order(profile)
-    numeric = _pairs(numeric)
-    validate_numeric(numeric, profile)
-    out = {}
-    for y in profile.orbits:
-        d1, d2 = numeric[y.id]
-        if y.k % 2 == 0:
-            out[y.id] = "fixed"
-        elif 2 * d2 < y.nprime:
-            out[y.id] = "up"
-        elif 2 * d1 >= y.nprime:
-            out[y.id] = "down"
-        else:
-            out[y.id] = "cross"
-    return out
-
-
-def m_cross(numeric: dict[str, tuple[int, int]], profile: CoverProfile) -> dict[str, int]:
-    """Indicator of the straddling orbits (the downstairs modification count)."""
-    table = zeta2_partition(numeric, profile)
-    return {label: 1 if tag == "cross" else 0 for label, tag in table.items()}
 
 
 # --- twist classes ---
@@ -508,8 +402,10 @@ def _family(g: int) -> tuple[CoverProfile, tuple[DeterminantLift, DeterminantLif
     reads the cache, so True, 1.0 or an unhashable list never reaches
     the entry of 1 and goes to hyperelliptic_profile, which raises
     InvalidGenus, as it does for an int below 1.  The profile comes from
-    `locus`, imported here, once per g, so that a process running lift
-    negation alone never loads it.
+    `locus`, imported here, once per g, and not at module level:
+    `stability.graded_of` imports this module, and the `classify`
+    benchmark's warm-up calls it, so a module-level import would add
+    `locus` to that set-up.
     """
     family = _FAMILIES.get(g) if is_int(g) else None
     if family is None:
@@ -526,10 +422,14 @@ def _family(g: int) -> tuple[CoverProfile, tuple[DeterminantLift, DeterminantLif
 
 def _even_subset(g: int, q_indices) -> tuple[tuple, frozenset]:
     """The family's shared values (_family) and the point indices Q,
-    checked: ints, |Q| even, each in range."""
+    checked: an iterable of ints, |Q| even, each in range."""
     family = _family(g)
     npoints = len(family[0].orbits)
-    indices = tuple(q_indices)
+    try:
+        indices = tuple(q_indices)
+    except TypeError:
+        raise InvalidDatum(f"point indices must be an iterable of ints, "
+                           f"got {type(q_indices).__name__}") from None
     for i in indices:
         check_int(i, "point index")
     q = frozenset(indices)

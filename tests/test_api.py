@@ -68,7 +68,7 @@ FOOTPRINTS = [
     (["lambda", "--file", _doc("lambda_small.json")], WITH_EQUIVARIANT),
     (["weights", "--file", _doc("weights.json")], WITH_EQUIVARIANT),
     (["bijection-check", "--file", _doc("hyper3.json")], WITH_EQUIVARIANT),
-    (["zeta2", "--file", _doc("zeta2.json")], WITH_EQUIVARIANT + ["graded"]),
+    (["zeta2", "--file", _doc("zeta2.json")], WITH_EQUIVARIANT),
     (["decompose", "--file", _doc("profile12.json")], REPORTS),
     (["hyperelliptic", "--g", "3"], REPORTS),
     (["census", "--n", "4", "--deg-delta", "8", "--genus-y", "2"], REPORTS),

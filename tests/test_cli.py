@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fixloc import DomainError, InternalError, cli, covers, equivariant, graded, locus
+from fixloc import DomainError, InternalError, cli, covers, equivariant, locus
 from fixloc.graded import hyperelliptic_delta
 from fixloc.locus import hyperelliptic_profile
 from fixloc.stability import MAX_MARKED_POINTS
@@ -634,17 +634,12 @@ def test_schema_error_exit_code(capsys, tmp_path):
     broken.write_text("{not json")
     code, _, _ = run(capsys, "kernel", "--file", str(broken))
     assert code == 2
-    # a report without its numbers, and a lift sign that is neither + nor -
+    # a lift sign that is neither + nor -
     bad_sign = write(tmp_path, "bad_sign.json", {
         "profile": {"n": 2, "genus_base": 0, "orbits": [{"id": "a", "k": 1}]},
         "det": {"residues": {"a": 1}, "degree": 1, "lift_sign": "x"}})
-    for argv, message in [
-        (["hyperelliptic"], "hyperelliptic requires --g"),
-        (["census", "--n", "4", "--deg-delta", "8"],
-         "census requires --n, --deg-delta and --genus-y"),
-        (["lambda", "--file", bad_sign], "input.det.lift_sign must be '+' or '-'"),
-    ]:
-        assert run(capsys, *argv) == (2, "", f"schema error: {message}\n")
+    assert run(capsys, "lambda", "--file", bad_sign) == \
+        (2, "", "schema error: input.det.lift_sign must be '+' or '-'\n")
 
 
 # inputs json.load cannot read: a directory, bytes that are not UTF-8, nesting
@@ -688,19 +683,23 @@ def test_domain_error_exit_code(capsys, tmp_path):
                    "profile orbit\n")
 
 
-def test_usage_errors_exit_two(capsys):
+@pytest.mark.parametrize("argv, message", [
+    # a missing or empty option, named with every option its subcommand requires
+    (["kernel"], "kernel requires --file"),
+    (["zeta2", "--file", ""], "zeta2 requires --file"),
+    (["hyperelliptic"], "hyperelliptic requires --g"),
+    (["census", "--n", "4", "--deg-delta", "8"], "census requires --n, --deg-delta and --genus-y"),
+    # dot is report-only, and it is checked first
+    (["census", "--format", "dot"], "dot format is only available for the hyperelliptic report"),
+    (["no-such-command"], "argument subcommand: invalid choice: 'no-such-command'"),
+])
+def test_usage_errors_exit_two(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["kernel"])  # missing --file
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["census", "--format", "dot"])  # dot is report-only
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-command"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: fixloc ")
+    assert f"\nfixloc: error: {message}" in err
 
 
 def test_closed_stdout_exits_two_without_a_traceback(tmp_path):
@@ -745,7 +744,7 @@ def test_property_failure_exit_code(capsys, tmp_path, monkeypatch):
     def broken(d, p):
         return wrong
 
-    monkeypatch.setattr(graded, "zeta2_apply", broken)
+    monkeypatch.setattr(equivariant, "zeta2_apply", broken)
     code, out, _ = run(capsys, "zeta2", "--file", zdoc)
     assert code == 1
     payload = json.loads(out)

@@ -32,7 +32,9 @@ JUNK = st.one_of(
     st.lists(st.integers(-1, 3), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2),
 )
-FILE_SUBCOMMANDS = sorted(cli.NEEDS_FILE | {"bijection-check"})
+# every subcommand that requires --file, and bijection-check, which reads one if given
+FILE_SUBCOMMANDS = sorted({sub for sub, options in cli.REQUIRED.items() if "--file" in options}
+                          | {"bijection-check"})
 
 
 def admissible_document(subcommand: str, rng: random.Random):

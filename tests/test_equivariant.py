@@ -1,4 +1,4 @@
-"""Numeric data, modifications, and the parabolic correspondence."""
+"""Numeric data, modifications, the parabolic correspondence and lift negation."""
 
 import itertools
 import json
@@ -21,6 +21,7 @@ from fixloc import (
     InvalidDatum,
     NonIntegralDegree,
     NoSolution,
+    OddOrder,
     Rank2EqData,
     RootExponent,
     SchemaError,
@@ -34,6 +35,7 @@ from fixloc import (
     equivalence_classes,
     from_parabolic,
     gamma_apply,
+    m_cross,
     make_profile,
     numeric_from_json,
     numeric_to_json,
@@ -49,16 +51,11 @@ from fixloc import (
     solve_d2,
     to_parabolic,
     weight_system,
-)
-from fixloc.equivariant import admissible_pair_count, validate_parabolic
-from fixloc.graded import (
-    hyperelliptic_delta,
-    m_cross,
-    validate_graded,
     zeta2_apply,
     zeta2_partition,
 )
-from fixloc.locus import hyperelliptic_profile
+from fixloc.equivariant import admissible_pair_count, validate_parabolic
+from fixloc.graded import validate_graded
 
 import gen
 
@@ -132,20 +129,6 @@ def test_lambda_is_the_product_of_orbit_choices():
             expected *= len(admissible_pairs(det.residues[y.id], y.nprime))
         assert len(lam) == expected
         assert len({tuple(sorted(el.items())) for el in lam}) == len(lam)
-
-
-def test_lambda_of_the_two_square_root_lifts():
-    for g in (1, 2, 3):
-        profile = hyperelliptic_profile(g)
-        even_lift = hyperelliptic_delta(g, 0)
-        odd_lift = hyperelliptic_delta(g, 1)
-        lam0 = enumerate_lambda(even_lift, profile)
-        lam1 = enumerate_lambda(odd_lift, profile)
-        assert len(lam0) == 2 ** (2 * g + 2)
-        assert len(lam1) == 1
-        for y in profile.orbits:
-            assert admissible_pairs(even_lift.residues[y.id], y.nprime) == [(0, 0), (1, 1)]
-            assert admissible_pairs(odd_lift.residues[y.id], y.nprime) == [(0, 1)]
 
 
 def product_oracle(det, profile):
@@ -341,62 +324,6 @@ def test_modification_rejects_bad_direction():
         elementary_modification(data, profile, "a", "third")
 
 
-def iterate_modifications(data, profile, m, flags):
-    """Single steps with the tracked eigenvalue re-located after each re-sort."""
-    current = data
-    for y in profile.orbits:
-        my = m.get(y.id, 0)
-        if my == 0:
-            continue
-        d1, d2 = current.numeric[y.id]
-        track = d1 if flags.choice[y.id] == FIRST else d2
-        for _ in range(abs(my)):
-            d1c, d2c = current.numeric[y.id]
-            direction = FIRST if d1c == track else SECOND
-            current = elementary_modification(current, profile, y.id, direction,
-                                              inverse=my < 0)
-        assert track in current.numeric[y.id]
-    return current
-
-
-def relocate_selector(reference, image) -> FlagSelector:
-    """Selector pointing, in image, at the eigenvalues tracked in reference."""
-    choice = {}
-    for label, (kept, _ignored) in reference.items():
-        choice[label] = FIRST if image.numeric[label][0] == kept else SECOND
-    return FlagSelector(choice=choice)
-
-
-def test_closed_form_matches_iteration():
-    rng = random.Random(77)
-    for _ in range(200):
-        profile = gen.random_profile(rng)
-        if not profile.orbits:
-            continue
-        data = gen.random_data(rng, profile)
-        m = {y.id: rng.randint(-4, 4) for y in profile.orbits}
-        flags = FlagSelector(choice={y.id: rng.choice([FIRST, SECOND])
-                                     for y in profile.orbits})
-        assert gamma_apply(data, profile, m, flags) == iterate_modifications(
-            data, profile, m, flags)
-
-
-def test_closed_form_round_trip():
-    rng = random.Random(78)
-    for _ in range(200):
-        profile = gen.random_profile(rng)
-        data = gen.random_data(rng, profile)
-        m = {y.id: rng.randint(-4, 4) for y in profile.orbits}
-        flags = FlagSelector(choice={y.id: rng.choice([FIRST, SECOND])
-                                     for y in profile.orbits})
-        kept = {y.id: (data.numeric[y.id][0 if flags.choice[y.id] == FIRST else 1], None)
-                for y in profile.orbits}
-        image = gamma_apply(data, profile, m, flags)
-        back = gamma_apply(image, profile, {k: -v for k, v in m.items()},
-                           relocate_selector(kept, image))
-        assert back == data
-
-
 def test_gamma_requires_direction_at_modified_orbits():
     profile = make_profile(6, [("a", 2)])
     data = Rank2EqData(numeric={"a": (1, 2)},
@@ -488,6 +415,65 @@ def test_solve_d2_closed_form_matches_the_scan():
                     assert solve_d2(det, {"y": w}, profile) == [{"y": d2} for d2 in expected], \
                         (nprime, delta, w)
     assert no_solution > 0
+
+
+# --- lift negation ---
+
+def test_lift_negation_involution():
+    rng = random.Random(33)
+    for _ in range(200):
+        profile = gen.random_profile(rng, even_n=True)
+        data = gen.random_data(rng, profile)
+        image = zeta2_apply(data, profile)
+        assert image.det.degree == data.det.degree
+        assert image.det.residues == data.det.residues
+        assert image.det.lift_sign != data.det.lift_sign
+        assert zeta2_apply(image, profile) == data
+    with pytest.raises(OddOrder):
+        zeta2_apply(gen.random_data(rng, make_profile(3, [])), make_profile(3, []))
+
+
+def test_lift_negation_partition():
+    profile = make_profile(6, [("a", 1), ("b", 2), ("c", 3)])
+    # a: n'=6, shift 3; b: even length, fixed; c: n'=2, shift 1
+    tags = zeta2_partition({"a": (0, 1), "b": (1, 2), "c": (0, 1)}, profile)
+    assert tags == {"a": "up", "b": "fixed", "c": "cross"}
+    tags2 = zeta2_partition({"a": (3, 5), "b": (0, 0), "c": (1, 1)}, profile)
+    assert tags2 == {"a": "down", "b": "fixed", "c": "down"}
+    tags3 = zeta2_partition({"a": (2, 4), "b": (1, 1), "c": (0, 0)}, profile)
+    assert tags3["a"] == "cross"
+    assert m_cross({"a": (2, 4), "b": (1, 1), "c": (0, 0)}, profile) == \
+        {"a": 1, "b": 0, "c": 0}
+
+
+@pytest.mark.parametrize("numeric, message", [
+    ({"a": (0, 1)}, "must cover exactly the profile orbits"),
+    ({}, "must cover exactly the profile orbits"),
+    ({"a": (0, 1), "b": (1, 1), "c": (0, 0)}, "must cover exactly the profile orbits"),
+    ({"a": (3, 1), "b": (1, 1)}, "exponent pair at 'a' violates"),
+    ({"a": (0, 1), "b": (0, 4)}, "exponent pair at 'b' violates"),
+])
+def test_lift_negation_partition_rejects_numeric_data_off_the_profile(numeric, message):
+    # a missing or extra orbit, a reversed pair and a pair out of range
+    profile = make_profile(4, [("a", 1), ("b", 1)])
+    for classify in (zeta2_partition, m_cross):
+        with pytest.raises(InvalidDatum, match=message):
+            classify(numeric, profile)
+        # the order check still comes first
+        with pytest.raises(OddOrder):
+            classify(numeric, make_profile(3, [("a", 1), ("b", 1)]))
+
+
+def test_downstairs_negation_commutes_with_descent():
+    rng = random.Random(35)
+    for _ in range(150):
+        profile = gen.random_profile(rng, even_n=True)
+        data = gen.random_data(rng, profile)
+        pdat = to_parabolic(data, profile)
+        left = to_parabolic(zeta2_apply(data, profile), profile)
+        right = parabolic_zeta2(pdat, profile)
+        assert left == right
+        assert parabolic_zeta2(right, profile) == pdat
 
 
 @pytest.mark.parametrize("weight", [0.5, 0.0, "1/2", True, None])

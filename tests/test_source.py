@@ -150,6 +150,33 @@ def test_every_name_a_test_tool_or_demo_imports_is_read():
     assert found == []
 
 
+def _reached(path):
+    """name -> the top-level functions of the module at path that the function
+    of that name reads, directly or through others (ast.Name loads)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reads = {name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in defs}
+             for name, node in defs.items()}
+
+    def reached(name):
+        seen, todo = set(), [name]
+        while todo:
+            for callee in reads[todo.pop()] - seen:
+                seen.add(callee)
+                todo.append(callee)
+        return seen
+    return reached
+
+
+def test_the_two_lift_negations_stay_independent():
+    # parabolic_zeta2 checks zeta2_apply through the correspondence (test_06),
+    # which it could not do if either ran the other or the correspondence
+    reached = _reached(SRC / "equivariant.py")
+    assert reached("parabolic_zeta2") & {"zeta2_apply", "zeta2_partition", "to_parabolic",
+                                         "from_parabolic", "_descend", "_ascend"} == set()
+    assert reached("zeta2_apply") & {"parabolic_zeta2", "_descend", "_ascend"} == set()
+
+
 def test_the_validators_check_no_types():
     # a record checks its field types when it is built, so the checks that
     # read a profile never test a type; a type check here is a second copy
