@@ -1,6 +1,7 @@
 """Cover profiles: kernel order, factorization, serialization."""
 
 import copy
+import math
 import pickle
 import random
 import time
@@ -39,6 +40,12 @@ def test_kernel_order_no_orbits_is_full():
 def test_kernel_order_unit_orbit_kills_kernel():
     profile = make_profile(12, [("a", 6), ("b", 1)])
     assert kernel_order(profile) == 1
+
+
+def test_kernel_order_common_divisor():
+    profile = make_profile(12, [("a", 6), ("b", 4)])
+    assert kernel_order(profile) == math.gcd(12, math.gcd(6, 4))
+    assert kernel_order(profile) == 2
 
 
 def test_kernel_order_is_sublinear_in_n():
