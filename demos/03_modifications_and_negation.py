@@ -20,6 +20,7 @@ from fixloc import (
     elementary_modification,
     enumerate_lambda,
     gamma_apply,
+    hyperelliptic_profile,
     make_profile,
     parabolic_zeta2,
     to_parabolic,
@@ -27,7 +28,6 @@ from fixloc import (
     zeta2_partition,
 )
 from fixloc.graded import hyperelliptic_delta
-from fixloc.locus import hyperelliptic_profile
 
 profile = make_profile(6, [("a", 2), ("b", 3)], genus_base=1)
 det = DeterminantLift(residues={"a": 1, "b": 1}, degree=5, lift_sign=PLUS)

@@ -10,12 +10,12 @@ acting on concrete boundary classes.
 from fixloc import (
     double_class,
     flagged_class,
+    hyperelliptic_profile,
     hyperelliptic_report,
     minus_one,
     sim_e_step,
     sim_o_step,
 )
-from fixloc.locus import hyperelliptic_profile
 
 for g in (2, 3):
     rep = hyperelliptic_report(g)

@@ -12,8 +12,9 @@ import importlib
 
 _LAYERS = {
     "covers": (
-        "CoverProfile", "SpecialOrbit", "factor_cover", "gcd_orbit_lengths", "kernel_order",
-        "make_profile", "orbit_length_under_power", "profile_from_json", "profile_to_json",
+        "CoverProfile", "SpecialOrbit", "factor_cover", "gcd_orbit_lengths",
+        "hyperelliptic_profile", "kernel_order", "make_profile", "orbit_length_under_power",
+        "profile_from_json", "profile_to_json",
     ),
     "divisors": (
         "InvariantDivisor", "LineNumericData", "RootExponent", "d_mu", "degree_on_X",
@@ -40,8 +41,8 @@ _LAYERS = {
     ),
     "locus": (
         "CensusComponent", "CensusRecord", "ComponentRecord", "DecompositionReport",
-        "HyperellipticReport", "decomposition_report", "hyperelliptic_profile",
-        "hyperelliptic_report", "s_i_possible", "unramified_census",
+        "HyperellipticReport", "decomposition_report", "hyperelliptic_report", "s_i_possible",
+        "unramified_census",
     ),
     "stability": (
         "STABLE", "STRICTLY_SEMISTABLE", "UNSTABLE", "ParabolicP1", "StabilityVerdict",

@@ -18,8 +18,12 @@ mathematics.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import InvalidDatum, SchemaError
+
+if TYPE_CHECKING:  # `fractions` is loaded only by the rational readers
+    from fractions import Fraction
 
 
 def frozen(cls):

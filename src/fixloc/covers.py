@@ -6,6 +6,10 @@ the base genus (reporting only), and one entry per special orbit, i.e.
 per branch point, holding the orbit length k(y) < n.  The local
 stabilizer order n'(y) = n / k(y) is derived.  A CoverProfile runs
 `validate` when it is built, so every profile in use is valid.
+Profiles are built from (label, length) pairs (make_profile), drawn at
+random (random_profile) or read from JSON (profile_from_json); the
+paper's worked example, the double cover of the line branched at 2g+2
+points, is built once per genus (hyperelliptic_profile).
 
 No Riemann-Hurwitz consistency is imposed: profiles are combinatorial
 objects and some of them are not realized by any actual curve.
@@ -14,10 +18,14 @@ objects and some of them are not realized by any actual curve.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 from ._ser import FrozenDict, frozen, is_int, list_of, parse_object, require_int, require_str
-from .errors import DomainError, InternalError, InvalidProfile, UnknownOrbit
+from .errors import DomainError, InternalError, InvalidGenus, InvalidProfile, UnknownOrbit
+
+if TYPE_CHECKING:
+    import random
 
 # kernel_order finds the kernel order by a divisor search up to isqrt(n); the
 # largest n accepted took about 8 s (README)
@@ -98,6 +106,29 @@ def random_profile(rng: random.Random, max_n: int = 12, max_orbits: int = 4,
     count = rng.randint(0, max_orbits) if divisors else 0
     lengths = [(f"y{i}", rng.choice(divisors)) for i in range(count)]
     return make_profile(n, lengths, genus_base=rng.randint(0, 3))
+
+
+def hyperelliptic_profile(g: int) -> CoverProfile:
+    """Degree-2 cover of the line branched at 2g+2 points p0..p(2g+1).
+
+    Built once per genus: every call for g returns the same profile
+    object, which cannot change, so a record marked valid for it is
+    valid for every caller of g (`graded` builds the family's lifts and
+    boundary points marked for it).  The cache keeps the profile of
+    every genus asked for.  The genus is checked before the cache is
+    read, so a genus that is not an int (True, 1.0, an unhashable list)
+    raises InvalidGenus and never reaches the entry of an equal int.
+    """
+    if not is_int(g):
+        raise InvalidGenus(f"genus must be an int, got {g!r}")
+    if g < 1:
+        raise InvalidGenus(f"genus must be >= 1, got {g}")
+    return _hyperelliptic_profile(g)
+
+
+@lru_cache(maxsize=None)
+def _hyperelliptic_profile(g: int) -> CoverProfile:
+    return make_profile(2, [(f"p{i}", 1) for i in range(2 * g + 2)], genus_base=0)
 
 
 def validate(profile: CoverProfile) -> None:

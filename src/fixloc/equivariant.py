@@ -67,11 +67,15 @@ import functools
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._ser import (FrozenDict, check_int, dict_of, freeze, frozen, int_map, is_rational, mark,
                    one_of, pair_of, parse_object, rat_from_json, rat_to_json, require_int, to_json)
 from .covers import CoverProfile, SpecialOrbit, check_orbit_labels
 from .errors import InvalidDatum, NonIntegralDegree, NoSolution, OddOrder, UnknownOrbit
+
+if TYPE_CHECKING:
+    import random
 
 PLUS = "+"
 MINUS = "-"

@@ -27,8 +27,9 @@ straight from their even point subset Q (double_class, flagged_class),
 born marked valid for the family's profile: one profile, two lifts and
 the flagged classes' exponent pairs per genus, built once (_family) and
 shared by every point, so equivalence_classes checks none of them.
-The family's census, hyperelliptic_report, is closed-form and lives in
-`locus`, which imports nothing from this module.
+The profile itself is `covers.hyperelliptic_profile`.  The family's
+census, hyperelliptic_report, is closed-form and lives in `locus`,
+which imports nothing from this module.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import operator
 from typing import TYPE_CHECKING
 
 from ._ser import FrozenDict, check_int, frozen, is_int, mark
+from .covers import CoverProfile, hyperelliptic_profile
 from .equivariant import (
     MINUS,
     PLUS,
@@ -52,7 +54,6 @@ from .equivariant import (
 from .errors import InvalidDatum, NonIntegralDegree, OddOrder
 
 if TYPE_CHECKING:
-    from .covers import CoverProfile
     from .divisors import RootExponent  # sim_o_step's character; the twists take its exponent
 
 
@@ -114,17 +115,17 @@ class GradedPoint:
 
 
 def _point(s0, s1, numeric: FrozenDict, det: DeterminantLift,
-           valid_for: CoverProfile | None) -> GradedPoint:
+           profile: CoverProfile) -> GradedPoint:
     """The point of summands and values the caller built, in GradedPoint's
-    order, marked valid for the profile valid_for unless that is None.
+    order, marked valid for profile.
 
     As _rank2, it skips the constructor's checks, and it keeps numeric,
-    which may be shared between points.  A caller passes a profile only
-    for a point that passes validate_graded for it by construction: the
-    twist steps (_rebuild) and the boundary classes (double_class,
+    which may be shared between points.  Every caller builds a point
+    that passes validate_graded for profile by construction: the twist
+    steps (_rebuild) and the boundary classes (double_class,
     flagged_class) each give the proof.
     """
-    return GradedPoint._new_marked(valid_for, _ordered(s0, s1), numeric, det)
+    return GradedPoint._new_marked(profile, _ordered(s0, s1), numeric, det)
 
 
 def _ordered(s0: GradedSummand, s1: GradedSummand) -> tuple:
@@ -224,17 +225,16 @@ def _key(pt: GradedPoint, frame: _Frame) -> tuple:
     return ell0, ell1, frame.n * s0.bar_degree + frame.weight(ell0), pt.det.degree, pt.det.lift_sign
 
 
-def _rebuild(key: tuple, frame: _Frame, valid_for: CoverProfile | None) -> GradedPoint:
-    """The graded point of a key, and its lift, marked valid for valid_for
-    unless that is None.
+def _rebuild(key: tuple, frame: _Frame, profile: CoverProfile) -> GradedPoint:
+    """The graded point of a key, and its lift, marked valid for profile,
+    the profile of the frame.
 
-    The twist steps pass the profile of the frame, since the keys they
-    return are ones validate_graded accepts (see _o_step): the exponents
-    are reduced below n' at every orbit, and so are the residues, read
-    off as each pair's sum; the sign is free at the even order of a
-    crossing twist, the supports below are where the two exponents
-    differ, and _settle checked that both degrees descend, so both
-    summands have the upstairs degree up.
+    The twist steps' keys are ones validate_graded accepts (see
+    _o_step), so the marks hold: the exponents are reduced below n' at
+    every orbit, and so are the residues, read off as each pair's sum;
+    the sign is free at the even order of a crossing twist, the supports
+    below are where the two exponents differ, and _settle checked that
+    both degrees descend, so both summands have the upstairs degree up.
     """
     ell0, ell1, up, degree, sign = key
     ids = frame.ids
@@ -244,8 +244,8 @@ def _rebuild(key: tuple, frame: _Frame, valid_for: CoverProfile | None) -> Grade
     s1 = GradedSummand((up - frame.weight(ell1)) // frame.n,
                        frozenset(itertools.compress(ids, map(operator.lt, ell0, ell1))))
     residues = map(operator.mod, map(operator.add, ell0, ell1), frame.nprimes)
-    det = DeterminantLift._new_marked(valid_for, FrozenDict(zip(ids, residues)), degree, sign)
-    return _point(s0, s1, FrozenDict(zip(ids, map(_pair, ell0, ell1))), det, valid_for)
+    det = DeterminantLift._new_marked(profile, FrozenDict(zip(ids, residues)), degree, sign)
+    return _point(s0, s1, FrozenDict(zip(ids, map(_pair, ell0, ell1))), det, profile)
 
 
 def sim_o_step(pt: GradedPoint, mu: RootExponent, profile: CoverProfile) -> GradedPoint:
@@ -401,16 +401,10 @@ def _family(g: int) -> tuple[CoverProfile, tuple[DeterminantLift, DeterminantLif
     Every flagged class has the pair (0, 1) at every orbit.  Only an int
     reads the cache, so True, 1.0 or an unhashable list never reaches
     the entry of 1 and goes to hyperelliptic_profile, which raises
-    InvalidGenus, as it does for an int below 1.  The profile comes from
-    `locus`, imported here, once per g, and not at module level:
-    `stability.graded_of` imports this module, and the `classify`
-    benchmark's warm-up calls it, so a module-level import would add
-    `locus` to that set-up.
+    InvalidGenus, as it does for an int below 1.
     """
     family = _FAMILIES.get(g) if is_int(g) else None
     if family is None:
-        from .locus import hyperelliptic_profile
-
         profile = hyperelliptic_profile(g)
         ids = profile.orbit_ids()
         lifts = tuple(

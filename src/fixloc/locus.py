@@ -12,20 +12,20 @@ CLI itself.
 The order-two census is closed-form: its class sets are lazy views, and
 its normality and class count are proved in hyperelliptic_report's
 docstring from the twist steps of `graded`, with the enumeration kept
-in the tests as the oracle.  The family's profile is built once per
-genus (hyperelliptic_profile), so the lifts and boundary points that
-`graded` builds marked valid for it are valid for every caller.
+in the tests as the oracle.  The family's profile comes from `covers`
+(hyperelliptic_profile), one object per genus, so the lifts and
+boundary points that `graded` builds marked valid for it are valid for
+every caller.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Set
 
 from ._ser import freeze, frozen, is_int
-from .covers import CoverProfile, kernel_order, make_profile
+from .covers import CoverProfile, hyperelliptic_profile, kernel_order
 from .errors import DomainError, InconsistentDegrees, InvalidGenus
 
 
@@ -92,29 +92,6 @@ def decomposition_report(profile: CoverProfile) -> DecompositionReport:
 
 
 # --- the order-two worked family ---
-
-def hyperelliptic_profile(g: int) -> CoverProfile:
-    """Degree-2 cover of the line branched at 2g+2 points p0..p(2g+1).
-
-    Built once per genus: every call for g returns the same profile
-    object, which cannot change, so a record marked valid for it is
-    valid for every caller of g (`graded` builds the family's lifts and
-    boundary points marked for it).  The cache keeps the profile of
-    every genus asked for.  The genus is checked before the cache is
-    read, so a genus that is not an int (True, 1.0, an unhashable list)
-    raises InvalidGenus and never reaches the entry of an equal int.
-    """
-    if not is_int(g):
-        raise InvalidGenus(f"genus must be an int, got {g!r}")
-    if g < 1:
-        raise InvalidGenus(f"genus must be >= 1, got {g}")
-    return _hyperelliptic_profile(g)
-
-
-@functools.lru_cache(maxsize=None)
-def _hyperelliptic_profile(g: int) -> CoverProfile:
-    return make_profile(2, [(f"p{i}", 1) for i in range(2 * g + 2)], genus_base=0)
-
 
 class _BoundaryClasses(Set):
     """Read-only view of the boundary classes of one component.

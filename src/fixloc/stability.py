@@ -402,44 +402,43 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
     increasing prefix being its set of indices, and the index tuple is
     built only for a subset the walk yields: a tuple of up to 16
     indices took about 100 bytes more than the int.  The table lives as
-    long as the generator, and no longer: walk reaches itself through
-    its closure, and the generator breaks that cycle when it ends or is
-    closed, where the cycle had kept each finished degree's table until
-    the cyclic collector ran.  Together these took the traced peak of
-    the slowest g = 10 draw of tools/scale_stability.py from 5.4 to
-    1.5 MB (CPython 3.11).
+    long as the generator.  Together these took the traced peak of the
+    slowest g = 10 draw of tools/scale_stability.py from 5.4 to 1.5 MB
+    (CPython 3.11).
     """
     n = len(rows)
     # best[j][r]: the largest sum of r weights among iw[j:]
     best = [[0, *itertools.accumulate(sorted(iw[j:], reverse=True))] for j in range(n + 1)]
-    mod_rows = [[x % RANK_PRIME for x in r] for r in rows]
-    reduced: dict[int, tuple | None] = {}
+    state = (n, ncols, iw, need, best, [[x % RANK_PRIME for x in r] for r in rows], {})
+    for size in range(n, -1, -1):
+        if 2 * best[0][size] < need:
+            break
+        yield from _walk(state, 0, size, 0, 0, ())
 
-    def walk(start: int, left: int, acc: int, mask: int, ech: tuple):
-        if not left:
-            yield tuple(i for i in range(start) if mask >> i & 1)
-            return
-        for i in range(start, n - left + 1):
-            if 2 * (acc + iw[i] + best[i + 1][left - 1]) < need:
-                continue
-            key = mask | 1 << i
-            grown = reduced.get(key, False)
-            if grown is False:
-                pivot = _eliminate(ech, mod_rows[i])
-                grown = ech if pivot is None else (*ech, pivot)
-                reduced[key] = grown = grown if len(grown) < ncols else None
-            if grown is not None:
-                yield from walk(i + 1, left - 1, acc + iw[i], key, grown)
 
-    try:
-        for size in range(n, -1, -1):
-            if 2 * best[0][size] < need:
-                break
-            yield from walk(0, size, 0, 0, ())
-    finally:
-        # walk reaches itself through its closure; left in place, that cycle
-        # would keep the table until the cyclic collector ran
-        del walk
+def _walk(state: tuple, start: int, left: int, acc: int, mask: int, ech: tuple):
+    """The subsets of _kernel_candidates that extend the prefix mask by left
+    indices from start on; acc is the prefix's weight sum and ech its
+    echelon form.
+
+    state is the call's (n, ncols, iw, need, best, mod_rows, reduced),
+    reduced being its table of prefixes.
+    """
+    if not left:
+        yield tuple(i for i in range(start) if mask >> i & 1)
+        return
+    n, ncols, iw, need, best, mod_rows, reduced = state
+    for i in range(start, n - left + 1):
+        if 2 * (acc + iw[i] + best[i + 1][left - 1]) < need:
+            continue
+        key = mask | 1 << i
+        grown = reduced.get(key, False)
+        if grown is False:
+            pivot = _eliminate(ech, mod_rows[i])
+            grown = ech if pivot is None else (*ech, pivot)
+            reduced[key] = grown = grown if len(grown) < ncols else None
+        if grown is not None:
+            yield from _walk(state, i + 1, left - 1, acc + iw[i], key, grown)
 
 
 def _certified_empty(table: list[_Point], iw: list[int], need: int, np_: int, nq: int) -> bool:

@@ -30,6 +30,7 @@ from fixloc import (
     gamma_apply,
     gcd_orbit_lengths,
     graded_of,
+    hyperelliptic_profile,
     hyperelliptic_report,
     kernel_order,
     m_cross,
@@ -44,7 +45,6 @@ from fixloc import (
     zeta2_partition,
 )
 from fixloc.graded import hyperelliptic_delta
-from fixloc.locus import hyperelliptic_profile
 
 import gen
 import oracle_stability as oracle

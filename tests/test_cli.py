@@ -16,7 +16,6 @@ import pytest
 
 from fixloc import DomainError, InternalError, cli, covers, equivariant, locus
 from fixloc.graded import hyperelliptic_delta
-from fixloc.locus import hyperelliptic_profile
 from fixloc.stability import MAX_MARKED_POINTS
 from fixloc import (
     AdmissibleParabolicDatum,
@@ -25,6 +24,7 @@ from fixloc import (
     bundle_to_json,
     det_to_json,
     enumerate_lambda,
+    hyperelliptic_profile,
     make_bundle,
     make_profile,
     profile_to_json,

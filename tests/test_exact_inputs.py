@@ -34,6 +34,7 @@ from fixloc import (
     flagged_class,
     from_parabolic,
     gamma_apply,
+    hyperelliptic_profile,
     hyperelliptic_report,
     make_bundle,
     make_profile,
@@ -53,7 +54,6 @@ from fixloc import (
     zeta2_apply,
 )
 from fixloc.graded import hyperelliptic_delta, validate_graded
-from fixloc.locus import hyperelliptic_profile
 
 F = Fraction
 HALF = F(1, 2)

@@ -25,6 +25,7 @@ from fixloc import (
     double_class,
     equivalence_classes,
     flagged_class,
+    hyperelliptic_profile,
     hyperelliptic_report,
     make_profile,
     profile_from_json,
@@ -35,7 +36,6 @@ from fixloc import (
 )
 from fixloc import equivariant, graded, locus
 from fixloc.graded import hyperelliptic_delta, validate_graded
-from fixloc.locus import hyperelliptic_profile
 
 import gen
 from gen import twist_corpus

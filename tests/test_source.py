@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import builtins
 import collections
 from pathlib import Path
 
@@ -109,7 +110,8 @@ def _annotations(tree):
 
 
 def _bound_by_imports(tree):
-    """(line, names) for each module-level import: the names it binds."""
+    """(line, names) for each import in the body of tree, a module or an
+    `if` statement: the names it binds."""
     for node in tree.body:
         if isinstance(node, ast.Import):
             yield node.lineno, [alias.asname or alias.name.partition(".")[0] for alias in node.names]
@@ -131,6 +133,71 @@ def test_every_module_level_import_is_read_outside_annotations():
         for lineno, bound in _bound_by_imports(tree):
             if not read.intersection(bound):
                 found.append(f"{path.name}:{lineno} {', '.join(bound)}")
+    assert found == []
+
+
+def _owners(tree):
+    """id(node) -> the name of the innermost function or class that holds
+    the node ('<module>' at top level); a def's signature is its own."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else name
+            owner[id(child)] = inner
+            visit(child, inner)
+    visit(tree, "<module>")
+    return owner
+
+
+def _bound_for_annotations(tree):
+    """The names a module binds at top level or imports under `if TYPE_CHECKING:`."""
+    bound = {name for node in tree.body for name in _top_level_names(node)}
+    bound.update(name for _, names in _bound_by_imports(tree) for name in names)
+    for node in tree.body:
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            bound.update(name for _, names in _bound_by_imports(node) for name in names)
+    return bound
+
+
+def test_every_name_an_annotation_reads_is_bound():
+    # postponed annotations are never evaluated at run time, so only a type
+    # checker reads them, and it flags a name that the module binds nowhere,
+    # not even under `if TYPE_CHECKING:`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, owner = _bound_for_annotations(tree) | set(dir(builtins)), _owners(tree)
+        found += sorted({f"{path.stem}.{owner[id(node)]} {node.id}"
+                         for ann in _annotations(tree) for node in ast.walk(ann)
+                         if isinstance(node, ast.Name) and node.id not in bound})
+    assert found == []
+
+
+# The functions whose bodies may import a `fixloc` module, besides every
+# function of `cli`, where each command loads the layers it runs: stability's
+# two bridges to the layers above it load them only when called.  Every other
+# import points down the layer order at module level, or sits under
+# `if TYPE_CHECKING:`.
+BODY_IMPORTS = {"stability": {"slope_transfer_check", "graded_of"}}
+
+
+def _imports_fixloc(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.partition(".")[0] == "fixloc"
+    return isinstance(node, ast.Import) and any(
+        alias.name.partition(".")[0] == "fixloc" for alias in node.names)
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py")) if path.stem != "cli"],
+                         ids=lambda path: path.stem)
+def test_function_bodies_import_fixloc_modules_only_where_allowed(path):
+    allowed = {"<module>", *BODY_IMPORTS.get(path.stem, ())}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = _owners(tree)
+    found = [f"{owner[id(node)]}:{node.lineno}" for node in ast.walk(tree)
+             if _imports_fixloc(node) and owner[id(node)] not in allowed]
     assert found == []
 
 
