@@ -48,9 +48,14 @@ class CoverProfile:
     genus_base: int = 0
 
     def __post_init__(self) -> None:
+        # a tuple, so that nothing changes a profile that marks a datum
+        # valid; stored before validate reads it, so an iterator is read once
+        try:
+            object.__setattr__(self, "orbits", tuple(self.orbits))
+        except TypeError:
+            raise InvalidProfile(f"orbits must be an iterable of SpecialOrbit, "
+                                 f"got {type(self.orbits).__name__}") from None
         validate(self)
-        # a tuple, so that nothing changes a profile that marks a datum valid
-        object.__setattr__(self, "orbits", tuple(self.orbits))
 
     # Computed on first use and kept in the instance __dict__; not a record
     # field, so equality, hashing, repr and JSON see only the fields.
@@ -139,6 +144,11 @@ def validate(profile: CoverProfile) -> None:
         raise InvalidProfile(f"base genus must be a non-negative integer, got {profile.genus_base!r}")
     seen = set()
     for y in profile.orbits:
+        if not isinstance(y, SpecialOrbit):
+            raise InvalidProfile(f"orbit entry must be a SpecialOrbit, got {type(y).__name__}")
+        if not isinstance(y.id, str):
+            # profile_from_json reads string labels only
+            raise InvalidProfile(f"orbit label must be a str, got {y.id!r}")
         if y.id in seen:
             raise InvalidProfile(f"duplicate orbit label {y.id!r}")
         seen.add(y.id)

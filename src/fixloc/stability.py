@@ -31,6 +31,10 @@ code it justifies:
   _interpolation_row;
 - why a full rank modulo a prime is a full rank over the rationals:
   RANK_PRIME;
+- the weights' table of largest sums, built once per call, and the
+  fewest points s of a qualifying subset, read off it at each degree:
+  the walk's sizes end at s and the error locator's E is |K| - s,
+  K being the points of positive weight: _best_sums, _size_floor;
 - the walk of each degree's subsets, its prunes and its table of
   prefixes: _kernel_candidates;
 - the two lemmas, the error locator and the line lemma, that prove a
@@ -147,10 +151,12 @@ def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 class ParabolicP1:
     """O(c) + O(d-c) with flags and weights at distinct marked points.
 
-    Validated when built: c and d must be ints, and every point, flag
-    entry and weight an int or a Fraction (InvalidDatum otherwise).
-    Points and weights are stored as Fractions and flags normalized
-    projectively (normalize_flag).  `make_bundle` is this class.
+    Validated when built (InvalidDatum otherwise): c and d must be ints;
+    points, flags and weights iterables of one length, each read once;
+    each flag two entries; and every point, flag entry and weight an int
+    or a Fraction.  Points and weights are stored as tuples of Fractions
+    and flags normalized projectively (normalize_flag).  `make_bundle`
+    is this class.
     """
 
     c: int
@@ -165,17 +171,18 @@ class ParabolicP1:
             raise InvalidDatum(f"splitting degrees must be ints, got c={c!r}, d={d!r}")
         if d - c > c:
             raise InvalidDatum(f"splitting must be normalized: d-c={d-c} exceeds c={c}")
-        pts = tuple(_exact(z, "marked point") for z in self.points)
+        pts = tuple(_exact(z, "marked point") for z in _entries(self.points, "marked points"))
         if len(set(pts)) != len(pts):
             raise InvalidDatum("marked points must be distinct")
-        if not (len(pts) == len(self.flags) == len(self.weights)):
+        flags, ws = _entries(self.flags, "flags"), _entries(self.weights, "weights")
+        if not (len(pts) == len(flags) == len(ws)):
             raise InvalidDatum("points, flags and weights must have equal length")
-        ws = tuple(_exact(w, "weight") for w in self.weights)
+        ws = tuple(_exact(w, "weight") for w in ws)
         for w in ws:
             if not 0 <= w < 1:
                 raise InvalidDatum(f"weight {w} outside [0,1)")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "flags", tuple(normalize_flag(f) for f in self.flags))
+        object.__setattr__(self, "flags", tuple(normalize_flag(f) for f in flags))
         object.__setattr__(self, "weights", ws)
 
 
@@ -237,8 +244,19 @@ def _exact(x, what: str) -> Fraction:
     return Fraction(x)
 
 
+def _entries(items, what: str) -> tuple:
+    """items read once into a tuple; InvalidDatum when they are not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise InvalidDatum(f"{what} must be iterable, got {type(items).__name__}") from None
+
+
 def normalize_flag(flag) -> tuple[Fraction, Fraction]:
-    a, b = _exact(flag[0], "flag entry"), _exact(flag[1], "flag entry")
+    entries = _entries(flag, "flag")
+    if len(entries) != 2:
+        raise InvalidDatum(f"flag must have two entries, got {len(entries)}")
+    a, b = _exact(entries[0], "flag entry"), _exact(entries[1], "flag entry")
     if a == 0 and b == 0:
         raise InvalidDatum("flag must be a nonzero direction")
     if a != 0:
@@ -374,18 +392,36 @@ def _eliminate(ech: tuple[tuple[int, list[int]], ...], row: list[int]) -> tuple[
     return None
 
 
-def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: int):
+def _best_sums(iw: list[int]) -> list[list[int]]:
+    """best[j][r]: the largest sum of r weights among iw[j:], for 0 <= j, r <= len(iw)."""
+    return [[0, *itertools.accumulate(sorted(iw[j:], reverse=True))] for j in range(len(iw) + 1)]
+
+
+def _size_floor(best: list[list[int]], need: int) -> int:
+    """s, the fewest points a subset S with 2*sum(iw[S]) >= need can hold.
+
+    It is the least r with 2*best[0][r] >= need, best being the weights'
+    _best_sums: r points weigh at most best[0][r], and the r heaviest
+    weigh that.  need must be at most twice the total weight, as it is
+    at every degree of stability_classify's scan.
+    """
+    return next(r for r, top in enumerate(best[0]) if 2 * top >= need)
+
+
+def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: int,
+                       best: list[list[int]], floor: int):
     """Yield, in the order of a plain scan, the subsets that may have a kernel.
 
     A subset is yielded when 2*sum(iw[S]) >= need and its rows stay
-    below rank ncols modulo RANK_PRIME.  Sizes run downward, and once
-    twice the sum of the size largest iw misses need, no smaller subset
-    can meet it, so the walk ends there.  Each size level is one
-    depth-first walk that extends index prefixes in increasing order,
-    so its leaves come in itertools.combinations order, and each prefix
-    passes its echelon form modulo the prime down to its extensions.
-    A prefix's subtree is skipped when its weight sum plus the largest
-    weights it can still add misses need, or when its rows reach rank
+    below rank ncols modulo RANK_PRIME.  best is the weights'
+    _best_sums and floor the degree's _size_floor, both built by
+    stability_classify: sizes run downward from n to floor, since no
+    smaller subset meets need.  Each size level is one depth-first walk
+    that extends index prefixes in increasing order, so its leaves come
+    in itertools.combinations order, and each prefix passes its echelon
+    form modulo the prime down to its extensions.  A prefix's subtree is
+    skipped when its weight sum plus the largest weights it can still
+    add, read from best, misses need, or when its rows reach rank
     ncols modulo the prime, and so every subset below it has a zero
     kernel (RANK_PRIME).  So every qualifying subset with a kernel is
     yielded, in the order of a plain scan; one whose rank drops modulo
@@ -407,12 +443,8 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
     (CPython 3.11).
     """
     n = len(rows)
-    # best[j][r]: the largest sum of r weights among iw[j:]
-    best = [[0, *itertools.accumulate(sorted(iw[j:], reverse=True))] for j in range(n + 1)]
     state = (n, ncols, iw, need, best, [[x % RANK_PRIME for x in r] for r in rows], {})
-    for size in range(n, -1, -1):
-        if 2 * best[0][size] < need:
-            break
+    for size in range(n, floor - 1, -1):
         yield from _walk(state, 0, size, 0, 0, ())
 
 
@@ -441,13 +473,15 @@ def _walk(state: tuple, start: int, left: int, acc: int, mask: int, ech: tuple):
             yield from _walk(state, i + 1, left - 1, acc + iw[i], key, grown)
 
 
-def _certified_empty(table: list[_Point], iw: list[int], need: int, np_: int, nq: int) -> bool:
+def _certified_empty(table: list[_Point], pos: list[int], iw: list[int], need: int,
+                     np_: int, nq: int, errors: int) -> bool:
     """True only when a lemma proves that no subset S with 2*sum(iw[S]) >= need
     has a kernel in its interpolation rows at bounds (np_, nq), so that
     every kernel_vector call of the degree would return None.
 
-    Only the points K of positive weight matter: S qualifies with S & K
-    alone, whose fewer rows keep any kernel of S.  Rows are never zero,
+    Only the points K of positive weight, listed by pos, matter: S
+    qualifies with S & K alone, whose fewer rows keep any kernel of S.
+    stability_classify lists K once per call.  Rows are never zero,
     since flags are normalized and nq >= 1.  At ncols <= 3 the line
     lemma decides exactly; above it the error locator may only certify.
 
@@ -465,18 +499,17 @@ def _certified_empty(table: list[_Point], iw: list[int], need: int, np_: int, nq
     row of that plane, since two non-proportional rows span it, so the
     pairs that key a plane cover every row on it.
 
-    The error locator (Berlekamp-Welch): a qualifying S misses at most
-    E points of K, as many of K's lightest weights as can go with the
-    rest still meeting need.  A kernel (p, q) of S times the locator,
-    the product of (x - z) over the points of K that S misses, vanishes
-    on every row of K within the widened bounds (np_ + E, nq + E).  So
-    when K's rows there reach full column rank ncols + 2E modulo the
-    prime, and so over the rationals (RANK_PRIME), no qualifying S has
-    a kernel.
+    The error locator (Berlekamp-Welch): a qualifying S & K holds at
+    least s points, the degree's _size_floor, so S misses at most
+    E = |K| - s points of K; errors is that E.  A kernel (p, q) of S
+    times the locator, the product of (x - z) over the points of K that
+    S misses, vanishes on every row of K within the widened bounds
+    (np_ + E, nq + E).  So when K's rows there reach full column rank
+    ncols + 2E modulo the prime, and so over the rationals (RANK_PRIME),
+    no qualifying S has a kernel.
     """
     if need <= 0:
         return False  # the empty subset qualifies and has a kernel
-    pos = [i for i, w in enumerate(iw) if w]
     ncols = np_ + nq
     if ncols <= 3:
         # the rows on the line through each row of Q^2, or on the plane
@@ -495,13 +528,6 @@ def _certified_empty(table: list[_Point], iw: list[int], need: int, np_: int, nq
             if not on:
                 return False
         return all(2 * sum(iw[i] for i in group) < need for group in on.values())
-    # the error locator's E: as many of K's lightest weights as can go
-    slack, errors = 2 * sum(iw) - need, 0
-    for w in sorted(iw[i] for i in pos):
-        slack -= 2 * w
-        if slack < 0:
-            break
-        errors += 1
     # full column rank of K's rows at the widened bounds
     rank, ech = ncols + 2 * errors, ()
     for k, i in enumerate(pos):
@@ -665,13 +691,18 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     # face value <= 0  <=>  2 * sum(iw[S]) >= need, all in integers
     total = sum(iw)
     e_lo = -((total - d * scale) // (2 * scale))  # ceil((d*scale - total) / (2*scale))
+    # K, the points of positive weight, and the weights' table: each
+    # degree reads its size floor s off the table, and E = |K| - s
+    pos = [i for i, w in enumerate(iw) if w]
+    best = _best_sums(iw)
     for e in range(d - c, e_lo - 1, -1):
         need = scale * (d - 2 * e) + total
         np_, nq = c - e + 1, d - c - e + 1
-        if _certified_empty(table, iw, need, np_, nq):
+        floor = _size_floor(best, need)
+        if _certified_empty(table, pos, iw, need, np_, nq, len(pos) - floor):
             continue
         rows = [_interpolation_row(point, np_, nq) for point in table]
-        for subset in _kernel_candidates(rows, np_ + nq, iw, need):
+        for subset in _kernel_candidates(rows, np_ + nq, iw, need, best, floor):
             v = kernel_vector([rows[i] for i in subset], np_ + nq)
             if v is None:
                 continue

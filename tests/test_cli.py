@@ -640,6 +640,12 @@ def test_schema_error_exit_code(capsys, tmp_path):
         "det": {"residues": {"a": 1}, "degree": 1, "lift_sign": "x"}})
     assert run(capsys, "lambda", "--file", bad_sign) == \
         (2, "", "schema error: input.det.lift_sign must be '+' or '-'\n")
+    # residues that are a list, not an object of orbit labels
+    listed = write(tmp_path, "listed_residues.json", {
+        "profile": {"n": 2, "genus_base": 0, "orbits": [{"id": "a", "k": 1}]},
+        "det": {"residues": [1], "degree": 0}})
+    assert run(capsys, "lambda", "--file", listed) == \
+        (2, "", "schema error: input.det.residues must be an object\n")
 
 
 # inputs json.load cannot read: a directory, bytes that are not UTF-8, nesting

@@ -184,6 +184,17 @@ def test_a_hand_built_profile_is_validated_when_built():
         make_profile(6, [("a", 6), ("a", 4)])
     with pytest.raises(InvalidProfile, match=r"^orbit 'a': length 0 does not divide n=6$"):
         make_profile(6, [("a", 0)])
+    # orbits given as a generator are kept, not read away by the checks
+    profile = CoverProfile(4, (SpecialOrbit("a", 2, 2) for _ in range(1)))
+    assert profile.orbits == (SpecialOrbit("a", 2, 2),) and profile == make_profile(4, [("a", 2)])
+    with pytest.raises(InvalidProfile, match=r"^orbits must be an iterable of SpecialOrbit, "
+                                             r"got int$"):
+        CoverProfile(4, 5)
+    with pytest.raises(InvalidProfile, match=r"^orbit entry must be a SpecialOrbit, got tuple$"):
+        CoverProfile(4, (("a", 2, 2),))
+    # an int label would reach JSON as a number, which profile_from_json refuses
+    with pytest.raises(InvalidProfile, match=r"^orbit label must be a str, got 7$"):
+        CoverProfile(4, (SpecialOrbit(7, 2, 2),))
 
 
 def test_an_orbit_length_or_stabilizer_order_must_be_an_int():

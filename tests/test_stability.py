@@ -171,6 +171,28 @@ def test_prefix_echelon_rank_matches_rank_mod_p():
             assert len(ech) == rank_mod_p(rows[:k])
 
 
+def weight_bounds(iw, need):
+    """(K, best, s) as stability_classify builds them: K the points of
+    positive weight, best the weights' table and s the degree's size floor.
+    Past twice the total weight, a need no degree of the scan reaches, no
+    subset qualifies, and s is len(iw) + 1."""
+    best = stability._best_sums(iw)
+    floor = stability._size_floor(best, need) if need <= 2 * best[0][-1] else len(iw) + 1
+    return [i for i, w in enumerate(iw) if w], best, floor
+
+
+def candidates(rows, ncols, iw, need):
+    """_kernel_candidates with the table and the size floor stability_classify passes."""
+    _, best, floor = weight_bounds(iw, need)
+    return _kernel_candidates(rows, ncols, iw, need, best, floor)
+
+
+def certified_empty(table, iw, need, np_, nq):
+    """_certified_empty with K and E = |K| - s as stability_classify passes them."""
+    pos, _, floor = weight_bounds(iw, need)
+    return stability._certified_empty(table, pos, iw, need, np_, nq, len(pos) - floor)
+
+
 def test_kernel_candidates_match_the_plain_scan():
     rng = random.Random(62)
     for _ in range(300):
@@ -178,7 +200,7 @@ def test_kernel_candidates_match_the_plain_scan():
         rows = random_int_rows(rng, n, ncols) if n else []
         iw = [rng.randint(0, 4) for _ in range(n)]
         need = rng.randint(-1, 2 * sum(iw) + 1)
-        assert list(_kernel_candidates(rows, ncols, iw, need)) == plain_scan(rows, ncols, iw, need)
+        assert list(candidates(rows, ncols, iw, need)) == plain_scan(rows, ncols, iw, need)
     # rows shaped like interpolation rows: split rows, zero on the p block
     # or on the q block, and repeats up to a scale; with need low, many
     # size levels run and each reaches prefixes the level above reduced
@@ -198,7 +220,7 @@ def test_kernel_candidates_match_the_plain_scan():
             rows.append(row)
         iw = [rng.randint(0, 3) for _ in range(n)]
         need = rng.randint(-1, sum(iw) // 2)
-        assert list(_kernel_candidates(rows, np_ + nq, iw, need)) == \
+        assert list(candidates(rows, np_ + nq, iw, need)) == \
             plain_scan(rows, np_ + nq, iw, need)
 
 
@@ -217,7 +239,7 @@ def test_each_prefix_extension_is_reduced_once(count_calls):
     rng = random.Random(63)
     rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(5)] for _ in range(9)]
     calls = count_calls(stability, "_eliminate")
-    got = list(_kernel_candidates(rows, 5, [1] * 9, 2))
+    got = list(candidates(rows, 5, [1] * 9, 2))
     assert got == [s for size in (4, 3, 2, 1) for s in itertools.combinations(range(9), size)]
     assert len(calls) == sum(math.comb(9, k) for k in range(1, 6))
     # the calls keep their arguments alive, so equal ids are one form and
@@ -233,8 +255,8 @@ def test_the_prefix_table_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        assert len(list(_kernel_candidates(rows, 5, [1] * 9, 2))) == 255
-        walk = _kernel_candidates(rows, 5, [1] * 9, 2)
+        assert len(list(candidates(rows, 5, [1] * 9, 2))) == 255
+        walk = candidates(rows, 5, [1] * 9, 2)
         assert next(walk) == (0, 1, 2, 3)
         walk.close()
         assert gc.collect() == 0
@@ -249,19 +271,19 @@ def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
     rows = [[RANK_PRIME, 0], [0, 1]]
     assert rank_mod_p(rows) == 1
     assert kernel_vector(rows, 2) is None
-    assert list(_kernel_candidates(rows, 2, [1, 1], 4)) == [(0, 1)]
+    assert list(candidates(rows, 2, [1, 1], 4)) == [(0, 1)]
     # the prefix (0, 1) has full rank over Q only, so nothing below it is pruned
     rows = [[RANK_PRIME, 0], [0, 1], [0, 2], [0, 3]]
-    assert list(_kernel_candidates(rows, 2, [1] * 4, 6)) == \
+    assert list(candidates(rows, 2, [1] * 4, 6)) == \
         [(0, 1, 2, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     assert kernel_vector(rows[:3], 2) is None
     # the certificate itself: full rank modulo the prime, no candidate
-    assert list(_kernel_candidates([[2, 1], [1, 1]], 2, [1, 1], 4)) == []
+    assert list(candidates([[2, 1], [1, 1]], 2, [1, 1], 4)) == []
     # a full-rank prefix ends its subtree: (0, 1) certifies (0, 1, 2)
-    assert list(_kernel_candidates([[1, 0], [0, 1], [1, 1]], 2, [1] * 3, 6)) == []
+    assert list(candidates([[1, 0], [0, 1], [1, 1]], 2, [1] * 3, 6)) == []
     # a genuine kernel is yielded
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert list(_kernel_candidates(rows, 3, [1, 1, 1], 6)) == [(0, 1, 2)]
+    assert list(candidates(rows, 3, [1, 1, 1], 6)) == [(0, 1, 2)]
     assert 3 - rank_mod_p(rows) == 1  # a one-dimensional kernel
     v = kernel_vector(rows, 3)
     assert v is not None and all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
@@ -308,7 +330,7 @@ def test_certified_degrees_hold_no_qualifying_kernel():
     for bundle in certificate_corpus():
         for iw, need, np_, nq in loop_degrees(bundle):
             lemma = "line" if np_ + nq <= 3 else "locator"
-            empty = stability._certified_empty(_integer_points(bundle), iw, need, np_, nq)
+            empty = certified_empty(_integer_points(bundle), iw, need, np_, nq)
             tried[lemma] += 1
             certified[lemma] += empty
             if empty or lemma == "line":
@@ -362,10 +384,67 @@ def test_the_line_lemma_matches_the_normal_scan():
             if np_ + nq > 3:
                 continue
             for need in range(1, 2 * sum(iw) + 2):
-                empty = stability._certified_empty(table, iw, need, np_, nq)
+                empty = certified_empty(table, iw, need, np_, nq)
                 assert empty is normal_scan(table, iw, need, np_, nq), (bundle, need, np_, nq)
                 verdicts[np_ + nq, empty] += 1
     assert min(verdicts.values()) >= 100 and len(verdicts) == 4, verdicts
+
+
+def locator_errors(iw, need) -> int:
+    """The error locator's E: as many of K's lightest weights as can go with
+    the rest still meeting need.
+
+    The classifier's former count, kept as the oracle for E = |K| - s,
+    s read off the weights' table.
+    """
+    slack, errors = 2 * sum(iw) - need, 0
+    for w in sorted(w for w in iw if w):
+        slack -= 2 * w
+        if slack < 0:
+            break
+        errors += 1
+    return errors
+
+
+def fewest_qualifying(iw, need) -> int:
+    """The fewest points of a subset S with 2*sum(iw[S]) >= need, by trying every subset."""
+    return next(size for size in range(len(iw) + 1)
+                for s in itertools.combinations(iw, size) if 2 * sum(s) >= need)
+
+
+def test_the_error_count_and_the_size_floor_are_read_off_the_weights_table():
+    # s, the walk's size floor, and the locator's E = |K| - s, from the
+    # table stability_classify builds once per call, against a scan of every
+    # subset and the former loop: on seeded weight vectors with zeros and
+    # ties at every need from -1 to twice the total weight, and at every
+    # degree of the 360 bundles of the benchmark's classify pool
+    seen = collections.Counter()
+
+    def check(iw, need):
+        best = stability._best_sums(iw)
+        floor = stability._size_floor(best, need)
+        assert floor == fewest_qualifying(iw, need), (iw, need)
+        assert sum(1 for w in iw if w) - floor == locator_errors(iw, need), (iw, need)
+        seen["E > 0"] += floor < sum(1 for w in iw if w)
+
+    rng = random.Random(66)
+    for _ in range(200):
+        iw = [rng.choice([0, 0, 1, 2, 2, 3, 5]) for _ in range(rng.randint(0, 7))]
+        twice = {2 * sum(s) for size in range(len(iw) + 1)
+                 for s in itertools.combinations(iw, size)}
+        for need in range(-1, 2 * sum(iw) + 1):
+            check(iw, need)
+            seen["zero weight"] += 0 in iw
+            seen["tied weights"] += len({w for w in iw if w}) < sum(1 for w in iw if w)
+            seen["need twice a subset's weight"] += need in twice
+    pool = json.loads((Path(__file__).parents[1] / "perfbench" / "reference"
+                       / "classify_pool.json").read_text())["bundles"]
+    for entry in pool:
+        for iw, need, _, _ in loop_degrees(bundle_from_json(entry["doc"])):
+            check(iw, need)
+            seen["pool degree"] += 1
+    assert len(pool) == 360
+    assert seen["pool degree"] == 703 and min(seen.values()) >= 500, seen
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -469,6 +548,22 @@ def test_make_bundle_rejections():
         make_bundle(-1, -3, [0, 1, 2, 3], [(1, 0)] * 4, [F(3, 2)] + [F(1, 2)] * 3)
     with pytest.raises(InvalidDatum):
         make_bundle(-1, -3, [0, 1, 2], [(1, 0)] * 4, [F(1, 2)] * 3)
+    # a flag that is not a pair, and points, flags or weights that are not
+    # iterable, are the datum's fault too
+    for flag, message in ((5, "^flag must be iterable, got int$"),
+                          ((1, 0, 5), "^flag must have two entries, got 3$"),
+                          ((1,), "^flag must have two entries, got 1$")):
+        with pytest.raises(InvalidDatum, match=message):
+            make_bundle(-1, -3, [0, 1, 2, 3], [flag] + [(1, 0)] * 3, [F(1, 2)] * 4)
+    with pytest.raises(InvalidDatum, match="^marked points must be iterable, got int$"):
+        make_bundle(-1, -3, 4, [(1, 0)] * 4, [F(1, 2)] * 4)
+    with pytest.raises(InvalidDatum, match="^weights must be iterable, got Fraction$"):
+        make_bundle(-1, -3, [0, 1, 2, 3], [(1, 0)] * 4, F(1, 2))
+    # generators are read once and kept
+    from_lists = make_bundle(-1, -3, [0, 1, 2, 3], [(1, 0), (0, 1), (1, 1), (1, 2)],
+                             [F(1, 2), F(1, 4), 0, F(3, 4)])
+    assert make_bundle(-1, -3, (z for z in range(4)), iter(from_lists.flags),
+                       (w for w in from_lists.weights)) == from_lists
 
 
 def test_a_hand_built_bundle_is_normalized_like_make_bundle():
@@ -751,6 +846,35 @@ def test_the_census_boundary_classes_are_the_graded_objects_of_the_classifier():
                 assert got == set(flagged_class(g, q).summands), (g, comp.c, q)
                 checked += 1
     assert checked == 415
+    # a seeded sample at g = 5..12, up to 26 points: for each component, one
+    # class Q at an even size up to -2c, drawn from (seed, g, c) alone, and
+    # one subset of size -2c + 2, which the view refuses and
+    # gen.boundary_bundle cannot build.  36 bundles, about 4 s in all
+    sampled = 0
+    for g in range(5, 13):
+        npoints = 2 * g + 2
+        for comp in hyperelliptic_report(g).components:
+            top = -2 * comp.c
+            rng = random.Random(repr((BOUNDARY_SAMPLE_SEED, g, comp.c)))
+            q = frozenset(rng.sample(range(npoints), rng.randrange(0, top + 1, 2)))
+            if 2 * len(q) == npoints and 0 not in q:
+                q = frozenset(range(npoints)) - q  # the member that stands for the class
+            assert q in comp.boundary_classes, (g, comp.c, q)
+            bundle = gen.boundary_bundle(g, comp.c, q)
+            verdict = stability_classify(bundle)
+            assert verdict.label == STRICTLY_SEMISTABLE, (g, comp.c, q)
+            got = {GradedSummand(s.bar_degree, frozenset(f"p{i}" for i in s.support))
+                   for s in graded_of(bundle, verdict).summands}
+            assert got == set(flagged_class(g, q).summands), (g, comp.c, q)
+            past = frozenset(rng.sample(range(npoints), top + 2))
+            assert past not in comp.boundary_classes, (g, comp.c, past)
+            with pytest.raises(AssertionError, match="^no boundary bundle"):
+                gen.boundary_bundle(g, comp.c, past)
+            sampled += 1
+    assert sampled == 36
+
+
+BOUNDARY_SAMPLE_SEED = 42
 
 
 def test_the_graded_support_of_a_random_strictly_semistable_bundle_is_a_boundary_class():

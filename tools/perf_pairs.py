@@ -11,7 +11,8 @@ machine.  Each pair prints both sides' end-to-end metrics; then each
 metric prints both sides' median and quartiles, the relative change of
 the medians, the pairs in which the change is lower, and the gap
 between the medians against the parent's IQR (Q3 - Q1), as CHANGES.md
-reports them.
+reports them, and then its verdict (`verdict`), judged by the metric's
+`better` and `bound` in the change checkout's BENCHMARK.json.
 
 Each side runs from a copy of its checkout in a temporary directory,
 without `.git` and without any `__pycache__`, under
@@ -97,6 +98,30 @@ def summary(name: str, unit: str, parent: list[float], change: list[float]) -> s
             f" against the parent's IQR {p3 - p1:.5g})")
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """gain, regression, unresolved or no regression, as the simplicity guide judges.
+
+    A gain needs at least ten pairs, the change better in at least nine
+    tenths of them (a tie counts for neither side), and the medians
+    apart by more than the parent's IQR.  A regression is a change
+    median worse than the parent's by more than the bound, relative to
+    the parent's median.  A metric is unresolved when the parent's IQR,
+    relative to its median, exceeds the bound, unless every change run
+    is better than every parent run.
+    """
+    sign = 1 if better == "lower" else -1  # sign * (p - c) > 0: the change is better
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    if len(parent) >= 10 and 10 * wins >= 9 * len(parent) and sign * (pm - cm) > p3 - p1:
+        return "gain"
+    if sign * (cm - pm) > bound * abs(pm):
+        return "regression"
+    if p3 - p1 > bound * abs(pm) and not all(sign * (p - c) > 0 for p in parent for c in change):
+        return "unresolved"
+    return "no regression"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=checkout, metavar="PARENT_DIR")
@@ -106,6 +131,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=None,
                         help="passed to run.py (default: its BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
+    try:
+        bounds = {m["name"]: m for m in
+                  json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]}
+    except (OSError, ValueError, KeyError) as exc:
+        parser.error(f"{args.change}/BENCHMARK.json gives no end_to_end bounds: {exc}")
 
     bad = 0
     values: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
@@ -134,7 +164,11 @@ def main(argv: list[str] | None = None) -> int:
                                                    for name, metric in result["metrics"].items()))
             print(f"pair {i} seed {seed} ({order[0]} first): " + "; ".join(cells), flush=True)
     for name, unit in units.items():
-        print(summary(name, unit, values["parent"][name], values["change"][name]))
+        parent, change = values["parent"][name], values["change"][name]
+        better, bound = bounds[name]["better"], bounds[name]["bound"]
+        print(summary(name, unit, parent, change))
+        print(f"{name}: {verdict(parent, change, better, bound)}"
+              f" ({better} is better, bound {bound:g})")
     if bad:
         print(f"perf_pairs: {bad} run(s) not correct or with failed jobs", file=sys.stderr)
     return 1 if bad else 0
