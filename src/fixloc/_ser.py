@@ -17,6 +17,7 @@ mathematics.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -271,6 +272,22 @@ def check_int(value: object, what: str) -> None:
     """
     if type(value) is not int and not is_int(value):
         raise InvalidDatum(f"{what} must be an int, got {type(value).__name__}")
+
+
+def int_digit_limit() -> int:
+    """The most digits this Python writes an int with
+    (sys.get_int_max_str_digits, 4,300 by default); 0, or a Python without
+    the limit, means none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def int_text(count: int) -> str:
+    """A count as a message states it: in decimal, or "10^D or more" when it
+    has more digits than Python writes an int with (int_digit_limit)."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"10^{int_digit_limit()} or more"
 
 
 def int_map(value: object, what: str) -> FrozenDict:

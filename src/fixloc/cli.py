@@ -1,10 +1,17 @@
 """Command line interface: fixed-locus reports over JSON documents.
 
+Each subcommand has one row in COMMANDS: the function that builds its
+report and the options it cannot run without.  A builder returns the
+report as (payload, lines), the JSON document and the text or dot lines,
+or raises _PropertyFailure with a counterexample document; it writes
+nothing.  main alone writes stdout and picks the exit code.
+
 Exit codes: 0 success, 1 property-check failure (with a counterexample
 dump) or violated internal invariant, 2 malformed input (schema or
 usage, or an input file that cannot be read as JSON) or a stdout closed
 before the report was written, 3 domain rejection (mathematically
-inadmissible input).  All output is deterministic for a fixed seed:
+inadmissible input, or a JSON report holding an int past Python's
+digit limit).  All output is deterministic for a fixed seed:
 reports are byte-identical across runs.
 """
 
@@ -19,7 +26,7 @@ import sys
 
 # each command imports the layers it runs inside its body, so a CLI child
 # loads only those
-from ._ser import parse_object, to_json
+from ._ser import int_digit_limit, int_text, parse_object, to_json
 from .errors import DomainError, InternalError, SchemaError
 
 DEFAULT_SEED = 1729
@@ -56,12 +63,20 @@ def _load_json(path: str):
         raise SchemaError(f"cannot read {path}: {exc}")
 
 
-def _emit(payload: dict, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+class _PropertyFailure(Exception):
+    """A checked property failed; its one argument is the counterexample
+    document, which main writes as JSON, whatever the format, with exit 1."""
+
+
+def _json_text(document: dict) -> str:
+    """The document as main writes it: DomainError when it holds an int past
+    the digit limit, which json.dumps raises as a ValueError."""
+    try:
+        return json.dumps(document, indent=2, sort_keys=True)
+    except ValueError:
+        digits = int_digit_limit()
+        raise DomainError(f"the report holds an int of more than {digits} digits, past "
+                          f"Python's limit of {digits} digits for writing an int") from None
 
 
 def _load_input(path: str, **fields) -> dict:
@@ -78,10 +93,9 @@ def _pair_counts(det, profile) -> list[int]:
 def _lambda_size(counts: list[int]) -> int:
     """|Lambda|, the product of the per-orbit pair counts, which lambda and
     bijection-check print: DomainError when it has more digits than this
-    Python writes an int with (sys.get_int_max_str_digits, 4,300 by
-    default; 0, or a Python without the limit, means none)."""
+    Python writes an int with (int_digit_limit)."""
     size = math.prod(counts)
-    digits = getattr(sys, "get_int_max_str_digits", int)()
+    digits = int_digit_limit()
     # 2^(3 digits) < 10^digits, so a shorter size needs no power of ten
     if digits and size.bit_length() > 3 * digits and size >= 10 ** digits:
         raise DomainError(f"the count of Lambda has more than {digits} digits over {len(counts)} "
@@ -89,16 +103,15 @@ def _lambda_size(counts: list[int]) -> int:
     return size
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> tuple[dict, list[str]]:
     from . import covers
     profile = covers.profile_from_json(_load_json(args.file))
     r = covers.kernel_order(profile)
-    payload = {"kernel_order": r, "gcd_orbit_lengths": covers.gcd_orbit_lengths(profile)}
-    _emit(payload, args.format, [f"kernel_order: {r}"])
-    return 0
+    return ({"kernel_order": r, "gcd_orbit_lengths": covers.gcd_orbit_lengths(profile)},
+            [f"kernel_order: {r}"])
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> tuple[dict, list[str]]:
     from . import covers
     profile = covers.profile_from_json(_load_json(args.file))
     ramified, r = covers.factor_cover(profile)
@@ -111,18 +124,17 @@ def cmd_factor(args) -> int:
         f"ramified part: n={ramified.n}, orbits "
         + ", ".join(f"{y.id}:k={y.k}" for y in ramified.orbits),
     ]
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_orbits(args) -> int:
+def cmd_orbits(args) -> tuple[dict, list[str]]:
     from . import covers
     profile = covers.profile_from_json(_load_json(args.file))
     entries = profile.n * len(profile.orbits)
     if entries > MAX_ORBIT_TABLE_ENTRIES:
-        raise DomainError(f"the orbit table has {entries} entries ({len(profile.orbits)} orbits "
-                          f"under {profile.n} powers), past the orbits limit of "
-                          f"{MAX_ORBIT_TABLE_ENTRIES} entries")
+        raise DomainError(f"the orbit table has {int_text(entries)} entries "
+                          f"({len(profile.orbits)} orbits under {profile.n} powers), past the "
+                          f"orbits limit of {MAX_ORBIT_TABLE_ENTRIES} entries")
     table = {
         y.id: {str(d): covers.orbit_length_under_power(y.k, d)
                for d in range(1, profile.n + 1)}
@@ -133,11 +145,10 @@ def cmd_orbits(args) -> int:
     for y in profile.orbits:
         row = " ".join(f"{d}:{length}" for d, length in table[y.id].items())
         lines.append(f"{y.id} (k={y.k}): {row}")
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args) -> tuple[dict, list[str]]:
     from . import covers, equivariant
     doc = _load_input(args.file, profile=covers.profile_from_json, det=equivariant.det_from_json)
     profile, det = doc["profile"], doc["det"]
@@ -145,8 +156,8 @@ def cmd_lambda(args) -> int:
     counts = _pair_counts(det, profile)
     # every pair is listed; count them before building any
     if sum(counts) > MAX_LAMBDA_PAIRS:
-        raise DomainError(f"Lambda has {sum(counts)} admissible pairs over {len(counts)} orbits, "
-                          f"past the lambda limit of {MAX_LAMBDA_PAIRS} pairs")
+        raise DomainError(f"Lambda has {int_text(sum(counts))} admissible pairs over "
+                          f"{len(counts)} orbits, past the lambda limit of {MAX_LAMBDA_PAIRS} pairs")
     count = _lambda_size(counts)  # |Lambda|; Lambda is read only to list it
     per_orbit = {
         y.id: [[d1, d2] for d1, d2 in
@@ -159,22 +170,18 @@ def cmd_lambda(args) -> int:
     lines = [f"admissible numeric data: {count}"]
     for label, pairs in sorted(per_orbit.items()):
         lines.append(f"{label}: " + " ".join(f"({a},{b})" for a, b in pairs))
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args) -> tuple[dict, list[str]]:
     from . import covers, equivariant
     doc = _load_input(args.file, profile=covers.profile_from_json,
                       numeric=equivariant.numeric_from_json)
     ws = equivariant.weight_system(doc["numeric"], doc["profile"])
-    payload = to_json({"weights": ws})
-    lines = [f"{label}: {w}" for label, w in sorted(ws.items())]
-    _emit(payload, args.format, lines)
-    return 0
+    return to_json({"weights": ws}), [f"{label}: {w}" for label, w in sorted(ws.items())]
 
 
-def cmd_bijection_check(args) -> int:
+def cmd_bijection_check(args) -> tuple[dict, list[str]]:
     from . import covers, equivariant
     rng = random.Random(args.seed)
     profiles = []
@@ -203,32 +210,29 @@ def cmd_bijection_check(args) -> int:
                 if back.numeric == numeric and back.det == det:
                     continue
                 failure = {"round_tripped": equivariant.rank2_to_json(back)}
-            print(json.dumps({
+            raise _PropertyFailure({
                 "property": "round_trip",
                 "profile": covers.profile_to_json(profile),
                 "datum": equivariant.rank2_to_json(equivariant.Rank2EqData(numeric, det)),
                 **failure,
-            }, indent=2, sort_keys=True))
-            return 1
+            })
         checked += size
-    payload = {"checked": checked, "profiles": len(profiles), "failures": 0}
-    _emit(payload, args.format, [f"round trips checked: {checked} (all exact)"])
-    return 0
+    return ({"checked": checked, "profiles": len(profiles), "failures": 0},
+            [f"round trips checked: {checked} (all exact)"])
 
 
-def cmd_zeta2(args) -> int:
+def cmd_zeta2(args) -> tuple[dict, list[str]]:
     from . import covers, equivariant
     doc = _load_input(args.file, profile=covers.profile_from_json, data=equivariant.rank2_from_json)
     profile, data = doc["profile"], doc["data"]
     image = equivariant.zeta2_apply(data, profile)
     twice = equivariant.zeta2_apply(image, profile)
     if twice != data:
-        print(json.dumps({
+        raise _PropertyFailure({
             "property": "involution",
             "datum": equivariant.rank2_to_json(data),
             "twice": equivariant.rank2_to_json(twice),
-        }, indent=2, sort_keys=True))
-        return 1
+        })
     payload = {
         "image": equivariant.rank2_to_json(image),
         "partition": equivariant.zeta2_partition(data.numeric, profile),
@@ -237,19 +241,16 @@ def cmd_zeta2(args) -> int:
     lines = [f"image numeric: {equivariant.numeric_to_json(image.numeric)}",
              f"image lift sign: {image.det.lift_sign}",
              "involution: ok"]
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[dict, list[str]]:
     from . import covers, locus
     profile = covers.profile_from_json(_load_json(args.file))
     report = locus.decomposition_report(profile)
-    payload = to_json(report)
     lines = [f"case: {report.case}", f"kernel order: {report.kernel_order}"]
     lines.extend(f"- {s}" for s in report.statements)
-    _emit(payload, args.format, lines)
-    return 0
+    return to_json(report), lines
 
 
 def _hyperelliptic_payload(report) -> dict:
@@ -282,7 +283,7 @@ def _hyperelliptic_payload(report) -> dict:
     }
 
 
-def cmd_hyperelliptic(args) -> int:
+def cmd_hyperelliptic(args) -> tuple[dict, list[str]]:
     from . import locus
     report = locus.hyperelliptic_report(args.g, with_classes=args.g <= 4)
     payload = _hyperelliptic_payload(report)
@@ -307,55 +308,47 @@ def cmd_hyperelliptic(args) -> int:
         lines.append(f"max dimension: {report.max_dimension}")
         if report.boundary_class_count >= 0:
             lines.append(f"semistable classes: {report.boundary_class_count}")
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> tuple[dict, list[str]]:
     from . import locus
     record = locus.unramified_census(args.n, args.deg_delta, args.genus_y)
-    payload = to_json(record)
     lines = [f"case: {record.case}"]
     for comp in record.components:
         lines.append(f"- {comp.count} x {comp.kind}: {comp.description}")
     lines.append(record.intersection_note)
-    _emit(payload, args.format, lines)
-    return 0
+    return to_json(record), lines
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> tuple[dict, list[str]]:
     from . import stability
     bundle = stability.bundle_from_json(_load_json(args.file))
     verdict = stability.stability_classify(bundle)  # bundle_from_json enforced 2g+2 points
-    payload = stability.verdict_to_json(verdict)
     lines = [f"class: {verdict.label}"]
     if verdict.witness is not None:
         wit = verdict.witness
         lines.append(f"witness degree: {wit.e}")
         lines.append(f"witness agreement: {sorted(wit.agreement)}")
-    _emit(payload, args.format, lines)
-    return 0
+    return stability.verdict_to_json(verdict), lines
 
 
+# subcommand -> (the function that builds its report, the options it cannot
+# run without); main reports a missing or empty option as a usage error that
+# names them all
 COMMANDS = {
-    "kernel": cmd_kernel,
-    "factor": cmd_factor,
-    "lambda": cmd_lambda,
-    "weights": cmd_weights,
-    "bijection-check": cmd_bijection_check,
-    "zeta2": cmd_zeta2,
-    "orbits": cmd_orbits,
-    "decompose": cmd_decompose,
-    "hyperelliptic": cmd_hyperelliptic,
-    "census": cmd_census,
-    "stability": cmd_stability,
+    "kernel": (cmd_kernel, ("--file",)),
+    "factor": (cmd_factor, ("--file",)),
+    "lambda": (cmd_lambda, ("--file",)),
+    "weights": (cmd_weights, ("--file",)),
+    "bijection-check": (cmd_bijection_check, ()),
+    "zeta2": (cmd_zeta2, ("--file",)),
+    "orbits": (cmd_orbits, ("--file",)),
+    "decompose": (cmd_decompose, ("--file",)),
+    "hyperelliptic": (cmd_hyperelliptic, ("--g",)),
+    "census": (cmd_census, ("--n", "--deg-delta", "--genus-y")),
+    "stability": (cmd_stability, ("--file",)),
 }
-
-# the options a subcommand cannot run without; main reports a missing or empty
-# one as a usage error that names them all
-REQUIRED = dict.fromkeys(["kernel", "factor", "lambda", "weights", "zeta2", "orbits", "decompose",
-                          "stability"], ("--file",))
-REQUIRED.update({"hyperelliptic": ("--g",), "census": ("--n", "--deg-delta", "--genus-y")})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,12 +372,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format == "dot" and args.subcommand != "hyperelliptic":
         parser.error("dot format is only available for the hyperelliptic report")
-    required = REQUIRED.get(args.subcommand, ())
+    build, required = COMMANDS[args.subcommand]
     if any(getattr(args, option[2:].replace("-", "_")) in (None, "") for option in required):
         *rest, last = required
         parser.error(f"{args.subcommand} requires {', '.join(rest)}{' and ' if rest else ''}{last}")
     try:
-        code = COMMANDS[args.subcommand](args)
+        try:
+            payload, lines = build(args)
+            code = 0
+        except _PropertyFailure as failure:
+            payload, code = failure.args[0], 1
+        # the JSON text is built before anything is written, so a report that
+        # cannot be written leaves stdout empty
+        if code or args.format == "json":
+            lines = [_json_text(payload)]
+        for line in lines:
+            print(line)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -56,8 +56,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ._ser import (check_int, frozen, is_int, is_rational, list_of, pair_of, parse_object,
-                   rat_from_json, rat_to_json, require_int)
+from ._ser import (check_int, frozen, int_text, is_int, is_rational, list_of, pair_of,
+                   parse_object, rat_from_json, rat_to_json, require_int)
 from .errors import (DomainError, InternalError, InvalidDatum, NotSemistableNotStrict,
                      SchemaError, UnknownOrbit)
 
@@ -77,6 +77,9 @@ _Point = tuple[int, int, int, int]  # a marked point in integers: see _integer_p
 # seed 1, 20 of seed 2) took 4.1-4.2 s and 45 MB, and the median 0.02 s.
 # Draw g14-25 of seed 2, past those 20, walks degrees that yield nothing:
 # 12-19 s in five runs, with the process at a peak of 106 MB.
+# The limit counts points, not work: a hand-built 30-point bundle at g=14,
+# one flag at 16 of its points and quarter weights (README), took 87-95 s
+# and a peak of 514 MB as one `fixloc stability` process.
 MAX_MARKED_POINTS = 30
 
 
@@ -776,7 +779,8 @@ def bundle_from_json(doc: object, where: str = "bundle") -> ParabolicP1:
         raise SchemaError(f"{where}.g must be >= 1")
     npoints = 2 * g + 2
     if not (len(fields["points"]) == len(fields["flags"]) == len(fields["weights"]) == npoints):
-        raise SchemaError(f"genus {g} requires exactly {npoints} points, flags and weights")
+        raise SchemaError(f"genus {g} requires exactly {int_text(npoints)} points, flags and "
+                          "weights")
     return make_bundle(fields["c"], -(g + 1), fields["points"], fields["flags"], fields["weights"])
 
 

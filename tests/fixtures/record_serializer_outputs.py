@@ -12,8 +12,8 @@ case per line: its name and the serializer's document, dumped without
   with determinant residues and divisor residues over a shuffled subset
   of the orbits;
 - "weights-*", "decompose-*", "census-*": the payload that `fixloc
-  weights`, `fixloc decompose` and `fixloc census` hand to their
-  emitter, on seeded weight systems, on decomposition profiles of all
+  weights`, `fixloc decompose` and `fixloc census` return as their
+  report, on seeded weight systems, on decomposition profiles of all
   three cases, and on census arguments of all four cases.
 
 test_records.test_serializers_match_the_recorded_fixture rebuilds the
@@ -29,7 +29,6 @@ import random
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
@@ -79,18 +78,15 @@ def _unsorted(rng: random.Random, mapping: dict) -> dict:
 
 
 def cli_payload(argv: list[str], doc: object = None) -> dict:
-    """The payload a CLI command hands to its emitter; doc, if any, is its --file."""
-    captured = []
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-            cli, "_emit", lambda payload, fmt, lines: captured.append(payload)):
+    """The payload a CLI command returns as its report; doc, if any, is its --file."""
+    with tempfile.TemporaryDirectory() as tmp:
         if doc is not None:
             path = Path(tmp, "input.json")
             path.write_text(json.dumps(doc))
             argv = [*argv, "--file", str(path)]
-        code = cli.main(argv)
-    if code != 0 or len(captured) != 1:
-        raise RuntimeError(f"{argv[0]} exited {code} with {len(captured)} payloads")
-    return captured[0]
+        build, _ = cli.COMMANDS[argv[0]]
+        payload, _ = build(cli.build_parser().parse_args(argv))
+    return payload
 
 
 # profiles of the three decomposition cases: n odd; n even, r odd; n even, r even

@@ -343,8 +343,18 @@ def many_orbits_of_order_three(tmp_path, count):
                   {"profile": profile_to_json(profile), "det": det_to_json(det)}))
 
 
+@pytest.fixture()
+def default_digit_limit():
+    """Python's default limit of 4,300 digits for str(int), whatever the environment set."""
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(outer)
+
+
 def test_a_count_past_the_int_digit_limit_is_rejected_before_any_work(capsys, tmp_path,
-                                                                      monkeypatch):
+                                                                      monkeypatch,
+                                                                      default_digit_limit):
     # 2^15000 has 4,516 digits, past Python's default limit of 4,300 for str(int);
     # the 30,000 pairs are within the lambda limit, and the cover's 2 x 15,000
     # element-orbits within bijection-check's
@@ -355,18 +365,13 @@ def test_a_count_past_the_int_digit_limit_is_rejected_before_any_work(capsys, tm
                "15000 orbits, past Python's limit of 4300 digits for writing an int\n")
     big = tmp_path / "big.json"
     big.write_text('{"n": 1' + "0" * 4300 + ', "orbits": []}')
-    outer = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
-    try:
-        for argv in (["lambda", "--file", lambda_path],
-                     ["lambda", "--file", lambda_path, "--format", "text"],
-                     ["bijection-check", "--file", profile_path]):
-            assert run(capsys, *argv) == (3, "", message), argv
-            assert sys.get_int_max_str_digits() == 4300
-        # the limit still guards input: an int literal past it is a schema error
-        code, out, err = run(capsys, "kernel", "--file", str(big))
-    finally:
-        sys.set_int_max_str_digits(outer)
+    for argv in (["lambda", "--file", lambda_path],
+                 ["lambda", "--file", lambda_path, "--format", "text"],
+                 ["bijection-check", "--file", profile_path]):
+        assert run(capsys, *argv) == (3, "", message), argv
+        assert sys.get_int_max_str_digits() == 4300
+    # the limit still guards input: an int literal past it is a schema error
+    code, out, err = run(capsys, "kernel", "--file", str(big))
     assert (code, out) == (2, "") and err.startswith(f"schema error: cannot read {big}: ")
 
 
@@ -383,6 +388,57 @@ def test_a_count_is_printed_whole_or_rejected_in_a_child(child, tmp_path, count,
             assert json.loads(proc.stdout)[key] == 2 ** count
         else:
             assert proc.stdout == "" and "past Python's limit of 4300 digits" in proc.stderr
+
+
+def test_a_report_past_the_int_digit_limit_is_a_domain_error(capsys, tmp_path,
+                                                             default_digit_limit):
+    # factor: the genus r(g - 1) + 1 of the free part, with r = 2 and g = 4,300
+    # nines, has 4,301 digits; stability: the witness of the Unstable verdict at
+    # e = -4 has p-coefficients of about 29,000 bits.  Neither text report holds
+    # those ints, and both are written whole.
+    factor = write(tmp_path, "factor.json", {"n": 2, "orbits": [], "genus_base": 10 ** 4300 - 1})
+    stab = write(tmp_path, "stability.json", {
+        "g": 3, "c": 0, "points": [10 ** 2200 + i for i in range(8)],
+        "flags": [[0, 1], [1, {"num": -1, "den": 2}], [0, 1], [1, {"num": -1, "den": 3}],
+                  [1, {"num": -7, "den": 2}], [1, {"num": 2, "den": 7}], [0, 1], [0, 1]],
+        "weights": [{"num": 9, "den": 10}, {"num": 4, "den": 5}, {"num": 4, "den": 5},
+                    {"num": 9, "den": 10}, {"num": 4, "den": 5}, 0, 0, 0]})
+    message = ("domain error: DomainError: the report holds an int of more than 4300 digits, "
+               "past Python's limit of 4300 digits for writing an int\n")
+    texts = {"factor": "unramified degree: 2\nramified part: n=1, orbits \n",
+             "stability": ("class: Unstable\nwitness degree: -4\n"
+                           "witness agreement: [0, 1, 2, 3, 4]\n")}
+    for argv in (["factor", "--file", factor], ["stability", "--file", stab]):
+        assert run(capsys, *argv) == (3, "", message), argv
+        assert run(capsys, *argv, "--format", "text") == (0, texts[argv[0]], ""), argv
+
+
+def test_a_count_past_the_int_digit_limit_is_named_by_its_size(capsys, tmp_path,
+                                                               default_digit_limit):
+    # each rejection names a count one digit past the limit, derived from an
+    # input n or g of 4,300 nines: n x 2 orbits table entries, three orbits of
+    # about n/2 pairs each, and 2g + 2 marked points
+    nines = 10 ** 4300 - 1
+    orbits = [{"id": label, "k": 1} for label in "abc"]
+    docs = {
+        "orbits": {"n": nines, "orbits": orbits[:2]},
+        "lambda": {"profile": {"n": nines, "orbits": orbits},
+                   "det": {"residues": {"a": 0, "b": 0, "c": 0}, "degree": 0}},
+        "stability": {"g": nines, "c": -1, "points": [0, 1, 2, 3], "flags": [[0, 1]] * 4,
+                      "weights": [0] * 4},
+    }
+    expected = {
+        "orbits": (3, f"domain error: DomainError: the orbit table has 10^4300 or more entries (2 "
+                      f"orbits under {nines} powers), past the orbits limit of 500000 entries\n"),
+        "lambda": (3, "domain error: DomainError: Lambda has 10^4300 or more admissible pairs "
+                      "over 3 orbits, past the lambda limit of 500000 pairs\n"),
+        "stability": (2, f"schema error: genus {nines} requires exactly 10^4300 or more points, "
+                         f"flags and weights\n"),
+    }
+    for subcommand, doc in docs.items():
+        code, message = expected[subcommand]
+        path = write(tmp_path, f"{subcommand}.json", doc)
+        assert run(capsys, subcommand, "--file", path) == (code, "", message), subcommand
 
 
 def test_lambda_limit(capsys, tmp_path, monkeypatch):
@@ -646,6 +702,11 @@ def test_schema_error_exit_code(capsys, tmp_path):
         "det": {"residues": [1], "degree": 0}})
     assert run(capsys, "lambda", "--file", listed) == \
         (2, "", "schema error: input.det.residues must be an object\n")
+    # a weight that is neither an integer nor a {num, den} object
+    halves = write(tmp_path, "float_weight.json", {
+        "g": 1, "c": -1, "points": [0, 1, 2, 3], "flags": [[0, 1]] * 4, "weights": [0.5] * 4})
+    assert run(capsys, "stability", "--file", halves) == \
+        (2, "", "schema error: bundle.weights[0] must be an integer or a {num, den} object\n")
 
 
 # inputs json.load cannot read: a directory, bytes that are not UTF-8, nesting

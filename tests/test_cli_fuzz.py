@@ -4,8 +4,9 @@ Each document starts well-formed and admissible, built from the seeded
 generators in `gen` with small values (n <= 12, at most three orbits,
 g <= 2) so that each run is quick.  Hypothesis then applies up to two
 faults anywhere in the tree: a value replaced by junk, an integer moved
-by one, an entry dropped, or an unknown field added.  An exception
-escaping `cli.main` is what a traceback would be at the command line.
+by one or replaced by +-(10^4300 - 1), an entry dropped, or an unknown
+field added.  An exception escaping `cli.main` is what a traceback would
+be at the command line.
 """
 
 import contextlib
@@ -32,8 +33,11 @@ JUNK = st.one_of(
     st.lists(st.integers(-1, 3), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2),
 )
+# 4,300 nines: the longest int literal json.load reads under Python's default
+# digit limit; a report computed from it can hold a longer int
+HUGE = 10 ** 4300 - 1
 # every subcommand that requires --file, and bijection-check, which reads one if given
-FILE_SUBCOMMANDS = sorted({sub for sub, options in cli.REQUIRED.items() if "--file" in options}
+FILE_SUBCOMMANDS = sorted({sub for sub, (_, options) in cli.COMMANDS.items() if "--file" in options}
                           | {"bijection-check"})
 
 
@@ -66,7 +70,7 @@ def containers(node):
 def add_fault(doc, draw):
     parent = draw(st.sampled_from(list(containers(doc))))
     keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
-    kind = draw(st.sampled_from(["nudge", "junk", "drop", "extra"]))
+    kind = draw(st.sampled_from(["nudge", "huge", "junk", "drop", "extra"]))
     if kind == "extra" or not keys:
         if isinstance(parent, dict):
             parent["extra"] = draw(JUNK)
@@ -74,10 +78,15 @@ def add_fault(doc, draw):
             parent.append(draw(JUNK))
         return
     key = draw(st.sampled_from(keys))
+    value = parent[key]
     if kind == "drop":
         del parent[key]
-    elif kind == "nudge" and isinstance(parent[key], int) and not isinstance(parent[key], bool):
-        parent[key] += draw(st.sampled_from([1, -1]))
+    elif kind in ("nudge", "huge") and isinstance(value, int) and not isinstance(value, bool) \
+            and abs(value) < HUGE:
+        # an int of HUGE's size is left alone: nudged, it would pass the digit
+        # limit that this test writes the document under
+        sign = draw(st.sampled_from([1, -1]))
+        parent[key] = sign * HUGE if kind == "huge" else value + sign
     else:
         parent[key] = draw(JUNK)
 

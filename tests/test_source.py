@@ -276,3 +276,19 @@ def test_every_fixture_is_named_by_exactly_one_recorder():
     fixtures = sorted(path.name for path in FIXTURES.glob("*.json"))
     assert fixtures, f"no fixtures under {FIXTURES}"
     assert {name: named[name] for name in fixtures if len(set(named[name])) != 1} == {}
+
+
+def test_only_main_writes_the_cli_report():
+    # the builders return their reports and main writes them, so stdout has one
+    # writer: every print call and every read of sys.stdout in cli.py is main's
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    main = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+
+    def writes(root):
+        return sorted(node.lineno for node in ast.walk(root)
+                      if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "print")
+                      or (isinstance(node, ast.Attribute) and node.attr == "stdout"))
+
+    assert len(main) == 1 and writes(main[0])
+    assert writes(tree) == writes(main[0])
