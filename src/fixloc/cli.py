@@ -6,6 +6,14 @@ report as (payload, lines), the JSON document and the text or dot lines,
 or raises _PropertyFailure with a counterexample document; it writes
 nothing.  main alone writes stdout and picks the exit code.
 
+The command line is read by parse_args from COMMANDS and OPTIONS, the
+table of each option's converter, default and help, with the grammar
+and the error messages of the argparse parser it replaced, so a child
+imports neither argparse nor the gettext and locale that argparse loads.
+Each command imports what it runs inside its body: the layers, and
+random for bijection-check alone.  -h or --help prints a help text built
+from the two tables.
+
 Exit codes: 0 success, 1 property-check failure (with a counterexample
 dump) or violated internal invariant, 2 malformed input (schema or
 usage, or an input file that cannot be read as JSON) or a stdout closed
@@ -17,12 +25,11 @@ reports are byte-identical across runs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
-import random
 import sys
+from types import SimpleNamespace
 
 # each command imports the layers it runs inside its body, so a CLI child
 # loads only those
@@ -182,6 +189,8 @@ def cmd_weights(args) -> tuple[dict, list[str]]:
 
 
 def cmd_bijection_check(args) -> tuple[dict, list[str]]:
+    import random
+
     from . import covers, equivariant
     rng = random.Random(args.seed)
     profiles = []
@@ -351,31 +360,169 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fixloc",
-        description="discrete classification data of fixed loci on rank-2 moduli")
-    parser.add_argument("subcommand", choices=sorted(COMMANDS))
-    parser.add_argument("--file", help="input JSON document")
-    parser.add_argument("--g", type=int, help="genus parameter")
-    parser.add_argument("--n", type=int, help="cover order")
-    parser.add_argument("--deg-delta", type=int, dest="deg_delta",
-                        help="determinant degree upstairs")
-    parser.add_argument("--genus-y", type=int, dest="genus_y", help="base genus")
-    parser.add_argument("--format", choices=["json", "text", "dot"], default="json")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    return parser
+# option -> (converter, default, help), in the order the help text lists them;
+# the converter is int, str or the tuple of the values the option accepts
+OPTIONS = {
+    "--file": (str, None, "input JSON document"),
+    "--g": (int, None, "genus parameter"),
+    "--n": (int, None, "cover order"),
+    "--deg-delta": (int, None, "determinant degree upstairs"),
+    "--genus-y": (int, None, "base genus"),
+    "--format": (("json", "text", "dot"), "json", "report format"),
+    "--seed": (int, DEFAULT_SEED, "seed of bijection-check's random choices"),
+}
+# every option string, in the order an ambiguous prefix names its matches
+_OPTION_STRINGS = ("-h", "--help", *OPTIONS)
+
+
+class _Usage(Exception):
+    """The command line is rejected: main writes the usage line and the one
+    argument, the message, on stderr and exits 2.  With no argument, -h or
+    --help asked for the help text, which main writes as a text report."""
+
+
+def _dest(option: str) -> str:
+    """The namespace attribute of an option: --deg-delta is deg_delta."""
+    return option[2:].replace("-", "_")
+
+
+def _metavar(option: str) -> str:
+    convert = OPTIONS[option][0]
+    return _dest(option).upper() if callable(convert) else "{" + ",".join(convert) + "}"
+
+
+def _usage() -> str:
+    options = " ".join(f"[{option} {_metavar(option)}]" for option in OPTIONS)
+    return f"usage: fixloc [-h] COMMAND {options}"
+
+
+def _help(args) -> tuple[None, list[str]]:
+    """The help text as a text report, from COMMANDS and OPTIONS."""
+    rows = [(name, " ".join(required)) for name, (_, required) in sorted(COMMANDS.items())]
+    rows += [("-h, --help", "show this help text and exit")] + [
+        (f"{option} {_metavar(option)}", text if default is None else f"{text} (default: {default})")
+        for option, (_, default, text) in OPTIONS.items()]
+    lines = [f"  {name:26}{text}".rstrip() for name, text in rows]
+    return None, [
+        _usage(), "", "discrete classification data of fixed loci on rank-2 moduli", "",
+        "commands, with the options each requires:", *lines[:len(COMMANDS)], "",
+        "options:", *lines[len(COMMANDS):], "",
+        "An option may be shortened to a unique prefix, and its value given as",
+        "--option VALUE or --option=VALUE; the last of a repeated option counts.",
+        "Everything after -- is read as the command or as unrecognized."]
+
+
+def _convert(name: str, value: str, convert):
+    """The value of argument name, read by convert, or checked to be one of
+    the choices convert holds when it is not callable."""
+    if callable(convert):
+        try:
+            return convert(value)
+        except ValueError:
+            raise _Usage(f"argument {name}: invalid {convert.__name__} value: {value!r}") from None
+    if value not in convert:
+        raise _Usage(f"argument {name}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(map(repr, convert))})")
+    return value
+
+
+def _negative_number(arg: str) -> bool:
+    """argparse's test: a minus sign, then digits, or digits, a point and
+    digits, either maybe before a final newline (its regular expression's $)."""
+    whole, point, fraction = arg[1:].removesuffix("\n").partition(".")
+    return (whole + fraction).isdecimal() and bool(fraction if point else whole)
+
+
+def _read_option(arg: str):
+    """How argparse reads an argument before --: None for a word, a command
+    or a value, else (option, value), the option being None for one this
+    parser does not know, and the value None when the next argument gives
+    it.  An ambiguous prefix is a usage error."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in _OPTION_STRINGS:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in _OPTION_STRINGS:
+        return head, value
+    if arg[1] == "-":  # a unique prefix of a long option, split at its first =
+        matches = [option for option in _OPTION_STRINGS if option.startswith(head)]
+        value = value if eq else None
+    else:  # -h runs into its value, as in -hVALUE
+        matches, value = (["-h"] if arg.startswith("-h") else []), arg[2:]
+    if len(matches) > 1:
+        raise _Usage(f"ambiguous option: {arg} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    return None if _negative_number(arg) or " " in arg else (None, None)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command line read as argparse read it, from COMMANDS and OPTIONS.
+
+    Returns a namespace holding the subcommand and each option under its
+    dest (_dest), or raises _Usage with argparse's message.  The grammar:
+    the subcommand anywhere among the options, --opt value and
+    --opt=value, any unique prefix of an option, the last of a repeated
+    option, -- ending the options, a value that looks like a negative
+    number, and int values converted by int().  Errors come in argparse's
+    order: an ambiguous prefix anywhere before --, then the first fault
+    left to right, then a missing subcommand, then unrecognized arguments.
+    """
+    argv = list(argv)
+    stop = argv.index("--") if "--" in argv else len(argv)
+    # a word reads as None, and the -- that ends the options as itself
+    readings = [*map(_read_option, argv[:stop]), *argv[stop:stop + 1],
+                *[None] * (len(argv) - stop - 1)]
+    values = {option: default for option, (_, default, _) in OPTIONS.items()}
+    command, extras, i = None, [], 0
+    while i < len(argv):
+        reading, i = readings[i], i + 1
+        if reading == "--" and command is None and i < len(argv):
+            reading, i = None, i + 1  # the subcommand comes after the --
+        if reading is None and command is None:
+            command = _convert("subcommand", argv[i - 1], sorted(COMMANDS))
+            if i < len(argv) and readings[i] == "--":
+                i += 1  # or just before it
+        elif reading is None or reading == "--" or reading[0] is None:
+            extras.append(argv[i - 1])
+        elif reading[0] in ("-h", "--help"):
+            option, value = reading
+            if option == "-h" and value:
+                value = value.lstrip("h") or None  # -hh is -h twice
+            if value is None:
+                raise _Usage()
+            raise _Usage(f"argument -h/--help: ignored explicit argument {value!r}")
+        else:
+            option, value = reading
+            if value is None:
+                if i == len(argv) or readings[i] is not None:
+                    raise _Usage(f"argument {option}: expected one argument")
+                value, i = argv[i], i + 1
+            values[option] = _convert(option, value, OPTIONS[option][0])
+    if command is None:
+        raise _Usage("the following arguments are required: subcommand")
+    if extras:
+        raise _Usage(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(subcommand=command,
+                           **{_dest(option): value for option, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format == "dot" and args.subcommand != "hyperelliptic":
-        parser.error("dot format is only available for the hyperelliptic report")
-    build, required = COMMANDS[args.subcommand]
-    if any(getattr(args, option[2:].replace("-", "_")) in (None, "") for option in required):
-        *rest, last = required
-        parser.error(f"{args.subcommand} requires {', '.join(rest)}{' and ' if rest else ''}{last}")
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.format == "dot" and args.subcommand != "hyperelliptic":
+            raise _Usage("dot format is only available for the hyperelliptic report")
+        build, required = COMMANDS[args.subcommand]
+        if any(getattr(args, _dest(option)) in (None, "") for option in required):
+            *rest, last = required
+            raise _Usage(f"{args.subcommand} requires {', '.join(rest)}"
+                         f"{' and ' if rest else ''}{last}")
+    except _Usage as usage:
+        if usage.args:
+            print(f"{_usage()}\nfixloc: error: {usage.args[0]}", file=sys.stderr)
+            raise SystemExit(2)
+        build, args = _help, SimpleNamespace(format="text")
     try:
         try:
             payload, lines = build(args)

@@ -657,6 +657,18 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     off the unique reduced row echelon form, is unchanged by the integer
     scaling of the rows (_interpolation_row).
 
+    A degree is skipped unproved when its widened p-bound np_ + E is no
+    larger than one the error locator certified earlier in the call: that
+    certificate implies its own.  The scan goes down in e, so need grows
+    (and stays positive), ncols = np_ + nq grows (and stays above 3, the
+    locator's range), and E = |K| - s shrinks, K being the same points at
+    every degree.  np_ - nq = 2c - d is fixed, so the widened bounds
+    (np_ + E, nq + E) both fall k from the certified (P, Q) together.  A
+    row of K at the smaller bounds is its row at (P, Q) on a subset of the
+    columns, divided by v^k (_interpolation_row).  Full column rank over
+    the rationals at (P, Q) is full rank on any subset of the columns, so
+    K's rows reach full rank at this degree's widened bounds too.
+
     A bundle with more than MAX_MARKED_POINTS marked points raises
     DomainError before any work, and a g that is given but is not an
     int raises InvalidDatum before that.  The optional g cross-checks
@@ -698,11 +710,17 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     # degree reads its size floor s off the table, and E = |K| - s
     pos = [i for i, w in enumerate(iw) if w]
     best = _best_sums(iw)
+    certified = 0  # the widest widened p-bound np_ + E the error locator certified
     for e in range(d - c, e_lo - 1, -1):
         need = scale * (d - 2 * e) + total
         np_, nq = c - e + 1, d - c - e + 1
         floor = _size_floor(best, need)
-        if _certified_empty(table, pos, iw, need, np_, nq, len(pos) - floor):
+        errors = len(pos) - floor
+        if np_ + errors <= certified:
+            continue  # implied by that certificate
+        if _certified_empty(table, pos, iw, need, np_, nq, errors):
+            if np_ + nq > 3:
+                certified = np_ + errors
             continue
         rows = [_interpolation_row(point, np_, nq) for point in table]
         for subset in _kernel_candidates(rows, np_ + nq, iw, need, best, floor):

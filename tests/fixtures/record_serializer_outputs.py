@@ -85,7 +85,7 @@ def cli_payload(argv: list[str], doc: object = None) -> dict:
             path.write_text(json.dumps(doc))
             argv = [*argv, "--file", str(path)]
         build, _ = cli.COMMANDS[argv[0]]
-        payload, _ = build(cli.build_parser().parse_args(argv))
+        payload, _ = build(cli.parse_args(argv))
     return payload
 
 

@@ -76,16 +76,20 @@ FOOTPRINTS = [
 ]
 
 
-# heavy standard-library modules a CLI child should not pay to import
-HEAVY = ["dataclasses", "inspect"]
+# heavy standard-library modules a CLI child should not pay to import; the
+# command line is read by cli.parse_args, not argparse, gettext and locale
+HEAVY = ["dataclasses", "inspect", "argparse", "gettext", "locale"]
 # nor a child whose subcommand reads and writes no rational number
 RATIONAL = ["fractions", "decimal"]
+# nor a child of any subcommand but bijection-check, which alone draws at random
+RANDOM = ["random"]
 
 
 @pytest.fixture(scope="module")
 def heavy_in_a_bare_child(child):
-    """The HEAVY and RATIONAL modules that `python -c pass` has (site may import some)."""
-    proc = child("-c", f"import sys; print(*(m for m in {HEAVY + RATIONAL!r} if m in sys.modules))")
+    """The unwanted modules that `python -c pass` has (site may import some)."""
+    proc = child("-c", "import sys; "
+                 f"print(*(m for m in {HEAVY + RATIONAL + RANDOM!r} if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
@@ -94,6 +98,8 @@ def heavy_in_a_bare_child(child):
 def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(child, argv, layers,
                                                                 heavy_in_a_bare_child):
     unwanted = HEAVY + RATIONAL if layers in (BASE, REPORTS) else HEAVY
+    if argv[0] != "bijection-check":
+        unwanted = unwanted + RANDOM
     code = ("import contextlib, io, json, sys, fixloc.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = fixloc.cli.main({argv!r})\n"

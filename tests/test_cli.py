@@ -1,7 +1,10 @@
 """Command line contract: schemas, exit codes, determinism."""
 
+import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fixloc import DomainError, InternalError, cli, covers, equivariant, locus
 from fixloc.graded import hyperelliptic_delta
@@ -758,15 +762,123 @@ def test_domain_error_exit_code(capsys, tmp_path):
     (["census", "--n", "4", "--deg-delta", "8"], "census requires --n, --deg-delta and --genus-y"),
     # dot is report-only, and it is checked first
     (["census", "--format", "dot"], "dot format is only available for the hyperelliptic report"),
-    (["no-such-command"], "argument subcommand: invalid choice: 'no-such-command'"),
+    # one fault each, in argparse's words
+    (["no-such-command"], "argument subcommand: invalid choice: 'no-such-command' (choose from "
+                          "'bijection-check', 'census', 'decompose', 'factor', 'hyperelliptic', "
+                          "'kernel', 'lambda', 'orbits', 'stability', 'weights', 'zeta2')"),
+    (["hyperelliptic", "--format", "svg"],
+     "argument --format: invalid choice: 'svg' (choose from 'json', 'text', 'dot')"),
+    (["hyperelliptic", "--g", "three"], "argument --g: invalid int value: 'three'"),
+    (["census", "--genus-y"], "argument --genus-y: expected one argument"),
+    (["kernel", "--file", "--", "p.json"], "argument --file: expected one argument"),
+    (["kernel", "p.json"], "unrecognized arguments: p.json"),
+    (["kernel", "--verbose", "-x"], "unrecognized arguments: --verbose -x"),
+    (["kernel", "--f", "p.json"], "ambiguous option: --f could match --file, --format"),
+    (["--file=p.json"], "the following arguments are required: subcommand"),
 ])
 def test_usage_errors_exit_two(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
+    assert err == f"{cli._usage()}\nfixloc: error: {message}\n"
     assert err.startswith("usage: fixloc ")
-    assert f"\nfixloc: error: {message}" in err
+
+
+def test_help_lists_every_command_and_option_and_exits_zero(capsys):
+    for argv in (["--help"], ["kernel", "-h"], ["--he"], ["--g", "3", "-hh"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"{cli._usage()}\n") and out.endswith("\n")
+        for name in [*cli.COMMANDS, *cli.OPTIONS, "--help", "(default: 1729)", "(default: json)"]:
+            assert name in out
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI ran before cli.parse_args: its oracle."""
+    parser = argparse.ArgumentParser(
+        prog="fixloc",
+        description="discrete classification data of fixed loci on rank-2 moduli")
+    parser.add_argument("subcommand", choices=sorted(cli.COMMANDS))
+    parser.add_argument("--file", help="input JSON document")
+    parser.add_argument("--g", type=int, help="genus parameter")
+    parser.add_argument("--n", type=int, help="cover order")
+    parser.add_argument("--deg-delta", type=int, dest="deg_delta",
+                        help="determinant degree upstairs")
+    parser.add_argument("--genus-y", type=int, dest="genus_y", help="base genus")
+    parser.add_argument("--format", choices=["json", "text", "dot"], default="json")
+    parser.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
+    return parser
+
+
+def read_by_reference(argv):
+    """(0, namespace) for argv the reference accepts, else (exit code, last stderr line)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return 0, vars(reference_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue().splitlines()[-1] if exc.code else None
+
+
+def read_by_cli(argv):
+    """The same for cli.parse_args, with the error line main writes."""
+    try:
+        return 0, vars(cli.parse_args(argv))
+    except cli._Usage as usage:
+        return (2, f"fixloc: error: {usage.args[0]}") if usage.args else (0, None)
+
+
+def _prefixes(option: str) -> list[str]:
+    return [option[:end] for end in range(2, len(option) + 1)]
+
+
+INTS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.integers(0, 10 ** 6).map(lambda n: f"{n:_}"),
+    st.sampled_from([" 7", "+7", "7 ", "1" * 4301, "-" + "1" * 4301, "1.5", "-1.5", "-.5"]))
+VALUES = st.one_of(INTS, st.sampled_from(["json", "text", "dot", "svg", "p.json", "", "-", "a b"]))
+# the options of OPTIONS and --help under every prefix, from the bare "--" on
+PREFIXES = sorted({prefix for option in [*cli.OPTIONS, "--help"] for prefix in _prefixes(option)})
+# Left out, as argparse releases read them differently: a bare negative
+# with underscores (-1_000, a number or an option; the = forms carry any
+# value), and -h run on into a letter (-hx, refused or the help text).
+ARGUMENTS = st.one_of(
+    st.sampled_from([*cli.COMMANDS, "kern", "x", "", "--", "-", "-x", "-h", "-hh"]),
+    st.sampled_from(PREFIXES),
+    st.builds("{}={}".format, st.sampled_from(PREFIXES), VALUES),
+    VALUES)
+
+
+def _well_formed(command: str, pairs: list[tuple[str, str]], at: int) -> list[str]:
+    argv = [argument for pair in pairs for argument in pair]
+    return [*argv[:2 * at], command, *argv[2 * at:]]
+
+
+# argv that argparse mostly accepts: the subcommand among option pairs, with
+# the options under unique prefixes and often repeated
+WELL_FORMED = st.builds(
+    _well_formed, st.sampled_from(sorted(cli.COMMANDS)),
+    st.lists(st.tuples(st.sampled_from(["--g", "--n", "--de", "--genus-y", "--se"]),
+                       st.integers(-99, 99).map(str)), max_size=4),
+    st.integers(0, 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(ARGUMENTS, max_size=8), WELL_FORMED))
+# the grammar: the subcommand among the options, = forms, unique prefixes,
+# the last of a repeated option, --, negative numbers and int() conversions
+@example(["--g", "3", "hyperelliptic", "--format=text"])
+@example(["--fi", "p.json", "kernel", "--fo", "text", "--gen=1", "--de", "8"])
+@example(["census", "--n", "1", "--n=2", "--seed", "5", "--seed", " 7"])
+@example(["--", "kernel"])
+@example(["kernel", "--", "x"])
+@example(["hyperelliptic", "--g", "-1", "--seed", "-3"])
+@example(["hyperelliptic", "--g", "+7", "--n", "1_000", "--seed=-1_000"])
+@example(["kernel", "--f=p.json"])
+@example(["--g", "1" * 4301, "hyperelliptic"])
+def test_parse_args_reads_argv_as_the_argparse_parser_did(argv):
+    assert read_by_cli(argv) == read_by_reference(argv)
 
 
 def test_closed_stdout_exits_two_without_a_traceback(tmp_path):
@@ -784,6 +896,19 @@ def test_closed_stdout_exits_two_without_a_traceback(tmp_path):
         assert proc.wait(timeout=60) == 2
     assert ((tmp_path / "stderr.txt").read_text()
             == "output error: stdout was closed before the report was written\n")
+
+
+def test_help_into_a_closed_stdout_exits_two_without_a_traceback():
+    # the help text goes out through main's report path, so a reader gone
+    # before the child writes is an output error, as for any report
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "fixloc.cli", "--help"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"output error: stdout was closed before the report was written\n"
 
 
 def test_internal_error_exit_code(capsys, hyper_file, monkeypatch):

@@ -447,6 +447,35 @@ def test_the_error_count_and_the_size_floor_are_read_off_the_weights_table():
     assert seen["pool degree"] == 703 and min(seen.values()) >= 500, seen
 
 
+def test_a_degree_skipped_after_a_locator_certificate_is_certified_on_its_own(count_calls):
+    # stability_classify skips a degree whose widened p-bound np_ + E is no
+    # larger than one the error locator certified earlier in the call; each
+    # such degree must be one _certified_empty certifies when asked, on the
+    # 360 bundles of the benchmark's classify pool and on 60 seeded ones at g = 3..6
+    pool = json.loads((Path(__file__).parents[1] / "perfbench" / "reference"
+                       / "classify_pool.json").read_text())["bundles"]
+    rng = random.Random(67)
+    seeded = [gen.random_bundle(rng, g, -((g + 1) // 2), generic_weights=rng.random() < 0.5,
+                                span=8)
+              for g in (3, 4, 5, 6) for _ in range(15)]
+    floors = count_calls(stability, "_size_floor")
+    proved = count_calls(stability, "_certified_empty")
+    seen = collections.Counter()
+    for source, bundle in [*(("pool", bundle_from_json(entry["doc"])) for entry in pool),
+                           *(("seeded", bundle) for bundle in seeded)]:
+        floors.clear()
+        proved.clear()
+        stability_classify(bundle)
+        reached = {need for _, need in floors}
+        asked = {args[3] for args in proved}
+        for iw, need, np_, nq in loop_degrees(bundle):
+            if need in reached and need not in asked:
+                assert np_ + nq > 3, (bundle, need)
+                assert certified_empty(_integer_points(bundle), iw, need, np_, nq), (bundle, need)
+                seen[source] += 1
+    assert len(pool) == 360 and seen == {"pool": 98, "seeded": 34}, seen
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
