@@ -38,9 +38,9 @@ code it justifies:
 - the walk of each degree's subsets, its prunes and its table of
   prefixes: _kernel_candidates;
 - the two lemmas, the error locator and the line lemma, that prove a
-  degree empty before its rows are built, and the grouping of rows by
-  the primitive normal of their line or plane that makes the line lemma
-  quadratic: _certified_empty;
+  degree empty before its rows are built, and the sums of weight by the
+  primitive normal of a line or plane, one pass per row of K, that make
+  the line lemma quadratic: _certified_empty;
 - witness scoring in integers: _true_agreement, by Horner's rule in
   homogeneous form on the integer form, and _face_numerator.
 
@@ -78,8 +78,9 @@ _Point = tuple[int, int, int, int]  # a marked point in integers: see _integer_p
 # Draw g14-25 of seed 2, past those 20, walks degrees that yield nothing:
 # 12-19 s in five runs, with the process at a peak of 106 MB.
 # The limit counts points, not work: a hand-built 30-point bundle at g=14,
-# one flag at 16 of its points and quarter weights (README), took 87-95 s
-# and a peak of 514 MB as one `fixloc stability` process.
+# one flag at 16 of its points and quarter weights (README), took 70-76 s
+# and a peak of 513 MB as one `fixloc stability` process (88-92 s and 514 MB
+# in alternating runs under the former 31-bit RANK_PRIME).
 MAX_MARKED_POINTS = 30
 
 
@@ -371,8 +372,17 @@ def _interpolation_row(point: _Point, np_: int, nq: int) -> list[int]:
 # every subset below it, and the error locator's rows of full rank prove a
 # degree empty.  Any prime is sound: a rank drop caused by the prime alone only
 # leaves a subtree unpruned or a degree unproved, and a large prime makes that
-# rare.
-RANK_PRIME = 2 ** 31 - 1
+# rare.  This one is the largest prime below 2^15: residues lie below 2^15, so
+# lead * x - f * y in _eliminate lies strictly within +-2^30, and every product,
+# difference and remainder of a reduction is a one-digit int (CPython's digits
+# hold 30 bits) on the interpreter's fast paths.  Under the former prime
+# 2^31 - 1 every residue took two digits.  Under CPython 3.11 on a 2-core Intel
+# Xeon, this prime alone took the benchmark's 360-bundle classify pool from
+# 0.082-0.087 to 0.074-0.077 s in process, and with the line lemma's one pass
+# per row (_certified_empty) to 0.065-0.073 s; tools/scale_stability.py at
+# g = 12..14 fell from 8.76 to 6.29 s summed over seed 1's draws, and from 3.43
+# to 2.75 s over seed 2's, with the same hashes.
+RANK_PRIME = 32749
 
 
 def _eliminate(ech: tuple[tuple[int, list[int]], ...], row: list[int]) -> tuple[int, list[int]] | None:
@@ -494,13 +504,23 @@ def _certified_empty(table: list[_Point], pos: list[int], iw: list[int], need: i
     kernel, every subset of K on a plane lies on the plane of two
     non-proportional rows of K, whose normal is their integer cross
     product.  The degree is empty exactly when every such hyperplane's
-    weight misses need.  The rows are grouped by the primitive normal
-    of their line or plane (_primitive), so each hyperplane's weight is
-    one sum and the lemma runs in O(K^2); tests/test_stability.py keeps
-    the O(K^3) scan that dots every normal with every row as its oracle.
-    The groups are exact: a row on a plane pairs with a non-proportional
-    row of that plane, since two non-proportional rows span it, so the
-    pairs that key a plane cover every row on it.
+    weight misses need.  A line or a plane is keyed by a primitive
+    vector, its direction or normal over the gcd of its entries with the
+    first nonzero entry positive: two vectors are proportional exactly
+    when they have one primitive form.  At ncols = 2 each line's weight
+    is one sum over the rows keyed by it.  At ncols = 3 the rows of K
+    are walked in order, and each row i sums, with a fresh dict, the
+    weight of each later row j not proportional to it under the key of
+    the plane through i and j, and apart from those, in a base, the
+    weight of the later rows proportional to it, which lie on every
+    plane through i.  At the first row i of K on a plane, iw[i] plus
+    the base plus the plane's sum is the plane's whole weight: no
+    earlier row lies on it, and a later row on it is proportional to i
+    or spans it with i.  At a later row of the plane the sum is part of
+    that weight.  So the lemma returns False at the first plane whose
+    weight meets need, in O(K^2) with no sets, and True when no plane
+    does; tests/test_stability.py keeps the O(K^3) scan that dots every
+    normal with every row as its oracle.
 
     The error locator (Berlekamp-Welch): a qualifying S & K holds at
     least s points, the degree's _size_floor, so S misses at most
@@ -515,22 +535,34 @@ def _certified_empty(table: list[_Point], pos: list[int], iw: list[int], need: i
         return False  # the empty subset qualifies and has a kernel
     ncols = np_ + nq
     if ncols <= 3:
-        # the rows on the line through each row of Q^2, or on the plane
-        # through each two non-proportional rows of Q^3, by primitive normal
-        rows = [(i, _interpolation_row(table[i], np_, nq)) for i in pos]
-        on: dict[tuple[int, ...], set[int]] = {}
+        rows = [(iw[i], _interpolation_row(table[i], np_, nq)) for i in pos]
         if ncols == 2:
-            for i, (x, y) in rows:
-                on.setdefault(_primitive((y, -x)), set()).add(i)
-        else:
-            for (i, (a, b, c)), (j, (x, y, z)) in itertools.combinations(rows, 2):
-                n = (b * z - c * y, c * x - a * z, a * y - b * x)
-                if any(n):
-                    on.setdefault(_primitive(n), set()).update((i, j))
-            # K's rows all proportional: K itself has a kernel
-            if not on:
-                return False
-        return all(2 * sum(iw[i] for i in group) < need for group in on.values())
+            # the weight on the line of each row of Q^2, by primitive direction
+            on: dict[tuple[int, ...], int] = {}
+            for w, (x, y) in rows:
+                g = math.gcd(x, y) if (x or y) > 0 else -math.gcd(x, y)
+                key = (x // g, y // g)
+                on[key] = on.get(key, 0) + w
+            return all(2 * total < need for total in on.values())
+        # the planes through each row of Q^3 and a later one, by primitive
+        # normal, each weighed in full at its first row of K
+        paired = False  # whether some two rows of K are not proportional
+        for k, (w, (a, b, c)) in enumerate(rows):
+            base, on = w, {}
+            for v, (x, y, z) in rows[k + 1:]:
+                n0, n1, n2 = b * z - c * y, c * x - a * z, a * y - b * x
+                if lead := n0 or n1 or n2:
+                    g = math.gcd(n0, n1, n2) if lead > 0 else -math.gcd(n0, n1, n2)
+                    key = (n0 // g, n1 // g, n2 // g)
+                    on[key] = on.get(key, 0) + v
+                else:
+                    base += v  # proportional to row k: on every plane through it
+            if on:
+                paired = True
+                if 2 * (base + max(on.values())) >= need:
+                    return False
+        # K's rows all proportional: K itself has a kernel
+        return paired
     # full column rank of K's rows at the widened bounds
     rank, ech = ncols + 2 * errors, ()
     for k, i in enumerate(pos):
@@ -543,18 +575,6 @@ def _certified_empty(table: list[_Point], pos: list[int], iw: list[int], need: i
             if len(ech) == rank:
                 return True
     return False
-
-
-def _primitive(n: tuple[int, ...]) -> tuple[int, ...]:
-    """A nonzero integer vector over the gcd of its entries, its first nonzero entry positive.
-
-    Two vectors are proportional exactly when they have one primitive
-    form, so it keys a line or a plane by its normal.
-    """
-    g = math.gcd(*n)
-    if next(filter(None, n)) < 0:
-        g = -g
-    return tuple([x // g for x in n])
 
 
 def _true_agreement(table: list[_Point], p, q) -> frozenset[int]:

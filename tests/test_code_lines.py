@@ -41,3 +41,18 @@ def test_counts_each_file_and_the_total(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"     9 {module}", f"     1 {other}", "    10 total"]
+
+
+def test_a_directory_counts_every_python_file_under_it(tmp_path):
+    # recursively, in sorted order, and no file that is not *.py
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (tmp_path / "pkg" / "a.py").write_text(MODULE, encoding="utf-8")
+    (tmp_path / "pkg" / "sub" / "c.py").write_text("z = 3\n", encoding="utf-8")
+    (tmp_path / "pkg" / "notes.txt").write_text("w = 4\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "pkg")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    pkg = tmp_path / "pkg"
+    assert proc.stdout.splitlines() == [f"     9 {pkg / 'a.py'}", f"     2 {pkg / 'b.py'}",
+                                        f"     1 {pkg / 'sub' / 'c.py'}", "    12 total"]

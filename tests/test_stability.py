@@ -388,6 +388,66 @@ def test_the_line_lemma_matches_the_normal_scan():
                 assert empty is normal_scan(table, iw, need, np_, nq), (bundle, need, np_, nq)
                 verdicts[np_ + nq, empty] += 1
     assert min(verdicts.values()) >= 100 and len(verdicts) == 4, verdicts
+    # structured rows of Q^3 at every need: several planes through one row,
+    # rows proportional to an earlier row, and a first row of K on no plane
+    # of the others, so that the heaviest plane's first row is not K's first
+    structured = collections.Counter()
+    for _ in range(60):
+        rows, iw = structured_plane_rows(rng)
+        table = table_of_rows(rows)
+        for need in range(1, 2 * sum(iw) + 2):
+            empty = certified_empty(table, iw, need, 2, 1)
+            assert empty is normal_scan(table, iw, need, 2, 1), (rows, iw, need)
+            structured[empty] += 1
+    assert min(structured.values()) >= 500, structured
+
+
+def structured_plane_rows(rng: random.Random) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Rows of Q^3, first entries nonzero, and their positive weights.
+
+    The first row is a random one.  Then come rows on two to four planes
+    through one hub row, the hub among them, and multiples of earlier
+    rows, each after the row it is a multiple of.
+    """
+    def entry():
+        return rng.choice([-3, -2, -1, 1, 2, 3, 5])
+
+    hub = (entry(), entry(), entry())
+    body = [hub]
+    for _ in range(rng.randint(2, 4)):
+        d = (entry(), entry(), entry())
+        for _ in range(rng.randint(1, 3)):
+            a, b = entry(), entry()
+            row = tuple(a * h + b * x for h, x in zip(hub, d))
+            if row[0]:
+                body.append(row)
+    rng.shuffle(body)
+    rows = [(entry(), entry(), entry()), *body]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(rows))
+        k = rng.choice([-2, -1, 2, 3])
+        rows.insert(rng.randint(i + 1, len(rows)), tuple(k * x for x in rows[i]))
+    return rows, [rng.randint(1, 4) for _ in rows]
+
+
+def table_of_rows(rows):
+    """Points whose interpolation rows at (np_, nq) = (2, 1) are nonzero multiples of rows.
+
+    A row (r0, r1, r2) with r0 != 0 comes from (u, v, s, -a*t) =
+    (r1, r0, r0, r2), whose row (s*v, s*u, -a*t*v) is r0 times it.
+    """
+    return [(r1, r0, r0, r2) for r0, r1, r2 in rows]
+
+
+def test_the_rank_prime_keeps_each_elimination_step_in_one_digit():
+    # residues lie below RANK_PRIME, so lead * x - f * y in _eliminate lies
+    # strictly within +-RANK_PRIME^2 <= 2^30, one digit of CPython's 30-bit
+    # ints; and no larger prime has that bound
+    def is_prime(n):
+        return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    assert is_prime(RANK_PRIME) and RANK_PRIME ** 2 <= 2 ** 30
+    assert not any(is_prime(n) for n in range(RANK_PRIME + 1, 2 ** 15 + 1))
 
 
 def locator_errors(iw, need) -> int:

@@ -1,8 +1,10 @@
 """Count the code lines of Python source files.
 
     python tools/code_lines.py src/fixloc/*.py
+    python tools/code_lines.py src
 
-A code line is a line that holds a token of a statement: docstrings
+A directory stands for every *.py file under it, recursively, in sorted
+order.  A code line is a line that holds a token of a statement: docstrings
 (the first statement of a module, class or function, when it is a
 string), comments and blank lines are left out, and a statement over
 three lines counts three.  Prints one line per file, then the total.
@@ -45,8 +47,10 @@ def main(argv: list[str] | None = None) -> int:
                                                  "or blank lines.")
     parser.add_argument("paths", nargs="+", type=Path, metavar="PATH")
     args = parser.parse_args(argv)
+    files = [file for path in args.paths
+             for file in (sorted(path.rglob("*.py")) if path.is_dir() else [path])]
     total = 0
-    for path in args.paths:
+    for path in files:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d} {path}")
