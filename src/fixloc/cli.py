@@ -7,12 +7,13 @@ or raises _PropertyFailure with a counterexample document; it writes
 nothing.  main alone writes stdout and picks the exit code.
 
 The command line is read by parse_args from COMMANDS and OPTIONS, the
-table of each option's converter, default and help, with the grammar
-and the error messages of the argparse parser it replaced, so a child
-imports neither argparse nor the gettext and locale that argparse loads.
-Each command imports what it runs inside its body: the layers, and
-random for bijection-check alone.  -h or --help prints a help text built
-from the two tables.
+table of each option's converter, default and help.  It reads the plain
+form itself, the subcommand among exact options and their values, so a
+child that runs one imports neither argparse nor the gettext and locale
+that argparse loads; any other command line goes to an argparse parser
+built from the same tables.  Each command imports what it runs inside
+its body: the layers, and random for bijection-check alone.  -h or
+--help prints a help text built from the two tables.
 
 Exit codes: 0 success, 1 property-check failure (with a counterexample
 dump) or violated internal invariant, 2 malformed input (schema or
@@ -371,9 +372,6 @@ OPTIONS = {
     "--format": (("json", "text", "dot"), "json", "report format"),
     "--seed": (int, DEFAULT_SEED, "seed of bijection-check's random choices"),
 }
-# every option string, in the order an ambiguous prefix names its matches
-_OPTION_STRINGS = ("-h", "--help", *OPTIONS)
-
 
 class _Usage(Exception):
     """The command line is rejected: main writes the usage line and the one
@@ -412,98 +410,58 @@ def _help(args) -> tuple[None, list[str]]:
         "Everything after -- is read as the command or as unrecognized."]
 
 
-def _convert(name: str, value: str, convert):
-    """The value of argument name, read by convert, or checked to be one of
-    the choices convert holds when it is not callable."""
-    if callable(convert):
-        try:
-            return convert(value)
-        except ValueError:
-            raise _Usage(f"argument {name}: invalid {convert.__name__} value: {value!r}") from None
-    if value not in convert:
-        raise _Usage(f"argument {name}: invalid choice: {value!r} "
-                     f"(choose from {', '.join(map(repr, convert))})")
-    return value
+def _argparse(argv: list[str]) -> SimpleNamespace:
+    """argv read by an argparse parser built from COMMANDS and OPTIONS, with
+    its grammar and its messages, raised as _Usage."""
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _Usage(message)
 
-def _negative_number(arg: str) -> bool:
-    """argparse's test: a minus sign, then digits, or digits, a point and
-    digits, either maybe before a final newline (its regular expression's $)."""
-    whole, point, fraction = arg[1:].removesuffix("\n").partition(".")
-    return (whole + fraction).isdecimal() and bool(fraction if point else whole)
+    class Help(argparse.Action):
+        def __call__(self, *args):
+            raise _Usage()
 
-
-def _read_option(arg: str):
-    """How argparse reads an argument before --: None for a word, a command
-    or a value, else (option, value), the option being None for one this
-    parser does not know, and the value None when the next argument gives
-    it.  An ambiguous prefix is a usage error."""
-    if not arg.startswith("-") or arg == "-":
-        return None
-    if arg in _OPTION_STRINGS:
-        return arg, None
-    head, eq, value = arg.partition("=")
-    if eq and head in _OPTION_STRINGS:
-        return head, value
-    if arg[1] == "-":  # a unique prefix of a long option, split at its first =
-        matches = [option for option in _OPTION_STRINGS if option.startswith(head)]
-        value = value if eq else None
-    else:  # -h runs into its value, as in -hVALUE
-        matches, value = (["-h"] if arg.startswith("-h") else []), arg[2:]
-    if len(matches) > 1:
-        raise _Usage(f"ambiguous option: {arg} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
-    return None if _negative_number(arg) or " " in arg else (None, None)
+    parser = Parser(prog="fixloc", add_help=False)
+    parser.add_argument("-h", "--help", action=Help, nargs=0, default=argparse.SUPPRESS)
+    parser.add_argument("subcommand", choices=sorted(COMMANDS))
+    for option, (convert, default, _) in OPTIONS.items():
+        kind = "type" if callable(convert) else "choices"
+        parser.add_argument(option, default=default, **{kind: convert})
+    return SimpleNamespace(**vars(parser.parse_args(argv)))
 
 
 def parse_args(argv) -> SimpleNamespace:
-    """The command line read as argparse read it, from COMMANDS and OPTIONS.
+    """The command line, read from COMMANDS and OPTIONS as argparse reads it.
 
     Returns a namespace holding the subcommand and each option under its
-    dest (_dest), or raises _Usage with argparse's message.  The grammar:
-    the subcommand anywhere among the options, --opt value and
-    --opt=value, any unique prefix of an option, the last of a repeated
-    option, -- ending the options, a value that looks like a negative
-    number, and int values converted by int().  Errors come in argparse's
-    order: an ambiguous prefix anywhere before --, then the first fault
-    left to right, then a missing subcommand, then unrecognized arguments.
+    dest (_dest), or raises _Usage with argparse's message.  The plain form
+    is read here: the one subcommand among exact options, each followed by
+    a value that does not start with - and that its converter accepts.  Any
+    other argv, a prefix, an = form, --, -h or a fault among them, is read
+    by argparse itself (_argparse), so a child that runs a plain command
+    line never imports it.
     """
     argv = list(argv)
-    stop = argv.index("--") if "--" in argv else len(argv)
-    # a word reads as None, and the -- that ends the options as itself
-    readings = [*map(_read_option, argv[:stop]), *argv[stop:stop + 1],
-                *[None] * (len(argv) - stop - 1)]
     values = {option: default for option, (_, default, _) in OPTIONS.items()}
-    command, extras, i = None, [], 0
-    while i < len(argv):
-        reading, i = readings[i], i + 1
-        if reading == "--" and command is None and i < len(argv):
-            reading, i = None, i + 1  # the subcommand comes after the --
-        if reading is None and command is None:
-            command = _convert("subcommand", argv[i - 1], sorted(COMMANDS))
-            if i < len(argv) and readings[i] == "--":
-                i += 1  # or just before it
-        elif reading is None or reading == "--" or reading[0] is None:
-            extras.append(argv[i - 1])
-        elif reading[0] in ("-h", "--help"):
-            option, value = reading
-            if option == "-h" and value:
-                value = value.lstrip("h") or None  # -hh is -h twice
-            if value is None:
-                raise _Usage()
-            raise _Usage(f"argument -h/--help: ignored explicit argument {value!r}")
-        else:
-            option, value = reading
-            if value is None:
-                if i == len(argv) or readings[i] is not None:
-                    raise _Usage(f"argument {option}: expected one argument")
-                value, i = argv[i], i + 1
-            values[option] = _convert(option, value, OPTIONS[option][0])
+    command, i = None, 0
+    try:
+        while i < len(argv):
+            arg = argv[i]
+            if command is None and arg in COMMANDS:
+                command, i = arg, i + 1
+                continue
+            # a word that is no option, a missing value or one that convert
+            # refuses raises KeyError, IndexError or ValueError
+            convert, value = OPTIONS[arg][0], argv[i + 1]
+            if value.startswith("-") or not callable(convert) and value not in convert:
+                raise ValueError(value)
+            values[arg], i = convert(value) if callable(convert) else value, i + 2
+    except (KeyError, IndexError, ValueError):
+        return _argparse(argv)
     if command is None:
-        raise _Usage("the following arguments are required: subcommand")
-    if extras:
-        raise _Usage(f"unrecognized arguments: {' '.join(extras)}")
+        return _argparse(argv)
     return SimpleNamespace(subcommand=command,
                            **{_dest(option): value for option, value in values.items()})
 

@@ -76,8 +76,9 @@ FOOTPRINTS = [
 ]
 
 
-# heavy standard-library modules a CLI child should not pay to import; the
-# command line is read by cli.parse_args, not argparse, gettext and locale
+# heavy standard-library modules a CLI child should not pay to import; a
+# plain command line is read by cli.parse_args itself, not by argparse, which
+# loads gettext and locale
 HEAVY = ["dataclasses", "inspect", "argparse", "gettext", "locale"]
 # nor a child whose subcommand reads and writes no rational number
 RATIONAL = ["fractions", "decimal"]

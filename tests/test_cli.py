@@ -631,6 +631,20 @@ def test_every_benchmark_cli_job_matches_its_reference():
     assert mismatches == []
 
 
+def test_the_benchmark_cli_jobs_are_read_without_argparse(child):
+    # each benchmark argv is in the plain form, which cli.parse_args reads
+    # itself; only other argv load argparse, and with it gettext and locale
+    argvs = [args if subcommand == "reject" else [subcommand, *args]
+             for _, subcommand, args in benchmark_cli_jobs()]
+    unwanted = ["argparse", "gettext", "locale"]
+    loaded = f"print(*(m for m in {unwanted!r} if m in sys.modules))"
+    bare = child("-c", f"import sys; {loaded}")
+    proc = child("-c", f"import sys\nfrom fixloc import cli\n"
+                       f"for argv in {argvs!r}:\n    cli.parse_args(argv)\n{loaded}")
+    assert (bare.returncode, proc.returncode) == (0, 0), proc.stderr
+    assert [m for m in proc.stdout.split() if m not in bare.stdout.split()] == []
+
+
 def test_census_cases_and_rejection(capsys):
     code, out, _ = run(capsys, "census", "--n", "4", "--deg-delta", "8", "--genus-y", "2")
     assert code == 0
@@ -837,14 +851,16 @@ INTS = st.one_of(
     st.integers(-10 ** 6, 10 ** 6).map(str),
     st.integers(0, 10 ** 6).map(lambda n: f"{n:_}"),
     st.sampled_from([" 7", "+7", "7 ", "1" * 4301, "-" + "1" * 4301, "1.5", "-1.5", "-.5"]))
-VALUES = st.one_of(INTS, st.sampled_from(["json", "text", "dot", "svg", "p.json", "", "-", "a b"]))
+VALUES = st.one_of(INTS, st.sampled_from(["json", "text", "dot", "svg", "p.json", "", "-", "a b",
+                                          "-1_000"]))
 # the options of OPTIONS and --help under every prefix, from the bare "--" on
 PREFIXES = sorted({prefix for option in [*cli.OPTIONS, "--help"] for prefix in _prefixes(option)})
-# Left out, as argparse releases read them differently: a bare negative
-# with underscores (-1_000, a number or an option; the = forms carry any
-# value), and -h run on into a letter (-hx, refused or the help text).
+# argparse releases read -1_000 (a number or an option) and -h run on into
+# other characters (-hx, refused or the help text) differently; cli.parse_args
+# leaves both to the argparse it runs on
 ARGUMENTS = st.one_of(
-    st.sampled_from([*cli.COMMANDS, "kern", "x", "", "--", "-", "-x", "-h", "-hh"]),
+    st.sampled_from([*cli.COMMANDS, "kern", "x", "", "--", "-", "-x", "-h", "-hh", "-hx", "-h3",
+                     "-1_000"]),
     st.sampled_from(PREFIXES),
     st.builds("{}={}".format, st.sampled_from(PREFIXES), VALUES),
     VALUES)
@@ -877,8 +893,16 @@ WELL_FORMED = st.builds(
 @example(["hyperelliptic", "--g", "+7", "--n", "1_000", "--seed=-1_000"])
 @example(["kernel", "--f=p.json"])
 @example(["--g", "1" * 4301, "hyperelliptic"])
+# the plain form's edges: a value that starts with -, a second subcommand,
+# a choice not among --format's
+@example(["kernel", "--file", "-x"])
+@example(["hyperelliptic", "--g", "-1_000"])
+@example(["hyperelliptic", "--format", "svg"])
+@example(["kernel", "kernel"])
 def test_parse_args_reads_argv_as_the_argparse_parser_did(argv):
     assert read_by_cli(argv) == read_by_reference(argv)
+    # argv may be any iterable
+    assert read_by_cli(iter(argv)) == read_by_cli(argv)
 
 
 def test_closed_stdout_exits_two_without_a_traceback(tmp_path):

@@ -613,6 +613,12 @@ def test_the_scaling_script_runs_at_genus_two(child):
     fields = row.split()
     assert fields[:2] == ["2", "8"] and fields[4] == "1/4/3"
     assert fields[6] == "dafddd0e756c07af8f4e9f8de0639db2dab600aadce51816e98aa7e9760abcc0"
+    # one stderr line per draw, in draw order: name, CPU seconds, class, peak RSS in MB
+    draws = [line.split() for line in proc.stderr.splitlines()]
+    assert [draw[0] for draw in draws] == [f"g2-{i}" for i in range(8)]
+    assert all(len(draw) == 4 and float(draw[1]) >= 0 and float(draw[3]) > 0 for draw in draws)
+    classes = [draw[2] for draw in draws]
+    assert [classes.count(label) for label in (STABLE, STRICTLY_SEMISTABLE, UNSTABLE)] == [1, 4, 3]
 
 
 def test_marked_point_limit():

@@ -12,7 +12,9 @@ Each genus prints one row: the median and the max CPU seconds of one
 stability_classify call, the verdict counts, the process's peak RSS so
 far, and the sha256 of the bundles with their verdicts and witnesses,
 as sorted-key JSON in draw order.  Equal hashes on two trees mean the
-same corpus and byte-identical verdicts.
+same corpus and byte-identical verdicts.  Each draw also writes one line
+to stderr as it ends: its name, its CPU seconds, its verdict class and
+the process's peak RSS in MB so far.
 
 The classify benchmark workload stops at g = 4, so this script is where
 the exponential path, and with it MAX_MARKED_POINTS, is measured.  A
@@ -41,6 +43,11 @@ from fixloc import stability  # noqa: E402
 DEFAULT_GENERA = (9, 10, 11, 12, 13)
 
 
+def peak_rss_mb() -> float:
+    """The process's peak RSS so far, in MB (ru_maxrss is in KB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--g", type=int, nargs="+", default=DEFAULT_GENERA, metavar="G")
@@ -60,12 +67,13 @@ def main(argv: list[str] | None = None) -> int:
             verdict = stability.stability_classify(bundle)
             seconds.append(time.process_time() - start)
             done.append(gen.verdict_case(name, bundle, verdict, g=g))
+            print(f"{name} {seconds[-1]:.3f} {verdict.label} {peak_rss_mb():.1f}",
+                  file=sys.stderr, flush=True)
         counts = "/".join(str(sum(case["verdict"]["class"] == label for case in done)) for label in
                           (stability.STABLE, stability.STRICTLY_SEMISTABLE, stability.UNSTABLE))
         digest = hashlib.sha256(json.dumps(done, sort_keys=True).encode()).hexdigest()
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{g:>3} {len(seconds):>5} {statistics.median(seconds):>9.3f} {max(seconds):>8.3f} "
-              f"{counts:>9} {peak_mb:>11.1f}  {digest}", flush=True)
+              f"{counts:>9} {peak_rss_mb():>11.1f}  {digest}", flush=True)
     return 0
 
 
