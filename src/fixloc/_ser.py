@@ -5,7 +5,9 @@ every layer's profiles, exponent data, reports and verdicts are records.
 A record's mapping fields are `FrozenDict`s, read-only dicts, and a
 record can carry a validity mark (`mark`).  A record checks its own
 field types when it is built, through `freeze`, `check_int` and
-`int_map` (InvalidDatum).
+`int_map` (InvalidDatum).  A copy or a pickle of a record is a call of
+its constructor on its fields, so it is checked again and carries no
+mark.
 
 A converter takes (value, where) and returns the parsed value, or raises
 SchemaError naming `where`, the value's path in the document
@@ -36,11 +38,14 @@ def frozen(cls):
     an `__init__` taking the fields by position or keyword (and calling
     `__post_init__` when the class has one), `__eq__` and `__hash__` over
     the field tuple, `Qualname(field=value, ...)` as its `__repr__`,
-    `__match_args__`, `AttributeError` on assignment and deletion, and
-    `__getstate__`/`__setstate__` over the fields by name for copying
-    and pickling.  A method the class defines itself is kept.  Like that
-    dataclass, `frozen` returns a new class built from the decorated
-    one, since `__slots__` must be known when a class is made.
+    `__match_args__`, and `AttributeError` on assignment and deletion.
+    Its `__reduce__` is (class, fields in `__match_args__` order), so
+    `copy.copy`, `copy.deepcopy` and `pickle` at every protocol rebuild
+    a record through `__init__` and `__post_init__`: a copy or a pickle
+    is a constructor call, checked and normalized like any other.  A
+    method the class defines itself is kept.  Like that dataclass,
+    `frozen` returns a new class built from the decorated one, since
+    `__slots__` must be known when a class is made.
 
     `__slots__` holds the fields, and no `__weakref__`: `vars(record)`
     and a weak reference to a record raise TypeError.  A class that
@@ -75,12 +80,12 @@ def frozen(cls):
     constructor `_new_marked(mark, *fields)`, which builds a record with
     it and skips `__post_init__`, so its caller passes final field
     values: mappings already FrozenDicts in any record it returns.  A
-    record's state is its fields alone, so a copied or unpickled record
-    is unmarked and is validated again.  In a slot the mark costs every
-    record of its class 8 bytes and nothing more, where in the instance
-    `__dict__` it had to be the only attribute ever added after
-    `__init__`: a second one outgrew CPython 3.11's shared key table and
-    gave every marked record a dict of its own (about 280 bytes).
+    copied or unpickled record is built by `__init__`, so it is unmarked
+    and is validated again.  In a slot the mark costs every record of
+    its class 8 bytes and nothing more, where in the instance `__dict__`
+    it had to be the only attribute ever added after `__init__`: a
+    second one outgrew CPython 3.11's shared key table and gave every
+    marked record a dict of its own (about 280 bytes).
 
     The slots of such a class sit on a private base class, its twin
     (`_DeterminantLiftSlots` for `DeterminantLift`), which keeps
@@ -139,8 +144,7 @@ def frozen(cls):
             if attr not in slots and attr not in ("__dict__", "__weakref__")}
     cached = any(isinstance(value, cached_property) for value in body.values())
     generated = {"__repr__": _record_repr, "__setattr__": _no_assignment,
-                 "__delattr__": _no_deletion, "__getstate__": _field_state,
-                 "__setstate__": _set_field_state, "__match_args__": names}
+                 "__delattr__": _no_deletion, "__reduce__": _record_reduce, "__match_args__": names}
     for attr in ("__init__", "__eq__", "__hash__"):
         generated[attr] = namespace[attr]
         generated[attr].__qualname__ = f"{cls.__qualname__}.{attr}"  # as in TypeError texts
@@ -173,17 +177,9 @@ def _no_deletion(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _field_state(self) -> dict:
-    # by name, as the instance __dict__ of the unslotted records was, so a
-    # pickle that either one wrote loads into the other
-    return {name: getattr(self, name) for name in self.__match_args__}
-
-
-def _set_field_state(self, state: dict) -> None:
-    for name in self.__match_args__:
-        object.__setattr__(self, name, state[name])
-    if hasattr(self, "_new_marked"):
-        object.__setattr__(self, "_mark", None)
+def _record_reduce(self) -> tuple:
+    # a copy or a pickle is a constructor call on the fields, never a raw store
+    return (self.__class__, tuple(getattr(self, name) for name in self.__match_args__))
 
 
 def mark(record, value):

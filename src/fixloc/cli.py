@@ -92,13 +92,7 @@ def _load_input(path: str, **fields) -> dict:
     return parse_object(_load_json(path), "input", fields)
 
 
-def _pair_counts(det, profile) -> list[int]:
-    """Admissible pairs at each orbit, from the closed form: no pair list is built."""
-    from .equivariant import admissible_pair_count
-    return [admissible_pair_count(det.residues[y.id], y.nprime) for y in profile.orbits]
-
-
-def _lambda_size(counts: list[int]) -> int:
+def _lambda_size(counts: tuple[int, ...]) -> int:
     """|Lambda|, the product of the per-orbit pair counts, which lambda and
     bijection-check print: DomainError when it has more digits than this
     Python writes an int with (int_digit_limit)."""
@@ -161,7 +155,7 @@ def cmd_lambda(args) -> tuple[dict, list[str]]:
     doc = _load_input(args.file, profile=covers.profile_from_json, det=equivariant.det_from_json)
     profile, det = doc["profile"], doc["det"]
     elements = equivariant.enumerate_lambda(det, profile)  # validates det; builds no element
-    counts = _pair_counts(det, profile)
+    counts = elements.counts  # the pair count at each orbit, from the closed form
     # every pair is listed; count them before building any
     if sum(counts) > MAX_LAMBDA_PAIRS:
         raise DomainError(f"Lambda has {int_text(sum(counts))} admissible pairs over "
@@ -202,16 +196,18 @@ def cmd_bijection_check(args) -> tuple[dict, list[str]]:
     checked = 0
     for profile in profiles:
         det = equivariant.random_det(rng, profile)
-        counts = _pair_counts(det, profile)
+        # enumerate_lambda validates the det once, and builds no element
+        elements = equivariant.enumerate_lambda(det, profile)
+        counts = elements.counts
         size = _lambda_size(counts)
         orbits, widest = len(counts), max(counts, default=1)
         if widest * max(1, orbits) > MAX_BIJECTION_ELEMENT_ORBITS:
             raise DomainError(f"{widest} round trips over {orbits} orbits are past the "
                               f"bijection-check limit of {MAX_BIJECTION_ELEMENT_ORBITS} "
                               f"element-orbits")
-        # enumerate_lambda validates the det once, and round_trip trusts its elements;
-        # Lambda round-trips iff its cover does (equivariant._Lambda.cover)
-        for numeric in equivariant.enumerate_lambda(det, profile).cover():
+        # round_trip trusts Lambda's elements, and Lambda round-trips iff its
+        # cover does (equivariant._Lambda.cover)
+        for numeric in elements.cover():
             try:
                 back = equivariant.round_trip(numeric, det, profile)
             except DomainError as exc:

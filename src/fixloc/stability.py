@@ -616,21 +616,23 @@ def _saturate(c: int, d: int, table: list[_Point], e: int, p, q) -> SubbundleWit
     p, q = poly_trim(p), poly_trim(q)
     if not p and not q:
         raise InvalidDatum("zero section spans no subbundle")
+    # a split summand's section is the constant 1, so b*p(z) - a*q(z) is b or -a:
+    # O(c) agrees where s = 0, the flag (1 : 0), and O(d-c) where -a*t = 0, (0 : 1)
     if not q:
-        e, p, q = c, (Fraction(1),), ()
-    elif not p:
-        e, p, q = d - c, (), (Fraction(1),)
-    else:
-        g = poly_gcd(p, q)
-        p, _ = poly_divmod(p, g)
-        q, _ = poly_divmod(q, g)
-        e += len(g) - 1
-        bump = min((c - e) - (len(p) - 1), (d - c - e) - (len(q) - 1))
-        if bump < 0:
-            raise InternalError("inclusion exceeded its degree budget")
-        e += bump
-    return SubbundleWitness(e=e, p_coeffs=tuple(p), q_coeffs=tuple(q),
-                            agreement=_true_agreement(table, p, q))
+        return SubbundleWitness(c, (Fraction(1),), (),
+                                frozenset(i for i, (_, _, s, _) in enumerate(table) if not s))
+    if not p:
+        return SubbundleWitness(d - c, (), (Fraction(1),),
+                                frozenset(i for i, (*_, at) in enumerate(table) if not at))
+    g = poly_gcd(p, q)
+    p, _ = poly_divmod(p, g)
+    q, _ = poly_divmod(q, g)
+    e += len(g) - 1
+    bump = min((c - e) - (len(p) - 1), (d - c - e) - (len(q) - 1))
+    if bump < 0:
+        raise InternalError("inclusion exceeded its degree budget")
+    e += bump
+    return SubbundleWitness(e, tuple(p), tuple(q), _true_agreement(table, p, q))
 
 
 def validate_witness(bundle: ParabolicP1, witness: SubbundleWitness) -> None:

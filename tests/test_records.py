@@ -9,8 +9,10 @@ and `__match_args__`.
 
 import ast
 import copy
+import copyreg
 import dataclasses
 import importlib
+import io
 import json
 import pickle
 import sys
@@ -275,11 +277,50 @@ def test_a_copy_of_a_record_is_equal_and_unmarked(cls, i):
     for record in records:
         clones = [copy.copy(record), copy.deepcopy(record)]
         clones += [pickle.loads(pickle.dumps(record, protocol))
-                   for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL)]
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for clone in clones:
             assert type(clone) is cls
             assert clone == record and _fields(clone) == _fields(record)
             assert getattr(clone, "_mark", None) is None
+
+
+def test_a_record_reduces_to_a_constructor_call():
+    # copy and pickle rebuild a record through __init__ and its checks, so a
+    # marked build reduces as a fresh one does, never through _new_marked
+    for cls in RECORDS:
+        for sample in SAMPLES[cls]:
+            records = [sample]
+            if cls in MARKABLE:
+                records.append(cls._new_marked(MARK, *_fields(sample)))
+            for record in records:
+                reduced = record.__reduce__()
+                assert reduced[0] is type(record) is cls
+                assert reduced == (cls, tuple(_fields(record)))
+
+
+def _by_name_pickle(cls, state: dict, protocol: int) -> bytes:
+    """A pickle in the form records took before they reduced to a constructor
+    call: the class made by object.__new__, then the fields by name as its state."""
+    class ByName(pickle.Pickler):
+        def reducer_override(self, obj):
+            return (copyreg.__newobj__, (cls,), state) if type(obj) is cls else NotImplemented
+
+    out = io.BytesIO()
+    ByName(out, protocol).dump(cls.__new__(cls))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("residues", [{"a": 1.5}, {"a": 1}], ids=["float residue", "plain dict"])
+def test_a_by_name_pickle_never_loads_as_a_record(residues):
+    # a record has no __setstate__ to take a state by name, nor a __dict__ to
+    # hold it, so such a state is never stored raw.  DeterminantLift({"a": 1.5}, 4)
+    # raises InvalidDatum; a record loaded from the state would hold its residues
+    # in a plain dict, which validate_det would mark and which could change
+    # under the mark
+    state = {"residues": residues, "degree": 4, "lift_sign": "+"}
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(AttributeError):
+            pickle.loads(_by_name_pickle(DeterminantLift, state, protocol))
 
 
 def test_serializers_match_the_recorded_fixture():

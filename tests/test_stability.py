@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -536,6 +537,17 @@ def test_a_degree_skipped_after_a_locator_certificate_is_certified_on_its_own(co
     assert len(pool) == 360 and seen == {"pool": 98, "seeded": 34}, seen
 
 
+def test_the_classify_pool_keeps_its_verdicts_and_witnesses():
+    # the sha256 of every verdict and witness of the benchmark's 360-bundle
+    # pool, as JSON; the scan's speed-ups and shortcuts must keep them all
+    pool = json.loads((Path(__file__).parents[1] / "perfbench" / "reference"
+                       / "classify_pool.json").read_text())["bundles"]
+    verdicts = [verdict_to_json(stability_classify(bundle_from_json(entry["doc"]), entry["g"]))
+                for entry in pool]
+    digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+    assert digest == "54cb846ef6fcff46087a487e9a2eb042e957548f6b08b0ab29e2ad0cc0ef4574"
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -798,6 +810,19 @@ def random_sections(rng: random.Random, bundle, np_: int, nq: int):
             [random_fraction(rng) for _ in range(nq)])
 
 
+# the sections of the split summands O(c) and O(d-c)
+SUMMANDS = (([F(1)], []), ([], [F(1)]))
+
+
+def summand_agreement(bundle, p, q) -> frozenset[int]:
+    """The agreement set of a split summand's witness, which saturate reads
+    off the flags without _true_agreement."""
+    witness = saturate(bundle, bundle.c, p, q)
+    assert witness.e == (bundle.c if p else bundle.d - bundle.c)
+    assert (list(witness.p_coeffs), list(witness.q_coeffs)) == (p, q)
+    return witness.agreement
+
+
 def test_true_agreement_matches_fraction_evaluation_on_the_fixtures():
     checked = 0
     for name in ("stability_verdicts.json", "stability_verdicts_g5_8.json"):
@@ -805,7 +830,7 @@ def test_true_agreement_matches_fraction_evaluation_on_the_fixtures():
             bundle = gen.bundle_from_doc(case["bundle"])
             table = _integer_points(bundle)
             witness = case["verdict"]["witness"]
-            pairs = [([F(1)], []), ([], [F(1)])]
+            pairs = list(SUMMANDS)
             if witness is not None:
                 pairs.append(([rat_from_json(x) for x in witness["p"]],
                               [rat_from_json(x) for x in witness["q"]]))
@@ -816,6 +841,9 @@ def test_true_agreement_matches_fraction_evaluation_on_the_fixtures():
                 assert _true_agreement(table, p, q) == fraction_agreement(bundle, p, q), \
                     (case["name"], p, q)
                 checked += 1
+            for p, q in SUMMANDS:
+                assert summand_agreement(bundle, p, q) == fraction_agreement(bundle, p, q), \
+                    (case["name"], p, q)
     assert checked >= 5 * (184 + 48)
 
 
@@ -831,6 +859,8 @@ def test_true_agreement_matches_fraction_evaluation_on_random_bundles():
         p, q = random_sections(rng, bundle, np_, nq)
         got = _true_agreement(_integer_points(bundle), p, q)
         assert got == fraction_agreement(bundle, p, q), (bundle, p, q)
+        for sp, sq in SUMMANDS:
+            assert summand_agreement(bundle, sp, sq) == fraction_agreement(bundle, sp, sq), bundle
         seen["empty p"] += not p
         seen["empty q"] += not q
         seen["len(p) != len(q)"] += len(p) != len(q)
