@@ -14,7 +14,8 @@ SchemaError naming `where`, the value's path in the document
 (`profile.orbits[0].k`).  Every document parser is itself a converter,
 so documents nest.  Parsers check shape and types first; the
 constructors and operations that receive the parsed values check the
-mathematics.
+mathematics.  `_load_json` reads a CLI input file, and LIST_CAP bounds
+the lists a CLI report writes out.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ def frozen(cls):
     Its `__reduce__` is (class, fields in `__match_args__` order), so
     `copy.copy`, `copy.deepcopy` and `pickle` at every protocol rebuild
     a record through `__init__` and `__post_init__`: a copy or a pickle
-    is a constructor call, checked and normalized like any other.  A
+    is a constructor call, checked and normalized like any other.  Its
+    `__setstate__` raises AttributeError, so a pickle that gives a
+    record its state by name, as records were pickled before, loads as
+    no record, `CoverProfile` with its `__dict__` included.  A
     method the class defines itself is kept.  Like that dataclass,
     `frozen` returns a new class built from the decorated one, since
     `__slots__` must be known when a class is made.
@@ -144,7 +148,8 @@ def frozen(cls):
             if attr not in slots and attr not in ("__dict__", "__weakref__")}
     cached = any(isinstance(value, cached_property) for value in body.values())
     generated = {"__repr__": _record_repr, "__setattr__": _no_assignment,
-                 "__delattr__": _no_deletion, "__reduce__": _record_reduce, "__match_args__": names}
+                 "__delattr__": _no_deletion, "__reduce__": _record_reduce,
+                 "__setstate__": _no_state, "__match_args__": names}
     for attr in ("__init__", "__eq__", "__hash__"):
         generated[attr] = namespace[attr]
         generated[attr].__qualname__ = f"{cls.__qualname__}.{attr}"  # as in TypeError texts
@@ -180,6 +185,12 @@ def _no_deletion(self, name):
 def _record_reduce(self) -> tuple:
     # a copy or a pickle is a constructor call on the fields, never a raw store
     return (self.__class__, tuple(getattr(self, name) for name in self.__match_args__))
+
+
+def _no_state(self, state):
+    # pickle's by-name form would store the state raw, past the checks
+    raise AttributeError(f"a {self.__class__.__qualname__} takes no state: it loads only as "
+                         f"a constructor call on its fields")
 
 
 def mark(record, value):
@@ -253,6 +264,27 @@ def parse_object(doc: object, where: str, required: dict, optional: dict | None 
     for name, (conv, default) in optional.items():
         out[name] = conv(doc[name], f"{where}.{name}") if name in doc else default
     return out
+
+
+# keep CLI outputs bounded; larger collections report counts only
+LIST_CAP = 128
+
+
+def _load_json(path: str):
+    """The JSON document in the file at path, as a CLI command reads its
+    --file: SchemaError when it cannot be read or parsed."""
+    import json  # CLI input only; a library import loads no json
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise SchemaError(f"no such file: {path}")
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON in {path}: {exc}")
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, undecodable bytes, nesting past the recursion limit,
+        # an integer literal past the digit limit
+        raise SchemaError(f"cannot read {path}: {exc}")
 
 
 def is_int(obj: object) -> bool:

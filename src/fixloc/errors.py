@@ -4,6 +4,13 @@ DomainError subclasses signal mathematically meaningful rejections
 (the CLI maps them to exit code 3); SchemaError signals malformed
 input documents (exit code 2); InternalError signals a violated
 internal invariant, i.e. a bug in the package (exit code 1).
+
+_Usage and _PropertyFailure are the CLI's own signals, not FixlocErrors:
+the report modules and the help module raise them and `cli.main` catches
+them.  They live here, where every CLI child already loads them, since
+no module may import `cli`: under `python -m fixloc.cli` it is
+`__main__`, and a second import would make second classes that `main`
+does not catch.
 """
 
 
@@ -57,3 +64,14 @@ class InvalidGenus(DomainError):
 
 class InconsistentDegrees(DomainError):
     """Degree data incompatible with the covering degree."""
+
+
+class _Usage(Exception):
+    """The command line is rejected: main writes the usage line and the one
+    argument, the message, on stderr and exits 2.  With no argument, -h or
+    --help asked for the help text, which main writes as a text report."""
+
+
+class _PropertyFailure(Exception):
+    """A checked property failed; its one argument is the counterexample
+    document, which main writes as JSON, whatever the format, with exit 1."""

@@ -84,8 +84,8 @@ def cli_payload(argv: list[str], doc: object = None) -> dict:
             path = Path(tmp, "input.json")
             path.write_text(json.dumps(doc))
             argv = [*argv, "--file", str(path)]
-        build, _ = cli.COMMANDS[argv[0]]
-        payload, _ = build(cli.parse_args(argv))
+        # the builder main runs, from the report module cli.COMMANDS names
+        payload, _ = cli._builder(argv[0])(cli.parse_args(argv))
     return payload
 
 

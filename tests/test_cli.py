@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fixloc import DomainError, InternalError, cli, covers, equivariant, locus
+from fixloc import _cli_covers, _cli_equivariant, _cli_help, _ser
 from fixloc.graded import hyperelliptic_delta
 from fixloc.stability import MAX_MARKED_POINTS
 from fixloc import (
@@ -123,7 +124,7 @@ def test_lambda_count_is_the_product_of_per_orbit_pairs(capsys, tmp_path, monkey
     assert code == 0
     payload = json.loads(out)
     count = math.prod(len(pairs) for pairs in payload["per_orbit"].values())
-    assert payload["count"] == count > cli.LIST_CAP
+    assert payload["count"] == count > _ser.LIST_CAP
     assert "elements" not in payload
     code, out, _ = run(capsys, "lambda", "--file", doc, "--format", "text")
     assert code == 0
@@ -222,11 +223,11 @@ def test_bijection_check_reports_a_round_trip_that_changes_the_datum(capsys, tmp
 def test_bijection_check_limit(capsys, tmp_path, monkeypatch):
     # 10 orbits of two pairs each: a cover of 2 elements, 20 element-orbits
     path = order_three_profile(tmp_path, 10)
-    monkeypatch.setattr(cli, "MAX_BIJECTION_ELEMENT_ORBITS", 2 * 10)
+    monkeypatch.setattr(_cli_equivariant, "MAX_BIJECTION_ELEMENT_ORBITS", 2 * 10)
     code, out, err = run(capsys, "bijection-check", "--file", path)
     assert code == 0
     assert json.loads(out)["checked"] == 2 ** 10
-    monkeypatch.setattr(cli, "MAX_BIJECTION_ELEMENT_ORBITS", 2 * 10 - 1)
+    monkeypatch.setattr(_cli_equivariant, "MAX_BIJECTION_ELEMENT_ORBITS", 2 * 10 - 1)
     refuse_round_trips(monkeypatch)
     code, out, err = run(capsys, "bijection-check", "--file", path)
     assert code == 3
@@ -241,7 +242,7 @@ def test_bijection_check_rejects_a_large_lambda_before_any_round_trip(capsys, tm
     # count orbits of n' > 2 * limit / count: the widest orbit's pairs times the
     # orbits pass the limit; at 70 orbits |Lambda| is also past sys.maxsize,
     # where len() overflows
-    nprime = 2 * (cli.MAX_BIJECTION_ELEMENT_ORBITS // count) + 4
+    nprime = 2 * (_cli_equivariant.MAX_BIJECTION_ELEMENT_ORBITS // count) + 4
     path = write(tmp_path, "p.json", profile_to_json(
         make_profile(nprime, [(f"y{i}", 1) for i in range(count)])))
     assert (nprime // 2) ** count > sys.maxsize
@@ -450,11 +451,11 @@ def test_lambda_limit(capsys, tmp_path, monkeypatch):
     doc = write(tmp_path, "lam.json", {
         "profile": profile_to_json(make_profile(12, [("a", 1), ("b", 2)])),
         "det": det_to_json(DeterminantLift(residues={"a": 0, "b": 0}, degree=0))})
-    monkeypatch.setattr(cli, "MAX_LAMBDA_PAIRS", 11)
+    monkeypatch.setattr(_cli_equivariant, "MAX_LAMBDA_PAIRS", 11)
     code, out, _ = run(capsys, "lambda", "--file", doc)
     assert code == 0
     assert json.loads(out)["count"] == 28
-    monkeypatch.setattr(cli, "MAX_LAMBDA_PAIRS", 10)
+    monkeypatch.setattr(_cli_equivariant, "MAX_LAMBDA_PAIRS", 10)
     code, out, err = run(capsys, "lambda", "--file", doc)
     assert code == 3
     assert out == ""
@@ -483,12 +484,12 @@ def test_lambda_rejects_a_wide_orbit_without_building_its_pairs(capsys, tmp_path
 def test_orbits_limit(capsys, tmp_path, monkeypatch):
     # two orbits under the 6 powers of n = 6: a table of 12 entries
     doc = write(tmp_path, "orbits.json", profile_to_json(make_profile(6, [("a", 1), ("b", 2)])))
-    monkeypatch.setattr(cli, "MAX_ORBIT_TABLE_ENTRIES", 12)
+    monkeypatch.setattr(_cli_covers, "MAX_ORBIT_TABLE_ENTRIES", 12)
     code, out, _ = run(capsys, "orbits", "--file", doc)
     assert code == 0
     assert json.loads(out)["orbit_lengths_under_powers"]["b"] == {
         "1": 2, "2": 1, "3": 2, "4": 1, "5": 2, "6": 1}
-    monkeypatch.setattr(cli, "MAX_ORBIT_TABLE_ENTRIES", 11)
+    monkeypatch.setattr(_cli_covers, "MAX_ORBIT_TABLE_ENTRIES", 11)
     code, out, err = run(capsys, "orbits", "--file", doc)
     assert code == 3
     assert out == ""
@@ -498,7 +499,7 @@ def test_orbits_limit(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n, orbits", [(500_001, 1), (250_001, 2), (3_000_000, 1)])
 def test_orbits_rejects_a_large_table_without_building_it(capsys, tmp_path, n, orbits):
-    assert cli.MAX_ORBIT_TABLE_ENTRIES == 500_000
+    assert _cli_covers.MAX_ORBIT_TABLE_ENTRIES == 500_000
     lengths = [{"id": f"y{i}", "k": 1} for i in range(orbits)]
     doc = write(tmp_path, "wide.json", {"n": n, "genus_base": 0, "orbits": lengths})
     tracemalloc.start()
@@ -795,7 +796,7 @@ def test_usage_errors_exit_two(capsys, argv, message):
         cli.main(argv)
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
-    assert err == f"{cli._usage()}\nfixloc: error: {message}\n"
+    assert err == f"{_cli_help._usage(cli.OPTIONS)}\nfixloc: error: {message}\n"
     assert err.startswith("usage: fixloc ")
 
 
@@ -803,7 +804,7 @@ def test_help_lists_every_command_and_option_and_exits_zero(capsys):
     for argv in (["--help"], ["kernel", "-h"], ["--he"], ["--g", "3", "-hh"]):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        assert out.startswith(f"{cli._usage()}\n") and out.endswith("\n")
+        assert out.startswith(f"{_cli_help._usage(cli.OPTIONS)}\n") and out.endswith("\n")
         for name in [*cli.COMMANDS, *cli.OPTIONS, "--help", "(default: 1729)", "(default: json)"]:
             assert name in out
 

@@ -1,5 +1,6 @@
 """tools/perf_pairs.py: alternating parent/change benchmark pairs."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -71,6 +72,38 @@ def test_a_failed_job_on_either_side_fails_the_run(tmp_path):
         proc = pairs(good, bad, "--workload", "lambda", "--seeds", "1-2")
         assert proc.returncode == 1
         assert f"change seed 1: correct={correct} failed=1" in proc.stderr
+
+
+def test_the_json_record_holds_each_pair_each_summary_and_the_provenance(tmp_path):
+    parent, change = (fake_checkout(tmp_path / side, True, 0) for side in ("parent", "change"))
+    for root, text in ((parent, "x = 1\n"), (change, "x = 2\n")):
+        (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+        (root / "src" / "pkg" / "mod.py").write_text(text)
+        (root / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+    out = tmp_path / "BENCH.json"
+    proc = pairs(parent, change, "--workload", "lambda", "--seeds", "4-6", "--json", out)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["workload"] == "lambda" and record["runs_not_correct"] == 0
+    assert record["pairs"] == [
+        {"seed": seed, "first": first, "parent": {"wall_s": 1.0 + seed},
+         "change": {"wall_s": 1.0 + seed}}
+        for seed, first in ((4, "parent"), (5, "change"), (6, "parent"))]
+    assert record["metrics"] == {"wall_s": {
+        "unit": "s", "better": "lower", "bound": 0.15,
+        "parent": {"q1": 5.5, "median": 6.0, "q3": 6.5},
+        "change": {"q1": 5.5, "median": 6.0, "q3": 6.5},
+        # an IQR of 1/6 of the median is wider than the bound of 0.15
+        "relative": 0.0, "lower": 0, "pairs": 3, "gap": 0.0, "parent_iqr": 1.0,
+        "verdict": "unresolved"}}
+    provenance = record["provenance"]
+    assert provenance["seeds"] == [4, 5, 6] and provenance["nproc"] >= 1
+    assert provenance["python"].count(".") == 2
+    # the digest reads src/ as it ran, without the __pycache__ the copy leaves out
+    assert provenance["source_sha256"] == {
+        side: hashlib.sha256(b"src/pkg/mod.py\0" + text).hexdigest()
+        for side, text in (("parent", b"x = 1\n"), ("change", b"x = 2\n"))}
+    assert str(tmp_path) not in out.read_text()
 
 
 def test_bad_arguments_exit_two(tmp_path):

@@ -312,15 +312,23 @@ def _by_name_pickle(cls, state: dict, protocol: int) -> bytes:
 
 @pytest.mark.parametrize("residues", [{"a": 1.5}, {"a": 1}], ids=["float residue", "plain dict"])
 def test_a_by_name_pickle_never_loads_as_a_record(residues):
-    # a record has no __setstate__ to take a state by name, nor a __dict__ to
-    # hold it, so such a state is never stored raw.  DeterminantLift({"a": 1.5}, 4)
-    # raises InvalidDatum; a record loaded from the state would hold its residues
-    # in a plain dict, which validate_det would mark and which could change
-    # under the mark
-    state = {"residues": residues, "degree": 4, "lift_sign": "+"}
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
-        with pytest.raises(AttributeError):
-            pickle.loads(_by_name_pickle(DeterminantLift, state, protocol))
+    # a record's __setstate__ refuses a state by name, so such a state is never
+    # stored raw.  DeterminantLift({"a": 1.5}, 4) raises InvalidDatum; a record
+    # loaded from the state would hold its residues in a plain dict, which
+    # validate_det would mark and which could change under the mark.  Every
+    # record refuses its own fields so, CoverProfile too, whose __dict__ for
+    # its cached properties would otherwise take the state and leave its
+    # slots empty
+    states = [(DeterminantLift, {"residues": residues, "degree": 4, "lift_sign": "+"})]
+    states += [(cls, dict(zip(cls.__match_args__, _fields(SAMPLES[cls][0])))) for cls in RECORDS]
+    assert CoverProfile in dict(states)
+    for cls, state in states:
+        message = (f"a {cls.__qualname__} takes no state: it loads only as a constructor call "
+                   f"on its fields")
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(AttributeError) as exc:
+                pickle.loads(_by_name_pickle(cls, state, protocol))
+            assert str(exc.value) == message, (cls, protocol)
 
 
 def test_serializers_match_the_recorded_fixture():

@@ -176,10 +176,11 @@ def test_every_name_an_annotation_reads_is_bound():
 
 
 # The functions whose bodies may import a `fixloc` module, besides every
-# function of `cli`, where each command loads the layers it runs: stability's
-# two bridges to the layers above it load them only when called.  Every other
-# import points down the layer order at module level, or sits under
-# `if TYPE_CHECKING:`.
+# function of `cli`, which loads the report module of the chosen command and
+# the help module only off the plain path: stability's two bridges to the
+# layers above it load them only when called.  Every other import, the report
+# modules' of their layers among them, points down the layer order at module
+# level, or sits under `if TYPE_CHECKING:`.
 BODY_IMPORTS = {"stability": {"slope_transfer_check", "graded_of"}}
 
 
@@ -199,6 +200,35 @@ def test_function_bodies_import_fixloc_modules_only_where_allowed(path):
     found = [f"{owner[id(node)]}:{node.lineno}" for node in ast.walk(tree)
              if _imports_fixloc(node) and owner[id(node)] not in allowed]
     assert found == []
+
+
+def _package_paths(node):
+    """The dotted paths within `fixloc` that an import names: `from . import
+    cli`, `from .cli import main`, `from fixloc import cli` and `import
+    fixloc.cli` all name `cli`."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        paths = [base, *(f"{base}.{alias.name}".lstrip(".") for alias in node.names)]
+        if node.level:
+            return paths
+    else:
+        return []
+    return [path.removeprefix("fixloc.") for path in paths if path.partition(".")[0] == "fixloc"]
+
+
+def test_no_module_imports_cli():
+    # under `python -m fixloc.cli` the entry module is __main__: a module that
+    # imported fixloc.cli would compile it again, with a second _Usage and
+    # _PropertyFailure that main does not catch
+    found = [f"{path.stem}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if any(name.partition(".")[0] == "cli" for name in _package_paths(node))]
+    assert found == []
+    assert _package_paths(ast.parse("from . import cli").body[0]) == ["", "cli"]
+    assert _package_paths(ast.parse("from fixloc.cli import main").body[0])[0] == "cli"
 
 
 def test_every_name_a_test_tool_or_demo_imports_is_read():
@@ -280,7 +310,8 @@ def test_every_fixture_is_named_by_exactly_one_recorder():
 
 def test_only_main_writes_the_cli_report():
     # the builders return their reports and main writes them, so stdout has one
-    # writer: every print call and every read of sys.stdout in cli.py is main's
+    # writer: every print call and every read of sys.stdout in cli.py is main's,
+    # and the report modules and the help module have none
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     main = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
 
@@ -292,3 +323,8 @@ def test_only_main_writes_the_cli_report():
 
     assert len(main) == 1 and writes(main[0])
     assert writes(tree) == writes(main[0])
+    others = sorted(SRC.glob("_cli_*.py"))
+    assert [path.stem for path in others] == ["_cli_covers", "_cli_equivariant", "_cli_help",
+                                              "_cli_locus", "_cli_stability"]
+    assert {path.stem: writes(ast.parse(path.read_text(encoding="utf-8"))) for path in others} == {
+        path.stem: [] for path in others}

@@ -2,6 +2,7 @@
 
     python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload lambda --seeds 301-310
     python tools/perf_pairs.py ../parent . --workload classify --seeds 7 --seconds 0.2
+    python tools/perf_pairs.py ../parent . --workload cli --seeds 101-110 --json BENCH_50.json
 
 PARENT_DIR and CHANGE_DIR are two checkouts.  For each seed, in order,
 one pair runs `perfbench/run.py --workload W --seed S` in each of them,
@@ -13,6 +14,13 @@ the medians, the pairs in which the change is lower, and the gap
 between the medians against the parent's IQR (Q3 - Q1), as CHANGES.md
 reports them, and then its verdict (`verdict`), judged by the metric's
 `better` and `bound` in the change checkout's BENCHMARK.json.
+
+With --json PATH the same record is also written to PATH as one JSON
+document: each pair's seed, order and metrics, each metric's quartiles
+on both sides, relative change, lower-count, gap, parent IQR and
+verdict, and the provenance: the seeds, Python, nproc, and the sha256
+of each side's `src/` (`source_sha256`), which names the code that ran
+without naming where its checkout was.
 
 Each side runs from a copy of its checkout in a temporary directory,
 without `.git` and without any `__pycache__`, under
@@ -35,8 +43,10 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -87,15 +97,34 @@ def run(root: Path, env: dict, args, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
+def source_sha256(root: Path) -> str:
+    """The sha256 of every file under root/src, by relative path and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in (root / "src").rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def compare(parent: list[float], change: list[float]) -> dict:
+    """Both sides' quartiles, the relative change of the medians, the pairs in
+    which the change is lower, and the gap between the medians against the
+    parent's IQR."""
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    return {"parent": {"q1": p1, "median": pm, "q3": p3},
+            "change": {"q1": c1, "median": cm, "q3": c3},
+            "relative": (cm - pm) / pm if pm else None,
+            "lower": sum(c < p for p, c in zip(parent, change)), "pairs": len(parent),
+            "gap": abs(pm - cm), "parent_iqr": p3 - p1}
+
+
 def summary(name: str, unit: str, parent: list[float], change: list[float]) -> str:
-    p1, pm, p3 = quartiles(parent)
-    c1, cm, c3 = quartiles(change)
-    lower = sum(c < p for p, c in zip(parent, change))
-    rel = f"{100 * (cm - pm) / pm:+.1f}%" if pm else "n/a"
-    return (f"{name}: parent {pm:.5g} [{p1:.5g}, {p3:.5g}]"
-            f" -> change {cm:.5g} [{c1:.5g}, {c3:.5g}] {unit}"
-            f" ({rel}, lower in {lower}/{len(parent)}; gap {abs(pm - cm):.5g}"
-            f" against the parent's IQR {p3 - p1:.5g})")
+    c = compare(parent, change)
+    p, ch = c["parent"], c["change"]
+    rel = f"{100 * c['relative']:+.1f}%" if c["relative"] is not None else "n/a"
+    return (f"{name}: parent {p['median']:.5g} [{p['q1']:.5g}, {p['q3']:.5g}]"
+            f" -> change {ch['median']:.5g} [{ch['q1']:.5g}, {ch['q3']:.5g}] {unit}"
+            f" ({rel}, lower in {c['lower']}/{c['pairs']}; gap {c['gap']:.5g}"
+            f" against the parent's IQR {c['parent_iqr']:.5g})")
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
@@ -130,6 +159,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=seed_range, required=True, metavar="A-B")
     parser.add_argument("--seconds", type=float, default=None,
                         help="passed to run.py (default: its BENCHMARK.json run_seconds)")
+    parser.add_argument("--json", type=Path, default=None, metavar="PATH",
+                        help="also write the pairs and their summary to PATH as JSON")
     args = parser.parse_args(argv)
     try:
         bounds = {m["name"]: m for m in
@@ -139,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
 
     bad = 0
     values: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
+    pairs, sources = [], {}
     units: dict[str, str] = {}
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -147,9 +179,13 @@ def main(argv: list[str] | None = None) -> int:
         for side, root in roots.items():
             shutil.copytree(getattr(args, side), root,
                             ignore=shutil.ignore_patterns(".git", "__pycache__"))
+            sources[side] = source_sha256(root)
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             results = {side: run(roots[side], env, args, seed) for side in order}
+            pairs.append({"seed": seed, "first": order[0], **{
+                side: {name: m["value"] for name, m in results[side]["metrics"].items()}
+                for side in SIDES}})
             cells = []
             for side in SIDES:
                 result = results[side]
@@ -163,12 +199,24 @@ def main(argv: list[str] | None = None) -> int:
                 cells.append(side + " " + " ".join(f"{name}={metric['value']:.5g}"
                                                    for name, metric in result["metrics"].items()))
             print(f"pair {i} seed {seed} ({order[0]} first): " + "; ".join(cells), flush=True)
+    metrics = {}
     for name, unit in units.items():
         parent, change = values["parent"][name], values["change"][name]
         better, bound = bounds[name]["better"], bounds[name]["bound"]
+        judged = verdict(parent, change, better, bound)
+        metrics[name] = {"unit": unit, "better": better, "bound": bound,
+                         **compare(parent, change), "verdict": judged}
         print(summary(name, unit, parent, change))
-        print(f"{name}: {verdict(parent, change, better, bound)}"
-              f" ({better} is better, bound {bound:g})")
+        print(f"{name}: {judged} ({better} is better, bound {bound:g})")
+    if args.json is not None:
+        record = {
+            "workload": args.workload, "seconds": args.seconds, "pairs": pairs,
+            "metrics": metrics, "runs_not_correct": bad,
+            "provenance": {"seeds": args.seeds, "python": platform.python_version(),
+                           "implementation": platform.python_implementation(),
+                           "nproc": os.cpu_count(), "machine": platform.machine(),
+                           "source_sha256": sources}}
+        args.json.write_text(json.dumps(record, indent=2) + "\n")
     if bad:
         print(f"perf_pairs: {bad} run(s) not correct or with failed jobs", file=sys.stderr)
     return 1 if bad else 0
