@@ -18,19 +18,23 @@ that argparse loads.  Any other command line goes to an argparse parser
 built from the same tables, and -h or --help prints a help text built
 from them; both, and the usage line, are in `_cli_help`, which a child
 that runs a plain command line never imports.  No module imports this
-one: under `python -m fixloc.cli` it is `__main__` (see `errors`).
+one: under `python -m fixloc.cli` it is `__main__` (see `errors`).  The
+process entry, for `-m` and the `fixloc` script alike, is run: main, then
+gc.freeze, then the exit with main's code.
 
 Exit codes: 0 success, 1 property-check failure (with a counterexample
 dump) or violated internal invariant, 2 malformed input (schema or
-usage, or an input file that cannot be read as JSON) or a stdout closed
-before the report was written, 3 domain rejection (mathematically
-inadmissible input, or a JSON report holding an int past Python's
-digit limit).  All output is deterministic for a fixed seed:
+usage, or an input file that cannot be read as JSON) or a stdout that is
+closed or fails while the report is written (a closed pipe, a full disk,
+an I/O fault: "output error: ..." on stderr), 3 domain rejection
+(mathematically inadmissible input, or a JSON report holding an int past
+Python's digit limit).  All output is deterministic for a fixed seed:
 reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -157,20 +161,6 @@ def main(argv=None) -> int:
         # cannot be written leaves stdout empty
         if code or args.format == "json":
             lines = [_json_text(payload)]
-        for line in lines:
-            print(line)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the reader closed stdout: send what is left to devnull, so that the
-        # flush at exit raises nothing (Python docs, "Note on SIGPIPE")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        try:
-            print("output error: stdout was closed before the report was written",
-                  file=sys.stderr)
-        except OSError:
-            pass
-        return 2
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
@@ -180,7 +170,48 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    try:
+        if sys.stdout is None:
+            # the process started with stdout closed (>&-): a closed pipe
+            raise BrokenPipeError
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # a closed pipe, a full disk, an I/O fault: send what is left to
+        # devnull, so that the flush at exit raises nothing (Python docs,
+        # "Note on SIGPIPE")
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        reason = ("stdout was closed before the report was written"
+                  if isinstance(exc, BrokenPipeError)
+                  else f"the report could not be written to stdout: {exc.strerror or exc}")
+        try:
+            print(f"output error: {reason}", file=sys.stderr)
+        except OSError:
+            pass
+        return 2
+
+
+def run():
+    """The process entry of `python -m fixloc.cli` and the `fixloc` script.
+
+    Exits with main's code.  On every way out, the usage error's
+    SystemExit(2) included, it first moves every object the process holds
+    into the permanent generation (gc.freeze), which the collections at
+    interpreter exit never visit, so the exit does not walk the heap that
+    start-up and the report left; the process ending frees it.  The exit
+    still runs atexit, flushes stdout and stderr and clears the modules.
+    main itself freezes nothing, since a caller in the same process goes
+    on collecting.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

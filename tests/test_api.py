@@ -119,7 +119,7 @@ def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(child, argv, laye
         unwanted = unwanted + RANDOM
     if argv == ["-h"]:
         unwanted = [m for m in unwanted if m not in ARGPARSE]
-    code = ("import contextlib, io, json, sys, fixloc.cli\n"
+    code = ("import contextlib, gc, io, json, sys, fixloc.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "    try:\n"
@@ -127,11 +127,14 @@ def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(child, argv, laye
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
             "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('fixloc.')),\n"
-            f"                  [m for m in {unwanted + ARGPARSE!r} if m in sys.modules]]))")
+            f"                  [m for m in {unwanted + ARGPARSE!r} if m in sys.modules],\n"
+            "                  gc.get_freeze_count()]))")
     proc = child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    code, loaded, heavy = json.loads(proc.stdout)
+    code, loaded, heavy, frozen = json.loads(proc.stdout)
     assert code == _exit_code(argv)
+    # main freezes nothing: only the process entry, cli.run, does
+    assert frozen == 0
     assert loaded == sorted(f"fixloc.{layer}" for layer in layers)
     assert [m for m in heavy if m in unwanted] == [m for m in heavy_in_a_bare_child
                                                     if m in unwanted]
@@ -140,10 +143,12 @@ def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(child, argv, laye
 
 def test_no_cli_child_run_as_main_imports_fixloc_cli(child):
     # under -m the entry module is __main__, and no module imports fixloc.cli:
-    # a second copy would hold second _Usage and _PropertyFailure classes
+    # a second copy would hold second _Usage and _PropertyFailure classes.
+    # The entry, cli.run, freezes the heap on every way out, the usage
+    # error's SystemExit(2) included, so the exit collects none of it
     argvs = [argv for argv, _ in FOOTPRINTS]
-    code = ("import contextlib, io, json, runpy, sys\n"
-            "codes = []\n"
+    code = ("import contextlib, gc, io, json, runpy, sys\n"
+            "exits = []\n"
             f"for argv in {argvs!r}:\n"
             "    sys.argv = ['fixloc', *argv]\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
@@ -151,11 +156,12 @@ def test_no_cli_child_run_as_main_imports_fixloc_cli(child):
             "        try:\n"
             "            runpy.run_module('fixloc.cli', run_name='__main__')\n"
             "        except SystemExit as exc:\n"
-            "            codes.append(exc.code)\n"
-            "print(json.dumps([codes, 'fixloc.cli' in sys.modules]))")
+            "            exits.append([exc.code, gc.get_freeze_count() > 0])\n"
+            "    gc.unfreeze()\n"
+            "print(json.dumps([exits, 'fixloc.cli' in sys.modules]))")
     proc = child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[_exit_code(argv) for argv in argvs], False]
+    assert json.loads(proc.stdout) == [[[_exit_code(argv), True] for argv in argvs], False]
 
 
 def test_a_round_trip_failure_in_a_report_module_exits_one_when_run_as_main(child):

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -611,24 +612,29 @@ def benchmark_cli_jobs():
 
 
 def test_every_benchmark_cli_job_matches_its_reference():
-    # each job as the benchmark runs it: a fresh `python -m fixloc.cli` child
+    # each job as the benchmark runs it: a fresh `python -m fixloc.cli` child,
+    # in this environment and with block-buffered stdout (PYTHONUNBUFFERED unset)
     reference = json.loads((ROOT / "perfbench" / "reference" / "cli.json").read_text())["jobs"]
     jobs = benchmark_cli_jobs()
     assert len(jobs) == 31
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    here = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    buffered = {name: value for name, value in here.items() if name != "PYTHONUNBUFFERED"}
     mismatches = []
-    for name, subcommand, args in jobs:
-        argv = args if subcommand == "reject" else [subcommand, *args]
-        proc = subprocess.run([sys.executable, "-m", "fixloc.cli", *argv], cwd=ROOT, env=env,
-                              capture_output=True, stdin=subprocess.DEVNULL, timeout=120)
-        assert b"Traceback" not in proc.stderr, (name, proc.stderr)
-        if subcommand == "reject":
-            found = proc.returncode in (2, 3) and proc.stdout == b""
-        else:
-            found = {"exit": proc.returncode,
-                     "sha256": hashlib.sha256(proc.stdout).hexdigest()} == reference[name]
-        if not found:
-            mismatches.append((name, proc.returncode, proc.stderr.decode(errors="replace")))
+    for env in (here, buffered):
+        for name, subcommand, args in jobs:
+            argv = args if subcommand == "reject" else [subcommand, *args]
+            proc = subprocess.run([sys.executable, "-m", "fixloc.cli", *argv], cwd=ROOT,
+                                  env=env, capture_output=True, stdin=subprocess.DEVNULL,
+                                  timeout=120)
+            assert b"Traceback" not in proc.stderr, (name, proc.stderr)
+            if subcommand == "reject":
+                found = proc.returncode in (2, 3) and proc.stdout == b""
+            else:
+                found = {"exit": proc.returncode,
+                         "sha256": hashlib.sha256(proc.stdout).hexdigest()} == reference[name]
+            if not found:
+                mismatches.append((name, "PYTHONUNBUFFERED" in env, proc.returncode,
+                                   proc.stderr.decode(errors="replace")))
     assert mismatches == []
 
 
@@ -934,6 +940,43 @@ def test_help_into_a_closed_stdout_exits_two_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == b"output error: stdout was closed before the report was written\n"
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+CLI = [sys.executable, "-m", "fixloc.cli"]
+
+
+def _output_fault(unbuffered: str, command: list, stdout) -> subprocess.CompletedProcess:
+    # an empty PYTHONUNBUFFERED is unset: stdout is block-buffered, so the
+    # report sits in the buffer until main's flush, and whatever is left there
+    # is flushed again at interpreter exit
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+    return subprocess.run(command, cwd=ROOT, env=env, stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+
+
+@BUFFERING
+def test_a_stdout_that_fails_to_write_exits_two_without_a_traceback(unbuffered):
+    # any OSError from writing the report ends as a closed pipe does; here
+    # ENOSPC, from the device that refuses every write
+    if not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    doc = ROOT / "perfbench" / "inputs" / "cli" / "profile12.json"
+    with open("/dev/full", "wb") as full:
+        proc = _output_fault(unbuffered, [*CLI, "kernel", "--file", doc], full)
+    assert (proc.returncode, proc.stderr.decode()) == (
+        2, "output error: the report could not be written to stdout: "
+           f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@BUFFERING
+def test_a_stdout_closed_at_start_exits_two_without_a_traceback(unbuffered):
+    # a child started with stdout closed (>&-) has sys.stdout None; the
+    # report and the help text alike find no stdout to write to
+    for argv in (["hyperelliptic", "--g", "3"], ["-h"]):
+        proc = _output_fault(unbuffered, ["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *argv], None)
+        assert (proc.returncode, proc.stderr) == (
+            2, b"output error: stdout was closed before the report was written\n"), argv
 
 
 def test_internal_error_exit_code(capsys, hyper_file, monkeypatch):

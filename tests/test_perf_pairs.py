@@ -21,18 +21,19 @@ def test_one_classify_pair_of_this_checkout_against_itself():
     proc = pairs(ROOT, ROOT, "--workload", "classify", "--seeds", "7", "--seconds", "0.2")
     assert proc.returncode == 0, proc.stderr
     pair, *lines = proc.stdout.splitlines()
-    assert pair.startswith("pair 0 seed 7 (parent first): parent wall_s=")
+    assert pair.startswith("pair 0 seed 7 classify (parent first): parent wall_s=")
     assert "; change wall_s=" in pair
     # each metric's summary, then its verdict against BENCHMARK.json's bound
     summaries, verdicts = lines[0::2], lines[1::2]
-    assert [line.split(":")[0] for line in summaries] == ["wall_s", "peak_rss_mb", "setup_s"]
+    assert [line.split(":")[0] for line in summaries] == [
+        "classify wall_s", "classify peak_rss_mb", "classify setup_s"]
     assert all("lower in " in line and "/1; gap " in line and "the parent's IQR 0)" in line
                for line in summaries)
     bounds = {m["name"]: m["bound"] for m in
               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     for line, name in zip(verdicts, ("wall_s", "peak_rss_mb", "setup_s")):
         # one pair is too few for a gain, and its IQR of 0 leaves nothing unresolved
-        assert re.fullmatch(rf"{name}: (no regression|regression) "
+        assert re.fullmatch(rf"classify {name}: (no regression|regression) "
                             rf"\(lower is better, bound {bounds[name]:g}\)", line), line
 
 
@@ -48,8 +49,10 @@ def fake_checkout(root: Path, correct: bool, failed: int) -> Path:
         "        os.path.join(os.path.dirname(__file__), '__pycache__')):\n"
         "    sys.exit(3)\n"
         "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "workload = sys.argv[sys.argv.index('--workload') + 1]\n"
+        "value = 1.0 + seed + 100 * (workload == 'census')\n"
         f"print(json.dumps({{'correct': {correct}, 'attempted': 3, 'failed': {failed},\n"
-        "                  'metrics': {'wall_s': {'value': 1.0 + seed, 'unit': 's'}}}))\n")
+        "                  'metrics': {'wall_s': {'value': value, 'unit': 's'}}}))\n")
     (root / "BENCHMARK.json").write_text(json.dumps(
         {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15}]}))
     return root
@@ -60,18 +63,20 @@ def test_a_failed_job_on_either_side_fails_the_run(tmp_path):
     proc = pairs(good, good, "--workload", "lambda", "--seeds", "1-3")
     assert proc.returncode == 0, proc.stderr
     assert [line.split(":")[0] for line in proc.stdout.splitlines()] == [
-        "pair 0 seed 1 (parent first)", "pair 1 seed 2 (change first)",
-        "pair 2 seed 3 (parent first)", "wall_s", "wall_s"]
+        "pair 0 seed 1 lambda (parent first)", "pair 1 seed 2 lambda (change first)",
+        "pair 2 seed 3 lambda (parent first)", "lambda wall_s", "lambda wall_s"]
     assert proc.stdout.splitlines()[-2:] == [
-        "wall_s: parent 3 [2.5, 3.5] -> change 3 [2.5, 3.5] s (+0.0%, lower in 0/3;"
+        "lambda wall_s: parent 3 [2.5, 3.5] -> change 3 [2.5, 3.5] s (+0.0%, lower in 0/3;"
         " gap 0 against the parent's IQR 1)",
         # an IQR of 1/3 of the median is wider than the bound of 0.15
-        "wall_s: unresolved (lower is better, bound 0.15)"]
+        "lambda wall_s: unresolved (lower is better, bound 0.15)"]
     for correct, failed in ((False, 1), (True, 1)):
         bad = fake_checkout(tmp_path / f"bad-{correct}", correct, failed)
-        proc = pairs(good, bad, "--workload", "lambda", "--seeds", "1-2")
+        proc = pairs(good, bad, "--workload", "census,lambda", "--seeds", "1-2")
         assert proc.returncode == 1
-        assert f"change seed 1: correct={correct} failed=1" in proc.stderr
+        for workload in ("census", "lambda"):
+            assert f"{workload}: change seed 1: correct={correct} failed=1" in proc.stderr
+        assert "4 run(s) not correct" in proc.stderr
 
 
 def test_the_json_record_holds_each_pair_each_summary_and_the_provenance(tmp_path):
@@ -84,12 +89,14 @@ def test_the_json_record_holds_each_pair_each_summary_and_the_provenance(tmp_pat
     proc = pairs(parent, change, "--workload", "lambda", "--seeds", "4-6", "--json", out)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
-    assert record["workload"] == "lambda" and record["runs_not_correct"] == 0
-    assert record["pairs"] == [
+    assert list(record["workloads"]) == ["lambda"]
+    lam = record["workloads"]["lambda"]
+    assert lam["runs_not_correct"] == 0
+    assert lam["pairs"] == [
         {"seed": seed, "first": first, "parent": {"wall_s": 1.0 + seed},
          "change": {"wall_s": 1.0 + seed}}
         for seed, first in ((4, "parent"), (5, "change"), (6, "parent"))]
-    assert record["metrics"] == {"wall_s": {
+    assert lam["metrics"] == {"wall_s": {
         "unit": "s", "better": "lower", "bound": 0.15,
         "parent": {"q1": 5.5, "median": 6.0, "q3": 6.5},
         "change": {"q1": 5.5, "median": 6.0, "q3": 6.5},
@@ -106,8 +113,34 @@ def test_the_json_record_holds_each_pair_each_summary_and_the_provenance(tmp_pat
     assert str(tmp_path) not in out.read_text()
 
 
+def test_each_pair_runs_every_named_workload_on_both_sides(tmp_path):
+    parent, change = (fake_checkout(tmp_path / side, True, 0) for side in ("parent", "change"))
+    out = tmp_path / "BENCH.json"
+    proc = pairs(parent, change, "--workload", "lambda,census", "--seeds", "1-2", "--json", out)
+    assert proc.returncode == 0, proc.stderr
+    # within a pair, the workloads in the order named, each on both sides in
+    # the pair's order; then each workload's summary and verdict
+    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == [
+        "pair 0 seed 1 lambda (parent first)", "pair 0 seed 1 census (parent first)",
+        "pair 1 seed 2 lambda (change first)", "pair 1 seed 2 census (change first)",
+        "lambda wall_s", "lambda wall_s", "census wall_s", "census wall_s"]
+    assert proc.stdout.splitlines()[6].startswith("census wall_s: parent 102.5 [102.25, 102.75]")
+    record = json.loads(out.read_text())
+    assert list(record["workloads"]) == ["lambda", "census"]
+    for workload, offset in (("lambda", 1.0), ("census", 101.0)):
+        section = record["workloads"][workload]
+        assert [pair["parent"]["wall_s"] for pair in section["pairs"]] == [offset + 1,
+                                                                           offset + 2]
+        assert section["metrics"]["wall_s"]["parent"]["median"] == offset + 1.5
+        assert section["runs_not_correct"] == 0
+    assert record["provenance"]["seeds"] == [1, 2]
+
+
 def test_bad_arguments_exit_two(tmp_path):
     assert pairs(ROOT, ROOT, "--workload", "lambda", "--seeds", "5-4").returncode == 2
+    # a workload list with an empty or a repeated name
+    for workloads in ("lambda,", "lambda,,cli", "cli,lambda,cli"):
+        assert pairs(ROOT, ROOT, "--workload", workloads, "--seeds", "1").returncode == 2
     assert pairs(ROOT, tmp_path, "--workload", "lambda", "--seeds", "1").returncode == 2
     # a change checkout whose BENCHMARK.json gives no bounds
     bare = fake_checkout(tmp_path / "bare", True, 0)

@@ -2,13 +2,16 @@
 
     python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload lambda --seeds 301-310
     python tools/perf_pairs.py ../parent . --workload classify --seeds 7 --seconds 0.2
-    python tools/perf_pairs.py ../parent . --workload cli --seeds 101-110 --json BENCH_50.json
+    python tools/perf_pairs.py ../parent . --workload classify,census,lambda,cli \
+        --seeds 101-110 --json BENCH_51.json
 
-PARENT_DIR and CHANGE_DIR are two checkouts.  For each seed, in order,
-one pair runs `perfbench/run.py --workload W --seed S` in each of them,
-the parent first in even pairs (0, 2, ...) and the change first in odd
-ones, so that neither side always runs on the warmer or the cooler
-machine.  Each pair prints both sides' end-to-end metrics; then each
+PARENT_DIR and CHANGE_DIR are two checkouts, and --workload names one
+workload or a comma-separated list of them.  For each seed, in order,
+one pair runs `perfbench/run.py --workload W --seed S` for every named
+workload W in each checkout, the parent first in even pairs (0, 2, ...)
+and the change first in odd ones, so that neither side always runs on
+the warmer or the cooler machine.  Each pair prints both sides'
+end-to-end metrics, one line per workload; then, per workload, each
 metric prints both sides' median and quartiles, the relative change of
 the medians, the pairs in which the change is lower, and the gap
 between the medians against the parent's IQR (Q3 - Q1), as CHANGES.md
@@ -16,15 +19,17 @@ reports them, and then its verdict (`verdict`), judged by the metric's
 `better` and `bound` in the change checkout's BENCHMARK.json.
 
 With --json PATH the same record is also written to PATH as one JSON
-document: each pair's seed, order and metrics, each metric's quartiles
-on both sides, relative change, lower-count, gap, parent IQR and
-verdict, and the provenance: the seeds, Python, nproc, and the sha256
-of each side's `src/` (`source_sha256`), which names the code that ran
-without naming where its checkout was.
+document: a section per workload, with each pair's seed, order and
+metrics, and each metric's quartiles on both sides, relative change,
+lower-count, gap, parent IQR and verdict; and the provenance: the
+seeds, Python, nproc, and the sha256 of each side's `src/`
+(`source_sha256`), which names the code that ran without naming where
+its checkout was.
 
-Each side runs from a copy of its checkout in a temporary directory,
-without `.git` and without any `__pycache__`, under
-PYTHONDONTWRITEBYTECODE=1 and with no PYTHONPYCACHEPREFIX.  So, as in a
+Each side runs from one copy of its checkout in a temporary directory,
+made before the first pair, without `.git` and without any
+`__pycache__`, under PYTHONDONTWRITEBYTECODE=1 and with no
+PYTHONPYCACHEPREFIX.  So, as in a
 benchmark run on a fresh checkout, every child compiles `fixloc` from
 source and loads the standard library from its installed bytecode.
 Bytecode cached for the package would leave its compilation out of
@@ -68,6 +73,14 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
+def workload_list(text: str) -> list[str]:
+    names = text.split(",")
+    if "" in names or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(
+            f"workloads must be distinct names separated by commas: {text!r}")
+    return names
+
+
 def checkout(text: str) -> Path:
     path = Path(text).resolve()
     if not (path / "perfbench" / "run.py").is_file():
@@ -82,8 +95,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def run(root: Path, env: dict, args, seed: int) -> dict:
-    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", args.workload,
+def run(root: Path, env: dict, args, workload: str, seed: int) -> dict:
+    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed)]
     if args.seconds is not None:
         argv += ["--seconds", str(args.seconds)]
@@ -91,7 +104,8 @@ def run(root: Path, env: dict, args, seed: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
-        print(f"perf_pairs: {root} seed {seed}: run.py exited with {proc.returncode}",
+        print(f"perf_pairs: {root} {workload} seed {seed}: run.py exited with "
+              f"{proc.returncode}",
               file=sys.stderr)
         raise SystemExit(2)
     return json.loads(lines[-1])
@@ -155,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=checkout, metavar="PARENT_DIR")
     parser.add_argument("change", type=checkout, metavar="CHANGE_DIR")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=workload_list, required=True, metavar="W[,W...]")
     parser.add_argument("--seeds", type=seed_range, required=True, metavar="A-B")
     parser.add_argument("--seconds", type=float, default=None,
                         help="passed to run.py (default: its BENCHMARK.json run_seconds)")
@@ -168,10 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         parser.error(f"{args.change}/BENCHMARK.json gives no end_to_end bounds: {exc}")
 
-    bad = 0
-    values: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
-    pairs, sources = [], {}
-    units: dict[str, str] = {}
+    sections = {workload: {"pairs": [], "runs_not_correct": 0} for workload in args.workload}
+    units, sources = {}, {}
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="perf_pairs-") as tmp:
@@ -182,45 +194,46 @@ def main(argv: list[str] | None = None) -> int:
             sources[side] = source_sha256(root)
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            results = {side: run(roots[side], env, args, seed) for side in order}
-            pairs.append({"seed": seed, "first": order[0], **{
-                side: {name: m["value"] for name, m in results[side]["metrics"].items()}
-                for side in SIDES}})
-            cells = []
-            for side in SIDES:
-                result = results[side]
-                if not result["correct"] or result["failed"]:
-                    bad += 1
-                    print(f"perf_pairs: {side} seed {seed}: correct={result['correct']} "
-                          f"failed={result['failed']}", file=sys.stderr)
-                for name, metric in result["metrics"].items():
-                    values[side].setdefault(name, []).append(metric["value"])
-                    units[name] = metric["unit"]
-                cells.append(side + " " + " ".join(f"{name}={metric['value']:.5g}"
-                                                   for name, metric in result["metrics"].items()))
-            print(f"pair {i} seed {seed} ({order[0]} first): " + "; ".join(cells), flush=True)
-    metrics = {}
-    for name, unit in units.items():
-        parent, change = values["parent"][name], values["change"][name]
-        better, bound = bounds[name]["better"], bounds[name]["bound"]
-        judged = verdict(parent, change, better, bound)
-        metrics[name] = {"unit": unit, "better": better, "bound": bound,
-                         **compare(parent, change), "verdict": judged}
-        print(summary(name, unit, parent, change))
-        print(f"{name}: {judged} ({better} is better, bound {bound:g})")
+            for workload, section in sections.items():
+                results = {side: run(roots[side], env, args, workload, seed) for side in order}
+                section["pairs"].append({"seed": seed, "first": order[0], **{
+                    side: {name: m["value"] for name, m in results[side]["metrics"].items()}
+                    for side in SIDES}})
+                cells = []
+                for side in SIDES:
+                    result = results[side]
+                    if not result["correct"] or result["failed"]:
+                        section["runs_not_correct"] += 1
+                        print(f"perf_pairs: {workload}: {side} seed {seed}: "
+                              f"correct={result['correct']} failed={result['failed']}",
+                              file=sys.stderr)
+                    units.update((name, m["unit"]) for name, m in result["metrics"].items())
+                    cells.append(side + " " + " ".join(
+                        f"{name}={metric['value']:.5g}"
+                        for name, metric in result["metrics"].items()))
+                print(f"pair {i} seed {seed} {workload} ({order[0]} first): " + "; ".join(cells),
+                      flush=True)
+    for workload, section in sections.items():
+        section["metrics"] = {}
+        for name in section["pairs"][0]["parent"]:
+            parent, change = ([pair[side][name] for pair in section["pairs"]] for side in SIDES)
+            better, bound = bounds[name]["better"], bounds[name]["bound"]
+            judged = verdict(parent, change, better, bound)
+            section["metrics"][name] = {"unit": units[name], "better": better, "bound": bound,
+                                        **compare(parent, change), "verdict": judged}
+            print(f"{workload} {summary(name, units[name], parent, change)}")
+            print(f"{workload} {name}: {judged} ({better} is better, bound {bound:g})")
     if args.json is not None:
-        record = {
-            "workload": args.workload, "seconds": args.seconds, "pairs": pairs,
-            "metrics": metrics, "runs_not_correct": bad,
+        args.json.write_text(json.dumps({
+            "seconds": args.seconds, "workloads": sections,
             "provenance": {"seeds": args.seeds, "python": platform.python_version(),
                            "implementation": platform.python_implementation(),
                            "nproc": os.cpu_count(), "machine": platform.machine(),
-                           "source_sha256": sources}}
-        args.json.write_text(json.dumps(record, indent=2) + "\n")
+                           "source_sha256": sources}}, indent=2) + "\n")
+    bad = sum(section["runs_not_correct"] for section in sections.values())
     if bad:
         print(f"perf_pairs: {bad} run(s) not correct or with failed jobs", file=sys.stderr)
     return 1 if bad else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
