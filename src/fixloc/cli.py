@@ -8,7 +8,9 @@ the chosen subcommand, so a child compiles no other command's code.  A
 builder, `cmd_<subcommand>` with - read as _, returns the report as
 (payload, lines), the JSON document and the text or dot lines, or
 raises _PropertyFailure with a counterexample document; it writes
-nothing.  main alone writes stdout and picks the exit code.
+nothing.  main writes the report on stdout, or one message on stderr,
+each through _write, the one function that touches a standard stream,
+and returns every exit code; it raises no SystemExit.
 
 The command line is read by parse_args from COMMANDS and OPTIONS, the
 table of each option's converter, default and help.  It reads the plain
@@ -28,8 +30,10 @@ usage, or an input file that cannot be read as JSON) or a stdout that is
 closed or fails while the report is written (a closed pipe, a full disk,
 an I/O fault: "output error: ..." on stderr), 3 domain rejection
 (mathematically inadmissible input, or a JSON report holding an int past
-Python's digit limit).  All output is deterministic for a fixed seed:
-reports are byte-identical across runs.
+Python's digit limit).  Exits 1, 2 and 3 hold whatever state stderr is
+in: a message that cannot be written to a closed or failing stderr is
+dropped, with no traceback, and the code stays.  All output is
+deterministic for a fixed seed: reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -134,71 +138,92 @@ def parse_args(argv) -> SimpleNamespace:
                            **{_dest(option): value for option, value in values.items()})
 
 
-def main(argv=None) -> int:
+def _write(lines, stderr: bool = False) -> OSError | None:
+    """Writes lines to stdout, or to stderr, and flushes it: the one place
+    cli touches a standard stream.
+
+    Returns None, or the OSError of a stream that is closed or fails: a
+    closed pipe, a full disk, an I/O fault, or a BrokenPipeError for a
+    stream the process started with closed (>&-), which Python leaves as
+    None.  A stream that fails is pointed at devnull, so that what is left
+    in its buffer goes nowhere and the flush at exit raises nothing (Python
+    docs, "Note on SIGPIPE").
+    """
+    stream = sys.stderr if stderr else sys.stdout
+    if stream is None:
+        return BrokenPipeError()
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-        if args.format == "dot" and args.subcommand != "hyperelliptic":
-            raise _Usage("dot format is only available for the hyperelliptic report")
-        required = COMMANDS[args.subcommand][1]
-        if any(getattr(args, _dest(option)) in (None, "") for option in required):
-            *rest, last = required
-            raise _Usage(f"{args.subcommand} requires {', '.join(rest)}"
-                         f"{' and ' if rest else ''}{last}")
-        build = _builder(args.subcommand)
+        for line in lines:
+            print(line, file=stream)
+        stream.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+
+
+def _report(argv) -> tuple[list[str], int]:
+    """The lines of argv's report and its exit code: 0, or 1 when a checked
+    property failed and the lines are the counterexample.  Raises _Usage
+    with the message of a command line that is refused, and the errors the
+    builder raises."""
+    try:
+        args = parse_args(argv)
+    except _Usage as usage:
+        if usage.args:
+            raise
+        # -h or --help: the help text, written as a text report
+        from . import _cli_help
+        return _cli_help._help(COMMANDS, OPTIONS)[1], 0
+    if args.format == "dot" and args.subcommand != "hyperelliptic":
+        raise _Usage("dot format is only available for the hyperelliptic report")
+    required = COMMANDS[args.subcommand][1]
+    if any(getattr(args, _dest(option)) in (None, "") for option in required):
+        *rest, last = required
+        raise _Usage(f"{args.subcommand} requires {', '.join(rest)}"
+                     f"{' and ' if rest else ''}{last}")
+    if args.file == "":
+        # bijection-check, whose --file is optional, given an empty one
+        raise _Usage(f"{args.subcommand} --file is empty")
+    # the JSON text is built before anything is written, so a report that
+    # cannot be written leaves stdout empty
+    try:
+        payload, lines = _builder(args.subcommand)(args)
+    except _PropertyFailure as failure:
+        return [_json_text(failure.args[0])], 1
+    return ([_json_text(payload)] if args.format == "json" else lines), 0
+
+
+def main(argv=None) -> int:
+    """Runs the command line argv, sys.argv[1:] by default: writes the
+    report on stdout or one message on stderr, and returns the exit code.
+    A stdout that is closed or fails is an output error, exit 2; a stderr
+    that is closed or fails drops the message and keeps the code."""
+    try:
+        lines, code = _report(sys.argv[1:] if argv is None else argv)
     except _Usage as usage:
         from . import _cli_help
-        if usage.args:
-            print(f"{_cli_help._usage(OPTIONS)}\nfixloc: error: {usage.args[0]}", file=sys.stderr)
-            raise SystemExit(2)
-        build, args = (lambda _: _cli_help._help(COMMANDS, OPTIONS)), SimpleNamespace(format="text")
-    try:
-        try:
-            payload, lines = build(args)
-            code = 0
-        except _PropertyFailure as failure:
-            payload, code = failure.args[0], 1
-        # the JSON text is built before anything is written, so a report that
-        # cannot be written leaves stdout empty
-        if code or args.format == "json":
-            lines = [_json_text(payload)]
+        message, code = f"{_cli_help._usage(OPTIONS)}\nfixloc: error: {usage.args[0]}", 2
     except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"schema error: {exc}", 2
     except DomainError as exc:
-        print(f"domain error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"domain error: {exc.__class__.__name__}: {exc}", 3
     except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if sys.stdout is None:
-            # the process started with stdout closed (>&-): a closed pipe
-            raise BrokenPipeError
-        for line in lines:
-            print(line)
-        sys.stdout.flush()
-        return code
-    except OSError as exc:
-        # a closed pipe, a full disk, an I/O fault: send what is left to
-        # devnull, so that the flush at exit raises nothing (Python docs,
-        # "Note on SIGPIPE")
-        if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message, code = f"internal error: {exc}", 1
+    else:
+        if not (fault := _write(lines)):
+            return code
         reason = ("stdout was closed before the report was written"
-                  if isinstance(exc, BrokenPipeError)
-                  else f"the report could not be written to stdout: {exc.strerror or exc}")
-        try:
-            print(f"output error: {reason}", file=sys.stderr)
-        except OSError:
-            pass
-        return 2
+                  if isinstance(fault, BrokenPipeError)
+                  else f"the report could not be written to stdout: {fault.strerror or fault}")
+        message, code = f"output error: {reason}", 2
+    _write([message], stderr=True)
+    return code
 
 
 def run():
     """The process entry of `python -m fixloc.cli` and the `fixloc` script.
 
-    Exits with main's code.  On every way out, the usage error's
-    SystemExit(2) included, it first moves every object the process holds
+    Exits with main's code.  First it moves every object the process holds
     into the permanent generation (gc.freeze), which the collections at
     interpreter exit never visit, so the exit does not walk the heap that
     start-up and the report left; the process ending frees it.  The exit
@@ -206,10 +231,8 @@ def run():
     main itself freezes nothing, since a caller in the same process goes
     on collecting.
     """
-    try:
-        code = main()
-    finally:
-        gc.freeze()
+    code = main()
+    gc.freeze()
     sys.exit(code)
 
 

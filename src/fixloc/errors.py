@@ -68,8 +68,8 @@ class InconsistentDegrees(DomainError):
 
 class _Usage(Exception):
     """The command line is rejected: main writes the usage line and the one
-    argument, the message, on stderr and exits 2.  With no argument, -h or
-    --help asked for the help text, which main writes as a text report."""
+    argument, the message, on stderr and returns 2.  With no argument, -h
+    or --help asked for the help text, which main writes as a text report."""
 
 
 class _PropertyFailure(Exception):

@@ -122,10 +122,7 @@ def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(child, argv, laye
     code = ("import contextlib, gc, io, json, sys, fixloc.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
-            "    try:\n"
-            f"        code = fixloc.cli.main({argv!r})\n"
-            "    except SystemExit as exc:\n"
-            "        code = exc.code\n"
+            f"    code = fixloc.cli.main({argv!r})\n"
             "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('fixloc.')),\n"
             f"                  [m for m in {unwanted + ARGPARSE!r} if m in sys.modules],\n"
             "                  gc.get_freeze_count()]))")
@@ -144,8 +141,8 @@ def test_a_cli_child_loads_only_the_layers_its_subcommand_runs(child, argv, laye
 def test_no_cli_child_run_as_main_imports_fixloc_cli(child):
     # under -m the entry module is __main__, and no module imports fixloc.cli:
     # a second copy would hold second _Usage and _PropertyFailure classes.
-    # The entry, cli.run, freezes the heap on every way out, the usage
-    # error's SystemExit(2) included, so the exit collects none of it
+    # The entry, cli.run, freezes the heap after main returns, whatever the
+    # code, a usage error's 2 included, so the exit collects none of it
     argvs = [argv for argv, _ in FOOTPRINTS]
     code = ("import contextlib, gc, io, json, runpy, sys\n"
             "exits = []\n"

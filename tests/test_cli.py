@@ -773,12 +773,19 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert out == ""
     assert err == ("domain error: InvalidDatum: determinant residues must name every "
                    "profile orbit\n")
+    # the benchmark's rejected zeta2 input: an odd cover order
+    odd = ROOT / "perfbench" / "inputs" / "cli" / "zeta2_odd.json"
+    code, out, err = run(capsys, "zeta2", "--file", str(odd))
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: OddOrder: ")
 
 
 @pytest.mark.parametrize("argv, message", [
     # a missing or empty option, named with every option its subcommand requires
     (["kernel"], "kernel requires --file"),
     (["zeta2", "--file", ""], "zeta2 requires --file"),
+    # bijection-check draws random covers with no --file, but not with an empty one
+    (["bijection-check", "--file", ""], "bijection-check --file is empty"),
     (["hyperelliptic"], "hyperelliptic requires --g"),
     (["census", "--n", "4", "--deg-delta", "8"], "census requires --n, --deg-delta and --genus-y"),
     # dot is report-only, and it is checked first
@@ -798,10 +805,8 @@ def test_domain_error_exit_code(capsys, tmp_path):
     (["--file=p.json"], "the following arguments are required: subcommand"),
 ])
 def test_usage_errors_exit_two(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
     assert err == f"{_cli_help._usage(cli.OPTIONS)}\nfixloc: error: {message}\n"
     assert err.startswith("usage: fixloc ")
 
@@ -946,24 +951,33 @@ BUFFERING = pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", 
 CLI = [sys.executable, "-m", "fixloc.cli"]
 
 
-def _output_fault(unbuffered: str, command: list, stdout) -> subprocess.CompletedProcess:
-    # an empty PYTHONUNBUFFERED is unset: stdout is block-buffered, so the
-    # report sits in the buffer until main's flush, and whatever is left there
-    # is flushed again at interpreter exit
+def _output_fault(unbuffered: str, argv: list, stream: str,
+                  fault: str) -> subprocess.CompletedProcess:
+    # a CLI child whose stream, "stdout" or "stderr", is the device that
+    # refuses every write (fault "full", ENOSPC) or is closed at start (fault
+    # "closed", n>&-, so that sys.stdout or sys.stderr is None); the other
+    # stream is piped.  An empty PYTHONUNBUFFERED is unset: stdout is
+    # block-buffered, so the report sits in the buffer until main's flush,
+    # and whatever is left there is flushed again at interpreter exit
+    if fault == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    fd = {"stdout": 1, "stderr": 2}[stream]
+    command = [*CLI, *argv]
+    if fault == "closed":
+        command = ["sh", "-c", f'exec "$@" {fd}>&-', "sh", *command]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
-    return subprocess.run(command, cwd=ROOT, env=env, stdin=subprocess.DEVNULL, stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=60)
+    with open("/dev/full", "wb") if fault == "full" else contextlib.nullcontext() as sink:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: sink}
+        return subprocess.run(command, cwd=ROOT, env=env, stdin=subprocess.DEVNULL, timeout=60,
+                              **streams)
 
 
 @BUFFERING
 def test_a_stdout_that_fails_to_write_exits_two_without_a_traceback(unbuffered):
     # any OSError from writing the report ends as a closed pipe does; here
     # ENOSPC, from the device that refuses every write
-    if not os.path.exists("/dev/full"):
-        pytest.skip("this system has no /dev/full")
     doc = ROOT / "perfbench" / "inputs" / "cli" / "profile12.json"
-    with open("/dev/full", "wb") as full:
-        proc = _output_fault(unbuffered, [*CLI, "kernel", "--file", doc], full)
+    proc = _output_fault(unbuffered, ["kernel", "--file", doc], "stdout", "full")
     assert (proc.returncode, proc.stderr.decode()) == (
         2, "output error: the report could not be written to stdout: "
            f"{os.strerror(errno.ENOSPC)}\n")
@@ -971,12 +985,25 @@ def test_a_stdout_that_fails_to_write_exits_two_without_a_traceback(unbuffered):
 
 @BUFFERING
 def test_a_stdout_closed_at_start_exits_two_without_a_traceback(unbuffered):
-    # a child started with stdout closed (>&-) has sys.stdout None; the
-    # report and the help text alike find no stdout to write to
+    # the report and the help text alike find no stdout to write to
     for argv in (["hyperelliptic", "--g", "3"], ["-h"]):
-        proc = _output_fault(unbuffered, ["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *argv], None)
+        proc = _output_fault(unbuffered, argv, "stdout", "closed")
         assert (proc.returncode, proc.stderr) == (
             2, b"output error: stdout was closed before the report was written\n"), argv
+
+
+@BUFFERING
+@pytest.mark.parametrize("fault", ["full", "closed"])
+@pytest.mark.parametrize("argv, code", [
+    (["kernel"], 2),
+    (["kernel", "--file", str(ROOT / "no-such-file.json")], 2),
+    (["hyperelliptic", "--g", "0"], 3),
+], ids=["usage", "schema", "domain"])
+def test_a_stderr_that_fails_or_is_closed_keeps_the_exit_code(unbuffered, fault, argv, code):
+    # the message is dropped and the exit code stays; a traceback that could
+    # not be written would exit 1, or 120 when the flush at exit fails
+    proc = _output_fault(unbuffered, argv, "stderr", fault)
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 
 def test_internal_error_exit_code(capsys, hyper_file, monkeypatch):

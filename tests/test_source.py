@@ -309,20 +309,26 @@ def test_every_fixture_is_named_by_exactly_one_recorder():
 
 
 def test_only_main_writes_the_cli_report():
-    # the builders return their reports and main writes them, so stdout has one
-    # writer: every print call and every read of sys.stdout in cli.py is main's,
-    # and the report modules and the help module have none
+    # the builders return their reports, and main writes them and every
+    # message through one writer: cli._write is the one function in cli.py
+    # that calls print or reads sys.stdout, sys.stderr or sys.stdin, main
+    # alone calls it, and the report modules and the help module do neither
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    main = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def calls(root, name):
+        return sorted(node.lineno for node in ast.walk(root)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == name)
 
     def writes(root):
-        return sorted(node.lineno for node in ast.walk(root)
-                      if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                          and node.func.id == "print")
-                      or (isinstance(node, ast.Attribute) and node.attr == "stdout"))
+        return sorted(calls(root, "print") + [
+            node.lineno for node in ast.walk(root)
+            if isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr", "stdin")])
 
-    assert len(main) == 1 and writes(main[0])
-    assert writes(tree) == writes(main[0])
+    assert writes(functions["_write"]) and writes(tree) == writes(functions["_write"])
+    assert calls(functions["main"], "_write")
+    assert calls(tree, "_write") == calls(functions["main"], "_write")
     others = sorted(SRC.glob("_cli_*.py"))
     assert [path.stem for path in others] == ["_cli_covers", "_cli_equivariant", "_cli_help",
                                               "_cli_locus", "_cli_stability"]
