@@ -23,8 +23,11 @@ witnesses are those of a plain scan over every degree and every subset
 in itertools.combinations order.  Each argument for that sits at the
 code it justifies:
 
-- the integer face test of a subset, against a threshold fixed per
-  degree: stability_classify;
+- the scan's order, first O(c), then each degree's kernels, the
+  integer face test of a subset against a threshold fixed per degree,
+  and the skip of a degree an earlier locator certificate implies:
+  _witnesses, which alone fixes that order; stability_classify only
+  judges the witnesses it yields;
 - the integer form of the bundle, read from its Fractions once per call
   and by everything downstream: _integer_points;
 - integer interpolation rows in place of fraction ones:
@@ -38,9 +41,10 @@ code it justifies:
 - the walk of each degree's subsets, its prunes and its table of
   prefixes: _kernel_candidates;
 - the two lemmas, the error locator and the line lemma, that prove a
-  degree empty before its rows are built, and the sums of weight by the
-  primitive normal of a line or plane, one pass per row of K, that make
-  the line lemma quadratic: _certified_empty;
+  degree empty before its rows are built, the sums of weight by flag
+  that decide a line of Q^2, and the sums by the primitive normal of a
+  plane, one pass per row of K, that make the line lemma quadratic in
+  Q^3: _certified_empty;
 - witness scoring in integers: _true_agreement, by Horner's rule in
   homogeneous form on the integer form, and _face_numerator.
 
@@ -416,7 +420,7 @@ def _size_floor(best: list[list[int]], need: int) -> int:
     It is the least r with 2*best[0][r] >= need, best being the weights'
     _best_sums: r points weigh at most best[0][r], and the r heaviest
     weigh that.  need must be at most twice the total weight, as it is
-    at every degree of stability_classify's scan.
+    at every degree of _witnesses' scan.
     """
     return next(r for r, top in enumerate(best[0]) if 2 * top >= need)
 
@@ -428,7 +432,7 @@ def _kernel_candidates(rows: list[list[int]], ncols: int, iw: list[int], need: i
     A subset is yielded when 2*sum(iw[S]) >= need and its rows stay
     below rank ncols modulo RANK_PRIME.  best is the weights'
     _best_sums and floor the degree's _size_floor, both built by
-    stability_classify: sizes run downward from n to floor, since no
+    _witnesses: sizes run downward from n to floor, since no
     smaller subset meets need.  Each size level is one depth-first walk
     that extends index prefixes in increasing order, so its leaves come
     in itertools.combinations order, and each prefix passes its echelon
@@ -494,33 +498,38 @@ def _certified_empty(table: list[_Point], pos: list[int], iw: list[int], need: i
 
     Only the points K of positive weight, listed by pos, matter: S
     qualifies with S & K alone, whose fewer rows keep any kernel of S.
-    stability_classify lists K once per call.  Rows are never zero,
-    since flags are normalized and nq >= 1.  At ncols <= 3 the line
-    lemma decides exactly; above it the error locator may only certify.
+    _witnesses lists K once per call.  Rows are never zero, since flags
+    are normalized and nq >= 1.  At ncols <= 3 the line lemma decides
+    exactly; above it the error locator may only certify.
 
     The line lemma: a set of rows has a kernel exactly when it lies on
     one hyperplane through the origin, a line of Q^2 or a plane of Q^3.
-    Unless K's rows are all proportional, and then K itself has a
-    kernel, every subset of K on a plane lies on the plane of two
-    non-proportional rows of K, whose normal is their integer cross
-    product.  The degree is empty exactly when every such hyperplane's
-    weight misses need.  A line or a plane is keyed by a primitive
-    vector, its direction or normal over the gcd of its entries with the
-    first nonzero entry positive: two vectors are proportional exactly
-    when they have one primitive form.  At ncols = 2 each line's weight
-    is one sum over the rows keyed by it.  At ncols = 3 the rows of K
-    are walked in order, and each row i sums, with a fresh dict, the
-    weight of each later row j not proportional to it under the key of
-    the plane through i and j, and apart from those, in a base, the
-    weight of the later rows proportional to it, which lie on every
-    plane through i.  At the first row i of K on a plane, iw[i] plus
-    the base plus the plane's sum is the plane's whole weight: no
-    earlier row lies on it, and a later row on it is proportional to i
-    or spans it with i.  At a later row of the plane the sum is part of
-    that weight.  So the lemma returns False at the first plane whose
-    weight meets need, in O(K^2) with no sets, and True when no plane
-    does; tests/test_stability.py keeps the O(K^3) scan that dots every
-    normal with every row as its oracle.
+    The degree is empty exactly when every such hyperplane's weight
+    misses need.  At ncols = 2, np_ = nq = 1 and a point's row is
+    (s, -a*t), its entry table[i][2:] of _integer_points.  That pair is
+    one-to-one with the normalized flag, and two of them are proportional
+    only when equal: s/t is reduced with t > 0, and a is 0 (the row
+    (1, 0)) or 1 (a second entry -t < 0).  So a line of Q^2 holds
+    exactly the points of one flag, and each line's weight is one sum
+    over the points keyed by that pair.  At ncols = 3, unless K's rows
+    are all proportional, and then K itself has a kernel, every subset
+    of K on a plane lies on the plane of two non-proportional rows of K,
+    whose normal is their integer cross product.  A plane is keyed by
+    its primitive normal, the normal over the gcd of its entries with
+    the first nonzero entry positive: two vectors are proportional
+    exactly when they have one primitive form.  The rows of K are
+    walked in order, and each row i sums, with a fresh dict, the weight
+    of each later row j not proportional to it under the key of the
+    plane through i and j, and apart from those, in a base, the weight
+    of the later rows proportional to it, which lie on every plane
+    through i.  At the first row i of K on a plane, iw[i] plus the base
+    plus the plane's sum is the plane's whole weight: no earlier row
+    lies on it, and a later row on it is proportional to i or spans it
+    with i.  At a later row of the plane the sum is part of that weight.
+    So the lemma returns False at the first plane whose weight meets
+    need, in O(K^2) with no sets, and True when no plane does.
+    tests/test_stability.py keeps, as the oracle at both widths, the
+    O(K^3) scan that dots every line's or plane's normal with every row.
 
     The error locator (Berlekamp-Welch): a qualifying S & K holds at
     least s points, the degree's _size_floor, so S misses at most
@@ -534,16 +543,14 @@ def _certified_empty(table: list[_Point], pos: list[int], iw: list[int], need: i
     if need <= 0:
         return False  # the empty subset qualifies and has a kernel
     ncols = np_ + nq
-    if ncols <= 3:
+    if ncols == 2:
+        # the weight on each line of Q^2, that is of each flag
+        on: dict[tuple[int, ...], int] = {}
+        for i in pos:
+            on[table[i][2:]] = on.get(table[i][2:], 0) + iw[i]
+        return all(2 * total < need for total in on.values())
+    if ncols == 3:
         rows = [(iw[i], _interpolation_row(table[i], np_, nq)) for i in pos]
-        if ncols == 2:
-            # the weight on the line of each row of Q^2, by primitive direction
-            on: dict[tuple[int, ...], int] = {}
-            for w, (x, y) in rows:
-                g = math.gcd(x, y) if (x or y) > 0 else -math.gcd(x, y)
-                key = (x // g, y // g)
-                on[key] = on.get(key, 0) + w
-            return all(2 * total < need for total in on.values())
         # the planes through each row of Q^3 and a later one, by primitive
         # normal, each weighed in full at its first row of K
         paired = False  # whether some two rows of K are not proportional
@@ -658,26 +665,24 @@ def validate_witness(bundle: ParabolicP1, witness: SubbundleWitness) -> None:
         raise InvalidDatum("witness agreement set does not match its sections")
 
 
-def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVerdict:
-    """Exact trichotomy: Stable / StrictlySemistable / Unstable.
+def _witnesses(c: int, d: int, table: list[_Point], scale: int, iw: list[int]):
+    """Yield the saturated witnesses of the scan, in the order of a plain scan.
 
-    Scans subbundle degrees down to the first value where a violation
-    is still arithmetically possible, and within each degree all
-    agreement sets whose face-value slope difference is non-positive;
-    every extracted kernel vector is saturated and scored at its true
-    degree.  Unstable verdicts carry a violating witness, strictly
-    semistable ones an equalizing witness.
-
-    With scale the lcm of the weight denominators and iw the weights
-    times scale, the face value of (e, S) is non-positive exactly when
-    2*sum(iw[S]) >= need = scale*(d-2e) + sum(iw).  The verdict and its
-    witness are those of a plain scan over every such S, sizes downward
-    and each size in itertools.combinations order, that takes the first
-    kernel vector of each: a degree that _certified_empty proves empty
-    holds no qualifying S with a kernel, _kernel_candidates yields every
-    such S in the plain scan's order, and kernel_vector's vector, read
-    off the unique reduced row echelon form, is unchanged by the integer
-    scaling of the rows (_interpolation_row).
+    table is the bundle's _integer_points and iw its weights over their
+    common denominator scale (_over_one_denominator).  First comes the
+    split summand O(c), which always includes.  Then, for each degree e
+    from d-c down to the first where a violation is still arithmetically
+    possible, each qualifying subset S with a kernel, sizes downward and
+    each size in itertools.combinations order, yields the saturated
+    first kernel vector of its interpolation rows.  S qualifies when its
+    face value at e is non-positive, that is when 2*sum(iw[S]) >= need =
+    scale*(d-2e) + sum(iw).  These are the witnesses of the plain scan
+    over every such S: a degree that _certified_empty proves empty holds
+    no qualifying S with a kernel, _kernel_candidates yields every such
+    S in the plain scan's order, and kernel_vector's vector, read off
+    the unique reduced row echelon form, is unchanged by the integer
+    scaling of the rows (_interpolation_row).  This is the one place
+    that fixes the scan's order.
 
     A degree is skipped unproved when its widened p-bound np_ + E is no
     larger than one the error locator certified earlier in the call: that
@@ -690,41 +695,8 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
     columns, divided by v^k (_interpolation_row).  Full column rank over
     the rationals at (P, Q) is full rank on any subset of the columns, so
     K's rows reach full rank at this degree's widened bounds too.
-
-    A bundle with more than MAX_MARKED_POINTS marked points raises
-    DomainError before any work, and a g that is given but is not an
-    int raises InvalidDatum before that.  The optional g cross-checks
-    the all-half-weights family, whose marked-point count must be 2g+2.
     """
-    if g is not None:
-        check_int(g, "genus")
-    npoints = len(bundle.points)
-    if npoints > MAX_MARKED_POINTS:
-        raise DomainError(f"{npoints} marked points exceed the limit of {MAX_MARKED_POINTS}")
-    # the integer form of the bundle, which everything below reads
-    table = _integer_points(bundle)
-    scale, iw = _over_one_denominator(bundle.weights)
-    # every weight 1/2: the all-half-weights family
-    if g is not None and all(2 * x == scale for x in iw):
-        if npoints != 2 * g + 2:
-            raise InvalidDatum(f"genus {g} needs {2 * g + 2} marked points")
-    c, d = bundle.c, bundle.d
-    equal_witness: SubbundleWitness | None = None
-
-    def consider(wit: SubbundleWitness):
-        nonlocal equal_witness
-        diff = _face_numerator(d, wit.e, scale, iw, range(npoints), wit.agreement)
-        if diff < 0:
-            return StabilityVerdict(UNSTABLE, wit)
-        if diff == 0 and equal_witness is None:
-            equal_witness = wit
-        return None
-
-    # the split summand O(c) always includes; check it first
-    verdict = consider(_saturate(c, d, table, c, [Fraction(1)], []))
-    if verdict:
-        return verdict
-
+    yield _saturate(c, d, table, c, [Fraction(1)], [])
     # face value <= 0  <=>  2 * sum(iw[S]) >= need, all in integers
     total = sum(iw)
     e_lo = -((total - d * scale) // (2 * scale))  # ceil((d*scale - total) / (2*scale))
@@ -747,14 +719,44 @@ def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVe
         rows = [_interpolation_row(point, np_, nq) for point in table]
         for subset in _kernel_candidates(rows, np_ + nq, iw, need, best, floor):
             v = kernel_vector([rows[i] for i in subset], np_ + nq)
-            if v is None:
-                continue
-            verdict = consider(_saturate(c, d, table, e, v[:np_], v[np_:]))
-            if verdict:
-                return verdict
-    if equal_witness is not None:
-        return StabilityVerdict(STRICTLY_SEMISTABLE, equal_witness)
-    return StabilityVerdict(STABLE, None)
+            if v is not None:
+                yield _saturate(c, d, table, e, v[:np_], v[np_:])
+
+
+def stability_classify(bundle: ParabolicP1, g: int | None = None) -> StabilityVerdict:
+    """Exact trichotomy: Stable / StrictlySemistable / Unstable.
+
+    Every witness of the scan (_witnesses) is a genuine saturated
+    subbundle scored at its true degree by the sign of its face
+    numerator.  The first witness with a negative one makes the bundle
+    Unstable and is its witness; otherwise the first with zero makes it
+    StrictlySemistable, an equalizing witness; otherwise it is Stable.
+
+    A bundle with more than MAX_MARKED_POINTS marked points raises
+    DomainError before any work, and a g that is given but is not an
+    int raises InvalidDatum before that.  The optional g cross-checks
+    the all-half-weights family, whose marked-point count must be 2g+2.
+    """
+    if g is not None:
+        check_int(g, "genus")
+    npoints = len(bundle.points)
+    if npoints > MAX_MARKED_POINTS:
+        raise DomainError(f"{npoints} marked points exceed the limit of {MAX_MARKED_POINTS}")
+    # the integer form of the bundle, which everything below reads
+    table = _integer_points(bundle)
+    scale, iw = _over_one_denominator(bundle.weights)
+    # every weight 1/2: the all-half-weights family
+    if g is not None and all(2 * x == scale for x in iw):
+        if npoints != 2 * g + 2:
+            raise InvalidDatum(f"genus {g} needs {2 * g + 2} marked points")
+    equal = None
+    for wit in _witnesses(bundle.c, bundle.d, table, scale, iw):
+        diff = _face_numerator(bundle.d, wit.e, scale, iw, range(npoints), wit.agreement)
+        if diff < 0:
+            return StabilityVerdict(UNSTABLE, wit)
+        if diff == 0 and equal is None:
+            equal = wit
+    return StabilityVerdict(STABLE if equal is None else STRICTLY_SEMISTABLE, equal)
 
 
 def split_moduli_P1(det_degree: int) -> tuple[int, int] | None:

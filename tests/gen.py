@@ -30,14 +30,14 @@ from fixloc import (
     sim_o_step,
     verdict_to_json,
 )
-from fixloc._ser import rat_from_json, rat_to_json
+from fixloc._ser import rat_from_json, to_json
 from fixloc.covers import random_profile
 from fixloc.equivariant import random_det
 from fixloc.graded import validate_graded
 
-__all__ = ["boundary", "boundary_bundle", "bundle_doc", "bundle_from_doc", "even_subsets",
-           "random_bundle", "random_data", "random_det", "random_graded", "random_parabolic",
-           "random_profile", "sample_graded", "scaling_corpus", "twist_corpus", "verdict_case"]
+__all__ = ["boundary", "boundary_bundle", "bundle_from_doc", "even_subsets", "random_bundle",
+           "random_data", "random_det", "random_graded", "random_parabolic", "random_profile",
+           "sample_graded", "scaling_corpus", "twist_corpus", "verdict_case"]
 
 
 def random_data(rng: random.Random, profile) -> Rank2EqData:
@@ -200,20 +200,12 @@ def scaling_corpus(g: int, draws: int, seed: int):
             for i in range(draws)]
 
 
-def bundle_doc(bundle) -> dict:
-    """The fixtures' bundle document.  Unlike bundle_to_json's, it carries d,
-    so it also holds bundles off the normalized -(g+1) family."""
-    return {
-        "c": bundle.c,
-        "d": bundle.d,
-        "points": [rat_to_json(z) for z in bundle.points],
-        "flags": [[rat_to_json(a), rat_to_json(b)] for a, b in bundle.flags],
-        "weights": [rat_to_json(w) for w in bundle.weights],
-    }
-
-
 def bundle_from_doc(doc: dict):
-    """The bundle that bundle_doc wrote."""
+    """The bundle of a fixture's bundle document, `_ser.to_json` of the bundle.
+
+    Unlike bundle_to_json's document it carries d, so it also holds
+    bundles off the normalized -(g+1) family.
+    """
     return make_bundle(doc["c"], doc["d"],
                        [rat_from_json(z) for z in doc["points"]],
                        [(rat_from_json(a), rat_from_json(b)) for a, b in doc["flags"]],
@@ -222,7 +214,7 @@ def bundle_from_doc(doc: dict):
 
 def verdict_case(name: str, bundle, verdict, **extra) -> dict:
     """A fixture case: the bundle's document and its verdict's JSON, under a name."""
-    return {"name": name, **extra, "bundle": bundle_doc(bundle),
+    return {"name": name, **extra, "bundle": to_json(bundle),
             "verdict": verdict_to_json(verdict)}
 
 

@@ -757,6 +757,31 @@ def test_an_unreadable_file_is_a_schema_error_not_a_traceback(child, tmp_path, n
     assert "Traceback" not in proc.stderr
 
 
+def test_a_file_past_the_read_limit_is_a_schema_error(capsys, tmp_path, monkeypatch):
+    # the limit counts characters, not bytes: each orbit label takes two
+    # bytes of UTF-8 and one character
+    doc = json.dumps({"n": 2, "orbits": [{"id": "é", "k": 1}, {"id": "ü", "k": 1}]},
+                     ensure_ascii=False)
+    limit = len(doc) + 5
+    monkeypatch.setattr(_ser, "MAX_FILE_CHARS", limit)
+    at_limit, past_limit = tmp_path / "at.json", tmp_path / "past.json"
+    at_limit.write_text(doc + " " * 5, encoding="utf-8")
+    past_limit.write_text(doc + " " * 6, encoding="utf-8")
+    assert len(at_limit.read_bytes()) > limit
+    code, out, err = run(capsys, "kernel", "--file", str(at_limit))
+    assert (code, err) == (0, "") and json.loads(out)
+    assert run(capsys, "kernel", "--file", str(past_limit)) == \
+        (2, "", f"schema error: {past_limit} is past the --file limit of {limit} characters\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_file_is_rejected_at_the_read_limit(child):
+    proc = child("-m", "fixloc.cli", "kernel", "--file", "/dev/zero", timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"schema error: /dev/zero is past the --file limit of "
+                           f"{_ser.MAX_FILE_CHARS} characters\n")
+
+
 def test_domain_error_exit_code(capsys, tmp_path):
     path = write(tmp_path, "bad_orbit.json", {"n": 6, "orbits": [{"id": "a", "k": 4}]})
     code, _, err = run(capsys, "kernel", "--file", path)

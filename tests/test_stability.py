@@ -173,7 +173,7 @@ def test_prefix_echelon_rank_matches_rank_mod_p():
 
 
 def weight_bounds(iw, need):
-    """(K, best, s) as stability_classify builds them: K the points of
+    """(K, best, s) as _witnesses builds them: K the points of
     positive weight, best the weights' table and s the degree's size floor.
     Past twice the total weight, a need no degree of the scan reaches, no
     subset qualifies, and s is len(iw) + 1."""
@@ -183,13 +183,13 @@ def weight_bounds(iw, need):
 
 
 def candidates(rows, ncols, iw, need):
-    """_kernel_candidates with the table and the size floor stability_classify passes."""
+    """_kernel_candidates with the table and the size floor _witnesses passes."""
     _, best, floor = weight_bounds(iw, need)
     return _kernel_candidates(rows, ncols, iw, need, best, floor)
 
 
 def certified_empty(table, iw, need, np_, nq):
-    """_certified_empty with K and E = |K| - s as stability_classify passes them."""
+    """_certified_empty with K and E = |K| - s as _witnesses passes them."""
     pos, _, floor = weight_bounds(iw, need)
     return stability._certified_empty(table, pos, iw, need, np_, nq, len(pos) - floor)
 
@@ -291,7 +291,7 @@ def test_rank_mod_p_drop_falls_back_to_the_exact_kernel():
 
 
 def loop_degrees(bundle):
-    """(iw, need, np_, nq) for every degree of stability_classify's loop."""
+    """(iw, need, np_, nq) for every degree of _witnesses' loop."""
     c, d = bundle.c, bundle.d
     scale, iw = _over_one_denominator(bundle.weights)
     e_lo = math.ceil(F(d * scale - sum(iw), 2 * scale))
@@ -344,6 +344,39 @@ def test_certified_degrees_hold_no_qualifying_kernel():
     # rows, stays sound but certifies fewer degrees
     assert tried == {"line": 60, "locator": 110}
     assert certified["line"] == 27 and certified["locator"] >= 69
+
+
+def plain_witnesses(bundle):
+    """The witnesses of the plain scan, with no certificate, skip or prune:
+    O(c), then at each degree from d - c down every qualifying subset,
+    sizes downward and each size in combinations order, whose rows have
+    an exact kernel_vector, saturated."""
+    n, c = len(bundle.points), bundle.c
+    yield saturate(bundle, c, [F(1)], [])
+    for iw, need, np_, nq in loop_degrees(bundle):
+        rows = [_interpolation_row(point, np_, nq) for point in _integer_points(bundle)]
+        for size in range(n, -1, -1):
+            for s in itertools.combinations(range(n), size):
+                if 2 * sum(iw[i] for i in s) >= need:
+                    v = kernel_vector([rows[i] for i in s], np_ + nq)
+                    if v is not None:
+                        yield saturate(bundle, c - np_ + 1, v[:np_], v[np_:])
+
+
+def test_the_witness_stream_is_the_plain_scan():
+    # the scan's witnesses as lists, in order: a cut of the walk, a wrong
+    # certificate or skip, or a lost O(c) changes the list even where
+    # another subset repeats the witness it drops, which no verdict shows
+    seen = collections.Counter()
+    for bundle in certificate_corpus():
+        scale, iw = _over_one_denominator(bundle.weights)
+        got = list(stability._witnesses(bundle.c, bundle.d, _integer_points(bundle), scale, iw))
+        assert got == list(plain_witnesses(bundle)), bundle
+        seen["bundles"] += 1
+        seen["witnesses"] += len(got)
+        seen["repeated"] += len(set(got)) < len(got)
+    # 46 bundles' streams repeat a witness
+    assert seen == {"bundles": 116, "witnesses": 429, "repeated": 46}, seen
 
 
 def normal_scan(table, iw, need, np_, nq) -> bool:
@@ -475,7 +508,7 @@ def fewest_qualifying(iw, need) -> int:
 
 def test_the_error_count_and_the_size_floor_are_read_off_the_weights_table():
     # s, the walk's size floor, and the locator's E = |K| - s, from the
-    # table stability_classify builds once per call, against a scan of every
+    # table _witnesses builds once per call, against a scan of every
     # subset and the former loop: on seeded weight vectors with zeros and
     # ties at every need from -1 to twice the total weight, and at every
     # degree of the 360 bundles of the benchmark's classify pool
@@ -509,7 +542,7 @@ def test_the_error_count_and_the_size_floor_are_read_off_the_weights_table():
 
 
 def test_a_degree_skipped_after_a_locator_certificate_is_certified_on_its_own(count_calls):
-    # stability_classify skips a degree whose widened p-bound np_ + E is no
+    # _witnesses skips a degree whose widened p-bound np_ + E is no
     # larger than one the error locator certified earlier in the call; each
     # such degree must be one _certified_empty certifies when asked, on the
     # 360 bundles of the benchmark's classify pool and on 60 seeded ones at g = 3..6
